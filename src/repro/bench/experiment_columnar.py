@@ -1,25 +1,24 @@
-"""Columnar labels + numpy kernels vs the PR-5 executor (perf + footprint gate).
+"""Columnar vs row label storage on the one engine (footprint + CPU gate).
 
-Two PTLDB instances are loaded from the same preprocessed bundle:
+Two PTLDB instances are loaded from the same preprocessed bundle and
+differ in the ``STORAGE`` axis only:
 
-* **baseline** — ``STORAGE=row`` label/aux tables and
-  ``numpy_batches=False``: the batch executor moving ``list[tuple]``
-  chunks, exactly the PR-5 configuration.
-* **candidate** — ``STORAGE=COLUMNAR`` tables and ``numpy_batches=True``:
-  delta-compressed column segments decoded straight into int64 ndarrays
-  and the numpy batch kernels (docs/STORAGE.md, docs/PERFORMANCE.md).
+* **baseline** — ``STORAGE=row`` label/aux tables;
+* **candidate** — ``STORAGE=COLUMNAR`` tables: delta-compressed column
+  segments, decoded straight into int64 ndarrays where the planner allows
+  it (docs/STORAGE.md, docs/PERFORMANCE.md).
 
 Both run the same v2v / kNN / one-to-many workloads and must return
-identical results; the run **fails** unless the candidate is at least
-``--min-speedup`` (default 2x) faster on CPU on every family, and unless
-the candidate's label-table bytes are at most ``--max-bytes-ratio``
-(default 0.6x) of the baseline's.
+identical results; the run **fails** unless the candidate's label-table
+bytes are at most ``--max-bytes-ratio`` (default 0.6x) of the baseline's,
+and unless its CPU per query is at least ``--min-speedup`` (default
+0.75x) of the baseline's on every family — the compression may not be
+bought with more than a third extra CPU.
 
-The speedup gate needs label arrays long enough for the numpy decode to
-matter, which is why the default configuration is the paper-scale Madrid
-feed with a dense target set (``k=16``, target density 0.1) — smaller
-feeds stay correct but their per-hub arrays sit below the
-``NP_DECODE_MIN`` crossover and the measured ratio shrinks with them.
+The default configuration is the paper-scale Madrid feed with a dense
+target set (``k=16``, target density 0.1): its per-hub label arrays sit
+well above the ``NP_DECODE_MIN`` crossover, so the ndarray decode is what
+gets measured.
 
 Usage::
 
@@ -43,8 +42,7 @@ FAMILIES = ("v2v", "knn", "otm")
 LABEL_TABLES = ("lout", "lin")
 
 
-def _build(bundle, device: str, storage: str, numpy_batches: bool,
-           density: float, kmax: int):
+def _build(bundle, device: str, storage: str, density: float, kmax: int):
     """One fully loaded PTLDB + target-set tag for the given configuration."""
     from repro.bench.experiments import _ensure_targets
 
@@ -53,7 +51,6 @@ def _build(bundle, device: str, storage: str, numpy_batches: bool,
         device=device,
         labels=bundle.labels,
         storage=storage,
-        numpy_batches=numpy_batches,
     )
     tag = _ensure_targets(
         ptldb, bundle.timetable, density, kmax, ("knn_ea", "otm_ea")
@@ -162,22 +159,22 @@ def run_columnar_experiment(
     n_queries: int = 60,
     seed: int = 42,
     warmup: int = 1,
-    min_speedup: float = 2.0,
+    min_speedup: float = 0.75,
     max_bytes_ratio: float = 0.6,
 ) -> dict:
     from repro.bench.experiments import get_bundle
 
     bundle = get_bundle(dataset, scale)
     kmax = 4 if k <= 4 else 16
-    base, base_tag = _build(bundle, device, "row", False, density, kmax)
-    cand, cand_tag = _build(bundle, device, "columnar", True, density, kmax)
+    base, base_tag = _build(bundle, device, "row", density, kmax)
+    cand, cand_tag = _build(bundle, device, "columnar", density, kmax)
     base_thunks = _thunks(base, base_tag, bundle.timetable, k, n_queries, seed)
     cand_thunks = _thunks(cand, cand_tag, bundle.timetable, k, n_queries, seed)
 
     families = []
     for family in FAMILIES:
         row, row_values = _measure(
-            base, f"{dataset}/{family}/row-pr5", base_thunks[family], warmup
+            base, f"{dataset}/{family}/row", base_thunks[family], warmup
         )
         col, col_values = _measure(
             cand, f"{dataset}/{family}/columnar", cand_thunks[family], warmup
@@ -213,8 +210,8 @@ def run_columnar_experiment(
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=(
-            "Columnar storage + numpy kernels vs the PR-5 list-of-tuples "
-            "batch path (fails below the speedup/footprint gates)"
+            "Columnar vs row label storage on the one engine "
+            "(fails outside the footprint/CPU gates)"
         )
     )
     parser.add_argument("--dataset", default="Madrid")
@@ -224,7 +221,7 @@ def main(argv=None) -> int:
     parser.add_argument("--density", type=float, default=0.1)
     parser.add_argument("--queries", type=int, default=60, help="per family")
     parser.add_argument("--warmup", type=int, default=1)
-    parser.add_argument("--min-speedup", type=float, default=2.0)
+    parser.add_argument("--min-speedup", type=float, default=0.75)
     parser.add_argument("--max-bytes-ratio", type=float, default=0.6)
     parser.add_argument("--out", default=None, help="write the JSON report here")
     args = parser.parse_args(argv)

@@ -201,7 +201,6 @@ def cmd_bench(args) -> int:
         ),
         "storage": lambda: exp.experiment_storage(datasets),
         "concurrency": lambda: _run_concurrency(datasets, args),
-        "vectorized": lambda: _run_vectorized(datasets, args),
         "serving": lambda: _run_serving(datasets, args),
         "preprocess": lambda: _run_preprocess(datasets, args),
     }
@@ -227,14 +226,6 @@ def _run_concurrency(datasets, args):
 
     return experiment_concurrency(
         datasets, device=args.device, queries_per_thread=args.queries
-    )
-
-
-def _run_vectorized(datasets, args):
-    from repro.bench.experiment_vectorized import experiment_vectorized
-
-    return experiment_vectorized(
-        datasets, device=args.device, n_queries=args.queries
     )
 
 

@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import struct
 
+import numpy as _np
+
 from repro.errors import StorageError
 from repro.minidb.buffer import BufferPool
 from repro.minidb.heap import HeapFile
@@ -54,11 +56,6 @@ from repro.minidb.values import (
     _encode_packed_array,
     type_name,
 )
-
-try:  # numpy accelerates encode/decode; the pure-python path is equivalent
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships numpy
-    _np = None
 
 COLUMNAR_VERSION = 1
 
@@ -149,7 +146,7 @@ NP_DECODE_MIN = 32
 
 
 def _decode_delta_np(payload: memoryview, count: int, width: int):
-    """Delta-segment decode returning an int64 ndarray (numpy required)."""
+    """Delta-segment decode returning an int64 ndarray."""
     vals = _np.empty(count, dtype=_np.int64)
     if count == 0:
         return vals
@@ -175,7 +172,7 @@ _DELTA_FMT = {2: "H", 4: "I", 8: "Q"}
 def _decode_delta(payload: memoryview, count: int, width: int) -> list:
     if count == 0:
         return []
-    if _np is not None and count >= NP_DECODE_MIN:
+    if count >= NP_DECODE_MIN:
         return _decode_delta_np(payload, count, width).tolist()
     (first,) = _I64.unpack_from(payload, 0)
     out = [first]
@@ -249,7 +246,7 @@ def decode_columnar(
 ) -> tuple:
     """Decode a column-group cell back into a row tuple.
 
-    With ``np_arrays=True`` (and numpy present) delta-encoded integer-array
+    With ``np_arrays=True`` delta-encoded integer-array
     cells come back as int64 ndarrays instead of lists — no per-element
     materialization at all. Only the batch executor's UNNEST producer asks
     for this shape (the planner marks eligible scans ``np_decode``); every
@@ -284,7 +281,7 @@ def decode_columnar(
             width = _DELTA_WIDTH[enc]
             nbytes = 0 if count == 0 else 8 + (count - 1) * width
             seg = buf[pos : pos + nbytes]
-            if np_arrays and _np is not None and count >= NP_DECODE_MIN:
+            if np_arrays and count >= NP_DECODE_MIN:
                 # Below the crossover the python loop wins even for the
                 # ndarray consumers — they accept list cells transparently
                 # (a small asarray copy beats numpy's fixed decode cost).

@@ -75,9 +75,7 @@ class Database:
         pool_pages: int = 4096,
         path: str | None = None,
         batch_size: int = 1024,
-        vectorize: bool = True,
         readahead: int = 8,
-        numpy_batches: bool = True,
         wal: bool = True,
         wal_checkpoint_bytes: int = DEFAULT_CHECKPOINT_BYTES,
         parallel_workers: int = 1,
@@ -103,17 +101,9 @@ class Database:
         self.plan_cache_invalidations = 0
         #: Set False to skip per-operator trace collection (hot loops).
         self.tracing = True
-        #: Batch-at-a-time execution (docs/ARCHITECTURE.md, "Vectorized
-        #: pipeline"). ``vectorize=False`` forces every query onto the
-        #: row-at-a-time executor; results are identical either way.
-        self.vectorize = bool(vectorize)
-        #: Rows per batch for the vectorized executor.
+        #: Rows per batch exchanged between operators (docs/ARCHITECTURE.md,
+        #: "Vectorized pipeline").
         self.batch_size = max(1, int(batch_size))
-        #: numpy column batches inside the vectorized executor
-        #: (docs/PERFORMANCE.md). ``numpy_batches=False`` keeps the
-        #: list-of-tuples batch pipeline — the comparison baseline for
-        #: the columnar kernels; results are identical either way.
-        self.numpy_batches = bool(numpy_batches)
         #: Heap-scan readahead depth in pages (0 disables); prefetched
         #: chain pages are charged the device's sequential read rate.
         self.readahead = max(0, int(readahead))
@@ -122,7 +112,7 @@ class Database:
         self.analyze = True
         #: Morsel-driven intra-query parallelism (docs/ARCHITECTURE.md,
         #: "Parallel execution"): with ``parallel_workers=N > 1`` the
-        #: vectorized executor fans eligible scan regions out over N
+        #: executor fans eligible scan regions out over N
         #: worker threads. ``1`` (the default) keeps execution fully
         #: serial — no pool is ever created.
         self.parallel_workers = max(1, int(parallel_workers))

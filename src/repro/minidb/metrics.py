@@ -8,10 +8,11 @@ activity to the individual plan operator that caused it.
 
 Three layers:
 
-* :class:`TraceCollector` — a stack of open operator scopes. The executor
-  wraps every operator body in ``with collector.operator(name, detail):``;
-  on exit the scope records rows produced, wall time, and the buffer-pool /
-  disk-stat deltas observed while it was open (*inclusive* of its children).
+* :class:`TraceCollector` — builds the operator tree. The executor creates
+  one ``collector.node(...)`` per plan operator and charges it the wall
+  time and buffer-pool / disk-stat deltas of every batch pull (*inclusive*
+  of its children); DML/VACUUM bodies run inside one
+  ``with collector.operator(name, detail):`` scope instead.
 * :class:`OperatorStats` / :class:`QueryTrace` — the resulting tree.
   Exclusive ("self") figures are derived as inclusive minus the sum of the
   children, PostgreSQL ``EXPLAIN ANALYZE`` style.
@@ -41,9 +42,8 @@ class OperatorStats:
     detail: str = ""
     rows: int = 0
     loops: int = 1
-    #: Batch-mode pulls: how many chunks this operator yielded. Zero under
-    #: the row-at-a-time executor (which accounts per row, not per batch)
-    #: and for operators fused into a parent kernel.
+    #: How many batches this operator yielded. Zero for scope-style nodes
+    #: (DML, VACUUM) and for operators fused into a parent kernel.
     pulls: int = 0
     time_ms: float = 0.0
     pool_hits: int = 0
@@ -90,8 +90,7 @@ class OperatorStats:
     def stats_suffix(self) -> str:
         """The ``EXPLAIN ANALYZE`` annotation appended to the plan line.
 
-        The batch clause appears only for operators executed in batch mode,
-        so row-mode traces render exactly as before.
+        The batch clause appears only for operators that yielded batches.
         """
         suffix = (
             f"(actual rows={self.rows} loops={self.loops} "

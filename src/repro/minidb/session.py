@@ -33,7 +33,7 @@ from repro.minidb.metrics import QueryTrace, TraceCollector
 from repro.minidb.sanitize import dynamic as _san
 from repro.minidb.sql import ast
 from repro.minidb.sql.analyzer import Analysis
-from repro.minidb.sql.executor import Executor, Result
+from repro.minidb.sql.executor import Result
 from repro.minidb.sql.planner import plan_statement
 from repro.minidb.sql.vectorized import BatchExecutor
 
@@ -168,7 +168,7 @@ class Session:
                 pool_before = pool_stats.snapshot()
                 tracing = db.tracing if self.tracing is None else self.tracing
                 collector = TraceCollector(db.pool) if tracing else None
-                executor = self._executor(plan, tuple(params), collector)
+                executor = self._executor(tuple(params), collector)
                 started = time.perf_counter()
                 cpu_started = time.thread_time()
                 result = executor.run(plan)
@@ -182,7 +182,7 @@ class Session:
                 # cost/trace figures cover the whole statement regardless
                 # of how many threads ran it.
                 self.last_cpu_ms = cpu_ms
-                par = getattr(executor, "parallel_stats", None)
+                par = executor.parallel_stats
                 if par is None:
                     self.last_parallel = None
                     page_reads = disk_delta.reads
@@ -252,26 +252,18 @@ class Session:
                 tracker.check_statement_end()
             return result
 
-    def _executor(self, plan, params: tuple, collector):
-        """Pick the execution engine for *plan*.
-
-        Batch mode needs both the database knob and a batch-capable plan;
-        everything else (row-only constructs, DML, ``vectorize=False``)
-        takes the row-at-a-time executor. Results are identical either way.
-        """
+    def _executor(self, params: tuple, collector) -> BatchExecutor:
+        """The statement engine, bound to one parameter vector."""
         db = self.db
-        if db.vectorize and getattr(plan, "batchable", False):
-            return BatchExecutor(
-                db.catalog,
-                params,
-                collector=collector,
-                batch_size=db.batch_size,
-                readahead=db.readahead,
-                numpy_batches=db.numpy_batches,
-                parallel_workers=db.parallel_workers,
-                worker_pool=db._ensure_worker_pool(),
-            )
-        return Executor(db.catalog, params, collector=collector)
+        return BatchExecutor(
+            db.catalog,
+            params,
+            collector=collector,
+            batch_size=db.batch_size,
+            readahead=db.readahead,
+            parallel_workers=db.parallel_workers,
+            worker_pool=db._ensure_worker_pool(),
+        )
 
     def executemany(self, sql: str, param_rows) -> int:
         """Run one DML statement for each parameter tuple."""
@@ -317,9 +309,9 @@ class Session:
                 worker_misses = 0
                 worker_io_ms = 0.0
                 for params in param_rows:
-                    executor = self._executor(plan, tuple(params), None)
+                    executor = self._executor(tuple(params), None)
                     results.append(executor.run(plan))
-                    par = getattr(executor, "parallel_stats", None)
+                    par = executor.parallel_stats
                     if par is not None:
                         worker_reads += par["reads"]
                         worker_hits += par["hits"]

@@ -8,7 +8,7 @@ front with a source location:
 * **Pass 1 — binder.** Resolves every ``TableRef`` against the catalog and
   the CTE environment, and every ``ColumnRef`` against the scope built from
   the ``FROM`` clause (qualifier-aware, ambiguity-checked), exactly like
-  ``Executor._resolve``.
+  the planner's ``_resolve``.
 * **Pass 2 — type checker.** Infers a type for every expression over the
   lattice ``int | float | text | bool | null | unknown | (array, elem)``
   and enforces the dialect's semantic rules: array subscripts only on
@@ -1292,7 +1292,7 @@ def _paths_from_plan(plan) -> list[AccessPath]:
             )
             return
         if isinstance(node, (phys.DeletePlan, phys.UpdatePlan)):
-            # DELETE / UPDATE always scan the heap (Executor._matching_rows).
+            # DELETE / UPDATE always scan the heap (BatchExecutor._matching_rows).
             paths.append(
                 AccessPath(
                     node.table, node.table, SEQ_SCAN, "(DML scan)",

@@ -1,35 +1,28 @@
-"""Streaming interpreter for physical plans.
+"""Row-at-a-time reference model for SELECT plans.
 
-The executor does no planning: it receives a
-:class:`~repro.minidb.sql.plan.Plan` (from the planner, usually via the
-engine's plan cache) and interprets each node as a generator. Rows stream
-between operators one pull at a time; the only operators that materialize
-their input are the blocking ones — Sort/Top-K, WindowAgg, Aggregate, the
-hash-join build side and the nested-loop inner side — plus CTEs, which are
-materialized once per execution as the paper's Codes 3-4 require.
+Not on any statement path: every statement a session runs executes on
+:class:`~repro.minidb.sql.vectorized.BatchExecutor`. This interpreter runs
+the *same* physical plans one row per generator pull — no batching, no
+fusion, no numpy, no readahead, no parallelism — and exists so the
+equivalence suites (``tests/minidb/reference.py``) can pin the engine's
+rows and page I/O against an independent, obviously-correct reading of
+each operator. Rows stream between operators; the only operators that
+materialize their input are the blocking ones — Sort/Top-K, WindowAgg,
+Aggregate, the hash-join build side and the nested-loop inner side — plus
+CTEs, which are materialized once per execution as the paper's Codes 3-4
+require.
 
-Tracing wraps each operator's generator: every pull is timed and buffer/disk
-counter deltas are attributed to the operator whose ``next()`` triggered the
-I/O. Parent windows strictly contain child windows, so inclusive totals nest
-correctly and ``EXPLAIN ANALYZE`` renders the same tree shape as the static
-``EXPLAIN`` (which renders from the plan without executing anything).
+:class:`Result`, the value every statement returns, also lives here.
 """
 
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass, field
 
 from repro.errors import SQLError, SQLTypeError
-from repro.minidb.metrics import NULL_SCOPE, TraceCollector, render_plan
 from repro.minidb.sql import plan as phys
-from repro.minidb.sql.planner import (
-    _hashable,
-    _sort_rows,
-    composite_key,
-    plan_statement,
-)
+from repro.minidb.sql.planner import _hashable, _sort_rows, composite_key
 
 
 @dataclass
@@ -58,231 +51,42 @@ class Result:
 _DONE = object()
 
 
-def _traced_gen(stats, gen, collector):
-    """Wrap *gen* so each pull's time and I/O land on *stats*.
-
-    Counter deltas are measured around every ``next()``: child operators
-    pulled inside that window accumulate into their own stats too, so a
-    parent's counters are inclusive of its children (the ``self_*``
-    properties on OperatorStats subtract them back out).
-    """
-    # Per-thread views when available, so concurrent sessions' I/O never
-    # bleeds into this statement's operator tree.
-    pool_stats = collector.pool_stats
-    disk_stats = collector.disk_stats
-    try:
-        while True:
-            pool_before = (
-                pool_stats.snapshot() if pool_stats is not None else None
-            )
-            disk_before = (
-                disk_stats.snapshot() if disk_stats is not None else None
-            )
-            started = time.perf_counter()
-            try:
-                row = next(gen, _DONE)
-            finally:
-                stats.time_ms += (time.perf_counter() - started) * 1000.0
-                if pool_before is not None:
-                    delta = pool_stats.delta(pool_before)
-                    stats.pool_hits += delta.hits
-                    stats.pool_misses += delta.misses
-                if disk_before is not None:
-                    delta = disk_stats.delta(disk_before)
-                    stats.page_reads += delta.reads
-                    stats.io_ms += delta.simulated_read_ms
-            if row is _DONE:
-                return
-            stats.rows += 1
-            yield row
-    finally:
-        # Deterministic shutdown: whether this wrapper is exhausted or
-        # closed early (LIMIT/Top-K above), closing the wrapped generator
-        # propagates GeneratorExit down the whole operator chain so scans
-        # release their buffer-pool pins immediately instead of waiting
-        # for garbage collection.
-        gen.close()
-
-
 class Executor:
-    """Interprets physical plans against a catalog."""
+    """Interprets SELECT plans against a catalog, one row per pull."""
 
-    def __init__(self, catalog, params: tuple = (), collector=None):
+    def __init__(self, catalog, params: tuple = ()):
         self.catalog = catalog
         self.params = tuple(params)
-        self.collector = collector
 
-    # -- public entry points --------------------------------------------
-    def execute(self, stmt) -> Result:
-        """Compatibility shim: plan *stmt* ad hoc, then run it."""
-        return self.run(plan_statement(stmt, self.catalog))
-
-    def run(self, plan: phys.Plan) -> Result:
-        for index in plan.param_indices:
-            if not 1 <= index <= len(self.params):
-                raise SQLError(
-                    f"parameter ${index} not supplied "
-                    f"({len(self.params)} parameters given)"
-                )
-        node = plan.statement
-        if isinstance(node, phys.ExplainPlan):
-            return self._run_explain(node)
-        if isinstance(node, phys.QueryPlan):
-            rows = list(self._emit_query(node, {}, None))
-            return Result(list(node.columns), rows)
-        if isinstance(node, phys.CreateTablePlan):
-            return self._run_create(node)
-        if isinstance(node, phys.DropTablePlan):
-            self.catalog.drop_table(node.table, if_exists=node.if_exists)
-            return Result([], [])
-        if isinstance(node, phys.InsertPlan):
-            return self._run_insert(node)
-        if isinstance(node, phys.DeletePlan):
-            return self._run_delete(node)
-        if isinstance(node, phys.UpdatePlan):
-            return self._run_update(node)
-        if isinstance(node, phys.VacuumPlan):
-            return self._run_vacuum(node)
-        raise SQLError(f"cannot execute {type(node).__name__}")
-
-    # -- tracing helpers -------------------------------------------------
-    def _node(self, name, detail="", parent=None):
-        if self.collector is None:
-            return None
-        return self.collector.node(name, detail, parent)
-
-    def _traced(self, stats, gen):
-        if stats is None:
-            return gen
-        return _traced_gen(stats, gen, self.collector)
-
-    def _op(self, name, detail=""):
-        """Legacy scope API, still used for DML/Vacuum statements."""
-        if self.collector is None:
-            return NULL_SCOPE
-        return self.collector.operator(name, detail)
-
-    # -- utility statements ----------------------------------------------
-    def _run_explain(self, node: phys.ExplainPlan) -> Result:
-        if not node.analyze:
-            lines = phys.explain_lines(node.inner)
-            return Result(["plan"], [(line,) for line in lines])
-        collector = TraceCollector(getattr(self.catalog, "pool", None))
-        Executor(self.catalog, self.params, collector=collector).run(node.inner)
-        lines = render_plan(collector.roots, analyze=True)
-        return Result(["plan"], [(line,) for line in lines])
-
-    def _run_create(self, node: phys.CreateTablePlan) -> Result:
-        from repro.minidb.catalog import TableSchema
-        from repro.minidb.values import Column, type_from_name
-
-        stmt = node.stmt
-        columns = [
-            Column(c.name, type_from_name(c.type_name)) for c in stmt.columns
-        ]
-        schema = TableSchema(
-            stmt.name, columns, stmt.primary_key, storage=stmt.storage
-        )
-        self.catalog.create_table(schema, if_not_exists=stmt.if_not_exists)
-        return Result([], [])
-
-    def _run_vacuum(self, node: phys.VacuumPlan) -> Result:
-        table = self.catalog.get(node.table)
-        with self._op("Vacuum", node.table) as op:
-            live = table.vacuum()
-            op.rows = live
-        return Result(["rows"], [(live,)])
-
-    # -- DML --------------------------------------------------------------
-    def _run_insert(self, node: phys.InsertPlan) -> Result:
-        table = self.catalog.get(node.table)
-        params = self.params
-        if node.select is not None:
-            source_rows = list(self._emit_query(node.select, {}, None))
-        else:
-            source_rows = [
-                tuple(fn((), params) for fn in fns) for fns in node.row_fns
-            ]
-        count = 0
-        with self._op("Insert", f"on {node.table}") as op:
-            for source in source_rows:
-                if len(source) != len(node.positions):
-                    raise SQLError(
-                        f"INSERT expects {len(node.positions)} values, "
-                        f"got {len(source)}"
-                    )
-                row = [None] * node.width
-                for position, value in zip(node.positions, source):
-                    row[position] = value
-                table.insert(tuple(row))
-                count += 1
-            op.rows = count
-        return Result(["count"], [(count,)])
-
-    def _run_delete(self, node: phys.DeletePlan) -> Result:
-        table = self.catalog.get(node.table)
-        with self._op("Delete", f"on {node.table}") as op:
-            victims = self._matching_rows(table, node.where_fn)
-            for rid, row in victims:
-                table.delete_row(rid, row)
-            op.rows = len(victims)
-        return Result(["count"], [(len(victims),)])
-
-    def _run_update(self, node: phys.UpdatePlan) -> Result:
-        table = self.catalog.get(node.table)
-        params = self.params
-        with self._op("Update", f"on {node.table}") as op:
-            victims = self._matching_rows(table, node.where_fn)
-            for rid, row in victims:
-                new_row = list(row)
-                for position, fn in zip(node.positions, node.value_fns):
-                    new_row[position] = fn(row, params)  # sees the old row
-                table.update_row(rid, row, tuple(new_row))
-            op.rows = len(victims)
-        return Result(["count"], [(len(victims),)])
-
-    def _matching_rows(self, table, where_fn):
-        params = self.params
-        matches = []
-        for rid, raw in table.heap.scan():
-            row = table.decode(raw)
-            if where_fn is None or where_fn(row, params) is True:
-                matches.append((rid, row))
-        return matches
+    def run(self, qplan: phys.QueryPlan) -> Result:
+        return Result(list(qplan.columns), list(self._emit_query(qplan, {})))
 
     # -- query interpretation ---------------------------------------------
-    def _emit_query(self, qplan: phys.QueryPlan, env: dict, parent):
+    def _emit_query(self, qplan: phys.QueryPlan, env: dict):
         """Materialize CTEs (once, lazily, on first pull), then stream the
-        root operator. CTE work runs inside this generator's enclosing trace
-        window, so I/O attribution stays exact."""
+        root operator."""
         env = dict(env)
 
         def gen():
             for name, sub in qplan.ctes:
-                stats = self._node("CTE", name, parent)
-                env[name] = list(
-                    self._traced(stats, self._emit_query(sub, env, stats))
-                )
-            yield from self._emit(qplan.root, env, parent)
+                env[name] = list(self._emit_query(sub, env))
+            yield from self._emit(qplan.root, env)
 
         return gen()
 
-    def _emit(self, node, env, parent):
+    def _emit(self, node, env):
         if isinstance(node, phys.QueryPlan):
-            return self._emit_query(node, env, parent)
-        return self._EMIT[type(node)](self, node, env, parent)
+            return self._emit_query(node, env)
+        return self._EMIT[type(node)](self, node, env)
 
     # -- scans -----------------------------------------------------------
-    def _emit_result0(self, node, env, parent):
-        stats = self._node(node.name, node.detail, parent)
-
+    def _emit_result0(self, node, env):
         def gen():
             yield ()
 
-        return self._traced(stats, gen())
+        return gen()
 
-    def _emit_seq_scan(self, node, env, parent):
-        stats = self._node(node.name, node.detail, parent)
+    def _emit_seq_scan(self, node, env):
         table = self.catalog.get(node.table)
         params = self.params
         filters = node.filters
@@ -293,14 +97,13 @@ class Executor:
                 if all(p(row, params) is True for p in filters):
                     yield row
 
-        return self._traced(stats, gen())
+        return gen()
 
-    def _emit_pk_lookup(self, node, env, parent):
+    def _emit_pk_lookup(self, node, env):
         params = self.params
         table = self.catalog.get(node.table)
         key = tuple(fn((), params) for fn in node.key_fns)
         if all(isinstance(k, int) for k in key):
-            stats = self._node(node.name, node.detail, parent)
             filters = node.filters
 
             def gen():
@@ -310,11 +113,9 @@ class Executor:
                 if all(p(row, params) is True for p in filters):
                     yield row
 
-            return self._traced(stats, gen())
+            return gen()
         # A parameter bound to a non-integer can never match a B+Tree key:
-        # degrade to a scan applying the pin predicates (the plan said Index
-        # Scan; the trace tells the truth).
-        stats = self._node("Seq Scan", f"on {node.table}", parent)
+        # degrade to a scan applying the pin predicates.
         predicates = list(node.pin_fns) + list(node.filters)
 
         def scan_gen():
@@ -322,10 +123,9 @@ class Executor:
                 if all(p(row, params) is True for p in predicates):
                     yield row
 
-        return self._traced(stats, scan_gen())
+        return scan_gen()
 
-    def _emit_cte_scan(self, node, env, parent):
-        stats = self._node(node.name, node.detail, parent)
+    def _emit_cte_scan(self, node, env):
         params = self.params
         filters = node.filters
 
@@ -336,11 +136,10 @@ class Executor:
                 if all(p(row, params) is True for p in filters):
                     yield row
 
-        return self._traced(stats, gen())
+        return gen()
 
-    def _emit_subquery_scan(self, node, env, parent):
-        stats = self._node(node.name, node.detail, parent)
-        inner = self._emit_query(node.subplan, env, stats)
+    def _emit_subquery_scan(self, node, env):
+        inner = self._emit_query(node.subplan, env)
         params = self.params
         filters = node.filters
 
@@ -349,14 +148,11 @@ class Executor:
                 if all(p(row, params) is True for p in filters):
                     yield row
 
-        return self._traced(stats, gen())
+        return gen()
 
     # -- joins -----------------------------------------------------------
-    def _emit_inl(self, node, env, parent):
-        stats = self._node(node.name, node.detail, parent)
-        if stats is not None:
-            stats.loops = 0
-        left = self._emit(node.left, env, stats)
+    def _emit_inl(self, node, env):
+        left = self._emit(node.left, env)
         table = self.catalog.get(node.table)
         params = self.params
         key_fns = node.key_fns
@@ -365,8 +161,6 @@ class Executor:
         def gen():
             probe_cache: dict = {}
             for left_row in left:
-                if stats is not None:
-                    stats.loops += 1
                 key = tuple(fn(left_row, params) for fn in key_fns)
                 if any(not isinstance(k, int) for k in key):
                     continue
@@ -381,12 +175,11 @@ class Executor:
                 if all(p(row, params) is True for p in filters):
                     yield row
 
-        return self._traced(stats, gen())
+        return gen()
 
-    def _emit_hash_join(self, node, env, parent):
-        stats = self._node(node.name, node.detail, parent)
-        left = self._emit(node.left, env, stats)
-        right = self._emit(node.right, env, stats)
+    def _emit_hash_join(self, node, env):
+        left = self._emit(node.left, env)
+        right = self._emit(node.right, env)
         params = self.params
         left_key = node.left_key
         right_key = node.right_key
@@ -408,12 +201,11 @@ class Executor:
                     if all(p(out, params) is True for p in filters):
                         yield out
 
-        return self._traced(stats, gen())
+        return gen()
 
-    def _emit_nested_loop(self, node, env, parent):
-        stats = self._node(node.name, node.detail, parent)
-        left = self._emit(node.left, env, stats)
-        right = self._emit(node.right, env, stats)
+    def _emit_nested_loop(self, node, env):
+        left = self._emit(node.left, env)
+        right = self._emit(node.right, env)
         params = self.params
         filters = node.filters
 
@@ -425,12 +217,11 @@ class Executor:
                     if all(p(out, params) is True for p in filters):
                         yield out
 
-        return self._traced(stats, gen())
+        return gen()
 
     # -- row pipeline ------------------------------------------------------
-    def _emit_filter(self, node, env, parent):
-        stats = self._node(node.name, node.detail, parent)
-        child = self._emit(node.child, env, stats)
+    def _emit_filter(self, node, env):
+        child = self._emit(node.child, env)
         params = self.params
         predicates = node.predicates
 
@@ -439,11 +230,10 @@ class Executor:
                 if all(p(row, params) is True for p in predicates):
                     yield row
 
-        return self._traced(stats, gen())
+        return gen()
 
-    def _emit_unnest(self, node, env, parent):
-        stats = self._node(node.name, node.detail, parent)
-        child = self._emit(node.child, env, stats)
+    def _emit_unnest(self, node, env):
+        child = self._emit(node.child, env)
         params = self.params
         srf_fns = node.srf_fns
 
@@ -466,11 +256,10 @@ class Executor:
                         arr[j] if j < len(arr) else None for arr in arrays
                     )
 
-        return self._traced(stats, gen())
+        return gen()
 
-    def _emit_window(self, node, env, parent):
-        stats = self._node(node.name, node.detail, parent)
-        child = self._emit(node.child, env, stats)
+    def _emit_window(self, node, env):
+        child = self._emit(node.child, env)
         params = self.params
 
         def gen():
@@ -498,11 +287,10 @@ class Executor:
             for row, extra in zip(rows, extras):
                 yield row + tuple(extra)
 
-        return self._traced(stats, gen())
+        return gen()
 
-    def _emit_project(self, node, env, parent):
-        stats = self._node(node.name, node.detail, parent)
-        child = self._emit(node.child, env, stats)
+    def _emit_project(self, node, env):
+        child = self._emit(node.child, env)
         params = self.params
         item_fns = node.item_fns
         specs = node.key_specs
@@ -520,11 +308,10 @@ class Executor:
                     )
                     yield (out, key)
 
-        return self._traced(stats, gen())
+        return gen()
 
-    def _emit_aggregate(self, node, env, parent):
-        stats = self._node(node.name, node.detail, parent)
-        child = self._emit(node.child, env, stats)
+    def _emit_aggregate(self, node, env):
+        child = self._emit(node.child, env)
         params = self.params
 
         def gen():
@@ -555,11 +342,10 @@ class Executor:
                     )
                     yield (out, key)
 
-        return self._traced(stats, gen())
+        return gen()
 
-    def _emit_distinct(self, node, env, parent):
-        stats = self._node(node.name, node.detail, parent)
-        child = self._emit(node.child, env, stats)
+    def _emit_distinct(self, node, env):
+        child = self._emit(node.child, env)
 
         def gen():
             seen = set()
@@ -576,11 +362,10 @@ class Executor:
                         seen.add(h)
                         yield row
 
-        return self._traced(stats, gen())
+        return gen()
 
-    def _emit_sort(self, node, env, parent):
-        stats = self._node(node.name, node.detail, parent)
-        child = self._emit(node.child, env, stats)
+    def _emit_sort(self, node, env):
+        child = self._emit(node.child, env)
         params = self.params
 
         def gen():
@@ -598,11 +383,10 @@ class Executor:
                 rows, len(node.descending), keys, node.descending
             )
 
-        return self._traced(stats, gen())
+        return gen()
 
-    def _emit_topk(self, node, env, parent):
-        stats = self._node(node.name, node.detail, parent)
-        child = self._emit(node.child, env, stats)
+    def _emit_topk(self, node, env):
+        child = self._emit(node.child, env)
         params = self.params
         limit = self._const_int(node.limit_fn)
         offset = (
@@ -641,11 +425,10 @@ class Executor:
             for _key, row in best[offset:]:
                 yield row
 
-        return self._traced(stats, gen())
+        return gen()
 
-    def _emit_limit(self, node, env, parent):
-        stats = self._node(node.name, node.detail, parent)
-        child = self._emit(node.child, env, stats)
+    def _emit_limit(self, node, env):
+        child = self._emit(node.child, env)
         limit = (
             self._const_int(node.limit_fn)
             if node.limit_fn is not None
@@ -679,7 +462,7 @@ class Executor:
             finally:
                 child.close()
 
-        return self._traced(stats, gen())
+        return gen()
 
     def _const_int(self, fn):
         value = fn((), self.params)
@@ -689,10 +472,9 @@ class Executor:
             )
         return value
 
-    def _emit_union(self, node, env, parent):
-        stats = self._node(node.name, node.detail, parent)
-        left = self._emit(node.left, env, stats)
-        right = self._emit(node.right, env, stats)
+    def _emit_union(self, node, env):
+        left = self._emit(node.left, env)
+        right = self._emit(node.right, env)
 
         def gen():
             if node.op == "UNION":
@@ -711,7 +493,7 @@ class Executor:
                 yield from left
                 yield from right
 
-        return self._traced(stats, gen())
+        return gen()
 
     _EMIT = {
         phys.Result0: _emit_result0,

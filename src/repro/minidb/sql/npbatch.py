@@ -1,7 +1,7 @@
-"""numpy batch kernels for the vectorized executor.
+"""numpy batch kernels for the batch executor.
 
-The batch executor moves chunks of rows between operators. With numpy
-available, eligible scans (today: the fused UNNEST producer over int64
+The batch executor moves chunks of rows between operators. Eligible
+producers (today: the fused UNNEST producer over int64
 label data) emit :class:`ColumnChunk` batches — parallel ``int64`` arrays,
 one per output column — instead of lists of tuples, and the fused filter /
 hash-join / aggregation kernels below operate on whole columns at once.
@@ -28,12 +28,7 @@ is exactly ``np.zeros(n, bool)``.
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    np = None
-
-NUMPY_AVAILABLE = np is not None
+import numpy as np
 
 _NULL = object()  # sentinel: a NULL operand inside a kernel expression
 
@@ -170,16 +165,14 @@ def eval_operand(spec, cols, params):
     raise TypeError(f"unknown operand spec {spec!r}")
 
 
-_CMP = None
-if NUMPY_AVAILABLE:
-    _CMP = {
-        "=": lambda a, b: a == b,
-        "<>": lambda a, b: a != b,
-        "<": lambda a, b: a < b,
-        "<=": lambda a, b: a <= b,
-        ">": lambda a, b: a > b,
-        ">=": lambda a, b: a >= b,
-    }
+_CMP = {
+    "=": lambda a, b: a == b,
+    "<>": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
 
 
 def eval_mask(spec, cols, params, n):

@@ -1,8 +1,9 @@
 """Physical plan tree: the contract between the planner and the executor.
 
 The planner (:mod:`repro.minidb.sql.planner`) lowers an analyzed AST into a
-tree of the node classes below; the executor interprets that tree as a
-pipeline of streaming generators. Nothing in this module touches storage —
+tree of the node classes below; the executor
+(:mod:`repro.minidb.sql.vectorized`) interprets that tree as a pipeline of
+batch generators. Nothing in this module touches storage —
 a plan is a pure description with every column reference resolved to a slot
 and every expression compiled to a ``fn(ctx, params)`` closure, so the same
 plan object can be cached and re-executed with different parameter vectors
@@ -34,24 +35,24 @@ class PlanNode:
     detail = ""
     ast_ref = None
     #: :class:`ParallelRegion` rooted at this node, set by
-    #: :func:`annotate_parallel` on batchable plans. The batch executor
-    #: replaces an annotated subtree with a morsel-parallel Gather when a
-    #: worker pool is available; the row executor ignores it.
+    #: :func:`annotate_parallel`. The executor replaces an annotated
+    #: subtree with a morsel-parallel Gather when a worker pool is
+    #: available; the reference model ignores it.
     parallel_region = None
     #: numpy comparison specs parallel to the node's ``filters`` list (an
     #: entry is ``None`` when a predicate has no array form). Set by the
-    #: planner on filtering nodes; the batch executor evaluates present
+    #: planner on filtering nodes; the executor evaluates present
     #: specs as boolean masks over column batches instead of calling the
     #: row closure per tuple. Purely an evaluation strategy — results are
     #: identical either way.
     filter_specs = None
 
     #: Scans only (SeqScan / PkLookup / IndexNestedLoop): decode columnar
-    #: integer-array cells straight to int64 ndarrays for the batch
-    #: executor's UNNEST column kernels. Set by the planner only when it
-    #: proves nothing but UNNEST ever touches those cells (select items,
-    #: filters and sort keys all reference scalar columns); the row
-    #: executor ignores the flag and decodes lists as always.
+    #: integer-array cells straight to int64 ndarrays for the executor's
+    #: UNNEST column kernels. Set by the planner only when it proves
+    #: nothing but UNNEST ever touches those cells (select items, filters
+    #: and sort keys all reference scalar columns); the reference model
+    #: ignores the flag and decodes lists as always.
     np_decode = False
 
     #: First output position the scanned table's columns occupy: 0 for a
@@ -97,10 +98,6 @@ class Plan:
     def __init__(self, statement, param_indices=()):
         self.statement = statement  # QueryPlan or a DML/utility node
         self.param_indices = tuple(param_indices)
-        #: True when every operator has a batch-mode implementation, so the
-        #: vectorized executor may run this plan. Set by the planner via
-        #: :func:`batch_capable`; the row executor ignores it.
-        self.batchable = False
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +114,10 @@ class SeqScan(PlanNode):
 
     #: ``fn((), params)`` producing the zone-map skip key, set by the
     #: planner when the table is columnar and a pushed-down conjunct pins
-    #: the zone column (hub) to a constant/parameter. Both executors apply
-    #: it identically via :func:`zone_key`, so page-I/O accounting stays
-    #: row/batch-identical; skipping is conservative (pages without valid
-    #: zone maps are always read) and the filters still run.
+    #: the zone column (hub) to a constant/parameter. The executor and the
+    #: reference model apply it identically via :func:`zone_key`, so their
+    #: page-I/O accounting stays identical; skipping is conservative (pages
+    #: without valid zone maps are always read) and the filters still run.
     zone_eq_fn = None
 
     def __init__(self, table, alias, filters, ast_ref=None):
@@ -542,56 +539,11 @@ def zone_key(node, params) -> int | None:
     return value
 
 
-#: Operators with no batch-mode implementation: plans containing one run on
-#: the row-at-a-time interpreter (the planner's documented fallback).
-_ROW_ONLY = (Window,)
-
-
-def batch_capable(plan: Plan) -> bool:
-    """Whether the vectorized executor can run *plan*.
-
-    Only SELECT statements qualify (DML and utility statements have no
-    pull-based operator tree), and every operator in the tree — including
-    CTE and subquery sub-plans — must have a batch implementation.
-    ``EXPLAIN ANALYZE`` inherits the inner statement's capability, so its
-    trace reflects the engine the statement itself would run on; plain
-    ``EXPLAIN`` renders statically and stays on the row executor.
-    """
-    statement = plan.statement
-    if isinstance(statement, ExplainPlan):
-        return statement.analyze and batch_capable(statement.inner)
-    if not isinstance(statement, QueryPlan):
-        return False
-    return not any(isinstance(node, _ROW_ONLY) for node in walk_plan(plan))
-
-
-def walk_plan(plan: Plan):
-    """Yield every operator node (descending into sub-plans), preorder."""
-
-    def visit(node):
-        if isinstance(node, QueryPlan):
-            for _name, sub in node.ctes:
-                yield from visit(sub)
-            yield from visit(node.root)
-            return
-        if isinstance(node, ExplainPlan):
-            yield node
-            yield from visit(node.inner.statement)
-            return
-        yield node
-        if isinstance(node, InsertPlan) and node.select is not None:
-            yield from visit(node.select)
-        for child in node.children():
-            yield from visit(child)
-
-    yield from visit(plan.statement)
-
-
 # ---------------------------------------------------------------------------
 # Morsel-parallel regions
 # ---------------------------------------------------------------------------
 class ParallelRegion:
-    """One morsel-parallel subtree of a batchable plan.
+    """One morsel-parallel subtree of a SELECT plan.
 
     ``top`` is the highest node of the region — the subtree the executor
     hands to worker threads when a pool is available — and ``leaf`` is the
@@ -767,21 +719,20 @@ def _annotate_query(qplan: QueryPlan):
 
 
 def annotate_parallel(plan: Plan) -> None:
-    """Mark morsel-parallel regions on a batchable SELECT plan.
+    """Mark morsel-parallel regions on the plan's SELECT tree, if any
+    (a query, the source of ``INSERT … SELECT``, or either under EXPLAIN).
 
-    Called by the planner right after ``batch_capable``; row-mode plans,
-    DML and plain EXPLAIN are left untouched. Each region is a maximal
-    leaf→Filter/Project/Unnest/IndexNestedLoop chain, optionally topped by
-    a streaming Aggregate; everything above it executes serially on the
-    coordinator over the gathered stream. Whether a region actually fans
-    out is a run-time decision (worker pool present, no LIMIT hint, enough
-    pages/rows to split) — the annotation only records where it is sound.
+    Each region is a maximal leaf→Filter/Project/Unnest/IndexNestedLoop
+    chain, optionally topped by a streaming Aggregate; everything above it
+    executes serially on the coordinator over the gathered stream. Whether
+    a region actually fans out is a run-time decision (worker pool
+    present, no LIMIT hint, enough pages/rows to split) — the annotation
+    only records where it is sound.
     """
-    if not getattr(plan, "batchable", False):
-        return
     node = plan.statement
     while isinstance(node, ExplainPlan):
-        inner = node.inner
-        node = inner.statement if isinstance(inner, Plan) else inner
+        node = node.inner.statement
+    if isinstance(node, InsertPlan):
+        node = node.select
     if isinstance(node, QueryPlan):
         _annotate_query(node)

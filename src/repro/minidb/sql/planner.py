@@ -1,7 +1,6 @@
 """Logical-to-physical planner: lowers a parsed statement into a plan tree.
 
-This is the planning half of what used to be a fused plan+execute monolith
-in ``executor.py``. Planning is pure — no pages are read — and produces a
+Planning is pure — no pages are read — and produces a
 :class:`~repro.minidb.sql.plan.Plan` whose expressions are compiled to
 ``fn(ctx, params)`` closures with **deferred** parameter binding, so one
 plan serves every parameter vector (the prepared-statement contract).
@@ -25,6 +24,8 @@ as the paper requires.
 
 from __future__ import annotations
 
+import numpy as _np
+
 from repro.errors import SQLError, SQLNameError, SQLSyntaxError
 from repro.minidb.values import is_array_type
 from repro.minidb.sql import ast
@@ -35,7 +36,6 @@ from repro.minidb.sql.functions import (
     get_scalar,
     is_aggregate,
 )
-from repro.minidb.sql.npbatch import np as _np
 from repro.minidb.sql.printer import render_expr
 
 
@@ -402,9 +402,9 @@ def compile_expr(expr, schema, grouped: bool, strict_names: bool = False):
             lo = max(lo, 1)
             if isinstance(arr, list):
                 return arr[lo - 1 : hi]
-            if _np is not None and isinstance(arr, _np.ndarray):
+            if isinstance(arr, _np.ndarray):
                 # np_decode batch cells: keep the (zero-copy) array view;
-                # row-path cells are always lists, so row semantics hold.
+                # every other cell is a list, so list semantics hold.
                 return arr[lo - 1 : hi]
             return list(arr[lo - 1 : hi])
 
@@ -519,7 +519,6 @@ def plan_statement(stmt, catalog) -> phys.Plan:
     node = planner.plan(stmt)
     planner.finalize_np_decode()
     plan = phys.Plan(node, ast.param_indices(stmt))
-    plan.batchable = phys.batch_capable(plan)
     phys.annotate_parallel(plan)
     return plan
 

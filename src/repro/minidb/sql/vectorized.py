@@ -1,13 +1,15 @@
-"""Batch-at-a-time (vectorized) interpreter for physical plans.
+"""The statement engine: a batch-at-a-time interpreter for physical plans.
 
-The row executor (:mod:`repro.minidb.sql.executor`) pays one Python
-generator round trip — plus two counter snapshots and two clock reads when
-tracing — per tuple per operator. For the paper's CPU-bound families
+Every statement a :class:`~repro.minidb.session.Session` runs — SELECT,
+``INSERT … SELECT``, DML, DDL, ``VACUUM``, ``EXPLAIN ANALYZE`` — executes
+here. Operators exchange **batches** (lists of up to ``batch_size`` row
+tuples, or :class:`~repro.minidb.sql.npbatch.ColumnChunk` int64 column
+batches) instead of single rows, so the per-pull bookkeeping — one
+generator round trip, plus two counter snapshots and two clock reads when
+tracing — amortizes over the whole batch and hot inner loops run as list
+comprehensions or array kernels. For the paper's CPU-bound families
 (kNN/OTM on SSD, Figures 7-8) that interpreter overhead dominates, exactly
-the effect MonetDB/X100 vectorization removes. This executor interprets the
-*same* physical plans but moves **batches** (lists of up to ``batch_size``
-row tuples) between operators, so per-pull bookkeeping amortizes over the
-whole batch and hot inner loops run as list comprehensions.
+the effect MonetDB/X100 vectorization removes.
 
 On top of plain batching, four fused kernels cover the paper's hot
 patterns (the planner marks the plans; see ``plan.py``):
@@ -26,11 +28,17 @@ patterns (the planner marks the plans; see ``plan.py``):
 Fusion never crosses an I/O-performing operator, so per-operator I/O
 attribution (and the analyzer's access-path proof) is unchanged: fused
 interior operators still appear in the trace with their row counts, but
-with zero self cost (their kernel time lands on the fusing parent). Plans
-containing operators without a batch implementation (``plan.batchable`` is
-False — e.g. window functions) run on the row executor; results are
-identical either way, which ``tests/minidb/test_vectorized.py`` asserts
-over the whole PTLDB corpus.
+with zero self cost (their kernel time lands on the fusing parent).
+
+Whether a batch travels as a ``ColumnChunk`` is decided by the data, never
+by a switch: producers check eligibility row by row and every numpy kernel
+either returns the row loop's exact result or declines, in which case the
+same compiled row closures run on the same batch.
+
+The row-at-a-time interpreter in :mod:`repro.minidb.sql.executor` is not
+on any statement path; it is the SELECT-only *reference model* the
+equivalence suites run the same plans on (``tests/minidb/reference.py``)
+to pin rows and page I/O.
 
 **Morsel-driven parallelism** (docs/ARCHITECTURE.md, "Parallel
 execution"): when the database is opened with ``parallel_workers=N > 1``,
@@ -46,9 +54,9 @@ are row-for-row identical to serial execution, page reads/misses are
 identical (morsels partition the chain; per-thread sequential-run
 accounting keeps each worker's readahead priced as its own stream), and
 worker I/O is attributed to the worker threads' private counters then
-folded into the statement's cost and trace by the session. Non-batchable
-plans, LIMIT-bounded subtrees and scans too small to split all fall back
-to serial execution automatically.
+folded into the statement's cost and trace by the session. LIMIT-bounded
+subtrees and scans too small to split fall back to serial execution
+automatically.
 """
 
 from __future__ import annotations
@@ -56,10 +64,14 @@ from __future__ import annotations
 import heapq
 import time
 
+import numpy as np
+
 from repro.errors import SQLError, SQLTypeError
+from repro.minidb.metrics import NULL_SCOPE, TraceCollector, render_plan
+from repro.minidb.sanitize import dynamic as _san
 from repro.minidb.sql import npbatch
 from repro.minidb.sql import plan as phys
-from repro.minidb.sql.executor import _DONE, Executor, Result
+from repro.minidb.sql.executor import _DONE, Result
 from repro.minidb.sql.npbatch import ColumnChunk
 from repro.minidb.sql.planner import _hashable, _sort_rows, composite_key
 
@@ -84,11 +96,11 @@ MIN_MORSEL_PAGES = 8
 def _traced_batches(stats, gen, collector):
     """Per-*batch* accounting: one time/counter window per pull.
 
-    The row executor pays this bookkeeping per tuple; here it is amortized
-    over up to ``batch_size`` rows, which is where much of the vectorized
-    speedup comes from. ``stats.pulls`` counts batches so traces expose
-    rows-per-pull; attribution semantics (inclusive of children, exact I/O
-    deltas) are identical to the row path.
+    The bookkeeping is amortized over up to ``batch_size`` rows.
+    ``stats.pulls`` counts batches so traces expose rows-per-pull; counter
+    deltas are measured around every ``next()``, so a parent's figures are
+    inclusive of its children (the ``self_*`` properties subtract them
+    back out).
     """
     pool_stats = collector.pool_stats
     disk_stats = collector.disk_stats
@@ -143,10 +155,9 @@ def _sync_fused(stats):
 def _predicate(filters):
     """Collapse a predicate list into one callable (or ``None`` if empty).
 
-    The row executor evaluates ``all(p(row, params) is True ...)`` per row;
-    semantics here are identical, but the single-predicate case — by far
-    the most common in the paper corpus — skips the generator-expression
-    machinery, which is measurable at batch row rates.
+    Semantics are ``all(p(row, params) is True ...)``; the single-predicate
+    case — by far the most common in the paper corpus — skips the
+    generator-expression machinery, which is measurable at batch row rates.
     """
     if not filters:
         return None
@@ -283,12 +294,7 @@ def _merge_value_rows(spec, cur, new):
 
 
 class BatchExecutor:
-    """Interprets physical plans in batch mode.
-
-    Drop-in alternative to :class:`Executor` for SELECT statements whose
-    plan is ``batchable``; everything else (DML, utility, EXPLAIN) is
-    delegated to the row executor unchanged.
-    """
+    """Executes one planned statement (any kind) against a catalog."""
 
     def __init__(
         self,
@@ -297,7 +303,6 @@ class BatchExecutor:
         collector=None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         readahead: int = 0,
-        numpy_batches: bool = True,
         parallel_workers: int = 1,
         worker_pool=None,
     ):
@@ -306,11 +311,6 @@ class BatchExecutor:
         self.collector = collector
         self.batch_size = max(1, int(batch_size))
         self.readahead = max(0, int(readahead))
-        #: When on (and numpy imports), eligible producers emit
-        #: :class:`~repro.minidb.sql.npbatch.ColumnChunk` batches and the
-        #: fused kernels run as whole-column array ops. Off = the plain
-        #: list-of-tuples batch pipeline, kept as the comparison baseline.
-        self.use_numpy = bool(numpy_batches) and npbatch.NUMPY_AVAILABLE
         #: Morsel parallelism: fan annotated regions out over ``worker_pool``
         #: (a ``concurrent.futures`` executor owned by the Database) when
         #: both are set. Worker-side executors keep the defaults (no pool),
@@ -337,30 +337,31 @@ class BatchExecutor:
 
     # -- public entry point ---------------------------------------------
     def run(self, plan: phys.Plan) -> Result:
-        node = plan.statement
-        if isinstance(node, phys.ExplainPlan):
-            return self._run_explain(node)
-        if not isinstance(node, phys.QueryPlan):
-            return Executor(
-                self.catalog, self.params, collector=self.collector
-            ).run(plan)
         for index in plan.param_indices:
             if not 1 <= index <= len(self.params):
                 raise SQLError(
                     f"parameter ${index} not supplied "
                     f"({len(self.params)} parameters given)"
                 )
+        node = plan.statement
+        if isinstance(node, phys.QueryPlan):
+            return Result(list(node.columns), self._drain(node, None))
+        run = self._RUN.get(type(node))
+        if run is None:
+            raise SQLError(f"cannot execute {type(node).__name__}")
+        return run(self, node)
+
+    def _drain(self, qplan: phys.QueryPlan, parent) -> list[tuple]:
+        """Run a SELECT to completion and return all of its rows."""
         rows: list[tuple] = []
-        for chunk in self._emit_query(node, {}, None, None):
+        for chunk in self._emit_query(qplan, {}, parent, None):
             rows.extend(chunk)
-        return Result(list(node.columns), rows)
+        return rows
 
+    # -- utility statements ----------------------------------------------
     def _run_explain(self, node: phys.ExplainPlan) -> Result:
-        """EXPLAIN ANALYZE of a batchable statement runs on this engine,
-        so the rendered trace shows the batch clauses the real execution
-        would produce (plain EXPLAIN renders statically, no execution)."""
-        from repro.minidb.metrics import TraceCollector, render_plan
-
+        """Plain EXPLAIN renders statically (no execution, no I/O); EXPLAIN
+        ANALYZE runs the statement under a fresh trace collector."""
         if not node.analyze:
             lines = phys.explain_lines(node.inner)
             return Result(["plan"], [(line,) for line in lines])
@@ -371,7 +372,6 @@ class BatchExecutor:
             collector=collector,
             batch_size=self.batch_size,
             readahead=self.readahead,
-            numpy_batches=self.use_numpy,
             parallel_workers=self.parallel_workers,
             worker_pool=self.worker_pool,
         )
@@ -382,7 +382,109 @@ class BatchExecutor:
         lines = render_plan(collector.roots, analyze=True)
         return Result(["plan"], [(line,) for line in lines])
 
+    def _run_create(self, node: phys.CreateTablePlan) -> Result:
+        from repro.minidb.catalog import TableSchema
+        from repro.minidb.values import Column, type_from_name
+
+        stmt = node.stmt
+        columns = [
+            Column(c.name, type_from_name(c.type_name)) for c in stmt.columns
+        ]
+        schema = TableSchema(
+            stmt.name, columns, stmt.primary_key, storage=stmt.storage
+        )
+        self.catalog.create_table(schema, if_not_exists=stmt.if_not_exists)
+        return Result([], [])
+
+    def _run_drop(self, node: phys.DropTablePlan) -> Result:
+        self.catalog.drop_table(node.table, if_exists=node.if_exists)
+        return Result([], [])
+
+    def _run_vacuum(self, node: phys.VacuumPlan) -> Result:
+        table = self.catalog.get(node.table)
+        with self._op("Vacuum", node.table) as op:
+            live = table.vacuum()
+            op.rows = live
+        return Result(["rows"], [(live,)])
+
+    # -- DML --------------------------------------------------------------
+    def _run_insert(self, node: phys.InsertPlan) -> Result:
+        table = self.catalog.get(node.table)
+        params = self.params
+        count = 0
+        with self._op("Insert", f"on {node.table}") as op:
+            if node.select is not None:
+                # The whole source is materialized before the first insert:
+                # a statement that reads the table it writes must not see
+                # its own rows.
+                source_rows = self._drain(node.select, op)
+            else:
+                source_rows = [
+                    tuple(fn((), params) for fn in fns) for fns in node.row_fns
+                ]
+            for source in source_rows:
+                if len(source) != len(node.positions):
+                    raise SQLError(
+                        f"INSERT expects {len(node.positions)} values, "
+                        f"got {len(source)}"
+                    )
+                row = [None] * node.width
+                for position, value in zip(node.positions, source):
+                    row[position] = value
+                table.insert(tuple(row))
+                count += 1
+            op.rows = count
+        return Result(["count"], [(count,)])
+
+    def _run_delete(self, node: phys.DeletePlan) -> Result:
+        table = self.catalog.get(node.table)
+        with self._op("Delete", f"on {node.table}") as op:
+            victims = self._matching_rows(table, node.where_fn)
+            for rid, row in victims:
+                table.delete_row(rid, row)
+            op.rows = len(victims)
+        return Result(["count"], [(len(victims),)])
+
+    def _run_update(self, node: phys.UpdatePlan) -> Result:
+        table = self.catalog.get(node.table)
+        params = self.params
+        with self._op("Update", f"on {node.table}") as op:
+            victims = self._matching_rows(table, node.where_fn)
+            for rid, row in victims:
+                new_row = list(row)
+                for position, fn in zip(node.positions, node.value_fns):
+                    new_row[position] = fn(row, params)  # sees the old row
+                table.update_row(rid, row, tuple(new_row))
+            op.rows = len(victims)
+        return Result(["count"], [(len(victims),)])
+
+    def _matching_rows(self, table, where_fn):
+        params = self.params
+        matches = []
+        for rid, raw in table.heap.scan():
+            row = table.decode(raw)
+            if where_fn is None or where_fn(row, params) is True:
+                matches.append((rid, row))
+        return matches
+
+    _RUN = {
+        phys.ExplainPlan: _run_explain,
+        phys.CreateTablePlan: _run_create,
+        phys.DropTablePlan: _run_drop,
+        phys.InsertPlan: _run_insert,
+        phys.DeletePlan: _run_delete,
+        phys.UpdatePlan: _run_update,
+        phys.VacuumPlan: _run_vacuum,
+    }
+
     # -- tracing helpers -------------------------------------------------
+    def _op(self, name, detail=""):
+        """Scope-style trace node for DML/VACUUM: one window around the
+        whole statement body (``NULL_SCOPE`` when not tracing)."""
+        if self.collector is None:
+            return NULL_SCOPE
+        return self.collector.operator(name, detail)
+
     def _node(self, name, detail="", parent=None):
         if self.collector is None:
             return None
@@ -401,7 +503,7 @@ class BatchExecutor:
 
     def _chunk_size(self, hint):
         """Rows per source batch; a LIMIT hint shrinks it so small limits
-        over big tables do not read pages the row path would not."""
+        over big tables do not read pages a row-at-a-time pull would not."""
         if hint is None:
             return self.batch_size
         return max(1, min(self.batch_size, hint))
@@ -426,11 +528,7 @@ class BatchExecutor:
                     stats, self._emit_query(sub, env, stats, None)
                 ):
                     chunks.append(chunk)
-                if (
-                    self.use_numpy
-                    and chunks
-                    and all(isinstance(c, ColumnChunk) for c in chunks)
-                ):
+                if chunks and all(isinstance(c, ColumnChunk) for c in chunks):
                     # Keep the CTE columnar: downstream scans slice and
                     # filter it with array kernels (and fall back to the
                     # row view transparently — ColumnChunk iterates as
@@ -453,13 +551,7 @@ class BatchExecutor:
             gen = self._emit_gather(region, node, env, parent, hint)
             if gen is not None:
                 return gen
-        emit = self._EMIT.get(type(node))
-        if emit is None:
-            raise SQLError(
-                f"no batch implementation for {type(node).__name__}; "
-                f"the planner should have kept this plan on the row path"
-            )
-        return emit(self, node, env, parent, hint)
+        return self._EMIT[type(node)](self, node, env, parent, hint)
 
     # -- scans -----------------------------------------------------------
     def _emit_result0(self, node, env, parent, hint):
@@ -477,11 +569,11 @@ class BatchExecutor:
 
         A row-limit hint disables readahead: a bounded query may stop
         mid-table, and prefetching past the stopping page would charge
-        reads the row executor never performs. Page-I/O parity with the
-        row path is a harder invariant than prefetch throughput.
-        ``zone_eq`` is the columnar zone-map skip key; the row executor
-        derives the identical key from the same plan node, so skipped
-        pages match exactly. ``pages`` is a worker's chain-index morsel:
+        reads a row-at-a-time pull never performs. Page-I/O parity with
+        the reference model is a harder invariant than prefetch
+        throughput. ``zone_eq`` is the columnar zone-map skip key; the
+        reference model derives the identical key from the same plan node,
+        so skipped pages match exactly. ``pages`` is a worker's chain-index morsel:
         the scan (readahead included) sees only that slice of the heap.
         """
         params = self.params
@@ -522,19 +614,18 @@ class BatchExecutor:
         stats = self._node(node.name, node.detail, parent)
         table = self.catalog.get(node.table)
         zone_eq = phys.zone_key(node, self.params)
-        np_dec = self.use_numpy and node.np_decode
         pages = self._morsel if node is self._morsel_leaf else None
         return self._traced(
             stats,
             self._scan_chunks(
-                table, node.filters, hint, zone_eq, np_dec, pages
+                table, node.filters, hint, zone_eq, node.np_decode, pages
             ),
         )
 
     def _emit_pk_lookup(self, node, env, parent, hint):
         params = self.params
         table = self.catalog.get(node.table)
-        np_dec = self.use_numpy and node.np_decode
+        np_dec = node.np_decode
         key = tuple(fn((), params) for fn in node.key_fns)
         if all(isinstance(k, int) for k in key):
             stats = self._node(node.name, node.detail, parent)
@@ -548,8 +639,9 @@ class BatchExecutor:
                     yield [row]
 
             return self._traced(stats, gen())
-        # Same degradation as the row executor: a non-integer parameter can
-        # never match a B+Tree key, so scan and apply the pin predicates.
+        # A parameter bound to a non-integer can never match a B+Tree key:
+        # degrade to a scan applying the pin predicates (the plan said Index
+        # Scan; the trace tells the truth).
         stats = self._node("Seq Scan", f"on {node.table}", parent)
         predicates = list(node.pin_fns) + list(node.filters)
         return self._traced(
@@ -642,8 +734,8 @@ class BatchExecutor:
         key_fns = node.key_fns
         check = _predicate(node.filters)
 
-        np_dec = self.use_numpy and node.np_decode
-        key_specs = node.np_key_specs if self.use_numpy else None
+        np_dec = node.np_decode
+        key_specs = node.np_key_specs
 
         def gen():
             probe_cache = self._inl_caches.setdefault(id(node), {})
@@ -805,7 +897,7 @@ class BatchExecutor:
             value = fn(row, self.params)
             if value is None:
                 value = []
-            elif npbatch.np is not None and isinstance(value, npbatch.np.ndarray):
+            elif isinstance(value, np.ndarray):
                 # An np_decode scan below an unfused Unnest: materialize so
                 # the expansion yields plain Python ints, as the row path does.
                 value = value.tolist()
@@ -849,10 +941,57 @@ class BatchExecutor:
 
         return self._traced(stats, gen())
 
-    def _emit_window(self, node, env, parent, hint):  # pragma: no cover
-        raise SQLError(
-            "WindowAgg has no batch implementation; plan should be row-mode"
-        )
+    def _emit_window(self, node, env, parent, hint):
+        """``ROW_NUMBER() OVER (...)``; blocking.
+
+        Each spec is one stable sort of the input's indices plus a counter
+        per partition key; the number is appended to the row *in place*, so
+        the operator never holds its input and its output side by side.
+        (Later specs evaluate on the extended rows: their closures index
+        input columns by position, which appending does not move.)
+        """
+        stats = self._node(node.name, node.detail, parent)
+        child = self._emit(node.child, env, stats, None)
+        params = self.params
+        size = self.batch_size
+
+        def gen():
+            rows: list[tuple] = []
+            try:
+                for chunk in child:
+                    rows.extend(chunk)
+            finally:
+                child.close()
+            for spec in node.specs:
+                keys = [
+                    tuple(fn(row, params) for fn in spec.order_fns)
+                    for row in rows
+                ]
+                ordered = _sort_rows(
+                    range(len(rows)),
+                    len(spec.order_fns),
+                    keys,
+                    spec.descending,
+                )
+                counters: dict = {}
+                for i in ordered:
+                    row = rows[i]
+                    part = _hashable(
+                        tuple(fn(row, params) for fn in spec.part_fns)
+                    )
+                    counters[part] = number = counters.get(part, 0) + 1
+                    rows[i] = row + (number,)
+            # Emit in input order, releasing each slice as it is yielded
+            # (popping from the tail of the reversed list is O(slice)), so
+            # rows a consumer discards are freed while later ones wait.
+            rows.reverse()
+            while rows:
+                chunk = rows[-size:]
+                del rows[-size:]
+                chunk.reverse()
+                yield chunk
+
+        return self._traced(stats, gen())
 
     def _emit_project(self, node, env, parent, hint):
         stats = self._node(node.name, node.detail, parent)
@@ -864,7 +1003,7 @@ class BatchExecutor:
             and getattr(child_node, "srf_positions", None)
             and ints_only
         ):
-            if self.use_numpy and specs is None:
+            if specs is None:
                 return self._traced(
                     stats,
                     self._np_unnest_project(node, child_node, env, stats),
@@ -1036,7 +1175,6 @@ class BatchExecutor:
         mixed inputs produce the same rows in the same order, just split
         across chunks at each representation switch.
         """
-        np = npbatch.np
         ustats = self._node(unode.name, unode.detail, stats)
         child = self._emit(unode.child, env, ustats, None)
         params = self.params
@@ -1301,7 +1439,7 @@ class BatchExecutor:
             if out:
                 yield out
 
-        np_spec = getattr(node, "np_spec", None) if self.use_numpy else None
+        np_spec = node.np_spec
 
         def emit_np_rows(rows_out):
             out = []
@@ -1369,8 +1507,7 @@ class BatchExecutor:
         With columnar inputs on both sides and a lowered join key +
         filter + aggregate, the whole fusion runs as array kernels:
         sort-merge pair discovery, one gather per column, one mask, one
-        grouped reduction. The probe loop below is the row fallback and
-        the baseline (``numpy_batches=False``) path.
+        grouped reduction. The probe loop below is the row fallback.
         """
         jstats = self._node(jnode.name, jnode.detail, stats)
         left = self._emit(jnode.left, env, jstats, None)
@@ -1419,7 +1556,7 @@ class BatchExecutor:
             joined = 0
             np_rows = None
             try:
-                if np_spec is not None and self.use_numpy:
+                if np_spec is not None:
                     left_chunks = list(left)
                     right_chunks = list(right)
                     kept = np_join(left_chunks, right_chunks)
@@ -1484,8 +1621,8 @@ class BatchExecutor:
         return gen()
 
     def _generic_aggregate(self, node, env, stats):
-        """Materializing fallback: exactly the row executor's algorithm,
-        fed by batches (HAVING, DISTINCT aggregates, array_agg, ...)."""
+        """Materializing fallback: group row lists handed to the compiled
+        item closures (HAVING, DISTINCT aggregates, array_agg, ...)."""
         child = self._emit(node.child, env, stats, None)
         params = self.params
         size = self.batch_size
@@ -1857,9 +1994,6 @@ class BatchExecutor:
         memo (see ``_inl_caches``), shared so workers never repeat each
         other's point probes.
         """
-        from repro.minidb.metrics import TraceCollector
-        from repro.minidb.sanitize import dynamic as _san
-
         pool = getattr(self.catalog, "pool", None)
         disk = getattr(pool, "disk", None)
         collector = (
@@ -2038,7 +2172,7 @@ class BatchExecutor:
 
 
 class _MorselWorker(BatchExecutor):
-    """Executor clone a worker thread runs over the morsels it claims.
+    """Engine clone a worker thread runs over the morsels it claims.
 
     One instance per worker per gather: it shares the coordinator's
     catalog/params/settings but owns a thread-bound trace collector and
@@ -2057,7 +2191,6 @@ class _MorselWorker(BatchExecutor):
             collector=collector,
             batch_size=parent.batch_size,
             readahead=parent.readahead,
-            numpy_batches=parent.use_numpy,
         )
         self._trace_nodes: dict = {}
 
@@ -2105,7 +2238,7 @@ class _MorselWorker(BatchExecutor):
         spec = node.simple_spec
         stats = self._node(node.name, node.detail, None)
         feed, _final_row, _init, _first = self._agg_machinery(node, spec)
-        np_spec = getattr(node, "np_spec", None) if self.use_numpy else None
+        np_spec = node.np_spec
         np_ok = np_spec is not None and region.group_item_pos is not None
         groups: dict = {}
         np_chunks: list = []

@@ -334,19 +334,16 @@ class PTLDB(_QueryAPI):
         labels: TTLLabels | None = None,
         compressed: bool = False,
         storage: str = "row",
-        vectorize: bool = True,
         batch_size: int = 1024,
         readahead: int = 8,
-        numpy_batches: bool = True,
         parallel_workers: int = 1,
         workers: int = 1,
         cache_dir: str | None = None,
     ) -> "PTLDB":
         """Preprocess (unless labels are given) and load into a fresh DB.
 
-        ``vectorize``/``batch_size``/``readahead``/``numpy_batches``/
-        ``parallel_workers`` are forwarded to the :class:`Database`
-        executor knobs (docs/ARCHITECTURE.md, "Vectorized pipeline" and
+        ``batch_size``/``readahead``/``parallel_workers`` are forwarded to
+        the :class:`Database` executor knobs (docs/ARCHITECTURE.md, "Vectorized pipeline" and
         "Parallel execution"); ``storage`` picks the label/aux heap layout
         (docs/STORAGE.md). Results are identical for any combination.
 
@@ -371,10 +368,8 @@ class PTLDB(_QueryAPI):
         db = Database(
             device=device,
             pool_pages=pool_pages,
-            vectorize=vectorize,
             batch_size=batch_size,
             readahead=readahead,
-            numpy_batches=numpy_batches,
             parallel_workers=parallel_workers,
         )
         self = cls(db, labels, compressed=compressed, storage=storage)

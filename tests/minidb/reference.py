@@ -1,0 +1,73 @@
+"""The one way a test compares the engine with the reference model.
+
+Every statement runs on :class:`~repro.minidb.sql.vectorized.BatchExecutor`;
+:class:`~repro.minidb.sql.executor.Executor` interprets the same plans one
+row at a time and is the oracle. Both helpers below start from a cold
+buffer pool and return a :class:`Run`, so a test is
+``assert run_engine(db, sql, p) == run_reference(db, sql, p)``.
+"""
+
+from typing import NamedTuple
+
+from repro.minidb.sql import plan as phys
+from repro.minidb.sql.executor import Executor
+from repro.minidb.sql.parser import parse
+from repro.minidb.sql.planner import plan_statement
+
+
+class Run(NamedTuple):
+    columns: list
+    rows: list
+    io: tuple  # (page_reads, pool_misses)
+
+
+def run_engine(db, sql, params=()) -> Run:
+    """One cold execution of *sql* through the session (the real engine)."""
+    db.restart()
+    result = db.execute(sql, params)
+    cost = db.last_cost
+    return Run(result.columns, result.rows, (cost.page_reads, cost.pool_misses))
+
+
+def run_reference(db, sql, params=()) -> Run:
+    """One cold run of *sql*'s SELECT plan on the reference model.
+
+    For ``INSERT … SELECT`` the source query is run (nothing is inserted):
+    its rows are what the engine's insert must have consumed.
+    """
+    node = plan_statement(parse(sql), db.catalog).statement
+    if isinstance(node, phys.InsertPlan):
+        node = node.select
+    db.restart()
+    disk, pool = db.disk.thread_stats(), db.pool.thread_stats()
+    disk_before, pool_before = disk.snapshot(), pool.snapshot()
+    result = Executor(db.catalog, params).run(node)
+    assert db.pool.total_pins() == 0, "reference model leaked a pin"
+    return Run(
+        result.columns,
+        result.rows,
+        (disk.delta(disk_before).reads, pool.delta(pool_before).misses),
+    )
+
+
+def facade_statement(ptldb, call):
+    """The ``(sql, params)`` a PTLDB facade *call* executes.
+
+    Every query family is exactly one statement routed through
+    ``ptldb._exec``; recording it lets a suite keep its families written
+    as facade calls and still hand the statement to :func:`run_reference`.
+    """
+    seen = []
+    real = ptldb._exec
+
+    def recording(sql, params):
+        seen.append((sql, params))
+        return real(sql, params)
+
+    ptldb._exec = recording
+    try:
+        call()
+    finally:
+        del ptldb._exec  # drop the instance attribute shadowing the method
+    (statement,) = seen
+    return statement

@@ -144,6 +144,31 @@ class TestExplainAnalyze:
         ]
         assert cte_children, f"expected an indented child line in {plan}"
 
+    def test_analyze_insert_select_nests_source_under_insert(self, db):
+        db.execute("CREATE TABLE v (a BIGINT, rn BIGINT, PRIMARY KEY (a))")
+        db.restart()
+        sql = (
+            "INSERT INTO v WITH s AS (SELECT a FROM t WHERE a < 40) "
+            "SELECT a, ROW_NUMBER() OVER (ORDER BY a DESC) FROM s"
+        )
+        plan = [r[0] for r in db.execute("EXPLAIN ANALYZE " + sql)]
+        assert plan[0].startswith("Insert on v (actual rows=40 ")
+        assert all(line.startswith("  ") for line in plan[1:])
+        assert any("CTE s" in line for line in plan)
+        assert any("WindowAgg" in line and "(batch: pulls=1" in line for line in plan)
+        # Static EXPLAIN renders the same shape without running anything.
+        static = [r[0] for r in db.execute("EXPLAIN " + sql)]
+        assert [line.split(" (actual")[0] for line in plan] == static
+        db.execute("DELETE FROM v")
+        db.restart()
+        trace = db.execute(sql).trace
+        assert trace.validate() == []
+        (insert,) = trace.roots
+        assert insert.name == "Insert" and insert.rows == 40
+        # The source's cold reads are charged to its subtree, inclusively.
+        assert 0 < sum(c.page_reads for c in insert.children) <= insert.page_reads
+        assert db.pool.total_pins() == 0
+
     def test_trace_collector_nests(self):
         collector = TraceCollector()
         with collector.operator("Outer") as outer:

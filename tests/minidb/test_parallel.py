@@ -2,18 +2,20 @@
 
 ``Database(parallel_workers=N)`` is a pure optimization, so every query
 must return byte-identical rows, read the same pages and miss the buffer
-pool the same number of times as serial execution — and the merged trace
+pool the same number of times as serial execution and as the row-at-a-time
+reference model (``tests/minidb/reference.py``) — and the merged trace
 (one ``Gather`` node whose children are the per-worker operator subtrees)
 must satisfy every :meth:`QueryTrace.validate` invariant. These tests pin
 that equivalence over the batch-emitter corpus plus the edges the fan-out
 has to get right: tiny tables (stay serial), LIMIT-bounded plans (serial
-fallback keeps page parity with the row path), ``batch_size=1``,
-``parallel_workers=1``, numpy off, empty inputs, CTE-row morsels.
+fallback keeps page parity with the reference model), ``batch_size=1``,
+``parallel_workers=1``, empty inputs, CTE-row morsels.
 """
 
 import pytest
 
 from repro.minidb.engine import Database
+from tests.minidb.reference import run_engine, run_reference
 
 
 def fill(db: Database, rows: int = 3000) -> None:
@@ -69,11 +71,10 @@ CORPUS = [
 
 
 def run_cold(db: Database, sql: str, params=()):
-    db.restart()
-    result = db.execute(sql, params)
-    cost = db.last_cost
+    """One cold engine run plus the trace problems it left behind."""
+    run = run_engine(db, sql, params)
     issues = db.last_trace.validate() if db.last_trace is not None else []
-    return result.rows, (cost.page_reads, cost.pool_misses), issues
+    return run, issues
 
 
 class TestSerialParallelEquivalence:
@@ -87,10 +88,11 @@ class TestSerialParallelEquivalence:
 
     @pytest.mark.parametrize("sql,params", CORPUS, ids=[c[0][:48] for c in CORPUS])
     def test_rows_io_and_trace(self, serial, parallel, sql, params):
-        s_rows, s_io, s_issues = run_cold(serial, sql, params)
-        p_rows, p_io, p_issues = run_cold(parallel, sql, params)
-        assert p_rows == s_rows, "parallel rows diverge from serial"
-        assert p_io == s_io, "parallel page I/O diverges from serial"
+        s_run, s_issues = run_cold(serial, sql, params)
+        p_run, p_issues = run_cold(parallel, sql, params)
+        assert p_run.rows == s_run.rows, "parallel rows diverge from serial"
+        assert p_run.io == s_run.io, "parallel page I/O diverges from serial"
+        assert s_run == run_reference(serial, sql, params)
         assert s_issues == [] and p_issues == []
         assert parallel.pool.total_pins() == 0
 
@@ -133,19 +135,16 @@ class TestConfigurationEdges:
         [
             {"parallel_workers": 1},
             {"parallel_workers": 4, "batch_size": 1},
-            {"parallel_workers": 4, "numpy_batches": False},
             {"parallel_workers": 2},
         ],
-        ids=["workers1", "batch1", "no-numpy", "workers2"],
+        ids=["workers1", "batch1", "workers2"],
     )
     def test_matches_serial_reference(self, kwargs):
         reference = make_db()
         db = make_db(**kwargs)
         for sql, params in CORPUS:
-            s_rows, s_io, _ = run_cold(reference, sql, params)
-            p_rows, p_io, issues = run_cold(db, sql, params)
-            assert p_rows == s_rows, sql
-            assert p_io == s_io, sql
+            run, issues = run_cold(db, sql, params)
+            assert run == run_engine(reference, sql, params), sql
             assert issues == [], sql
         db.close()
         reference.close()
@@ -180,10 +179,8 @@ class TestConfigurationEdges:
         db = make_db(parallel_workers=4)
         db.execute("UPDATE t SET val = val + 1 WHERE id < 10")
         assert db.last_parallel is None
-        db.vectorize = False
-        rows = db.execute("SELECT COUNT(*) FROM t").rows
-        assert rows == [(3000,)]
-        assert db.last_parallel is None
+        # The reference model ignores region annotations and the pool.
+        assert run_reference(db, "SELECT COUNT(*) FROM t").rows == [(3000,)]
         db.close()
 
     def test_execute_many_folds_worker_io(self):

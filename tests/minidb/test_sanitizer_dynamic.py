@@ -171,8 +171,8 @@ class TestSessionIntegration:
         session = Session(db)
         real = session._executor
 
-        def leaky(plan, params, collector):
-            executor = real(plan, params, collector)
+        def leaky(params, collector):
+            executor = real(params, collector)
             run = executor.run
 
             def leaking_run(p):

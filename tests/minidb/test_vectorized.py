@@ -1,17 +1,18 @@
 """Tests for the batch (vectorized) executor, readahead and execute_many.
 
-The batch executor must be indistinguishable from the row executor in
-everything except CPU time: same rows, same page reads, same pool misses,
-same traced stage names. These tests run a corpus of statements through
-both engines and diff all of that, then poke the edges the fused kernels
-have to get right (empty arrays, NULL hub lists, over-long slices,
-single-row batches).
+The batch executor must be indistinguishable from the row-at-a-time
+reference model in everything except CPU time: same columns, same rows,
+same page reads, same pool misses. These tests run a corpus of statements
+on both (``tests/minidb/reference.py``) and diff all of that, then poke
+the edges the fused kernels have to get right (empty arrays, NULL hub
+lists, over-long slices, single-row batches).
 """
 
 import pytest
 
 from repro.minidb.disk import DiskManager, hdd_model
 from repro.minidb.engine import Database
+from tests.minidb.reference import run_engine, run_reference
 
 
 def make_db(**kwargs) -> Database:
@@ -75,19 +76,6 @@ CORPUS = [
 ]
 
 
-def run_modes(db: Database, sql: str, params=()):
-    """Run *sql* cold under both executors, returning (rows, io) per mode."""
-    out = {}
-    for vectorize in (False, True):
-        db.vectorize = vectorize
-        db.restart()
-        result = db.execute(sql, params)
-        cost = db.last_cost
-        out[vectorize] = (result.rows, (cost.page_reads, cost.pool_misses))
-    db.vectorize = True
-    return out[False], out[True]
-
-
 class TestRowBatchEquivalence:
     @pytest.fixture(scope="class")
     def db(self):
@@ -95,23 +83,17 @@ class TestRowBatchEquivalence:
 
     @pytest.mark.parametrize("sql,params", CORPUS, ids=[c[0][:40] for c in CORPUS])
     def test_rows_and_page_io_identical(self, db, sql, params):
-        (row_rows, row_io), (batch_rows, batch_io) = run_modes(db, sql, params)
-        assert batch_rows == row_rows
-        assert batch_io == row_io
+        assert run_engine(db, sql, params) == run_reference(db, sql, params)
         assert db.pool.total_pins() == 0
 
     def test_batch_mode_used_for_corpus(self, db):
-        db.vectorize = True
         result = db.execute("SELECT v FROM t WHERE v < 5")
         ops = result.trace.find("Seq Scan")
         assert ops and ops[0].pulls > 0  # batch accounting actually engaged
 
     def test_columns_match_row_path(self, db):
-        db.vectorize = True
-        batch = db.execute("SELECT v AS a, w AS b FROM t LIMIT 1")
-        db.vectorize = False
-        row = db.execute("SELECT v AS a, w AS b FROM t LIMIT 1")
-        db.vectorize = True
+        sql = "SELECT v AS a, w AS b FROM t LIMIT 1"
+        batch, row = run_engine(db, sql), run_reference(db, sql)
         assert batch.columns == row.columns == ["a", "b"]
 
 
@@ -125,57 +107,49 @@ class TestKernelEdgeCases:
             "SELECT UNNEST(hubs) FROM lab WHERE v = 3",  # NULL hub list
             "SELECT UNNEST(hubs) FROM lab WHERE v = 4",  # empty array
         ):
-            (row_rows, _), (batch_rows, _) = run_modes(db, sql)
-            assert batch_rows == row_rows == []
+            assert run_engine(db, sql).rows == run_reference(db, sql).rows == []
 
     def test_slice_longer_than_array(self, db):
         sql = "SELECT hubs[1:9] FROM lab ORDER BY v"
-        (row_rows, _), (batch_rows, _) = run_modes(db, sql)
-        assert batch_rows == row_rows
+        batch_rows = run_engine(db, sql).rows
+        assert batch_rows == run_reference(db, sql).rows
         assert batch_rows[0] == ([0, 1, 3],)  # clamped, not padded
         assert batch_rows[2] == (None,)  # slice of NULL stays NULL
 
     def test_unequal_srf_lengths_pad_with_null(self, db):
         db.execute("INSERT INTO lab VALUES (6, ARRAY[7], ARRAY[1, 2], ARRAY[3])")
         sql = "SELECT UNNEST(hubs), UNNEST(tds) FROM lab WHERE v = 6"
-        (row_rows, _), (batch_rows, _) = run_modes(db, sql)
-        assert batch_rows == row_rows == [(7, 1), (None, 2)]
+        expected = [(7, 1), (None, 2)]
+        assert run_engine(db, sql).rows == run_reference(db, sql).rows == expected
 
     @pytest.mark.parametrize("batch_size", [1, 2, 1024])
     def test_tiny_batches_identical(self, batch_size):
         db = make_db(batch_size=batch_size)
         for sql, params in CORPUS:
-            (row_rows, row_io), (batch_rows, batch_io) = run_modes(db, sql, params)
-            assert batch_rows == row_rows, sql
-            assert batch_io == row_io, sql
+            assert run_engine(db, sql, params) == run_reference(db, sql, params), sql
 
-    def test_row_only_plans_still_work_when_vectorized(self, db):
-        db.vectorize = True  # window plans fall back to the row executor
-        rows = db.execute(
+    def test_window_plan_runs_on_batch_engine(self, db):
+        result = db.execute(
             "SELECT v, ROW_NUMBER() OVER (ORDER BY v DESC) AS rn "
             "FROM t WHERE v < 4"
-        ).rows
-        assert rows == [(0, 4), (1, 3), (2, 2), (3, 1)]
+        )
+        assert result.rows == [(0, 4), (1, 3), (2, 2), (3, 1)]
+        assert result.trace.find("WindowAgg")[0].pulls > 0
 
 
 class TestPinRelease:
     def test_limit_over_multipage_scan_leaves_no_pins(self):
+        # run_reference asserts the reference model's pins are back too.
         db = make_db()
-        for vectorize in (False, True):
-            db.vectorize = vectorize
-            db.restart()
-            assert db.execute("SELECT v FROM t LIMIT 1").rows == [(0,)]
-            assert db.pool.total_pins() == 0, f"vectorize={vectorize}"
-        db.vectorize = True
+        sql = "SELECT v FROM t LIMIT 1"
+        assert run_engine(db, sql).rows == run_reference(db, sql).rows == [(0,)]
+        assert db.pool.total_pins() == 0
 
     def test_topk_over_multipage_scan_leaves_no_pins(self):
         db = make_db()
-        for vectorize in (False, True):
-            db.vectorize = vectorize
-            db.restart()
-            db.execute("SELECT v FROM t ORDER BY w LIMIT 2")
-            assert db.pool.total_pins() == 0, f"vectorize={vectorize}"
-        db.vectorize = True
+        sql = "SELECT v FROM t ORDER BY w LIMIT 2"
+        assert run_engine(db, sql) == run_reference(db, sql)
+        assert db.pool.total_pins() == 0
 
 
 class TestReadahead:
@@ -210,7 +184,6 @@ class TestReadahead:
 
     def test_heap_scan_under_readahead_is_mostly_sequential(self):
         db = make_db()
-        db.vectorize = True
         db.restart()
         before = db.disk.stats.snapshot()
         db.execute("SELECT COUNT(*) FROM t")
@@ -225,7 +198,6 @@ class TestReadahead:
         slow = make_db(readahead=0)
         fast = make_db(readahead=8)
         for db in (slow, fast):
-            db.vectorize = True
             db.restart()
         q = "SELECT SUM(w) FROM t"
         assert slow.execute(q).scalar() == fast.execute(q).scalar()
@@ -236,15 +208,14 @@ class TestReadahead:
 
     def test_readahead_scan_faster_than_row_scan_on_hdd(self):
         db = make_db()
-        db.vectorize = False
-        db.restart()
-        db.execute("SELECT COUNT(*) FROM t")
-        row_io = db.last_cost.simulated_io_ms
-        db.vectorize = True
-        db.restart()
-        db.execute("SELECT COUNT(*) FROM t")
-        batch_io = db.last_cost.simulated_io_ms
-        assert batch_io <= row_io
+        table = db.catalog.get("t")
+        io_ms = {}
+        for readahead in (0, db.readahead):  # page-at-a-time vs prefetched
+            db.restart()
+            before = db.disk.stats.snapshot()
+            assert sum(1 for _ in table.scan(readahead=readahead)) == 1200
+            io_ms[readahead] = db.disk.stats.delta(before).simulated_read_ms
+        assert io_ms[db.readahead] <= io_ms[0]
 
 
 class TestExecuteMany:
@@ -285,7 +256,6 @@ class TestExecuteMany:
 class TestBatchTraces:
     def test_batch_stats_recorded_and_valid(self):
         db = make_db()
-        db.vectorize = True
         db.restart()
         trace = db.execute("SELECT v, w FROM t WHERE v % 2 = 0 LIMIT 10").trace
         assert trace is not None
@@ -297,16 +267,6 @@ class TestBatchTraces:
 
     def test_stage_totals_include_pulls(self):
         db = make_db()
-        db.vectorize = True
         trace = db.execute("SELECT v FROM t WHERE v < 30").trace
         totals = trace.stage_totals()
         assert any(stage.get("pulls", 0) > 0 for stage in totals.values())
-
-    def test_row_mode_traces_unchanged(self):
-        db = make_db()
-        db.vectorize = False
-        trace = db.execute("SELECT v FROM t WHERE v < 5").trace
-        db.vectorize = True
-        assert trace.validate() == []
-        scans = trace.find("Seq Scan")
-        assert scans and "pulls=" not in scans[0].stats_suffix()

@@ -10,7 +10,7 @@ correct redo log must produce.
 
 import pytest
 
-from repro.errors import CrashPoint, DatabaseError
+from repro.errors import CatalogError, CrashPoint, DatabaseError
 from repro.minidb.engine import Database
 
 DDL = "CREATE TABLE t (k BIGINT, v BIGINT, PRIMARY KEY (k))"
@@ -159,6 +159,25 @@ class TestStatementRollback:
             )
         assert rows(db) == sorted(SEED_ROWS)
         db.close()
+
+    def test_failed_insert_select_rolls_back_every_source_row(self, db_path):
+        db = seeded(db_path)
+        size_before = db.wal.size_bytes()
+        with pytest.raises(CatalogError, match="duplicate primary key"):
+            # The source yields keys 100, 101, 100: two rows land, then the
+            # third collides with the first — all three must vanish.
+            db.execute(
+                "INSERT INTO t SELECT k % 2 + 100, v FROM t WHERE k < 3"
+            )
+        assert rows(db) == sorted(SEED_ROWS)
+        assert db.wal.size_bytes() == size_before
+        assert db.pool.total_pins() == 0
+        db.execute("INSERT INTO t SELECT k + 100, v FROM t WHERE k < 3")
+        db.close()
+        with Database.open(db_path) as again:
+            assert rows(again) == sorted(
+                SEED_ROWS + [(100, 0), (101, 1), (102, 4)]
+            )
 
     def test_pending_pages_stay_resident_until_commit(self, db_path):
         db = seeded(db_path)

@@ -2,10 +2,10 @@
 
 ``STORAGE=COLUMNAR`` is a pure representation change: for every one of
 the nine paper query families the columnar database must return exactly
-the rows the row-storage database returns, under both executors. And
-within columnar storage the batch executor must stay a pure optimization
-too — same rows, same page reads, same pool misses as the row executor
-(the invariant the perf bench gates on a real workload).
+the rows the row-storage database returns. And within columnar storage
+the engine's ndarray decode and column kernels must stay pure
+optimizations too — same rows, same page reads, same pool misses as the
+row-at-a-time reference model (``tests/minidb/reference.py``).
 """
 
 import pytest
@@ -13,6 +13,7 @@ import pytest
 from repro.labeling.ttl import build_labels
 from repro.ptldb.framework import PTLDB
 from repro.timetable.generator import random_timetable
+from tests.minidb.reference import facade_statement, run_engine, run_reference
 
 NOON = 12 * 3600
 
@@ -65,39 +66,26 @@ def family_calls(ptldb):
     }
 
 
-def run_cold(ptldb, family, vectorize):
-    """One cold run of the family, returning (value, page_reads, misses)."""
-    ptldb.db.vectorize = vectorize
-    try:
-        ptldb.restart()
-        value = family_calls(ptldb)[family]()
-        cost = ptldb.db.last_cost
-        return value, cost.page_reads, cost.pool_misses
-    finally:
-        ptldb.db.vectorize = True
-
-
 @pytest.mark.parametrize("family", FAMILIES)
 def test_columnar_matches_row_storage(row_db, columnar_db, family):
-    for vectorize in (False, True):
-        row = run_cold(row_db, family, vectorize)
-        col = run_cold(columnar_db, family, vectorize)
-        assert col[0] == row[0], (
-            f"{family}: results diverge across storage (vectorize={vectorize})"
-        )
+    row = family_calls(row_db)[family]()
+    col = family_calls(columnar_db)[family]()
+    assert col == row, f"{family}: results diverge across storage"
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_batch_executor_io_parity_on_columnar(columnar_db, family):
-    row_exec = run_cold(columnar_db, family, vectorize=False)
-    batch_exec = run_cold(columnar_db, family, vectorize=True)
-    assert batch_exec[0] == row_exec[0], f"{family}: results diverge"
-    assert batch_exec[1:] == row_exec[1:], f"{family}: page I/O diverges"
+    sql, params = facade_statement(
+        columnar_db, family_calls(columnar_db)[family]
+    )
+    batch_exec = run_engine(columnar_db.db, sql, params)
+    row_exec = run_reference(columnar_db.db, sql, params)
+    assert batch_exec.rows == row_exec.rows, f"{family}: results diverge"
+    assert batch_exec.io == row_exec.io, f"{family}: page I/O diverges"
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_no_pins_left_behind(columnar_db, family):
-    columnar_db.db.vectorize = True
     family_calls(columnar_db)[family]()
     assert columnar_db.db.pool.total_pins() == 0
 

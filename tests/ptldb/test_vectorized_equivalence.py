@@ -1,10 +1,10 @@
-"""Row-vs-batch executor equivalence over the full PTLDB query corpus.
+"""Engine-vs-reference-model equivalence over the full PTLDB query corpus.
 
-The vectorized executor is a pure optimization, so for every one of the
-nine paper query families it must return the same answer as the row
-executor, touch the same number of pages and miss the buffer pool the
-same number of times. This is the property the perf-smoke bench gates on
-a real workload; here it is pinned as a deterministic unit test.
+Batching, fusion and the numpy kernels are pure optimizations, so for
+every one of the nine paper query families and the five analytics
+queries the engine must return the same rows as the row-at-a-time reference model, touch the same number of pages
+and miss the buffer pool the same number of times
+(``tests/minidb/reference.py``).
 """
 
 import pytest
@@ -12,6 +12,7 @@ import pytest
 from repro.labeling.ttl import build_labels
 from repro.ptldb.framework import PTLDB
 from repro.timetable.generator import random_timetable
+from tests.minidb.reference import facade_statement, run_engine, run_reference
 
 NOON = 12 * 3600
 
@@ -20,6 +21,7 @@ FAMILIES = [
     "knn_ea_naive", "knn_ld_naive",
     "knn_ea", "knn_ld",
     "otm_ea", "otm_ld",
+    "busiest_hubs", "route_trips", "hourly_load", "route_legs", "network_span",
 ]
 
 
@@ -50,40 +52,32 @@ def family_calls(ptldb):
         "knn_ld": lambda: ptldb.ld_knn("vec", 2, 2 * NOON, 2),
         "otm_ea": lambda: ptldb.ea_one_to_many("vec", 2, NOON),
         "otm_ld": lambda: ptldb.ld_one_to_many("vec", 2, 2 * NOON),
+        "busiest_hubs": lambda: ptldb.busiest_hubs(5),
+        "route_trips": lambda: ptldb.route_trip_stats(),
+        "hourly_load": lambda: ptldb.hourly_departures(3600),
+        "route_legs": lambda: ptldb.route_leg_volume(),
+        "network_span": lambda: ptldb.network_span(),
     }
-
-
-def run_cold(ptldb, family, vectorize):
-    """One cold run of the family, returning (value, page_reads, misses)."""
-    ptldb.db.vectorize = vectorize
-    try:
-        ptldb.restart()
-        value = family_calls(ptldb)[family]()
-        cost = ptldb.db.last_cost
-        return value, cost.page_reads, cost.pool_misses
-    finally:
-        ptldb.db.vectorize = True
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_batch_matches_row_executor(ptldb, family):
-    row = run_cold(ptldb, family, vectorize=False)
-    batch = run_cold(ptldb, family, vectorize=True)
-    assert batch[0] == row[0], f"{family}: results diverge"
-    assert batch[1:] == row[1:], f"{family}: page I/O diverges"
+    sql, params = facade_statement(ptldb, family_calls(ptldb)[family])
+    batch = run_engine(ptldb.db, sql, params)
+    row = run_reference(ptldb.db, sql, params)
+    assert batch.rows == row.rows, f"{family}: results diverge"
+    assert batch.io == row.io, f"{family}: page I/O diverges"
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_no_pins_left_behind(ptldb, family):
-    ptldb.db.vectorize = True
     family_calls(ptldb)[family]()
     assert ptldb.db.pool.total_pins() == 0
 
 
 def test_corpus_plans_are_batchable(ptldb):
-    """Every family actually runs through the batch executor (pulls > 0),
-    not the row-mode fallback — otherwise the speedup claim is vacuous."""
-    ptldb.db.vectorize = True
+    """Every family's trace records batch pulls — the operators really
+    exchange batches, not one-row chunks in disguise."""
     for family, call in family_calls(ptldb).items():
         call()
         trace = ptldb.last_trace
