@@ -51,26 +51,6 @@ def test_ordering_ablation(benchmark, ordering):
     benchmark.extra_info["HL_per_V"] = round(labels.tuples_per_vertex, 1)
 
 
-@pytest.mark.parametrize("compressed", [False, True])
-def test_label_compression_ablation(benchmark, compressed):
-    """Hub-label compression (packed arrays): footprint vs query time."""
-    bundle = get_bundle(DATASET)
-    ptldb = PTLDB.from_timetable(
-        bundle.timetable, device="hdd", labels=bundle.labels, compressed=compressed
-    )
-    queries = v2v_workload(bundle.timetable, n=query_count(), seed=42)
-    calls = [
-        (lambda q=q: ptldb.earliest_arrival(q.source, q.goal, q.depart_at))
-        for q in queries
-    ]
-    report = ptldb.storage_report()
-    benchmark.extra_info["total_pages"] = report["total_pages"]
-    attach_cold_stats(
-        benchmark, ptldb, f"{DATASET}/compressed={compressed}", calls
-    )
-    benchmark.pedantic(cycle_calls(calls), rounds=8, iterations=2)
-
-
 @pytest.mark.parametrize("pool_pages", [16, 256, 4096])
 def test_bufferpool_ablation(benchmark, pool_pages):
     bundle = get_bundle(DATASET)

@@ -36,44 +36,3 @@ def test_aux_build_and_footprint(benchmark, dataset):
     )
     benchmark.extra_info["tables"] = len(report["tables"])
     assert report["total_pages"] > 0
-
-
-def _label_footprint(ptldb):
-    """(total label bytes, total label entries) over lout + lin."""
-    total_bytes = 0
-    entries = 0
-    for name in ("lout", "lin"):
-        table = ptldb.db.catalog.get(name)
-        total_bytes += table.data_bytes
-        hubs = [c.name for c in table.schema.columns].index("hubs")
-        entries += sum(len(row[hubs]) for row in table.scan())
-    return total_bytes, entries
-
-
-@pytest.mark.parametrize("dataset", selected_datasets())
-def test_columnar_label_footprint(benchmark, dataset):
-    """STORAGE=COLUMNAR label bytes vs row pages (docs/STORAGE.md).
-
-    Gates the compression claim the perf experiment also enforces: the
-    delta-encoded column segments must hold the label tables in at most
-    0.6x the row-storage bytes, at identical logical content.
-    """
-    bundle = get_bundle(dataset)
-
-    def build_columnar():
-        return PTLDB.from_timetable(
-            bundle.timetable, labels=bundle.labels, storage="columnar"
-        )
-
-    columnar = benchmark.pedantic(build_columnar, rounds=3, iterations=1)
-    row = PTLDB.from_timetable(bundle.timetable, labels=bundle.labels)
-    row_bytes, entries = _label_footprint(row)
-    col_bytes, col_entries = _label_footprint(columnar)
-    assert col_entries == entries
-    ratio = col_bytes / row_bytes
-    benchmark.extra_info["row_bytes_per_label"] = round(row_bytes / entries, 2)
-    benchmark.extra_info["columnar_bytes_per_label"] = round(
-        col_bytes / entries, 2
-    )
-    benchmark.extra_info["bytes_ratio"] = round(ratio, 3)
-    assert ratio <= 0.6

@@ -322,8 +322,8 @@ def _lint_database():
     db = Database()
     tag = CORPUS_TAG
     for ddl in (
-        LOUT_DDL.format(array="BIGINT[]"),
-        LIN_DDL.format(array="BIGINT[]"),
+        LOUT_DDL,
+        LIN_DDL,
         CONNECTIONS_DDL,
         TRIPS_DDL,
         aux.targets_ddl(f"tgt_{tag}"),

@@ -12,7 +12,6 @@ from repro.minidb.heap import HeapFile
 from repro.minidb.values import (
     T_BIGINT,
     T_BIGINT_ARRAY,
-    T_BIGINT_ARRAY_PACKED,
     Column,
     check_value,
     decode_record,
@@ -61,10 +60,7 @@ class TableSchema:
             if col.name == "hub" and col.type_tag == T_BIGINT:
                 return i, False
         for i, col in enumerate(self.columns):
-            if col.name == "hubs" and col.type_tag in (
-                T_BIGINT_ARRAY,
-                T_BIGINT_ARRAY_PACKED,
-            ):
+            if col.name == "hubs" and col.type_tag == T_BIGINT_ARRAY:
                 return i, True
         return None
 

@@ -8,8 +8,8 @@ per column, with sorted integer arrays delta-encoded against their
 predecessor and the zig-zagged deltas packed at the smallest fixed width
 that fits (1/2/4/8 bytes). Fixed-width deltas — rather than varints — are
 what makes the segments numpy-decodable: decode is ``frombuffer`` →
-unzigzag → ``cumsum``, no per-element Python loop. Arrays with NULLs or
-pathological deltas fall back to the existing varint packing.
+unzigzag → ``cumsum``, no per-element Python loop. Arrays with NULL
+elements fall back to a delta + zig-zag varint packing.
 
 Cell layout::
 
@@ -34,6 +34,7 @@ dynamically, ``repro sanitize`` statically (docs/SANITIZER.md).
 
 from __future__ import annotations
 
+import operator
 import struct
 
 import numpy as _np
@@ -45,15 +46,12 @@ from repro.minidb.page import KIND_COLUMNAR, MAX_CELL, ZONE_SIZE
 from repro.minidb.values import (
     T_BIGINT,
     T_BIGINT_ARRAY,
-    T_BIGINT_ARRAY_PACKED,
     T_BOOL,
     T_DOUBLE,
     T_DOUBLE_ARRAY,
     T_TEXT,
     _decode_double_array,
-    _decode_packed_array,
     _encode_double_array,
-    _encode_packed_array,
     type_name,
 )
 
@@ -63,6 +61,7 @@ COLUMNAR_VERSION = 1
 _SEG = struct.Struct("<BI")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
+_U32 = struct.Struct("<I")
 
 ENC_NULL = 0  # SQL NULL, no payload
 ENC_I64 = 1  # scalar BIGINT, 8-byte payload
@@ -73,11 +72,13 @@ ENC_DELTA1 = 5  # i64 first + u8 zig-zag deltas
 ENC_DELTA2 = 6  # i64 first + u16 zig-zag deltas
 ENC_DELTA4 = 7  # i64 first + u32 zig-zag deltas
 ENC_DELTA8 = 8  # i64 first + u64 zig-zag deltas
-ENC_VARINT = 9  # values._encode_packed_array payload (handles NULLs)
+ENC_VARINT = 9  # _encode_varint_array payload (arrays with NULL elements)
 ENC_F64ARR = 10  # values._encode_double_array payload
 
 _DELTA_WIDTH = {ENC_DELTA1: 1, ENC_DELTA2: 2, ENC_DELTA4: 4, ENC_DELTA8: 8}
 _WIDTH_ENC = {1: ENC_DELTA1, 2: ENC_DELTA2, 4: ENC_DELTA4, 8: ENC_DELTA8}
+#: struct format character of each delta width (bulk pack and unpack).
+_DELTA_FMT = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _U64_MASK = (1 << 64) - 1
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
@@ -89,23 +90,85 @@ def _wrap_i64(value: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Varint segment codec (ENC_VARINT): integer arrays with NULL elements
+# ---------------------------------------------------------------------------
+def _zigzag(value: int) -> int:
+    return (value << 1) ^ (value >> 63) if value < 0 else value << 1
+
+
+def _unzigzag(value: int) -> int:
+    return (value >> 1) ^ -(value & 1)
+
+
+def _encode_varint(value: int, out: bytearray) -> None:
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return
+
+
+def _decode_varint(buf: memoryview, pos: int) -> tuple[int, int]:
+    result = 0
+    shift = 0
+    while True:
+        byte = buf[pos]
+        pos += 1
+        result |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return result, pos
+        shift += 7
+
+
+def _encode_varint_array(values: list) -> bytes:
+    """Delta + zig-zag varint encoding; NULL elements get a presence map."""
+    out = bytearray(_U32.pack(len(values)))
+    bitmap = bytearray((len(values) + 7) // 8)
+    for i, item in enumerate(values):
+        if item is None:
+            bitmap[i // 8] |= 1 << (i % 8)
+    out += bitmap
+    previous = 0
+    for item in values:
+        if item is None:
+            continue
+        _encode_varint(_zigzag(item - previous), out)
+        previous = item
+    return bytes(out)
+
+
+def _decode_varint_array(buf: memoryview, pos: int) -> tuple[list, int]:
+    (count,) = _U32.unpack_from(buf, pos)
+    pos += 4
+    nbytes = (count + 7) // 8
+    bitmap = bytes(buf[pos : pos + nbytes])
+    pos += nbytes
+    out: list = []
+    previous = 0
+    for i in range(count):
+        if bitmap[i // 8] & (1 << (i % 8)):
+            out.append(None)
+            continue
+        raw, pos = _decode_varint(buf, pos)
+        previous += _unzigzag(raw)
+        out.append(previous)
+    return out, pos
+
+
+# ---------------------------------------------------------------------------
 # Integer-array segment encode/decode
 # ---------------------------------------------------------------------------
 def _encode_int_array(values: list, require_sorted: bool = False) -> tuple[int, bytes]:
     """Encode one BIGINT[] column value, returning ``(encoding, payload)``."""
-    if any(v is None for v in values):
+    if None in values:
         if require_sorted:
             raise StorageError(
                 "columnar zone column arrays may not contain NULL elements"
             )
-        return ENC_VARINT, _encode_packed_array(values)
-    if require_sorted:
-        for prev, cur in zip(values, values[1:]):
-            if cur < prev:
-                raise StorageError(
-                    "columnar zone column array is not sorted "
-                    f"({prev} followed by {cur})"
-                )
+        return ENC_VARINT, _encode_varint_array(values)
     if not values:
         return ENC_DELTA1, b""
     if min(values) < _I64_MIN or max(values) > _I64_MAX:
@@ -113,18 +176,21 @@ def _encode_int_array(values: list, require_sorted: bool = False) -> tuple[int, 
     first = values[0]
     if len(values) == 1:
         return ENC_DELTA1, _I64.pack(first)
+    deltas = list(map(operator.sub, values[1:], values))
+    low = min(deltas)
+    if require_sorted and low < 0:
+        at = next(i for i, delta in enumerate(deltas) if delta < 0)
+        raise StorageError(
+            "columnar zone column array is not sorted "
+            f"({values[at]} followed by {values[at + 1]})"
+        )
     # Deltas mod 2^64, then zig-zag — both are exactly numpy's wrapping
-    # int64 arithmetic, so encode and decode agree on either path.
-    zz = []
-    prev = first
-    max_zz = 0
-    for cur in values[1:]:
-        delta = _wrap_i64(cur - prev)
-        z = ((delta << 1) ^ (delta >> 63)) & _U64_MASK
-        zz.append(z)
-        if z > max_zz:
-            max_zz = z
-        prev = cur
+    # int64 arithmetic, so encode and decode agree on either path. Only a
+    # pair of elements more than 2^63 apart has a delta that needs the wrap.
+    if low < _I64_MIN or max(deltas) > _I64_MAX:
+        deltas = [_wrap_i64(delta) for delta in deltas]
+    zz = [(delta << 1) ^ (delta >> 63) for delta in deltas]
+    max_zz = max(zz)
     if max_zz < 1 << 8:
         width = 1
     elif max_zz < 1 << 16:
@@ -133,10 +199,8 @@ def _encode_int_array(values: list, require_sorted: bool = False) -> tuple[int, 
         width = 4
     else:
         width = 8
-    out = bytearray(_I64.pack(first))
-    for z in zz:
-        out += z.to_bytes(width, "little")
-    return _WIDTH_ENC[width], bytes(out)
+    payload = struct.pack("<q%d%s" % (len(zz), _DELTA_FMT[width]), first, *zz)
+    return _WIDTH_ENC[width], payload
 
 
 #: Below this element count the pure-python delta loop beats numpy — the
@@ -163,10 +227,6 @@ def _decode_delta_np(payload: memoryview, count: int, width: int):
     _np.cumsum(deltas, out=vals[1:])
     vals[1:] += first
     return vals
-
-
-#: Bulk-unpack formats for the sub-crossover python decode loop.
-_DELTA_FMT = {2: "H", 4: "I", 8: "Q"}
 
 
 def _decode_delta(payload: memoryview, count: int, width: int) -> list:
@@ -227,7 +287,7 @@ def encode_columnar(
             raw = value.encode("utf-8")
             parts.append(_SEG.pack(ENC_TEXT, len(raw)))
             parts.append(raw)
-        elif tag in (T_BIGINT_ARRAY, T_BIGINT_ARRAY_PACKED):
+        elif tag == T_BIGINT_ARRAY:
             enc, payload = _encode_int_array(
                 value, require_sorted=i in sorted_cols
             )
@@ -290,7 +350,7 @@ def decode_columnar(
                 out.append(_decode_delta(seg, count, width))
             pos += nbytes
         elif enc == ENC_VARINT:
-            value, pos = _decode_packed_array(buf, pos)
+            value, pos = _decode_varint_array(buf, pos)
             out.append(value)
         elif enc == ENC_F64ARR:
             value, pos = _decode_double_array(buf, pos)

@@ -56,7 +56,6 @@ from repro.minidb.sql.functions import (
 from repro.minidb.values import (
     T_BIGINT,
     T_BIGINT_ARRAY,
-    T_BIGINT_ARRAY_PACKED,
     T_BOOL,
     T_DOUBLE,
     T_DOUBLE_ARRAY,
@@ -80,7 +79,6 @@ _TAG_TYPES = {
     T_TEXT: TEXT,
     T_BOOL: BOOL,
     T_BIGINT_ARRAY: ("array", INT),
-    T_BIGINT_ARRAY_PACKED: ("array", INT),
     T_DOUBLE_ARRAY: ("array", FLOAT),
 }
 

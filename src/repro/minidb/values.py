@@ -27,11 +27,6 @@ T_TEXT = 3
 T_BIGINT_ARRAY = 4
 T_DOUBLE_ARRAY = 5
 T_BOOL = 6
-# Delta + zig-zag varint encoded integer array: identical semantics to
-# BIGINT[], far smaller on disk for the sorted hub/timestamp vectors of the
-# label tables (the compression idea of Delling et al.'s Hub Label
-# Compression / the COLD framework the paper builds on).
-T_BIGINT_ARRAY_PACKED = 7
 
 _NAMES = {
     T_BIGINT: "BIGINT",
@@ -40,7 +35,6 @@ _NAMES = {
     T_BIGINT_ARRAY: "BIGINT[]",
     T_DOUBLE_ARRAY: "DOUBLE[]",
     T_BOOL: "BOOL",
-    T_BIGINT_ARRAY_PACKED: "BIGINT_PACKED[]",
 }
 
 _BY_NAME = {name: tag for tag, name in _NAMES.items()}
@@ -85,7 +79,7 @@ def type_from_name(name: str) -> int:
 
 
 def is_array_type(tag: int) -> bool:
-    return tag in (T_BIGINT_ARRAY, T_DOUBLE_ARRAY, T_BIGINT_ARRAY_PACKED)
+    return tag in (T_BIGINT_ARRAY, T_DOUBLE_ARRAY)
 
 
 def check_value(tag: int, value: object) -> object:
@@ -112,7 +106,7 @@ def check_value(tag: int, value: object) -> object:
         if not isinstance(value, bool):
             raise SQLTypeError(f"expected BOOL, got {value!r}")
         return value
-    if tag in (T_BIGINT_ARRAY, T_BIGINT_ARRAY_PACKED):
+    if tag == T_BIGINT_ARRAY:
         if not isinstance(value, (list, tuple)):
             raise SQLTypeError(f"expected BIGINT[], got {value!r}")
         out = []
@@ -210,72 +204,6 @@ def _decode_double_array(buf: memoryview, pos: int) -> tuple[list, int]:
     return out, pos
 
 
-def _zigzag(value: int) -> int:
-    return (value << 1) ^ (value >> 63) if value < 0 else value << 1
-
-
-def _unzigzag(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
-
-
-def _encode_varint(value: int, out: bytearray) -> None:
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
-
-
-def _decode_varint(buf: memoryview, pos: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        byte = buf[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-
-
-def _encode_packed_array(values: list) -> bytes:
-    """Delta + zig-zag varint encoding; NULL elements get a presence map."""
-    out = bytearray(_U32.pack(len(values)))
-    bitmap = bytearray((len(values) + 7) // 8)
-    for i, item in enumerate(values):
-        if item is None:
-            bitmap[i // 8] |= 1 << (i % 8)
-    out += bitmap
-    previous = 0
-    for item in values:
-        if item is None:
-            continue
-        _encode_varint(_zigzag(item - previous), out)
-        previous = item
-    return bytes(out)
-
-
-def _decode_packed_array(buf: memoryview, pos: int) -> tuple[list, int]:
-    (count,) = _U32.unpack_from(buf, pos)
-    pos += 4
-    nbytes = (count + 7) // 8
-    bitmap = bytes(buf[pos : pos + nbytes])
-    pos += nbytes
-    out: list = []
-    previous = 0
-    for i in range(count):
-        if bitmap[i // 8] & (1 << (i % 8)):
-            out.append(None)
-            continue
-        raw, pos = _decode_varint(buf, pos)
-        previous += _unzigzag(raw)
-        out.append(previous)
-    return out, pos
-
-
 def encode_record(types: tuple[int, ...], values: tuple) -> bytes:
     """Serialize one row (matching *types*) to bytes."""
     if len(types) != len(values):
@@ -300,8 +228,6 @@ def encode_record(types: tuple[int, ...], values: tuple) -> bytes:
             parts.append(raw)
         elif tag == T_BIGINT_ARRAY:
             parts.append(_encode_bigint_array(value))
-        elif tag == T_BIGINT_ARRAY_PACKED:
-            parts.append(_encode_packed_array(value))
         elif tag == T_DOUBLE_ARRAY:
             parts.append(_encode_double_array(value))
         else:
@@ -336,8 +262,6 @@ def decode_record(types: tuple[int, ...], data: bytes | memoryview) -> tuple:
             pos += length
         elif tag == T_BIGINT_ARRAY:
             value, pos = _decode_bigint_array(buf, pos)
-        elif tag == T_BIGINT_ARRAY_PACKED:
-            value, pos = _decode_packed_array(buf, pos)
         elif tag == T_DOUBLE_ARRAY:
             value, pos = _decode_double_array(buf, pos)
         else:

@@ -44,9 +44,6 @@ class AuxTables:
     interval_s: int
     low_hour: int
     high_hour: int
-    #: "row" or "columnar" — the STORAGE clause of every table this family
-    #: creates (the label tables choose independently; see load_labels).
-    storage: str = "row"
 
     @property
     def knn_ea(self) -> str:
@@ -85,40 +82,34 @@ def hours_ddl(name: str) -> str:
     return f"CREATE TABLE {name} (h BIGINT, PRIMARY KEY (h))"
 
 
-def _storage_suffix(storage: str) -> str:
-    if storage not in ("row", "columnar"):
-        raise DatabaseError(f"unknown aux storage {storage!r}")
-    return " STORAGE = COLUMNAR" if storage == "columnar" else ""
-
-
-def naive_ea_ddl(name: str, storage: str = "row") -> str:
+def naive_ea_ddl(name: str) -> str:
     return f"""CREATE TABLE {name} (
-  hub BIGINT, td BIGINT, vs BIGINT[], tas BIGINT[], PRIMARY KEY (hub, td))\
-{_storage_suffix(storage)}"""
+  hub BIGINT, td BIGINT, vs BIGINT[], tas BIGINT[], PRIMARY KEY (hub, td))
+  STORAGE = COLUMNAR"""
 
 
-def naive_ld_ddl(name: str, storage: str = "row") -> str:
+def naive_ld_ddl(name: str) -> str:
     return f"""CREATE TABLE {name} (
-  hub BIGINT, ta BIGINT, vs BIGINT[], tds BIGINT[], PRIMARY KEY (hub, ta))\
-{_storage_suffix(storage)}"""
+  hub BIGINT, ta BIGINT, vs BIGINT[], tds BIGINT[], PRIMARY KEY (hub, ta))
+  STORAGE = COLUMNAR"""
 
 
-def grouped_ea_ddl(name: str, storage: str = "row") -> str:
+def grouped_ea_ddl(name: str) -> str:
     return f"""CREATE TABLE {name} (
   hub BIGINT, dephour BIGINT,
   vs BIGINT[], tas BIGINT[],
   tds_exp BIGINT[], vs_exp BIGINT[], tas_exp BIGINT[],
-  PRIMARY KEY (hub, dephour))\
-{_storage_suffix(storage)}"""
+  PRIMARY KEY (hub, dephour))
+  STORAGE = COLUMNAR"""
 
 
-def grouped_ld_ddl(name: str, storage: str = "row") -> str:
+def grouped_ld_ddl(name: str) -> str:
     return f"""CREATE TABLE {name} (
   hub BIGINT, arrhour BIGINT,
   vs BIGINT[], tds BIGINT[],
   tds_exp BIGINT[], vs_exp BIGINT[], tas_exp BIGINT[],
-  PRIMARY KEY (hub, arrhour))\
-{_storage_suffix(storage)}"""
+  PRIMARY KEY (hub, arrhour))
+  STORAGE = COLUMNAR"""
 
 
 def create_targets_table(db: Database, tag: str, targets) -> str:
@@ -149,7 +140,7 @@ def create_hours_table(db: Database, tag: str, low_hour: int, high_hour: int) ->
 def build_naive_ea(db: Database, aux: AuxTables) -> None:
     table = aux.knn_ea_naive
     db.execute(f"DROP TABLE IF EXISTS {table}")
-    db.execute(naive_ea_ddl(table, aux.storage))
+    db.execute(naive_ea_ddl(table))
     db.execute(
         f"""
 INSERT INTO {table}
@@ -173,7 +164,7 @@ GROUP BY hub, td
 def build_naive_ld(db: Database, aux: AuxTables) -> None:
     table = aux.knn_ld_naive
     db.execute(f"DROP TABLE IF EXISTS {table}")
-    db.execute(naive_ld_ddl(table, aux.storage))
+    db.execute(naive_ld_ddl(table))
     db.execute(
         f"""
 INSERT INTO {table}
@@ -200,7 +191,7 @@ GROUP BY hub, ta
 def _build_ea_grouped(db: Database, aux: AuxTables, table: str, top_k: int | None) -> None:
     """knn_ea (top_k = kmax) or otm_ea (top_k = None: best entry per target)."""
     db.execute(f"DROP TABLE IF EXISTS {table}")
-    db.execute(grouped_ea_ddl(table, aux.storage))
+    db.execute(grouped_ea_ddl(table))
     interval = aux.interval_s
     hours = aux.hours_table
     if top_k is None:
@@ -268,7 +259,7 @@ GROUP BY u.hub, u.h
 def _build_ld_grouped(db: Database, aux: AuxTables, table: str, top_k: int | None) -> None:
     """knn_ld (top_k = kmax) or otm_ld (top_k = None)."""
     db.execute(f"DROP TABLE IF EXISTS {table}")
-    db.execute(grouped_ld_ddl(table, aux.storage))
+    db.execute(grouped_ld_ddl(table))
     interval = aux.interval_s
     hours = aux.hours_table
     if top_k is None:

@@ -257,18 +257,11 @@ class PTLDB(_QueryAPI):
         self,
         db: Database,
         labels: TTLLabels,
-        compressed: bool = False,
-        storage: str = "row",
         time_range: tuple[int, int] | None = None,
     ):
         self.db = db
         self.labels = labels
         self.num_stops = labels.num_stops
-        self.compressed = compressed
-        #: Heap layout of the label + aux tables: "row" (values.encode_record
-        #: cells) or "columnar" (delta-encoded column groups with per-page
-        #: zone maps — docs/STORAGE.md). Same queries, same results.
-        self.storage = storage
         #: ``time_range`` override: a label *shard* must clamp kNN/OTM hours
         #: against the full timetable's range, not its own subset's, or its
         #: aux tables would disagree with the single-process reference.
@@ -277,7 +270,7 @@ class PTLDB(_QueryAPI):
         else:
             self.time_low, self.time_high = label_time_range(labels)
         self._handles: dict[str, TargetSetHandle] = {}
-        load_labels(db, labels, compressed=compressed, storage=storage)
+        load_labels(db, labels)
         # Every query family runs through a prepared statement: the vertex-
         # to-vertex texts are known up front, the per-target-set texts are
         # prepared on first use. Repeat queries hit the engine's plan cache
@@ -292,8 +285,6 @@ class PTLDB(_QueryAPI):
         db: Database,
         num_stops: int,
         time_range: tuple[int, int],
-        compressed: bool = False,
-        storage: str = "row",
     ) -> "PTLDB":
         """Reattach to a database whose label tables are already loaded.
 
@@ -307,8 +298,6 @@ class PTLDB(_QueryAPI):
         self.db = db
         self.labels = None
         self.num_stops = num_stops
-        self.compressed = compressed
-        self.storage = storage
         self.time_low, self.time_high = time_range
         self._handles = {}
         self._prepared = {}
@@ -332,8 +321,6 @@ class PTLDB(_QueryAPI):
         pool_pages: int = 4096,
         ordering: str = "event_degree",
         labels: TTLLabels | None = None,
-        compressed: bool = False,
-        storage: str = "row",
         batch_size: int = 1024,
         readahead: int = 8,
         parallel_workers: int = 1,
@@ -343,9 +330,9 @@ class PTLDB(_QueryAPI):
         """Preprocess (unless labels are given) and load into a fresh DB.
 
         ``batch_size``/``readahead``/``parallel_workers`` are forwarded to
-        the :class:`Database` executor knobs (docs/ARCHITECTURE.md, "Vectorized pipeline" and
-        "Parallel execution"); ``storage`` picks the label/aux heap layout
-        (docs/STORAGE.md). Results are identical for any combination.
+        the :class:`Database` executor knobs (docs/ARCHITECTURE.md,
+        "Vectorized pipeline" and "Parallel execution"). Results are
+        identical for any combination.
 
         ``workers`` > 1 runs TTL preprocessing on a process pool and
         ``cache_dir`` reuses previously saved labels keyed by the dataset
@@ -372,7 +359,7 @@ class PTLDB(_QueryAPI):
             readahead=readahead,
             parallel_workers=parallel_workers,
         )
-        self = cls(db, labels, compressed=compressed, storage=storage)
+        self = cls(db, labels)
         # The analytics family needs the raw timetable alongside the
         # labels; this path has it, so the tables always ship together
         # (:meth:`attach` reopens persisted tables and skips the load).
@@ -439,7 +426,6 @@ class PTLDB(_QueryAPI):
                 interval_s=interval_s,
                 low_hour=low_hour,
                 high_hour=high_hour,
-                storage=self.storage,
             ),
             targets=targets,
         )
@@ -490,7 +476,6 @@ class PTLDB(_QueryAPI):
                 interval_s=interval_s,
                 low_hour=self.time_low // interval_s,
                 high_hour=self.time_high // interval_s,
-                storage=self.storage,
             ),
             targets=frozenset(int(t) for t in targets),
         )

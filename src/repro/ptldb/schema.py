@@ -12,47 +12,32 @@ from repro.errors import DatabaseError
 from repro.labeling.labels import TTLLabels
 from repro.minidb.engine import Database
 
-LOUT_DDL = """CREATE TABLE lout (
-  v BIGINT, hubs {array}, tds {array}, tas {array}, PRIMARY KEY (v))"""
-
-LIN_DDL = """CREATE TABLE lin (
-  v BIGINT, hubs {array}, tds {array}, tas {array}, PRIMARY KEY (v))"""
+#: The one label layout: both tables, always columnar.
+LABEL_DDL = """CREATE TABLE {table} (
+  v BIGINT, hubs BIGINT[], tds BIGINT[], tas BIGINT[], PRIMARY KEY (v))
+  STORAGE = COLUMNAR"""
+LOUT_DDL = LABEL_DDL.format(table="lout")
+LIN_DDL = LABEL_DDL.format(table="lin")
 
 INSERT_LABEL_ROW = "INSERT INTO {table} VALUES ($1, $2, $3, $4)"
 
 
-def load_labels(
-    db: Database,
-    labels: TTLLabels,
-    compressed: bool = False,
-    storage: str = "row",
-) -> None:
+def load_labels(db: Database, labels: TTLLabels) -> None:
     """Create and fill *lout* / *lin* from a TTL labeling.
 
-    With ``compressed=True`` the label arrays are stored delta+varint
-    packed (``BIGINT_PACKED[]``) — the hub-label-compression idea of the
-    COLD lineage; queries are unchanged, the footprint shrinks several-fold
-    because the arrays are sorted.
-
-    With ``storage="columnar"`` the tables are created ``STORAGE =
-    COLUMNAR`` (docs/STORAGE.md): each row is a column group whose sorted
-    arrays are delta-encoded into numpy-decodable fixed-width segments and
-    every heap page keeps a min/max-hub zone map. Queries and results are
-    unchanged; the footprint and the decode cost both shrink.
+    Both tables are ``STORAGE = COLUMNAR`` (docs/STORAGE.md): each row is a
+    column group whose sorted arrays are delta-encoded into numpy-decodable
+    fixed-width segments, and every heap page keeps a min/max-hub zone map.
     """
     if labels.total_tuples > 0 and labels.dummy_count() == 0:
         raise DatabaseError(
             "labels have no dummy tuples; call add_dummy_tuples() first "
             "(the PTLDB v2v query is incorrect without them)"
         )
-    if storage not in ("row", "columnar"):
-        raise DatabaseError(f"unknown label storage {storage!r}")
-    array_type = "BIGINT_PACKED[]" if compressed else "BIGINT[]"
-    suffix = " STORAGE = COLUMNAR" if storage == "columnar" else ""
     db.execute("DROP TABLE IF EXISTS lout")
     db.execute("DROP TABLE IF EXISTS lin")
-    db.execute(LOUT_DDL.format(array=array_type) + suffix)
-    db.execute(LIN_DDL.format(array=array_type) + suffix)
+    db.execute(LOUT_DDL)
+    db.execute(LIN_DDL)
     for table, side in (("lout", labels.lout), ("lin", labels.lin)):
         sql = INSERT_LABEL_ROW.format(table=table)
         for v in range(labels.num_stops):

@@ -17,7 +17,7 @@ build time while mis-routing would be paid per query.
 
 A build writes one minidb file per shard plus ``manifest.json`` describing
 the partition — everything a worker needs to reopen its shard *without the
-labels object*: stop count, time range, storage codec, and each shard's
+labels object*: stop count, time range, device, and each shard's
 target-set parameters for :meth:`PTLDB.attach_target_set`.
 """
 
@@ -51,9 +51,13 @@ def shard_of(v: int, num_stops: int, num_shards: int) -> int:
 
 
 def shard_bounds(num_stops: int, num_shards: int) -> list[tuple[int, int]]:
-    """Per-shard ``[lo, hi)`` vertex ranges; shard i owns ``bounds[i]``."""
-    if num_shards < 1:
-        raise ServingError("need at least one shard")
+    """Per-shard ``[lo, hi)`` vertex ranges; shard i owns ``bounds[i]``.
+
+    Every range is non-empty, which :func:`load_manifest` relies on."""
+    if not 1 <= num_shards <= num_stops:
+        raise ServingError(
+            f"need between 1 and {num_stops} shards, got {num_shards}"
+        )
     return [
         (i * num_stops // num_shards, (i + 1) * num_stops // num_shards)
         for i in range(num_shards)
@@ -76,6 +80,27 @@ def partition_labels(labels: TTLLabels, lo: int, hi: int) -> TTLLabels:
     return shard
 
 
+#: Exact key set (and value types) of ``manifest.json`` and of each of its
+#: ``shards`` entries.
+_MANIFEST_FIELDS = {
+    "num_stops": int,
+    "num_shards": int,
+    "time_low": int,
+    "time_high": int,
+    "device": str,
+    "pool_pages": int,
+    "shards": list,
+}
+_SHARD_FIELDS = {
+    "index": int,
+    "path": str,
+    "lo": int,
+    "hi": int,
+    "target_sets": list,
+    "build_seconds": float,
+}
+
+
 @dataclass
 class ShardManifest:
     """Everything the router and workers need to (re)open a shard set."""
@@ -86,8 +111,6 @@ class ShardManifest:
     time_low: int
     time_high: int
     device: str = "ram"
-    storage: str = "row"
-    compressed: bool = False
     pool_pages: int = 4096
     #: One entry per shard: {"index", "path", "lo", "hi", "target_sets"},
     #: where each target set is {"tag", "kmax", "interval_s", "families",
@@ -101,31 +124,59 @@ class ShardManifest:
     def shard_db_path(self, index: int) -> str:
         return os.path.join(self.directory, self.shards[index]["path"])
 
-    def to_dict(self) -> dict:
-        return {
-            "num_stops": self.num_stops,
-            "num_shards": self.num_shards,
-            "time_low": self.time_low,
-            "time_high": self.time_high,
-            "device": self.device,
-            "storage": self.storage,
-            "compressed": self.compressed,
-            "pool_pages": self.pool_pages,
-            "shards": self.shards,
-        }
-
     def save(self) -> str:
+        data = {key: getattr(self, key) for key in _MANIFEST_FIELDS}
         with open(self.path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=1)
+            json.dump(data, handle, indent=1)
         return self.path
 
 
+def _check_fields(where: str, data, fields: dict) -> None:
+    if not isinstance(data, dict):
+        raise ServingError(f"{where}: expected an object, got {type(data).__name__}")
+    for key in fields:
+        if key not in data:
+            raise ServingError(f"{where}: missing key {key!r}")
+    for key in data:
+        if key not in fields:
+            raise ServingError(f"{where}: unknown key {key!r}")
+    for key, kind in fields.items():
+        value = data[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ServingError(
+                f"{where}: key {key!r} must be {kind.__name__}, "
+                f"got {type(value).__name__}"
+            )
+
+
 def load_manifest(directory_or_path: str) -> ShardManifest:
+    """Read and validate ``manifest.json``; any defect is a
+    :class:`ServingError` naming the file and the offending key or byte."""
     path = directory_or_path
     if os.path.isdir(path):
         path = os.path.join(path, MANIFEST_NAME)
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            at = exc.pos if hasattr(exc, "pos") else exc.start
+            raise ServingError(
+                f"{path}: not valid JSON at byte {at}: {exc}"
+            ) from None
+    _check_fields(path, data, _MANIFEST_FIELDS)
+    if data["num_shards"] != len(data["shards"]):
+        raise ServingError(
+            f"{path}: key 'num_shards' is {data['num_shards']} but "
+            f"'shards' lists {len(data['shards'])}"
+        )
+    for i, shard in enumerate(data["shards"]):
+        where = f"{path}: shards[{i}]"
+        _check_fields(where, shard, _SHARD_FIELDS)
+        if not 0 <= shard["lo"] < shard["hi"] <= data["num_stops"]:
+            raise ServingError(
+                f"{where}: range [{shard['lo']}, {shard['hi']}) is empty or "
+                f"outside [0, {data['num_stops']})"
+            )
     return ShardManifest(directory=os.path.dirname(path) or ".", **data)
 
 
@@ -135,8 +186,6 @@ def build_shards(
     num_shards: int,
     target_sets: list[dict] | None = None,
     device: str = "ram",
-    storage: str = "row",
-    compressed: bool = False,
     pool_pages: int = 4096,
 ) -> ShardManifest:
     """Partition *labels* into ``num_shards`` minidb files under *directory*.
@@ -155,8 +204,6 @@ def build_shards(
         time_low=time_low,
         time_high=time_high,
         device=device,
-        storage=storage,
-        compressed=compressed,
         pool_pages=pool_pages,
     )
     for index, (lo, hi) in enumerate(shard_bounds(labels.num_stops, num_shards)):
@@ -169,13 +216,7 @@ def build_shards(
             pool_pages=pool_pages,
         )
         try:
-            api = PTLDB(
-                db,
-                shard_labels,
-                compressed=compressed,
-                storage=storage,
-                time_range=(time_low, time_high),
-            )
+            api = PTLDB(db, shard_labels, time_range=(time_low, time_high))
             built_sets = []
             for spec in target_sets or ():
                 owned = sorted(

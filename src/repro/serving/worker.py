@@ -64,8 +64,6 @@ class ShardWorker:
             self.db,
             num_stops=self.manifest.num_stops,
             time_range=(self.manifest.time_low, self.manifest.time_high),
-            compressed=self.manifest.compressed,
-            storage=self.manifest.storage,
         )
         self.tags: set[str] = set()
         for spec in self.shard["target_sets"]:

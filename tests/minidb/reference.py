@@ -9,6 +9,7 @@ buffer pool and return a :class:`Run`, so a test is
 
 from typing import NamedTuple
 
+from repro.minidb.engine import Database
 from repro.minidb.sql import plan as phys
 from repro.minidb.sql.executor import Executor
 from repro.minidb.sql.parser import parse
@@ -48,6 +49,26 @@ def run_reference(db, sql, params=()) -> Run:
         result.rows,
         (disk.delta(disk_before).reads, pool.delta(pool_before).misses),
     )
+
+
+def clone_tables(db, storage: str) -> Database:
+    """A fresh in-memory database holding every table of *db* — same names,
+    columns, keys and rows — created by plain DDL with ``STORAGE =
+    <storage>``. How a suite gets a row-storage twin of the (always
+    columnar) PTLDB tables, or a row/columnar pair of anything."""
+    twin = Database()
+    for name in db.catalog.table_names():
+        table = db.catalog.get(name)
+        schema = table.schema
+        columns = ", ".join(f"{c.name} {c.type_str}" for c in schema.columns)
+        if schema.primary_key:
+            columns += f", PRIMARY KEY ({', '.join(schema.primary_key)})"
+        twin.execute(
+            f"CREATE TABLE {name} ({columns}) STORAGE = {storage.upper()}"
+        )
+        slots = ", ".join(f"${i + 1}" for i in range(len(schema.columns)))
+        twin.executemany(f"INSERT INTO {name} VALUES ({slots})", table.scan())
+    return twin
 
 
 def facade_statement(ptldb, call):

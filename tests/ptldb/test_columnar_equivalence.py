@@ -1,21 +1,31 @@
-"""Row-vs-columnar storage equivalence over the full PTLDB query corpus.
+"""The columnar label layout over the full PTLDB query corpus.
 
-``STORAGE=COLUMNAR`` is a pure representation change: for every one of
-the nine paper query families the columnar database must return exactly
-the rows the row-storage database returns. And within columnar storage
-the engine's ndarray decode and column kernels must stay pure
-optimizations too — same rows, same page reads, same pool misses as the
+PTLDB stores ``lout``/``lin`` and every kNN/OTM table ``STORAGE =
+COLUMNAR`` — a pure representation choice. For every one of the nine
+paper query families the answers must equal the TTL/CSA oracles, and the
+statement must return exactly the rows a ``STORAGE = ROW`` copy of the
+same tables returns (the twin is made by plain DDL; PTLDB has no layout
+option). And the engine's ndarray decode and column kernels must stay
+pure optimizations — same rows, same page reads, same pool misses as the
 row-at-a-time reference model (``tests/minidb/reference.py``).
 """
 
 import pytest
 
+from repro.baselines import csa
+from repro.labeling.query import TTLQueryEngine
 from repro.labeling.ttl import build_labels
 from repro.ptldb.framework import PTLDB
 from repro.timetable.generator import random_timetable
-from tests.minidb.reference import facade_statement, run_engine, run_reference
+from tests.minidb.reference import (
+    clone_tables,
+    facade_statement,
+    run_engine,
+    run_reference,
+)
 
 NOON = 12 * 3600
+TARGETS = {1, 4, 9, 13, 16}
 
 FAMILIES = [
     "v2v_ea", "v2v_ld", "v2v_sd",
@@ -25,15 +35,18 @@ FAMILIES = [
 ]
 
 
-def build(storage):
-    timetable = random_timetable(18, 160, seed=11)
+@pytest.fixture(scope="module")
+def timetable():
+    return random_timetable(18, 160, seed=11)
+
+
+@pytest.fixture(scope="module")
+def columnar_db(timetable):
     labels, _ = build_labels(timetable, add_dummies=True)
-    db = PTLDB.from_timetable(
-        timetable, device="hdd", labels=labels, storage=storage
-    )
+    db = PTLDB.from_timetable(timetable, device="hdd", labels=labels)
     db.build_target_set(
         "col",
-        targets={1, 4, 9, 13, 16},
+        targets=TARGETS,
         kmax=4,
         families=(
             "knn_ea", "knn_ld", "otm_ea", "otm_ld", "naive_ea", "naive_ld",
@@ -43,33 +56,61 @@ def build(storage):
 
 
 @pytest.fixture(scope="module")
-def row_db():
-    return build("row")
+def row_twin(columnar_db):
+    return clone_tables(columnar_db.db, "row")
 
 
-@pytest.fixture(scope="module")
-def columnar_db():
-    return build("columnar")
-
-
-def family_calls(ptldb):
+def family_calls(ptldb, source=2):
     return {
-        "v2v_ea": lambda: ptldb.earliest_arrival(2, 9, NOON),
-        "v2v_ld": lambda: ptldb.latest_departure(2, 9, 2 * NOON),
-        "v2v_sd": lambda: ptldb.shortest_duration(2, 9, 0, 2 * NOON),
-        "knn_ea_naive": lambda: ptldb.ea_knn_naive("col", 2, NOON, 2),
-        "knn_ld_naive": lambda: ptldb.ld_knn_naive("col", 2, 2 * NOON, 2),
-        "knn_ea": lambda: ptldb.ea_knn("col", 2, NOON, 2),
-        "knn_ld": lambda: ptldb.ld_knn("col", 2, 2 * NOON, 2),
-        "otm_ea": lambda: ptldb.ea_one_to_many("col", 2, NOON),
-        "otm_ld": lambda: ptldb.ld_one_to_many("col", 2, 2 * NOON),
+        "v2v_ea": lambda: ptldb.earliest_arrival(source, 9, NOON),
+        "v2v_ld": lambda: ptldb.latest_departure(source, 9, 2 * NOON),
+        "v2v_sd": lambda: ptldb.shortest_duration(source, 9, 0, 2 * NOON),
+        "knn_ea_naive": lambda: ptldb.ea_knn_naive("col", source, NOON, 2),
+        "knn_ld_naive": lambda: ptldb.ld_knn_naive("col", source, 2 * NOON, 2),
+        "knn_ea": lambda: ptldb.ea_knn("col", source, NOON, 2),
+        "knn_ld": lambda: ptldb.ld_knn("col", source, 2 * NOON, 2),
+        "otm_ea": lambda: ptldb.ea_one_to_many("col", source, NOON),
+        "otm_ld": lambda: ptldb.ld_one_to_many("col", source, 2 * NOON),
+    }
+
+
+def oracle_calls(timetable, engine, source):
+    return {
+        "v2v_ea": lambda: csa.earliest_arrival(timetable, source, 9, NOON),
+        "v2v_ld": lambda: csa.latest_departure(timetable, source, 9, 2 * NOON),
+        "v2v_sd": lambda: csa.shortest_duration(
+            timetable, source, 9, 0, 2 * NOON
+        ),
+        "knn_ea_naive": lambda: engine.ea_knn(source, TARGETS, NOON, 2),
+        "knn_ld_naive": lambda: engine.ld_knn(source, TARGETS, 2 * NOON, 2),
+        "knn_ea": lambda: engine.ea_knn(source, TARGETS, NOON, 2),
+        "knn_ld": lambda: engine.ld_knn(source, TARGETS, 2 * NOON, 2),
+        "otm_ea": lambda: engine.ea_one_to_many(source, TARGETS, NOON),
+        "otm_ld": lambda: engine.ld_one_to_many(source, TARGETS, 2 * NOON),
     }
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_columnar_matches_row_storage(row_db, columnar_db, family):
-    row = family_calls(row_db)[family]()
-    col = family_calls(columnar_db)[family]()
+def test_columnar_matches_oracles(timetable, columnar_db, family):
+    engine = TTLQueryEngine(columnar_db.labels)
+    for source in range(timetable.num_stops):
+        if source == 9 and family.startswith("v2v"):
+            continue  # s == g is outside the paper's query definition
+        got = family_calls(columnar_db, source)[family]()
+        want = oracle_calls(timetable, engine, source)[family]()
+        if family.startswith("knn_ld"):
+            # Targets may swap when departure times tie; the times may not.
+            got, want = [t for _, t in got], [t for _, t in want]
+        assert got == want, f"{family} from {source}"
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_columnar_matches_row_storage(columnar_db, row_twin, family):
+    sql, params = facade_statement(
+        columnar_db, family_calls(columnar_db)[family]
+    )
+    col = columnar_db.db.execute(sql, params).rows
+    row = row_twin.execute(sql, params).rows
     assert col == row, f"{family}: results diverge across storage"
 
 
@@ -90,10 +131,10 @@ def test_no_pins_left_behind(columnar_db, family):
     assert columnar_db.db.pool.total_pins() == 0
 
 
-def test_columnar_label_tables_are_smaller(row_db, columnar_db):
+def test_columnar_label_tables_are_smaller(columnar_db, row_twin):
     """The compression that docs/STORAGE.md promises actually materializes
-    on the label tables (the perf bench gates the exact 0.6x bound)."""
+    on the label tables (tests/ptldb/test_schema.py gates the 0.6x bound)."""
     for name in ("lout", "lin"):
-        row_bytes = row_db.db.table_stats()[name]["data_bytes"]
+        row_bytes = row_twin.table_stats()[name]["data_bytes"]
         col_bytes = columnar_db.db.table_stats()[name]["data_bytes"]
         assert 0 < col_bytes < row_bytes

@@ -107,3 +107,133 @@ class TestManifest:
 
         for index in range(manifest.num_shards):
             assert os.path.exists(manifest.shard_db_path(index))
+
+    def test_label_and_aux_tables_are_columnar_in_every_shard(
+        self, labels, tmp_path
+    ):
+        from repro.minidb.engine import Database
+
+        manifest = build_shards(
+            str(tmp_path / "shards"),
+            labels,
+            2,
+            target_sets=[{"tag": "poi", "targets": [1, 4, 10, 15], "kmax": 4}],
+        )
+        for index in range(manifest.num_shards):
+            with Database.open(manifest.shard_db_path(index)) as db:
+                stats = db.table_stats()
+                checked = [
+                    name
+                    for name in stats
+                    if name in ("lout", "lin")
+                    or name.startswith(("knn_", "otm_"))
+                ]
+                assert len(checked) == 6
+                for name in checked:
+                    assert stats[name]["storage"] == "columnar", name
+
+
+class TestManifestValidation:
+    """A defective manifest.json is a ServingError naming the file and the
+    offending key or byte — never a TypeError/KeyError/JSONDecodeError."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, labels, tmp_path_factory):
+        directory = str(tmp_path_factory.mktemp("manifest"))
+        manifest = build_shards(
+            directory,
+            labels,
+            2,
+            target_sets=[{"tag": "poi", "targets": [1, 10], "kmax": 2}],
+        )
+        with open(manifest.path, encoding="utf-8") as handle:
+            return manifest.path, handle.read()
+
+    def rewrite(self, saved, edit):
+        """Save the manifest with *edit* applied to its dict; its path."""
+        import json
+
+        path, text = saved
+        data = json.loads(text)
+        edit(data)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(data, handle)
+        return path
+
+    @pytest.fixture(autouse=True)
+    def restore(self, saved):
+        yield
+        path, text = saved
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+
+    def test_every_truncation_is_typed(self, saved):
+        path, text = saved
+        for cut in range(len(text)):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text[:cut])
+            with pytest.raises(ServingError, match="manifest.json.*byte"):
+                load_manifest(path)
+
+    def test_parent_format_manifest_names_the_dropped_key(self, saved):
+        def edit(data):
+            data["storage"] = "row"
+            data["compressed"] = False
+
+        path = self.rewrite(saved, edit)
+        with pytest.raises(ServingError, match="unknown key 'storage'"):
+            load_manifest(path)
+
+    def test_missing_key(self, saved):
+        path = self.rewrite(saved, lambda data: data.pop("time_low"))
+        with pytest.raises(ServingError, match="missing key 'time_low'"):
+            load_manifest(path)
+        path = self.rewrite(saved, lambda data: data["shards"][1].pop("lo"))
+        with pytest.raises(ServingError, match=r"shards\[1\].*'lo'"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("num_stops", "18"),
+            ("pool_pages", 4096.0),
+            ("device", 3),
+            ("shards", {}),
+            ("num_shards", True),
+        ],
+    )
+    def test_wrong_typed_field(self, saved, key, value):
+        path = self.rewrite(saved, lambda data: data.update({key: value}))
+        with pytest.raises(ServingError, match=f"key '{key}' must be"):
+            load_manifest(path)
+
+    def test_top_level_must_be_an_object(self, saved):
+        path, _ = saved
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("[1, 2]")
+        with pytest.raises(ServingError, match="expected an object"):
+            load_manifest(path)
+
+    def test_shard_count_mismatch(self, saved):
+        path = self.rewrite(saved, lambda data: data["shards"].pop())
+        with pytest.raises(ServingError, match="'num_shards' is 2"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("lo,hi", [(9, 9), (12, 9), (-1, 9), (9, 19)])
+    def test_shard_range_outside_the_stops(self, saved, lo, hi):
+        path = self.rewrite(
+            saved, lambda data: data["shards"][1].update(lo=lo, hi=hi)
+        )
+        with pytest.raises(ServingError, match=r"shards\[1\].*range"):
+            load_manifest(path)
+
+    def test_worker_startup_surfaces_it_unchanged(self, saved):
+        from repro.serving.worker import ShardWorker
+
+        path = self.rewrite(saved, lambda data: data.update(storage="row"))
+        with pytest.raises(ServingError, match="unknown key 'storage'"):
+            ShardWorker(path, 0)
+
+    def test_more_shards_than_stops_rejected_at_build(self, labels, tmp_path):
+        with pytest.raises(ServingError, match="between 1 and 18"):
+            build_shards(str(tmp_path / "s"), labels, labels.num_stops + 1)
