@@ -8,18 +8,30 @@ left-to-right for range scans. All node accesses go through the buffer pool,
 so index descent costs real (simulated) page reads exactly like PostgreSQL's
 primary-key lookups do in the paper.
 
-Node layout (within the generic 16-byte page header):
-    * leaf: packed cells ``key || rid``; ``next_page`` chains to the right
-      sibling.
-    * internal: packed cells ``key || child`` where *child* covers keys
-      ``>= key``; ``next_page`` holds the leftmost child (keys below the
-      first separator).
+Node layout (within the generic 16-byte page header; docs/STORAGE.md,
+"B+Tree nodes"): fixed-width cells packed back to back in key order, counted
+by the header's slot-count field.
+    * leaf: cells ``key || rid``; ``next_page`` chains to the right sibling.
+    * internal: cells ``key || child`` where *child* covers keys ``>= key``;
+      ``next_page`` holds the leftmost child (keys below the first
+      separator).
+
+Nodes are never decoded to edit them. Every operation binary-searches the
+packed buffer (``_locate``); an insert shifts the cells behind the position
+up by one cell with a single slice assignment and packs the new cell into
+the gap, a remove shifts them down, a replace rewrites the rid. A full node
+splits at the middle of its ``capacity + 1`` cells: the upper half moves to
+a fresh right page as one byte slice and the separator goes to the parent
+(a leaf keeps it as the right page's first key; an internal node hands it
+up, its child becoming the right page's leftmost child). Only ``scan``
+decodes a whole leaf.
 
 Concurrency: descents pin each node while its cells are examined (so a
 lookup's node can't be evicted mid-binary-search even on a tiny pool), and
 insertion pins the whole root-to-leaf path while splits propagate — the
 structural reason a capacity-1 pool survives arbitrary split cascades.
-Content access goes through the frame latch, one page at a time. The pin
+Content access goes through the frame latch, one page at a time: the search
+and the edit of one node happen under one hold of its write latch. The pin
 and latch disciplines are enforced by the concurrency sanitizer
 (``SANITIZE=1`` dynamically, ``repro sanitize`` statically — see
 docs/SANITIZER.md).
@@ -28,6 +40,7 @@ docs/SANITIZER.md).
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 
 from repro.errors import StorageError
 from repro.minidb.buffer import BufferPool
@@ -50,6 +63,12 @@ def _set_count(page: Page, count: int) -> None:
 
 def _get_count(page: Page) -> int:
     return struct.unpack_from("<H", page.buf, _COUNT_OFFSET)[0]
+
+
+def _fill(page: Page, cells: bytes, cell: int) -> None:
+    """Make *cells* (whole packed cells of width *cell*) the node's content."""
+    page.buf[HEADER_SIZE : HEADER_SIZE + len(cells)] = cells
+    _set_count(page, len(cells) // cell)
 
 
 class BTree:
@@ -85,94 +104,36 @@ class BTree:
             new_root_id, new_root = self.pool.new_page(KIND_BTREE_INTERNAL)
             with self.pool.latch(new_root_id).write():
                 new_root.next_page = self.root_page
-                self._write_internal_cells(new_root, [(sep_key, right_page)])
+                cell = self._key.pack(*sep_key) + _CHILD.pack(right_page)
+                _fill(new_root, cell, self._int_cell)
                 self.pool.mark_dirty(new_root_id)
             self.pool.unpin(new_root_id)
             self.root_page = new_root_id
 
     def search(self, key: tuple) -> tuple[int, int] | None:
-        """Exact lookup; returns the rid or ``None``.
-
-        Binary-searches directly in the packed page buffer — node pages are
-        never fully decoded on the hot path.
-        """
+        """Exact lookup; returns the rid or ``None``."""
         key = self._check_key(key)
-        key_struct = self._key
-        page_id = self.root_page
-        while True:
-            pinned_id = page_id
-            page = self.pool.pin(pinned_id)
-            try:
-                with self.pool.latch(pinned_id).read():
-                    buf = page.buf
-                    count = _get_count(page)
-                    if page.kind == KIND_BTREE_LEAF:
-                        cell = self._leaf_cell
-                        lo, hi = 0, count
-                        while lo < hi:
-                            mid = (lo + hi) // 2
-                            if (
-                                key_struct.unpack_from(
-                                    buf, HEADER_SIZE + mid * cell
-                                )
-                                < key
-                            ):
-                                lo = mid + 1
-                            else:
-                                hi = mid
-                        if lo < count:
-                            offset = HEADER_SIZE + lo * cell
-                            if key_struct.unpack_from(buf, offset) == key:
-                                return _RID.unpack_from(
-                                    buf, offset + key_struct.size
-                                )
-                        return None
-                    # internal node: rightmost separator <= key
-                    cell = self._int_cell
-                    lo, hi = 0, count
-                    while lo < hi:
-                        mid = (lo + hi) // 2
-                        if (
-                            key_struct.unpack_from(buf, HEADER_SIZE + mid * cell)
-                            <= key
-                        ):
-                            lo = mid + 1
-                        else:
-                            hi = mid
-                    if lo == 0:
-                        page_id = page.next_page
-                    else:
-                        offset = HEADER_SIZE + (lo - 1) * cell + key_struct.size
-                        (page_id,) = _CHILD.unpack_from(buf, offset)
-            finally:
-                self.pool.unpin(pinned_id)
+        with self._leaf(key) as (page_id, page, _):
+            with self.pool.latch(page_id).read():
+                _, offset, found = self._locate(page, self._leaf_cell, key)
+                if found:
+                    return _RID.unpack_from(page.buf, offset + self._key.size)
+                return None
 
     def remove(self, key: tuple) -> bool:
         """Delete *key* from its leaf (no rebalancing — underfull leaves are
         tolerated, like PostgreSQL's lazily-cleaned B-Trees). Returns whether
         the key was present."""
         key = self._check_key(key)
-        page_id = self.root_page
-        while True:
-            with self.pool.pinned(page_id) as page:
-                if page.kind == KIND_BTREE_LEAF:
-                    with self.pool.latch(page_id).write():
-                        cells = self._read_leaf_cells(page)
-                        lo, hi = 0, len(cells)
-                        while lo < hi:
-                            mid = (lo + hi) // 2
-                            if cells[mid][0] < key:
-                                lo = mid + 1
-                            else:
-                                hi = mid
-                        if lo < len(cells) and cells[lo][0] == key:
-                            del cells[lo]
-                            self._write_leaf_cells(page, cells)
-                            self.pool.mark_dirty(page_id)
-                            return True
-                        return False
-                next_id = self._descend(page, key)
-            page_id = next_id
+        cell = self._leaf_cell
+        with self._leaf(key) as (page_id, page, _):
+            with self.pool.latch(page_id).write():
+                end, offset, found = self._locate(page, cell, key)
+                if found:
+                    page.buf[offset : end - cell] = page.buf[offset + cell : end]
+                    _set_count(page, (end - HEADER_SIZE) // cell - 1)
+                    self.pool.mark_dirty(page_id)
+                return found
 
     def scan(self, low: tuple | None = None, high: tuple | None = None):
         """Yield ``(key, rid)`` for keys in ``[low, high]``, in key order."""
@@ -198,13 +159,8 @@ class BTree:
 
     def height(self) -> int:
         """Tree height (1 = a single leaf)."""
-        depth = 1
-        page_id = self.root_page
-        while self.pool.get(page_id).kind == KIND_BTREE_INTERNAL:
-            page = self.pool.get(page_id)
-            page_id = page.next_page  # leftmost child
-            depth += 1
-        return depth
+        with self._leaf(None) as (_, _, depth):
+            return depth
 
     def __len__(self) -> int:
         return sum(1 for _ in self.scan())
@@ -214,7 +170,7 @@ class BTree:
         # silently treat it as absent.
         return True
 
-    # -- node encoding ---------------------------------------------------
+    # -- node access -----------------------------------------------------
     def _check_key(self, key: tuple) -> tuple:
         if len(key) != self.key_len:
             raise StorageError(
@@ -233,58 +189,63 @@ class BTree:
             pos += self._leaf_cell
         return cells
 
-    def _write_leaf_cells(self, page: Page, cells) -> None:
-        pos = HEADER_SIZE
-        for key, rid in cells:
-            self._key.pack_into(page.buf, pos, *key)
-            _RID.pack_into(page.buf, pos + self._key.size, *rid)
-            pos += self._leaf_cell
-        _set_count(page, len(cells))
+    def _locate(self, page: Page, cell: int, key: tuple) -> tuple[int, int, bool]:
+        """Binary-search the packed cells (of width *cell*) of a latched node.
 
-    def _read_internal_cells(self, page: Page) -> list[tuple[tuple, int]]:
-        count = _get_count(page)
-        cells = []
-        pos = HEADER_SIZE
-        for _ in range(count):
-            key = self._key.unpack_from(page.buf, pos)
-            (child,) = _CHILD.unpack_from(page.buf, pos + self._key.size)
-            cells.append((key, child))
-            pos += self._int_cell
-        return cells
-
-    def _write_internal_cells(self, page: Page, cells) -> None:
-        pos = HEADER_SIZE
-        for key, child in cells:
-            self._key.pack_into(page.buf, pos, *key)
-            _CHILD.pack_into(page.buf, pos + self._key.size, child)
-            pos += self._int_cell
-        _set_count(page, len(cells))
-
-    # -- traversal -------------------------------------------------------
-    def _descend(self, page: Page, key: tuple) -> int:
-        cells = self._read_internal_cells(page)
-        child = page.next_page  # leftmost
-        lo, hi = 0, len(cells)
+        Returns ``(end, offset, found)``: the byte offset past the last
+        cell, the offset of the first cell whose key is ``>= key`` (``end``
+        when there is none), and whether that cell's key equals *key*.
+        """
+        buf = page.buf
+        unpack = self._key.unpack_from
+        lo, hi = 0, _get_count(page)
+        end = HEADER_SIZE + hi * cell
         while lo < hi:
             mid = (lo + hi) // 2
-            if cells[mid][0] <= key:
+            if unpack(buf, HEADER_SIZE + mid * cell) < key:
                 lo = mid + 1
             else:
                 hi = mid
-        if lo > 0:
-            child = cells[lo - 1][1]
-        return child
+        offset = HEADER_SIZE + lo * cell
+        return end, offset, offset < end and unpack(buf, offset) == key
+
+    # -- traversal -------------------------------------------------------
+    def _descend(self, page: Page, key: tuple | None) -> int:
+        """The child of the latched internal node covering *key* — the one
+        behind the rightmost separator ``<= key`` — or, for ``None`` and for
+        keys below every separator, the leftmost child."""
+        if key is not None:
+            _, offset, found = self._locate(page, self._int_cell, key)
+            if found:
+                offset += self._int_cell
+            if offset > HEADER_SIZE:
+                return _CHILD.unpack_from(page.buf, offset - _CHILD.size)[0]
+        return page.next_page
+
+    @contextmanager
+    def _leaf(self, key: tuple | None):
+        """Descend to the leaf covering *key* (the leftmost leaf for
+        ``None``) and yield ``(page_id, page, depth)`` with the leaf pinned.
+
+        The one root-to-leaf walk: each node costs one pool access and stays
+        pinned and read-latched while its separators are searched.
+        """
+        page_id, depth = self.root_page, 1
+        while True:
+            page = self.pool.pin(page_id)
+            try:
+                if page.kind == KIND_BTREE_LEAF:
+                    yield page_id, page, depth
+                    return
+                with self.pool.latch(page_id).read():
+                    child_id = self._descend(page, key)
+            finally:
+                self.pool.unpin(page_id)
+            page_id, depth = child_id, depth + 1
 
     def _leftmost_leaf(self, low: tuple | None) -> int:
-        page_id = self.root_page
-        while True:
-            page = self.pool.get(page_id)
-            if page.kind == KIND_BTREE_LEAF:
-                return page_id
-            if low is None:
-                page_id = page.next_page
-            else:
-                page_id = self._descend(page, low)
+        with self._leaf(low) as (page_id, _, _):
+            return page_id
 
     # -- insertion -------------------------------------------------------
     def _insert(self, page_id: int, key: tuple, rid) -> tuple[tuple, int] | None:
@@ -299,68 +260,64 @@ class BTree:
         page = self.pool.pin(page_id)
         try:
             if page.kind == KIND_BTREE_LEAF:
-                cells = self._read_leaf_cells(page)
-                lo, hi = 0, len(cells)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if cells[mid][0] < key:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                if lo < len(cells) and cells[lo][0] == key:
-                    cells[lo] = (key, rid)
-                else:
-                    cells.insert(lo, (key, rid))
-                if len(cells) <= self._leaf_cap:
-                    with self.pool.latch(page_id).write():
-                        self._write_leaf_cells(page, cells)
-                        self.pool.mark_dirty(page_id)
-                    return None
-                # Split the leaf.
-                mid = len(cells) // 2
-                right_id, right = self.pool.new_page(KIND_BTREE_LEAF)
-                with self.pool.latch(right_id).write():
-                    right.next_page = page.next_page
-                    self._write_leaf_cells(right, cells[mid:])
-                    self.pool.mark_dirty(right_id)
-                with self.pool.latch(page_id).write():
-                    page.next_page = right_id
-                    self._write_leaf_cells(page, cells[:mid])
-                    self.pool.mark_dirty(page_id)
-                self.pool.unpin(right_id)
-                return cells[mid][0], right_id
-
-            child_id = self._descend(page, key)
+                return self._put(page_id, page, key, _RID.pack(*rid), self._leaf_cap)
+            with self.pool.latch(page_id).read():
+                child_id = self._descend(page, key)
             split = self._insert(child_id, key, rid)
             if split is None:
                 return None
             sep_key, right_child = split
-            cells = self._read_internal_cells(page)
-            lo, hi = 0, len(cells)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if cells[mid][0] < sep_key:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            cells.insert(lo, (sep_key, right_child))
-            if len(cells) <= self._int_cap:
-                with self.pool.latch(page_id).write():
-                    self._write_internal_cells(page, cells)
-                    self.pool.mark_dirty(page_id)
-                return None
-            # Split the internal node; the middle separator moves up.
-            mid = len(cells) // 2
-            up_key, up_child = cells[mid]
-            right_id, right = self.pool.new_page(KIND_BTREE_INTERNAL)
-            with self.pool.latch(right_id).write():
-                right.next_page = up_child
-                self._write_internal_cells(right, cells[mid + 1 :])
-                self.pool.mark_dirty(right_id)
-            with self.pool.latch(page_id).write():
-                self._write_internal_cells(page, cells[:mid])
-                self.pool.mark_dirty(page_id)
-            self.pool.unpin(right_id)
-            return up_key, right_id
+            return self._put(
+                page_id, page, sep_key, _CHILD.pack(right_child), self._int_cap
+            )
         finally:
             self.pool.unpin(page_id)
+
+    def _put(
+        self, page_id: int, page: Page, key: tuple, value: bytes, capacity: int
+    ) -> tuple[tuple, int] | None:
+        """Put the cell ``key || value`` at its sorted position on the pinned
+        node, in place; an existing key only has its value rewritten (leaves
+        only: separators never repeat). Splits a full node and returns
+        ``(separator_key, new_right_page)``, else ``None``.
+        """
+        buf = page.buf
+        key_size = self._key.size
+        cell = key_size + len(value)
+        with self.pool.latch(page_id).write():
+            end, offset, found = self._locate(page, cell, key)
+            if found or end < HEADER_SIZE + capacity * cell:
+                if found:
+                    buf[offset + key_size : offset + cell] = value
+                else:
+                    buf[offset + cell : end + cell] = buf[offset:end]
+                    buf[offset : offset + cell] = self._key.pack(*key) + value
+                    _set_count(page, (end - HEADER_SIZE) // cell + 1)
+                self.pool.mark_dirty(page_id)
+                return None
+            cells = b"".join(
+                (buf[HEADER_SIZE:offset], self._key.pack(*key), value, buf[offset:end])
+            )
+            sibling = page.next_page
+        # Split at the middle of the capacity + 1 cells: the lower half
+        # stays, the upper half moves to a fresh right page as one slice.
+        leaf = page.kind == KIND_BTREE_LEAF
+        cut = (capacity + 1) // 2 * cell
+        right_id, right = self.pool.new_page(page.kind)
+        with self.pool.latch(right_id).write():
+            if leaf:
+                right.next_page = sibling
+                _fill(right, cells[cut:], cell)
+            else:
+                # The middle separator moves up; its child becomes the right
+                # node's leftmost child.
+                (right.next_page,) = _CHILD.unpack_from(cells, cut + key_size)
+                _fill(right, cells[cut + cell :], cell)
+            self.pool.mark_dirty(right_id)
+        with self.pool.latch(page_id).write():
+            if leaf:
+                page.next_page = right_id
+            _fill(page, cells[:cut], cell)
+            self.pool.mark_dirty(page_id)
+        self.pool.unpin(right_id)
+        return self._key.unpack_from(cells, cut), right_id

@@ -182,10 +182,7 @@ class Table:
     def _store_row(self, row: tuple) -> tuple[int, int]:
         """Encode, store, index and account one validated row."""
         record = self.encode(row)
-        if isinstance(self.heap, ColumnarHeapFile):
-            rid = self.heap.insert(record, zone=self._zone_of(row))
-        else:
-            rid = self.heap.insert(record)
+        rid = self.heap.insert(record, self._zone_of(row))
         if self.index is not None:
             self.index.insert(self._pk_of(row), rid)
         self.row_count += 1

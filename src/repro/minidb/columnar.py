@@ -26,10 +26,11 @@ round-trips exactly.
 to skip pages — skipped pages are never touched in the buffer pool, which
 is what the paper-bound page counts measure.
 
-Pin and latch handling follows the heap's discipline (``with
-pool.pinned(...)`` for access, the frame write latch around zone-map
-updates) and is checked by the concurrency sanitizer — ``SANITIZE=1``
-dynamically, ``repro sanitize`` statically (docs/SANITIZER.md).
+Pin and latch handling is the heap's: ``HeapFile._insert_cell`` widens the
+zone map under the same pin and write-latch hold that stores the cell, so
+a row insert dirties its page once. It is checked by the concurrency
+sanitizer — ``SANITIZE=1`` dynamically, ``repro sanitize`` statically
+(docs/SANITIZER.md).
 """
 
 from __future__ import annotations
@@ -403,14 +404,10 @@ class ColumnarHeapFile(HeapFile):
         the map — NULL compares as unknown, so equality can never select
         it and the page bounds stay tight.
         """
-        rid = super().insert(record)
+        rid = super().insert(record, zone)
         if zone is not None:
             page_id = rid[0]
             lo, hi = zone
-            with self.pool.pinned(page_id) as page:
-                with self.pool.latch(page_id).write():
-                    page.zone_extend(lo, hi)
-                    self.pool.mark_dirty(page_id)
             cached = self._zones.get(page_id)
             if cached is None:
                 self._zones[page_id] = (lo, hi)

@@ -80,14 +80,20 @@ class HeapFile:
             page_id = page.next_page
 
     # ------------------------------------------------------------------
-    def insert(self, record: bytes) -> tuple[int, int]:
-        """Store *record*, returning its rid."""
+    def insert(
+        self, record: bytes, zone: tuple[int, int] | None = None
+    ) -> tuple[int, int]:
+        """Store *record*, returning its rid.
+
+        *zone* widens the landing page's zone map under the same latch hold
+        that stores the cell; only columnar pages have one, so row heaps
+        pass none."""
         if len(record) + 1 <= self.INLINE_LIMIT:
             cell = bytes([_INLINE]) + record
         else:
             first_chunk_page = self._write_overflow(record)
             cell = _STUB.pack(_OVERFLOW, len(record), first_chunk_page)
-        return self._insert_cell(cell)
+        return self._insert_cell(cell, zone)
 
     def read(self, rid: tuple[int, int]) -> bytes:
         """Fetch the record stored at *rid*."""
@@ -198,7 +204,9 @@ class HeapFile:
         return out
 
     # ------------------------------------------------------------------
-    def _insert_cell(self, cell: bytes) -> tuple[int, int]:
+    def _insert_cell(
+        self, cell: bytes, zone: tuple[int, int] | None
+    ) -> tuple[int, int]:
         page_id = self._last_page
         page = self.pool.pin(page_id)
         try:
@@ -216,6 +224,8 @@ class HeapFile:
                 page_id, page = new_id, new_page
             with self.pool.latch(page_id).write():
                 slot = page.insert(cell)
+                if zone is not None:
+                    page.zone_extend(*zone)
                 self.pool.mark_dirty(page_id)
             return (page_id, slot)
         finally:

@@ -185,6 +185,7 @@ class WorkerHandle:
     def request(self, message: dict) -> Ticket:
         """Enqueue one request; the returned ticket resolves to its response."""
         ticket = Ticket()
+        broke = None
         with self.send_lock:
             if not self.alive:
                 ticket.error = WorkerDiedError(f"worker {self.name} is dead")
@@ -194,12 +195,11 @@ class WorkerHandle:
             try:
                 send_message(self.proc.stdin, message)
             except (BrokenPipeError, OSError) as exc:
-                self._tickets.remove(ticket)
-                self._mark_dead(f"pipe broke: {exc}")
-                ticket.error = WorkerDiedError(
-                    f"worker {self.name} pipe broke: {exc}"
-                )
-                ticket.event.set()
+                broke = exc
+        if broke is not None:
+            # Outside send_lock: _mark_dead drains the ticket FIFO (this
+            # ticket included) under that same non-reentrant lock.
+            self._mark_dead(f"pipe broke: {broke}")
         return ticket
 
     def _read_loop(self, proc: subprocess.Popen) -> None:

@@ -11,6 +11,8 @@ from repro.minidb.btree import BTree
 from repro.minidb.buffer import BufferPool
 from repro.minidb.disk import DiskManager
 
+from .btree_model import ModelBTree, check_invariants, page_images
+
 
 def make_tree(key_len=1, capacity=256):
     pool = BufferPool(DiskManager(), capacity=capacity)
@@ -154,3 +156,143 @@ class TestProperty:
         for key, value in expected.items():
             assert tree.search(key) == value
         assert [k for k, _ in tree.scan()] == sorted(expected)
+
+
+def make_pair(key_len, capacity, leaf_cap=None, int_cap=None):
+    """A real tree and the definitional model, each over its own pool.
+
+    Optional tiny capacities (set on both) make a few dozen operations
+    build a deep tree with internal splits."""
+    tree, _ = make_tree(key_len=key_len, capacity=capacity)
+    if leaf_cap is not None:
+        tree._leaf_cap, tree._int_cap = leaf_cap, int_cap
+    model = ModelBTree(
+        BufferPool(DiskManager(), capacity=capacity),
+        key_len,
+        tree._leaf_cap,
+        tree._int_cap,
+    )
+    return tree, model
+
+
+def spread(n, key_len):
+    """Order-preserving bijection from ints onto *key_len*-component keys."""
+    parts = []
+    for _ in range(key_len - 1):
+        parts.append(n % 7)
+        n //= 7
+    return tuple(reversed(parts + [n]))
+
+
+def apply(target, op, key, rid):
+    return target.insert(key, rid) if op == "put" else target.remove(key)
+
+
+class TestPoolAccounting:
+    @staticmethod
+    def key(i):
+        return (i // 7, i % 7, 0, i)
+
+    def three_level_tree(self, capacity):
+        tree, pool = make_tree(key_len=4, capacity=capacity)
+        n = 0
+        while tree.height() < 3:
+            for _ in range(2000):
+                tree.insert(self.key(n), (n, 0))
+                n += 1
+        return tree, pool, n
+
+    def test_height_costs_one_access_per_level(self):
+        tree, pool, _ = self.three_level_tree(capacity=4096)
+        before = pool.stats.snapshot()
+        assert tree.height() == 3
+        assert pool.stats.delta(before).accesses == 3
+        assert pool.total_pins() == 0
+
+    def test_search_costs_one_access_per_level(self):
+        tree, pool, n = self.three_level_tree(capacity=4096)
+        before = pool.stats.snapshot()
+        assert tree.search(self.key(n - 1)) == (n - 1, 0)
+        assert pool.stats.delta(before).accesses == 3
+
+    def test_low_bounded_scan_on_capacity_one_pool(self):
+        tree, pool, n = self.three_level_tree(capacity=1)
+        low = (n // 14, 0, 0, 0)
+        got = [k for k, _ in tree.scan(low=low)]
+        assert got == [self.key(i) for i in range(n) if self.key(i) >= low]
+        assert pool.total_pins() == 0
+        pool.clear()
+
+
+class TestAgainstModel:
+    """The in-place tree must be the decode/edit/encode tree, byte for byte."""
+
+    @pytest.mark.parametrize("capacity", [1, 3, 256])
+    @pytest.mark.parametrize("key_len", [1, 2, 3, 4])
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_any_sequence_matches_the_model(self, key_len, capacity, data):
+        steps = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["put", "put", "put", "remove"]),
+                    st.integers(-40, 40).map(lambda n: spread(n, key_len)),
+                    st.tuples(st.integers(0, 2**40), st.integers(0, 2**20)),
+                ),
+                max_size=60,
+            )
+        )
+        tree, model = make_pair(key_len, capacity, leaf_cap=4, int_cap=3)
+        expected = {}
+        for op, key, rid in steps:
+            assert apply(tree, op, key, rid) == apply(model, op, key, rid)
+            if op == "put":
+                expected[key] = rid
+            else:
+                expected.pop(key, None)
+            assert list(tree.scan()) == sorted(expected.items())
+            assert check_invariants(tree) == check_invariants(model)
+        assert page_images(tree) == page_images(model)
+        for key, rid in expected.items():
+            assert tree.search(key) == rid
+
+    @pytest.mark.parametrize("key_len", [1, 2, 3, 4])
+    def test_real_capacities_match_the_model(self, key_len):
+        tree, model = make_pair(key_len, capacity=256)
+        rng = random.Random(key_len)
+        expected = {}
+        for _ in range(4000):
+            key = spread(rng.randrange(-900, 900), key_len)
+            if rng.random() < 0.2:
+                assert tree.remove(key) == model.remove(key) == (key in expected)
+                expected.pop(key, None)
+            else:
+                rid = (rng.randrange(2**40), rng.randrange(2**20))
+                tree.insert(key, rid)
+                model.insert(key, rid)
+                expected[key] = rid
+        shape = check_invariants(tree)
+        assert shape == check_invariants(model)
+        assert shape["height"] >= 2
+        assert page_images(tree) == page_images(model)
+        assert list(tree.scan()) == sorted(expected.items())
+
+    def test_removing_every_key_leaves_a_searchable_empty_tree(self):
+        tree, model = make_pair(2, capacity=3, leaf_cap=4, int_cap=3)
+        keys = [(i // 9, i % 9) for i in range(200)]
+        for i, key in enumerate(keys):
+            tree.insert(key, (i, 0))
+            model.insert(key, (i, 0))
+        height = tree.height()
+        assert height >= 3
+        random.Random(4).shuffle(keys)
+        for key in keys:
+            assert tree.remove(key) and model.remove(key)
+            assert tree.search(key) is None
+        assert not tree.remove(keys[0])
+        assert list(tree.scan()) == [] and len(tree) == 0
+        assert tree.height() == height  # no rebalancing: the skeleton stays
+        assert check_invariants(tree) == check_invariants(model)
+        tree.insert((3, 3), (7, 7))
+        assert tree.search((3, 3)) == (7, 7)
+        assert list(tree.scan(low=(3, 0), high=(3, 8))) == [((3, 3), (7, 7))]

@@ -25,6 +25,8 @@ from repro.minidb.columnar import (
 )
 from repro.minidb.disk import DiskManager
 from repro.minidb.engine import Database
+from repro.minidb.heap import HeapFile
+from repro.minidb.page import PAGE_SIZE
 from repro.minidb.sql import npbatch
 from repro.minidb.values import (
     T_BIGINT,
@@ -226,6 +228,56 @@ class TestZoneMaps:
         heap.insert(record, zone=(3, 7))
         again = ColumnarHeapFile(pool, first_page=heap.first_page)
         assert again._zones == heap._zones
+
+    def test_one_latch_hold_writes_the_store_then_widen_pages(
+        self, tmp_path, monkeypatch
+    ):
+        """Widening the zone under the cell's own latch hold must leave, page
+        for page, what the definition leaves: store the cell, then pin and
+        latch the page again to widen its zone."""
+
+        def store_then_widen(heap, record, zone=None):
+            rid = HeapFile.insert(heap, record)
+            if zone is not None:
+                with heap.pool.pinned(rid[0]) as page:
+                    with heap.pool.latch(rid[0]).write():
+                        page.zone_extend(*zone)
+                        heap.pool.mark_dirty(rid[0])
+                lo, hi = heap._zones.get(rid[0], zone)
+                heap._zones[rid[0]] = (min(lo, zone[0]), max(hi, zone[1]))
+            return rid
+
+        def build(name):
+            path = str(tmp_path / name)
+            db = Database(path=path)
+            db.execute("CREATE TABLE z (hub BIGINT, tds BIGINT[]) STORAGE = COLUMNAR")
+            db.executemany(
+                "INSERT INTO z VALUES ($1, $2)",
+                [
+                    (None if i % 11 == 0 else (i * 7) % 23, list(range(i, i + 90)))
+                    for i in range(400)
+                ],
+            )
+            heap = db.catalog.get("z").heap
+            zones = dict(heap._zones)
+            bounds = [db.pool.get(pid).zone_bounds() for pid in heap.page_ids()]
+            db.close()
+            with open(path, "rb") as handle:
+                return zones, bounds, handle.read()
+
+        zones, bounds, image = build("one_hold.minidb")
+        monkeypatch.setattr(ColumnarHeapFile, "insert", store_then_widen)
+        ref_zones, ref_bounds, ref_image = build("two_holds.minidb")
+        assert len(bounds) > 3 and None not in bounds
+        assert (zones, bounds) == (ref_zones, ref_bounds)
+        assert len(image) == len(ref_image)
+        differing = [
+            pid
+            for pid in range(len(image) // PAGE_SIZE)
+            if image[pid * PAGE_SIZE : (pid + 1) * PAGE_SIZE]
+            != ref_image[pid * PAGE_SIZE : (pid + 1) * PAGE_SIZE]
+        ]
+        assert differing == []
 
 
 @pytest.mark.skipif(np is None, reason="numpy not installed")

@@ -211,3 +211,64 @@ class TestWalDisabled:
         db.close()
         with Database.open(db_path, wal=False) as again:
             assert rows(again) == [(1, 2)]
+
+
+class TestIndexSplitsUnderTheWal:
+    """A statement whose index inserts split leaves and grow a new root is
+    undone (or redone) page for page."""
+
+    ROWS = 1000  # a BIGINT-keyed leaf holds 408 cells: > 2 leaves' worth
+
+    def loaded(self, path: str) -> Database:
+        db = Database(path=path)
+        db.execute("CREATE TABLE src (k BIGINT, v BIGINT, PRIMARY KEY (k))")
+        db.executemany(
+            "INSERT INTO src VALUES ($1, $2)", [(i, 3 * i) for i in range(self.ROWS)]
+        )
+        db.execute(DDL)
+        return db
+
+    @staticmethod
+    def images(db: Database) -> list[bytes]:
+        return [
+            db.pool.page_image(pid)
+            if db.pool.resident(pid)
+            else bytes(db.disk.peek_page(pid))
+            for pid in range(db.disk.num_pages)
+        ]
+
+    def test_failure_on_the_last_row_restores_every_page(self, db_path):
+        db = self.loaded(db_path)
+        before = self.images(db)
+        size_before = db.wal.size_bytes()
+        with pytest.raises(CatalogError, match=r"duplicate primary key \(0,\)"):
+            # Keys 0..998 land (leaf splits, then a new root); the last
+            # source row maps back onto key 0.
+            db.execute(f"INSERT INTO t SELECT k % {self.ROWS - 1}, v FROM src")
+        after = self.images(db)
+        assert len(after) > len(before), "the statement allocated no page"
+        assert after[: len(before)] == before
+        assert all(image == bytes(len(image)) for image in after[len(before) :])
+        assert db.wal.size_bytes() == size_before
+        assert db.pool.total_pins() == 0
+        db.simulate_crash()
+        with Database.open(db_path) as again:
+            assert rows(again) == []
+            again.execute("INSERT INTO t SELECT k, v FROM src WHERE k < 5")
+            assert rows(again) == [(i, 3 * i) for i in range(5)]
+
+    def test_success_survives_a_crash_with_index_and_heap_agreeing(self, db_path):
+        db = self.loaded(db_path)
+        db.execute("INSERT INTO t SELECT k, v FROM src")
+        assert db.catalog.get("t").index.height() == 2
+        db.simulate_crash()
+        with Database.open(db_path) as again:
+            table = again.catalog.get("t")
+            assert table.index.height() == 2
+            by_index = [
+                (key[0], table.decode(table.heap.read(rid))[1])
+                for key, rid in table.index.scan()
+            ]
+            assert by_index == [(i, 3 * i) for i in range(self.ROWS)]
+            assert by_index == rows(again)
+            assert again.pool.total_pins() == 0

@@ -5,7 +5,12 @@ PTLDB over the same labels, so every test compares the process tier's
 answers against the single-process ground truth.
 """
 
+import os
 import random
+import signal
+import threading
+import time
+import types
 
 import pytest
 
@@ -13,8 +18,10 @@ from repro.errors import BackpressureError, ServingError, WorkerDiedError
 from repro.labeling.ttl import build_labels
 from repro.minidb.engine import Database
 from repro.ptldb.framework import PTLDB
+from repro.minidb.metrics import REGISTRY
 from repro.serving import Router, build_shards
 from repro.serving.protocol import recv_message, send_message
+from repro.serving.router import WorkerHandle
 from repro.timetable.generator import random_timetable
 
 TARGETS = [1, 4, 7, 10, 13, 16]
@@ -152,6 +159,95 @@ class TestRecovery:
             s, g, t = rng.randrange(n), rng.randrange(n), rng.randrange(86400)
             assert router.earliest_arrival(s, g, t) == reference.earliest_arrival(s, g, t)
             assert router.ea_knn("poi", s, t, 2) == reference.ea_knn("poi", s, t, 2)
+
+
+    def test_unrequested_sigkill_never_blocks_a_caller(self, fixture):
+        """The worker dies on its own (``os.kill``, not ``kill_worker``)
+        under two calling threads: every call answers or raises the typed
+        error, none hangs, and a respawn serves again."""
+        reference, router, n = fixture
+        stop = threading.Event()
+        answers: list[int] = []
+        untyped: list[BaseException] = []
+
+        def client(seed):
+            rng = random.Random(seed)
+            while not stop.is_set():
+                # Goal 0 lives on shard 0; distinct params dodge the cache.
+                s, t = rng.randrange(n), rng.randrange(86400)
+                try:
+                    router.earliest_arrival(s, 0, t)
+                    answers.append(1)
+                except WorkerDiedError:
+                    answers.append(0)
+                except Exception as exc:  # any other type fails the test below
+                    untyped.append(exc)
+                    return
+
+        threads = [
+            threading.Thread(target=client, args=(seed,), daemon=True)
+            for seed in (1, 2)
+        ]
+        for thread in threads:
+            thread.start()
+        proc = router.worker(0).proc
+        time.sleep(0.2)
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=10)
+        time.sleep(0.3)
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=5)
+        assert not any(thread.is_alive() for thread in threads)
+        assert untyped == []
+        assert 1 in answers and 0 in answers
+        router.respawn_worker(0)
+        assert router.earliest_arrival(3, 0, 30000) == reference.earliest_arrival(
+            3, 0, 30000
+        )
+
+
+class _Stdin:
+    """A worker stdin that accepts frames until told to break."""
+
+    broken = False
+
+    def write(self, data):
+        if self.broken:
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+class TestSendFailure:
+    def test_broken_pipe_fails_every_ticket_without_hanging(self):
+        """Regression: ``request`` marked the handle dead while still holding
+        ``send_lock``, which draining the tickets takes again — the caller
+        (and then the reader thread) hung forever."""
+        handle = WorkerHandle(None, shard=0, replica=0, max_queue_depth=4)
+        handle.proc = types.SimpleNamespace(stdin=_Stdin())
+        handle.alive = True
+        deaths = REGISTRY.counter("serving.worker_deaths")
+        before = deaths.value
+        outstanding = handle.request({"op": "ping"})
+        handle.proc.stdin.broken = True
+        tickets = []
+        sender = threading.Thread(
+            target=lambda: tickets.append(handle.request({"op": "ping"})),
+            daemon=True,
+        )
+        sender.start()
+        sender.join(timeout=2)
+        assert not sender.is_alive(), "request() deadlocked on send_lock"
+        for ticket in (tickets[0], outstanding):
+            assert ticket.event.wait(timeout=2)
+            with pytest.raises(WorkerDiedError, match=r"shard0\.r0 pipe broke"):
+                ticket.wait()
+        assert not handle.alive
+        assert deaths.value == before + 1
+        with pytest.raises(WorkerDiedError, match="is dead"):
+            handle.request({"op": "ping"}).wait()
 
 
 class TestProtocol:
