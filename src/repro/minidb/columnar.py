@@ -215,18 +215,20 @@ def _decode_delta_np(payload: memoryview, count: int, width: int):
     vals = _np.empty(count, dtype=_np.int64)
     if count == 0:
         return vals
-    (first,) = _I64.unpack_from(payload, 0)
-    vals[0] = first
+    (vals[0],) = _I64.unpack_from(payload, 0)
     if count == 1:
         return vals
     raw = _np.frombuffer(
         payload, dtype=f"<u{width}", count=count - 1, offset=8
     ).astype(_np.uint64)
-    # unzigzag in uint64, then bit-reinterpret as int64 so values
-    # ≥ 2^63 map back to their negative deltas.
-    deltas = _np.where(raw & 1, ~(raw >> 1), raw >> 1).view(_np.int64)
-    _np.cumsum(deltas, out=vals[1:])
-    vals[1:] += first
+    # unzigzag in uint64 as (raw >> 1) ^ -(raw & 1), straight into the
+    # output's tail (bit-reinterpreted, so values ≥ 2^63 are the negative
+    # deltas); one wrapping cumsum over first + deltas finishes in place.
+    sign = raw & 1
+    _np.negative(sign, out=sign)
+    raw >>= 1
+    _np.bitwise_xor(raw, sign, out=vals.view(_np.uint64)[1:])
+    _np.cumsum(vals, out=vals)
     return vals
 
 

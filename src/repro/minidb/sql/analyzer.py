@@ -1377,7 +1377,10 @@ def check_paper_bounds(analysis: Analysis, family: str) -> list[Diagnostic]:
 
     * ``v2v_*`` (Code 1): the query must touch the label tables ``lout`` and
       ``lin`` exactly once each, both as PK point lookups — the "exactly two
-      label rows" bound. Violations get ``APL002``.
+      label rows" bound. Violations get ``APL002``. The statement must also
+      plan to ``Aggregate`` over a band ``Hash Join`` (``HashJoin.np_band``):
+      a planner change that silently sends the label join back to the pair
+      kernel is a lint failure, ``APL005``, not a slowdown found later.
     * ``knn_*`` / ``otm_*`` optimized (Codes 3-4): ``lout`` must be a point
       lookup and every non-naive auxiliary table must be reached through its
       primary key (point or per-row probe) — the "at most |hubs(q)| aux
@@ -1415,6 +1418,17 @@ def check_paper_bounds(analysis: Analysis, family: str) -> list[Diagnostic]:
                 f"v2v query must touch exactly two label rows via PK point "
                 f"lookups (one on lout, one on lin); got: {got}",
             )
+        if analysis.plan is not None:
+            root = getattr(analysis.plan.statement, "root", None)
+            join = getattr(root, "child", None)
+            if getattr(join, "np_band", None) is None:
+                _fail(
+                    "APL005",
+                    "v2v label join must plan to the band-join kernel "
+                    "(Aggregate over a band Hash Join); got: "
+                    f"{getattr(root, 'label', root)} over "
+                    f"{getattr(join, 'label', join)}",
+                )
     elif "naive" not in family and (
         family.startswith("knn") or family.startswith("otm")
     ):

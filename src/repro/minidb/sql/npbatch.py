@@ -263,6 +263,121 @@ def join_pairs(left_keys, right_keys):
     return left_idx, right_idx
 
 
+def pair_join_aggregate(lhs, rhs, jnode, np_spec, params):
+    """Equi-join → residual filter → aggregate through explicit pair arrays.
+
+    *lhs*/*rhs* are the two inputs' column lists. Only the columns the
+    residual filters and the aggregate read (``jnode.np_read_cols``, planner
+    set) are gathered through the pair indices, and only the aggregate's own
+    columns are compressed by the filter mask. Returns ``(rows, pairs)`` —
+    the finished output rows and the number of joined pairs that passed the
+    filters, ``rows`` being None when no pair did (the caller emits the
+    aggregate's default) — or None when a kernel refuses the input.
+    """
+    gather_cols, agg_cols = jnode.np_read_cols
+    li, ri = join_pairs(lhs[jnode.np_left_col], rhs[jnode.np_right_col])
+    width = len(lhs)
+    cols = [None] * (width + len(rhs))
+    for c in gather_cols:
+        cols[c] = lhs[c][li] if c < width else rhs[c - width][ri]
+    pairs = len(li)
+    if jnode.filters:
+        mask = eval_masks(jnode.filter_specs, cols, params, pairs)
+        if mask is None:
+            return None
+        pairs = int(np.count_nonzero(mask))
+        for c in agg_cols:
+            cols[c] = cols[c][mask]
+    if not pairs:
+        return None, 0
+    rows = group_aggregate(np_spec, cols, params, pairs)
+    return None if rows is None else (rows, pairs)
+
+
+_INT64_MAX = 2**63 - 1
+
+
+def band_join_aggregate(lhs, rhs, jnode):
+    """``L.key = R.key AND L.a <op> R.b`` under ungrouped MIN/MAX, as a merge.
+
+    With R ordered by ``(key, b)`` the R rows one L row joins are a
+    contiguous range ``[lo, hi)``: the key's run from the first ``b`` that
+    satisfies the comparison (``<=``/``<``) or up to the last one that does
+    (``>=``/``>``). Both columns fold into one int64 composite
+    ``key * width + value`` (``width`` spans every ``a`` and ``b`` present,
+    so composite order is ``(key, value)`` order), which makes the order
+    check one comparison and each range end one ``searchsorted``; the
+    aggregate is then a ``reduceat`` over the ranges. No pair is
+    enumerated and no column is gathered through pair indices.
+
+    Whether R already is in ``(key, b)`` order is observed on every input
+    and an unordered R is sorted first. A composite that would not fit
+    int64 returns None — the pair kernel then decides. Otherwise the
+    result is ``(rows, pairs)`` as for :func:`pair_join_aggregate`, with
+    ``pairs`` exactly ``sum(hi - lo)``.
+    """
+    op, a_col, b_col, items = jnode.np_band
+    lk, la = lhs[jnode.np_left_col], lhs[a_col]
+    rk, rb = rhs[jnode.np_right_col], rhs[b_col]
+    if not len(lk) or not len(rk):
+        return None, 0
+    vmin = min(int(la.min()), int(rb.min()))
+    vmax = max(int(la.max()), int(rb.max()))
+    width = vmax - vmin + 1
+    kmax = max(
+        1,  # the width alone must fit too
+        abs(int(lk.min())), abs(int(lk.max())),
+        abs(int(rk.min())), abs(int(rk.max())),
+    )
+    if kmax * width + max(abs(vmin), abs(vmax)) > _INT64_MAX:
+        return None
+    rc = rk * width + rb
+    order = None
+    if not (rc[1:] >= rc[:-1]).all():
+        order = np.argsort(rc)
+        rc = rc[order]
+    lkw = lk * width
+    if op in ("<=", "<"):
+        lo = np.searchsorted(rc, lkw + la, "left" if op == "<=" else "right")
+        hi = np.searchsorted(rc, lkw + vmax, "right")
+    else:
+        lo = np.searchsorted(rc, lkw + vmin, "left")
+        hi = np.searchsorted(rc, lkw + la, "right" if op == ">=" else "left")
+    matched = hi > lo
+    lo = lo[matched]
+    hi = hi[matched]
+    pairs = int((hi - lo).sum())
+    if not pairs:
+        return None, 0
+    # reduceat reduces [bounds[j], bounds[j+1]) for every j: interleaving
+    # lo and hi makes the even slots the wanted ranges (the odd ones are
+    # discarded), and one trailing element keeps hi == len(R) indexable.
+    bounds = np.empty(2 * len(lo), dtype=np.intp)
+    bounds[0::2] = lo
+    bounds[1::2] = hi
+
+    def per_left_row(ufunc, col):
+        values = rhs[col] if order is None else rhs[col][order]
+        return ufunc.reduceat(np.concatenate((values, values[:1])), bounds)[::2]
+
+    out = []
+    for name, l_col, r_col, minus in items:
+        reduce = np.minimum if name == "min" else np.maximum
+        if r_col is None:
+            values = lhs[l_col][matched]
+        elif l_col is None:
+            values = per_left_row(reduce, r_col)
+        elif minus == "r":  # L - R: the extreme of the row needs R's opposite
+            other = np.maximum if name == "min" else np.minimum
+            values = lhs[l_col][matched] - per_left_row(other, r_col)
+        elif minus == "l":
+            values = per_left_row(reduce, r_col) - lhs[l_col][matched]
+        else:
+            values = per_left_row(reduce, r_col) + lhs[l_col][matched]
+        out.append(int(reduce.reduce(values)))
+    return [tuple(out)], pairs
+
+
 # ---------------------------------------------------------------------------
 # Aggregation kernel
 # ---------------------------------------------------------------------------

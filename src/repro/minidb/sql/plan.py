@@ -153,12 +153,15 @@ class PkLookup(PlanNode):
 class CteScan(PlanNode):
     name = "CTE Scan"
 
-    def __init__(self, cte_name, alias, filters, ast_ref=None):
+    def __init__(self, cte_name, alias, filters, ast_ref=None, filter_text=""):
         self.cte_name = cte_name
         self.alias = alias
         self.filters = filters
         self.ast_ref = ast_ref
-        self.detail = f"on {cte_name}"
+        # filter_text: the pushed-down predicates, rendered for EXPLAIN.
+        self.detail = f"on {cte_name}" + (
+            f" filter {filter_text}" if filter_text else ""
+        )
 
 
 class SubqueryScan(PlanNode):
@@ -213,13 +216,45 @@ class HashJoin(PlanNode):
     #: with sort + ``np.searchsorted`` over column batches.
     np_left_col = None
     np_right_col = None
+    #: Number of columns the left input contributes to the joined schema
+    #: (planner-set).
+    left_width = None
+    #: Set by the planner when a numpy-lowered Aggregate sits directly on
+    #: this join: ``(gather_cols, agg_cols)``, joined-schema column indices.
+    #: The fused kernels gather only ``gather_cols`` (what the residual
+    #: filters and the aggregate read) through the pair indices and filter
+    #: only ``agg_cols`` (what the aggregate reads).
+    np_read_cols = None
+    #: Band join, planner-set when the residual filter is exactly one
+    #: ``L.a <op> R.b`` (``<= < >= >``) and the parent is an ungrouped
+    #: MIN/MAX aggregate whose operands are an L column, an R column, or
+    #: their sum/difference: ``(op, a_col, b_col, items)`` with ``a_col``
+    #: indexing the left input, ``b_col`` the right, and one
+    #: ``(name, l_col, r_col, minus)`` per aggregate (``minus`` is "l" or
+    #: "r" for the subtracted side of a difference, else None). The
+    #: executor then runs ``npbatch.band_join_aggregate``, which never
+    #: enumerates the joined pairs. Purely an evaluation strategy.
+    np_band = None
 
-    def __init__(self, left, right, left_key, right_key, filters):
+    def __init__(
+        self, left, right, left_key, right_key, filters,
+        key_text="", filter_text="",
+    ):
         self.left = left
         self.right = right
         self.left_key = left_key
         self.right_key = right_key
         self.filters = filters
+        self.key_text = key_text  # rendered equi-join conjunct, for EXPLAIN
+        self.filter_text = filter_text  # rendered residual conjuncts
+
+    @property
+    def detail(self):
+        text = f"on {self.key_text}" if self.key_text else ""
+        if self.filter_text:
+            how = "band" if self.np_band is not None else "filter"
+            text += f" {how} {self.filter_text}"
+        return text.strip()
 
     def children(self):
         return (self.left, self.right)

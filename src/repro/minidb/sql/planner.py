@@ -270,6 +270,56 @@ def _np_cmp(conj, schema):
     return None
 
 
+_BAND_FLIP = {"<=": ">=", "<": ">", ">=": "<=", ">": "<"}
+
+
+def _band_join(filter_specs, items, width):
+    """``HashJoin.np_band`` for a join of left width *width*, or None.
+
+    The residual filter must be exactly one ``<= < >= >`` between a left
+    and a right column (normalised to ``L.a <op> R.b``), and every
+    aggregate item MIN or MAX over a left column, a right column, or the
+    sum/difference of one of each.
+    """
+    if len(filter_specs) != 1 or filter_specs[0] is None:
+        return None
+    _, op, a, b = filter_specs[0]
+    if op not in _BAND_FLIP or a[0] != "col" or b[0] != "col":
+        return None
+    if a[1] >= width:
+        a, b, op = b, a, _BAND_FLIP[op]
+    if a[1] >= width or b[1] < width:
+        return None  # both columns on one side
+    out = []
+    for item in items:
+        if item[0] != "agg" or item[1] not in ("min", "max"):
+            return None
+        operand = item[2]
+        if operand[0] == "col":
+            parts = [(operand[1], False)]
+        elif (
+            operand[0] == "bin"
+            and operand[1] in ("+", "-")
+            and operand[2][0] == "col"
+            and operand[3][0] == "col"
+        ):
+            parts = [(operand[2][1], False), (operand[3][1], operand[1] == "-")]
+        else:
+            return None
+        l_col = r_col = minus = None
+        for col, subtracted in parts:
+            if col < width and l_col is None:
+                l_col = col
+                minus = "l" if subtracted else minus
+            elif col >= width and r_col is None:
+                r_col = col - width
+                minus = "r" if subtracted else minus
+            else:
+                return None  # both operand columns on one side
+        out.append((item[1], l_col, r_col, minus))
+    return op, a[1], b[1] - width, tuple(out)
+
+
 def _spec_cols(spec, out: set) -> None:
     """Collect every ``("col", i)`` index referenced by an np-spec tree."""
     kind = spec[0]
@@ -740,6 +790,10 @@ class Planner:
                 node.np_spec = self._np_agg_spec(
                     items, schema, core.group_by, key_specs
                 )
+                if node.np_spec is not None and isinstance(
+                    node.child, phys.HashJoin
+                ):
+                    self._mark_fused_join(node.child, node.np_spec)
         else:
             item_fns = [
                 compile_expr(it.expr, schema, grouped=False) for it in items
@@ -904,6 +958,31 @@ class Planner:
                 return None
             spec.append(("agg", expr.name, operand))
         return tuple(group_cols), spec
+
+    def _mark_fused_join(self, jnode, np_spec):
+        """Tell the HashJoin under a numpy-lowered Aggregate what is read
+        (``np_read_cols``) and whether it can run as a band join
+        (``np_band``); see :class:`~repro.minidb.sql.plan.HashJoin`."""
+        if jnode.np_left_col is None:
+            return  # no array join without plain-column keys
+        group_cols, items = np_spec
+        agg_cols = set(group_cols)
+        for item in items:
+            if item[0] == "first":
+                agg_cols.add(item[1])
+            elif item[0] == "agg":
+                _spec_cols(item[2], agg_cols)
+        gather_cols = set(agg_cols)
+        for spec in jnode.filter_specs:
+            if spec is not None:
+                _spec_cols(spec, gather_cols)
+        jnode.np_read_cols = (
+            tuple(sorted(gather_cols)), tuple(sorted(agg_cols))
+        )
+        if not group_cols:
+            jnode.np_band = _band_join(
+                jnode.filter_specs, items, jnode.left_width
+            )
 
     def _simple_cols(self, items, schema):
         """Input-column index per select item when all are plain columns."""
@@ -1253,10 +1332,13 @@ class Planner:
         alias = item.alias or item.name
         if item.name in env:
             schema = [(alias, n) for n in env[item.name]]
-            filters, specs, _ = self._source_filters(
+            filters, specs, pushed = self._source_filters(
                 schema, all_conj, on_conjuncts, used
             )
-            node = phys.CteScan(item.name, alias, filters, ast_ref=item)
+            node = phys.CteScan(
+                item.name, alias, filters, ast_ref=item,
+                filter_text=_predicate_detail(pushed),
+            )
             node.filter_specs = specs
             info = self._cte_np.get(item.name)
             if info is not None and info["scan"] is not None:
@@ -1441,7 +1523,7 @@ class Planner:
                     schema = left_schema + [
                         (alias, n) for n in table.schema.column_names
                     ]
-                    filters, specs = self._post_join_filters(
+                    filters, specs, _ = self._post_join_filters(
                         schema, conjuncts, used, on_conjuncts
                     )
                     node = phys.IndexNestedLoop(
@@ -1468,19 +1550,22 @@ class Planner:
                 continue
             pair = self._equi_pair(conj, left_schema, right_schema)
             if pair is not None:
-                hash_pair = (idx, pair)
+                hash_pair = (idx, conj, pair)
                 break
         if hash_pair is not None:
-            idx, (left_fn, right_fn, left_expr, right_expr) = hash_pair
+            idx, key_conj, (left_fn, right_fn, left_expr, right_expr) = hash_pair
             if idx is not None:
                 used.add(idx)
-            filters, specs = self._post_join_filters(
+            filters, specs, residual = self._post_join_filters(
                 schema, conjuncts, used, on_conjuncts
             )
             node = phys.HashJoin(
-                left_node, right_node, left_fn, right_fn, filters
+                left_node, right_node, left_fn, right_fn, filters,
+                key_text=_predicate_detail([key_conj]),
+                filter_text=_predicate_detail(residual),
             )
             node.filter_specs = specs
+            node.left_width = len(left_schema)
             left_spec = _np_operand(left_expr, left_schema)
             right_spec = _np_operand(right_expr, right_schema)
             if (
@@ -1492,7 +1577,7 @@ class Planner:
                 node.np_left_col = left_spec[1]
                 node.np_right_col = right_spec[1]
             return node, schema
-        filters, specs = self._post_join_filters(
+        filters, specs, _ = self._post_join_filters(
             schema, conjuncts, used, on_conjuncts
         )
         node = phys.NestedLoop(left_node, right_node, filters)
@@ -1500,7 +1585,8 @@ class Planner:
         return node, schema
 
     def _post_join_filters(self, schema, conjuncts, used, on_conjuncts):
-        predicates, specs, _ = self._filters(
+        """``(predicates, specs, exprs)`` of the residual join filter."""
+        predicates, specs, exprs = self._filters(
             schema, list(enumerate(conjuncts)), used
         )
         # ON conjuncts are mandatory on the joined schema (re-checking a
@@ -1509,7 +1595,7 @@ class Planner:
             compile_expr(conj, schema, grouped=False) for conj in on_conjuncts
         ]
         specs += [_np_cmp(conj, schema) for conj in on_conjuncts]
-        return predicates, specs
+        return predicates, specs, exprs + list(on_conjuncts)
 
     def _inl_pin(self, conj, alias, pk, left_schema):
         if not (isinstance(conj, ast.BinaryOp) and conj.op == "="):
@@ -1595,6 +1681,8 @@ def _output_name(item: ast.SelectItem) -> str:
 
 
 def _predicate_detail(conjuncts) -> str:
+    if not conjuncts:
+        return ""
     try:
         return "(" + " AND ".join(render_expr(c) for c in conjuncts) + ")"
     except SQLError:  # pragma: no cover - cosmetic only

@@ -15,9 +15,11 @@ On top of plain batching, four fused kernels cover the paper's hot
 patterns (the planner marks the plans; see ``plan.py``):
 
 * **hub intersection** — ``Aggregate`` over ``HashJoin`` (the
-  ``UNNEST(lhubs) ⋈ UNNEST(rhubs)`` v2v core) probes the hash table and
-  folds joined rows straight into streaming MIN/MAX/... accumulators,
-  never materializing the join output;
+  ``UNNEST(lhubs) ⋈ UNNEST(rhubs)`` v2v core) never materializes the join
+  output: on column batches it is one array kernel — the band merge for
+  Code 1's ``key = key AND a <= b`` under MIN/MAX, pair discovery + gather
+  otherwise — and on row batches the probe loop folds joined rows straight
+  into streaming MIN/MAX/... accumulators;
 * **array expansion** — ``Project`` over ``Unnest`` (the ``a[1:k]`` slice +
   ``FLOOR`` projection of Codes 2-4) evaluates non-SRF items once per
   *input* row and emits array elements column-wise;
@@ -106,25 +108,23 @@ def _traced_batches(stats, gen, collector):
     disk_stats = collector.disk_stats
     try:
         while True:
-            pool_before = (
-                pool_stats.snapshot() if pool_stats is not None else None
-            )
-            disk_before = (
-                disk_stats.snapshot() if disk_stats is not None else None
-            )
+            # The four counters are read directly: a snapshot()/delta() pair
+            # per pull would allocate four stats objects to subtract them.
+            if pool_stats is not None:
+                hits, misses = pool_stats.hits, pool_stats.misses
+            if disk_stats is not None:
+                reads, read_ms = disk_stats.reads, disk_stats.simulated_read_ms
             started = time.perf_counter()
             try:
                 chunk = next(gen, _DONE)
             finally:
                 stats.time_ms += (time.perf_counter() - started) * 1000.0
-                if pool_before is not None:
-                    delta = pool_stats.delta(pool_before)
-                    stats.pool_hits += delta.hits
-                    stats.pool_misses += delta.misses
-                if disk_before is not None:
-                    delta = disk_stats.delta(disk_before)
-                    stats.page_reads += delta.reads
-                    stats.io_ms += delta.simulated_read_ms
+                if pool_stats is not None:
+                    stats.pool_hits += pool_stats.hits - hits
+                    stats.pool_misses += pool_stats.misses - misses
+                if disk_stats is not None:
+                    stats.page_reads += disk_stats.reads - reads
+                    stats.io_ms += disk_stats.simulated_read_ms - read_ms
             if chunk is _DONE:
                 return
             stats.pulls += 1
@@ -1504,10 +1504,11 @@ class BatchExecutor:
     ):
         """Hub intersection: HashJoin probe feeding aggregate accumulators.
 
-        With columnar inputs on both sides and a lowered join key +
-        filter + aggregate, the whole fusion runs as array kernels:
-        sort-merge pair discovery, one gather per column, one mask, one
-        grouped reduction. The probe loop below is the row fallback.
+        With columnar inputs on both sides and a lowered join key + filter
+        + aggregate, the whole fusion runs as array kernels: the band merge
+        when the planner marked one (``jnode.np_band``), else pair
+        discovery with one gather per column read. The probe loop below is
+        the row fallback for inputs the kernels refuse.
         """
         jstats = self._node(jnode.name, jnode.detail, stats)
         left = self._emit(jnode.left, env, jstats, None)
@@ -1517,83 +1518,42 @@ class BatchExecutor:
         check = _predicate(jnode.filters)
 
         def np_join(left_chunks, right_chunks):
-            """Joined + filtered ColumnChunk, or None to use the probe loop."""
-            if (
-                np_spec is None
-                or jnode.np_left_col is None
-                or jnode.np_right_col is None
-                or not left_chunks
-                or not right_chunks
-                or not all(
-                    isinstance(c, ColumnChunk)
-                    for c in left_chunks + right_chunks
-                )
+            """``(output rows or None for no pairs, pairs)`` from the array
+            kernels, or None to use the probe loop."""
+            if jnode.np_read_cols is None:
+                return None
+            if not left_chunks or not right_chunks:
+                return None, 0
+            if not all(
+                isinstance(c, ColumnChunk) for c in left_chunks + right_chunks
             ):
                 return None
-            lhs = npbatch.concat(left_chunks)
-            rhs = npbatch.concat(right_chunks)
-            li, ri = npbatch.join_pairs(
-                lhs.cols[jnode.np_left_col], rhs.cols[jnode.np_right_col]
-            )
-            joined = ColumnChunk(
-                [c[li] for c in lhs.cols] + [c[ri] for c in rhs.cols],
-                n=len(li),
-            )
-            if not jnode.filters:
-                return joined
-            mask = npbatch.eval_masks(
-                getattr(jnode, "filter_specs", None),
-                joined.cols,
-                params,
-                len(joined),
-            )
-            if mask is None:
-                return None
-            return joined.take(mask)
+            lhs = npbatch.concat(left_chunks).cols
+            rhs = npbatch.concat(right_chunks).cols
+            done = None
+            if jnode.np_band is not None:
+                done = npbatch.band_join_aggregate(lhs, rhs, jnode)
+            if done is None:
+                done = npbatch.pair_join_aggregate(
+                    lhs, rhs, jnode, np_spec, params
+                )
+            return done
 
         def gen():
             groups: dict = {}
             joined = 0
             np_rows = None
             try:
+                done = None
+                left_src, right_src = left, right
                 if np_spec is not None:
-                    left_chunks = list(left)
-                    right_chunks = list(right)
-                    kept = np_join(left_chunks, right_chunks)
-                    if kept is not None:
-                        joined = len(kept)
-                        np_rows = npbatch.group_aggregate(
-                            np_spec, kept.cols, params, len(kept)
-                        )
-                    if np_rows is None:
-                        # Row fallback over the already-pulled chunks.
-                        buckets: dict = {}
-                        for chunk in right_chunks:
-                            for row in chunk:
-                                key = jnode.right_key(row, params)
-                                if key is None:
-                                    continue
-                                buckets.setdefault(key, []).append(row)
-                        joined = 0
-                        for chunk in left_chunks:
-                            for row in chunk:
-                                key = left_key(row, params)
-                                if key is None:
-                                    continue
-                                matches = buckets.get(key)
-                                if not matches:
-                                    continue
-                                for match in matches:
-                                    out = row + match
-                                    if check is not None and not check(
-                                        out, params
-                                    ):
-                                        continue
-                                    joined += 1
-                                    feed(out, groups)
+                    left_src, right_src = list(left), list(right)
+                    done = np_join(left_src, right_src)
+                if done is not None:
+                    np_rows, joined = done
                 else:
-                    buckets = self._build_buckets(right, jnode.right_key)
-                    for chunk in left:
+                    buckets = self._build_buckets(right_src, jnode.right_key)
+                    for chunk in left_src:
                         for row in chunk:
                             key = left_key(row, params)
                             if key is None:

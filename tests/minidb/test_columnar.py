@@ -9,7 +9,7 @@ integer semantics exactly or decline.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StorageError
@@ -151,6 +151,11 @@ class TestNumpyDecode:
             max_size=120,
         )
     )
+    # int64 extremes, and steps whose delta only exists mod 2^64.
+    @example([I64_MIN, I64_MAX, I64_MIN, 0, -1, I64_MAX, I64_MAX, I64_MIN])
+    @example([I64_MAX, I64_MIN] * 40)
+    @example([0, 1 << 62, -(1 << 62), (1 << 62) + 1, I64_MIN + 1, I64_MAX - 1])
+    @example([I64_MAX])
     @settings(max_examples=60, deadline=None)
     def test_decoders_agree(self, values):
         enc, payload = _encode_int_array(values)
@@ -159,6 +164,13 @@ class TestNumpyDecode:
         as_np = _decode_delta_np(memoryview(payload), len(values), width)
         assert as_list == values
         assert as_np.tolist() == values
+        # The branch-free unzigzag against the select-by-parity definition,
+        # element for element on the stored zig-zag words.
+        raw = np.frombuffer(
+            payload, dtype=f"<u{width}", count=len(values) - 1, offset=8
+        ).astype(np.uint64)
+        by_parity = np.where(raw & 1, ~(raw >> 1), raw >> 1).view(np.int64)
+        assert np.array_equal(np.diff(as_np), by_parity)
 
 
 class TestZoneMaps:

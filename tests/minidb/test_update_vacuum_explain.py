@@ -96,7 +96,18 @@ class TestExplain:
                 "EXPLAIN SELECT 1 FROM (SELECT b FROM t) s, u WHERE u.c = s.b"
             )
         ]
-        assert any("Hash Join" in line for line in plan)
+        # The join says what it does: key, and the residual it filters by.
+        assert "  Hash Join on (u.c = s.b)" in plan
+        plan = [
+            r[0]
+            for r in db.execute(
+                "EXPLAIN WITH s AS (SELECT a, b FROM t) SELECT 1 FROM s, u "
+                "WHERE u.c = s.b AND s.a < u.a AND s.b > $1 AND u.a + s.a > 0",
+                (3,),
+            )
+        ]
+        assert "  Hash Join on (u.c = s.b) filter (s.a < u.a AND u.a + s.a > 0)" in plan
+        assert "    CTE Scan on s filter (s.b > $1)" in plan
 
     def test_ptldb_v2v_plan_uses_two_point_lookups(self, small_ptldb):
         from repro.ptldb import sqltext
@@ -110,6 +121,12 @@ class TestExplain:
         lookups = [line for line in plan if "Index Scan" in line]
         assert len(lookups) == 2  # exactly lout and lin
         assert not any("Seq Scan" in line for line in plan)
+        # ... joined as a band merge, with the pushed-down bound on its scan.
+        assert plan[-3:] == [
+            "  Hash Join on (outp.hub = inp.hub) band (outp.ta <= inp.td)",
+            "    CTE Scan on outp filter (outp.td >= $3)",
+            "    CTE Scan on inp",
+        ]
 
     def test_ptldb_knn_plan_probes_by_index_nested_loop(self, small_ptldb):
         """The paper's §3.2.1 access-pattern claim, read off the plan: the

@@ -51,6 +51,23 @@ class TestV2VFamilies:
         bounds = check_paper_bounds(analysis, "v2v_ea")
         assert [d.code for d in bounds] == ["APL002"]
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("MIN(inp.ta)", "MIN(inp.ta * 1)"),  # operand the kernel lacks
+            ("outp.ta<=inp.td", "outp.ta<>inp.td"),  # not an ordering
+            ("MIN(inp.ta)", "MIN(inp.ta), COUNT(*)"),
+        ],
+    )
+    def test_apl005_when_the_join_is_not_a_band_join(self, small_ptldb, old, new):
+        assert old in sqltext.V2V_EA
+        analysis = analyze_sql(
+            sqltext.V2V_EA.replace(old, new), small_ptldb.db.catalog
+        )
+        bounds = check_paper_bounds(analysis, "v2v_ea")
+        assert [d.code for d in bounds] == ["APL005"]
+        assert "Hash Join on (outp.hub = inp.hub) filter" in bounds[0].message
+
 
 class TestKnnOtmFamilies:
     @pytest.mark.parametrize(

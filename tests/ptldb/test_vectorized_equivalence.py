@@ -85,3 +85,31 @@ def test_corpus_plans_are_batchable(ptldb):
         assert any(op.pulls > 0 for op in trace.operators()), (
             f"{family}: no operator recorded batch pulls"
         )
+
+
+def test_v2v_band_join_matches_the_in_memory_label_join(ptldb):
+    """Code 1 plans to the band-join kernel, and on every stop pair of the
+    generated city its EA/LD/SD answers are the ones ``TTLQueryEngine``
+    merges out of the same labels in memory — feasible or not."""
+    from repro.labeling.query import TTLQueryEngine
+
+    oracle = TTLQueryEngine(ptldb.labels)
+    low, high = ptldb.time_low, ptldb.time_high
+    early, late = low + (high - low) // 4, high - (high - low) // 4
+    answered = 0
+    for s in range(ptldb.num_stops):
+        for g in range(ptldb.num_stops):
+            if s == g:
+                continue
+            for name, args in (
+                ("earliest_arrival", (s, g, early)),
+                ("latest_departure", (s, g, late)),
+                ("shortest_duration", (s, g, early, late)),
+                ("earliest_arrival", (s, g, high + 1)),  # nothing leaves
+            ):
+                got = getattr(ptldb, name)(*args)
+                assert got == getattr(oracle, name)(*args), (name, args)
+                (join,) = ptldb.last_trace.find("Hash Join")
+                assert " band (outp.ta <= inp.td)" in join.detail
+                answered += got is not None
+    assert answered > ptldb.num_stops  # the city is connected enough to matter
