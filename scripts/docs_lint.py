@@ -3,7 +3,7 @@
 
 Scans ``docs/*.md`` (plus README.md) for inline-code spans that look like
 Python symbols — ``CamelCase`` names, ``snake_case`` names, ``ALL_CAPS``
-constants and dotted paths like ``repro.bench.experiment_parallel`` — and
+constants and dotted paths like ``repro.bench.experiment_serving`` — and
 fails if any component never appears as an identifier anywhere under
 ``src/``. Spans that look like repo file paths are checked for existence
 instead. Plain English words, CLI flags, SQL fragments and fenced code
@@ -94,7 +94,7 @@ def _path_exists(root: Path, token: str, idents: set[str]) -> bool:
         for sub in _CODE_DIRS:
             if (root / sub).is_dir() and any((root / sub).rglob(target)):
                 return True
-        # Generated artifacts (`BENCH_parallel.json`): accept when the
+        # Generated artifacts (`manifest.json`): accept when the
         # stem is spelled out somewhere in the code that writes it.
         stem = target.rsplit(".", 1)[0]
         return stem in idents

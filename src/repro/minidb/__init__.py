@@ -17,7 +17,7 @@ from repro.minidb.metrics import (
     QueryTrace,
     TraceCollector,
 )
-from repro.minidb.sql.executor import Result
+from repro.minidb.sql.result import Result
 from repro.minidb.values import Column
 
 __all__ = [

@@ -228,7 +228,6 @@ class Table:
         readahead: int = 0,
         zone_eq: int | None = None,
         np_arrays: bool = False,
-        pages: tuple[int, int] | None = None,
     ):
         """Yield every row (decoded tuples) in heap order.
 
@@ -236,13 +235,9 @@ class Table:
         device runs (see :meth:`HeapFile.scan`). ``zone_eq`` lets columnar
         heaps skip pages whose zone map excludes the value; row heaps
         accept and ignore it. ``np_arrays`` routes cells through
-        :meth:`decode_np` (identical I/O, ndarray array cells).
-        ``pages`` restricts the scan to one chain-index morsel (see
-        :meth:`HeapFile.scan`)."""
+        :meth:`decode_np` (identical I/O, ndarray array cells)."""
         decode = self.decode_np if np_arrays else self.decode
-        for _, raw in self.heap.scan(
-            readahead=readahead, zone_eq=zone_eq, pages=pages
-        ):
+        for _, raw in self.heap.scan(readahead=readahead, zone_eq=zone_eq):
             yield decode(raw)
 
     def delete_row(self, rid: tuple[int, int], row: tuple) -> None:

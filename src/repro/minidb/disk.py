@@ -27,10 +27,9 @@ Thread safety: all page traffic reaches the disk manager through the buffer
 pool, which serializes it under its own lock; the only methods intended for
 direct concurrent use are the read-only stat accessors and
 ``thread_stats()``. Sequential-read *run* detection is tracked per thread
-(:class:`_RunTracker`): each session or intra-query worker is modeled as its
-own I/O stream, so interleaved scans from two threads each keep paying the
-sequential rate instead of randomizing each other — and a morsel worker's
-readahead never breaks another worker's run.
+(:class:`_RunTracker`): each session thread is modeled as its own I/O
+stream, so interleaved scans from two sessions each keep paying the
+sequential rate instead of randomizing each other.
 """
 
 from __future__ import annotations
@@ -120,13 +119,13 @@ class _RunTracker:
     """Per-thread sequential-read run positions.
 
     The run a read extends is a property of the *stream* issuing it, and
-    with intra-query workers each worker thread is its own stream: worker A
-    scanning pages 10..19 and worker B scanning 20..29 are two independent
-    sequential runs (two actuators / two queue slots in the device model),
-    not one interleaved random mess. Keying the last-read position by
-    thread keeps each stream's accounting exact; single-threaded code sees
-    exactly the old behavior. Writes and allocations still break *every*
-    run — the head (or flash translation layer) moved for all streams.
+    each session thread is its own stream: session A scanning pages 10..19
+    and session B scanning 20..29 are two independent sequential runs (two
+    actuators / two queue slots in the device model), not one interleaved
+    random mess. Keying the last-read position by thread keeps each
+    stream's accounting exact; single-threaded code sees one stream.
+    Writes and allocations still break *every* run — the head (or flash
+    translation layer) moved for all streams.
     """
 
     def __init__(self):

@@ -31,7 +31,7 @@ from repro.minidb.metrics import REGISTRY, QueryTrace
 from repro.minidb.page import HEADER_SIZE, KIND_META, PAGE_SIZE
 from repro.minidb.session import PreparedStatement, QueryCost, Session
 from repro.minidb.sql.analyzer import Analysis, analyze as analyze_stmt
-from repro.minidb.sql.executor import Result
+from repro.minidb.sql.result import Result
 from repro.minidb.sql.parser import parse
 from repro.minidb.sql.planner import plan_statement
 
@@ -78,7 +78,6 @@ class Database:
         readahead: int = 8,
         wal: bool = True,
         wal_checkpoint_bytes: int = DEFAULT_CHECKPOINT_BYTES,
-        parallel_workers: int = 1,
     ):
         if isinstance(device, str):
             try:
@@ -110,13 +109,6 @@ class Database:
         #: Set False to skip static analysis before execution (opt-out;
         #: per-call override via ``execute(..., analyze=False)``).
         self.analyze = True
-        #: Morsel-driven intra-query parallelism (docs/ARCHITECTURE.md,
-        #: "Parallel execution"): with ``parallel_workers=N > 1`` the
-        #: executor fans eligible scan regions out over N
-        #: worker threads. ``1`` (the default) keeps execution fully
-        #: serial — no pool is ever created.
-        self.parallel_workers = max(1, int(parallel_workers))
-        self._worker_pool = None
         #: The implicit connection backing ``db.execute`` / ``db.last_cost``;
         #: concurrent callers open their own via :meth:`session`.
         self._session = Session(self)
@@ -221,41 +213,6 @@ class Database:
     @last_analysis.setter
     def last_analysis(self, value: Analysis | None) -> None:
         self._session.last_analysis = value
-
-    @property
-    def last_parallel(self) -> dict | None:
-        """Worker accounting for the default session's last statement, or
-        ``None`` when it ran fully serial (docs/OBSERVABILITY.md)."""
-        return self._session.last_parallel
-
-    @property
-    def last_cpu_ms(self) -> float:
-        """Coordinator-thread CPU time of the default session's last
-        statement (``time.thread_time`` delta)."""
-        return self._session.last_cpu_ms
-
-    # -- worker pool -----------------------------------------------------
-    def _ensure_worker_pool(self):
-        """The database-owned morsel worker pool, created on first use.
-
-        ``None`` when ``parallel_workers`` disables parallelism, so every
-        serial configuration stays exactly on the old code path. Threads
-        are shared by all sessions and shut down with the database."""
-        if self.parallel_workers <= 1 or self._closed:
-            return None
-        if self._worker_pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._worker_pool = ThreadPoolExecutor(
-                max_workers=self.parallel_workers,
-                thread_name_prefix="minidb-worker",
-            )
-        return self._worker_pool
-
-    def _shutdown_worker_pool(self) -> None:
-        if self._worker_pool is not None:
-            self._worker_pool.shutdown(wait=True)
-            self._worker_pool = None
 
     # -- plan cache ------------------------------------------------------
     def _ensure_cached(self, sql: str, do_analyze: bool) -> CachedPlan:
@@ -432,7 +389,6 @@ class Database:
         if self._closed:
             return
         self._closed = True
-        self._shutdown_worker_pool()
         if self._path is not None:
             self.checkpoint()
         self.pool.flush()
@@ -450,7 +406,6 @@ class Database:
         if self._closed:
             return
         self._closed = True
-        self._shutdown_worker_pool()
         self.pool.wal = None
         if self.wal is not None:
             self.wal.abandon()

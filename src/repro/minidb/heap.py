@@ -116,12 +116,7 @@ class HeapFile:
                 page.delete(slot)
                 self.pool.mark_dirty(page_id)
 
-    def scan(
-        self,
-        readahead: int = 0,
-        zone_eq: int | None = None,
-        pages: tuple[int, int] | None = None,
-    ):
+    def scan(self, readahead: int = 0, zone_eq: int | None = None):
         """Yield ``(rid, record_bytes)`` over every live record, in rid order.
 
         The scan walks pages in chain order, which is also allocation order,
@@ -140,16 +135,8 @@ class HeapFile:
         excludes the value are skipped without touching the buffer pool
         (and without being prefetched). Plain heaps have no zone maps, so
         the argument is accepted but never skips anything there.
-
-        ``pages=(lo, hi)`` restricts the walk to that chain-*index* slice —
-        the morsel contract of the parallel batch executor. Morsel ranges
-        partition the chain, so concurrent workers read (and prefetch)
-        disjoint pages: readahead batches never cross a morsel boundary and
-        no page is ever fetched twice for one query.
         """
         chain = self._chain
-        if pages is not None:
-            chain = chain[pages[0] : pages[1]]
         index = 0
         pending = 0  # pages of the current prefetch group not yet walked
         while index < len(chain):
@@ -188,11 +175,6 @@ class HeapFile:
     def _zone_skips(self, page_id: int, zone_eq: int) -> bool:
         """Whether the page's zone map proves *zone_eq* cannot match."""
         return False
-
-    def chain_length(self) -> int:
-        """Heap-chain page count without any pool traffic (the in-memory
-        chain list is authoritative); morsel planning splits over this."""
-        return len(self._chain)
 
     def page_ids(self) -> list[int]:
         """All heap page ids of this file (excluding overflow pages)."""

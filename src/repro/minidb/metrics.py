@@ -50,11 +50,6 @@ class OperatorStats:
     pool_misses: int = 0
     page_reads: int = 0
     io_ms: float = 0.0
-    #: Number of worker threads that fed this operator. Zero for ordinary
-    #: (serial) operators; a Gather node produced by the parallel batch
-    #: executor sets it to the worker count and its children are the
-    #: per-worker subtrees (see docs/OBSERVABILITY.md).
-    workers: int = 0
     children: list["OperatorStats"] = field(default_factory=list)
 
     @property
@@ -103,8 +98,6 @@ class OperatorStats:
                 f" (batch: pulls={self.pulls} "
                 f"rows/pull={self.rows_per_pull:.1f})"
             )
-        if self.workers:
-            suffix += f" (parallel: {self.workers} workers)"
         return suffix
 
     def walk(self):
@@ -342,8 +335,8 @@ class Counter:
     """A monotonically increasing named value.
 
     ``inc`` is locked: ``self.value += amount`` is a read-modify-write, so
-    two racing intra-query workers could otherwise both read the same old
-    value and lose one increment.
+    two concurrent sessions could otherwise both read the same old value
+    and lose one increment.
     """
 
     name: str

@@ -33,7 +33,7 @@ from repro.minidb.metrics import QueryTrace, TraceCollector
 from repro.minidb.sanitize import dynamic as _san
 from repro.minidb.sql import ast
 from repro.minidb.sql.analyzer import Analysis
-from repro.minidb.sql.executor import Result
+from repro.minidb.sql.result import Result
 from repro.minidb.sql.planner import plan_statement
 from repro.minidb.sql.vectorized import BatchExecutor
 
@@ -114,15 +114,6 @@ class Session:
         self.last_cost: QueryCost | None = None
         self.last_trace: QueryTrace | None = None
         self.last_analysis: Analysis | None = None
-        #: Worker accounting for the last statement — ``None`` when it ran
-        #: fully serial, else the executor's ``parallel_stats`` plus the
-        #: coordinator's CPU/I/O split and the simulated-clock
-        #: ``makespan_ms`` (docs/PERFORMANCE.md, "Parallel scaling").
-        self.last_parallel: dict | None = None
-        #: Coordinator-thread CPU time of the last statement
-        #: (``time.thread_time`` delta, milliseconds) — the serial busy
-        #: time that ``experiment_parallel`` compares makespans against.
-        self.last_cpu_ms: float = 0.0
 
     # ------------------------------------------------------------------
     def execute(
@@ -170,56 +161,25 @@ class Session:
                 collector = TraceCollector(db.pool) if tracing else None
                 executor = self._executor(tuple(params), collector)
                 started = time.perf_counter()
-                cpu_started = time.thread_time()
                 result = executor.run(plan)
-                cpu_ms = (time.thread_time() - cpu_started) * 1000.0
                 elapsed_ms = (time.perf_counter() - started) * 1000.0
                 disk_delta = disk_stats.delta(disk_before)
                 pool_delta = pool_stats.delta(pool_before)
-                # The thread-local deltas above cover only the coordinator;
-                # worker-thread I/O arrives via the executor's parallel
-                # report and is folded into the statement totals here, so
-                # cost/trace figures cover the whole statement regardless
-                # of how many threads ran it.
-                self.last_cpu_ms = cpu_ms
-                par = executor.parallel_stats
-                if par is None:
-                    self.last_parallel = None
-                    page_reads = disk_delta.reads
-                    io_ms = disk_delta.simulated_read_ms
-                    pool_hits = pool_delta.hits
-                    pool_misses = pool_delta.misses
-                else:
-                    self.last_parallel = {
-                        **par,
-                        "coordinator_cpu_ms": cpu_ms,
-                        "coordinator_io_ms": disk_delta.simulated_read_ms,
-                        # Simulated-clock completion time: the coordinator's
-                        # own busy time plus, per gather, its slowest
-                        # worker's busy time (docs/PERFORMANCE.md).
-                        "makespan_ms": cpu_ms
-                        + disk_delta.simulated_read_ms
-                        + par["critical_ms"],
-                    }
-                    page_reads = disk_delta.reads + par["reads"]
-                    io_ms = disk_delta.simulated_read_ms + par["io_ms"]
-                    pool_hits = pool_delta.hits + par["hits"]
-                    pool_misses = pool_delta.misses + par["misses"]
                 self.last_cost = QueryCost(
-                    page_reads=page_reads,
-                    pool_hits=pool_hits,
-                    simulated_io_ms=io_ms,
-                    pool_misses=pool_misses,
+                    page_reads=disk_delta.reads,
+                    pool_hits=pool_delta.hits,
+                    simulated_io_ms=disk_delta.simulated_read_ms,
+                    pool_misses=pool_delta.misses,
                 )
                 if collector is not None:
                     trace = QueryTrace(
                         sql=sql,
                         roots=collector.roots,
                         total_ms=elapsed_ms,
-                        pool_hits=pool_hits,
-                        pool_misses=pool_misses,
-                        page_reads=page_reads,
-                        io_ms=io_ms,
+                        pool_hits=pool_delta.hits,
+                        pool_misses=pool_delta.misses,
+                        page_reads=disk_delta.reads,
+                        io_ms=disk_delta.simulated_read_ms,
                     )
                     self.last_trace = trace
                     result.trace = trace
@@ -261,8 +221,6 @@ class Session:
             collector=collector,
             batch_size=db.batch_size,
             readahead=db.readahead,
-            parallel_workers=db.parallel_workers,
-            worker_pool=db._ensure_worker_pool(),
         )
 
     def executemany(self, sql: str, param_rows) -> int:
@@ -303,28 +261,17 @@ class Session:
                 pool_stats = db.pool.thread_stats()
                 disk_before = disk_stats.snapshot()
                 pool_before = pool_stats.snapshot()
-                results = []
-                worker_reads = 0
-                worker_hits = 0
-                worker_misses = 0
-                worker_io_ms = 0.0
-                for params in param_rows:
-                    executor = self._executor(tuple(params), None)
-                    results.append(executor.run(plan))
-                    par = executor.parallel_stats
-                    if par is not None:
-                        worker_reads += par["reads"]
-                        worker_hits += par["hits"]
-                        worker_misses += par["misses"]
-                        worker_io_ms += par["io_ms"]
+                results = [
+                    self._executor(tuple(params), None).run(plan)
+                    for params in param_rows
+                ]
                 disk_delta = disk_stats.delta(disk_before)
                 pool_delta = pool_stats.delta(pool_before)
                 self.last_cost = QueryCost(
-                    page_reads=disk_delta.reads + worker_reads,
-                    pool_hits=pool_delta.hits + worker_hits,
-                    simulated_io_ms=disk_delta.simulated_read_ms
-                    + worker_io_ms,
-                    pool_misses=pool_delta.misses + worker_misses,
+                    page_reads=disk_delta.reads,
+                    pool_hits=pool_delta.hits,
+                    simulated_io_ms=disk_delta.simulated_read_ms,
+                    pool_misses=pool_delta.misses,
                 )
                 self.last_trace = None
                 if write:

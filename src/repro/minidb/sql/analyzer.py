@@ -1468,6 +1468,6 @@ def check_paper_bounds(analysis: Analysis, family: str) -> list[Diagnostic]:
                 "APL004",
                 f"analytics query must read its base tables via full "
                 f"sequential scans (the scan-shaped access this family "
-                f"documents and the parallel executor splits); got: {got}",
+                f"documents); got: {got}",
             )
     return out

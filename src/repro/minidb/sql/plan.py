@@ -34,11 +34,6 @@ class PlanNode:
     name = "?"
     detail = ""
     ast_ref = None
-    #: :class:`ParallelRegion` rooted at this node, set by
-    #: :func:`annotate_parallel`. The executor replaces an annotated
-    #: subtree with a morsel-parallel Gather when a worker pool is
-    #: available; the reference model ignores it.
-    parallel_region = None
     #: numpy comparison specs parallel to the node's ``filters`` list (an
     #: entry is ``None`` when a predicate has no array form). Set by the
     #: planner on filtering nodes; the executor evaluates present
@@ -572,202 +567,3 @@ def zone_key(node, params) -> int | None:
     if isinstance(value, bool) or not isinstance(value, int):
         return None
     return value
-
-
-# ---------------------------------------------------------------------------
-# Morsel-parallel regions
-# ---------------------------------------------------------------------------
-class ParallelRegion:
-    """One morsel-parallel subtree of a SELECT plan.
-
-    ``top`` is the highest node of the region — the subtree the executor
-    hands to worker threads when a pool is available — and ``leaf`` is the
-    driving scan whose pages (``SeqScan``) or rows (``CteScan``) are split
-    into morsels. ``mode`` selects the gather protocol:
-
-    * ``"rows"`` — workers emit row chunks; the coordinator concatenates
-      them in morsel order. Because morsels partition the leaf in order and
-      every region operator is row-local, that concatenation *is* the
-      serial row stream, so operators above the region (Top-K, Sort,
-      DISTINCT, generic aggregation, set ops) see identical input.
-    * ``"agg"`` — ``top`` is a streaming Aggregate (``simple_spec`` set);
-      workers emit per-morsel partial group states and the coordinator
-      merges them in morsel order, which reproduces the serial group
-      first-appearance order.
-
-    ``group_item_pos`` maps each np-spec group column to its select-item
-    position when per-morsel ``group_aggregate`` outputs can be merged
-    value-wise (every group column appears as a plain ``first`` item and
-    the spec contains no SUM/AVG, which the np grammar never lowers);
-    ``None`` keeps workers on the accumulator path.
-
-    ``expands`` is set when the chain contains an UNNEST: each leaf row
-    then fans out into many region rows, so the executor's morselization
-    floor (sized in *leaf* rows) is scaled down — a small CTE carrying
-    arrays is far more work than its row count suggests.
-    """
-
-    __slots__ = ("top", "leaf", "mode", "group_item_pos", "expands")
-
-    def __init__(self, top, leaf, mode, group_item_pos=None, expands=False):
-        self.top = top
-        self.leaf = leaf
-        self.mode = mode
-        self.group_item_pos = group_item_pos
-        self.expands = expands
-
-
-#: Scans whose input can be split into morsels.
-_REGION_LEAVES = (SeqScan, CteScan)
-#: Row-local operators a region chain may pass through. IndexNestedLoop
-#: joins through its *left* input only (the probe side is a point lookup
-#: per row, which parallelizes with the driving scan).
-_REGION_PIPE = (Filter, Project, Unnest)
-
-
-def _chain_child(node):
-    """The next node down a region chain, or ``None`` at a chain break.
-
-    A ``SubqueryScan`` continues the chain into its subplan when that
-    subplan has no CTEs of its own: the scan's filters and projection are
-    row-local, so a derived table is as morsel-safe as a ``Filter``.
-    """
-    if isinstance(node, _REGION_PIPE):
-        return node.child
-    if isinstance(node, IndexNestedLoop):
-        return node.left
-    if isinstance(node, SubqueryScan) and not node.subplan.ctes:
-        return node.subplan.root
-    return None
-
-
-def _region_leaf(node):
-    """The driving morsel scan of the chain under *node*, or ``None``."""
-    while True:
-        if isinstance(node, _REGION_LEAVES):
-            return node
-        node = _chain_child(node)
-        if node is None:
-            return None
-
-
-def _region_expands(node):
-    """Whether per-leaf-row work is multiplied on the way down to the leaf.
-
-    True when the chain contains an UNNEST (each row fans out into one row
-    per array element) or an index nested-loop join (each row pays a full
-    point probe). Both make a region far heavier than its leaf row count
-    suggests, which lowers the executor's morselization floor.
-    """
-    while True:
-        if isinstance(node, (Unnest, IndexNestedLoop)):
-            return True
-        node = _chain_child(node)
-        if node is None:
-            return False
-
-
-def _np_group_positions(node):
-    """Item positions of the np-spec group columns, or ``None``.
-
-    When every group column appears as a plain ``("first", col)`` item,
-    a per-morsel ``group_aggregate`` output row carries its own group key
-    at these positions, so partial outputs can be merged value-wise
-    (MIN/MAX/COUNT re-aggregate exactly; the np grammar never lowers
-    SUM/AVG, so no float reassociation can occur).
-    """
-    np_spec = getattr(node, "np_spec", None)
-    if np_spec is None:
-        return None
-    group_cols, items = np_spec
-    positions = []
-    for gcol in group_cols:
-        pos = next(
-            (
-                i
-                for i, item in enumerate(items)
-                if item[0] == "first" and item[1] == gcol
-            ),
-            None,
-        )
-        if pos is None:
-            return None
-        positions.append(pos)
-    return tuple(positions)
-
-
-def _try_region(node):
-    """The maximal region topped at *node*, or ``None``."""
-    if isinstance(node, Aggregate):
-        # Absorb a streaming aggregate so workers pre-aggregate their
-        # morsels (partition-wise aggregation). The fused join-aggregate
-        # path (HashJoin child) stays serial: its build side is shared.
-        if getattr(node, "simple_spec", None) is None or isinstance(
-            node.child, (HashJoin, SubqueryScan)
-        ):
-            # No partial aggregation over a derived table either: the
-            # chains that sit under one (probe/UNNEST fan-out) need very
-            # fine morsels for balance, and at that grain a per-morsel
-            # partial barely collapses any groups — the merge then costs
-            # more than the serial aggregation it replaces (measured).
-            # The subquery itself still parallelizes as a rows region.
-            return None
-        leaf = _region_leaf(node.child)
-        if leaf is None:
-            return None
-        return ParallelRegion(
-            node,
-            leaf,
-            "agg",
-            _np_group_positions(node),
-            expands=_region_expands(node.child),
-        )
-    if isinstance(
-        node,
-        _REGION_PIPE + (IndexNestedLoop, SubqueryScan) + _REGION_LEAVES,
-    ):
-        leaf = _region_leaf(node)
-        if leaf is None:
-            return None
-        return ParallelRegion(node, leaf, "rows", expands=_region_expands(node))
-    return None
-
-
-def _annotate_node(node):
-    if isinstance(node, QueryPlan):
-        _annotate_query(node)
-        return
-    region = _try_region(node)
-    if region is not None:
-        # Annotate the region top only and stop descending: a region runs
-        # whole inside each worker, so nested annotations cannot fire.
-        node.parallel_region = region
-        return
-    for child in node.children():
-        _annotate_node(child)
-
-
-def _annotate_query(qplan: QueryPlan):
-    for _name, sub in qplan.ctes:
-        _annotate_query(sub)
-    _annotate_node(qplan.root)
-
-
-def annotate_parallel(plan: Plan) -> None:
-    """Mark morsel-parallel regions on the plan's SELECT tree, if any
-    (a query, the source of ``INSERT … SELECT``, or either under EXPLAIN).
-
-    Each region is a maximal leaf→Filter/Project/Unnest/IndexNestedLoop
-    chain, optionally topped by a streaming Aggregate; everything above it
-    executes serially on the coordinator over the gathered stream. Whether
-    a region actually fans out is a run-time decision (worker pool
-    present, no LIMIT hint, enough pages/rows to split) — the annotation
-    only records where it is sound.
-    """
-    node = plan.statement
-    while isinstance(node, ExplainPlan):
-        node = node.inner.statement
-    if isinstance(node, InsertPlan):
-        node = node.select
-    if isinstance(node, QueryPlan):
-        _annotate_query(node)

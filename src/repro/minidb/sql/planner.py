@@ -568,9 +568,7 @@ def plan_statement(stmt, catalog) -> phys.Plan:
     planner = Planner(catalog)
     node = planner.plan(stmt)
     planner.finalize_np_decode()
-    plan = phys.Plan(node, ast.param_indices(stmt))
-    phys.annotate_parallel(plan)
-    return plan
+    return phys.Plan(node, ast.param_indices(stmt))
 
 
 class Planner:

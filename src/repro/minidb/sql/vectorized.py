@@ -37,28 +37,9 @@ by a switch: producers check eligibility row by row and every numpy kernel
 either returns the row loop's exact result or declines, in which case the
 same compiled row closures run on the same batch.
 
-The row-at-a-time interpreter in :mod:`repro.minidb.sql.executor` is not
-on any statement path; it is the SELECT-only *reference model* the
-equivalence suites run the same plans on (``tests/minidb/reference.py``)
-to pin rows and page I/O.
-
-**Morsel-driven parallelism** (docs/ARCHITECTURE.md, "Parallel
-execution"): when the database is opened with ``parallel_workers=N > 1``,
-plan subtrees the planner marked as :class:`~repro.minidb.sql.plan.
-ParallelRegion` are executed by a pool of worker threads instead of
-inline. The coordinator splits the region's driving scan into page-range
-(heap) or row-range (CTE) *morsels*, workers pull morsel indices from a
-shared queue and run the ordinary emitters above — same kernels, same
-chunks — over their slice, and the coordinator gathers: row regions
-concatenate per-morsel chunk lists in morsel order (exactly the serial
-row stream), aggregate regions merge per-morsel partial states. Results
-are row-for-row identical to serial execution, page reads/misses are
-identical (morsels partition the chain; per-thread sequential-run
-accounting keeps each worker's readahead priced as its own stream), and
-worker I/O is attributed to the worker threads' private counters then
-folded into the statement's cost and trace by the session. LIMIT-bounded
-subtrees and scans too small to split fall back to serial execution
-automatically.
+The row-at-a-time interpreter the equivalence suites run the same plans
+on to pin rows and page I/O is a test fixture, not part of the engine
+(``tests/minidb/row_executor.py``, driven by ``tests/minidb/reference.py``).
 """
 
 from __future__ import annotations
@@ -70,29 +51,14 @@ import numpy as np
 
 from repro.errors import SQLError, SQLTypeError
 from repro.minidb.metrics import NULL_SCOPE, TraceCollector, render_plan
-from repro.minidb.sanitize import dynamic as _san
 from repro.minidb.sql import npbatch
 from repro.minidb.sql import plan as phys
-from repro.minidb.sql.executor import _DONE, Result
+from repro.minidb.sql.result import _DONE, Result
 from repro.minidb.sql.npbatch import ColumnChunk
 from repro.minidb.sql.planner import _hashable, _sort_rows, composite_key
 
 #: Default rows-per-batch; overridable per database (``Database(batch_size=...)``).
 DEFAULT_BATCH_SIZE = 1024
-
-#: Morselization floors: scans below these stay serial — the fan-out fixed
-#: cost (per-worker executor, per-morsel generator chain) would exceed the
-#: work being split. Above the floor, each region is cut into about
-#: ``workers * MORSELS_PER_WORKER`` morsels so the shared queue can balance
-#: skew (zone-map skips, selective filters) across workers.
-MIN_PARALLEL_PAGES = 4
-MIN_PARALLEL_ROWS = 256
-MORSELS_PER_WORKER = 4
-#: A page morsel never shrinks below one full readahead run: every morsel
-#: boundary restarts the device's sequential run (one random read), so
-#: tiny morsels turn a cheap sequential scan into a seek storm — on the
-#: HDD model a single seek costs ~250 sequential page transfers.
-MIN_MORSEL_PAGES = 8
 
 
 def _traced_batches(stats, gen, collector):
@@ -220,79 +186,6 @@ def _make_step(name):
     return step
 
 
-def _merge_agg_states(spec, into, other):
-    """Fold one morsel's per-group aggregate state into the running state.
-
-    Partials are merged in morsel order — morsels partition the input in
-    row order — so keeping ``into``'s first-row sample reproduces the
-    serial "first row of the group" exactly. Every accumulator merge is
-    the associative completion of its :func:`_make_step`: counts add,
-    MIN/MAX take the NULL-aware extreme, SUM adds (``None`` = no non-NULL
-    value seen yet), AVG adds its ``(sum, count)`` pair.
-    """
-    accs = into[1]
-    oaccs = other[1]
-    for slot, entry in enumerate(spec):
-        kind = entry[0]
-        if kind == "first":
-            continue
-        a = accs[slot]
-        b = oaccs[slot]
-        if kind == "count*":
-            accs[slot] = a + b
-            continue
-        name = entry[1]
-        if name == "count":
-            accs[slot] = a + b
-        elif b is None:
-            continue
-        elif a is None:
-            accs[slot] = b
-        elif name == "min":
-            accs[slot] = b if b < a else a
-        elif name == "max":
-            accs[slot] = b if a < b else a
-        elif name == "sum":
-            accs[slot] = a + b
-        else:  # avg: (sum, count)
-            accs[slot] = (a[0] + b[0], a[1] + b[1])
-
-
-def _merge_value_rows(spec, cur, new):
-    """Merge two already-finalized partial rows for the same group key.
-
-    Only reachable for np-eligible aggregates (``group_item_pos`` set),
-    whose specs contain nothing but ``first``/``count*``/COUNT/MIN/MAX —
-    all exactly re-aggregatable from finalized values. ``first`` keeps
-    ``cur``'s value: partials merge in morsel order, so ``cur`` saw the
-    group's first row.
-    """
-    out = list(cur)
-    for slot, entry in enumerate(spec):
-        kind = entry[0]
-        if kind == "first":
-            continue
-        b = new[slot]
-        if kind == "count*":
-            out[slot] = out[slot] + b
-            continue
-        name = entry[1]
-        a = out[slot]
-        if name == "count":
-            out[slot] = a + b
-        elif b is None:
-            continue
-        elif a is None:
-            out[slot] = b
-        elif name == "min":
-            out[slot] = b if b < a else a
-        elif name == "max":
-            out[slot] = b if a < b else a
-        else:  # pragma: no cover - np specs never lower SUM/AVG
-            raise SQLError(f"cannot value-merge aggregate {name!r}")
-    return tuple(out)
-
-
 class BatchExecutor:
     """Executes one planned statement (any kind) against a catalog."""
 
@@ -303,36 +196,14 @@ class BatchExecutor:
         collector=None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         readahead: int = 0,
-        parallel_workers: int = 1,
-        worker_pool=None,
     ):
         self.catalog = catalog
         self.params = tuple(params)
         self.collector = collector
         self.batch_size = max(1, int(batch_size))
         self.readahead = max(0, int(readahead))
-        #: Morsel parallelism: fan annotated regions out over ``worker_pool``
-        #: (a ``concurrent.futures`` executor owned by the Database) when
-        #: both are set. Worker-side executors keep the defaults (no pool),
-        #: so regions can never nest.
-        self.parallel_workers = max(1, int(parallel_workers))
-        self.worker_pool = worker_pool if self.parallel_workers > 1 else None
-        #: Accumulated worker-side accounting across this statement's
-        #: gathers (``None`` until the first gather actually fans out). The
-        #: session folds the I/O fields into the statement cost/trace and
-        #: derives the simulated-clock makespan from the busy times.
-        self.parallel_stats = None
-        #: Morsel restriction for worker executors: the region leaf node and
-        #: the ``(lo, hi)`` slice its scan is limited to while one morsel runs.
-        self._morsel_leaf = None
-        self._morsel = None
-        self._agg_machines: dict = {}
         #: Per-statement INL probe memo, keyed by plan-node id: repeated
-        #: probe keys hit the memo instead of the index. Gathers hand every
-        #: worker the same dict so a key probed for one morsel is never
-        #: re-probed for another — lookups are deterministic, so concurrent
-        #: writers can only store identical values and the dict ops are
-        #: atomic under the GIL.
+        #: probe keys hit the memo instead of the index.
         self._inl_caches: dict = {}
 
     # -- public entry point ---------------------------------------------
@@ -372,13 +243,8 @@ class BatchExecutor:
             collector=collector,
             batch_size=self.batch_size,
             readahead=self.readahead,
-            parallel_workers=self.parallel_workers,
-            worker_pool=self.worker_pool,
         )
         inner.run(node.inner)
-        # Surface the analyzed statement's worker I/O so the session's
-        # cost accounting covers EXPLAIN ANALYZE like any other execution.
-        self.parallel_stats = inner.parallel_stats
         lines = render_plan(collector.roots, analyze=True)
         return Result(["plan"], [(line,) for line in lines])
 
@@ -488,13 +354,7 @@ class BatchExecutor:
     def _node(self, name, detail="", parent=None):
         if self.collector is None:
             return None
-        stats = self.collector.node(name, detail, parent)
-        # Parent backlink for the gather absorption: worker-side I/O must
-        # be added to every ancestor's *inclusive* figures (their windows
-        # only saw the coordinator thread's counters), or the nodes above
-        # a Gather would report negative self values.
-        stats._parent = parent
-        return stats
+        return self.collector.node(name, detail, parent)
 
     def _traced(self, stats, gen):
         if stats is None:
@@ -546,11 +406,6 @@ class BatchExecutor:
     def _emit(self, node, env, parent, hint):
         if isinstance(node, phys.QueryPlan):
             return self._emit_query(node, env, parent, hint)
-        region = getattr(node, "parallel_region", None)
-        if region is not None and self.worker_pool is not None:
-            gen = self._emit_gather(region, node, env, parent, hint)
-            if gen is not None:
-                return gen
         return self._EMIT[type(node)](self, node, env, parent, hint)
 
     # -- scans -----------------------------------------------------------
@@ -563,7 +418,7 @@ class BatchExecutor:
         return self._traced(stats, gen())
 
     def _scan_chunks(
-        self, table, predicates, hint, zone_eq=None, np_arrays=False, pages=None
+        self, table, predicates, hint, zone_eq=None, np_arrays=False
     ):
         """Batched heap scan with buffer-pool readahead.
 
@@ -573,8 +428,7 @@ class BatchExecutor:
         the reference model is a harder invariant than prefetch
         throughput. ``zone_eq`` is the columnar zone-map skip key; the
         reference model derives the identical key from the same plan node,
-        so skipped pages match exactly. ``pages`` is a worker's chain-index morsel:
-        the scan (readahead included) sees only that slice of the heap.
+        so skipped pages match exactly.
         """
         params = self.params
         size = self._chunk_size(hint)
@@ -583,10 +437,7 @@ class BatchExecutor:
 
         def gen():
             scan = table.scan(
-                readahead=readahead,
-                zone_eq=zone_eq,
-                np_arrays=np_arrays,
-                pages=pages,
+                readahead=readahead, zone_eq=zone_eq, np_arrays=np_arrays
             )
             chunk: list[tuple] = []
             try:
@@ -614,11 +465,10 @@ class BatchExecutor:
         stats = self._node(node.name, node.detail, parent)
         table = self.catalog.get(node.table)
         zone_eq = phys.zone_key(node, self.params)
-        pages = self._morsel if node is self._morsel_leaf else None
         return self._traced(
             stats,
             self._scan_chunks(
-                table, node.filters, hint, zone_eq, node.np_decode, pages
+                table, node.filters, hint, zone_eq, node.np_decode
             ),
         )
 
@@ -655,14 +505,9 @@ class BatchExecutor:
         size = self._chunk_size(hint)
 
         specs = getattr(node, "filter_specs", None)
-        morsel = self._morsel if node is self._morsel_leaf else None
 
         def gen():
             rows = env[node.cte_name]
-            if morsel is not None:
-                # Row-range morsel: this worker's contiguous slice of the
-                # materialized CTE (list or ColumnChunk — both slice).
-                rows = rows[morsel[0] : morsel[1]]
             if isinstance(rows, ColumnChunk) and check is not None:
                 mask = npbatch.eval_masks(specs, rows.cols, params, len(rows))
                 if mask is not None:
@@ -723,11 +568,8 @@ class BatchExecutor:
     # -- joins -----------------------------------------------------------
     def _emit_inl(self, node, env, parent, hint):
         stats = self._node(node.name, node.detail, parent)
-        if stats is not None and not getattr(stats, "_inl_seen", False):
-            # Worker executors reuse one stats node across their morsels;
-            # only the first emission may zero the accumulated loop count.
+        if stats is not None:
             stats.loops = 0
-            stats._inl_seen = True
         left = self._emit(node.left, env, stats, None)
         table = self.catalog.get(node.table)
         params = self.params
@@ -1333,18 +1175,10 @@ class BatchExecutor:
         return self._traced(stats, gen)
 
     def _agg_machinery(self, node, spec):
-        """Compile *spec* into ``(feed, final_row, init, first_needed)``.
-
-        Shared by the serial streaming aggregate and the morsel workers'
-        partial aggregation: ``feed`` folds one row into a per-group state
-        dict, ``final_row`` turns one state into the finalized output row.
-        The states it builds are exactly what :func:`_merge_agg_states`
-        merges across morsels. Cached per plan node — workers compile once
-        and reuse across their morsels.
+        """Compile *spec* into ``(feed, final_row, init)``: ``feed`` folds
+        one row into a per-group state dict, ``final_row`` turns one state
+        into the finalized output row, ``init`` is a fresh accumulator list.
         """
-        machine = self._agg_machines.get(id(node))
-        if machine is not None:
-            return machine
         params = self.params
         group_fns = node.group_fns
 
@@ -1406,9 +1240,7 @@ class BatchExecutor:
             first, accs = state
             return tuple(fin(accs, first) for fin in finalizers)
 
-        machine = (feed, final_row, init, first_needed)
-        self._agg_machines[id(node)] = machine
-        return machine
+        return feed, final_row, init
 
     def _streaming_aggregate(self, node, spec, env, stats):
         """Fold rows into per-group accumulators as batches arrive.
@@ -1421,7 +1253,7 @@ class BatchExecutor:
         group_fns = node.group_fns
         key_specs = node.key_specs  # all ints (simple_spec contract)
         size = self.batch_size
-        feed, final_row, init, _first_needed = self._agg_machinery(node, spec)
+        feed, final_row, init = self._agg_machinery(node, spec)
 
         def finalize(groups):
             if not groups and not group_fns:
@@ -1821,294 +1653,6 @@ class BatchExecutor:
 
         return self._traced(stats, gen())
 
-    # -- morsel-driven parallelism ----------------------------------------
-    def _plan_morsels(self, region, env):
-        """Cut the region's driving scan into ``(lo, hi)`` morsels.
-
-        Heap regions split over chain *page* indices (``HeapFile.scan``'s
-        ``pages`` contract), CTE regions over materialized row indices.
-        Returns ``None`` — serial execution — when the scan is below the
-        parallelization floor or cannot produce at least two morsels.
-        """
-        leaf = region.leaf
-        if isinstance(leaf, phys.SeqScan):
-            total = self.catalog.get(leaf.table).heap.chain_length()
-            if total < MIN_PARALLEL_PAGES:
-                return None
-            floor = max(MIN_MORSEL_PAGES, self.readahead)
-            # Several morsels per worker: page morsels can be skewed (zone
-            # skips, selective filters), so the contiguous per-worker
-            # slices keep a little granularity to even out.
-            target = self.parallel_workers * MORSELS_PER_WORKER
-        else:  # CteScan
-            rows = env.get(leaf.cte_name)
-            if rows is None:
-                return None
-            total = len(rows)
-            # A heavy region multiplies each leaf row's work (UNNEST
-            # fan-out, per-row index probes), so the floors — sized in
-            # leaf rows — scale down by that expansion. The aggressive
-            # factor is deliberate: per-row cost in these regions is
-            # dominated by cold-page decode on index probes, which
-            # clusters — fine stripes spread those pages over workers.
-            scale = 32 if region.expands else 1
-            if total < MIN_PARALLEL_ROWS // scale:
-                return None
-            floor = 128 // scale
-            target = self.parallel_workers * MORSELS_PER_WORKER
-        per = max(floor, -(-total // target))
-        morsels = [
-            (lo, min(lo + per, total)) for lo in range(0, total, per)
-        ]
-        if len(morsels) < 2:
-            return None
-        return morsels
-
-    def _emit_gather(self, region, node, env, parent, hint):
-        """Fan an annotated region out over the worker pool, or ``None``.
-
-        ``None`` means "run serial": a LIMIT hint above the region (the
-        serial path's early-stop would read fewer pages than any fan-out)
-        or a scan too small to morselize. Otherwise the returned generator
-        submits one task per worker, each owning a contiguous slice of the
-        morsel list, and yields the gathered output: partial-aggregate
-        merge for ``agg`` regions, per-morsel chunk lists concatenated in
-        morsel order for ``rows`` regions — row-for-row what serial
-        execution yields.
-
-        Assignment is static, not a shared work queue, on purpose: the
-        per-worker makespan (CPU + simulated I/O) is what
-        ``experiment_parallel`` measures, and under the GIL on few cores a
-        dynamic queue degenerates — the first worker scheduled drains it
-        before the rest wake, so the critical path collapses to the serial
-        total. Page regions get contiguous morsel slices (equal page share,
-        reads stay one sequential run per worker); CTE regions get
-        round-robin stripes, which spreads UNNEST expansion skew — array
-        lengths cluster, so contiguous row slices can be 10x apart in
-        output rows. Either way the merge is by morsel index, so the
-        assignment never affects output order.
-        """
-        if hint is not None:
-            return None
-        morsels = self._plan_morsels(region, env)
-        if morsels is None:
-            return None
-        workers = min(self.parallel_workers, len(morsels))
-        stats = self._node("Gather", f"over {node.name}", parent)
-        if stats is not None:
-            stats.workers = workers
-
-        def gen():
-            results: list = [None] * len(morsels)
-            if isinstance(region.leaf, phys.SeqScan):
-                per = -(-len(morsels) // workers)
-                assignments = [
-                    range(start, min(start + per, len(morsels)))
-                    for start in range(0, len(morsels), per)
-                ]
-            else:
-                assignments = [
-                    range(index, len(morsels), workers)
-                    for index in range(workers)
-                ]
-            caches: dict = {}
-            futures = [
-                self.worker_pool.submit(
-                    self._parallel_worker,
-                    region,
-                    env,
-                    morsels,
-                    own,
-                    results,
-                    caches,
-                )
-                for own in assignments
-            ]
-            reports = []
-            error = None
-            for future in futures:
-                try:
-                    reports.append(future.result())
-                except BaseException as exc:  # noqa: BLE001 - re-raised
-                    if error is None:
-                        error = exc
-            if error is not None:
-                raise error
-            self._absorb_reports(stats, reports, workers)
-            if region.mode == "agg":
-                yield from self._merge_partials(region, results)
-            else:
-                for entry in results:
-                    yield from entry[1]
-
-        return self._traced(stats, gen())
-
-    def _parallel_worker(self, region, env, morsels, indices, results, caches):
-        """Body of one worker task (runs on the Database's thread pool).
-
-        Trace collectors and buffer/disk statistics views bind to the
-        creating thread, so both are constructed *inside* the worker; the
-        returned report carries the worker's CPU time, private I/O deltas
-        and trace roots back to the coordinator, which never reads another
-        thread's live counters. ``caches`` is the gather-wide INL probe
-        memo (see ``_inl_caches``), shared so workers never repeat each
-        other's point probes.
-        """
-        pool = getattr(self.catalog, "pool", None)
-        disk = getattr(pool, "disk", None)
-        collector = (
-            TraceCollector(pool) if self.collector is not None else None
-        )
-        pool_stats = pool.thread_stats() if pool is not None else None
-        disk_stats = disk.thread_stats() if disk is not None else None
-        pool_before = (
-            pool_stats.snapshot() if pool_stats is not None else None
-        )
-        disk_before = (
-            disk_stats.snapshot() if disk_stats is not None else None
-        )
-        cpu_before = time.thread_time()
-        worker = _MorselWorker(self, collector)
-        worker._inl_caches = caches
-        tracker = _san.TRACKER
-        try:
-            for index in indices:
-                results[index] = worker.run_region(
-                    region, env, morsels[index]
-                )
-        except BaseException:
-            # Pool threads outlive the statement; a failing morsel must not
-            # leak pins into the next statement this thread serves.
-            if tracker is not None:
-                tracker.drop_thread_pins()
-            raise
-        if tracker is not None:
-            tracker.check_statement_end()
-        return {
-            "cpu_ms": (time.thread_time() - cpu_before) * 1000.0,
-            "pool": (
-                pool_stats.delta(pool_before)
-                if pool_before is not None
-                else None
-            ),
-            "disk": (
-                disk_stats.delta(disk_before)
-                if disk_before is not None
-                else None
-            ),
-            "roots": collector.roots if collector is not None else [],
-        }
-
-    def _absorb_reports(self, stats, reports, workers):
-        """Fold worker reports into the statement's parallel accounting
-        and the Gather trace node (worker subtrees become its children).
-
-        ``busy_ms`` sums every worker's CPU + simulated-I/O time across the
-        statement; ``critical_ms`` adds each gather's slowest worker — the
-        session combines it with coordinator time into the simulated-clock
-        makespan that ``experiment_parallel`` reports speedup against.
-        """
-        par = self.parallel_stats
-        if par is None:
-            par = self.parallel_stats = {
-                "gathers": 0,
-                "workers": 0,
-                "busy_ms": 0.0,
-                "critical_ms": 0.0,
-                "reads": 0,
-                "io_ms": 0.0,
-                "hits": 0,
-                "misses": 0,
-            }
-        par["gathers"] += 1
-        par["workers"] = max(par["workers"], workers)
-        busiest = 0.0
-        for rep in reports:
-            disk = rep["disk"]
-            pool = rep["pool"]
-            io_ms = disk.simulated_read_ms if disk is not None else 0.0
-            busy = rep["cpu_ms"] + io_ms
-            par["busy_ms"] += busy
-            busiest = max(busiest, busy)
-            if disk is not None:
-                par["reads"] += disk.reads
-                par["io_ms"] += disk.simulated_read_ms
-            if pool is not None:
-                par["hits"] += pool.hits
-                par["misses"] += pool.misses
-            if stats is not None:
-                stats.children.extend(rep["roots"])
-                node = stats
-                while node is not None:
-                    if pool is not None:
-                        node.pool_hits += pool.hits
-                        node.pool_misses += pool.misses
-                    if disk is not None:
-                        node.page_reads += disk.reads
-                        node.io_ms += disk.simulated_read_ms
-                    node = getattr(node, "_parent", None)
-        par["critical_ms"] += busiest
-
-    def _merge_partials(self, region, results):
-        """Combine per-morsel aggregate partials into final output chunks.
-
-        Both partial shapes preserve group first-appearance order within
-        their morsel (``group_aggregate`` emits it explicitly, the feed
-        dict by insertion), and morsels partition the input in row order —
-        so an insertion-ordered merge over partials in morsel order
-        reproduces the serial output order exactly. Mixed shapes normalize
-        accumulator partials to value rows (np-eligible specs finalize to
-        re-aggregatable values) and merge at the value level.
-        """
-        node = region.top
-        spec = node.simple_spec
-        _feed, final_row, init, _first = self._agg_machinery(node, spec)
-        key_specs = node.key_specs
-        size = self.batch_size
-        use_vals = any(entry[0] == "vals" for entry in results)
-        if use_vals:
-            pos = region.group_item_pos
-            merged: dict = {}
-            for kind, payload in results:
-                if kind == "accs":
-                    rows = [final_row(state) for state in payload.values()]
-                else:
-                    rows = payload.values()
-                for row in rows:
-                    key = tuple(row[i] for i in pos)
-                    cur = merged.get(key)
-                    if cur is None:
-                        merged[key] = row
-                    else:
-                        merged[key] = _merge_value_rows(spec, cur, row)
-            rows_out = list(merged.values())
-        else:
-            groups: dict = {}
-            for _kind, payload in results:
-                for key, state in payload.items():
-                    cur = groups.get(key)
-                    if cur is None:
-                        groups[key] = state
-                    else:
-                        _merge_agg_states(spec, cur, state)
-            rows_out = [final_row(state) for state in groups.values()]
-        if not rows_out and not node.group_fns:
-            # Scalar aggregate over no rows: the default row (COUNT()=0,
-            # MIN=NULL, ...) is injected exactly once, at the final merge —
-            # never by a per-morsel partial.
-            rows_out = [final_row(([], list(init)))]
-        out = []
-        for row in rows_out:
-            if key_specs is None:
-                out.append(row)
-            else:
-                out.append((row, tuple(row[s] for s in key_specs)))
-            if len(out) >= size:
-                yield out
-                out = []
-        if out:
-            yield out
-
     _EMIT = {
         phys.Result0: _emit_result0,
         phys.SeqScan: _emit_seq_scan,
@@ -2130,113 +1674,3 @@ class BatchExecutor:
         phys.Union: _emit_union,
     }
 
-
-class _MorselWorker(BatchExecutor):
-    """Engine clone a worker thread runs over the morsels it claims.
-
-    One instance per worker per gather: it shares the coordinator's
-    catalog/params/settings but owns a thread-bound trace collector and
-    never gets a worker pool (regions cannot nest). Trace nodes are cached
-    per ``(parent, name, detail)`` so one operator subtree accumulates
-    across every morsel the worker processes — the coordinator grafts each
-    worker's roots under the Gather node, and ``_traced_batches``'s purely
-    additive accounting makes the reuse exact (``_emit_inl`` guards its
-    one-time loop reset with ``_inl_seen`` for the same reason).
-    """
-
-    def __init__(self, parent: BatchExecutor, collector):
-        super().__init__(
-            parent.catalog,
-            parent.params,
-            collector=collector,
-            batch_size=parent.batch_size,
-            readahead=parent.readahead,
-        )
-        self._trace_nodes: dict = {}
-
-    def _node(self, name, detail="", parent=None):
-        if self.collector is None:
-            return None
-        key = (id(parent), name, detail)
-        stats = self._trace_nodes.get(key)
-        if stats is None:
-            stats = self._trace_nodes[key] = self.collector.node(
-                name, detail, parent
-            )
-        return stats
-
-    def run_region(self, region, env, morsel):
-        """Execute the region over one morsel and return its partial:
-        ``("chunks", [...])`` for ``rows`` regions, an aggregate partial
-        for ``agg`` regions. The morsel restriction applies only to the
-        region's leaf scan (checked by node identity in the scan
-        emitters); everything above it runs the ordinary emitters."""
-        self._morsel_leaf = region.leaf
-        self._morsel = morsel
-        try:
-            if region.mode == "agg":
-                return self._partial_aggregate(region, env)
-            chunks: list = []
-            gen = self._emit(region.top, env, None, None)
-            try:
-                for chunk in gen:
-                    chunks.append(chunk)
-            finally:
-                gen.close()
-            return ("chunks", chunks)
-        finally:
-            self._morsel_leaf = None
-            self._morsel = None
-
-    def _partial_aggregate(self, region, env):
-        """One morsel's partial aggregate: ``("vals", {key: row})`` when
-        the np kernel grouped the whole morsel, ``("accs", {key: state})``
-        otherwise. Mirrors ``_streaming_aggregate``'s buffering loop but
-        stops before finalization — and never injects the scalar-aggregate
-        default row, which belongs to the coordinator's final merge."""
-        node = region.top
-        spec = node.simple_spec
-        stats = self._node(node.name, node.detail, None)
-        feed, _final_row, _init, _first = self._agg_machinery(node, spec)
-        np_spec = node.np_spec
-        np_ok = np_spec is not None and region.group_item_pos is not None
-        groups: dict = {}
-        np_chunks: list = []
-        child = self._emit(node.child, env, stats, None)
-        try:
-            for chunk in child:
-                if np_ok and isinstance(chunk, ColumnChunk):
-                    np_chunks.append(chunk)
-                    continue
-                if np_chunks:
-                    for buffered in np_chunks:
-                        for row in buffered:
-                            feed(row, groups)
-                    np_chunks = []
-                np_ok = False
-                for row in chunk:
-                    feed(row, groups)
-        finally:
-            child.close()
-            # The partial runs outside a _traced window, so the Aggregate
-            # node is a pass-through like any fused operator: inclusive
-            # figures re-derived from its (accumulating) children.
-            _sync_fused(stats)
-        if np_ok and np_chunks:
-            data = npbatch.concat(np_chunks)
-            rows_out = npbatch.group_aggregate(
-                np_spec, data.cols, self.params, len(data)
-            )
-            if rows_out is not None:
-                if stats is not None:
-                    stats.rows += len(rows_out)
-                pos = region.group_item_pos
-                return (
-                    "vals",
-                    {tuple(row[i] for i in pos): row for row in rows_out},
-                )
-            for row in data:
-                feed(row, groups)
-        if stats is not None:
-            stats.rows += len(groups)
-        return ("accs", groups)

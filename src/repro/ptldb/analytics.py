@@ -7,9 +7,7 @@ questions ("which stops are the busiest hubs?", "how many trips does each
 route run?") answered by full-table GROUP BY aggregation over the timetable
 itself. These queries are scan-shaped **by design** (the analyzer's
 ``analytics`` bound in ``check_paper_bounds`` enforces it): every page of
-the scanned table is read, which is exactly the workload the morsel-driven
-parallel executor (docs/ARCHITECTURE.md, "Parallel execution") splits
-across worker threads.
+the scanned table is read.
 
 Two tables, derived from :class:`~repro.timetable.model.Timetable`:
 

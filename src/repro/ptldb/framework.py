@@ -224,8 +224,7 @@ class _QueryAPI:
 
     # ------------------------------------------------------------------
     # Analytics queries (repro.ptldb.analytics): scan-shaped GROUP BY
-    # aggregation over the raw timetable tables — the proving workload of
-    # the morsel-driven parallel executor (docs/PERFORMANCE.md).
+    # aggregation over the raw timetable tables.
     # ------------------------------------------------------------------
     def busiest_hubs(self, k: int) -> list[tuple[int, int, int, int]]:
         """Top-*k* departure hubs: ``(stop, departures, first, last)``."""
@@ -323,16 +322,14 @@ class PTLDB(_QueryAPI):
         labels: TTLLabels | None = None,
         batch_size: int = 1024,
         readahead: int = 8,
-        parallel_workers: int = 1,
         workers: int = 1,
         cache_dir: str | None = None,
     ) -> "PTLDB":
         """Preprocess (unless labels are given) and load into a fresh DB.
 
-        ``batch_size``/``readahead``/``parallel_workers`` are forwarded to
-        the :class:`Database` executor knobs (docs/ARCHITECTURE.md,
-        "Vectorized pipeline" and "Parallel execution"). Results are
-        identical for any combination.
+        ``batch_size``/``readahead`` are forwarded to the
+        :class:`Database` executor settings (docs/ARCHITECTURE.md,
+        "Vectorized pipeline"). Results are identical for any combination.
 
         ``workers`` > 1 runs TTL preprocessing on a process pool and
         ``cache_dir`` reuses previously saved labels keyed by the dataset
@@ -357,7 +354,6 @@ class PTLDB(_QueryAPI):
             pool_pages=pool_pages,
             batch_size=batch_size,
             readahead=readahead,
-            parallel_workers=parallel_workers,
         )
         self = cls(db, labels)
         # The analytics family needs the raw timetable alongside the

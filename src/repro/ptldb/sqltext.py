@@ -297,8 +297,7 @@ def ld_otm(table: str) -> str:
 # Analytics family — scan-shaped GROUP BY over the raw timetable tables
 # (``repro.ptldb.analytics``). Unlike Codes 1-4 these deliberately read
 # every page of their base table (the analyzer's ``analytics`` bound
-# *requires* sequential scans); they are the proving workload of the
-# morsel-driven parallel executor (docs/PERFORMANCE.md).
+# *requires* sequential scans).
 # ---------------------------------------------------------------------------
 
 #: Busiest departure hubs. Parameters: $1 = k.
@@ -327,8 +326,8 @@ GROUP BY FLOOR(td/$1)
 ORDER BY FLOOR(td/$1)
 """
 
-#: Per-route service volume (SUM/AVG exercise the accumulator-merge
-#: path of the parallel aggregate — they never lower to array kernels).
+#: Per-route service volume (SUM/AVG never lower to array kernels, so
+#: this statement exercises the row accumulators).
 ANALYTICS_ROUTE_LEGS = """
 SELECT route, SUM(legs) AS total_legs, AVG(legs) AS avg_legs
 FROM trips

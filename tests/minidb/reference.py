@@ -1,7 +1,7 @@
 """The one way a test compares the engine with the reference model.
 
 Every statement runs on :class:`~repro.minidb.sql.vectorized.BatchExecutor`;
-:class:`~repro.minidb.sql.executor.Executor` interprets the same plans one
+:class:`~tests.minidb.row_executor.Executor` interprets the same plans one
 row at a time and is the oracle. Both helpers below start from a cold
 buffer pool and return a :class:`Run`, so a test is
 ``assert run_engine(db, sql, p) == run_reference(db, sql, p)``.
@@ -11,9 +11,9 @@ from typing import NamedTuple
 
 from repro.minidb.engine import Database
 from repro.minidb.sql import plan as phys
-from repro.minidb.sql.executor import Executor
 from repro.minidb.sql.parser import parse
 from repro.minidb.sql.planner import plan_statement
+from tests.minidb.row_executor import Executor
 
 
 class Run(NamedTuple):

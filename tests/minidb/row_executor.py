@@ -3,7 +3,7 @@
 Not on any statement path: every statement a session runs executes on
 :class:`~repro.minidb.sql.vectorized.BatchExecutor`. This interpreter runs
 the *same* physical plans one row per generator pull — no batching, no
-fusion, no numpy, no readahead, no parallelism — and exists so the
+fusion, no numpy, no readahead — and exists so the
 equivalence suites (``tests/minidb/reference.py``) can pin the engine's
 rows and page I/O against an independent, obviously-correct reading of
 each operator. Rows stream between operators; the only operators that
@@ -11,44 +11,16 @@ materialize their input are the blocking ones — Sort/Top-K, WindowAgg,
 Aggregate, the hash-join build side and the nested-loop inner side — plus
 CTEs, which are materialized once per execution as the paper's Codes 3-4
 require.
-
-:class:`Result`, the value every statement returns, also lives here.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 
 from repro.errors import SQLError, SQLTypeError
 from repro.minidb.sql import plan as phys
 from repro.minidb.sql.planner import _hashable, _sort_rows, composite_key
-
-
-@dataclass
-class Result:
-    """Statement result returned to the caller."""
-
-    columns: list[str]
-    rows: list[tuple]
-    trace: object = field(default=None, compare=False)
-
-    def scalar(self):
-        """Single value of a single-row, single-column result."""
-        if len(self.rows) != 1 or len(self.columns) != 1:
-            raise SQLError(
-                f"scalar() on a {len(self.rows)}x{len(self.columns)} result"
-            )
-        return self.rows[0][0]
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self):
-        return len(self.rows)
-
-
-_DONE = object()
+from repro.minidb.sql.result import _DONE, Result
 
 
 class Executor:

@@ -91,8 +91,8 @@ class TestDiskManager:
 
 class TestPerThreadRunAccounting:
     """Sequential-read runs are per I/O stream (thread), so concurrent
-    scans — intra-query morsel workers, concurrent sessions — never break
-    each other's run or double-charge latency."""
+    scans from concurrent sessions never break each other's run or
+    double-charge latency."""
 
     def make_disk(self, pages):
         disk = DiskManager(device=hdd_model())

@@ -15,6 +15,10 @@ class TestConstruction:
         with pytest.raises(DatabaseError):
             Database(device="floppy")
 
+    def test_removed_parallel_workers_option_is_rejected(self):
+        with pytest.raises(TypeError, match="parallel_workers"):
+            Database(parallel_workers=2)
+
     def test_context_manager(self, tmp_path):
         with Database(path=str(tmp_path / "db.pages")) as db:
             db.execute("CREATE TABLE t (a BIGINT)")

@@ -150,27 +150,6 @@ class TestChunking:
         ]
         check(db, sql, expected)
 
-    def test_parallel_region_below_the_window(self):
-        rows = [(i, i % 13, (i * 37) % 101, None) for i in range(3000)]
-        db = make_db(rows, device="ssd", pool_pages=512, parallel_workers=4)
-        kept = sorted(
-            (r for r in rows if r[2] > 50), key=lambda r: (r[1], -r[2], r[0])
-        )
-        number, seen = {}, {}
-        for r in kept:
-            seen[r[1]] = number[r[0]] = seen.get(r[1], 0) + 1
-        expected = [(r[0], number[r[0]]) for r in rows if r[2] > 50]
-        check(
-            db,
-            "SELECT id, ROW_NUMBER() OVER (PARTITION BY grp "
-            "ORDER BY val DESC, id) FROM w WHERE val > 50",
-            expected,
-        )
-        assert db.last_parallel is not None and db.last_parallel["workers"] > 1
-        assert db.last_trace.find("Gather")
-        assert db.last_trace.validate() == []
-        db.close()
-
 
 class TestTrace:
     def test_explain_analyze_shows_batch_clause(self, db):

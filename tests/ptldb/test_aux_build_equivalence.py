@@ -3,8 +3,7 @@
 ``build_target_set`` fills knn_ea / knn_ld / otm_ea / otm_ld with one
 ``INSERT … SELECT … ROW_NUMBER() OVER`` statement each. Every one of those
 statements must store exactly the rows the row-at-a-time reference model
-computes for its source query, read the same pages doing so, and do both
-under 1 and 4 parallel workers.
+computes for its source query, and read the same pages doing so.
 """
 
 import pytest
@@ -25,21 +24,15 @@ def network():
     return timetable, labels
 
 
-def build_recording(network, workers):
+def build_recording(network):
     """Build the target set with every ``INSERT … SELECT`` started cold.
 
-    Returns the PTLDB and, per filled table, the statement text, its
-    ``last_cost.page_reads``, the ``(page_reads, pool_misses)`` charged to
-    the SELECT subtree under the trace's ``Insert`` node, and whether the
-    source fanned out over worker threads.
+    Returns the PTLDB and, per filled table, the statement text and the
+    ``(page_reads, pool_misses)`` charged to the SELECT subtree under the
+    trace's ``Insert`` node.
     """
     timetable, labels = network
-    ptldb = PTLDB.from_timetable(
-        timetable,
-        device="hdd",
-        labels=labels,
-        parallel_workers=workers,
-    )
+    ptldb = PTLDB.from_timetable(timetable, device="hdd", labels=labels)
     db = ptldb.db
     real = db.execute
     builds = {}
@@ -54,12 +47,10 @@ def build_recording(network, workers):
         assert db.last_trace.validate() == []
         builds[words[2]] = {
             "sql": sql,
-            "page_reads": db.last_cost.page_reads,
             "source_io": (
                 sum(c.page_reads for c in insert.children),
                 sum(c.pool_misses for c in insert.children),
             ),
-            "fanned_out": db.last_parallel is not None,
         }
         return result
 
@@ -79,21 +70,18 @@ def table_rows(db, table):
 
 @pytest.fixture(scope="module", params=["columnar"])
 def built(request, network):
-    """Serial and 4-worker builds; the param is the one layout PTLDB
-    gives the tables it fills."""
-    serial = build_recording(network, workers=1)
-    parallel = build_recording(network, workers=4)
-    for ptldb, _ in (serial, parallel):
-        stats = ptldb.db.table_stats()
-        assert {stats[table]["storage"] for table in TABLES} == {request.param}
-    yield serial, parallel
-    serial[0].db.close()
-    parallel[0].db.close()
+    """One recorded build; the param is the one layout PTLDB gives the
+    tables it fills."""
+    ptldb, builds = build_recording(network)
+    stats = ptldb.db.table_stats()
+    assert {stats[table]["storage"] for table in TABLES} == {request.param}
+    yield ptldb, builds
+    ptldb.db.close()
 
 
 @pytest.mark.parametrize("table", TABLES)
 def test_table_matches_one_filled_from_reference_rows(built, table):
-    (ptldb, builds), _ = built
+    ptldb, builds = built
     db = ptldb.db
     reference = run_reference(db, builds[table]["sql"])
     assert builds[table]["source_io"] == reference.io, (
@@ -111,14 +99,3 @@ def test_table_matches_one_filled_from_reference_rows(built, table):
         db.table_stats()[twin]["data_bytes"]
     )
 
-
-@pytest.mark.parametrize("table", TABLES)
-def test_parallel_build_is_identical(built, table):
-    (serial, s_builds), (parallel, p_builds) = built
-    assert table_rows(parallel.db, table) == table_rows(serial.db, table)
-    s_build, p_build = s_builds[table], p_builds[table]
-    assert p_build["fanned_out"] and not s_build["fanned_out"]
-    for figure in ("page_reads", "source_io"):
-        assert p_build[figure] == s_build[figure], (
-            f"{table}: {figure} diverges between 1 and 4 workers"
-        )

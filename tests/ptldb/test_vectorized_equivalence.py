@@ -77,7 +77,9 @@ def test_no_pins_left_behind(ptldb, family):
 
 def test_corpus_plans_are_batchable(ptldb):
     """Every family's trace records batch pulls — the operators really
-    exchange batches, not one-row chunks in disguise."""
+    exchange batches, not one-row chunks in disguise — and every operator
+    ran inline on the statement's thread: no EXPLAIN ANALYZE line names a
+    ``Gather`` or carries a ``(parallel: …)`` clause."""
     for family, call in family_calls(ptldb).items():
         call()
         trace = ptldb.last_trace
@@ -85,6 +87,16 @@ def test_corpus_plans_are_batchable(ptldb):
         assert any(op.pulls > 0 for op in trace.operators()), (
             f"{family}: no operator recorded batch pulls"
         )
+        for line in trace.format(analyze=True).splitlines():
+            assert "Gather" not in line and "(parallel:" not in line, line
+
+
+def test_removed_parallel_workers_option_is_rejected():
+    """The intra-query parallelism knob is gone; passing it must fail
+    loudly rather than be swallowed."""
+    timetable = random_timetable(6, 20, seed=3)
+    with pytest.raises(TypeError, match="parallel_workers"):
+        PTLDB.from_timetable(timetable, parallel_workers=2)
 
 
 def test_v2v_band_join_matches_the_in_memory_label_join(ptldb):
