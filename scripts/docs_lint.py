@@ -3,7 +3,7 @@
 
 Scans ``docs/*.md`` (plus README.md) for inline-code spans that look like
 Python symbols — ``CamelCase`` names, ``snake_case`` names, ``ALL_CAPS``
-constants and dotted paths like ``repro.bench.experiment_serving`` — and
+constants and dotted paths like ``repro.bench.trace_smoke`` — and
 fails if any component never appears as an identifier anywhere under
 ``src/``. Spans that look like repo file paths are checked for existence
 instead. Plain English words, CLI flags, SQL fragments and fenced code
@@ -59,15 +59,15 @@ def _is_pathlike(token: str) -> bool:
 
 
 #: Directories whose python files define the known-identifier universe.
-_CODE_DIRS = ("src", "tests", "benchmarks", "scripts", "examples")
+_CODE_DIRS = ("src", "tests", "bench_e2e", "scripts", "examples")
 
 
 def collect_src_identifiers(root: Path) -> set[str]:
     """Every identifier token in the repo's python code (docstrings and
     comments included), plus module names derivable from the file tree.
-    src/ is the primary universe; tests/benchmarks/scripts/examples are
-    included so docs may cite harness-level names (fixtures, bench
-    fields) without tripping the lint."""
+    src/ is the primary universe; tests/bench_e2e/scripts/examples
+    are included so docs may cite harness-level names (fixtures, benchmark
+    metrics) without tripping the lint."""
     idents: set[str] = set()
     for sub in _CODE_DIRS:
         base = root / sub

@@ -1,9 +1,8 @@
 """Experiment drivers: one function per table/figure of the paper's §4.
 
 Each driver returns a list of result-row dicts and is consumed by
-
-* the pytest-benchmark files under ``benchmarks/`` (timing kernels), and
-* ``python -m repro.bench.run_all`` which regenerates EXPERIMENTS.md.
+``python -m repro.bench.run_all``, which regenerates EXPERIMENTS.md, and by
+``repro bench --experiment``.
 
 Dataset bundles (timetable + TTL labels) are cached per process because TTL
 preprocessing is the expensive part of every experiment.
@@ -163,79 +162,6 @@ def experiment_v2v(
             }
         )
     return rows
-
-
-def experiment_prepared(
-    dataset: str = "Austin",
-    device: str = "hdd",
-    n_queries: int = 200,
-    scale: str = "small",
-    seed: int = 42,
-) -> list[dict]:
-    """Prepared-statement effect on the EA v2v batch.
-
-    The prepared batch runs through the framework's prepared handles, so
-    after the first execution every query is a plan-cache hit (zero parse /
-    analyze / plan work). The unprepared baseline clears the plan cache
-    before every call, forcing the full front half of the pipeline each
-    time. Page I/O is identical in both, so the CPU column isolates the
-    planning overhead. The ``batched_cpu_ms`` column additionally runs the
-    whole workload through ``PreparedStatement.execute_many`` — one plan
-    probe and one statement-latch acquisition for the entire batch — which
-    amortizes the remaining per-``execute`` fixed costs."""
-    from repro.ptldb import sqltext
-
-    bundle = get_bundle(dataset, scale)
-    ptldb = get_ptldb(dataset, device, scale)
-    queries = v2v_workload(bundle.timetable, n=n_queries, seed=seed)
-    prepared = run_batch(
-        ptldb,
-        f"{dataset}/EA-prepared/{device}",
-        (
-            (lambda q=q: ptldb.earliest_arrival(q.source, q.goal, q.depart_at))
-            for q in queries
-        ),
-    )
-
-    def _unprepared_call(q):
-        ptldb.db._plan_cache.clear()
-        return ptldb.earliest_arrival(q.source, q.goal, q.depart_at)
-
-    unprepared = run_batch(
-        ptldb,
-        f"{dataset}/EA-unprepared/{device}",
-        ((lambda q=q: _unprepared_call(q)) for q in queries),
-    )
-    speedup = (
-        unprepared.avg_cpu_ms / prepared.avg_cpu_ms
-        if prepared.avg_cpu_ms
-        else 0.0
-    )
-    # Batched binding: one plan-cache probe + one latch acquisition for the
-    # whole workload, so the per-call amortized cost is pure execution.
-    stmt = ptldb.db.prepare(sqltext.V2V_EA)
-    param_rows = [(q.source, q.goal, q.depart_at) for q in queries]
-    ptldb.restart()
-    started = time.perf_counter()
-    batched_results = stmt.execute_many(param_rows)
-    batched_ms = (time.perf_counter() - started) * 1000.0
-    batched_cpu_ms = batched_ms / max(len(param_rows), 1)
-    assert len(batched_results) == len(param_rows)
-    return [
-        {
-            "dataset": dataset,
-            "device": device,
-            "prepared_cpu_ms": round(prepared.avg_cpu_ms, 3),
-            "unprepared_cpu_ms": round(unprepared.avg_cpu_ms, 3),
-            "batched_cpu_ms": round(batched_cpu_ms, 3),
-            "plan_cache_hit_rate": prepared.plan_cache.get("hit_rate", 0.0),
-            "cpu_speedup": round(speedup, 2),
-            "batched_speedup": round(
-                prepared.avg_cpu_ms / batched_cpu_ms if batched_cpu_ms else 0.0,
-                2,
-            ),
-        }
-    ]
 
 
 # ---------------------------------------------------------------------------

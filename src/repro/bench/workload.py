@@ -93,3 +93,34 @@ def random_targets(
     count = min(count, timetable.num_stops)
     rng = random.Random(seed)
     return frozenset(rng.sample(range(timetable.num_stops), count))
+
+
+#: Tag of the target set the mixed serving workload queries.
+TAG = "serving"
+FAMILIES = ("v2v_ea", "v2v_ld", "knn_ea", "otm_ea")
+
+
+def build_workload(timetable, total: int, k: int, seed: int) -> list[tuple]:
+    """``total`` (family, query, k) items, families round-robin interleaved."""
+    v2v = v2v_workload(timetable, n=total, seed=seed)
+    batch = batch_workload(timetable, n=total, seed=seed + 1)
+    items = []
+    for i in range(total):
+        family = FAMILIES[i % len(FAMILIES)]
+        query = v2v[i] if family.startswith("v2v") else batch[i]
+        items.append((family, query, k))
+    return items
+
+
+def run_query(api, item):
+    """Run one workload item through *api* (a PTLDB, a client or a Router)."""
+    family, query, k = item
+    if family == "v2v_ea":
+        return api.earliest_arrival(query.source, query.goal, query.depart_at)
+    if family == "v2v_ld":
+        return api.latest_departure(query.source, query.goal, query.arrive_by)
+    if family == "knn_ea":
+        return api.ea_knn(TAG, query.source, query.depart_at, k)
+    if family == "otm_ea":
+        return api.ea_one_to_many(TAG, query.source, query.depart_at)
+    raise ValueError(f"unknown family {family!r}")

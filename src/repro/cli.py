@@ -200,9 +200,6 @@ def cmd_bench(args) -> int:
             datasets, args.device, (0.01, 0.1), args.queries
         ),
         "storage": lambda: exp.experiment_storage(datasets),
-        "concurrency": lambda: _run_concurrency(datasets, args),
-        "serving": lambda: _run_serving(datasets, args),
-        "preprocess": lambda: _run_preprocess(datasets, args),
     }
     if args.experiment not in runners:
         raise ReproError(
@@ -221,26 +218,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _run_concurrency(datasets, args):
-    from repro.bench.experiment_concurrency import experiment_concurrency
-
-    return experiment_concurrency(
-        datasets, device=args.device, queries_per_thread=args.queries
-    )
-
-
-def _run_serving(datasets, args):
-    from repro.bench.experiment_serving import experiment_serving
-
-    return experiment_serving(datasets, queries=args.queries)
-
-
-def _run_preprocess(datasets, args):
-    from repro.bench.experiment_preprocess import experiment_preprocess
-
-    return experiment_preprocess(datasets)
-
-
 def cmd_serve(args) -> int:
     """Build (or reuse) a shard set and serve a sample workload through the
     multi-process router, printing per-shard metrics on the way out."""
@@ -248,12 +225,12 @@ def cmd_serve(args) -> int:
     import shutil
     import tempfile
 
-    from repro.bench.experiment_concurrency import (
+    from repro.bench.workload import (
         TAG,
         build_workload,
+        random_targets,
         run_query,
     )
-    from repro.bench.workload import random_targets
     from repro.labeling.ttl import build_labels
     from repro.serving import Router, build_shards, load_manifest
 

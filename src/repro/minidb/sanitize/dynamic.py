@@ -36,8 +36,9 @@ SAND06    eviction victim's latch is still held (pin-while-latched rule
 ========  =============================================================
 
 When disabled (the default), every hook site is a single ``TRACKER is not
-None`` check — measured overhead on ``experiment_concurrency`` is well
-under the 10% budget (see docs/SANITIZER.md).
+None`` check — measured overhead on the 4-thread serving driver of the
+time (removed in PR 18) was well under the 10% budget (see
+docs/SANITIZER.md).
 
 This module deliberately imports nothing from the rest of minidb, so the
 latch and buffer layers can hook into it without import cycles.

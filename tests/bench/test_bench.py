@@ -4,7 +4,12 @@ import pytest
 
 from repro.bench.report import format_markdown, format_table, speedup
 from repro.bench.runner import BenchResult, run_batch
-from repro.bench.workload import batch_workload, random_targets, v2v_workload
+from repro.bench.workload import (
+    batch_workload,
+    build_workload,
+    random_targets,
+    v2v_workload,
+)
 from repro.errors import BenchmarkError
 
 
@@ -47,6 +52,12 @@ class TestWorkload:
     def test_density_one_is_everyone(self, small_timetable):
         targets = random_targets(small_timetable, 1.0)
         assert targets == frozenset(range(small_timetable.num_stops))
+
+    def test_families_interleaved(self, small_timetable):
+        items = build_workload(small_timetable, total=8, k=2, seed=5)
+        assert [family for family, _, _ in items] == [
+            "v2v_ea", "v2v_ld", "knn_ea", "otm_ea",
+        ] * 2
 
 
 class TestRunner:

@@ -1,11 +1,13 @@
 """Parallel TTL preprocessing must be bit-identical to the sequential build."""
 
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import csa
 from repro.errors import LabelingError
 from repro.labeling.io import save_labels
 from repro.labeling.parallel import (
@@ -14,6 +16,7 @@ from repro.labeling.parallel import (
     build_labels_parallel,
     profile_scan,
 )
+from repro.labeling.query import TTLQueryEngine
 from repro.labeling.ttl import BuildReport, build_labels, journey_profiles
 from repro.timetable.generator import random_timetable
 from repro.timetable.model import Timetable
@@ -112,6 +115,19 @@ class TestIdentity:
             small_timetable, workers=2, add_dummies=True
         )
         assert_same_labels(par, small_labels)
+        # ... and the parallel-built labels answer like the CSA oracle
+        engine = TTLQueryEngine(par)
+        rng = random.Random(23)
+        low, high = small_timetable.time_range()
+        for _ in range(20):
+            s, g = rng.sample(range(small_timetable.num_stops), 2)
+            t = rng.randrange(low, high)
+            assert engine.earliest_arrival(s, g, t) == csa.earliest_arrival(
+                small_timetable, s, g, t
+            )
+            assert engine.latest_departure(s, g, t) == csa.latest_departure(
+                small_timetable, s, g, t
+            )
 
     def test_pruning_counters_match_sequential(self, small_timetable):
         """The indexed cover checks must prune the exact same candidates."""

@@ -141,15 +141,20 @@ class TestStatementLatch:
         db = make_db()
         db.restart()
         disk_before = db.disk.stats.snapshot()
+        pool_before = db.pool.stats.snapshot()
         per_thread = []
 
         def reader():
             session = db.session(tracing=False)
-            stats = db.disk.thread_stats()
-            before = stats.snapshot()
+            disk_stats = db.disk.thread_stats()
+            pool_stats = db.pool.thread_stats()
+            disk_start = disk_stats.snapshot()
+            pool_start = pool_stats.snapshot()
             for i in range(20):
                 session.execute("SELECT w FROM t WHERE v=$1", (i % 50,))
-            per_thread.append(stats.delta(before))
+            per_thread.append(
+                (disk_stats.delta(disk_start), pool_stats.delta(pool_start))
+            )
 
         threads = [threading.Thread(target=reader) for _ in range(4)]
         for thread in threads:
@@ -157,7 +162,12 @@ class TestStatementLatch:
         for thread in threads:
             thread.join()
         delta = db.disk.stats.delta(disk_before)
-        assert sum(s.reads for s in per_thread) == delta.reads
-        assert sum(s.simulated_read_ms for s in per_thread) == pytest.approx(
+        pool_delta = db.pool.stats.delta(pool_before)
+        assert sum(d.reads for d, _ in per_thread) == delta.reads
+        assert sum(d.simulated_read_ms for d, _ in per_thread) == pytest.approx(
             delta.simulated_read_ms
         )
+        # a lost increment on either pool counter shows as a short sum
+        assert pool_delta.misses > 0 and pool_delta.hits > 0
+        assert sum(p.hits for _, p in per_thread) == pool_delta.hits
+        assert sum(p.misses for _, p in per_thread) == pool_delta.misses

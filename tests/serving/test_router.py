@@ -47,22 +47,38 @@ def fixture(tmp_path_factory):
     ref_db.close()
 
 
+def assert_matches_reference(router, reference, n, rounds, seed):
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        s, g = rng.randrange(n), rng.randrange(n)
+        t = rng.randrange(0, 86400)
+        t2 = min(86399, t + 36000)
+        k = rng.choice([1, 2, 4])
+        assert router.earliest_arrival(s, g, t) == reference.earliest_arrival(s, g, t)
+        assert router.latest_departure(s, g, t) == reference.latest_departure(s, g, t)
+        assert router.shortest_duration(s, g, t, t2) == reference.shortest_duration(s, g, t, t2)
+        assert router.ea_knn("poi", s, t, k) == reference.ea_knn("poi", s, t, k)
+        assert router.ld_knn("poi", s, t, k) == reference.ld_knn("poi", s, t, k)
+        assert router.ea_one_to_many("poi", s, t) == reference.ea_one_to_many("poi", s, t)
+        assert router.ld_one_to_many("poi", s, t) == reference.ld_one_to_many("poi", s, t)
+
+
 class TestIdenticalResults:
     def test_all_families_match_the_reference(self, fixture):
         reference, router, n = fixture
-        rng = random.Random(3)
-        for _ in range(25):
-            s, g = rng.randrange(n), rng.randrange(n)
-            t = rng.randrange(0, 86400)
-            t2 = min(86399, t + 36000)
-            k = rng.choice([1, 2, 4])
-            assert router.earliest_arrival(s, g, t) == reference.earliest_arrival(s, g, t)
-            assert router.latest_departure(s, g, t) == reference.latest_departure(s, g, t)
-            assert router.shortest_duration(s, g, t, t2) == reference.shortest_duration(s, g, t, t2)
-            assert router.ea_knn("poi", s, t, k) == reference.ea_knn("poi", s, t, k)
-            assert router.ld_knn("poi", s, t, k) == reference.ld_knn("poi", s, t, k)
-            assert router.ea_one_to_many("poi", s, t) == reference.ea_one_to_many("poi", s, t)
-            assert router.ld_one_to_many("poi", s, t) == reference.ld_one_to_many("poi", s, t)
+        assert_matches_reference(router, reference, n, rounds=25, seed=3)
+
+    def test_one_shard_matches_the_reference(self, fixture, tmp_path):
+        # the degenerate topology: every stop on one worker, no scatter
+        reference, _, n = fixture
+        manifest = build_shards(
+            str(tmp_path),
+            reference.labels,
+            1,
+            target_sets=[{"tag": "poi", "targets": TARGETS, "kmax": 4}],
+        )
+        with Router(manifest) as router:
+            assert_matches_reference(router, reference, n, rounds=10, seed=5)
 
     def test_worker_error_surfaces_typed(self, fixture):
         from repro.errors import DatabaseError

@@ -111,7 +111,10 @@ class TestErrors:
         assert code == 2
 
     def test_unknown_experiment(self, capsys):
-        assert main(["bench", "--experiment", "nope"]) == 2
+        # a removed gate driver's name is rejected like any unknown one
+        for name in ("nope", "serving"):
+            assert main(["bench", "--experiment", name]) == 2
+            assert "choose from" in capsys.readouterr().err
 
 
 class TestBench:
@@ -119,6 +122,17 @@ class TestBench:
         assert main(["bench", "--experiment", "table7", "--datasets", "Austin"]) == 0
         out = capsys.readouterr().out
         assert "HL_per_V" in out
+
+
+class TestServe:
+    def test_serves_a_sample_workload(self, capsys):
+        code = main(
+            ["serve", "--dataset", "Austin", "--shards", "2", "--queries", "8"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "served 8 queries over 2 shard(s)" in out
+        assert "worker.requests" in out
 
 
 class TestLint:
