@@ -48,17 +48,15 @@ def get_bundle(name: str, scale: str = "small") -> DatasetBundle:
     """Timetable + labels for one dataset, preprocessed at most once.
 
     Honors ``REPRO_LABEL_CACHE`` (a directory; labels persist across
-    processes, keyed by the dataset digest) and
-    ``REPRO_PREPROCESS_WORKERS`` (process-pool size for cache misses) so
-    bench runs share preprocessing with the CLI — see docs/PREPROCESSING.md.
+    processes, keyed by the dataset digest) so bench runs share
+    preprocessing with the CLI — see docs/PREPROCESSING.md.
     """
     key = (name, scale)
     if key not in _BUNDLES:
         timetable = load_dataset(name, scale=scale)
         cache_dir = os.environ.get("REPRO_LABEL_CACHE") or None
-        workers = int(os.environ.get("REPRO_PREPROCESS_WORKERS", "1") or 1)
         labels, report, _ = load_or_build(
-            timetable, cache_dir=cache_dir, add_dummies=True, workers=workers
+            timetable, cache_dir=cache_dir, add_dummies=True
         )
         _BUNDLES[key] = DatasetBundle(name, timetable, labels, report)
     return _BUNDLES[key]

@@ -35,7 +35,6 @@ import sys
 from repro.bench.report import format_table
 from repro.errors import ReproError
 from repro.labeling.io import load_labels, load_or_build, save_labels
-from repro.labeling.ttl import build_labels
 from repro.ptldb.framework import PTLDB
 from repro.timetable.datasets import (
     DATASET_NAMES,
@@ -90,21 +89,12 @@ def cmd_generate(args) -> int:
 
 def cmd_preprocess(args) -> int:
     timetable = _load_timetable(args)
-    if args.cache_dir:
-        labels, report, hit = load_or_build(
-            timetable,
-            cache_dir=args.cache_dir,
-            ordering=args.ordering,
-            workers=args.workers,
-        )
-    else:
-        labels, report = build_labels(
-            timetable,
-            ordering=args.ordering,
-            add_dummies=True,
-            workers=args.workers,
-        )
-        hit = False
+    labels, report, hit = load_or_build(
+        timetable,
+        cache_dir=args.cache_dir,
+        ordering=args.ordering,
+        workers=args.workers,
+    )
     save_labels(labels, args.labels)
     source = "cache hit" if hit else f"built in {report.seconds:.2f}s"
     print(f"labels: {labels.stats()} -> {args.labels} ({source})")
@@ -114,10 +104,8 @@ def cmd_preprocess(args) -> int:
             f"{report.candidate_tuples} candidates "
             f"({report.pruned_tuples} pruned)"
         )
-    if hasattr(report, "pipeline_s") and not hit:
-        # ParallelBuildReport: show where the wall time went.
         print(
-            f"  parallel: workers={report.workers} window={report.window} "
+            f"  stages: workers={report.workers} "
             f"setup={report.setup_s:.2f}s pipeline={report.pipeline_s:.2f}s "
             f"finalize={report.finalize_s:.2f}s"
         )
@@ -518,8 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="process-pool size for the per-hub profile scans (1 = the "
-        "sequential reference build; labels are identical either way)",
+        help="processes for the per-hub profile scans: 1 scans in this "
+        "process, more scan ahead of the pruning on a pool (overlap on "
+        "multi-core hosts; the labels are identical either way)",
     )
     p.add_argument(
         "--cache-dir",

@@ -8,17 +8,12 @@ from repro.labeling.io import (
 )
 from repro.labeling.labels import LabelTuple, TTLLabels
 from repro.labeling.ordering import ORDERINGS, make_order
-from repro.labeling.parallel import (
-    ConnectionColumns,
-    ParallelBuildReport,
-    build_labels_parallel,
-    profile_scan,
-)
 from repro.labeling.query import (
     TTLQueryEngine,
     journey_is_feasible,
     reconstruct_journey,
 )
+from repro.labeling.scan import ConnectionColumns, profile_scan
 from repro.labeling.ttl import BuildReport, build_labels, preprocess
 
 __all__ = [
@@ -30,10 +25,8 @@ __all__ = [
     "journey_is_feasible",
     "reconstruct_journey",
     "BuildReport",
-    "ParallelBuildReport",
     "ConnectionColumns",
     "build_labels",
-    "build_labels_parallel",
     "profile_scan",
     "preprocess",
     "save_labels",

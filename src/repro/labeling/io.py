@@ -26,6 +26,7 @@ every entry point (CLI, bench, PTLDB) can make preprocessing pay-once.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -241,52 +242,37 @@ def load_or_build(
 
     With a *cache_dir*, a previously saved label file whose digest matches
     the preprocessing inputs is loaded instead of rebuilding; after a
-    build, the labels (plus a ``.json`` sidecar holding the build report)
-    are written back atomically so concurrent builders never observe a
-    half-written file. Without a *cache_dir* this is a plain build.
+    build, the labels (plus a ``.json`` sidecar holding the whole build
+    report, which a hit restores) are written back atomically so concurrent
+    builders never observe a half-written file. Without a *cache_dir* this
+    is a plain build.
     """
     from repro.labeling.ttl import BuildReport, build_labels
 
-    if cache_dir is None:
-        labels, report = build_labels(
-            timetable, order=order, ordering=ordering,
-            add_dummies=add_dummies, workers=workers,
+    path = None
+    if cache_dir is not None:
+        digest = timetable_digest(
+            timetable, ordering=ordering, order=order, add_dummies=add_dummies
         )
-        return labels, report, False
-
-    digest = timetable_digest(
-        timetable, ordering=ordering, order=order, add_dummies=add_dummies
-    )
-    path = cached_label_path(cache_dir, digest)
-    sidecar = path + ".json"
-    if os.path.exists(path):
-        labels = load_labels(path)
-        report = None
-        if os.path.exists(sidecar):
+        path = cached_label_path(cache_dir, digest)
+        sidecar = path + ".json"
+        if os.path.exists(path):
+            labels = load_labels(path)
             try:
                 with open(sidecar, encoding="utf-8") as handle:
                     saved = json.load(handle)
-                report = BuildReport(
-                    seconds=saved["seconds"],
-                    candidate_tuples=saved["candidate_tuples"],
-                    pruned_tuples=saved["pruned_tuples"],
-                    kept_tuples=saved["kept_tuples"],
-                )
-            except (OSError, ValueError, KeyError):
-                report = None
-        if report is None:
-            report = BuildReport(
-                seconds=0.0,
-                candidate_tuples=0,
-                pruned_tuples=0,
-                kept_tuples=0,
-            )
-        return labels, report, True
+                saved.pop("digest", None)
+                report = BuildReport(**saved)
+            except (OSError, ValueError, TypeError, AttributeError):
+                report = BuildReport(0.0, 0, 0, 0)  # sidecar lost or corrupt
+            return labels, report, True
 
     labels, report = build_labels(
         timetable, order=order, ordering=ordering,
         add_dummies=add_dummies, workers=workers,
     )
+    if path is None:
+        return labels, report, False
     os.makedirs(cache_dir, exist_ok=True)
     tmp = path + f".tmp.{os.getpid()}"
     try:
@@ -296,15 +282,6 @@ def load_or_build(
         if os.path.exists(tmp):
             os.unlink(tmp)
     with open(sidecar + f".tmp.{os.getpid()}", "w", encoding="utf-8") as handle:
-        json.dump(
-            {
-                "seconds": report.seconds,
-                "candidate_tuples": report.candidate_tuples,
-                "pruned_tuples": report.pruned_tuples,
-                "kept_tuples": report.kept_tuples,
-                "digest": digest,
-            },
-            handle,
-        )
+        json.dump({**dataclasses.asdict(report), "digest": digest}, handle)
     os.replace(sidecar + f".tmp.{os.getpid()}", sidecar)
     return labels, report, False

@@ -9,10 +9,15 @@ some hub in ``Lout(s) x Lin(g)`` with a feasible transfer
 (``l1.ta <= l2.td``).
 
 Construction processes hubs from most to least important. For hub *h* a
-profile connection scan yields the Pareto ``(td, ta)`` journey set between
-*h* and every other vertex; each candidate tuple is kept only if the labels
-built so far (which reference strictly higher-ranked hubs only) cannot
-already answer it — PLL-style pruning adapted to the temporal setting.
+profile connection scan (:mod:`repro.labeling.scan`) yields the Pareto
+``(td, ta)`` journey set between *h* and every other vertex; each candidate
+tuple is kept only if the labels built so far (which reference strictly
+higher-ranked hubs only) cannot already answer it — PLL-style pruning
+adapted to the temporal setting. The scans never read the labels, so they
+may run ahead of the pruning on a process pool; the pruning is
+order-dependent and stays in this one loop, which consumes candidates in
+(hub rank, vertex, entry) order wherever the scans ran. The labels are
+therefore the same bytes at every worker count.
 
 Each kept tuple also records the first boarded trip and the *pivot* — the
 next stop along the journey from the label's vertex side (the hub itself
@@ -24,110 +29,75 @@ reversed search that produced them.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
+from contextlib import closing
 from dataclasses import dataclass
 
+from repro.errors import LabelingError
 from repro.labeling.labels import LabelTuple, TTLLabels
 from repro.labeling.ordering import make_order
+from repro.labeling.scan import (
+    ConnectionColumns,
+    in_process_scans,
+    pooled_scans,
+)
 from repro.timetable.model import Timetable
 
-INF = float("inf")
-
 
 # ---------------------------------------------------------------------------
-# Profile scan with journey information
+# Cover checks (PLL pruning) over per-vertex, per-hub sorted (td, ta) indexes
 # ---------------------------------------------------------------------------
-class _JourneyProfile:
-    """Pareto (dep, arr) pairs plus (trip, exit stop) journey witnesses.
+def _covered(out_idx_v: dict, lin_h: dict, dep: int, arr: int) -> bool:
+    """Is a candidate v -> h journey (dep, arr) answerable from
+    ``Lout(v) x Lin(h)``?
 
-    Insertions arrive in decreasing *dep* order (profile CSA invariant), so
-    arrivals are strictly decreasing along the pair list.
+    For each hub *x* both sides know, the per-hub entries are Pareto —
+    strictly increasing ``(td, ta)`` — so the only ``Lout(v)`` tuple worth
+    testing is the earliest one departing >= *dep* (it has the smallest
+    arrival among feasible ones, making the transfer easiest), and the only
+    ``Lin(h)`` entry worth testing is the earliest one departing after that
+    arrival: two bisects per common hub, with the same boolean outcome as
+    testing every pair (``tests/labeling/reference_build.py`` does).
     """
-
-    __slots__ = ("entries",)
-
-    def __init__(self) -> None:
-        self.entries: list[tuple[int, int, int, int]] = []  # dep, arr, trip, exit
-
-    def insert(self, dep: int, arr: int, trip: int, pivot: int) -> bool:
-        entries = self.entries
-        if entries and entries[-1][1] <= arr:
-            return False  # dominated by a later-departing journey
-        while entries and entries[-1][0] == dep:
-            entries.pop()
-        entries.append((dep, arr, trip, pivot))
-        return True
-
-    def evaluate(self, not_before: int) -> float:
-        """Earliest arrival among entries with dep >= not_before."""
-        entries = self.entries
-        lo, hi = 0, len(entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if entries[mid][0] >= not_before:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == 0:
-            return INF
-        return entries[lo - 1][1]
-
-
-def journey_profiles(timetable: Timetable, target: int) -> list[_JourneyProfile]:
-    """All-to-one profile CSA that also records journey witnesses.
-
-    Each Pareto pair carries the first boarded trip and the *pivot* — the
-    next stop along the journey (the first connection's arrival stop). This
-    matches the paper's Table 1, where the pivot of a direct connection is
-    the hub itself and dummies use NULL.
-    """
-    profiles = [_JourneyProfile() for _ in range(timetable.num_stops)]
-    max_trip = max((c.trip for c in timetable.connections), default=-1)
-    trip_arrival = [INF] * (max_trip + 1)
-    for c in reversed(timetable.connections):  # decreasing (dep, arr)
-        best = INF
-        if c.v == target:
-            best = c.arr
-        via_transfer = profiles[c.v].evaluate(c.arr)
-        if via_transfer < best:
-            best = via_transfer
-        if trip_arrival[c.trip] < best:
-            best = trip_arrival[c.trip]
-        if best == INF:
+    bl = bisect_left
+    for x, (tds, tas) in out_idx_v.items():
+        candidates = lin_h.get(x)
+        if candidates is None:
             continue
-        if best < trip_arrival[c.trip]:
-            trip_arrival[c.trip] = best
-        profiles[c.u].insert(c.dep, int(best), c.trip, c.v)
-    return profiles
-
-
-# ---------------------------------------------------------------------------
-# Cover check (PLL pruning)
-# ---------------------------------------------------------------------------
-def _covered(
-    lout_v: list[LabelTuple],
-    lin_h_by_hub: dict[int, list[tuple[int, int]]],
-    dep: int,
-    arr: int,
-) -> bool:
-    """Can the existing labels answer "journey departing >= dep, arriving
-    <= arr" by joining ``Lout(v)`` with ``Lin(h)``?"""
-    for l1 in lout_v:
-        if l1.td < dep or l1.ta > arr:
+        i = bl(tds, dep)
+        if i == len(tds):
             continue
-        candidates = lin_h_by_hub.get(l1.hub)
-        if not candidates:
+        ta1 = tas[i]
+        if ta1 > arr:
             continue
-        for td2, ta2 in candidates:
-            if td2 >= l1.ta and ta2 <= arr:
-                return True
+        ctds, ctas = candidates
+        j = bl(ctds, ta1)
+        if j < len(ctds) and ctas[j] <= arr:
+            return True
     return False
 
 
-def _by_hub(tuples: list[LabelTuple]) -> dict[int, list[tuple[int, int]]]:
-    out: dict[int, list[tuple[int, int]]] = {}
-    for t in tuples:
-        out.setdefault(t.hub, []).append((t.td, t.ta))
-    return out
+def _covered_in(lout_h: dict, in_idx_v: dict, dep: int, arr: int) -> bool:
+    """Cover check for a candidate h -> v journey: join Lout(h) x Lin(v).
+
+    Mirror image of :func:`_covered`: the best ``Lin(v)`` entry per
+    hub is the latest-departing one arriving <= *arr*, and the best
+    ``Lout(h)`` entry is the earliest one departing >= *dep*.
+    """
+    bl = bisect_left
+    for x, (tds, tas) in in_idx_v.items():
+        candidates = lout_h.get(x)
+        if candidates is None:
+            continue
+        j = bisect_right(tas, arr)
+        if j == 0:
+            continue
+        td2 = tds[j - 1]
+        ctds, ctas = candidates
+        i = bl(ctds, dep)
+        if i < len(ctds) and ctas[i] <= td2:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +105,29 @@ def _by_hub(tuples: list[LabelTuple]) -> dict[int, list[tuple[int, int]]]:
 # ---------------------------------------------------------------------------
 @dataclass
 class BuildReport:
-    """What happened during label construction."""
+    """What happened during label construction, and where the time went.
+
+    Wall-clock split: ``setup_s`` (ordering + column decode),
+    ``pipeline_s`` (profile scans overlapped with the coordinator's
+    pruning, producer start-up included), ``finalize_s`` (sort + dummy
+    tuples). CPU split: ``scan_cpu_s`` is summed over every process that
+    scanned, ``coordinator_cpu_s`` is the calling process's CPU outside
+    the scans. ``cpu_to_wall`` > 1 means a pool achieved real parallelism
+    (CPU-seconds burned per wall-second). The stage fields are 0 on a
+    report that does not come from a build in this process.
+    """
 
     seconds: float
     candidate_tuples: int
     pruned_tuples: int
     kept_tuples: int
+    workers: int = 0
+    setup_s: float = 0.0
+    pipeline_s: float = 0.0
+    finalize_s: float = 0.0
+    scan_cpu_s: float = 0.0
+    coordinator_cpu_s: float = 0.0
+    cpu_to_wall: float = 0.0
 
 
 def build_labels(
@@ -161,94 +148,116 @@ def build_labels(
         prune: disable to measure how much PLL-style pruning saves
             (ablation); the labels stay correct either way, only bigger.
         add_dummies: also add PTLDB's dummy tuples before returning.
-        workers: with ``workers > 1`` the per-hub profile scans run on a
-            process pool (:mod:`repro.labeling.parallel`); the labels are
-            bit-identical to this sequential reference implementation and
-            the report is a :class:`~repro.labeling.parallel.ParallelBuildReport`.
+        workers: where the per-hub profile scans run: 1 scans in the
+            calling process and starts no other, more scans ahead of the
+            pruning on a pool of that many processes. The labels and the
+            tuple counters do not depend on it.
 
     Returns:
         (labels, build report).
     """
-    if workers > 1:
-        from repro.labeling.parallel import build_labels_parallel
-
-        return build_labels_parallel(
-            timetable,
-            workers,
-            order=order,
-            ordering=ordering,
-            prune=prune,
-            add_dummies=add_dummies,
-        )
-    started = time.perf_counter()
+    if workers < 1:
+        raise LabelingError(f"need at least one worker, got {workers}")
+    wall_started = time.perf_counter()
+    cpu_started = time.process_time()
     if order is None:
         order = make_order(timetable, ordering)
     labels = TTLLabels(timetable.num_stops, order)
     rank = labels.rank
-    reverse = timetable.reverse()
+    cols = ConnectionColumns.from_timetable(timetable)
+    if workers == 1:
+        scans = in_process_scans(cols, rank, order)
+    else:
+        scans = pooled_scans(cols, rank, order, workers)
+    setup_s = time.perf_counter() - wall_started
 
     candidates = pruned = 0
-    for h in order:
-        # --- journeys v -> h: tuples for Lout(v) ------------------------
-        lin_h_by_hub = _by_hub(labels.lin[h])
-        for v, prof in enumerate(journey_profiles(timetable, h)):
-            if v == h or rank[v] <= rank[h]:
-                continue
-            for dep, arr, trip, pivot in prof.entries:
-                candidates += 1
-                if prune and _covered(labels.lout[v], lin_h_by_hub, dep, arr):
-                    pruned += 1
-                    continue
-                labels.lout[v].append(
-                    LabelTuple(hub=h, td=dep, ta=arr, pivot=pivot, trip=trip)
-                )
+    scan_cpu_s = 0.0
+    # Per-vertex per-hub ascending (td, ta) indexes for the cover checks.
+    out_idx: list[dict] = [{} for _ in range(timetable.num_stops)]
+    in_idx: list[dict] = [{} for _ in range(timetable.num_stops)]
+    pipeline_started = time.perf_counter()
+    with closing(scans):  # an error below must not leave a pool running
+        for results, cpu_s in scans:
+            scan_cpu_s += cpu_s
+            for h, fwd, rev in results:
+                # --- journeys v -> h: tuples for Lout(v) ----------------
+                lin_h = in_idx[h]
+                for v, deps, arrs, trips, pivots in fwd:
+                    lout_v = labels.lout[v]
+                    oi = out_idx[v]
+                    keep_td: list[int] = []
+                    keep_ta: list[int] = []
+                    for dep, arr, trip, pivot in zip(deps, arrs, trips, pivots):
+                        candidates += 1
+                        if prune and _covered(oi, lin_h, dep, arr):
+                            pruned += 1
+                            continue
+                        lout_v.append(
+                            LabelTuple(
+                                hub=h, td=dep, ta=arr, pivot=pivot, trip=trip
+                            )
+                        )
+                        keep_td.append(dep)
+                        keep_ta.append(arr)
+                    if keep_td:
+                        # entries arrive departure-descending; index ascending
+                        keep_td.reverse()
+                        keep_ta.reverse()
+                        oi[h] = (keep_td, keep_ta)
 
-        # --- journeys h -> v: tuples for Lin(v) -------------------------
-        lout_h_by_hub = _by_hub(labels.lout[h])
-        for v, prof in enumerate(journey_profiles(reverse, h)):
-            if v == h or rank[v] <= rank[h]:
-                continue
-            for rev_dep, rev_arr, trip, pivot in prof.entries:
-                dep, arr = -rev_arr, -rev_dep  # undo the time reversal
-                candidates += 1
-                if prune and _covered_in(
-                    lout_h_by_hub, labels.lin[v], dep, arr
-                ):
-                    pruned += 1
-                    continue
-                labels.lin[v].append(
-                    LabelTuple(hub=h, td=dep, ta=arr, pivot=pivot, trip=trip)
-                )
+                # --- journeys h -> v: tuples for Lin(v) -----------------
+                lout_h = out_idx[h]
+                for v, rdeps, rarrs, trips, pivots in rev:
+                    lin_v = labels.lin[v]
+                    ii = in_idx[v]
+                    keep_td = []
+                    keep_ta = []
+                    for rdep, rarr, trip, pivot in zip(
+                        rdeps, rarrs, trips, pivots
+                    ):
+                        dep, arr = -rarr, -rdep  # undo the time reversal
+                        candidates += 1
+                        if prune and _covered_in(lout_h, ii, dep, arr):
+                            pruned += 1
+                            continue
+                        lin_v.append(
+                            LabelTuple(
+                                hub=h, td=dep, ta=arr, pivot=pivot, trip=trip
+                            )
+                        )
+                        keep_td.append(dep)
+                        keep_ta.append(arr)
+                    if keep_td:
+                        # reversed entries arrive rev-departure-descending,
+                        # i.e. already ascending in real (td, ta)
+                        ii[h] = (keep_td, keep_ta)
+    pipeline_s = time.perf_counter() - pipeline_started
 
+    finalize_started = time.perf_counter()
     labels.sort()
     if add_dummies:
         labels.add_dummy_tuples()
+    finalize_s = time.perf_counter() - finalize_started
+
+    wall_s = time.perf_counter() - wall_started
+    coordinator_cpu_s = time.process_time() - cpu_started
+    if workers == 1:  # the scans ran in this process: count them once
+        coordinator_cpu_s -= scan_cpu_s
     report = BuildReport(
-        seconds=time.perf_counter() - started,
+        seconds=wall_s,
         candidate_tuples=candidates,
         pruned_tuples=pruned,
         kept_tuples=candidates - pruned,
+        workers=workers,
+        setup_s=setup_s,
+        pipeline_s=pipeline_s,
+        finalize_s=finalize_s,
+        scan_cpu_s=scan_cpu_s,
+        coordinator_cpu_s=coordinator_cpu_s,
+        cpu_to_wall=(scan_cpu_s + coordinator_cpu_s) / wall_s if wall_s else 0.0,
     )
     return labels, report
-
-
-def _covered_in(
-    lout_h_by_hub: dict[int, list[tuple[int, int]]],
-    lin_v: list[LabelTuple],
-    dep: int,
-    arr: int,
-) -> bool:
-    """Cover check for a candidate h -> v journey: join Lout(h) x Lin(v)."""
-    for l2 in lin_v:
-        if l2.ta > arr:
-            continue
-        candidates = lout_h_by_hub.get(l2.hub)
-        if not candidates:
-            continue
-        for td1, ta1 in candidates:
-            if td1 >= dep and ta1 <= l2.td:
-                return True
-    return False
 
 
 def preprocess(

@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 _NULL = object()  # sentinel: a NULL operand inside a kernel expression
+_INT64_MAX = 2**63 - 1
 
 
 class ColumnChunk:
@@ -94,11 +95,22 @@ def concat(chunks):
 # ---------------------------------------------------------------------------
 # Operand / predicate evaluation
 # ---------------------------------------------------------------------------
+def _magnitude(value) -> int:
+    """The largest absolute value in an operand, as an exact Python int."""
+    if isinstance(value, np.ndarray):
+        if not value.size:
+            return 0
+        return max(abs(int(value.min())), abs(int(value.max())))
+    return abs(int(value))
+
+
 def eval_operand(spec, cols, params):
     """Evaluate an operand spec to an array, a Python int, or ``_NULL``.
 
     Raises TypeError for values the kernels must not touch (bools,
-    non-ints) — callers catch and fall back to the row closures.
+    non-ints) and for array arithmetic whose result could leave int64,
+    where numpy wraps and Python does not — callers catch and fall back to
+    the row closures.
     """
     kind = spec[0]
     if kind == "col":
@@ -114,13 +126,23 @@ def eval_operand(spec, cols, params):
         return value
     if kind == "neg":
         inner = eval_operand(spec[1], cols, params)
-        return _NULL if inner is _NULL else -inner
+        if inner is _NULL:
+            return _NULL
+        if isinstance(inner, np.ndarray) and _magnitude(inner) > _INT64_MAX:
+            raise TypeError("negation may leave int64: the row path is exact")
+        return -inner
     if kind == "bin":
         left = eval_operand(spec[2], cols, params)
         right = eval_operand(spec[3], cols, params)
         if left is _NULL or right is _NULL:
             return _NULL
         op = spec[1]
+        if isinstance(left, np.ndarray) or isinstance(right, np.ndarray):
+            a, b = _magnitude(left), _magnitude(right)
+            if (a * b if op == "*" else a + b) > _INT64_MAX:
+                raise TypeError(
+                    f"{op} may leave int64: the row path is exact"
+                )
         if op == "+":
             return left + right
         if op == "-":
@@ -136,6 +158,8 @@ def eval_operand(spec, cols, params):
                 raise TypeError("zero divisor: the row path raises in order")
         elif right == 0:
             raise TypeError("zero divisor: the row path raises in order")
+        if _magnitude(left) > _INT64_MAX:  # -2**63 / -1 is not an int64
+            raise TypeError("/ may leave int64: the row path is exact")
         quotient = left // right
         # SQL integer division truncates toward zero; floor division is one
         # less exactly when the signs differ and there is a remainder.
@@ -294,9 +318,6 @@ def pair_join_aggregate(lhs, rhs, jnode, np_spec, params):
     return None if rows is None else (rows, pairs)
 
 
-_INT64_MAX = 2**63 - 1
-
-
 def band_join_aggregate(lhs, rhs, jnode):
     """``L.key = R.key AND L.a <op> R.b`` under ungrouped MIN/MAX, as a merge.
 
@@ -311,8 +332,9 @@ def band_join_aggregate(lhs, rhs, jnode):
     enumerated and no column is gathered through pair indices.
 
     Whether R already is in ``(key, b)`` order is observed on every input
-    and an unordered R is sorted first. A composite that would not fit
-    int64 returns None — the pair kernel then decides. Otherwise the
+    and an unordered R is sorted first. A composite or an ``L ± R``
+    aggregate operand that might not fit int64 returns None — the pair
+    kernel then decides. Otherwise the
     result is ``(rows, pairs)`` as for :func:`pair_join_aggregate`, with
     ``pairs`` exactly ``sum(hi - lo)``.
     """
@@ -367,6 +389,8 @@ def band_join_aggregate(lhs, rhs, jnode):
             values = lhs[l_col][matched]
         elif l_col is None:
             values = per_left_row(reduce, r_col)
+        elif _magnitude(lhs[l_col]) + _magnitude(rhs[r_col]) > _INT64_MAX:
+            return None  # L ± R may leave int64: only the row path is exact
         elif minus == "r":  # L - R: the extreme of the row needs R's opposite
             other = np.maximum if name == "min" else np.minimum
             values = lhs[l_col][matched] - per_left_row(other, r_col)

@@ -23,8 +23,8 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import DatabaseError
+from repro.labeling.io import load_or_build
 from repro.labeling.labels import TTLLabels
-from repro.labeling.ttl import preprocess
 from repro.minidb.engine import Database
 from repro.ptldb import aux as aux_mod
 from repro.ptldb import sqltext
@@ -331,24 +331,17 @@ class PTLDB(_QueryAPI):
         :class:`Database` executor settings (docs/ARCHITECTURE.md,
         "Vectorized pipeline"). Results are identical for any combination.
 
-        ``workers`` > 1 runs TTL preprocessing on a process pool and
-        ``cache_dir`` reuses previously saved labels keyed by the dataset
-        digest (docs/PREPROCESSING.md) — both only matter when *labels* is
-        not given."""
+        ``workers`` > 1 runs the profile scans of TTL preprocessing on a
+        process pool and ``cache_dir`` reuses previously saved labels keyed
+        by the dataset digest (docs/PREPROCESSING.md) — both only matter
+        when *labels* is not given."""
         if labels is None:
-            if cache_dir is not None:
-                from repro.labeling.io import load_or_build
-
-                labels, _, _ = load_or_build(
-                    timetable,
-                    cache_dir=cache_dir,
-                    ordering=ordering,
-                    workers=workers,
-                )
-            else:
-                labels = preprocess(
-                    timetable, ordering=ordering, workers=workers
-                )
+            labels, _, _ = load_or_build(
+                timetable,
+                cache_dir=cache_dir,
+                ordering=ordering,
+                workers=workers,
+            )
         db = Database(
             device=device,
             pool_pages=pool_pages,

@@ -15,9 +15,11 @@ Three scales are provided:
   but slower to preprocess.
 * ``table7`` — the paper's *actual* Table 7 row (|V| and degree taken
   verbatim), available for the cities in ``TABLE7_SCALE_NAMES``. These are
-  full-size instances (~10⁴ stops, 10⁵–10⁶ connections) meant for the
-  parallel preprocessing pipeline (``repro preprocess --workers N``,
-  docs/PREPROCESSING.md) — not for casual test runs.
+  full-size instances (~10⁴ stops, 10⁵–10⁶ connections) meant for
+  ``repro preprocess --cache-dir DIR --workers N`` — the scan kernels are
+  the default build; ``--workers`` adds overlap on multi-core hosts
+  (1.10–1.58x measured on 2 cores, docs/PREPROCESSING.md) — not for
+  casual test runs.
 """
 
 from __future__ import annotations

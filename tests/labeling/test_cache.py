@@ -50,9 +50,9 @@ class TestLoadOrBuild:
         assert cached.lout == built.lout
         assert cached.lin == built.lin
         assert cached.order == built.order
-        # the sidecar restores the original build report
-        assert cached_report.kept_tuples == report.kept_tuples
-        assert cached_report.candidate_tuples == report.candidate_tuples
+        # the sidecar restores the original build report, stage fields too
+        assert cached_report == report
+        assert cached_report.pipeline_s > 0
 
     def test_different_inputs_miss(self, tmp_path, small_timetable):
         cache = str(tmp_path / "cache")

@@ -1,7 +1,11 @@
-"""Parallel TTL preprocessing must be bit-identical to the sequential build."""
+"""The one label builder, at every worker count, must be bit-identical to
+the definitional model in ``tests/labeling/reference_build.py``."""
 
+import multiprocessing
 import os
 import random
+import signal
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -9,19 +13,19 @@ from hypothesis import strategies as st
 
 from repro.baselines import csa
 from repro.errors import LabelingError
+from repro.labeling import scan
 from repro.labeling.io import save_labels
-from repro.labeling.parallel import (
-    ConnectionColumns,
-    ParallelBuildReport,
-    build_labels_parallel,
-    profile_scan,
-)
 from repro.labeling.query import TTLQueryEngine
-from repro.labeling.ttl import BuildReport, build_labels, journey_profiles
+from repro.labeling.scan import ConnectionColumns, profile_scan
+from repro.labeling.ttl import BuildReport, build_labels
 from repro.timetable.generator import random_timetable
 from repro.timetable.model import Timetable
 
 from tests.conftest import PAPER_ORDER, make_paper_timetable
+from tests.labeling.reference_build import journey_profiles, reference_build
+
+#: 1 = the in-process scan producer, 2 = the pooled one.
+WORKERS = (1, 2)
 
 
 def assert_same_labels(a, b):
@@ -34,6 +38,12 @@ def assert_same_labels(a, b):
         for ta_list, tb_list in zip(getattr(a, side), getattr(b, side)):
             for ta, tb in zip(ta_list, tb_list):
                 assert (ta.pivot, ta.trip) == (tb.pivot, tb.trip)
+
+
+def assert_same_counters(a, b):
+    assert a.candidate_tuples == b.candidate_tuples
+    assert a.pruned_tuples == b.pruned_tuples
+    assert a.kept_tuples == b.kept_tuples
 
 
 class TestScanKernel:
@@ -91,74 +101,65 @@ class TestScanKernel:
         cols = ConnectionColumns.from_timetable(tt)
         assert cols.scan_rows(reverse=False) == []
         assert cols.scan_rows(reverse=True) == []
-        labels, report = build_labels_parallel(tt, workers=2)
-        seq, _ = build_labels(tt)
-        assert_same_labels(labels, seq)
-        assert report.candidate_tuples == 0
+        expected, _ = reference_build(tt)
+        for workers in WORKERS:
+            labels, report = build_labels(tt, workers=workers)
+            assert_same_labels(labels, expected)
+            assert report.candidate_tuples == 0
 
 
 class TestIdentity:
-    def test_paper_example(self, tmp_path, paper_timetable, paper_labels):
-        par, report = build_labels_parallel(
-            paper_timetable, workers=2, order=PAPER_ORDER
-        )
-        assert_same_labels(par, paper_labels)
-        seq_path = os.path.join(tmp_path, "seq.ttl")
-        par_path = os.path.join(tmp_path, "par.ttl")
-        save_labels(paper_labels, seq_path)
-        save_labels(par, par_path)
-        with open(seq_path, "rb") as a, open(par_path, "rb") as b:
-            assert a.read() == b.read()
+    def test_paper_example(self, tmp_path, paper_timetable):
+        expected, _ = reference_build(paper_timetable, order=PAPER_ORDER)
+        expected_path = os.path.join(tmp_path, "reference.ttl")
+        save_labels(expected, expected_path)
+        for workers in WORKERS:
+            built, _ = build_labels(
+                paper_timetable, workers=workers, order=PAPER_ORDER
+            )
+            assert_same_labels(built, expected)
+            built_path = os.path.join(tmp_path, f"built{workers}.ttl")
+            save_labels(built, built_path)
+            with open(expected_path, "rb") as a, open(built_path, "rb") as b:
+                assert a.read() == b.read()
 
-    def test_small_timetable_with_dummies(self, small_timetable, small_labels):
-        par, _ = build_labels_parallel(
-            small_timetable, workers=2, add_dummies=True
-        )
-        assert_same_labels(par, small_labels)
-        # ... and the parallel-built labels answer like the CSA oracle
-        engine = TTLQueryEngine(par)
-        rng = random.Random(23)
+    def test_small_timetable_with_dummies(self, small_timetable):
+        expected, _ = reference_build(small_timetable, add_dummies=True)
         low, high = small_timetable.time_range()
-        for _ in range(20):
-            s, g = rng.sample(range(small_timetable.num_stops), 2)
-            t = rng.randrange(low, high)
-            assert engine.earliest_arrival(s, g, t) == csa.earliest_arrival(
-                small_timetable, s, g, t
+        for workers in WORKERS:
+            built, _ = build_labels(
+                small_timetable, workers=workers, add_dummies=True
             )
-            assert engine.latest_departure(s, g, t) == csa.latest_departure(
-                small_timetable, s, g, t
-            )
+            assert_same_labels(built, expected)
+            # ... and the built labels answer like the CSA oracle
+            engine = TTLQueryEngine(built)
+            rng = random.Random(23)
+            for _ in range(20):
+                s, g = rng.sample(range(small_timetable.num_stops), 2)
+                t = rng.randrange(low, high)
+                assert engine.earliest_arrival(
+                    s, g, t
+                ) == csa.earliest_arrival(small_timetable, s, g, t)
+                assert engine.latest_departure(
+                    s, g, t
+                ) == csa.latest_departure(small_timetable, s, g, t)
 
     def test_pruning_counters_match_sequential(self, small_timetable):
-        """The indexed cover checks must prune the exact same candidates."""
-        _, seq = build_labels(small_timetable)
-        _, par = build_labels_parallel(small_timetable, workers=2)
-        assert par.candidate_tuples == seq.candidate_tuples
-        assert par.pruned_tuples == seq.pruned_tuples
-        assert par.kept_tuples == seq.kept_tuples
+        """The indexed cover checks must prune the exact same candidates
+        the every-pair checks of the model do."""
+        _, expected = reference_build(small_timetable)
+        for workers in WORKERS:
+            _, report = build_labels(small_timetable, workers=workers)
+            assert_same_counters(report, expected)
 
     def test_prune_disabled(self, small_timetable):
-        seq, _ = build_labels(small_timetable, prune=False)
-        par, report = build_labels_parallel(
-            small_timetable, workers=2, prune=False
-        )
-        assert_same_labels(par, seq)
-        assert report.pruned_tuples == 0
-
-    @pytest.mark.parametrize("window", [1, 3])
-    def test_explicit_windows(self, small_timetable, window):
-        seq, _ = build_labels(small_timetable)
-        par, report = build_labels_parallel(
-            small_timetable, workers=2, window=window
-        )
-        assert_same_labels(par, seq)
-        assert report.window == window
-
-    def test_workers_arg_on_build_labels(self, small_timetable):
-        seq, _ = build_labels(small_timetable)
-        par, report = build_labels(small_timetable, workers=2)
-        assert_same_labels(par, seq)
-        assert isinstance(report, ParallelBuildReport)
+        expected, _ = reference_build(small_timetable, prune=False)
+        for workers in WORKERS:
+            built, report = build_labels(
+                small_timetable, workers=workers, prune=False
+            )
+            assert_same_labels(built, expected)
+            assert report.pruned_tuples == 0
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -168,30 +169,81 @@ class TestIdentity:
     )
     def test_random_timetables(self, num_stops, num_connections, seed):
         tt = random_timetable(num_stops, num_connections, seed=seed)
-        seq, _ = build_labels(tt, add_dummies=True)
-        par, _ = build_labels_parallel(tt, workers=2, add_dummies=True)
-        assert_same_labels(par, seq)
+        expected, expected_report = reference_build(tt, add_dummies=True)
+        for workers in WORKERS:
+            built, report = build_labels(
+                tt, workers=workers, add_dummies=True
+            )
+            assert_same_labels(built, expected)
+            assert_same_counters(report, expected_report)
+
+
+def _scan_window_killed_at_rank_4(hubs):
+    """A pool task whose process dies as if OOM-killed mid-scan."""
+    *_, rank = scan._WORKER
+    if rank[hubs[0]] == 4:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return scan._scan_hubs(scan._WORKER, hubs)
+
+
+class TestScanProducers:
+    def test_single_worker_starts_no_process(
+        self, monkeypatch, small_timetable
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("workers=1 must not build a process pool")
+
+        monkeypatch.setattr(scan, "ProcessPoolExecutor", no_pool)
+        before = multiprocessing.active_children()
+        labels, report = build_labels(small_timetable)
+        assert report.workers == 1
+        assert labels.total_tuples > 0
+        assert multiprocessing.active_children() == before
+
+    def test_killed_scan_worker_fails_the_build(
+        self, monkeypatch, small_timetable
+    ):
+        """Losing a scan process is a typed error naming the hub window,
+        within a deadline — not a build blocked on a result forever."""
+        monkeypatch.setattr(scan, "_scan_window", _scan_window_killed_at_rank_4)
+        outcome = []
+
+        def run():
+            try:
+                outcome.append(build_labels(small_timetable, workers=2))
+            except Exception as exc:  # handed to the asserting thread
+                outcome.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "build still blocked on a dead worker"
+        (error,) = outcome
+        assert isinstance(error, LabelingError)
+        assert "hub window" in str(error) and "ranks" in str(error)
+        assert multiprocessing.active_children() == []
+
+    def test_uninitialized_worker_is_a_typed_error(self, monkeypatch):
+        monkeypatch.setattr(scan, "_WORKER", None)
+        with pytest.raises(LabelingError, match="initializer"):
+            scan._scan_window([3, 4])
 
 
 class TestValidationAndReport:
     def test_rejects_zero_workers(self, small_timetable):
         with pytest.raises(LabelingError):
-            build_labels_parallel(small_timetable, workers=0)
-
-    def test_rejects_bad_window(self, small_timetable):
-        with pytest.raises(LabelingError):
-            build_labels_parallel(small_timetable, workers=2, window=0)
+            build_labels(small_timetable, workers=0)
 
     def test_report_fields(self, small_timetable):
-        _, report = build_labels_parallel(small_timetable, workers=2)
-        assert isinstance(report, BuildReport)
-        assert report.workers == 2
-        assert report.window >= 1
-        assert report.seconds > 0
-        assert report.pipeline_s > 0
-        assert report.scan_cpu_s > 0
-        assert report.coordinator_cpu_s > 0
-        assert report.cpu_to_wall > 0
-        assert report.kept_tuples == (
-            report.candidate_tuples - report.pruned_tuples
-        )
+        for workers in WORKERS:
+            _, report = build_labels(small_timetable, workers=workers)
+            assert isinstance(report, BuildReport)
+            assert report.workers == workers
+            assert report.seconds > 0
+            assert report.pipeline_s > 0
+            assert report.scan_cpu_s > 0
+            assert report.coordinator_cpu_s > 0
+            assert report.cpu_to_wall > 0
+            assert report.kept_tuples == (
+                report.candidate_tuples - report.pruned_tuples
+            )

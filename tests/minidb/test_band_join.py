@@ -147,9 +147,9 @@ SMALL = st.integers(-3, 3)
 #: ±2^62 mixed in so the int64 composite cannot hold ``key * width + value``.
 KEYS = st.one_of(SMALL, st.sampled_from([-BIG, BIG]))
 BANDS = st.one_of(SMALL, st.integers(-50, 50), st.sampled_from([-BIG, BIG]))
-#: aggregate inputs stay where ``x ± x`` fits int64: kernel arithmetic wraps
-#: where Python's grows, in the pair kernel as much as in the band kernel.
-XS = st.one_of(SMALL, st.integers(-(1 << 61), 1 << 61))
+#: aggregate inputs: mostly where ``x ± x`` fits int64, with ±2^62 mixed in
+#: so the kernels must decline ``l.x ± r.x`` where numpy would wrap.
+XS = st.one_of(SMALL, st.integers(-(1 << 61), 1 << 61), st.sampled_from([-BIG, BIG]))
 TUPLES = st.tuples(KEYS, BANDS, XS)
 SIDES = st.one_of(
     st.lists(TUPLES, max_size=12),
@@ -214,6 +214,42 @@ class TestOverflowGuard:
         left = [(0, -BIG - 5, 1), (0, 0, 2)] * 20
         right = [(0, BIG + 5, 3), (0, -1, 4)] * 20
         check(make_db(left, right), left, right, ">", "MAX", "l.x + r.x")
+
+    @pytest.mark.parametrize("operand", ["l.x + r.x", "l.x - r.x", "r.x - l.x"])
+    def test_aggregate_operand_too_wide_reaches_the_row_path(
+        self, monkeypatch, operand
+    ):
+        left = [(1, 0, BIG), (1, 0, BIG + 5)] * 20
+        right = [(1, 1, -BIG if "-" in operand else BIG), (1, 2, 3)] * 20
+        db = make_db(left, right)
+        with kernel_log(monkeypatch) as log:
+            check(db, left, right, "<=", "MAX", operand)
+        assert log == ["rows", "rows"]  # both kernels declined, both times
+
+    @pytest.mark.parametrize(
+        "select, where, xs",
+        [
+            ("MAX(x + x)", "", [BIG, BIG + 5, 7]),
+            ("MAX(x * 4)", "", [BIG, BIG + 5, 7]),
+            ("x", " WHERE x + x > 0", [BIG, BIG + 5, 7]),
+            ("MIN(-x - x)", "", [BIG, BIG + 5, 7]),
+            ("MAX(-x)", "", [-2 * BIG, 5, 7]),
+            ("MAX(x / -1)", "", [-2 * BIG, 5, 7]),
+        ],
+        ids=["add", "mul", "filter", "neg-sub", "neg-min", "div-min"],
+    )
+    def test_operand_arithmetic_declines_before_it_wraps(
+        self, select, where, xs
+    ):
+        """numpy wraps at int64 where the row closures' Python ints grow:
+        an operand spec whose array result could leave int64 must hand the
+        statement back to them."""
+        db = make_db([(0, 0, x) for x in xs], [])
+        sql = (
+            f"SELECT {select} FROM "
+            f"(SELECT UNNEST(xs) AS x FROM side WHERE id = 1) s{where}"
+        )
+        assert run_engine(db, sql) == run_reference(db, sql)
 
 
 class TestNotABandJoin:
