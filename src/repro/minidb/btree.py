@@ -27,7 +27,8 @@ up, its child becoming the right page's leftmost child). Only ``scan``
 decodes a whole leaf.
 
 Concurrency: descents pin each node while its cells are examined (so a
-lookup's node can't be evicted mid-binary-search even on a tiny pool), and
+lookup's node can't be evicted mid-binary-search even on a tiny pool; a
+multi-key lookup keeps its leaf for every key the leaf covers), and
 insertion pins the whole root-to-leaf path while splits propagate — the
 structural reason a capacity-1 pool survives arbitrary split cascades.
 Content access goes through the frame latch, one page at a time: the search
@@ -119,6 +120,43 @@ class BTree:
                 if found:
                     return _RID.unpack_from(page.buf, offset + self._key.size)
                 return None
+
+    def search_many(
+        self, keys: list[tuple]
+    ) -> tuple[list[tuple[int, int] | None], int]:
+        """Exact lookups of ascending *keys* (repeats allowed): their rids,
+        ``None`` for absent keys, and the number of descents it took.
+
+        One descent per leaf visited: every following key ``<=`` the leaf's
+        last cell is resolved under the same pin and read-latch hold. A key
+        beyond the last cell starts the next descent, so each descent
+        consumes at least one key and a key between two leaves is a miss.
+        """
+        keys = [self._check_key(key) for key in keys]
+        if any(a > b for a, b in zip(keys, keys[1:])):
+            raise StorageError("search_many needs keys in ascending order")
+        cell, key_size = self._leaf_cell, self._key.size
+        rids: list[tuple[int, int] | None] = []
+        i, descents = 0, 0
+        while i < len(keys):
+            descents += 1
+            with self._leaf(keys[i]) as (page_id, page, _):
+                with self.pool.latch(page_id).read():
+                    buf = page.buf
+                    last = None  # the leaf's last key; None while unread/empty
+                    while True:
+                        end, offset, found = self._locate(page, cell, keys[i])
+                        rids.append(
+                            _RID.unpack_from(buf, offset + key_size)
+                            if found
+                            else None
+                        )
+                        i += 1
+                        if last is None and end > HEADER_SIZE:
+                            last = self._key.unpack_from(buf, end - cell)
+                        if i == len(keys) or last is None or keys[i] > last:
+                            break
+        return rids, descents
 
     def remove(self, key: tuple) -> bool:
         """Delete *key* from its leaf (no rebalancing — underfull leaves are

@@ -130,6 +130,7 @@ class Table:
 
     # -- storage routing -------------------------------------------------
     def _init_storage(self) -> None:
+        self._types = self.schema.types
         self._zone = self.schema.zone_info()
         self._sorted_cols = (
             frozenset({self._zone[0]})
@@ -145,14 +146,14 @@ class Table:
     def encode(self, row: tuple) -> bytes:
         """Serialize *row* with the table's storage codec."""
         if self.schema.storage == "columnar":
-            return encode_columnar(self.schema.types, row, self._sorted_cols)
-        return encode_record(self.schema.types, row)
+            return encode_columnar(self._types, row, self._sorted_cols)
+        return encode_record(self._types, row)
 
     def decode(self, raw: bytes | memoryview) -> tuple:
         """Deserialize one stored record with the table's storage codec."""
         if self.schema.storage == "columnar":
-            return decode_columnar(self.schema.types, raw)
-        return decode_record(self.schema.types, raw)
+            return decode_columnar(self._types, raw)
+        return decode_record(self._types, raw)
 
     def decode_np(self, raw: bytes | memoryview) -> tuple:
         """Like :meth:`decode`, but columnar integer-array cells stay int64
@@ -160,8 +161,8 @@ class Table:
         :meth:`decode` for row-storage tables; only the batch executor calls
         this, and only on plan nodes the planner marked ``np_decode``."""
         if self.schema.storage == "columnar":
-            return decode_columnar(self.schema.types, raw, np_arrays=True)
-        return decode_record(self.schema.types, raw)
+            return decode_columnar(self._types, raw, np_arrays=True)
+        return decode_record(self._types, raw)
 
     def _zone_of(self, row: tuple) -> tuple[int, int] | None:
         """The ``(min, max)`` zone-column bounds contributed by *row*."""
@@ -222,6 +223,21 @@ class Table:
             return None
         raw = self.heap.read(rid)
         return self.decode_np(raw) if np_arrays else self.decode(raw)
+
+    def lookup_many(
+        self, keys: list[tuple], np_arrays: bool = False
+    ) -> tuple[list[tuple | None], int]:
+        """:meth:`lookup` for ascending *keys* in one pass — every index
+        leaf, then every heap page, visited once per run of keys on it.
+        Returns the decoded rows (``None`` per absent key) and the number
+        of index descents (see :meth:`BTree.search_many`)."""
+        if self.index is None:
+            raise CatalogError(f"{self.schema.name} has no primary key index")
+        rids, descents = self.index.search_many(keys)
+        decode = self.decode_np if np_arrays else self.decode
+        found = [rid for rid in rids if rid is not None]
+        rows = map(decode, self.heap.read_many(found))
+        return [None if rid is None else next(rows) for rid in rids], descents
 
     def scan(
         self,

@@ -103,10 +103,26 @@ class HeapFile:
                 if page.kind != self.PAGE_KIND:
                     raise StorageError(f"rid {rid} does not point at a heap page")
                 cell = bytes(page.read(slot))
-        if cell[0] == _INLINE:
-            return cell[1:]
-        _, total, ovf_page = _STUB.unpack(cell)
-        return self._read_overflow(ovf_page, total)
+        return self._record(cell)
+
+    def read_many(self, rids: list[tuple[int, int]]) -> list[bytes]:
+        """Fetch the records at *rids*, in the order given: one pin and one
+        read-latch hold per run of rids on the same page, overflow chains
+        followed once no heap page is held (as :meth:`read` does)."""
+        cells = []
+        i = 0
+        while i < len(rids):
+            page_id = rids[i][0]
+            with self.pool.pinned(page_id) as page:
+                with self.pool.latch(page_id).read():
+                    if page.kind != self.PAGE_KIND:
+                        raise StorageError(
+                            f"rid {rids[i]} does not point at a heap page"
+                        )
+                    while i < len(rids) and rids[i][0] == page_id:
+                        cells.append(bytes(page.read(rids[i][1])))
+                        i += 1
+        return [self._record(cell) for cell in cells]
 
     def delete(self, rid: tuple[int, int]) -> None:
         """Tombstone the record (overflow pages are left to vacuum)."""
@@ -164,11 +180,7 @@ class HeapFile:
                         if page.is_deleted(slot):
                             continue
                         cell = bytes(page.read(slot))
-                    if cell[0] == _INLINE:
-                        yield (page_id, slot), cell[1:]
-                    else:
-                        _, total, ovf_page = _STUB.unpack(cell)
-                        yield (page_id, slot), self._read_overflow(ovf_page, total)
+                    yield (page_id, slot), self._record(cell)
             finally:
                 self.pool.unpin(page_id)
 
@@ -237,6 +249,14 @@ class HeapFile:
         if prev_id != -1:
             self.pool.unpin(prev_id)
         return first
+
+    def _record(self, cell: bytes) -> bytes:
+        """The record a heap cell stands for: its inline payload, or the
+        overflow chain its stub points at (call with no heap latch held)."""
+        if cell[0] == _INLINE:
+            return cell[1:]
+        _, total, ovf_page = _STUB.unpack(cell)
+        return self._read_overflow(ovf_page, total)
 
     def _read_overflow(self, first_page: int, total: int) -> bytes:
         parts = []

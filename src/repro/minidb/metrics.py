@@ -45,6 +45,11 @@ class OperatorStats:
     #: How many batches this operator yielded. Zero for scope-style nodes
     #: (DML, VACUUM) and for operators fused into a parent kernel.
     pulls: int = 0
+    #: Index Nested Loop only (``None`` elsewhere): distinct probe keys the
+    #: join resolved against the index, and the root-to-leaf descents that
+    #: took — ``leaf_visits <= probes <= loops``.
+    probes: int | None = None
+    leaf_visits: int | None = None
     time_ms: float = 0.0
     pool_hits: int = 0
     pool_misses: int = 0
@@ -87,8 +92,13 @@ class OperatorStats:
 
         The batch clause appears only for operators that yielded batches.
         """
+        probing = (
+            ""
+            if self.probes is None
+            else f"probes={self.probes} leaf_visits={self.leaf_visits} "
+        )
         suffix = (
-            f"(actual rows={self.rows} loops={self.loops} "
+            f"(actual rows={self.rows} loops={self.loops} {probing}"
             f"time={self.time_ms:.3f} ms) "
             f"(buffers: hits={self.pool_hits} misses={self.pool_misses} "
             f"reads={self.page_reads} io={self.io_ms:.3f} ms)"
@@ -216,6 +226,13 @@ class QueryTrace:
                     problems.append(f"{op.label}: negative {attr}")
             if op.self_io_ms < -1e-9:
                 problems.append(f"{op.label}: negative self_io_ms")
+            if op.probes is not None and not (
+                0 <= op.leaf_visits <= op.probes <= op.loops
+            ):
+                problems.append(
+                    f"{op.label}: leaf_visits={op.leaf_visits} <= "
+                    f"probes={op.probes} <= loops={op.loops} does not hold"
+                )
         root_misses = sum(r.pool_misses for r in self.roots)
         if root_misses > self.pool_misses:
             problems.append(

@@ -145,6 +145,20 @@ def _predicate(filters):
     return check
 
 
+def _probe_key(parts):
+    """The B+Tree key a join probes with, or ``None`` when no key can match:
+    integers probe as themselves, an integral float as that integer; a
+    NULL, a fractional float or any other value equals no BIGINT key."""
+    key = []
+    for part in parts:
+        if isinstance(part, float) and part.is_integer():
+            part = int(part)
+        if not isinstance(part, int):
+            return None
+        key.append(part)
+    return tuple(key)
+
+
 def _make_step(name):
     """Streaming accumulator for one aggregate, replicating the exact NULL
     and tie semantics of the list-based :mod:`functions` aggregates
@@ -569,7 +583,7 @@ class BatchExecutor:
     def _emit_inl(self, node, env, parent, hint):
         stats = self._node(node.name, node.detail, parent)
         if stats is not None:
-            stats.loops = 0
+            stats.loops = stats.probes = stats.leaf_visits = 0
         left = self._emit(node.left, env, stats, None)
         table = self.catalog.get(node.table)
         params = self.params
@@ -580,15 +594,10 @@ class BatchExecutor:
         key_specs = node.np_key_specs
 
         def gen():
-            probe_cache = self._inl_caches.setdefault(id(node), {})
-            if np_dec:
-                lookup = lambda k: table.lookup(k, np_arrays=True)  # noqa: E731
-            else:
-                lookup = table.lookup
+            # key -> matching row (None = absent), for the whole statement.
+            memo = self._inl_caches.setdefault(id(node), {})
             try:
                 for chunk in left:
-                    if stats is not None:
-                        stats.loops += len(chunk)
                     keys = None
                     if key_specs is not None and isinstance(chunk, ColumnChunk):
                         # Whole-batch probe keys: one array evaluation per
@@ -596,20 +605,25 @@ class BatchExecutor:
                         keys = npbatch.eval_keys(
                             key_specs, chunk.cols, params, len(chunk)
                         )
-                    rows = chunk if keys is None else chunk.to_rows()
+                    if keys is None:
+                        keys = [
+                            _probe_key([fn(row, params) for fn in key_fns])
+                            for row in chunk
+                        ]
+                    # The chunk's unseen keys go to the index together, in
+                    # key order: neighbours share a leaf and a heap page.
+                    fresh = sorted(
+                        {k for k in keys if k is not None and k not in memo}
+                    )
+                    matches, descents = table.lookup_many(fresh, np_dec)
+                    memo.update(zip(fresh, matches))
+                    if stats is not None:
+                        stats.loops += len(keys)
+                        stats.probes += len(fresh)
+                        stats.leaf_visits += descents
                     out = []
-                    for j, left_row in enumerate(rows):
-                        if keys is not None:
-                            key = keys[j]
-                        else:
-                            key = tuple(fn(left_row, params) for fn in key_fns)
-                            if any(not isinstance(k, int) for k in key):
-                                continue
-                        if key in probe_cache:
-                            match = probe_cache[key]
-                        else:
-                            match = lookup(key)
-                            probe_cache[key] = match
+                    for left_row, key in zip(chunk, keys):
+                        match = memo.get(key)
                         if match is None:
                             continue
                         row = left_row + match

@@ -8,7 +8,8 @@ pool, so a real tree fed the same operations allocates the same page ids
 and must end up with the same pages.
 
 ``check_invariants`` walks a tree (real or model — it reads only the page
-format) and returns its shape for comparison.
+format) and returns its shape for comparison. ``check_search_many`` holds
+the multi-key read to its definition: one ``search`` per key.
 """
 
 from __future__ import annotations
@@ -209,3 +210,21 @@ def page_images(tree: BTree | ModelBTree) -> list[bytes]:
         with pool.pinned(page_id):
             images.append(pool.page_image(page_id))
     return images
+
+
+def check_search_many(tree: BTree, sample, search_many=None) -> int:
+    """Assert ``search_many`` over the sorted *sample* is one ``search`` per
+    key — at one pool access per level per descent, at least one key per
+    descent, no pin left behind — and return the number of descents.
+
+    *search_many* substitutes an implementation under test (a mutant)."""
+    keys = sorted(sample)
+    expected = [tree.search(key) for key in keys]
+    height = tree.height()
+    before = tree.pool.stats.snapshot()
+    rids, descents = (search_many or tree.search_many)(keys)
+    assert rids == expected, (keys, rids, expected)
+    assert tree.pool.stats.delta(before).accesses == descents * height
+    assert descents <= len(keys) and (descents > 0) == bool(keys)
+    assert tree.pool.total_pins() == 0
+    return descents

@@ -133,7 +133,12 @@ class Executor:
         def gen():
             probe_cache: dict = {}
             for left_row in left:
-                key = tuple(fn(left_row, params) for fn in key_fns)
+                # An integral float equals the BIGINT of the same value;
+                # NULL, a fractional float or anything else equals no key.
+                key = tuple(
+                    int(k) if isinstance(k, float) and k.is_integer() else k
+                    for k in (fn(left_row, params) for fn in key_fns)
+                )
                 if any(not isinstance(k, int) for k in key):
                     continue
                 if key in probe_cache:

@@ -11,7 +11,13 @@ from repro.minidb.btree import BTree
 from repro.minidb.buffer import BufferPool
 from repro.minidb.disk import DiskManager
 
-from .btree_model import ModelBTree, check_invariants, page_images
+from .btree_model import (
+    _RID,
+    ModelBTree,
+    check_invariants,
+    check_search_many,
+    page_images,
+)
 
 
 def make_tree(key_len=1, capacity=256):
@@ -255,6 +261,13 @@ class TestAgainstModel:
         assert page_images(tree) == page_images(model)
         for key, rid in expected.items():
             assert tree.search(key) == rid
+        # Present keys, absent keys between and beyond the leaves, repeats,
+        # and (when hypothesis shrinks that far) the empty list.
+        sample = data.draw(
+            st.lists(st.integers(-45, 45).map(lambda n: spread(n, key_len)))
+        )
+        check_search_many(tree, sample)
+        check_search_many(tree, list(expected) + sample)
 
     @pytest.mark.parametrize("key_len", [1, 2, 3, 4])
     def test_real_capacities_match_the_model(self, key_len):
@@ -296,3 +309,83 @@ class TestAgainstModel:
         tree.insert((3, 3), (7, 7))
         assert tree.search((3, 3)) == (7, 7)
         assert list(tree.scan(low=(3, 0), high=(3, 8))) == [((3, 3), (7, 7))]
+
+
+class TestSearchMany:
+    """``search_many`` is ``search`` per key at one descent per leaf."""
+
+    @staticmethod
+    def small_leaves(n=40):
+        tree, _ = make_tree(key_len=2, capacity=8)
+        tree._leaf_cap, tree._int_cap = 4, 3
+        keys = [(i // 5, 2 * (i % 5)) for i in range(n)]
+        for i, key in enumerate(keys):
+            tree.insert(key, (i, i % 3))
+        return tree, keys
+
+    def test_one_descent_per_leaf_visited(self):
+        tree, keys = self.small_leaves()
+        leaves = check_invariants(tree)["leaf_counts"]
+        assert len(leaves) > 4
+        assert check_search_many(tree, keys) == len(leaves)
+        # Two keys of one leaf, one descent; a repeat costs nothing more.
+        assert check_search_many(tree, [keys[0], keys[0], keys[1]]) == 1
+
+    def test_misses_between_and_beyond_leaves(self):
+        tree, keys = self.small_leaves()
+        absent = [(a, b + 1) for a, b in keys] + [(-1, 0), (99, 0)]
+        rids, _ = tree.search_many(sorted(absent))
+        assert rids == [None] * len(absent)
+        check_search_many(tree, keys + absent)
+
+    def test_empty_input_and_empty_tree(self):
+        tree, pool = make_tree()
+        before = pool.stats.snapshot()
+        assert tree.search_many([]) == ([], 0)
+        assert pool.stats.delta(before).accesses == 0
+        assert tree.search_many([(1,), (2,)]) == ([None, None], 2)
+
+    def test_survives_capacity_one_pool(self):
+        tree, pool = make_tree(capacity=1)
+        for i in range(2500):
+            tree.insert((i,), (i, 0))
+        pool.clear()
+        check_search_many(tree, [(i,) for i in range(-5, 2600, 7)])
+        pool.clear()  # raises if a pin leaked
+
+    def test_descending_input_is_a_storage_error(self):
+        tree, keys = self.small_leaves()
+        with pytest.raises(StorageError, match="ascending"):
+            tree.search_many([keys[3], keys[2]])
+        assert tree.pool.total_pins() == 0
+
+    def test_key_arity_enforced(self):
+        tree, keys = self.small_leaves()
+        with pytest.raises(StorageError, match="arity"):
+            tree.search_many([keys[0], (1, 2, 3)])
+
+    def test_reading_past_the_leaf_end_is_caught(self):
+        """The seeded mutation: a multi-key read that keeps resolving keys
+        on the leaf it holds after passing that leaf's last cell reports
+        every key of the later leaves absent."""
+        tree, keys = self.small_leaves()
+
+        def past_the_leaf_end(sorted_keys):
+            rids = []
+            with tree._leaf(sorted_keys[0]) as (page_id, page, _):
+                with tree.pool.latch(page_id).read():
+                    for key in sorted_keys:
+                        _, offset, found = tree._locate(
+                            page, tree._leaf_cell, key
+                        )
+                        rids.append(
+                            _RID.unpack_from(page.buf, offset + tree._key.size)
+                            if found
+                            else None
+                        )
+            return rids, 1
+
+        # Sound on one leaf, so the check below fails for the right reason.
+        check_search_many(tree, keys[:2], search_many=past_the_leaf_end)
+        with pytest.raises(AssertionError):
+            check_search_many(tree, keys, search_many=past_the_leaf_end)

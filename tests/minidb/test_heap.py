@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import StorageError
 from repro.minidb.buffer import BufferPool
 from repro.minidb.disk import DiskManager
 from repro.minidb.heap import _INLINE_LIMIT, HeapFile
@@ -137,3 +138,69 @@ class TestProperty:
         for rid, payload in zip(rids, payloads):
             assert heap.read(rid) == payload
         assert [rec for _, rec in heap.scan()] == payloads
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_read_many_is_read_per_rid(self, data):
+        # Inline and overflow cells, rids spanning pages, any order, repeats.
+        payloads = data.draw(
+            st.lists(
+                st.binary(min_size=0, max_size=12_000), min_size=1, max_size=15
+            )
+        )
+        heap, pool = make_heap(capacity=data.draw(st.sampled_from([1, 3, 64])))
+        rids = [heap.insert(p) for p in payloads]
+        picks = data.draw(st.lists(st.sampled_from(rids)))
+        pool.clear()
+        assert heap.read_many(picks) == [heap.read(rid) for rid in picks]
+        assert pool.total_pins() == 0
+
+
+class TestReadMany:
+    def test_one_access_per_run_of_same_page_rids(self):
+        heap, pool = make_heap()
+        rids = [heap.insert(bytes([i]) * 500) for i in range(40)]
+        pages = heap.page_ids()
+        assert len(pages) > 2
+        before = pool.stats.snapshot()
+        assert heap.read_many(rids) == [bytes([i]) * 500 for i in range(40)]
+        assert pool.stats.delta(before).accesses == len(pages)
+        assert heap.read_many([]) == []
+
+    def test_overflow_chains_read_with_no_heap_page_held(self):
+        heap, pool = make_heap(capacity=1)
+        payloads = [b"s1", b"B" * 20_000, b"s2", b"C" * 20_000]
+        rids = [heap.insert(p) for p in payloads]
+        read_overflow = heap._read_overflow
+        held = []
+
+        def watched(first_page, total):
+            held.append(pool.total_pins())
+            return read_overflow(first_page, total)
+
+        heap._read_overflow = watched
+        assert heap.read_many(rids) == payloads
+        assert held == [0, 0]  # at most one page pinned at any time
+        pool.clear()
+
+    def test_tombstoned_slot_raises_what_read_raises(self):
+        heap, pool = make_heap()
+        keep = heap.insert(b"keep")
+        kill = heap.insert(b"kill")
+        heap.delete(kill)
+        with pytest.raises(StorageError) as single:
+            heap.read(kill)
+        with pytest.raises(StorageError) as many:
+            heap.read_many([keep, kill])
+        assert str(many.value) == str(single.value)
+        assert pool.total_pins() == 0
+
+    def test_rid_off_the_heap_is_a_storage_error(self):
+        heap, pool = make_heap()
+        big = heap.insert(b"L" * 30_000)
+        (overflow_page,) = [
+            p for p in range(pool.disk.num_pages) if p not in heap.page_ids()
+        ][:1]
+        with pytest.raises(StorageError, match="heap page"):
+            heap.read_many([big, (overflow_page, 0)])
+        assert pool.total_pins() == 0
