@@ -1,0 +1,365 @@
+"""Expression runtime: SQL value semantics and expression compilation.
+
+:func:`compile_expr` turns an expression tree into a ``fn(ctx, params)``
+closure with **deferred** parameter binding, so one compiled plan serves
+every parameter vector (the prepared-statement contract). The helpers around
+it define the dialect's value semantics — three-valued logic, NULL-aware
+comparison and arithmetic, ``NULLS LAST`` sort keys — and are shared by the
+planner, the batch executor and the row-at-a-time reference model.
+"""
+
+from __future__ import annotations
+
+import numpy as _np
+
+from repro.errors import SQLError, SQLNameError, SQLSyntaxError
+from repro.minidb.sql import ast
+from repro.minidb.sql.functions import (
+    AGGREGATE_FUNCTIONS,
+    SET_RETURNING,
+    get_scalar,
+    is_aggregate,
+)
+
+
+# ---------------------------------------------------------------------------
+# Value semantics
+# ---------------------------------------------------------------------------
+def _is_true(value) -> bool:
+    return value is True
+
+
+def _cmp(op: str, a, b):
+    if a is None or b is None:
+        return None
+    if op == "=":
+        return a == b
+    if op == "<>":
+        return a != b
+    if op == "<":
+        return a < b
+    if op == "<=":
+        return a <= b
+    if op == ">":
+        return a > b
+    if op == ">=":
+        return a >= b
+    raise SQLError(f"unknown comparison {op}")
+
+
+def _arith(op: str, a, b):
+    if a is None or b is None:
+        return None
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        if isinstance(a, int) and isinstance(b, int):
+            if b == 0:
+                raise SQLError("division by zero")
+            quotient = a // b
+            if quotient < 0 and quotient * b != a:
+                quotient += 1  # PostgreSQL truncates toward zero
+            return quotient
+        if b == 0:
+            raise SQLError("division by zero")
+        return a / b
+    if op == "%":
+        if b == 0:
+            raise SQLError("division by zero")
+        return a - b * int(a / b) if isinstance(a, int) and isinstance(b, int) else a % b
+    if op == "||":
+        if isinstance(a, (list, tuple)) or isinstance(b, (list, tuple)):
+            left = list(a) if isinstance(a, (list, tuple)) else [a]
+            right = list(b) if isinstance(b, (list, tuple)) else [b]
+            return left + right
+        return str(a) + str(b)
+    raise SQLError(f"unknown operator {op}")
+
+
+def _logic_and(a, b):
+    if a is False or b is False:
+        return False
+    if a is None or b is None:
+        return None
+    return True
+
+
+def _logic_or(a, b):
+    if a is True or b is True:
+        return True
+    if a is None or b is None:
+        return None
+    return False
+
+
+def sort_rows(rows, key_fn_count: int, keys: list[tuple], descending: list[bool]):
+    """Stable multi-key sort with NULLS LAST, honoring per-key direction.
+
+    *rows* and *keys* are parallel lists; returns rows reordered.
+    """
+    order = list(range(len(rows)))
+    for key_index in range(key_fn_count - 1, -1, -1):
+        desc = descending[key_index]
+
+        def sort_key(i, _k=key_index, _d=desc):
+            value = keys[i][_k]
+            if value is None:
+                return (1, 0)
+            return (0, _Reversed(value) if _d else value)
+
+        order.sort(key=sort_key)
+    return [rows[i] for i in order]
+
+
+class _Reversed:
+    """Wrapper inverting comparisons, for DESC sort keys."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __lt__(self, other):
+        return other.value < self.value
+
+    def __eq__(self, other):
+        return self.value == other.value
+
+
+def composite_key(key: tuple, descending: list[bool]) -> tuple:
+    """One totally-ordered sort key (NULLS LAST, per-key direction) — the
+    single-pass equivalent of :func:`sort_rows`, used by Top-K."""
+    return tuple(
+        (1, 0) if value is None else (0, _Reversed(value) if desc else value)
+        for value, desc in zip(key, descending)
+    )
+
+
+def hashable(row: tuple) -> tuple:
+    return tuple(tuple(v) if isinstance(v, list) else v for v in row)
+
+
+# ---------------------------------------------------------------------------
+# Expression compilation
+# ---------------------------------------------------------------------------
+def resolve(schema, ref: ast.ColumnRef) -> int:
+    matches = [
+        i
+        for i, (qual, name) in enumerate(schema)
+        if name == ref.name and (ref.table is None or qual == ref.table)
+    ]
+    if not matches:
+        raise SQLNameError(
+            f"column {ref.table + '.' if ref.table else ''}{ref.name} not found"
+        )
+    if len(matches) > 1:
+        # Defense in depth: the analyzer reports SEM003 for this before
+        # execution; this path fires only with analysis opted out.
+        raise SQLNameError(f"ambiguous column reference {ref.name!r}")
+    return matches[0]
+
+
+def compile_expr(expr, schema, grouped: bool, strict_names: bool = False):
+    """Compile *expr* into ``fn(ctx, params)``.
+
+    ``ctx`` is a row tuple, or the group's row list when ``grouped``.
+    Parameters are *deferred*: the closure indexes into the vector passed at
+    execution time, so compiled plans are parameter-independent and
+    cacheable. A short vector is caught up front by the executor via the
+    plan's ``param_indices``.
+    """
+    if isinstance(expr, ast.Literal):
+        value = expr.value
+        return lambda _ctx, _params, _v=value: _v
+    if isinstance(expr, ast.Param):
+        idx = expr.index - 1
+        return lambda _ctx, params, _i=idx: params[_i]
+    if isinstance(expr, ast.ColumnRef):
+        idx = resolve(schema, expr)
+        if grouped:
+            return lambda rows, _params, _i=idx: rows[0][_i] if rows else None
+        return lambda row, _params, _i=idx: row[_i]
+    if isinstance(expr, ast.BinaryOp):
+        left = compile_expr(expr.left, schema, grouped, strict_names)
+        right = compile_expr(expr.right, schema, grouped, strict_names)
+        op = expr.op
+        if op == "AND":
+            return lambda ctx, params: _logic_and(left(ctx, params), right(ctx, params))
+        if op == "OR":
+            return lambda ctx, params: _logic_or(left(ctx, params), right(ctx, params))
+        if op in ("=", "<>", "<", "<=", ">", ">="):
+            return lambda ctx, params, _op=op: _cmp(
+                _op, left(ctx, params), right(ctx, params)
+            )
+        return lambda ctx, params, _op=op: _arith(
+            _op, left(ctx, params), right(ctx, params)
+        )
+    if isinstance(expr, ast.UnaryOp):
+        operand = compile_expr(expr.operand, schema, grouped, strict_names)
+        if expr.op == "-":
+            def _neg(ctx, params):
+                value = operand(ctx, params)
+                return None if value is None else -value
+
+            return _neg
+        if expr.op == "NOT":
+            def _not(ctx, params):
+                value = operand(ctx, params)
+                return None if value is None else not value
+
+            return _not
+        raise SQLError(f"unknown unary operator {expr.op}")
+    if isinstance(expr, ast.IsNull):
+        operand = compile_expr(expr.operand, schema, grouped, strict_names)
+        if expr.negated:
+            return lambda ctx, params: operand(ctx, params) is not None
+        return lambda ctx, params: operand(ctx, params) is None
+    if isinstance(expr, ast.InList):
+        operand = compile_expr(expr.operand, schema, grouped, strict_names)
+        item_fns = [
+            compile_expr(i, schema, grouped, strict_names) for i in expr.items
+        ]
+        negated = expr.negated
+
+        def _in(ctx, params):
+            value = operand(ctx, params)
+            if value is None:
+                return None
+            hit = any(value == fn(ctx, params) for fn in item_fns)
+            return (not hit) if negated else hit
+
+        return _in
+    if isinstance(expr, ast.ArraySlice):
+        base = compile_expr(expr.base, schema, grouped, strict_names)
+        low = (
+            compile_expr(expr.low, schema, grouped, strict_names)
+            if expr.low is not None
+            else None
+        )
+        high = (
+            compile_expr(expr.high, schema, grouped, strict_names)
+            if expr.high is not None
+            else None
+        )
+
+        def _slice(ctx, params):
+            arr = base(ctx, params)
+            if arr is None:
+                return None
+            lo = low(ctx, params) if low is not None else 1
+            hi = high(ctx, params) if high is not None else len(arr)
+            if lo is None or hi is None:
+                return None
+            lo = max(lo, 1)
+            if isinstance(arr, list):
+                return arr[lo - 1 : hi]
+            if isinstance(arr, _np.ndarray):
+                # np_decode batch cells: keep the (zero-copy) array view;
+                # every other cell is a list, so list semantics hold.
+                return arr[lo - 1 : hi]
+            return list(arr[lo - 1 : hi])
+
+        return _slice
+    if isinstance(expr, ast.ArrayIndex):
+        base = compile_expr(expr.base, schema, grouped, strict_names)
+        index = compile_expr(expr.index, schema, grouped, strict_names)
+
+        def _index(ctx, params):
+            arr = base(ctx, params)
+            i = index(ctx, params)
+            if arr is None or i is None:
+                return None
+            if not 1 <= i <= len(arr):
+                return None  # PostgreSQL: out-of-range subscript is NULL
+            return arr[i - 1]
+
+        return _index
+    if isinstance(expr, ast.ArrayLiteral):
+        item_fns = [
+            compile_expr(i, schema, grouped, strict_names) for i in expr.items
+        ]
+        return lambda ctx, params: [fn(ctx, params) for fn in item_fns]
+    if isinstance(expr, ast.CaseExpr):
+        when_fns = [
+            (
+                compile_expr(cond, schema, grouped, strict_names),
+                compile_expr(result, schema, grouped, strict_names),
+            )
+            for cond, result in expr.whens
+        ]
+        default_fn = (
+            compile_expr(expr.default, schema, grouped, strict_names)
+            if expr.default is not None
+            else None
+        )
+
+        def _case(ctx, params):
+            for cond_fn, result_fn in when_fns:
+                if _is_true(cond_fn(ctx, params)):
+                    return result_fn(ctx, params)
+            return default_fn(ctx, params) if default_fn is not None else None
+
+        return _case
+    if isinstance(expr, ast.FuncCall):
+        if is_aggregate(expr.name):
+            return _compile_aggregate(expr, schema, grouped)
+        if expr.name in SET_RETURNING:
+            raise SQLSyntaxError(
+                "UNNEST is only allowed as a top-level select item"
+            )
+        fn = get_scalar(expr.name)
+        arg_fns = [
+            compile_expr(a, schema, grouped, strict_names) for a in expr.args
+        ]
+        return lambda ctx, params, _f=fn: _f(*[a(ctx, params) for a in arg_fns])
+    if isinstance(expr, ast.WindowFunc):
+        raise SQLSyntaxError(
+            "window functions are only allowed as top-level select items"
+        )
+    if isinstance(expr, ast.Star):
+        raise SQLSyntaxError("* is only allowed in the select list")
+    raise SQLError(f"cannot compile {type(expr).__name__}")
+
+
+def _compile_aggregate(expr: ast.FuncCall, schema, grouped: bool):
+    if not grouped:
+        raise SQLSyntaxError(
+            f"aggregate {expr.name}() used outside of aggregation context"
+        )
+    agg = AGGREGATE_FUNCTIONS[expr.name]
+    if expr.star:
+        if expr.name != "count":
+            raise SQLSyntaxError(f"{expr.name}(*) is not valid")
+        return lambda rows, _params: len(rows)
+    if len(expr.args) != 1:
+        raise SQLSyntaxError(f"{expr.name}() takes exactly one argument")
+    arg_fn = compile_expr(expr.args[0], schema, grouped=False)
+    order_fns = [
+        compile_expr(item.expr, schema, grouped=False)
+        for item in expr.agg_order_by
+    ]
+    descending = [item.descending for item in expr.agg_order_by]
+    distinct = expr.distinct
+
+    def _agg(rows, params):
+        use_rows = rows
+        if order_fns:
+            keys = [tuple(fn(r, params) for fn in order_fns) for r in rows]
+            use_rows = sort_rows(list(rows), len(order_fns), keys, descending)
+        values = [arg_fn(r, params) for r in use_rows]
+        if distinct:
+            seen = set()
+            deduped = []
+            for v in values:
+                key = tuple(v) if isinstance(v, list) else v
+                if key not in seen:
+                    seen.add(key)
+                    deduped.append(v)
+            values = deduped
+        return agg(values)
+
+    return _agg

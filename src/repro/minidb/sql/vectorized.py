@@ -55,7 +55,7 @@ from repro.minidb.sql import npbatch
 from repro.minidb.sql import plan as phys
 from repro.minidb.sql.result import _DONE, Result
 from repro.minidb.sql.npbatch import ColumnChunk
-from repro.minidb.sql.planner import _hashable, _sort_rows, composite_key
+from repro.minidb.sql.expr import composite_key, hashable, sort_rows
 
 #: Default rows-per-batch; overridable per database (``Database(batch_size=...)``).
 DEFAULT_BATCH_SIZE = 1024
@@ -823,7 +823,7 @@ class BatchExecutor:
                     tuple(fn(row, params) for fn in spec.order_fns)
                     for row in rows
                 ]
-                ordered = _sort_rows(
+                ordered = sort_rows(
                     range(len(rows)),
                     len(spec.order_fns),
                     keys,
@@ -832,7 +832,7 @@ class BatchExecutor:
                 counters: dict = {}
                 for i in ordered:
                     row = rows[i]
-                    part = _hashable(
+                    part = hashable(
                         tuple(fn(row, params) for fn in spec.part_fns)
                     )
                     counters[part] = number = counters.get(part, 0) + 1
@@ -1232,7 +1232,7 @@ class BatchExecutor:
 
         def feed(row, groups):
             if group_fns:
-                key = _hashable(
+                key = hashable(
                     tuple(fn(row, params) for fn in group_fns)
                 )
             else:
@@ -1443,7 +1443,7 @@ class BatchExecutor:
             if node.group_fns:
                 groups: dict = {}
                 for row in rows:
-                    key = _hashable(
+                    key = hashable(
                         tuple(fn(row, params) for fn in node.group_fns)
                     )
                     groups.setdefault(key, []).append(row)
@@ -1489,7 +1489,7 @@ class BatchExecutor:
                     for chunk in child:
                         out = []
                         for row, key in chunk:
-                            h = _hashable(row)
+                            h = hashable(row)
                             if h not in seen:
                                 seen.add(h)
                                 out.append((row, key))
@@ -1499,7 +1499,7 @@ class BatchExecutor:
                     for chunk in child:
                         out = []
                         for row in chunk:
-                            h = _hashable(row)
+                            h = hashable(row)
                             if h not in seen:
                                 seen.add(h)
                                 out.append(row)
@@ -1536,7 +1536,7 @@ class BatchExecutor:
                             )
             finally:
                 child.close()
-            ordered = _sort_rows(
+            ordered = sort_rows(
                 rows, len(node.descending), keys, node.descending
             )
             for start in range(0, len(ordered), size):
@@ -1652,7 +1652,7 @@ class BatchExecutor:
                         for chunk in source:
                             out = []
                             for row in chunk:
-                                key = _hashable(row)
+                                key = hashable(row)
                                 if key not in seen:
                                     seen.add(key)
                                     out.append(row)

@@ -19,7 +19,7 @@ import heapq
 
 from repro.errors import SQLError, SQLTypeError
 from repro.minidb.sql import plan as phys
-from repro.minidb.sql.planner import _hashable, _sort_rows, composite_key
+from repro.minidb.sql.expr import composite_key, hashable, sort_rows
 from repro.minidb.sql.result import _DONE, Result
 
 
@@ -248,13 +248,13 @@ class Executor:
                     tuple(fn(rows[i], params) for fn in spec.order_fns)
                     for i in indexed
                 ]
-                ordered = _sort_rows(
+                ordered = sort_rows(
                     indexed, len(spec.order_fns), keys, spec.descending
                 )
                 counters: dict = {}
                 numbers = [0] * len(rows)
                 for i in ordered:
-                    part = _hashable(
+                    part = hashable(
                         tuple(fn(rows[i], params) for fn in spec.part_fns)
                     )
                     counters[part] = counters.get(part, 0) + 1
@@ -296,7 +296,7 @@ class Executor:
             if node.group_fns:
                 groups: dict = {}
                 for row in rows:
-                    key = _hashable(
+                    key = hashable(
                         tuple(fn(row, params) for fn in node.group_fns)
                     )
                     groups.setdefault(key, []).append(row)
@@ -328,13 +328,13 @@ class Executor:
             seen = set()
             if node.keyed:
                 for row, key in child:
-                    h = _hashable(row)
+                    h = hashable(row)
                     if h not in seen:
                         seen.add(h)
                         yield (row, key)
             else:
                 for row in child:
-                    h = _hashable(row)
+                    h = hashable(row)
                     if h not in seen:
                         seen.add(h)
                         yield row
@@ -356,7 +356,7 @@ class Executor:
                     tuple(fn(row, params) for fn in node.key_fns)
                     for row in rows
                 ]
-            yield from _sort_rows(
+            yield from sort_rows(
                 rows, len(node.descending), keys, node.descending
             )
 
@@ -457,12 +457,12 @@ class Executor:
             if node.op == "UNION":
                 seen = set()
                 for row in left:
-                    key = _hashable(row)
+                    key = hashable(row)
                     if key not in seen:
                         seen.add(key)
                         yield row
                 for row in right:
-                    key = _hashable(row)
+                    key = hashable(row)
                     if key not in seen:
                         seen.add(key)
                         yield row
