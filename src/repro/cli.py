@@ -435,7 +435,7 @@ def cmd_lint(args) -> int:
                     print(f"    {line}")
         # Apply DDL so later statements in the same script see the table.
         if isinstance(stmt, (ast.CreateTable, ast.DropTable)) and analysis.ok:
-            db.execute(sql, analyze=False)
+            db.execute(sql)
     if as_json:
         _emit_json("lint", records, ok=failures == 0)
         return 1 if failures else 0

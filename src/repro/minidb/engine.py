@@ -33,7 +33,6 @@ from repro.minidb.session import PreparedStatement, QueryCost, Session
 from repro.minidb.sql.analyzer import Analysis, analyze as analyze_stmt
 from repro.minidb.sql.result import Result
 from repro.minidb.sql.parser import parse
-from repro.minidb.sql.planner import plan_statement
 
 __all__ = [
     "Database",
@@ -56,14 +55,22 @@ class CachedPlan:
     """One plan-cache entry: everything derivable from the SQL text alone.
 
     The entry is valid while the catalog version it was built against is
-    current; DDL bumps the version and the next execution re-analyzes and
-    re-plans transparently."""
+    current; DDL bumps the version and the next execution re-binds and
+    re-plans transparently. It holds a plan or the error to re-raise, never
+    neither: ``analysis.plan`` is None exactly when ``analysis`` has errors,
+    and then :meth:`plan` raises the first of them, typed and with its caret
+    span, at the cost of one cache hit."""
 
     sql: str
     stmt: object
-    analysis: Analysis | None
-    plan: object  # physical plan (plan.Plan) or None when planning failed
+    analysis: Analysis
     version: int
+
+    @property
+    def plan(self):
+        """The physical plan; raises the statement's first semantic error."""
+        self.analysis.raise_if_errors()
+        return self.analysis.plan
 
 
 class Database:
@@ -106,9 +113,6 @@ class Database:
         #: Heap-scan readahead depth in pages (0 disables); prefetched
         #: chain pages are charged the device's sequential read rate.
         self.readahead = max(0, int(readahead))
-        #: Set False to skip static analysis before execution (opt-out;
-        #: per-call override via ``execute(..., analyze=False)``).
-        self.analyze = True
         #: The implicit connection backing ``db.execute`` / ``db.last_cost``;
         #: concurrent callers open their own via :meth:`session`.
         self._session = Session(self)
@@ -161,28 +165,20 @@ class Database:
         return cls(path=path, **kwargs)
 
     # -- sessions --------------------------------------------------------
-    def session(
-        self, tracing: bool | None = None, analyze: bool | None = None
-    ) -> Session:
+    def session(self, tracing: bool | None = None) -> Session:
         """Open a new connection over this database.
 
         Sessions share the catalog, buffer pool and plan cache but keep
         their own ``last_cost``/``last_trace``/``last_analysis`` and
         prepared handles — hand one to each serving thread."""
-        return Session(self, tracing=tracing, analyze=analyze)
+        return Session(self, tracing=tracing)
 
-    def execute(
-        self,
-        sql: str,
-        params: tuple | list = (),
-        analyze: bool | None = None,
-    ) -> Result:
+    def execute(self, sql: str, params: tuple | list = ()) -> Result:
         """Run one statement on the database's implicit default session.
 
-        See :meth:`Session.execute` for semantics. Analysis is strict by
-        default: semantic errors raise *before* any page is read; pass
-        ``analyze=False`` (or set ``db.analyze = False``) to skip it."""
-        return self._session.execute(sql, params, analyze=analyze)
+        See :meth:`Session.execute` for semantics: semantic errors raise
+        *before* any page is read."""
+        return self._session.execute(sql, params)
 
     def executemany(self, sql: str, param_rows) -> int:
         """Run one DML statement for each parameter tuple."""
@@ -215,7 +211,7 @@ class Database:
         self._session.last_analysis = value
 
     # -- plan cache ------------------------------------------------------
-    def _ensure_cached(self, sql: str, do_analyze: bool) -> CachedPlan:
+    def _ensure_cached(self, sql: str) -> CachedPlan:
         """Return the (parse, analysis, plan) bundle for *sql*, reusing the
         LRU cache when the catalog version still matches.
 
@@ -224,28 +220,19 @@ class Database:
         worst and never corrupt the LRU order."""
         with self._cache_lock:
             entry = self._plan_cache.get(sql)
-            if (
-                entry is not None
-                and entry.version == self.catalog.version
-                and not (do_analyze and entry.analysis is None)
-            ):
+            if entry is not None and entry.version == self.catalog.version:
                 self._plan_cache.move_to_end(sql)
                 self.plan_cache_hits += 1
                 REGISTRY.counter("plan_cache.hits").inc()
                 return entry
             self.plan_cache_misses += 1
             REGISTRY.counter("plan_cache.misses").inc()
-            if entry is not None and entry.version != self.catalog.version:
+            if entry is not None:  # built against an older catalog
                 self.plan_cache_invalidations += 1
                 REGISTRY.counter("plan_cache.invalidations").inc()
             stmt = entry.stmt if entry is not None else parse(sql)
-            if do_analyze:
-                analysis = analyze_stmt(stmt, self.catalog, sql=sql)
-                plan = analysis.plan  # None when analysis (or planning) failed
-            else:
-                analysis = None
-                plan = plan_statement(stmt, self.catalog)
-            entry = CachedPlan(sql, stmt, analysis, plan, self.catalog.version)
+            analysis = analyze_stmt(stmt, self.catalog, sql=sql)
+            entry = CachedPlan(sql, stmt, analysis, self.catalog.version)
             self._plan_cache[sql] = entry
             self._plan_cache.move_to_end(sql)
             while len(self._plan_cache) > PLAN_CACHE_CAP:
@@ -254,9 +241,9 @@ class Database:
                 REGISTRY.counter("plan_cache.evictions").inc()
             return entry
 
-    def prepare(self, sql: str, analyze: bool | None = None) -> PreparedStatement:
+    def prepare(self, sql: str) -> PreparedStatement:
         """Prepare *sql* on the default session (see :meth:`Session.prepare`)."""
-        return self._session.prepare(sql, analyze=analyze)
+        return self._session.prepare(sql)
 
     def plan_cache_stats(self) -> dict:
         """Plan-cache effectiveness counters for this database."""

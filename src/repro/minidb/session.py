@@ -34,8 +34,8 @@ from repro.minidb.sanitize import dynamic as _san
 from repro.minidb.sql import ast
 from repro.minidb.sql.analyzer import Analysis
 from repro.minidb.sql.result import Result
-from repro.minidb.sql.planner import plan_statement
 from repro.minidb.sql.vectorized import BatchExecutor
+
 
 def _is_read_stmt(stmt) -> bool:
     """Whether *stmt* only reads (shares the database latch).
@@ -63,37 +63,32 @@ class PreparedStatement:
 
     Thin by design: execution routes through :meth:`Session.execute`, so a
     prepared statement's speed comes entirely from the shared plan cache —
-    repeat executions skip parse, analysis and planning (the cache hit
+    repeat executions skip parse, binding and planning (the cache hit
     counter proves it) and stale entries re-plan automatically after DDL.
     """
 
-    def __init__(self, session: "Session", sql: str, analyze: bool | None = None):
+    def __init__(self, session: "Session", sql: str):
         self.session = session
         self.sql = sql
-        self.analyze = analyze
 
     @property
     def db(self):
         return self.session.db
 
     def execute(self, params: tuple | list = ()) -> Result:
-        return self.session.execute(self.sql, params, analyze=self.analyze)
+        return self.session.execute(self.sql, params)
 
     def execute_many(self, param_rows) -> list[Result]:
         """Run this statement once per parameter tuple with batched binding
         (one plan-cache probe, one latch acquisition for the whole batch —
         see :meth:`Session.execute_many`)."""
-        return self.session.execute_many(self.sql, param_rows, analyze=self.analyze)
+        return self.session.execute_many(self.sql, param_rows)
 
     def explain(self) -> list[str]:
         """Static plan lines for this statement (no execution)."""
         from repro.minidb.sql.plan import explain_lines
 
-        db = self.session.db
-        do_analyze = db.analyze if self.analyze is None else self.analyze
-        entry = db._ensure_cached(self.sql, do_analyze)
-        plan = entry.plan or plan_statement(entry.stmt, db.catalog)
-        return explain_lines(plan)
+        return explain_lines(self.session.db._ensure_cached(self.sql).plan)
 
     def __repr__(self) -> str:
         return f"PreparedStatement({self.sql!r})"
@@ -103,36 +98,27 @@ class Session:
     """One connection's view of a :class:`~repro.minidb.engine.Database`.
 
     Cheap to create (no pages are touched); hand one to each serving thread.
-    ``tracing``/``analyze`` default to ``None`` — inherit the database-wide
-    setting at call time — and can be pinned per session.
+    ``tracing`` defaults to ``None`` — inherit the database-wide setting at
+    call time — and can be pinned per session.
     """
 
-    def __init__(self, db, tracing: bool | None = None, analyze: bool | None = None):
+    def __init__(self, db, tracing: bool | None = None):
         self.db = db
         self.tracing = tracing
-        self.analyze = analyze
         self.last_cost: QueryCost | None = None
         self.last_trace: QueryTrace | None = None
         self.last_analysis: Analysis | None = None
 
     # ------------------------------------------------------------------
-    def execute(
-        self,
-        sql: str,
-        params: tuple | list = (),
-        analyze: bool | None = None,
-    ) -> Result:
-        """Parse, statically analyze (both cached) and run one statement.
+    def _statement(self, sql: str, run, traced: bool):
+        """The envelope every statement runs in: plan-cache probe, statement
+        latch, I/O accounting, WAL commit or rollback, pin check.
 
-        Analysis is strict by default: semantic errors (unknown names, type
-        violations, misplaced aggregates, ...) raise *before* any page is
-        read. Pass ``analyze=False`` to skip it; access-path warnings
-        (``APL*``) never block execution."""
+        ``run(plan, collector)`` executes the plan — once, or once per
+        parameter row — and its value is returned. *traced* statements get a
+        trace collector when tracing is on."""
         db = self.db
-        if analyze is None:
-            analyze = self.analyze
-        do_analyze = db.analyze if analyze is None else analyze
-        entry = db._ensure_cached(sql, do_analyze)
+        entry = db._ensure_cached(sql)
         write = not _is_read_stmt(entry.stmt)
         # Reads share the statement latch, DML/DDL hold it exclusively; the
         # guard keeps the acquire/release paired even when execution raises
@@ -143,25 +129,17 @@ class Session:
                     # DDL slipped in between the cache probe and the latch.
                     # It cannot happen again while we hold the latch, so one
                     # re-probe suffices.
-                    entry = db._ensure_cached(sql, do_analyze)
+                    entry = db._ensure_cached(sql)
                 self.last_analysis = entry.analysis
-                if do_analyze and entry.analysis is not None:
-                    entry.analysis.raise_if_errors()
-                plan = entry.plan
-                if plan is None:
-                    # Planning failed (or was skipped) when the entry was
-                    # built; re-plan per execution so the original error
-                    # surfaces here.
-                    plan = plan_statement(entry.stmt, db.catalog)
+                plan = entry.plan  # raises the statement's semantic error
                 disk_stats = db.disk.thread_stats()
                 pool_stats = db.pool.thread_stats()
                 disk_before = disk_stats.snapshot()
                 pool_before = pool_stats.snapshot()
                 tracing = db.tracing if self.tracing is None else self.tracing
-                collector = TraceCollector(db.pool) if tracing else None
-                executor = self._executor(tuple(params), collector)
+                collector = TraceCollector(db.pool) if traced and tracing else None
                 started = time.perf_counter()
-                result = executor.run(plan)
+                result = run(plan, collector)
                 elapsed_ms = (time.perf_counter() - started) * 1000.0
                 disk_delta = disk_stats.delta(disk_before)
                 pool_delta = pool_stats.delta(pool_before)
@@ -171,8 +149,12 @@ class Session:
                     simulated_io_ms=disk_delta.simulated_read_ms,
                     pool_misses=pool_delta.misses,
                 )
+                # Never leave a previous statement's trace lying around — a
+                # stale tree would silently misattribute this statement's
+                # I/O.
+                self.last_trace = None
                 if collector is not None:
-                    trace = QueryTrace(
+                    self.last_trace = QueryTrace(
                         sql=sql,
                         roots=collector.roots,
                         total_ms=elapsed_ms,
@@ -181,17 +163,12 @@ class Session:
                         page_reads=disk_delta.reads,
                         io_ms=disk_delta.simulated_read_ms,
                     )
-                    self.last_trace = trace
-                    result.trace = trace
-                else:
-                    # Never leave a previous statement's trace lying around —
-                    # a stale tree would silently misattribute this
-                    # statement's I/O.
-                    self.last_trace = None
                 if write:
                     # Seal the statement in the WAL while the exclusive
                     # latch is still held (no reader can see a half-durable
-                    # state). No-op for in-memory databases.
+                    # state). No-op for in-memory databases. A batch seals
+                    # as one commit, amortizing the append the same way the
+                    # latch and plan probe are amortized.
                     db._wal_commit()
             except BaseException as exc:
                 if write:
@@ -212,6 +189,20 @@ class Session:
                 tracker.check_statement_end()
             return result
 
+    def execute(self, sql: str, params: tuple | list = ()) -> Result:
+        """Parse, bind, plan (all three cached) and run one statement.
+
+        Semantic errors (unknown names, type violations, misplaced
+        aggregates, ...) raise *before* any page is read; access-path
+        warnings (``APL*``) never block execution."""
+
+        def run_one(plan, collector):
+            return self._executor(tuple(params), collector).run(plan)
+
+        result = self._statement(sql, run_one, traced=True)
+        result.trace = self.last_trace
+        return result
+
     def _executor(self, params: tuple, collector) -> BatchExecutor:
         """The statement engine, bound to one parameter vector."""
         db = self.db
@@ -231,7 +222,7 @@ class Session:
             count += 1
         return count
 
-    def execute_many(self, sql: str, param_rows, analyze: bool | None = None) -> list[Result]:
+    def execute_many(self, sql: str, param_rows) -> list[Result]:
         """Run one statement once per parameter tuple with batched binding.
 
         Amortizes the per-statement fixed costs across the whole batch: the
@@ -241,70 +232,23 @@ class Session:
         ``last_cost`` aggregates the batch's I/O; ``last_trace`` is cleared
         (per-execution traces are a per-``execute`` feature).
         """
-        db = self.db
-        if analyze is None:
-            analyze = self.analyze
-        do_analyze = db.analyze if analyze is None else analyze
-        entry = db._ensure_cached(sql, do_analyze)
-        write = not _is_read_stmt(entry.stmt)
-        with db._stmt_latch.guard(write):
-            try:
-                if entry.version != db.catalog.version:
-                    entry = db._ensure_cached(sql, do_analyze)
-                self.last_analysis = entry.analysis
-                if do_analyze and entry.analysis is not None:
-                    entry.analysis.raise_if_errors()
-                plan = entry.plan
-                if plan is None:
-                    plan = plan_statement(entry.stmt, db.catalog)
-                disk_stats = db.disk.thread_stats()
-                pool_stats = db.pool.thread_stats()
-                disk_before = disk_stats.snapshot()
-                pool_before = pool_stats.snapshot()
-                results = [
-                    self._executor(tuple(params), None).run(plan)
-                    for params in param_rows
-                ]
-                disk_delta = disk_stats.delta(disk_before)
-                pool_delta = pool_stats.delta(pool_before)
-                self.last_cost = QueryCost(
-                    page_reads=disk_delta.reads,
-                    pool_hits=pool_delta.hits,
-                    simulated_io_ms=disk_delta.simulated_read_ms,
-                    pool_misses=pool_delta.misses,
-                )
-                self.last_trace = None
-                if write:
-                    # Group commit: the whole batch seals as one WAL commit,
-                    # amortizing the append the same way the latch and plan
-                    # probe are amortized.
-                    db._wal_commit()
-            except BaseException as exc:
-                if write:
-                    db._wal_rollback(exc)
-                tracker = _san.TRACKER
-                if tracker is not None:
-                    tracker.drop_thread_pins()
-                raise
-            tracker = _san.TRACKER
-            if tracker is not None:
-                tracker.check_statement_end()
-            return results
 
-    def prepare(self, sql: str, analyze: bool | None = None) -> PreparedStatement:
-        """Parse, analyze and plan *sql* once, returning a reusable handle.
+        def run_batch(plan, _collector):
+            return [
+                self._executor(tuple(params), None).run(plan)
+                for params in param_rows
+            ]
 
-        Semantic errors raise here (when analysis is on), not at the first
-        ``execute``. The handle stays valid across DDL: a catalog-version
-        bump invalidates the cached plan and the next execution re-plans."""
-        db = self.db
-        if analyze is None:
-            analyze = self.analyze
-        do_analyze = db.analyze if analyze is None else analyze
-        entry = db._ensure_cached(sql, do_analyze)
-        if do_analyze and entry.analysis is not None:
-            entry.analysis.raise_if_errors()
-        return PreparedStatement(self, sql, analyze)
+        return self._statement(sql, run_batch, traced=False)
+
+    def prepare(self, sql: str) -> PreparedStatement:
+        """Parse, bind and plan *sql* once, returning a reusable handle.
+
+        Semantic errors raise here, not at the first ``execute``. The handle
+        stays valid across DDL: a catalog-version bump invalidates the
+        cached plan and the next execution re-plans."""
+        self.db._ensure_cached(sql).analysis.raise_if_errors()
+        return PreparedStatement(self, sql)
 
     def __repr__(self) -> str:
         return f"Session(db={self.db!r})"

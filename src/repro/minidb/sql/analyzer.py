@@ -1,32 +1,36 @@
-"""Static semantic analysis for minidb SQL — runs before execution.
+"""The binder: static semantic analysis for minidb SQL, before execution.
 
-Three passes over a parsed statement, mirroring the executor's runtime
-semantics so that anything the analyzer accepts the executor can run, and
-anything the executor would reject mid-iteration the analyzer rejects up
-front with a source location:
+Every statement is resolved exactly once, here. :class:`Analyzer` walks a
+parsed statement and returns, next to its diagnostics, a **bound tree** the
+planner lowers without looking a name up again:
 
-* **Pass 1 — binder.** Resolves every ``TableRef`` against the catalog and
-  the CTE environment, and every ``ColumnRef`` against the scope built from
-  the ``FROM`` clause (qualifier-aware, ambiguity-checked), exactly like
-  the planner's ``_resolve``.
-* **Pass 2 — type checker.** Infers a type for every expression over the
-  lattice ``int | float | text | bool | null | unknown | (array, elem)``
-  and enforces the dialect's semantic rules: array subscripts only on
-  arrays, numeric functions on numerics, aggregates neither nested nor in
+* **Binding.** Every ``TableRef`` is resolved against the catalog and the
+  CTE environment, every ``ColumnRef`` against the scope built from the
+  ``FROM`` clause (qualifier-aware, ambiguity-checked) and replaced by an
+  :class:`~repro.minidb.sql.ast.BoundRef` carrying ``(source, column,
+  type)``. Stars are expanded, select items classified plain /
+  aggregate-bearing / set-returning / window, ``GROUP BY`` aliases
+  substituted and ``ORDER BY`` keys resolved to "output column *i*" or a
+  bound expression (the name rules are in ``docs/SQL_DIALECT.md``).
+* **Type checking.** A type is inferred for every bound expression over the
+  lattice ``int | float | text | bool | null | unknown | (array, elem)`` and
+  the dialect's rules are enforced: array subscripts only on arrays, numeric
+  functions on numerics, aggregates neither nested nor in
   ``WHERE``/``GROUP BY``, ``GROUP BY`` validity, ``UNION`` arity and type
   compatibility, window-function and ``UNNEST`` placement.
-* **Pass 3 — access paths.** Runs the real planner
-  (:func:`repro.minidb.sql.planner.plan_statement`) and reads the access
-  paths straight off the physical plan tree: :class:`PkLookup` nodes become
-  PK point lookups, :class:`IndexNestedLoop` nodes become per-row probes,
-  :class:`SeqScan` nodes full scans — before reading a single page. There
-  is no symbolic replay to drift out of sync: the plan that is classified
-  is the plan that executes. This is what lets PTLDB's paper bounds ("a
-  v2v query touches exactly two label rows") be checked statically; see
-  :func:`check_paper_bounds`.
+* **Access paths.** :func:`analyze` lowers the bound tree with the planner
+  (:func:`repro.minidb.sql.planner.lower`) and reads the access paths
+  straight off the physical plan: :class:`PkLookup` nodes become PK point
+  lookups, :class:`IndexNestedLoop` nodes per-row probes, :class:`SeqScan`
+  nodes full scans — before reading a single page. The plan that is
+  classified is the plan that executes, which is what lets PTLDB's paper
+  bounds ("a v2v query touches exactly two label rows") be checked
+  statically; see :func:`check_paper_bounds`.
 
-Diagnostics carry stable codes (see ``docs/ANALYZER.md``) and source spans,
-and render with a caret excerpt via :meth:`Diagnostic.render`.
+A statement the binder accepts always has a plan; one it rejects never
+reaches the planner. Diagnostics carry stable codes (see
+``docs/ANALYZER.md``) and source spans, and render with a caret excerpt via
+:meth:`Diagnostic.render`.
 """
 
 from __future__ import annotations
@@ -196,8 +200,11 @@ class Analysis:
     diagnostics: list[Diagnostic] = field(default_factory=list)
     access_paths: list[AccessPath] = field(default_factory=list)
     output: list[tuple[str, object]] = field(default_factory=list)
-    #: the physical plan (repro.minidb.sql.plan.Plan) the access paths were
-    #: read from; None when analysis failed or planning was impossible
+    #: the bound statement: a :class:`BoundQuery`, a :class:`BoundWrite`, or
+    #: the DDL / VACUUM node itself (nothing in those to bind)
+    bound: object = None
+    #: the physical plan (repro.minidb.sql.plan.Plan) lowered from ``bound``;
+    #: None exactly when the statement has errors
     plan: object = None
 
     @property
@@ -251,64 +258,131 @@ class Analysis:
 
 
 # ---------------------------------------------------------------------------
+# The bound tree
+# ---------------------------------------------------------------------------
+PLAIN = "plain"  # aggregate-free scalar expression
+AGG = "agg"  # contains an aggregate call
+SRF = "srf"  # UNNEST(...): expands the row set
+WINDOW = "window"  # ROW_NUMBER() OVER (...)
+
+
+@dataclass
+class BoundSource:
+    """One ``FROM`` source, in syntactic order."""
+
+    alias: str
+    kind: str  # "table" | "cte" | "subquery"
+    name: str  # base-table / CTE name (the alias, for a subquery)
+    columns: list  # [(name, type), ...]
+    on: list  # bound ON conjuncts: hold once this source has been joined
+    node: object  # the TableRef / SubqueryRef, for access-path spans
+    query: "BoundQuery | None" = None  # a subquery's body
+
+
+@dataclass
+class BoundItem:
+    """One select item (stars already expanded).
+
+    An ``SRF`` or ``WINDOW`` item's value is produced by an operator below
+    the projection, in a column appended to the core's input row; ``ref``
+    names that column, and is what ``GROUP BY`` / ``ORDER BY`` aliases of
+    the item stand for. ``value`` is what the projection evaluates."""
+
+    expr: object  # bound expression (the UNNEST call / WindowFunc itself)
+    name: str
+    type: object
+    kind: str  # PLAIN | AGG | SRF | WINDOW
+    ref: ast.BoundRef | None = None
+
+    @property
+    def value(self):
+        return self.ref if self.ref is not None else self.expr
+
+
+@dataclass
+class BoundCore:
+    """One ``SELECT`` core."""
+
+    sources: list  # [BoundSource]
+    where: list  # bound WHERE conjuncts
+    items: list  # [BoundItem]
+    grouped: bool  # GROUP BY present, or an aggregate in the select list
+    group_by: list  # bound keys, select aliases already substituted
+    having: object  # bound expression or None
+    distinct: bool
+    node: ast.SelectCore
+
+    @property
+    def columns(self) -> list:
+        return [(item.name, item.type) for item in self.items]
+
+
+@dataclass
+class BoundQuery:
+    """A query: CTEs, one core or a set operation, then ORDER BY / LIMIT."""
+
+    ctes: list  # [(name, BoundQuery)]
+    parts: list  # one BoundCore, or the set operation's BoundCore|BoundQuery
+    set_ops: tuple  # between parts: 'UNION' | 'UNION ALL'
+    columns: list  # [(name, type)], types unified across the parts
+    #: ``[(key, descending)]``: an int key is output column *i*; anything
+    #: else is a bound expression over the core's input row (over the output
+    #: row, for a set operation)
+    order_by: list
+    limit: object  # bound expression or None
+    offset: object
+    node: ast.Query
+
+    @property
+    def core(self) -> "BoundCore | None":
+        """The single core, or None for a set operation."""
+        part = self.parts[0]
+        single = len(self.parts) == 1 and isinstance(part, BoundCore)
+        return part if single else None
+
+
+@dataclass
+class BoundWrite:
+    """INSERT / DELETE / UPDATE against one base table."""
+
+    node: object  # the ast.Insert / ast.Delete / ast.Update
+    columns: list  # the table's [(name, type)]
+    positions: list = field(default_factory=list)  # target slot per value
+    #: INSERT ... VALUES: one list of bound expressions per row;
+    #: UPDATE: one bound expression per assignment
+    values: list = field(default_factory=list)
+    where: object = None
+    select: BoundQuery | None = None  # INSERT ... SELECT
+
+
+# ---------------------------------------------------------------------------
 # Expression helpers
 # ---------------------------------------------------------------------------
-def _flatten_and(expr):
+def flatten_and(expr) -> list:
     if expr is None:
         return []
     if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-        return _flatten_and(expr.left) + _flatten_and(expr.right)
+        return flatten_and(expr.left) + flatten_and(expr.right)
     return [expr]
 
 
-def _children(expr):
-    if isinstance(expr, ast.BinaryOp):
-        return [expr.left, expr.right]
-    if isinstance(expr, ast.UnaryOp):
-        return [expr.operand]
-    if isinstance(expr, ast.IsNull):
-        return [expr.operand]
-    if isinstance(expr, ast.InList):
-        return [expr.operand, *expr.items]
-    if isinstance(expr, ast.FuncCall):
-        return [*expr.args, *(item.expr for item in expr.agg_order_by)]
-    if isinstance(expr, ast.WindowFunc):
-        return [*expr.partition_by, *(item.expr for item in expr.order_by)]
-    if isinstance(expr, ast.ArraySlice):
-        return [e for e in (expr.base, expr.low, expr.high) if e is not None]
-    if isinstance(expr, ast.ArrayIndex):
-        return [expr.base, expr.index]
-    if isinstance(expr, ast.ArrayLiteral):
-        return list(expr.items)
-    if isinstance(expr, ast.CaseExpr):
-        out = []
-        for cond, result in expr.whens:
-            out.extend((cond, result))
-        if expr.default is not None:
-            out.append(expr.default)
-        return out
-    return []
+def _calls(expr, registry):
+    return (
+        node
+        for node in ast.walk(expr)
+        if isinstance(node, ast.FuncCall) and node.name in registry
+    )
 
 
-def _walk(expr):
-    yield expr
-    for child in _children(expr):
-        yield from _walk(child)
+def contains_aggregate(expr) -> bool:
+    return next(_calls(expr, AGGREGATE_FUNCTIONS), None) is not None
 
 
-def _contains_aggregate(expr) -> bool:
-    if isinstance(expr, ast.FuncCall) and expr.name in AGGREGATE_FUNCTIONS:
-        return True
-    return any(_contains_aggregate(c) for c in _children(expr))
+def contains_srf(expr) -> bool:
+    return next(_calls(expr, SET_RETURNING), None) is not None
 
 
-def _contains_srf(expr) -> bool:
-    if isinstance(expr, ast.FuncCall) and expr.name in SET_RETURNING:
-        return True
-    return any(_contains_srf(c) for c in _children(expr))
-
-
-def _output_name(item: ast.SelectItem) -> str:
+def output_name(item: ast.SelectItem) -> str:
     if item.alias:
         return item.alias
     expr = item.expr
@@ -345,13 +419,12 @@ _SCALAR_SIGS = {
 # The analyzer
 # ---------------------------------------------------------------------------
 class Analyzer:
-    """One-shot static analysis of a parsed statement against a catalog."""
+    """One-shot binding and checking of a parsed statement against a catalog."""
 
     def __init__(self, catalog, sql: str | None = None):
         self.catalog = catalog
         self.sql = sql
         self.sink = DiagnosticSink()
-        self.paths: list[AccessPath] = []
         # When a relation failed to resolve, its scope fragment is unknown;
         # suppress unknown-column cascades while > 0.
         self._poison = 0
@@ -359,29 +432,31 @@ class Analyzer:
     # -- entry points ------------------------------------------------------
     def analyze(self, stmt) -> Analysis:
         output: list[tuple[str, object]] = []
+        bound = stmt  # DDL / VACUUM: nothing to bind
         if isinstance(stmt, ast.Explain):
             return self.analyze(stmt.statement)
         if isinstance(stmt, ast.Query):
-            output = self._query(stmt, {})
+            bound = self._query(stmt, {})
+            output = bound.columns
         elif isinstance(stmt, ast.CreateTable):
             self._create(stmt)
         elif isinstance(stmt, ast.DropTable):
             if not stmt.if_exists and not self.catalog.has(stmt.name):
                 self._unknown_table(stmt.name, stmt)
         elif isinstance(stmt, ast.Insert):
-            self._insert(stmt)
+            bound = self._insert(stmt)
         elif isinstance(stmt, ast.Delete):
-            self._dml(stmt.table, stmt, stmt.where)
+            bound = self._delete(stmt)
         elif isinstance(stmt, ast.Update):
-            self._update(stmt)
+            bound = self._update(stmt)
         elif isinstance(stmt, ast.Vacuum):
             if not self.catalog.has(stmt.table):
                 self._unknown_table(stmt.table, stmt)
         return Analysis(
             sql=self.sql,
             diagnostics=self.sink.items,
-            access_paths=self.paths,
             output=output,
+            bound=bound,
         )
 
     # -- diagnostics helpers ----------------------------------------------
@@ -418,73 +493,86 @@ class Analyzer:
                     stmt,
                 )
 
-    def _table_scope(self, name: str, node):
-        """Scope fragment for a DML target table, or None if unknown."""
+    def _table_columns(self, name: str, node):
+        """``[(column, type)]`` of a DML target table, or None if unknown."""
         if not self.catalog.has(name):
             self._unknown_table(name, node)
             return None
-        schema = self.catalog.get(name).schema
         return [
-            (name, col.name, type_of_tag(col.type_tag))
-            for col in schema.columns
+            (col.name, type_of_tag(col.type_tag))
+            for col in self.catalog.get(name).schema.columns
         ]
 
-    def _dml(self, table: str, stmt, where) -> None:
-        scope = self._table_scope(table, stmt)
-        if scope is None:
-            return
-        if where is not None:
-            for conj in _flatten_and(where):
-                self._no_aggregates(conj, "WHERE")
-                self._infer(conj, scope, allow_agg=True)
+    def _delete(self, stmt: ast.Delete):
+        columns = self._table_columns(stmt.table, stmt)
+        if columns is None:
+            return None
+        return self._where(BoundWrite(stmt, columns))
 
-    def _update(self, stmt: ast.Update) -> None:
-        scope = self._table_scope(stmt.table, stmt)
-        if scope is None:
-            return
-        by_name = {name: ty for _, name, ty in scope}
-        for column, value in stmt.assignments:
-            if column not in by_name:
+    def _where(self, write: "BoundWrite") -> "BoundWrite":
+        """Bind the WHERE clause of a DELETE / UPDATE against its table."""
+        stmt = write.node
+        if stmt.where is not None:
+            scope = [(stmt.table, name, ty) for name, ty in write.columns]
+            write.where = self._bind(stmt.where, scope)
+            for conj in flatten_and(write.where):
+                self._no_aggregates(conj, "WHERE")
+                self._infer(conj, allow_agg=True)
+        return write
+
+    def _target_slots(self, stmt, columns, names):
+        """Slot and type of each named target column (SEM002 if absent)."""
+        by_name = {name: (i, ty) for i, (name, ty) in enumerate(columns)}
+        slots = []
+        for name in names:
+            if name not in by_name:
                 self.sink.error(
                     "SEM002",
-                    f'column "{column}" of relation "{stmt.table}" '
+                    f'column "{name}" of relation "{stmt.table}" '
                     "does not exist",
                     stmt,
                 )
+            slots.append(by_name.get(name, (None, UNKNOWN)))
+        return slots
+
+    def _update(self, stmt: ast.Update):
+        columns = self._table_columns(stmt.table, stmt)
+        if columns is None:
+            return None
+        scope = [(stmt.table, name, ty) for name, ty in columns]
+        write = BoundWrite(stmt, columns)
+        slots = self._target_slots(
+            stmt, columns, [column for column, _ in stmt.assignments]
+        )
+        for (column, value), (slot, want) in zip(stmt.assignments, slots):
+            if slot is None:
                 continue
             self._no_aggregates(value, "UPDATE SET")
-            ty = self._infer(value, scope, allow_agg=True)
-            if unify(ty, by_name[column]) is None:
+            bound, ty = self._check(value, scope, allow_agg=True)
+            if unify(ty, want) is None:
                 self.sink.error(
                     "TYP003",
                     f'cannot assign {type_name(ty)} to column "{column}" '
-                    f"({type_name(by_name[column])})",
+                    f"({type_name(want)})",
                     value,
                 )
-        self._dml(stmt.table, stmt, stmt.where)
+            write.positions.append(slot)
+            write.values.append(bound)
+        return self._where(write)
 
-    def _insert(self, stmt: ast.Insert) -> None:
-        scope = self._table_scope(stmt.table, stmt)
-        if scope is None:
-            return
-        by_name = {name: ty for _, name, ty in scope}
-        if stmt.columns:
-            targets = []
-            for col in stmt.columns:
-                if col not in by_name:
-                    self.sink.error(
-                        "SEM002",
-                        f'column "{col}" of relation "{stmt.table}" '
-                        "does not exist",
-                        stmt,
-                    )
-                    targets.append(UNKNOWN)
-                else:
-                    targets.append(by_name[col])
-        else:
-            targets = [ty for _, _, ty in scope]
+    def _insert(self, stmt: ast.Insert):
+        columns = self._table_columns(stmt.table, stmt)
+        if columns is None:
+            return None
+        write = BoundWrite(stmt, columns)
+        slots = self._target_slots(
+            stmt, columns, stmt.columns or [name for name, _ in columns]
+        )
+        write.positions = [slot for slot, _ in slots]
+        targets = [ty for _, ty in slots]
         if stmt.select is not None:
-            output = self._query(stmt.select, {})
+            write.select = self._query(stmt.select, {})
+            output = write.select.columns
             if len(output) != len(targets):
                 self.sink.error(
                     "SEM005",
@@ -501,7 +589,7 @@ class Analyzer:
                             f"{type_name(ty)}, expected {type_name(want)}",
                             stmt,
                         )
-            return
+            return write
         for row in stmt.rows:
             if len(row) != len(targets):
                 self.sink.error(
@@ -510,9 +598,10 @@ class Analyzer:
                     row[0] if row else stmt,
                 )
                 continue
+            bound_row = []
             for value, want in zip(row, targets):
                 self._no_aggregates(value, "INSERT")
-                ty = self._infer(value, [], allow_agg=True)  # constants only
+                bound, ty = self._check(value, [], allow_agg=True)  # constants
                 if unify(ty, want) is None:
                     self.sink.error(
                         "TYP003",
@@ -520,28 +609,35 @@ class Analyzer:
                         f"expected {type_name(want)}",
                         value,
                     )
+                bound_row.append(bound)
+            write.values.append(bound_row)
+        return write
 
     # -- queries -----------------------------------------------------------
-    def _query(self, query: ast.Query, env: dict) -> list[tuple[str, object]]:
-        """Analyze a query; returns its output schema [(name, type), ...]."""
+    def _query(self, query: ast.Query, env: dict) -> BoundQuery:
+        """Bind a query. *env* maps each visible CTE name to its columns."""
         env = dict(env)
+        ctes = []
         for name, cte_query in query.ctes:
-            env[name] = self._query(cte_query, env)
+            ctes.append((name, self._query(cte_query, env)))
+            env[name] = ctes[-1][1].columns
 
         if len(query.cores) == 1 and isinstance(query.cores[0], ast.SelectCore):
-            return self._core(query, query.cores[0], env)
+            core, order_by, limit, offset = self._core(query, query.cores[0], env)
+            return BoundQuery(
+                ctes, [core], (), core.columns, order_by, limit, offset, query
+            )
 
         parts = []
         for core in query.cores:
             if isinstance(core, ast.Query):
                 parts.append(self._query(core, env))
             else:
-                parts.append(
-                    self._core(ast.Query(cores=(core,)), core, env)
-                )
-        width = len(parts[0])
-        merged = list(parts[0])
-        for op, part in zip(query.set_ops, parts[1:]):
+                parts.append(self._core(ast.Query(cores=(core,)), core, env)[0])
+        outputs = [part.columns for part in parts]
+        width = len(outputs[0])
+        merged = list(outputs[0])
+        for op, part in zip(query.set_ops, outputs[1:]):
             if len(part) != width:
                 self.sink.error(
                     "TYP004",
@@ -562,28 +658,41 @@ class Analyzer:
                     ty = UNKNOWN
                 merged[i] = (name, ty)
         out_scope = [(None, name, ty) for name, ty in merged]
-        for item in query.order_by:
-            self._set_op_order_key(item, merged, out_scope)
-        self._limit_offset(query)
-        return merged
+        order_by = [
+            (self._set_op_order_key(item, merged, out_scope), item.descending)
+            for item in query.order_by
+        ]
+        limit, offset = self._limit_offset(query)
+        return BoundQuery(
+            ctes, parts, query.set_ops, merged, order_by, limit, offset, query
+        )
 
-    def _set_op_order_key(self, item, output, out_scope) -> None:
-        expr = item.expr
-        if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-            if not 1 <= expr.value <= len(output):
-                self.sink.error(
-                    "SEM005",
-                    f"ORDER BY position {expr.value} is out of range "
-                    f"(select list has {len(output)} items)",
-                    expr,
-                )
-            return
-        self._no_aggregates(expr, "ORDER BY")
-        self._infer(expr, out_scope, allow_agg=True)
+    def _position(self, expr, width: int):
+        """``ORDER BY <n>``: the 0-based output column, else None."""
+        if not (isinstance(expr, ast.Literal) and isinstance(expr.value, int)):
+            return None
+        if not 1 <= expr.value <= width:
+            self.sink.error(
+                "SEM005",
+                f"ORDER BY position {expr.value} is out of range "
+                f"(select list has {width} items)",
+                expr,
+            )
+        return expr.value - 1
 
-    def _limit_offset(self, query: ast.Query) -> None:
+    def _set_op_order_key(self, item, output, out_scope):
+        """A position, or an expression over the combined output row."""
+        position = self._position(item.expr, len(output))
+        if position is not None:
+            return position
+        self._no_aggregates(item.expr, "ORDER BY")
+        return self._check(item.expr, out_scope, allow_agg=True)[0]
+
+    def _limit_offset(self, query: ast.Query):
+        bound = []
         for label, expr in (("LIMIT", query.limit), ("OFFSET", query.offset)):
             if expr is None:
+                bound.append(None)
                 continue
             self._no_aggregates(expr, label)
             value, literal = expr, False
@@ -604,87 +713,90 @@ class Analyzer:
                         f"got {value!r}",
                         expr,
                     )
+                bound.append(expr)
                 continue
             # Runtime evaluates LIMIT/OFFSET against an empty row, so any
             # column reference in it cannot resolve.
-            self._infer(expr, [], allow_agg=True)
+            bound.append(self._check(expr, [], allow_agg=True)[0])
+        return bound
 
     # -- one SELECT core ---------------------------------------------------
-    def _core(self, query, core: ast.SelectCore, env) -> list:
-        conjuncts = _flatten_and(core.where)
-        scope, poisoned = self._from(core.from_items, env)
+    def _core(self, query, core: ast.SelectCore, env):
+        """Bind one core and, when it is the query's only one, the query's
+        ORDER BY / LIMIT / OFFSET (they see the core's scope):
+        ``(BoundCore, order_by, limit, offset)``."""
+        sources, scope, poisoned = self._from(core.from_items, env)
         if poisoned:
             self._poison += 1
         try:
-            return self._core_body(query, core, scope, conjuncts)
+            return self._core_body(query, core, sources, scope)
         finally:
             if poisoned:
                 self._poison -= 1
 
-    def _core_body(self, query, core, scope, conjuncts) -> list:
-        for conj in conjuncts:
+    def _core_body(self, query, core, sources, scope):
+        where = []
+        for conj in flatten_and(core.where):
             self._no_aggregates(conj, "WHERE")
             self._no_srf(conj)
-            self._infer(conj, scope, allow_agg=True, allow_srf=True)
+            where.append(
+                self._check(conj, scope, allow_agg=True, allow_srf=True)[0]
+            )
 
-        # Select list: expand stars, then handle SRF / window / plain items.
-        items = self._expand_stars(core.items, scope)
-        out: list[tuple[str, object]] = []
-        plain_exprs = []  # (index, expr) type-checked below
-        for item in items:
-            name = _output_name(item)
-            expr = item.expr
-            if _contains_srf(expr):
-                out.append(
-                    (item.alias or "unnest", self._srf_item(expr, scope))
-                )
-                continue
-            if isinstance(expr, ast.WindowFunc):
-                out.append(
-                    (item.alias or expr.name, self._window_item(expr, scope))
-                )
-                continue
-            plain_exprs.append((len(out), item))
-            out.append((name, UNKNOWN))
+        # Select list: expand stars, bind, and type the SRF / window items
+        # (plain items are typed below, once ``grouped`` is known).
+        items: list[BoundItem] = []
+        for i, item in enumerate(self._expand_stars(core.items, scope)):
+            expr = self._bind(item.expr, scope)
+            name = output_name(item)
+            if contains_srf(expr):
+                ty = self._srf_item(expr)
+                ref = ast.BoundRef(None, f"__srf_{i}", ty)
+                items.append(BoundItem(expr, name, ty, SRF, ref))
+            elif isinstance(expr, ast.WindowFunc):
+                ty = self._window_item(expr)
+                ref = ast.BoundRef(None, f"__win_{i}", ty)
+                items.append(BoundItem(expr, name, ty, WINDOW, ref))
+            else:
+                kind = AGG if contains_aggregate(expr) else PLAIN
+                items.append(BoundItem(expr, name, UNKNOWN, kind))
 
-        grouped = bool(core.group_by) or any(
-            _contains_aggregate(item.expr)
-            for item in items
-            if not isinstance(item.expr, ast.WindowFunc)
-        )
+        grouped = bool(core.group_by) or any(it.kind == AGG for it in items)
 
-        # GROUP BY keys (may name a select alias, like the executor).
-        group_exprs = []
+        # GROUP BY keys: a bare name is an input column first, then a select
+        # alias (standing for that item's value).
+        group_by = []
         for expr in core.group_by:
             self._no_aggregates(expr, "GROUP BY")
             self._no_srf(expr)
-            target = expr
+            alias = None
             if (
                 isinstance(expr, ast.ColumnRef)
                 and expr.table is None
                 and not any(name == expr.name for _, name, _ in scope)
             ):
-                for item in items:
-                    if _output_name(item) == expr.name:
-                        target = item.expr
-                        break
-            if target is not expr:
-                # Alias resolved to a select item: the item itself must be
-                # aggregate-free to serve as a group key.
-                self._no_aggregates(target, "GROUP BY")
-            self._infer(target, scope, allow_agg=True, allow_srf=True)
-            group_exprs.append(target)
-        if any(_contains_aggregate(g) for g in group_exprs):
+                alias = next((it for it in items if it.name == expr.name), None)
+            if alias is None:
+                key = typed = self._bind(expr, scope)
+            else:
+                # The item itself must be aggregate-free to be a group key.
+                key, typed = alias.value, alias.expr
+                self._no_aggregates(typed, "GROUP BY")
+            self._infer(typed, allow_agg=True, allow_srf=True)
+            group_by.append(key)
+        group_exprs = group_by
+        if any(contains_aggregate(g) for g in group_by):
             # The keys themselves are invalid (AGG001 above) — ungrouped-
             # column checks against them would only produce noise.
             group_exprs = None
 
-        for out_idx, item in plain_exprs:
-            ty = self._infer(item.expr, scope, allow_agg=grouped)
-            out[out_idx] = (out[out_idx][0], ty)
-            if grouped:
-                self._check_grouped(item.expr, group_exprs, "select list")
+        for item in items:
+            if item.kind in (PLAIN, AGG):
+                item.type = self._infer(item.expr, allow_agg=grouped)
+                if grouped:
+                    self._check_grouped(item.expr, group_exprs, "select list")
 
+        having = None
         if core.having is not None:
             if not grouped:
                 self.sink.warning(
@@ -694,39 +806,59 @@ class Analyzer:
                     core.having,
                 )
             self._no_srf(core.having)
-            self._infer(core.having, scope, allow_agg=True, allow_srf=True)
+            having, _ = self._check(
+                core.having, scope, allow_agg=True, allow_srf=True
+            )
             if grouped:
-                self._check_grouped(core.having, group_exprs, "HAVING")
+                self._check_grouped(having, group_exprs, "HAVING")
 
+        order_by, limit, offset = [], None, None
         if len(query.cores) == 1:
-            for item in query.order_by:
-                self._order_key(item, scope, items, out, grouped, group_exprs)
-            self._limit_offset(query)
-        return out
-
-    def _order_key(self, item, scope, items, out, grouped, group_exprs):
-        expr = item.expr
-        if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-            if not 1 <= expr.value <= len(out):
-                self.sink.error(
-                    "SEM005",
-                    f"ORDER BY position {expr.value} is out of range "
-                    f"(select list has {len(out)} items)",
-                    expr,
+            order_by = [
+                (
+                    self._order_key(item.expr, scope, items, grouped, group_exprs),
+                    item.descending,
                 )
-            return
+                for item in query.order_by
+            ]
+            limit, offset = self._limit_offset(query)
+        bound = BoundCore(
+            sources, where, items, grouped, group_by, having, core.distinct, core
+        )
+        return bound, order_by, limit, offset
+
+    def _order_key(self, expr, scope, items, grouped, group_exprs):
+        """One ORDER BY key of a single-core query: output column *i* (an
+        int) or a bound expression over the core's input row.
+
+        A bare name is an *output* name first, then an input column; a
+        qualified name or a larger expression sees input columns only. Any
+        key equal to a select item sorts on that item's computed value."""
+        position = self._position(expr, len(items))
+        if position is not None:
+            return position
         if isinstance(expr, ast.ColumnRef) and expr.table is None:
-            if any(_output_name(it) == expr.name for it in items):
-                return  # resolves to an output column
+            named = [i for i, it in enumerate(items) if it.name == expr.name]
+            if named:
+                first = items[named[0]].value
+                if any(items[i].value != first for i in named[1:]):
+                    self.sink.error(
+                        "SEM003", f'ORDER BY "{expr.name}" is ambiguous', expr
+                    )
+                return named[0]
         self._no_srf(expr)
-        self._infer(
+        key, _ = self._check(
             expr, scope, allow_agg=grouped, ctx="ORDER BY", allow_srf=True
         )
         if grouped:
-            self._check_grouped(expr, group_exprs, "ORDER BY")
+            self._check_grouped(key, group_exprs, "ORDER BY")
+        for i, item in enumerate(items):
+            if item.expr == key:
+                return i
+        return key
 
     # -- select-list special forms ----------------------------------------
-    def _srf_item(self, expr, scope):
+    def _srf_item(self, expr):
         """UNNEST select item: must be the whole expression, arg an array."""
         if not (isinstance(expr, ast.FuncCall) and expr.name in SET_RETURNING):
             self.sink.error(
@@ -734,15 +866,15 @@ class Analyzer:
                 "UNNEST must be the whole select expression in minidb",
                 expr,
             )
-            # Still bind inner references for follow-on diagnostics.
-            self._infer(expr, scope, allow_srf=True)
+            # Still type the inner expressions for follow-on diagnostics.
+            self._infer(expr, allow_srf=True)
             return UNKNOWN
         if len(expr.args) != 1:
             self.sink.error("SRF001", "UNNEST takes exactly one argument", expr)
             for arg in expr.args:
-                self._infer(arg, scope)
+                self._infer(arg)
             return UNKNOWN
-        arg_ty = self._infer(expr.args[0], scope)
+        arg_ty = self._infer(expr.args[0])
         if not _maybe_array(arg_ty):
             self.sink.error(
                 "TYP001",
@@ -752,17 +884,17 @@ class Analyzer:
             return UNKNOWN
         return arg_ty[1] if is_array(arg_ty) else UNKNOWN
 
-    def _window_item(self, expr: ast.WindowFunc, scope):
+    def _window_item(self, expr: ast.WindowFunc):
         if expr.name != "row_number":
             self.sink.error(
                 "WIN002", f"unsupported window function {expr.name!r}", expr
             )
         for part in expr.partition_by:
             self._no_aggregates(part, "OVER (PARTITION BY)")
-            self._infer(part, scope, allow_agg=True)
+            self._infer(part, allow_agg=True)
         for item in expr.order_by:
             self._no_aggregates(item.expr, "OVER (ORDER BY)")
-            self._infer(item.expr, scope, allow_agg=True)
+            self._infer(item.expr, allow_agg=True)
         return INT
 
     def _expand_stars(self, items, scope):
@@ -775,9 +907,7 @@ class Analyzer:
             matched = False
             for qual, name, _ in scope:
                 if table is None or qual == table:
-                    col = ast.ColumnRef(qual, name)
-                    if item.expr.span is not None:
-                        object.__setattr__(col, "span", item.expr.span)
+                    col = ast.ColumnRef(qual, name, span=item.expr.span)
                     out.append(ast.SelectItem(col, alias=name))
                     matched = True
             if not matched and not self._poison:
@@ -788,27 +918,22 @@ class Analyzer:
 
     # -- aggregate / SRF placement ----------------------------------------
     def _no_aggregates(self, expr, where: str) -> None:
-        for node in _walk(expr):
-            if (
-                isinstance(node, ast.FuncCall)
-                and node.name in AGGREGATE_FUNCTIONS
-            ):
-                self.sink.error(
-                    "AGG001",
-                    f"aggregate {node.name}() is not allowed in {where}",
-                    node,
-                )
-                return
+        node = next(_calls(expr, AGGREGATE_FUNCTIONS), None)
+        if node is not None:
+            self.sink.error(
+                "AGG001",
+                f"aggregate {node.name}() is not allowed in {where}",
+                node,
+            )
 
     def _no_srf(self, expr) -> None:
-        for node in _walk(expr):
-            if isinstance(node, ast.FuncCall) and node.name in SET_RETURNING:
-                self.sink.error(
-                    "SRF001",
-                    "UNNEST is only allowed as a top-level select item",
-                    node,
-                )
-                return
+        node = next(_calls(expr, SET_RETURNING), None)
+        if node is not None:
+            self.sink.error(
+                "SRF001",
+                "UNNEST is only allowed as a top-level select item",
+                node,
+            )
 
     def _check_grouped(self, expr, group_exprs, where: str) -> None:
         """AGG003: in a grouped query, bare columns must be group keys."""
@@ -822,22 +947,36 @@ class Analyzer:
             return
         if isinstance(expr, ast.WindowFunc):
             return  # windows are computed before grouping
-        if isinstance(expr, ast.ColumnRef):
+        if isinstance(expr, ast.BoundRef):
             self.sink.error(
                 "AGG003",
-                f'column "{expr.name}" must appear in GROUP BY or be used '
+                f'column "{expr.column}" must appear in GROUP BY or be used '
                 f"in an aggregate function ({where})",
                 expr,
             )
             return
-        for child in _children(expr):
+        for child in ast.children(expr):
             self._check_grouped(child, group_exprs, where)
 
-    # -- expression typing (pass 2) ----------------------------------------
+    # -- expressions: bind, then type ---------------------------------------
+    def _bind(self, expr, scope):
+        """*expr* with every ColumnRef resolved to a BoundRef."""
+        return ast.rewrite(
+            expr,
+            lambda node: self._resolve(node, scope)
+            if isinstance(node, ast.ColumnRef)
+            else node,
+        )
+
+    def _check(self, expr, scope, **context):
+        """Bind *expr* against *scope* and type it: ``(bound, type)``."""
+        bound = self._bind(expr, scope)
+        return bound, self._infer(bound, **context)
+
+    # -- expression typing ---------------------------------------------------
     def _infer(
         self,
         expr,
-        scope,
         allow_agg: bool = False,
         ctx: str = "expression",
         in_agg: bool = False,
@@ -845,7 +984,6 @@ class Analyzer:
     ):
         recur = lambda e, **kw: self._infer(  # noqa: E731
             e,
-            scope,
             allow_agg=allow_agg,
             ctx=ctx,
             in_agg=in_agg,
@@ -865,8 +1003,8 @@ class Analyzer:
             return TEXT
         if isinstance(expr, ast.Param):
             return UNKNOWN
-        if isinstance(expr, ast.ColumnRef):
-            return self._resolve(expr, scope)
+        if isinstance(expr, ast.BoundRef):
+            return expr.type
         if isinstance(expr, ast.BinaryOp):
             left = recur(expr.left)
             right = recur(expr.right)
@@ -898,7 +1036,7 @@ class Analyzer:
                     )
             return BOOL
         if isinstance(expr, ast.FuncCall):
-            return self._func(expr, scope, allow_agg, ctx, in_agg, allow_srf)
+            return self._func(expr, allow_agg, ctx, in_agg, allow_srf)
         if isinstance(expr, ast.WindowFunc):
             self.sink.error(
                 "WIN001",
@@ -1022,7 +1160,7 @@ class Analyzer:
             return INT
         return UNKNOWN
 
-    def _func(self, expr, scope, allow_agg, ctx, in_agg, allow_srf):
+    def _func(self, expr, allow_agg, ctx, in_agg, allow_srf):
         name = expr.name
         if name in SET_RETURNING:
             if not allow_srf:
@@ -1032,17 +1170,17 @@ class Analyzer:
                     expr,
                 )
             for arg in expr.args:
-                self._infer(arg, scope)
+                self._infer(arg)
             return UNKNOWN
         if name in AGGREGATE_FUNCTIONS:
-            return self._aggregate(expr, scope, allow_agg, ctx, in_agg)
+            return self._aggregate(expr, allow_agg, ctx, in_agg)
         if name not in SCALAR_FUNCTIONS:
             self.sink.error("SEM004", f"unknown function {name!r}", expr)
             for arg in expr.args:
-                self._infer(arg, scope, allow_agg=allow_agg, in_agg=in_agg)
+                self._infer(arg, allow_agg=allow_agg, in_agg=in_agg)
             return UNKNOWN
         arg_types = [
-            self._infer(arg, scope, allow_agg=allow_agg, ctx=ctx, in_agg=in_agg)
+            self._infer(arg, allow_agg=allow_agg, ctx=ctx, in_agg=in_agg)
             for arg in expr.args
         ]
         return self._check_scalar(expr, arg_types)
@@ -1089,7 +1227,7 @@ class Analyzer:
             return out
         return result
 
-    def _aggregate(self, expr, scope, allow_agg, ctx, in_agg):
+    def _aggregate(self, expr, allow_agg, ctx, in_agg):
         if in_agg:
             self.sink.error(
                 "AGG002",
@@ -1117,11 +1255,11 @@ class Analyzer:
                 expr,
             )
             for arg in expr.args:
-                self._infer(arg, scope, in_agg=True)
+                self._infer(arg, in_agg=True)
             return UNKNOWN
-        arg_ty = self._infer(expr.args[0], scope, in_agg=True)
+        arg_ty = self._infer(expr.args[0], in_agg=True)
         for item in expr.agg_order_by:
-            self._infer(item.expr, scope, in_agg=True)
+            self._infer(item.expr, in_agg=True)
         name = expr.name
         if name in ("sum", "avg"):
             if not _maybe_numeric(arg_ty):
@@ -1145,78 +1283,75 @@ class Analyzer:
             return BOOL
         return arg_ty  # min / max keep the input type (arrays included)
 
-    # -- name resolution (pass 1) -----------------------------------------
-    def _resolve(self, ref: ast.ColumnRef, scope):
+    # -- name resolution --------------------------------------------------
+    def _resolve(self, ref: ast.ColumnRef, scope) -> ast.BoundRef:
         matches = [
-            ty
+            (qual, ty)
             for qual, name, ty in scope
             if name == ref.name and (ref.table is None or qual == ref.table)
         ]
+        source, ty = matches[0] if len(matches) == 1 else (ref.table, UNKNOWN)
         if not matches:
             if not self._poison:
                 label = f"{ref.table}.{ref.name}" if ref.table else ref.name
                 self.sink.error(
                     "SEM002", f'column "{label}" does not exist', ref
                 )
-            return UNKNOWN
-        if len(matches) > 1:
+        elif len(matches) > 1:
             self.sink.error(
                 "SEM003", f"ambiguous column reference {ref.name!r}", ref
             )
-            return UNKNOWN
-        return matches[0]
+        return ast.BoundRef(
+            source, ref.name, ty, ref.table is not None, span=ref.span
+        )
 
-    # -- FROM clause (scope building) --------------------------------------
+    # -- FROM clause (sources and scope) -------------------------------------
     def _from(self, from_items, env):
-        """Build the core's name scope in syntactic source order.
-
-        Access-path classification no longer happens here: the module-level
-        :func:`analyze` runs the real planner and reads the paths off the
-        plan tree. Returns (scope, poisoned).
-        """
-        if not from_items:
-            return [], False
-        sources = []
+        """Bind the FROM clause in syntactic source order:
+        ``(sources, scope, poisoned)``. The scope lists every visible
+        ``(source, column, type)``; an ON conjunct sees the sources up to
+        and including the one it joins."""
+        flat: list = []
         for item in from_items:
-            self._flatten_joins(item, sources)
-        scope: list = []
-        poisoned = False
-        for item, on_conjuncts in sources:
-            frag, bad = self._load(item, env)
-            poisoned = poisoned or bad
-            scope = scope + frag
-            self._bind_on(scope, on_conjuncts)
-        return scope, poisoned
+            self._flatten_joins(item, flat)
+        sources, scope, poisoned = [], [], False
+        for item, on_conjuncts in flat:
+            source = self._load(item, env)
+            if source is None:
+                poisoned = True
+            else:
+                sources.append(source)
+                scope = scope + [
+                    (source.alias, name, ty) for name, ty in source.columns
+                ]
+            for conj in on_conjuncts:
+                self._no_aggregates(conj, "JOIN ON")
+                bound, _ = self._check(conj, scope, allow_agg=True)
+                if source is not None:
+                    source.on.append(bound)
+        return sources, scope, poisoned
 
-    def _flatten_joins(self, item, out, on_conjuncts=None):
+    def _flatten_joins(self, item, out, on_conjuncts=()):
         if isinstance(item, ast.Join):
             self._flatten_joins(item.left, out)
-            self._flatten_joins(item.right, out, _flatten_and(item.condition))
+            self._flatten_joins(item.right, out, flatten_and(item.condition))
             return
-        out.append((item, on_conjuncts or []))
+        out.append((item, on_conjuncts))
 
-    def _load(self, item, env):
-        """Typed scope fragment for one relation. Returns (frag, poisoned)."""
+    def _load(self, item, env) -> "BoundSource | None":
+        """The bound source for one relation; None if it does not exist."""
         if isinstance(item, ast.SubqueryRef):
-            output = self._query(item.query, env)
-            return [(item.alias, name, ty) for name, ty in output], False
+            query = self._query(item.query, env)
+            return BoundSource(
+                item.alias, "subquery", item.alias, query.columns, [], item, query
+            )
         alias = item.alias or item.name
         if item.name in env:
-            return [(alias, name, ty) for name, ty in env[item.name]], False
-        if not self.catalog.has(item.name):
-            self._unknown_table(item.name, item)
-            return [], True
-        table = self.catalog.get(item.name)
-        frag = [
-            (alias, col.name, type_of_tag(col.type_tag))
-            for col in table.schema.columns
-        ]
-        return frag, False
-
-    def _bind_on(self, scope, on_conjuncts) -> None:
-        for conj in on_conjuncts:
-            self._no_aggregates(conj, "JOIN ON")
-            self._infer(conj, scope, allow_agg=True)
+            return BoundSource(alias, "cte", item.name, env[item.name], [], item)
+        columns = self._table_columns(item.name, item)
+        if columns is None:
+            return None
+        return BoundSource(alias, "table", item.name, columns, [], item)
 
 
 # ---------------------------------------------------------------------------
@@ -1337,28 +1472,22 @@ def _flag_label_scans(analysis: Analysis, paths) -> None:
 # Public API
 # ---------------------------------------------------------------------------
 def analyze(stmt, catalog, sql: str | None = None) -> Analysis:
-    """Statically analyze a parsed statement against *catalog*.
+    """Bind and check a parsed statement against *catalog* and, when it has
+    no errors, lower the bound tree to its physical plan.
 
-    When semantic analysis succeeds, the statement is also lowered by the
-    real planner and the physical plan is attached as ``analysis.plan``;
-    access paths are read off that plan, so the static classification is
-    the executed plan by construction.
+    The plan is attached as ``analysis.plan`` and the access paths are read
+    off it, so the static classification is the executed plan by
+    construction. Lowering an accepted statement cannot fail: an exception
+    out of it is a bug in the binder, not a user error.
     """
-    from repro.errors import SQLError
-    from repro.minidb.catalog import CatalogError
-    from repro.minidb.sql.planner import plan_statement
+    from repro.minidb.sql.planner import lower
 
     analysis = Analyzer(catalog, sql=sql).analyze(stmt)
     if analysis.ok:
-        try:
-            plan = plan_statement(stmt, catalog)
-        except (SQLError, CatalogError):
-            plan = None
-        if plan is not None:
-            analysis.plan = plan
-            paths = _paths_from_plan(plan)
-            analysis.access_paths.extend(paths)
-            _flag_label_scans(analysis, paths)
+        analysis.plan = lower(stmt, analysis.bound, catalog)
+        paths = _paths_from_plan(analysis.plan)
+        analysis.access_paths.extend(paths)
+        _flag_label_scans(analysis, paths)
     return analysis
 
 

@@ -8,7 +8,8 @@ where a node came from. The analyzer uses spans to render caret diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 
 def _span_field():
@@ -38,6 +39,24 @@ class Param(Expr):
 class ColumnRef(Expr):
     table: str | None
     name: str
+    span: tuple | None = _span_field()
+
+
+@dataclass(frozen=True)
+class BoundRef(Expr):
+    """A column reference after binding: column ``column`` of the FROM
+    source ``source`` (its alias; ``None`` for a synthesized column such as
+    a set operation's output), of lattice type ``type``.
+
+    The binder puts one in place of every :class:`ColumnRef`; the planner
+    finds a slot by ``(source, column)`` and never looks at a name again.
+    Two spellings of one column compare equal — ``qualified`` only
+    remembers which was written, for the printer."""
+
+    source: str | None
+    column: str
+    type: object = field(default="unknown", compare=False)
+    qualified: bool = field(default=False, compare=False, repr=False)
     span: tuple | None = _span_field()
 
 
@@ -268,26 +287,66 @@ class Explain:
 # ---------------------------------------------------------------------------
 # Generic traversal
 # ---------------------------------------------------------------------------
-def walk(node):
-    """Yield every AST dataclass reachable from *node*, depth-first.
+#: annotations of fields that hold a plain value, never a node
+_PLAIN = ("str", "str | None", "int", "bool", "tuple[str, ...]")
 
-    Traversal is purely structural: it descends into dataclass fields and
-    tuple/list containers (CTE pairs, CASE whens, nested queries), skipping
-    ``span`` so positions never masquerade as children.
+
+@functools.cache
+def _node_fields(cls) -> tuple | None:
+    """Names of the fields of the AST dataclass *cls* that can hold nodes:
+    not ``span`` (positions never masquerade as children) and not the
+    plainly-typed ones. None for any other type (a plain value)."""
+    if not is_dataclass(cls):
+        return None
+    return tuple(
+        f.name for f in fields(cls) if f.name != "span" and f.type not in _PLAIN
+    )
+
+
+def children(node) -> list:
+    """The AST dataclasses directly under *node*, in source order.
+
+    Purely structural: dataclass fields and the tuples inside them (CTE
+    pairs, CASE whens, select lists) are opened, plain values are not.
     """
-    import dataclasses
+    out: list = []
+    stack = [getattr(node, name) for name in reversed(_node_fields(type(node)))]
+    while stack:
+        current = stack.pop()
+        if isinstance(current, (tuple, list)):
+            stack.extend(reversed(current))
+        elif _node_fields(type(current)) is not None:
+            out.append(current)
+    return out
 
+
+def walk(node):
+    """Yield *node* and every AST dataclass under it, depth-first, parents
+    before children and siblings in source order."""
     stack = [node]
     while stack:
         current = stack.pop()
-        if dataclasses.is_dataclass(current):
-            yield current
-            for f in dataclasses.fields(current):
-                if f.name == "span":
-                    continue
-                stack.append(getattr(current, f.name))
-        elif isinstance(current, (tuple, list)):
-            stack.extend(current)
+        yield current
+        stack.extend(reversed(children(current)))
+
+
+def rewrite(node, fn):
+    """Rebuild *node* bottom-up: every dataclass under it (children first,
+    then the node itself) is replaced by ``fn(node)``. Untouched subtrees
+    are shared with the input, and spans carry over."""
+    if isinstance(node, tuple):
+        new = tuple(rewrite(part, fn) for part in node)
+        return node if all(a is b for a, b in zip(new, node)) else new
+    names = _node_fields(type(node))
+    if names is None:
+        return node
+    changed = {}
+    for name in names:
+        old = getattr(node, name)
+        new = rewrite(old, fn)
+        if new is not old:
+            changed[name] = new
+    return fn(replace(node, **changed) if changed else node)
 
 
 def param_indices(node) -> tuple[int, ...]:

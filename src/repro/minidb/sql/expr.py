@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import numpy as _np
 
-from repro.errors import SQLError, SQLNameError, SQLSyntaxError
+from repro.errors import SQLError
 from repro.minidb.sql import ast
 from repro.minidb.sql.functions import (
     AGGREGATE_FUNCTIONS,
-    SET_RETURNING,
     get_scalar,
     is_aggregate,
 )
@@ -146,26 +145,12 @@ def hashable(row: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 # Expression compilation
 # ---------------------------------------------------------------------------
-def resolve(schema, ref: ast.ColumnRef) -> int:
-    matches = [
-        i
-        for i, (qual, name) in enumerate(schema)
-        if name == ref.name and (ref.table is None or qual == ref.table)
-    ]
-    if not matches:
-        raise SQLNameError(
-            f"column {ref.table + '.' if ref.table else ''}{ref.name} not found"
-        )
-    if len(matches) > 1:
-        # Defense in depth: the analyzer reports SEM003 for this before
-        # execution; this path fires only with analysis opted out.
-        raise SQLNameError(f"ambiguous column reference {ref.name!r}")
-    return matches[0]
+def compile_expr(expr, slots: dict, grouped: bool):
+    """Compile the bound expression *expr* into ``fn(ctx, params)``.
 
-
-def compile_expr(expr, schema, grouped: bool, strict_names: bool = False):
-    """Compile *expr* into ``fn(ctx, params)``.
-
+    *slots* maps each ``(source, column)`` of the input row to its position;
+    the binder has already proved every reference resolves and every call
+    is well placed, so nothing is validated here.
     ``ctx`` is a row tuple, or the group's row list when ``grouped``.
     Parameters are *deferred*: the closure indexes into the vector passed at
     execution time, so compiled plans are parameter-independent and
@@ -178,14 +163,14 @@ def compile_expr(expr, schema, grouped: bool, strict_names: bool = False):
     if isinstance(expr, ast.Param):
         idx = expr.index - 1
         return lambda _ctx, params, _i=idx: params[_i]
-    if isinstance(expr, ast.ColumnRef):
-        idx = resolve(schema, expr)
+    if isinstance(expr, ast.BoundRef):
+        idx = slots[expr.source, expr.column]
         if grouped:
             return lambda rows, _params, _i=idx: rows[0][_i] if rows else None
         return lambda row, _params, _i=idx: row[_i]
     if isinstance(expr, ast.BinaryOp):
-        left = compile_expr(expr.left, schema, grouped, strict_names)
-        right = compile_expr(expr.right, schema, grouped, strict_names)
+        left = compile_expr(expr.left, slots, grouped)
+        right = compile_expr(expr.right, slots, grouped)
         op = expr.op
         if op == "AND":
             return lambda ctx, params: _logic_and(left(ctx, params), right(ctx, params))
@@ -199,7 +184,7 @@ def compile_expr(expr, schema, grouped: bool, strict_names: bool = False):
             _op, left(ctx, params), right(ctx, params)
         )
     if isinstance(expr, ast.UnaryOp):
-        operand = compile_expr(expr.operand, schema, grouped, strict_names)
+        operand = compile_expr(expr.operand, slots, grouped)
         if expr.op == "-":
             def _neg(ctx, params):
                 value = operand(ctx, params)
@@ -214,14 +199,14 @@ def compile_expr(expr, schema, grouped: bool, strict_names: bool = False):
             return _not
         raise SQLError(f"unknown unary operator {expr.op}")
     if isinstance(expr, ast.IsNull):
-        operand = compile_expr(expr.operand, schema, grouped, strict_names)
+        operand = compile_expr(expr.operand, slots, grouped)
         if expr.negated:
             return lambda ctx, params: operand(ctx, params) is not None
         return lambda ctx, params: operand(ctx, params) is None
     if isinstance(expr, ast.InList):
-        operand = compile_expr(expr.operand, schema, grouped, strict_names)
+        operand = compile_expr(expr.operand, slots, grouped)
         item_fns = [
-            compile_expr(i, schema, grouped, strict_names) for i in expr.items
+            compile_expr(i, slots, grouped) for i in expr.items
         ]
         negated = expr.negated
 
@@ -234,17 +219,12 @@ def compile_expr(expr, schema, grouped: bool, strict_names: bool = False):
 
         return _in
     if isinstance(expr, ast.ArraySlice):
-        base = compile_expr(expr.base, schema, grouped, strict_names)
-        low = (
-            compile_expr(expr.low, schema, grouped, strict_names)
-            if expr.low is not None
-            else None
-        )
-        high = (
-            compile_expr(expr.high, schema, grouped, strict_names)
-            if expr.high is not None
-            else None
-        )
+        base = compile_expr(expr.base, slots, grouped)
+        low = high = None
+        if expr.low is not None:
+            low = compile_expr(expr.low, slots, grouped)
+        if expr.high is not None:
+            high = compile_expr(expr.high, slots, grouped)
 
         def _slice(ctx, params):
             arr = base(ctx, params)
@@ -265,8 +245,8 @@ def compile_expr(expr, schema, grouped: bool, strict_names: bool = False):
 
         return _slice
     if isinstance(expr, ast.ArrayIndex):
-        base = compile_expr(expr.base, schema, grouped, strict_names)
-        index = compile_expr(expr.index, schema, grouped, strict_names)
+        base = compile_expr(expr.base, slots, grouped)
+        index = compile_expr(expr.index, slots, grouped)
 
         def _index(ctx, params):
             arr = base(ctx, params)
@@ -280,19 +260,19 @@ def compile_expr(expr, schema, grouped: bool, strict_names: bool = False):
         return _index
     if isinstance(expr, ast.ArrayLiteral):
         item_fns = [
-            compile_expr(i, schema, grouped, strict_names) for i in expr.items
+            compile_expr(i, slots, grouped) for i in expr.items
         ]
         return lambda ctx, params: [fn(ctx, params) for fn in item_fns]
     if isinstance(expr, ast.CaseExpr):
         when_fns = [
             (
-                compile_expr(cond, schema, grouped, strict_names),
-                compile_expr(result, schema, grouped, strict_names),
+                compile_expr(cond, slots, grouped),
+                compile_expr(result, slots, grouped),
             )
             for cond, result in expr.whens
         ]
         default_fn = (
-            compile_expr(expr.default, schema, grouped, strict_names)
+            compile_expr(expr.default, slots, grouped)
             if expr.default is not None
             else None
         )
@@ -306,40 +286,24 @@ def compile_expr(expr, schema, grouped: bool, strict_names: bool = False):
         return _case
     if isinstance(expr, ast.FuncCall):
         if is_aggregate(expr.name):
-            return _compile_aggregate(expr, schema, grouped)
-        if expr.name in SET_RETURNING:
-            raise SQLSyntaxError(
-                "UNNEST is only allowed as a top-level select item"
-            )
+            return _compile_aggregate(expr, slots)
         fn = get_scalar(expr.name)
         arg_fns = [
-            compile_expr(a, schema, grouped, strict_names) for a in expr.args
+            compile_expr(a, slots, grouped) for a in expr.args
         ]
         return lambda ctx, params, _f=fn: _f(*[a(ctx, params) for a in arg_fns])
-    if isinstance(expr, ast.WindowFunc):
-        raise SQLSyntaxError(
-            "window functions are only allowed as top-level select items"
-        )
-    if isinstance(expr, ast.Star):
-        raise SQLSyntaxError("* is only allowed in the select list")
     raise SQLError(f"cannot compile {type(expr).__name__}")
 
 
-def _compile_aggregate(expr: ast.FuncCall, schema, grouped: bool):
-    if not grouped:
-        raise SQLSyntaxError(
-            f"aggregate {expr.name}() used outside of aggregation context"
-        )
+def _compile_aggregate(expr: ast.FuncCall, slots: dict):
+    """An aggregate call over the group's row list (its argument and
+    ORDER BY keys are per-row expressions)."""
     agg = AGGREGATE_FUNCTIONS[expr.name]
-    if expr.star:
-        if expr.name != "count":
-            raise SQLSyntaxError(f"{expr.name}(*) is not valid")
+    if expr.star:  # COUNT(*)
         return lambda rows, _params: len(rows)
-    if len(expr.args) != 1:
-        raise SQLSyntaxError(f"{expr.name}() takes exactly one argument")
-    arg_fn = compile_expr(expr.args[0], schema, grouped=False)
+    arg_fn = compile_expr(expr.args[0], slots, grouped=False)
     order_fns = [
-        compile_expr(item.expr, schema, grouped=False)
+        compile_expr(item.expr, slots, grouped=False)
         for item in expr.agg_order_by
     ]
     descending = [item.descending for item in expr.agg_order_by]

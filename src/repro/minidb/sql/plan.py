@@ -1,6 +1,6 @@
 """Physical plan tree: the contract between the planner and the executor.
 
-The planner (:mod:`repro.minidb.sql.planner`) lowers an analyzed AST into a
+The planner (:mod:`repro.minidb.sql.planner`) lowers the binder's tree into a
 tree of the node classes below; the executor
 (:mod:`repro.minidb.sql.vectorized`) interprets that tree as a pipeline of
 batch generators. Nothing in this module touches storage —

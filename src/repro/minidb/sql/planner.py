@@ -1,5 +1,10 @@
-"""Logical-to-physical planner: lowers a parsed statement into a plan tree.
+"""Logical-to-physical planner: lowers the binder's tree into a plan tree.
 
+The input is the bound tree of :mod:`repro.minidb.sql.analyzer` — sources,
+conjuncts, classified select items and resolved sort keys, every column a
+``(source, column, type)`` — so nothing here looks a name up: a column's
+slot comes from its schema's ``(source, column)`` map, and whether a
+conjunct can run at an operator is a set test on the sources it references.
 Planning is pure — no pages are read — and produces a
 :class:`~repro.minidb.sql.plan.Plan` whose expressions are compiled to
 ``fn(ctx, params)`` closures with **deferred** parameter binding, so one
@@ -24,64 +29,54 @@ as the paper requires.
 
 from __future__ import annotations
 
-from repro.errors import SQLError, SQLNameError, SQLSyntaxError
-from repro.minidb.values import is_array_type
+from repro.errors import SQLError
 from repro.minidb.sql import ast
 from repro.minidb.sql import plan as phys
-from repro.minidb.sql.expr import compile_expr, resolve as _resolve
-from repro.minidb.sql.functions import SET_RETURNING, is_aggregate
+from repro.minidb.sql.analyzer import (
+    AGG,
+    SRF,
+    WINDOW,
+    BoundQuery,
+    BoundWrite,
+    analyze,
+    is_array,
+)
+from repro.minidb.sql.expr import compile_expr
+from repro.minidb.sql.functions import is_aggregate
 from repro.minidb.sql.printer import render_expr
 
 
-# ---------------------------------------------------------------------------
-# Expression helpers (shared with the executor)
-# ---------------------------------------------------------------------------
-def _flatten_and(expr: ast.Expr | None) -> list[ast.Expr]:
-    if expr is None:
-        return []
-    if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-        return _flatten_and(expr.left) + _flatten_and(expr.right)
-    return [expr]
+class _Schema:
+    """The row layout of one operator's output."""
+
+    __slots__ = ("cols", "slots", "sources")
+
+    def __init__(self, cols):
+        self.cols = cols  # [(source, column)] by position
+        #: (source, column) -> position: what compile_expr reads
+        self.slots = {col: i for i, col in enumerate(cols)}
+        self.sources = {source for source, _ in cols}
+
+    @classmethod
+    def of(cls, source) -> "_Schema":
+        return cls([(source.alias, name) for name, _ in source.columns])
+
+    def __add__(self, other: "_Schema") -> "_Schema":
+        return _Schema(self.cols + other.cols)
+
+    def __len__(self) -> int:
+        return len(self.cols)
+
+    def slot(self, ref: ast.BoundRef) -> int:
+        return self.slots[ref.source, ref.column]
+
+    def covers(self, expr) -> bool:
+        """Whether every column *expr* references is in this row."""
+        return all(ref.source in self.sources for ref in _refs(expr))
 
 
-def _contains_aggregate(expr) -> bool:
-    if isinstance(expr, ast.FuncCall):
-        if is_aggregate(expr.name):
-            return True
-        return any(_contains_aggregate(a) for a in expr.args)
-    if isinstance(expr, ast.BinaryOp):
-        return _contains_aggregate(expr.left) or _contains_aggregate(expr.right)
-    if isinstance(expr, ast.UnaryOp):
-        return _contains_aggregate(expr.operand)
-    if isinstance(expr, ast.IsNull):
-        return _contains_aggregate(expr.operand)
-    if isinstance(expr, ast.InList):
-        return _contains_aggregate(expr.operand) or any(
-            _contains_aggregate(i) for i in expr.items
-        )
-    if isinstance(expr, (ast.ArraySlice, ast.ArrayIndex)):
-        inner = [expr.base]
-        if isinstance(expr, ast.ArraySlice):
-            inner += [e for e in (expr.low, expr.high) if e is not None]
-        else:
-            inner.append(expr.index)
-        return any(_contains_aggregate(e) for e in inner)
-    if isinstance(expr, ast.CaseExpr):
-        parts = [e for pair in expr.whens for e in pair]
-        if expr.default is not None:
-            parts.append(expr.default)
-        return any(_contains_aggregate(p) for p in parts)
-    if isinstance(expr, ast.ArrayLiteral):
-        return any(_contains_aggregate(i) for i in expr.items)
-    return False
-
-
-def _contains_srf(expr) -> bool:
-    """Top-level set-returning call only: nested UNNEST is a compile error."""
-    if isinstance(expr, ast.FuncCall) and expr.name in SET_RETURNING:
-        return True
-    return False
-
+def _refs(expr):
+    return (n for n in ast.walk(expr) if isinstance(n, ast.BoundRef))
 
 
 # ---------------------------------------------------------------------------
@@ -108,11 +103,8 @@ def _np_operand(expr, schema):
         return None
     if isinstance(expr, ast.Param):
         return ("param", expr.index - 1)
-    if isinstance(expr, ast.ColumnRef):
-        try:
-            return ("col", _resolve(schema, expr))
-        except SQLError:
-            return None
+    if isinstance(expr, ast.BoundRef):
+        return ("col", schema.slot(expr))
     if isinstance(expr, ast.UnaryOp) and expr.op == "-":
         inner = _np_operand(expr.operand, schema)
         return None if inner is None else ("neg", inner)
@@ -215,169 +207,143 @@ def _spec_cols(spec, out: set) -> None:
             _spec_cols(part, out)
 
 
-
 # ---------------------------------------------------------------------------
 # Planner
 # ---------------------------------------------------------------------------
-def plan_statement(stmt, catalog) -> phys.Plan:
-    """Lower one parsed statement into an executable physical plan."""
+def lower(stmt, bound, catalog) -> phys.Plan:
+    """Lower *bound*, the binder's tree for the error-free statement *stmt*,
+    into an executable physical plan."""
     planner = Planner(catalog)
-    node = planner.plan(stmt)
+    node = planner.plan(bound)
     planner.finalize_np_decode()
-    return phys.Plan(node, ast.param_indices(stmt))
+    return phys.Plan(_explained(stmt, node), ast.param_indices(stmt))
+
+
+def _explained(stmt, node):
+    """*node* under one ExplainPlan per ``EXPLAIN`` wrapped around it."""
+    if not isinstance(stmt, ast.Explain):
+        return node
+    inner = _explained(stmt.statement, node)
+    return phys.ExplainPlan(
+        stmt.analyze, phys.Plan(inner, ast.param_indices(stmt.statement))
+    )
+
+
+def plan_statement(stmt, catalog) -> phys.Plan:
+    """Bind one parsed statement, raise its first error, lower the rest."""
+    analysis = analyze(stmt, catalog)
+    analysis.raise_if_errors()
+    return analysis.plan
 
 
 class Planner:
     def __init__(self, catalog):
         self.catalog = catalog
+        #: base-table scan node -> the BoundSource it reads (column types
+        #: for the np_decode analyses)
+        self._scanned: dict = {}
         #: CTE name -> {"scan", "out_arr", "uses"}: candidates for the
         #: cross-CTE np_decode analysis (see _register_cte). Lives for one
         #: statement; finalize_np_decode resolves it after planning.
         self._cte_np: dict = {}
 
     # -- statements -----------------------------------------------------
-    def plan(self, stmt):
-        if isinstance(stmt, ast.Explain):
-            inner = phys.Plan(
-                self.plan(stmt.statement), ast.param_indices(stmt.statement)
-            )
-            return phys.ExplainPlan(stmt.analyze, inner)
-        if isinstance(stmt, ast.Query):
-            return self.plan_query(stmt, {})
-        if isinstance(stmt, ast.CreateTable):
-            return phys.CreateTablePlan(stmt)
-        if isinstance(stmt, ast.DropTable):
-            return phys.DropTablePlan(stmt.name, stmt.if_exists, ast_ref=stmt)
-        if isinstance(stmt, ast.Insert):
-            return self._plan_insert(stmt)
-        if isinstance(stmt, ast.Delete):
-            return self._plan_delete(stmt)
-        if isinstance(stmt, ast.Update):
-            return self._plan_update(stmt)
-        if isinstance(stmt, ast.Vacuum):
-            return phys.VacuumPlan(stmt.table, ast_ref=stmt)
-        raise SQLError(f"cannot execute {type(stmt).__name__}")
+    def plan(self, bound):
+        if isinstance(bound, BoundQuery):
+            return self.plan_query(bound)
+        if isinstance(bound, BoundWrite):
+            return self._plan_write(bound)
+        if isinstance(bound, ast.CreateTable):
+            return phys.CreateTablePlan(bound)
+        if isinstance(bound, ast.DropTable):
+            return phys.DropTablePlan(bound.name, bound.if_exists, ast_ref=bound)
+        if isinstance(bound, ast.Vacuum):
+            return phys.VacuumPlan(bound.table, ast_ref=bound)
+        raise SQLError(f"cannot execute {type(bound).__name__}")
 
-    def _plan_insert(self, stmt: ast.Insert):
-        table = self.catalog.get(stmt.table)
-        schema = table.schema
-        if stmt.columns:
-            positions = [schema.column_index(c) for c in stmt.columns]
-        else:
-            positions = list(range(len(schema.columns)))
-        select = None
-        row_fns = []
-        if stmt.select is not None:
-            select = self.plan_query(stmt.select, {})
-        else:
-            row_fns = [
-                [compile_expr(e, [], grouped=False) for e in row]
-                for row in stmt.rows
+    def _plan_write(self, write: BoundWrite):
+        stmt = write.node
+        slots = _Schema([(stmt.table, name) for name, _ in write.columns]).slots
+        where_fn = (
+            compile_expr(write.where, slots, grouped=False)
+            if write.where is not None
+            else None
+        )
+        if isinstance(stmt, ast.Delete):
+            return phys.DeletePlan(stmt.table, where_fn, ast_ref=stmt)
+        if isinstance(stmt, ast.Update):
+            value_fns = [
+                compile_expr(value, slots, grouped=False) for value in write.values
             ]
+            return phys.UpdatePlan(
+                stmt.table, write.positions, value_fns, where_fn, ast_ref=stmt
+            )
+        select = None
+        if write.select is not None:
+            select = self.plan_query(write.select)
+        row_fns = [
+            [compile_expr(value, {}, grouped=False) for value in row]
+            for row in write.values
+        ]
         return phys.InsertPlan(
-            stmt.table, positions, len(schema.columns), row_fns, select,
+            stmt.table, write.positions, len(write.columns), row_fns, select,
             ast_ref=stmt,
         )
 
-    def _plan_delete(self, stmt: ast.Delete):
-        table = self.catalog.get(stmt.table)
-        schema = [(stmt.table, n) for n in table.schema.column_names]
-        where_fn = (
-            compile_expr(stmt.where, schema, grouped=False)
-            if stmt.where is not None
-            else None
-        )
-        return phys.DeletePlan(stmt.table, where_fn, ast_ref=stmt)
-
-    def _plan_update(self, stmt: ast.Update):
-        table = self.catalog.get(stmt.table)
-        schema = [(stmt.table, n) for n in table.schema.column_names]
-        positions = [
-            table.schema.column_index(col) for col, _ in stmt.assignments
-        ]
-        value_fns = [
-            compile_expr(expr, schema, grouped=False)
-            for _, expr in stmt.assignments
-        ]
-        where_fn = (
-            compile_expr(stmt.where, schema, grouped=False)
-            if stmt.where is not None
-            else None
-        )
-        return phys.UpdatePlan(stmt.table, positions, value_fns, where_fn, ast_ref=stmt)
-
     # -- queries --------------------------------------------------------
-    def plan_query(self, query: ast.Query, env: dict) -> phys.QueryPlan:
-        """Plan one query. ``env`` maps visible CTE names to their output
-        column lists (plan-time only; rows exist only at execution)."""
-        env = dict(env)
+    def plan_query(self, query: BoundQuery) -> phys.QueryPlan:
         ctes = []
         for name, cte_query in query.ctes:
-            sub = self.plan_query(cte_query, env)
+            sub = self.plan_query(cte_query)
             ctes.append((name, sub))
-            env[name] = sub.columns
             self._register_cte(name, sub)
+        columns = [name for name, _ in query.columns]
 
-        if len(query.cores) == 1 and isinstance(query.cores[0], ast.SelectCore):
-            node, columns = self._plan_single(query, query.cores[0], env)
-            return phys.QueryPlan(ctes, node, columns, ast_ref=query)
+        core = query.core
+        if core is not None:
+            node = self._plan_core(core, [key for key, _ in query.order_by])
+            node = self._plan_order_limit(node, query, keyed=True, key_fns=None)
+            return phys.QueryPlan(ctes, node, columns, ast_ref=query.node)
 
         # Set operation (or single parenthesized sub-query).
         parts = []
-        for core in query.cores:
-            if isinstance(core, ast.Query):
-                parts.append(self.plan_query(core, env))
+        for part in query.parts:
+            if isinstance(part, BoundQuery):
+                parts.append(self.plan_query(part))
             else:
-                bare = ast.Query(cores=(core,))
-                node, columns = self._plan_single(bare, core, env)
-                parts.append(phys.QueryPlan([], node, columns, ast_ref=core))
-        width = len(parts[0].columns)
-        for part in parts[1:]:
-            if len(part.columns) != width:
-                # Defense in depth: the analyzer rejects this statically
-                # (TYP004) before any operand produces rows.
-                raise SQLError("UNION operands have different column counts")
+                names = [item.name for item in part.items]
+                node = self._plan_core(part, [])
+                parts.append(phys.QueryPlan([], node, names, ast_ref=part.node))
         node = parts[0]
         for op, part in zip(query.set_ops, parts[1:]):
             node = phys.Union(node, part, op)
-        columns = parts[0].columns
+        key_fns = None
         if query.order_by:
-            schema = [(None, name) for name in columns]
+            # Keys read the combined output row: a position, or an
+            # expression over the output columns.
+            slots = _Schema([(None, name) for name in columns]).slots
             key_fns = [
-                self._order_key_fn(item.expr, schema, columns)
-                for item in query.order_by
+                (lambda row, _params, _i=key: row[_i])
+                if isinstance(key, int)
+                else compile_expr(key, slots, grouped=False)
+                for key, _ in query.order_by
             ]
-            node = self._plan_order_limit(
-                node, query, keyed=False, key_fns=key_fns
-            )
-        else:
-            node = self._plan_order_limit(node, query, keyed=False, key_fns=None)
-        return phys.QueryPlan(ctes, node, columns, ast_ref=query)
+        node = self._plan_order_limit(node, query, keyed=False, key_fns=key_fns)
+        return phys.QueryPlan(ctes, node, columns, ast_ref=query.node)
 
-    def _order_key_fn(self, expr, schema, columns):
-        """ORDER BY over set-operation output: position, name, or expr."""
-        if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-            idx = expr.value - 1
-            return lambda row, _params, _i=idx: row[_i]
-        if isinstance(expr, ast.ColumnRef) and expr.table is None:
-            for i, name in enumerate(columns):
-                if name == expr.name:
-                    return lambda row, _params, _i=i: row[_i]
-        return compile_expr(expr, schema, grouped=False)
-
-    def _plan_order_limit(self, node, query: ast.Query, keyed, key_fns):
+    def _plan_order_limit(self, node, query: BoundQuery, keyed, key_fns):
         limit_fn = (
-            compile_expr(query.limit, [], grouped=False)
+            compile_expr(query.limit, {}, grouped=False)
             if query.limit is not None
             else None
         )
         offset_fn = (
-            compile_expr(query.offset, [], grouped=False)
+            compile_expr(query.offset, {}, grouped=False)
             if query.offset is not None
             else None
         )
         if query.order_by:
-            descending = [item.descending for item in query.order_by]
+            descending = [desc for _, desc in query.order_by]
             if limit_fn is not None:
                 # The paper's kNN hot case: ORDER BY + LIMIT k keeps a
                 # bounded heap instead of sorting everything.
@@ -393,46 +359,45 @@ class Planner:
         return node
 
     # -- single SELECT core ---------------------------------------------
-    def _plan_single(self, query: ast.Query, core: ast.SelectCore, env: dict):
-        conjuncts = _flatten_and(core.where)
+    def _plan_core(self, core, order_keys):
+        """Lower one core. *order_keys* are the query's resolved ORDER BY
+        keys when this core is the whole query (else empty): the projection
+        pairs each output row with its sort key."""
         used: set[int] = set()
-        node, schema = self._plan_from(core.from_items, env, conjuncts, used)
+        node, schema = self._plan_from(core.sources, core.where, used)
 
         # Residual WHERE predicates not pushed into a scan or join.
-        residual = [c for i, c in enumerate(conjuncts) if i not in used]
+        residual = [c for i, c in enumerate(core.where) if i not in used]
         if residual:
             predicates = [
-                compile_expr(c, schema, grouped=False) for c in residual
+                compile_expr(c, schema.slots, grouped=False) for c in residual
             ]
             node = phys.Filter(node, predicates, _predicate_detail(residual))
             node.filter_specs = [_np_cmp(c, schema) for c in residual]
 
-        items = self._expand_stars(core.items, schema)
-        items, schema, node = self._plan_srfs(items, schema, node)
-        items, schema, node = self._plan_windows(items, schema, node)
+        items = core.items
+        node, schema = self._plan_srfs(items, schema, node)
+        node, schema = self._plan_windows(items, schema, node)
+        slots = schema.slots
+        key_specs = [
+            key
+            if isinstance(key, int)
+            else compile_expr(key, slots, grouped=core.grouped)
+            for key in order_keys
+        ] or None
 
-        columns = [_output_name(item) for item in items]
-        grouped = bool(core.group_by) or any(
-            _contains_aggregate(item.expr) for item in items
-        )
-        order_items = query.order_by if len(query.cores) == 1 else ()
-
-        if grouped:
+        if core.grouped:
             group_fns = [
-                self._group_key_fn(expr, schema, items) for expr in core.group_by
+                compile_expr(key, slots, grouped=False) for key in core.group_by
             ]
             item_fns = [
-                compile_expr(it.expr, schema, grouped=True) for it in items
+                compile_expr(it.value, slots, grouped=True) for it in items
             ]
             having_fn = (
-                compile_expr(core.having, schema, grouped=True)
+                compile_expr(core.having, slots, grouped=True)
                 if core.having is not None
                 else None
             )
-            key_specs = [
-                self._grouped_order_key(it.expr, schema, items)
-                for it in order_items
-            ] or None
             node = phys.Aggregate(
                 node, group_fns, item_fns, having_fn, key_specs,
                 len(core.group_by),
@@ -441,70 +406,21 @@ class Planner:
                 items, schema, having_fn, key_specs
             )
             if node.simple_spec is not None:
-                node.np_spec = self._np_agg_spec(
-                    items, schema, core.group_by, key_specs
-                )
+                node.np_spec = self._np_agg_spec(items, schema, core.group_by)
                 if node.np_spec is not None and isinstance(
                     node.child, phys.HashJoin
                 ):
                     self._mark_fused_join(node.child, node.np_spec)
         else:
             item_fns = [
-                compile_expr(it.expr, schema, grouped=False) for it in items
+                compile_expr(it.value, slots, grouped=False) for it in items
             ]
-            key_specs = [
-                self._order_key_for_core(it.expr, schema, items)
-                for it in order_items
-            ] or None
             node = phys.Project(node, item_fns, key_specs)
             node.simple_cols = self._simple_cols(items, schema)
 
         if core.distinct:
-            node = phys.Distinct(node, keyed=bool(order_items))
-
-        if len(query.cores) == 1:
-            node = self._plan_order_limit(node, query, keyed=True, key_fns=None)
-        return node, columns
-
-    def _order_key_for_core(self, expr, schema, items):
-        """Order key in a non-grouped core: alias, position, or expression.
-
-        Returns an int (index into the output row) or ``fn(row, params)``
-        over the input schema."""
-        if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-            return expr.value - 1  # positional: index into output row
-        if isinstance(expr, ast.ColumnRef) and expr.table is None:
-            for i, item in enumerate(items):
-                if _output_name(item) == expr.name:
-                    # Prefer the already-computed output if the name is an
-                    # alias not present in the input schema.
-                    if not _name_in_schema(schema, expr.name):
-                        return i
-        idx = _match_output_expr(expr, items)
-        if idx is not None:
-            return idx
-        return compile_expr(expr, schema, grouped=False)
-
-    def _grouped_order_key(self, expr, schema, items):
-        if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-            return expr.value - 1
-        if isinstance(expr, ast.ColumnRef) and expr.table is None:
-            for i, item in enumerate(items):
-                if _output_name(item) == expr.name:
-                    return i
-        idx = _match_output_expr(expr, items)
-        if idx is not None:
-            return idx
-        return compile_expr(expr, schema, grouped=True)
-
-    def _group_key_fn(self, expr, schema, items):
-        # GROUP BY may name a select alias (PostgreSQL extension).
-        if isinstance(expr, ast.ColumnRef) and expr.table is None:
-            if not _name_in_schema(schema, expr.name):
-                for item in items:
-                    if _output_name(item) == expr.name:
-                        return compile_expr(item.expr, schema, grouped=False)
-        return compile_expr(expr, schema, grouped=False)
+            node = phys.Distinct(node, keyed=bool(order_keys))
+        return node
 
     # -- batch-kernel metadata ------------------------------------------
     def _simple_agg_spec(self, items, schema, having_fn, key_specs):
@@ -534,39 +450,28 @@ class Planner:
             return None
         spec = []
         for item in items:
-            entry = self._simple_agg_item(item.expr, schema)
+            entry = self._simple_agg_item(item, schema)
             if entry is None:
                 return None
             spec.append(entry)
         return spec
 
-    def _simple_agg_item(self, expr, schema):
-        if not _contains_aggregate(expr):
-            if _contains_srf(expr):
-                return None
-            try:
-                return ("first", compile_expr(expr, schema, grouped=True))
-            except SQLError:
-                return None
+    def _simple_agg_item(self, item, schema):
+        expr = item.value
+        if item.kind != AGG:
+            return ("first", compile_expr(expr, schema.slots, grouped=True))
         if not (isinstance(expr, ast.FuncCall) and is_aggregate(expr.name)):
             return None  # aggregate nested inside a larger expression
         if expr.star:
-            return ("count*", None) if expr.name == "count" else None
+            return ("count*", None)
         if expr.distinct or expr.agg_order_by:
             return None
         if expr.name not in ("min", "max", "sum", "count", "avg"):
             return None
-        if len(expr.args) != 1:
-            return None
-        arg = expr.args[0]
-        if _contains_aggregate(arg) or _contains_srf(arg):
-            return None
-        try:
-            return ("agg", expr.name, compile_expr(arg, schema, grouped=False))
-        except SQLError:
-            return None
+        arg_fn = compile_expr(expr.args[0], schema.slots, grouped=False)
+        return ("agg", expr.name, arg_fn)
 
-    def _np_agg_spec(self, items, schema, group_by, key_specs):
+    def _np_agg_spec(self, items, schema, group_by):
         """Whole-column aggregation recipe for the numpy kernel, or None.
 
         Stricter than :meth:`_simple_agg_spec` (which must already have
@@ -577,35 +482,25 @@ class Planner:
         ``(group_cols, item_specs)`` with item specs ``("first", col)``,
         ``("count*",)`` or ``("agg", name, operand_spec)``.
         """
-        if len(group_by) > 1:
+        if len(group_by) > 1 or not all(
+            isinstance(key, ast.BoundRef) for key in group_by
+        ):
             return None
-        group_cols = []
-        for expr in group_by:
-            if not isinstance(expr, ast.ColumnRef):
-                return None
-            try:
-                group_cols.append(_resolve(schema, expr))
-            except SQLError:
-                return None
+        group_cols = [schema.slot(key) for key in group_by]
         spec = []
         for item in items:
-            expr = item.expr
-            if not _contains_aggregate(expr):
-                if not isinstance(expr, ast.ColumnRef):
+            expr = item.value
+            if item.kind != AGG:
+                if not isinstance(expr, ast.BoundRef):
                     return None
-                try:
-                    spec.append(("first", _resolve(schema, expr)))
-                except SQLError:
-                    return None
+                spec.append(("first", schema.slot(expr)))
                 continue
             if not (isinstance(expr, ast.FuncCall) and is_aggregate(expr.name)):
                 return None
             if expr.star:
-                if expr.name != "count":
-                    return None
                 spec.append(("count*",))
                 continue
-            if expr.name not in ("min", "max", "count") or len(expr.args) != 1:
+            if expr.name not in ("min", "max", "count"):
                 return None
             operand = _np_operand(expr.args[0], schema)
             if operand is None:
@@ -640,68 +535,28 @@ class Planner:
 
     def _simple_cols(self, items, schema):
         """Input-column index per select item when all are plain columns."""
-        cols = []
-        for item in items:
-            if not isinstance(item.expr, ast.ColumnRef):
-                return None
-            try:
-                cols.append(_resolve(schema, item.expr))
-            except SQLError:
-                return None
-        return cols
+        if not all(isinstance(item.value, ast.BoundRef) for item in items):
+            return None
+        return [schema.slot(item.value) for item in items]
 
     # -- select-list machinery ------------------------------------------
-    def _expand_stars(self, items, schema):
-        out = []
-        for item in items:
-            if isinstance(item.expr, ast.Star):
-                table = item.expr.table
-                matched = False
-                for qual, name in schema:
-                    if table is None or qual == table:
-                        out.append(
-                            ast.SelectItem(ast.ColumnRef(qual, name), alias=name)
-                        )
-                        matched = True
-                if not matched:
-                    raise SQLNameError(f"no columns match {table or ''}.*")
-            else:
-                out.append(item)
-        return out
-
     def _plan_srfs(self, items, schema, node):
-        srf_positions = [
-            i for i, item in enumerate(items) if _contains_srf(item.expr)
+        """Expand the UNNEST items below the projection: each one's output
+        lands in the appended column its ``ref`` names."""
+        srfs = [(i, item) for i, item in enumerate(items) if item.kind == SRF]
+        if not srfs:
+            return node, schema
+        srf_fns = [
+            compile_expr(item.expr.args[0], schema.slots, grouped=False)
+            for _, item in srfs
         ]
-        if not srf_positions:
-            return items, schema, node
-        srf_fns = []
-        for i in srf_positions:
-            expr = items[i].expr
-            if not (
-                isinstance(expr, ast.FuncCall) and expr.name in SET_RETURNING
-            ):
-                raise SQLSyntaxError(
-                    "UNNEST must be the whole select expression in minidb"
-                )
-            if len(expr.args) != 1:
-                raise SQLSyntaxError("UNNEST takes exactly one argument")
-            srf_fns.append(compile_expr(expr.args[0], schema, grouped=False))
-
-        new_schema = list(schema)
-        new_items = list(items)
-        for i in srf_positions:
-            synth = f"__srf_{i}"
-            new_schema.append((None, synth))
-            new_items[i] = ast.SelectItem(
-                ast.ColumnRef(None, synth), alias=items[i].alias or "unnest"
-            )
         unnest = phys.Unnest(node, srf_fns)
-        unnest.srf_positions = list(srf_positions)
-        self._mark_np_decode(node, items, srf_positions, schema)
-        return new_items, new_schema, unnest
+        unnest.srf_positions = [i for i, _ in srfs]
+        self._mark_np_decode(node, items, schema)
+        appended = [(item.ref.source, item.ref.column) for _, item in srfs]
+        return unnest, schema + _Schema(appended)
 
-    def _mark_np_decode(self, node, items, srf_positions, schema):
+    def _mark_np_decode(self, node, items, schema):
         """Let an UNNEST-feeding columnar scan decode arrays as ndarrays.
 
         Safe only when the array cells cannot reach any consumer that
@@ -718,73 +573,44 @@ class Planner:
         the scan that produced the CTE's rows.
         """
         if isinstance(node, phys.CteScan):
-            self._mark_cte_use(node, items, srf_positions, schema)
+            self._mark_cte_use(node, items, schema)
             return
         arr = self._scan_np_arrays(node)
-        if arr is None:
-            return
-        if self._items_np_safe(items, srf_positions, schema, arr):
+        if arr is not None and self._items_np_safe(items, schema, arr):
             node.np_decode = True
 
     def _scan_np_arrays(self, node):
         """Output positions a scan could fill with ndarray cells, or None.
 
-        The positions are the scanned columnar table's integer-array
-        columns (offset by ``np_probe_base`` for an INL probe). None means
-        the node is no candidate: wrong node/storage kind, no array
+        The positions are the scanned columnar table's array-typed columns
+        (offset by ``np_probe_base`` for an INL probe). None means the node
+        is no candidate: not a base-table scan, row storage, no array
         columns, or key/filter machinery that would have to evaluate
         Python-list semantics on the array cells.
         """
-        if not isinstance(
-            node, (phys.SeqScan, phys.PkLookup, phys.IndexNestedLoop)
-        ):
+        source = self._scanned.get(node)
+        if source is None:
             return None
-        try:
-            table = self.catalog.get(node.table)
-        except SQLError:
+        if self.catalog.get(source.name).schema.storage != "columnar":
             return None
-        tschema = table.schema
-        if tschema.storage != "columnar":
+        pk = getattr(node, "pk", ())
+        if any(is_array(ty) for name, ty in source.columns if name in pk):
             return None
-        base = node.np_probe_base
         arr = {
-            base + i
-            for i, col in enumerate(tschema.columns)
-            if is_array_type(col.type_tag)
+            node.np_probe_base + i
+            for i, (_, ty) in enumerate(source.columns)
+            if is_array(ty)
         }
-        if not arr:
-            return None
-        if any(
-            tschema.column_index(c) + base in arr
-            for c in getattr(node, "pk", ())
-        ):
-            return None
-        filters = getattr(node, "filters", None) or []
-        specs = node.filter_specs or []
-        if len(specs) != len(filters) or any(s is None for s in specs):
-            return None
-        cols: set = set()
-        for spec in specs:
-            _spec_cols(spec, cols)
-        if cols & arr:
-            return None
-        return arr
+        return arr if arr and _specs_avoid(node, arr) else None
 
-    def _items_np_safe(self, items, srf_positions, schema, arr):
+    def _items_np_safe(self, items, schema, arr):
         """True when select items confine *arr* positions to UNNEST args."""
-        for i, item in enumerate(items):
-            if i in srf_positions:
+        for item in items:
+            if item.kind == SRF:
                 if self._srf_arg_col(item.expr.args[0], schema, arr) is None:
                     return False
-                continue
-            for ref in ast.walk(item.expr):
-                if not isinstance(ref, ast.ColumnRef):
-                    continue
-                try:
-                    if _resolve(schema, ref) in arr:
-                        return False
-                except SQLError:
-                    return False  # unresolvable (inner scope): conservative
+            elif any(schema.slot(ref) in arr for ref in _refs(item.expr)):
+                return False
         return True
 
     def _srf_arg_col(self, expr, schema, arr):
@@ -795,29 +621,17 @@ class Planner:
         cells — the compiled slice closure preserves the ndarray view.
         Anything else returns None.
         """
-        if isinstance(expr, ast.ColumnRef):
-            try:
-                return _resolve(schema, expr)
-            except SQLError:
-                return None
+        if isinstance(expr, ast.BoundRef):
+            return schema.slot(expr)
         if isinstance(expr, ast.ArraySlice) and isinstance(
-            expr.base, ast.ColumnRef
+            expr.base, ast.BoundRef
         ):
             for bound in (expr.low, expr.high):
-                if bound is None:
-                    continue
-                for ref in ast.walk(bound):
-                    if not isinstance(ref, ast.ColumnRef):
-                        continue
-                    try:
-                        if _resolve(schema, ref) in arr:
-                            return None
-                    except SQLError:
-                        return None
-            try:
-                return _resolve(schema, expr.base)
-            except SQLError:
-                return None
+                if bound is not None and any(
+                    schema.slot(ref) in arr for ref in _refs(bound)
+                ):
+                    return None
+            return schema.slot(expr.base)
         return None
 
     # -- cross-CTE np_decode ---------------------------------------------
@@ -863,7 +677,7 @@ class Planner:
         info["scan"] = scan
         info["out_arr"] = out_arr
 
-    def _mark_cte_use(self, node, items, srf_positions, schema):
+    def _mark_cte_use(self, node, items, schema):
         """Upgrade one recorded CteScan use to "safe" if provably so."""
         info = self._cte_np.get(node.cte_name)
         if info is None or info["scan"] is None:
@@ -872,23 +686,15 @@ class Planner:
         if record is None:
             return
         out_arr = info["out_arr"]
-        filters = node.filters or []
-        specs = node.filter_specs or []
-        if len(specs) != len(filters) or any(s is None for s in specs):
-            return
-        cols: set = set()
-        for spec in specs:
-            _spec_cols(spec, cols)
-        if cols & out_arr:
-            return
-        if not self._items_np_safe(items, srf_positions, schema, out_arr):
-            return
-        record[1] = True
+        if _specs_avoid(node, out_arr) and self._items_np_safe(
+            items, schema, out_arr
+        ):
+            record[1] = True
 
     def finalize_np_decode(self):
         """Flip np_decode on CTE-producing scans once all uses are known.
 
-        Called by :func:`plan_statement` after the whole statement is
+        Called by :func:`lower` after the whole statement is
         planned. A use that never reached :meth:`_mark_cte_use` (a join
         source, a SELECT without SRFs) stays unsafe and vetoes the flag —
         conservative by construction.
@@ -901,137 +707,106 @@ class Planner:
                 scan.np_decode = True
 
     def _plan_windows(self, items, schema, node):
-        win_positions = [
-            i
-            for i, item in enumerate(items)
-            if isinstance(item.expr, ast.WindowFunc)
+        wins = [item for item in items if item.kind == WINDOW]
+        if not wins:
+            return node, schema
+        slots = schema.slots
+        specs = [
+            phys.WindowSpec(
+                [
+                    compile_expr(e, slots, grouped=False)
+                    for e in item.expr.partition_by
+                ],
+                [
+                    compile_expr(key.expr, slots, grouped=False)
+                    for key in item.expr.order_by
+                ],
+                [key.descending for key in item.expr.order_by],
+            )
+            for item in wins
         ]
-        if not win_positions:
-            return items, schema, node
-        new_schema = list(schema)
-        new_items = list(items)
-        specs = []
-        for i in win_positions:
-            win = items[i].expr
-            if win.name != "row_number":
-                raise SQLError(f"unsupported window function {win.name!r}")
-            specs.append(
-                phys.WindowSpec(
-                    [
-                        compile_expr(e, schema, grouped=False)
-                        for e in win.partition_by
-                    ],
-                    [
-                        compile_expr(it.expr, schema, grouped=False)
-                        for it in win.order_by
-                    ],
-                    [it.descending for it in win.order_by],
-                )
-            )
-            synth = f"__win_{i}"
-            new_schema.append((None, synth))
-            new_items[i] = ast.SelectItem(
-                ast.ColumnRef(None, synth),
-                alias=items[i].alias or "row_number",
-            )
-        return new_items, new_schema, phys.Window(node, specs)
+        appended = [(item.ref.source, item.ref.column) for item in wins]
+        return phys.Window(node, specs), schema + _Schema(appended)
 
     # -- FROM clause ----------------------------------------------------
-    def _plan_from(self, from_items, env, conjuncts, used):
-        if not from_items:
-            return phys.Result0(), []
-        sources = []  # (item, on_conjuncts)
-        for item in from_items:
-            self._flatten_joins(item, sources)
+    def _plan_from(self, sources, conjuncts, used):
+        if not sources:
+            return phys.Result0(), _Schema([])
         # Join-order heuristic: derived relations (CTEs, subqueries) first so
         # base tables can be probed by index nested-loop instead of scanned —
         # this is what makes "FROM knn_ea n1bb, n1" touch only |n1| rows of
         # knn_ea, as the paper requires. Comma joins only (ON pins order).
-        if len(sources) > 1 and all(not on for _, on in sources):
-            def _derived(source):
-                item = source[0]
-                if isinstance(item, ast.SubqueryRef):
-                    return True
-                return isinstance(item, ast.TableRef) and item.name in env
-
-            small = [s for s in sources if _derived(s)]
-            large = [s for s in sources if not _derived(s)]
-            sources = small + large
-        node, schema = self._plan_source(sources[0], env, conjuncts, used)
+        if len(sources) > 1 and all(not source.on for source in sources):
+            sources = [s for s in sources if s.kind != "table"] + [
+                s for s in sources if s.kind == "table"
+            ]
+        node, schema = self._plan_source(
+            sources[0], sources[0].on, conjuncts, used
+        )
         for source in sources[1:]:
-            node, schema = self._plan_join(
-                node, schema, source, env, conjuncts, used
-            )
+            node, schema = self._plan_join(node, schema, source, conjuncts, used)
         return node, schema
 
-    def _flatten_joins(self, item, out, on_conjuncts=None):
-        if isinstance(item, ast.Join):
-            self._flatten_joins(item.left, out)
-            self._flatten_joins(item.right, out, _flatten_and(item.condition))
-            return
-        out.append((item, on_conjuncts or []))
-
-    def _plan_source(self, source, env, conjuncts, used):
-        item, on_conjuncts = source
+    def _plan_source(self, source, on_conjuncts, conjuncts, used):
         all_conj = list(enumerate(conjuncts))
-        if isinstance(item, ast.SubqueryRef):
-            subplan = self.plan_query(item.query, env)
-            schema = [(item.alias, n) for n in subplan.columns]
+        schema = _Schema.of(source)
+        if source.kind == "subquery":
+            subplan = self.plan_query(source.query)
             filters, specs, _ = self._source_filters(
                 schema, all_conj, on_conjuncts, used
             )
-            node = phys.SubqueryScan(item.alias, subplan, filters, ast_ref=item)
+            node = phys.SubqueryScan(
+                source.alias, subplan, filters, ast_ref=source.node
+            )
             node.filter_specs = specs
             return node, schema
-        alias = item.alias or item.name
-        if item.name in env:
-            schema = [(alias, n) for n in env[item.name]]
+        if source.kind == "cte":
             filters, specs, pushed = self._source_filters(
                 schema, all_conj, on_conjuncts, used
             )
             node = phys.CteScan(
-                item.name, alias, filters, ast_ref=item,
+                source.name, source.alias, filters, ast_ref=source.node,
                 filter_text=_predicate_detail(pushed),
             )
             node.filter_specs = specs
-            info = self._cte_np.get(item.name)
+            info = self._cte_np.get(source.name)
             if info is not None and info["scan"] is not None:
                 # Every scan of an np_decode candidate starts out unsafe;
                 # _mark_np_decode upgrades the ones it can prove harmless.
                 info["uses"].append([node, False])
             return node, schema
-        table = self.catalog.get(item.name)
-        schema = [(alias, n) for n in table.schema.column_names]
-        probe = self._pk_probe(table.schema.primary_key, alias, all_conj, used)
+        table = self.catalog.get(source.name)
+        pk = table.schema.primary_key
+        probe = self._pk_probe(pk, source.alias, all_conj, used)
         if probe is not None:
             found, consumed = probe
-            pk = table.schema.primary_key
-            key_fns = [
-                compile_expr(found[col], [], grouped=False) for col in pk
-            ]
+            key_fns = [compile_expr(found[col], {}, grouped=False) for col in pk]
             # Pin predicates, recompiled against the row schema: the runtime
             # fallback path (non-integer parameter) scans and applies these.
             pin_fns = [
-                compile_expr(conjuncts[idx], schema, grouped=False)
+                compile_expr(conjuncts[idx], schema.slots, grouped=False)
                 for idx in consumed
             ]
             filters, specs, _ = self._source_filters(
                 schema, all_conj, on_conjuncts, used
             )
             node = phys.PkLookup(
-                item.name, alias, pk, key_fns, pin_fns, filters, ast_ref=item
+                source.name, source.alias, pk, key_fns, pin_fns, filters,
+                ast_ref=source.node,
             )
-            node.filter_specs = specs
-            return node, schema
-        filters, specs, pushed = self._source_filters(
-            schema, all_conj, on_conjuncts, used
-        )
-        node = phys.SeqScan(item.name, alias, filters, ast_ref=item)
+        else:
+            filters, specs, pushed = self._source_filters(
+                schema, all_conj, on_conjuncts, used
+            )
+            node = phys.SeqScan(
+                source.name, source.alias, filters, ast_ref=source.node
+            )
+            node.zone_eq_fn = self._zone_eq_fn(table, source, pushed)
         node.filter_specs = specs
-        node.zone_eq_fn = self._zone_eq_fn(table, alias, pushed)
+        self._scanned[node] = source
         return node, schema
 
-    def _zone_eq_fn(self, table, alias, pushed):
+    def _zone_eq_fn(self, table, source, pushed):
         """Compile the zone-map skip key for a columnar seq scan, or None.
 
         Looks for an equality conjunct pinning the table's scalar zone
@@ -1040,11 +815,10 @@ class Planner:
         scan's own filters — skipping a page can therefore only skip rows
         the filter would reject anyway, on either executor.
         """
-        schema_obj = table.schema
-        zone = schema_obj.zone_info()
+        zone = table.schema.zone_info()
         if zone is None or zone[1]:  # array zone columns: no scalar equality
             return None
-        zone_col = schema_obj.columns[zone[0]].name
+        zone_col = ast.BoundRef(source.alias, source.columns[zone[0]][0])
         for conj in pushed:
             if not (isinstance(conj, ast.BinaryOp) and conj.op == "="):
                 continue
@@ -1052,13 +826,8 @@ class Planner:
                 (conj.left, conj.right),
                 (conj.right, conj.left),
             ):
-                if (
-                    isinstance(col_side, ast.ColumnRef)
-                    and col_side.name == zone_col
-                    and col_side.table in (None, alias)
-                    and self._is_constant(const_side)
-                ):
-                    return compile_expr(const_side, [], grouped=False)
+                if col_side == zone_col and self._is_constant(const_side):
+                    return compile_expr(const_side, {}, grouped=False)
         return None
 
     def _source_filters(self, schema, all_conj, on_conjuncts, used):
@@ -1080,13 +849,9 @@ class Planner:
         specs = []
         exprs = []
         for idx, conj in indexed_conjuncts:
-            if not always and idx in used:
+            if (not always and idx in used) or not schema.covers(conj):
                 continue
-            try:
-                fn = compile_expr(conj, schema, grouped=False, strict_names=True)
-            except SQLNameError:
-                continue
-            predicates.append(fn)
+            predicates.append(compile_expr(conj, schema.slots, grouped=False))
             specs.append(_np_cmp(conj, schema))
             exprs.append(conj)
             if not always:
@@ -1129,12 +894,12 @@ class Planner:
             (conj.right, conj.left),
         ):
             if (
-                isinstance(col_side, ast.ColumnRef)
-                and col_side.name in pk
-                and col_side.table in (None, alias)
+                isinstance(col_side, ast.BoundRef)
+                and col_side.source == alias
+                and col_side.column in pk
                 and self._is_constant(const_side)
             ):
-                return col_side.name, const_side
+                return col_side.column, const_side
         return None
 
     def _is_constant(self, expr) -> bool:
@@ -1148,55 +913,48 @@ class Planner:
             return all(self._is_constant(a) for a in expr.args)
         return False
 
-    def _plan_join(self, left_node, left_schema, source, env, conjuncts, used):
-        item, on_conjuncts = source
+    def _plan_join(self, left_node, left_schema, source, conjuncts, used):
+        on_conjuncts = source.on
         candidates = [
             (i, c) for i, c in enumerate(conjuncts) if i not in used
         ] + [(None, c) for c in on_conjuncts]
 
         # --- index nested-loop join against a base table's primary key ----
-        if isinstance(item, ast.TableRef) and item.name not in env:
-            table = self.catalog.get(item.name)
-            alias = item.alias or item.name
-            pk = table.schema.primary_key
-            if pk:
-                pins: dict = {}
-                pin_exprs: dict = {}
-                consumed = []
-                for idx, conj in candidates:
-                    pin = self._inl_pin(conj, alias, pk, left_schema)
-                    if pin is not None and pin[0] not in pins:
-                        pins[pin[0]] = pin[1]
-                        pin_exprs[pin[0]] = pin[2]
-                        consumed.append(idx)
-                if set(pins) == set(pk):
-                    key_fns = [pins[col] for col in pk]
-                    for idx in consumed:
-                        if idx is not None:
-                            used.add(idx)
-                    schema = left_schema + [
-                        (alias, n) for n in table.schema.column_names
-                    ]
-                    filters, specs, _ = self._post_join_filters(
-                        schema, conjuncts, used, on_conjuncts
-                    )
-                    node = phys.IndexNestedLoop(
-                        left_node, item.name, alias, pk, key_fns, filters,
-                        ast_ref=item,
-                    )
-                    node.filter_specs = specs
-                    node.np_probe_base = len(left_schema)
-                    key_specs = [
-                        _np_operand(pin_exprs[col], left_schema) for col in pk
-                    ]
-                    if all(spec is not None for spec in key_specs):
-                        node.np_key_specs = key_specs
-                    return node, schema
+        pk = ()
+        if source.kind == "table":
+            pk = self.catalog.get(source.name).schema.primary_key
+        if pk:
+            pins: dict = {}
+            consumed = []
+            for idx, conj in candidates:
+                pin = self._inl_pin(conj, source.alias, pk, left_schema)
+                if pin is not None and pin[0] not in pins:
+                    pins[pin[0]] = pin[1]
+                    consumed.append(idx)
+            if set(pins) == set(pk):
+                key_fns = [
+                    compile_expr(pins[col], left_schema.slots, grouped=False)
+                    for col in pk
+                ]
+                used.update(idx for idx in consumed if idx is not None)
+                schema = left_schema + _Schema.of(source)
+                filters, specs, _ = self._post_join_filters(
+                    schema, conjuncts, used, on_conjuncts
+                )
+                node = phys.IndexNestedLoop(
+                    left_node, source.name, source.alias, pk, key_fns, filters,
+                    ast_ref=source.node,
+                )
+                node.filter_specs = specs
+                node.np_probe_base = len(left_schema)
+                key_specs = [_np_operand(pins[col], left_schema) for col in pk]
+                if all(spec is not None for spec in key_specs):
+                    node.np_key_specs = key_specs
+                self._scanned[node] = source
+                return node, schema
 
         # --- plan the right side, then hash or cross join -------------------
-        right_node, right_schema = self._plan_source(
-            (item, []), env, conjuncts, used
-        )
+        right_node, right_schema = self._plan_source(source, [], conjuncts, used)
         schema = left_schema + right_schema
         hash_pair = None
         for idx, conj in candidates:
@@ -1207,29 +965,28 @@ class Planner:
                 hash_pair = (idx, conj, pair)
                 break
         if hash_pair is not None:
-            idx, key_conj, (left_fn, right_fn, left_expr, right_expr) = hash_pair
+            idx, key_conj, (left_expr, right_expr) = hash_pair
             if idx is not None:
                 used.add(idx)
             filters, specs, residual = self._post_join_filters(
                 schema, conjuncts, used, on_conjuncts
             )
             node = phys.HashJoin(
-                left_node, right_node, left_fn, right_fn, filters,
+                left_node,
+                right_node,
+                compile_expr(left_expr, left_schema.slots, grouped=False),
+                compile_expr(right_expr, right_schema.slots, grouped=False),
+                filters,
                 key_text=_predicate_detail([key_conj]),
                 filter_text=_predicate_detail(residual),
             )
             node.filter_specs = specs
             node.left_width = len(left_schema)
-            left_spec = _np_operand(left_expr, left_schema)
-            right_spec = _np_operand(right_expr, right_schema)
-            if (
-                left_spec is not None
-                and right_spec is not None
-                and left_spec[0] == "col"
-                and right_spec[0] == "col"
+            if isinstance(left_expr, ast.BoundRef) and isinstance(
+                right_expr, ast.BoundRef
             ):
-                node.np_left_col = left_spec[1]
-                node.np_right_col = right_spec[1]
+                node.np_left_col = left_schema.slot(left_expr)
+                node.np_right_col = right_schema.slot(right_expr)
             return node, schema
         filters, specs, _ = self._post_join_filters(
             schema, conjuncts, used, on_conjuncts
@@ -1246,98 +1003,52 @@ class Planner:
         # ON conjuncts are mandatory on the joined schema (re-checking a
         # conjunct already used to drive the join is harmless).
         predicates += [
-            compile_expr(conj, schema, grouped=False) for conj in on_conjuncts
+            compile_expr(conj, schema.slots, grouped=False)
+            for conj in on_conjuncts
         ]
         specs += [_np_cmp(conj, schema) for conj in on_conjuncts]
         return predicates, specs, exprs + list(on_conjuncts)
 
     def _inl_pin(self, conj, alias, pk, left_schema):
+        """``(pk column, key expression)`` when *conj* equates a primary-key
+        column of the probed source with an expression over the left row."""
         if not (isinstance(conj, ast.BinaryOp) and conj.op == "="):
             return None
         for col_side, other in ((conj.left, conj.right), (conj.right, conj.left)):
             if (
-                isinstance(col_side, ast.ColumnRef)
-                and col_side.name in pk
-                and col_side.table == alias
+                isinstance(col_side, ast.BoundRef)
+                and col_side.source == alias
+                and col_side.column in pk
+                and left_schema.covers(other)
             ):
-                try:
-                    fn = compile_expr(
-                        other, left_schema, grouped=False, strict_names=True
-                    )
-                except SQLNameError:
-                    continue
-                return col_side.name, fn, other
+                return col_side.column, other
         return None
 
     def _equi_pair(self, conj, left_schema, right_schema):
+        """*conj*'s two sides as ``(left key, right key)`` when it equates
+        an expression over the left row with one over the right row."""
         if not (isinstance(conj, ast.BinaryOp) and conj.op == "="):
             return None
         for a, b in ((conj.left, conj.right), (conj.right, conj.left)):
-            try:
-                left_fn = compile_expr(
-                    a, left_schema, grouped=False, strict_names=True
-                )
-            except SQLNameError:
-                continue
-            try:
-                right_fn = compile_expr(
-                    b, right_schema, grouped=False, strict_names=True
-                )
-            except SQLNameError:
-                continue
-            # Ensure sides do not also resolve on the opposite schema in a
-            # way that makes the conjunct single-sided; good enough here.
-            return left_fn, right_fn, a, b
+            if left_schema.covers(a) and right_schema.covers(b):
+                return a, b
         return None
 
 
-def _match_output_expr(expr, items):
-    """Index of a select item structurally identical to *expr*, or None.
-
-    ``ORDER BY MIN(ta)`` where ``MIN(ta)`` is also a select item can sort on
-    the already-computed output value instead of re-evaluating the aggregate
-    per sort key. Expressions are compared by rendered SQL text (the printer
-    is deterministic), which is sound because every supported expression is
-    deterministic over its input rows. Plain column / positional references
-    are handled by the callers' earlier rules; this match covers compound
-    expressions only.
-    """
-    if isinstance(expr, (ast.ColumnRef, ast.Literal)):
-        return None
-    try:
-        rendered = render_expr(expr)
-    except SQLError:
-        return None
-    for i, item in enumerate(items):
-        try:
-            if render_expr(item.expr) == rendered:
-                return i
-        except SQLError:
-            continue
-    return None
-
-
-def _name_in_schema(schema, name) -> bool:
-    return any(col_name == name for _, col_name in schema)
-
-
-def _output_name(item: ast.SelectItem) -> str:
-    if item.alias:
-        return item.alias
-    expr = item.expr
-    if isinstance(expr, ast.ColumnRef):
-        return expr.name
-    if isinstance(expr, ast.FuncCall):
-        return expr.name
-    if isinstance(expr, ast.WindowFunc):
-        return expr.name
-    return "?column?"
+def _specs_avoid(node, positions) -> bool:
+    """Whether every filter of a scan has an array form that reads none of
+    *positions* (so no row closure ever sees an ndarray cell)."""
+    filters = getattr(node, "filters", None) or []
+    specs = node.filter_specs or []
+    if len(specs) != len(filters) or any(s is None for s in specs):
+        return False
+    cols: set = set()
+    for spec in specs:
+        _spec_cols(spec, cols)
+    return not cols & positions
 
 
 def _predicate_detail(conjuncts) -> str:
     if not conjuncts:
         return ""
-    try:
-        return "(" + " AND ".join(render_expr(c) for c in conjuncts) + ")"
-    except SQLError:  # pragma: no cover - cosmetic only
-        return ""
+    return "(" + " AND ".join(render_expr(c) for c in conjuncts) + ")"

@@ -35,6 +35,8 @@ def render_expr(expr: ast.Expr, parent_precedence: int = 0) -> str:
         return f"${expr.index}"
     if isinstance(expr, ast.ColumnRef):
         return f"{expr.table}.{expr.name}" if expr.table else expr.name
+    if isinstance(expr, ast.BoundRef):
+        return f"{expr.source}.{expr.column}" if expr.qualified else expr.column
     if isinstance(expr, ast.Star):
         return f"{expr.table}.*" if expr.table else "*"
     if isinstance(expr, ast.BinaryOp):

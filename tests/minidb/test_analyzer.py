@@ -228,18 +228,19 @@ class TestDiagnosticsRendering:
 
 
 class TestEngineWiring:
-    def test_opt_out_per_call(self, db):
-        # With analysis off the runtime check still fires (defense in
-        # depth), but as the legacy class, not the analyzer subclass.
-        with pytest.raises(SQLNameError) as exc_info:
-            db.execute("SELECT nope FROM t", analyze=False)
-        assert not isinstance(exc_info.value, SQLAnalysisError)
-
-    def test_opt_out_database_wide(self, db):
-        db.analyze = False
-        with pytest.raises(SQLNameError) as exc_info:
-            db.execute("SELECT nope FROM t")
-        assert not isinstance(exc_info.value, SQLAnalysisError)
+    def test_binding_cannot_be_switched_off(self, db):
+        # One binder: no call, session, handle or database takes `analyze`.
+        session = db.session()
+        for call in (db.execute, db.prepare, session.execute, session.prepare):
+            with pytest.raises(TypeError):
+                call("SELECT a FROM t", analyze=False)
+        with pytest.raises(TypeError):
+            session.execute_many("SELECT a FROM t", [()], analyze=False)
+        with pytest.raises(TypeError):
+            db.session(analyze=False)
+        for obj in (db, session, db.prepare("SELECT a FROM t")):
+            with pytest.raises(AttributeError):
+                obj.analyze
 
     def test_last_analysis_exposed(self, db):
         db.execute("SELECT a FROM t WHERE a = 1")

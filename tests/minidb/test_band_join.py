@@ -69,7 +69,7 @@ def make_db(left, right) -> Database:
 
 def hash_join(db, sql) -> phys.HashJoin:
     """The HashJoin node of *sql*'s cached plan (Aggregate → HashJoin)."""
-    node = db._ensure_cached(sql, db.analyze).plan.statement.root.child
+    node = db._ensure_cached(sql).plan.statement.root.child
     assert isinstance(node, phys.HashJoin)
     return node
 

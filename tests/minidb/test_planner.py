@@ -68,13 +68,6 @@ class TestPlanCache:
             db.execute(sql)
         assert db.plan_cache_stats()["hits"] == before["hits"] + 1
 
-    def test_analysis_added_on_demand(self, db):
-        sql = "SELECT b FROM t WHERE a = 1"
-        db.execute(sql, analyze=False)
-        assert db._plan_cache[sql].analysis is None
-        db.execute(sql)  # analyze=True must not reuse the bare entry
-        assert db._plan_cache[sql].analysis is not None
-
 
 class TestPreparedStatement:
     def test_repeat_executions_do_zero_planning_work(self, db):

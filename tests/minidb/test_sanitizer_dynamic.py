@@ -208,7 +208,7 @@ class TestSessionIntegration:
         db.execute("CREATE TABLE t (v BIGINT, PRIMARY KEY (v))")
         session = Session(db)
         with pytest.raises(Exception) as exc:
-            session.execute("SELECT v FROM missing", analyze=False)
+            session.execute("SELECT v FROM missing")
         assert not isinstance(exc.value, SanitizerError)
         # ...and the failed statement left no stale pin bookkeeping.
         assert session.execute("SELECT v FROM t").rows == []

@@ -73,9 +73,8 @@ class TestSessionBasics:
         session = db.session()
         with pytest.raises(SQLError):
             session.execute("SELECT nope FROM t")
-        # analyze=False skips analysis; the planner resolves columns itself
-        relaxed = db.session(analyze=False)
-        assert relaxed.execute("SELECT v FROM t WHERE v=$1", (1,)).rows
+        assert not session.last_analysis.ok
+        assert db.session().last_analysis is None
 
 
 class TestSessionPrepared:

@@ -37,12 +37,12 @@ def build_recording(network):
     real = db.execute
     builds = {}
 
-    def recording(sql, params=(), analyze=None):
+    def recording(sql, params=()):
         words = sql.split()
         if words[:2] != ["INSERT", "INTO"] or "SELECT" not in words:
-            return real(sql, params, analyze)
+            return real(sql, params)
         db.restart()
-        result = real(sql, params, analyze)
+        result = real(sql, params)
         (insert,) = db.last_trace.roots
         assert db.last_trace.validate() == []
         builds[words[2]] = {
