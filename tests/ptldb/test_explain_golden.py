@@ -1,8 +1,10 @@
 """``EXPLAIN`` text of every shipped statement, pinned byte for byte.
 
 The golden file holds the static plan of each statement of
-``sqltext.corpus()`` (Codes 1-4 plus the analytics family) and of every
-``INSERT … SELECT`` that ``build_target_set`` issues. A planner refactor
+``sqltext.corpus()`` (Codes 1-4 plus the analytics family), of every
+``INSERT … SELECT`` that ``build_target_set`` issues, and of six ORDER BY
+shapes over the label tables (where the sort key comes from and what sits
+under the ``Sort``). A planner refactor
 that moves one of these plans — a join flips sides, a band join falls back
 to the pair kernel, a filter stops being pushed into a scan — fails here
 before any benchmark has to notice.
@@ -20,6 +22,25 @@ from repro.timetable.generator import random_timetable
 
 GOLDEN = Path(__file__).with_name("explain_golden.txt")
 FAMILIES = ("knn_ea", "knn_ld", "otm_ea", "otm_ld", "naive_ea", "naive_ld")
+#: ORDER BY shapes: a sort key outside the select list over each producer,
+#: Top-K with OFFSET, and DISTINCT ordered by its own column.
+ORDER_BY_SHAPES = [
+    ("order hidden key over Project", "SELECT v FROM lout ORDER BY -v"),
+    (
+        "order hidden key over GroupAggregate",
+        "SELECT v FROM lout GROUP BY v ORDER BY COUNT(*) DESC, v",
+    ),
+    (
+        "order hidden key over ProjectSet",
+        "SELECT UNNEST(hubs) AS hub FROM lout ORDER BY v DESC, hub",
+    ),
+    (
+        "order hidden key over Union",
+        "SELECT v FROM lout UNION ALL SELECT v FROM lin ORDER BY -v",
+    ),
+    ("order Top-K with OFFSET", "SELECT v FROM lout ORDER BY v DESC LIMIT 3 OFFSET 2"),
+    ("order DISTINCT by its column", "SELECT DISTINCT v FROM lin ORDER BY v"),
+]
 
 
 def render_golden() -> str:
@@ -45,6 +66,7 @@ def render_golden() -> str:
     finally:
         del db.execute
     statements = [(q.name, q.sql) for q in sqltext.corpus()] + statements
+    statements += ORDER_BY_SHAPES
     out = []
     for name, sql in statements:
         out.append(f"-- {name}")
