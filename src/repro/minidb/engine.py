@@ -33,6 +33,7 @@ from repro.minidb.session import PreparedStatement, QueryCost, Session
 from repro.minidb.sql.analyzer import Analysis, analyze as analyze_stmt
 from repro.minidb.sql.result import Result
 from repro.minidb.sql.parser import parse
+from repro.minidb.sql.vectorized import DEFAULT_BATCH_SIZE, DEFAULT_READAHEAD
 
 __all__ = [
     "Database",
@@ -81,8 +82,6 @@ class Database:
         device: str | DeviceModel = "ram",
         pool_pages: int = 4096,
         path: str | None = None,
-        batch_size: int = 1024,
-        readahead: int = 8,
         wal: bool = True,
         wal_checkpoint_bytes: int = DEFAULT_CHECKPOINT_BYTES,
     ):
@@ -108,11 +107,12 @@ class Database:
         #: Set False to skip per-operator trace collection (hot loops).
         self.tracing = True
         #: Rows per batch exchanged between operators (docs/ARCHITECTURE.md,
-        #: "Vectorized pipeline").
-        self.batch_size = max(1, int(batch_size))
+        #: "Vectorized pipeline"). Results and page I/O are the same for any
+        #: value; tests assign it to move the chunk boundaries.
+        self.batch_size = DEFAULT_BATCH_SIZE
         #: Heap-scan readahead depth in pages (0 disables); prefetched
         #: chain pages are charged the device's sequential read rate.
-        self.readahead = max(0, int(readahead))
+        self.readahead = DEFAULT_READAHEAD
         #: The implicit connection backing ``db.execute`` / ``db.last_cost``;
         #: concurrent callers open their own via :meth:`session`.
         self._session = Session(self)

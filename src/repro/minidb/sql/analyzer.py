@@ -286,13 +286,19 @@ class BoundItem:
     An ``SRF`` or ``WINDOW`` item's value is produced by an operator below
     the projection, in a column appended to the core's input row; ``ref``
     names that column, and is what ``GROUP BY`` / ``ORDER BY`` aliases of
-    the item stand for. ``value`` is what the projection evaluates."""
+    the item stand for. ``value`` is what the projection evaluates.
+
+    A ``hidden`` item is an ORDER BY key that is not in the select list
+    (PostgreSQL's "resjunk" column): the projection or aggregate computes
+    it like any other item, after the visible ones, and the sort strips
+    it, so it is in no result, CTE, subquery scan or inserted row."""
 
     expr: object  # bound expression (the UNNEST call / WindowFunc itself)
-    name: str
+    name: str | None  # None for a hidden item: no name resolves to it
     type: object
     kind: str  # PLAIN | AGG | SRF | WINDOW
     ref: ast.BoundRef | None = None
+    hidden: bool = False
 
     @property
     def value(self):
@@ -305,7 +311,7 @@ class BoundCore:
 
     sources: list  # [BoundSource]
     where: list  # bound WHERE conjuncts
-    items: list  # [BoundItem]
+    items: list  # [BoundItem]: the select list, then the hidden sort keys
     grouped: bool  # GROUP BY present, or an aggregate in the select list
     group_by: list  # bound keys, select aliases already substituted
     having: object  # bound expression or None
@@ -314,7 +320,7 @@ class BoundCore:
 
     @property
     def columns(self) -> list:
-        return [(item.name, item.type) for item in self.items]
+        return [(it.name, it.type) for it in self.items if not it.hidden]
 
 
 @dataclass
@@ -325,13 +331,16 @@ class BoundQuery:
     parts: list  # one BoundCore, or the set operation's BoundCore|BoundQuery
     set_ops: tuple  # between parts: 'UNION' | 'UNION ALL'
     columns: list  # [(name, type)], types unified across the parts
-    #: ``[(key, descending)]``: an int key is output column *i*; anything
-    #: else is a bound expression over the core's input row (over the output
-    #: row, for a set operation)
+    #: ``[(position, descending)]``: column *position* of the row under the
+    #: sort — an output column, or a hidden one after them (a core's hidden
+    #: items; ``order_exprs`` for a set operation)
     order_by: list
     limit: object  # bound expression or None
     offset: object
     node: ast.Query
+    #: set operation only: sort keys that are expressions over the combined
+    #: output row, appended to it as hidden columns ``len(columns) + j``
+    order_exprs: list = field(default_factory=list)
 
     @property
     def core(self) -> "BoundCore | None":
@@ -658,13 +667,18 @@ class Analyzer:
                     ty = UNKNOWN
                 merged[i] = (name, ty)
         out_scope = [(None, name, ty) for name, ty in merged]
+        order_exprs: list = []
         order_by = [
-            (self._set_op_order_key(item, merged, out_scope), item.descending)
+            (
+                self._set_op_order_key(item, merged, out_scope, order_exprs),
+                item.descending,
+            )
             for item in query.order_by
         ]
         limit, offset = self._limit_offset(query)
         return BoundQuery(
-            ctes, parts, query.set_ops, merged, order_by, limit, offset, query
+            ctes, parts, query.set_ops, merged, order_by, limit, offset, query,
+            order_exprs,
         )
 
     def _position(self, expr, width: int):
@@ -680,13 +694,20 @@ class Analyzer:
             )
         return expr.value - 1
 
-    def _set_op_order_key(self, item, output, out_scope):
-        """A position, or an expression over the combined output row."""
+    def _set_op_order_key(self, item, output, out_scope, order_exprs):
+        """The position of one set-operation sort key: an output column, or
+        an expression over the output row appended to *order_exprs*."""
         position = self._position(item.expr, len(output))
         if position is not None:
             return position
         self._no_aggregates(item.expr, "ORDER BY")
-        return self._check(item.expr, out_scope, allow_agg=True)[0]
+        key = self._check(item.expr, out_scope, allow_agg=True)[0]
+        names = [name for name, _ in output]
+        if isinstance(key, ast.BoundRef) and key.column in names:
+            return names.index(key.column)
+        if key not in order_exprs:
+            order_exprs.append(key)
+        return len(output) + order_exprs.index(key)
 
     def _limit_offset(self, query: ast.Query):
         bound = []
@@ -814,9 +835,13 @@ class Analyzer:
 
         order_by, limit, offset = [], None, None
         if len(query.cores) == 1:
+            width = len(items)
             order_by = [
                 (
-                    self._order_key(item.expr, scope, items, grouped, group_exprs),
+                    self._order_key(
+                        item.expr, scope, items, width, grouped, group_exprs,
+                        core.distinct,
+                    ),
                     item.descending,
                 )
                 for item in query.order_by
@@ -827,14 +852,17 @@ class Analyzer:
         )
         return bound, order_by, limit, offset
 
-    def _order_key(self, expr, scope, items, grouped, group_exprs):
-        """One ORDER BY key of a single-core query: output column *i* (an
-        int) or a bound expression over the core's input row.
+    def _order_key(
+        self, expr, scope, items, width, grouped, group_exprs, distinct
+    ):
+        """The position in *items* of one ORDER BY key of a single-core
+        query. The first *width* items are the select list; a key that is
+        none of them is appended as a hidden item.
 
         A bare name is an *output* name first, then an input column; a
         qualified name or a larger expression sees input columns only. Any
         key equal to a select item sorts on that item's computed value."""
-        position = self._position(expr, len(items))
+        position = self._position(expr, width)
         if position is not None:
             return position
         if isinstance(expr, ast.ColumnRef) and expr.table is None:
@@ -847,7 +875,7 @@ class Analyzer:
                     )
                 return named[0]
         self._no_srf(expr)
-        key, _ = self._check(
+        key, ty = self._check(
             expr, scope, allow_agg=grouped, ctx="ORDER BY", allow_srf=True
         )
         if grouped:
@@ -855,7 +883,17 @@ class Analyzer:
         for i, item in enumerate(items):
             if item.expr == key:
                 return i
-        return key
+        if distinct:
+            # Which duplicate's key would order the one surviving row?
+            self.sink.error(
+                "SEM005",
+                "for SELECT DISTINCT, ORDER BY expressions must appear in "
+                "the select list",
+                expr,
+            )
+        kind = AGG if contains_aggregate(key) else PLAIN
+        items.append(BoundItem(key, None, ty, kind, hidden=True))
+        return len(items) - 1
 
     # -- select-list special forms ----------------------------------------
     def _srf_item(self, expr):

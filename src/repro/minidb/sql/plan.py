@@ -126,20 +126,20 @@ class SeqScan(PlanNode):
 class PkLookup(PlanNode):
     """Point lookup: every PK column pinned to a constant/parameter.
 
-    ``key_fns`` produce the key from the parameter vector. If a parameter
-    turns out not to be an integer at runtime the executor degrades to a
-    sequential scan applying ``pin_fns`` (the consumed pin predicates) plus
-    ``filters`` — same rows, different access path, and the trace says so.
+    ``probe_fns`` produce the key from the parameter vector. The probe-key
+    rule is the index nested-loop join's: an integral float probes as that
+    integer; NULL, a fractional float or any other value equals no BIGINT
+    key, so the lookup returns no row and reads no page. There is no other
+    access path behind this node.
     """
 
     name = "Index Scan"
 
-    def __init__(self, table, alias, pk, key_fns, pin_fns, filters, ast_ref=None):
+    def __init__(self, table, alias, pk, probe_fns, filters, ast_ref=None):
         self.table = table
         self.alias = alias
         self.pk = pk
-        self.key_fns = key_fns
-        self.pin_fns = pin_fns
+        self.probe_fns = probe_fns
         self.filters = filters
         self.ast_ref = ast_ref
         self.detail = f"using {table}_pkey on {table} (point lookup)"
@@ -181,20 +181,20 @@ class IndexNestedLoop(PlanNode):
 
     name = "Index Nested Loop"
 
-    #: numpy operand specs parallel to ``key_fns`` (planner-set when every
+    #: numpy operand specs parallel to ``probe_fns`` (planner-set when every
     #: probe-key expression lowers to the spec grammar). The batch executor
     #: then computes all probe keys of a column batch with array kernels
     #: instead of calling the per-row closures; any runtime surprise (NULL
     #: parameter, zero divisor, non-int64 result) falls back to the row
     #: closures with identical keys.
-    np_key_specs = None
+    np_probe_specs = None
 
-    def __init__(self, left, table, alias, pk, key_fns, filters, ast_ref=None):
+    def __init__(self, left, table, alias, pk, probe_fns, filters, ast_ref=None):
         self.left = left
         self.table = table
         self.alias = alias
         self.pk = pk
-        self.key_fns = key_fns  # evaluated against the left row
+        self.probe_fns = probe_fns  # evaluated against the left row
         self.filters = filters  # post-join predicates on the joined schema
         self.ast_ref = ast_ref
         self.detail = f"probe {table} by primary key ({', '.join(pk)})"
@@ -325,20 +325,18 @@ class Window(PlanNode):
 
 
 class Project(PlanNode):
-    """Evaluate the select list.
+    """Evaluate the select list: one output column per ``item_fns`` entry.
 
-    When ``key_specs`` is set (the query has ORDER BY), each output row is
-    paired with its sort key so the Sort/TopK above never recomputes
-    expressions. A spec is either an int (index into the output row — a
-    positional or alias reference) or a ``fn(input_row, params)``.
+    An ORDER BY key that is not a select item is one more entry after the
+    visible ones (a hidden column); the Sort/TopK above reads its keys by
+    position and strips the hidden tail.
     """
 
     name = "Project"
 
-    def __init__(self, child, item_fns, key_specs=None):
+    def __init__(self, child, item_fns):
         self.child = child
         self.item_fns = item_fns
-        self.key_specs = key_specs
         #: Input-column index per item when every select item is a plain
         #: column reference (planner-set); lets the batch executor project
         #: by tuple indexing instead of calling one closure per item.
@@ -349,15 +347,14 @@ class Project(PlanNode):
 
 
 class Aggregate(PlanNode):
-    """Grouped evaluation; blocking. Same key_specs contract as Project,
-    except callables receive the group's row list."""
+    """Grouped evaluation; blocking. ``item_fns`` receive the group's row
+    list; as in :class:`Project`, hidden sort columns are trailing items."""
 
-    def __init__(self, child, group_fns, item_fns, having_fn, key_specs, group_key_count):
+    def __init__(self, child, group_fns, item_fns, having_fn, group_key_count):
         self.child = child
         self.group_fns = group_fns
         self.item_fns = item_fns
         self.having_fn = having_fn
-        self.key_specs = key_specs
         self.group_key_count = group_key_count
         #: Streaming-accumulator recipe set by the planner when every select
         #: item is a plain MIN/MAX/SUM/COUNT/AVG (or aggregate-free) and
@@ -381,29 +378,33 @@ class Aggregate(PlanNode):
 
 
 class Distinct(PlanNode):
+    """Duplicate elimination over whole rows. The binder rejects DISTINCT
+    ordered by anything outside the select list, so no hidden column ever
+    reaches this node."""
+
     name = "Unique"
 
-    def __init__(self, child, keyed):
+    def __init__(self, child):
         self.child = child
-        self.keyed = keyed  # True when the stream is (row, sort_key) pairs
 
     def children(self):
         return (self.child,)
 
 
 class Sort(PlanNode):
-    """Full sort; blocking. ``keyed`` streams are (row, key) pairs from the
-    operator below; otherwise ``key_fns`` compute keys from the row (the
-    set-operation path, where ORDER BY applies to the combined output)."""
+    """Full sort; blocking. Sort key *k* of a row is ``row[positions[k]]``:
+    a column of the child's row, visible or hidden. ``width`` is the number
+    of visible columns when the child's rows carry hidden ones after them
+    (the sort emits ``row[:width]``), else None."""
 
     name = "Sort"
 
-    def __init__(self, child, descending, keyed, key_fns=None):
+    def __init__(self, child, positions, descending, width):
         self.child = child
+        self.positions = positions
         self.descending = descending
-        self.keyed = keyed
-        self.key_fns = key_fns
-        self.detail = f"({len(descending)} keys)"
+        self.width = width
+        self.detail = f"({len(positions)} keys)"
 
     def children(self):
         return (self.child,)
@@ -411,18 +412,19 @@ class Sort(PlanNode):
 
 class TopK(PlanNode):
     """ORDER BY + LIMIT fused into a bounded heap (heapq.nsmallest): keeps
-    offset+limit candidates instead of sorting the whole input."""
+    offset+limit candidates instead of sorting the whole input. Same
+    ``positions`` / ``width`` contract as :class:`Sort`."""
 
     name = "Top-K Sort"
 
-    def __init__(self, child, descending, keyed, key_fns, limit_fn, offset_fn):
+    def __init__(self, child, positions, descending, width, limit_fn, offset_fn):
         self.child = child
+        self.positions = positions
         self.descending = descending
-        self.keyed = keyed
-        self.key_fns = key_fns
+        self.width = width
         self.limit_fn = limit_fn
         self.offset_fn = offset_fn
-        self.detail = f"({len(descending)} keys)"
+        self.detail = f"({len(positions)} keys)"
 
     def children(self):
         return (self.child,)

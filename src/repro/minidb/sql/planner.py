@@ -301,8 +301,9 @@ class Planner:
 
         core = query.core
         if core is not None:
-            node = self._plan_core(core, [key for key, _ in query.order_by])
-            node = self._plan_order_limit(node, query, keyed=True, key_fns=None)
+            node = self._plan_core(core)
+            hidden = len(core.items) - len(columns)
+            node = self._plan_order_limit(node, query, hidden)
             return phys.QueryPlan(ctes, node, columns, ast_ref=query.node)
 
         # Set operation (or single parenthesized sub-query).
@@ -312,26 +313,28 @@ class Planner:
                 parts.append(self.plan_query(part))
             else:
                 names = [item.name for item in part.items]
-                node = self._plan_core(part, [])
+                node = self._plan_core(part)
                 parts.append(phys.QueryPlan([], node, names, ast_ref=part.node))
         node = parts[0]
         for op, part in zip(query.set_ops, parts[1:]):
             node = phys.Union(node, part, op)
-        key_fns = None
-        if query.order_by:
-            # Keys read the combined output row: a position, or an
-            # expression over the output columns.
+        if query.order_exprs:
+            # Sort keys that are expressions over the combined output row
+            # become hidden columns after it, as a core's projection has them.
             slots = _Schema([(None, name) for name in columns]).slots
-            key_fns = [
-                (lambda row, _params, _i=key: row[_i])
-                if isinstance(key, int)
-                else compile_expr(key, slots, grouped=False)
-                for key, _ in query.order_by
+            item_fns = [
+                (lambda row, _params, _i=i: row[_i]) for i in range(len(columns))
+            ] + [
+                compile_expr(key, slots, grouped=False)
+                for key in query.order_exprs
             ]
-        node = self._plan_order_limit(node, query, keyed=False, key_fns=key_fns)
+            node = phys.Project(node, item_fns)
+        node = self._plan_order_limit(node, query, len(query.order_exprs))
         return phys.QueryPlan(ctes, node, columns, ast_ref=query.node)
 
-    def _plan_order_limit(self, node, query: BoundQuery, keyed, key_fns):
+    def _plan_order_limit(self, node, query: BoundQuery, hidden):
+        """ORDER BY / LIMIT / OFFSET over *node*, whose rows end in *hidden*
+        sort-only columns."""
         limit_fn = (
             compile_expr(query.limit, {}, grouped=False)
             if query.limit is not None
@@ -343,14 +346,16 @@ class Planner:
             else None
         )
         if query.order_by:
+            positions = [position for position, _ in query.order_by]
             descending = [desc for _, desc in query.order_by]
+            width = len(query.columns) if hidden else None
             if limit_fn is not None:
                 # The paper's kNN hot case: ORDER BY + LIMIT k keeps a
                 # bounded heap instead of sorting everything.
                 return phys.TopK(
-                    node, descending, keyed, key_fns, limit_fn, offset_fn
+                    node, positions, descending, width, limit_fn, offset_fn
                 )
-            node = phys.Sort(node, descending, keyed, key_fns)
+            node = phys.Sort(node, positions, descending, width)
             if offset_fn is not None:
                 node = phys.Limit(node, None, offset_fn)
             return node
@@ -359,10 +364,7 @@ class Planner:
         return node
 
     # -- single SELECT core ---------------------------------------------
-    def _plan_core(self, core, order_keys):
-        """Lower one core. *order_keys* are the query's resolved ORDER BY
-        keys when this core is the whole query (else empty): the projection
-        pairs each output row with its sort key."""
+    def _plan_core(self, core):
         used: set[int] = set()
         node, schema = self._plan_from(core.sources, core.where, used)
 
@@ -379,12 +381,6 @@ class Planner:
         node, schema = self._plan_srfs(items, schema, node)
         node, schema = self._plan_windows(items, schema, node)
         slots = schema.slots
-        key_specs = [
-            key
-            if isinstance(key, int)
-            else compile_expr(key, slots, grouped=core.grouped)
-            for key in order_keys
-        ] or None
 
         if core.grouped:
             group_fns = [
@@ -399,12 +395,9 @@ class Planner:
                 else None
             )
             node = phys.Aggregate(
-                node, group_fns, item_fns, having_fn, key_specs,
-                len(core.group_by),
+                node, group_fns, item_fns, having_fn, len(core.group_by)
             )
-            node.simple_spec = self._simple_agg_spec(
-                items, schema, having_fn, key_specs
-            )
+            node.simple_spec = self._simple_agg_spec(items, schema, having_fn)
             if node.simple_spec is not None:
                 node.np_spec = self._np_agg_spec(items, schema, core.group_by)
                 if node.np_spec is not None and isinstance(
@@ -415,15 +408,15 @@ class Planner:
             item_fns = [
                 compile_expr(it.value, slots, grouped=False) for it in items
             ]
-            node = phys.Project(node, item_fns, key_specs)
+            node = phys.Project(node, item_fns)
             node.simple_cols = self._simple_cols(items, schema)
 
         if core.distinct:
-            node = phys.Distinct(node, keyed=bool(order_keys))
+            node = phys.Distinct(node)
         return node
 
     # -- batch-kernel metadata ------------------------------------------
-    def _simple_agg_spec(self, items, schema, having_fn, key_specs):
+    def _simple_agg_spec(self, items, schema, having_fn):
         """Streaming-accumulator recipe for the batch executor, or None.
 
         Each select item lowers to one of
@@ -436,17 +429,12 @@ class Planner:
           semantics of the :mod:`functions` aggregates;
         * ``("count*", None)`` — COUNT(*).
 
-        HAVING needs the full group, as do DISTINCT/ORDER BY aggregates,
-        aggregates nested inside expressions, and non-integer sort-key
-        specs — any of those returns None and the batch executor falls
-        back to materializing group row lists (still batched, identical
-        semantics, just slower).
+        HAVING needs the full group, as do DISTINCT/ORDER BY aggregates and
+        aggregates nested inside expressions — any of those returns None
+        and the batch executor falls back to materializing group row lists
+        (still batched, identical semantics, just slower).
         """
         if having_fn is not None:
-            return None
-        if key_specs is not None and not all(
-            isinstance(s, int) for s in key_specs
-        ):
             return None
         spec = []
         for item in items:
@@ -653,11 +641,7 @@ class Planner:
         info = {"scan": None, "out_arr": frozenset(), "uses": []}
         self._cte_np[name] = info
         root = sub.root
-        if (
-            not isinstance(root, phys.Project)
-            or root.simple_cols is None
-            or root.key_specs is not None
-        ):
+        if not isinstance(root, phys.Project) or root.simple_cols is None:
             return
         scan = root.child
         arr = self._scan_np_arrays(scan)
@@ -779,19 +763,12 @@ class Planner:
         pk = table.schema.primary_key
         probe = self._pk_probe(pk, source.alias, all_conj, used)
         if probe is not None:
-            found, consumed = probe
-            key_fns = [compile_expr(found[col], {}, grouped=False) for col in pk]
-            # Pin predicates, recompiled against the row schema: the runtime
-            # fallback path (non-integer parameter) scans and applies these.
-            pin_fns = [
-                compile_expr(conjuncts[idx], schema.slots, grouped=False)
-                for idx in consumed
-            ]
+            probe_fns = [compile_expr(probe[col], {}, grouped=False) for col in pk]
             filters, specs, _ = self._source_filters(
                 schema, all_conj, on_conjuncts, used
             )
             node = phys.PkLookup(
-                source.name, source.alias, pk, key_fns, pin_fns, filters,
+                source.name, source.alias, pk, probe_fns, filters,
                 ast_ref=source.node,
             )
         else:
@@ -859,12 +836,13 @@ class Planner:
         return predicates, specs, exprs
 
     def _pk_probe(self, pk, alias, indexed_conjuncts, used):
-        """If conjuncts pin every PK column to a constant, claim them.
+        """``{pk column: constant}`` if conjuncts pin every PK column to a
+        constant (the conjuncts are then claimed), else None.
 
         Static classification only — a parameter's runtime value is not
-        inspected here. Non-integer *literals* are rejected (they can never
-        match an integer key), matching what the analyzer used to prove
-        symbolically; a non-integer *parameter* degrades at execution.
+        inspected here. Non-integer *literals* are rejected, matching what
+        the analyzer used to prove symbolically; what a *parameter* probes
+        with is decided at execution (see :class:`~plan.PkLookup`).
         """
         if not pk:
             return None
@@ -884,7 +862,7 @@ class Planner:
             if isinstance(value, ast.Literal) and not isinstance(value.value, int):
                 return None
         used.update(consumed)
-        return found, consumed
+        return found
 
     def _pk_pin(self, conj, alias, pk):
         if not (isinstance(conj, ast.BinaryOp) and conj.op == "="):
@@ -932,7 +910,7 @@ class Planner:
                     pins[pin[0]] = pin[1]
                     consumed.append(idx)
             if set(pins) == set(pk):
-                key_fns = [
+                probe_fns = [
                     compile_expr(pins[col], left_schema.slots, grouped=False)
                     for col in pk
                 ]
@@ -942,14 +920,14 @@ class Planner:
                     schema, conjuncts, used, on_conjuncts
                 )
                 node = phys.IndexNestedLoop(
-                    left_node, source.name, source.alias, pk, key_fns, filters,
+                    left_node, source.name, source.alias, pk, probe_fns, filters,
                     ast_ref=source.node,
                 )
                 node.filter_specs = specs
                 node.np_probe_base = len(left_schema)
-                key_specs = [_np_operand(pins[col], left_schema) for col in pk]
-                if all(spec is not None for spec in key_specs):
-                    node.np_key_specs = key_specs
+                probe_specs = [_np_operand(pins[col], left_schema) for col in pk]
+                if all(spec is not None for spec in probe_specs):
+                    node.np_probe_specs = probe_specs
                 self._scanned[node] = source
                 return node, schema
 

@@ -2,14 +2,20 @@
 
 Every statement a :class:`~repro.minidb.session.Session` runs — SELECT,
 ``INSERT … SELECT``, DML, DDL, ``VACUUM``, ``EXPLAIN ANALYZE`` — executes
-here. Operators exchange **batches** (lists of up to ``batch_size`` row
-tuples, or :class:`~repro.minidb.sql.npbatch.ColumnChunk` int64 column
-batches) instead of single rows, so the per-pull bookkeeping — one
-generator round trip, plus two counter snapshots and two clock reads when
-tracing — amortizes over the whole batch and hot inner loops run as list
+here. Operators exchange **batches** instead of single rows, in exactly two
+shapes: a list of up to ``batch_size`` row tuples, or a
+:class:`~repro.minidb.sql.npbatch.ColumnChunk` of int64 columns (which
+iterates as the same tuples). The per-pull bookkeeping — one generator
+round trip, plus two counter snapshots and two clock reads when tracing —
+amortizes over the whole batch and hot inner loops run as list
 comprehensions or array kernels. For the paper's CPU-bound families
 (kNN/OTM on SSD, Figures 7-8) that interpreter overhead dominates, exactly
 the effect MonetDB/X100 vectorization removes.
+
+An ORDER BY key is a column of the row under the sort — a select item, or a
+hidden item the projection/aggregate computes after the visible ones — so
+ordered and unordered queries run the same producers; ``Sort``/``Top-K``
+read keys by position and strip the hidden tail.
 
 On top of plain batching, four fused kernels cover the paper's hot
 patterns (the planner marks the plans; see ``plan.py``):
@@ -22,7 +28,9 @@ patterns (the planner marks the plans; see ``plan.py``):
   into streaming MIN/MAX/... accumulators;
 * **array expansion** — ``Project`` over ``Unnest`` (the ``a[1:k]`` slice +
   ``FLOOR`` projection of Codes 2-4) evaluates non-SRF items once per
-  *input* row and emits array elements column-wise;
+  *input* row and emits array elements column-wise, as ``ColumnChunk``s
+  while a row's values are all int64 and row by row (same rows, same
+  order) when they are not;
 * **filter + project** — a single pass per batch;
 * **batched Top-K / aggregate accumulation** — bounded-heap and
   accumulator updates per batch instead of per pulled row.
@@ -46,6 +54,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from itertools import zip_longest
 
 import numpy as np
 
@@ -57,8 +66,10 @@ from repro.minidb.sql.result import _DONE, Result
 from repro.minidb.sql.npbatch import ColumnChunk
 from repro.minidb.sql.expr import composite_key, hashable, sort_rows
 
-#: Default rows-per-batch; overridable per database (``Database(batch_size=...)``).
+#: Rows per batch exchanged between operators (``db.batch_size``).
 DEFAULT_BATCH_SIZE = 1024
+#: Heap-scan readahead depth in pages (``db.readahead``; 0 disables).
+DEFAULT_READAHEAD = 8
 
 
 def _traced_batches(stats, gen, collector):
@@ -216,8 +227,8 @@ class BatchExecutor:
         self.collector = collector
         self.batch_size = max(1, int(batch_size))
         self.readahead = max(0, int(readahead))
-        #: Per-statement INL probe memo, keyed by plan-node id: repeated
-        #: probe keys hit the memo instead of the index.
+        #: Per-statement INL probe memo by plan-node id: repeated probe
+        #: keys hit the memo instead of the index.
         self._inl_caches: dict = {}
 
     # -- public entry point ---------------------------------------------
@@ -382,6 +393,24 @@ class BatchExecutor:
             return self.batch_size
         return max(1, min(self.batch_size, hint))
 
+    def _slices(self, rows, size=None):
+        """*rows* (a list or one ``ColumnChunk``) in pieces of *size*
+        (``batch_size`` unless a LIMIT hint made it smaller)."""
+        size = size or self.batch_size
+        for start in range(0, len(rows), size):
+            yield rows[start : start + size]
+
+    def _filter_chunk(self, chunk, check, specs):
+        """The rows of *chunk* that pass *check*: a ``ColumnChunk`` is
+        masked by the predicates' array form (*specs*) when every one has
+        it, anything else goes through the row closure."""
+        params = self.params
+        if isinstance(chunk, ColumnChunk):
+            mask = npbatch.eval_masks(specs, chunk.cols, params, len(chunk))
+            if mask is not None:
+                return chunk.take(mask)
+        return [row for row in chunk if check(row, params)]
+
     def _const_int(self, fn):
         value = fn((), self.params)
         if not isinstance(value, int) or value < 0:
@@ -489,95 +518,56 @@ class BatchExecutor:
     def _emit_pk_lookup(self, node, env, parent, hint):
         params = self.params
         table = self.catalog.get(node.table)
-        np_dec = node.np_decode
-        key = tuple(fn((), params) for fn in node.key_fns)
-        if all(isinstance(k, int) for k in key):
-            stats = self._node(node.name, node.detail, parent)
-            check = _predicate(node.filters)
+        stats = self._node(node.name, node.detail, parent)
+        check = _predicate(node.filters)
 
-            def gen():
-                row = table.lookup(key, np_arrays=np_dec)
-                if row is None:
-                    return
-                if check is None or check(row, params):
-                    yield [row]
+        def gen():
+            key = _probe_key([fn((), params) for fn in node.probe_fns])
+            if key is None:
+                return  # equals no key: no row, no page read
+            row = table.lookup(key, np_arrays=node.np_decode)
+            if row is not None and (check is None or check(row, params)):
+                yield [row]
 
-            return self._traced(stats, gen())
-        # A parameter bound to a non-integer can never match a B+Tree key:
-        # degrade to a scan applying the pin predicates (the plan said Index
-        # Scan; the trace tells the truth).
-        stats = self._node("Seq Scan", f"on {node.table}", parent)
-        predicates = list(node.pin_fns) + list(node.filters)
-        return self._traced(
-            stats, self._scan_chunks(table, predicates, hint, np_arrays=np_dec)
-        )
+        return self._traced(stats, gen())
 
     def _emit_cte_scan(self, node, env, parent, hint):
         stats = self._node(node.name, node.detail, parent)
-        params = self.params
         check = _predicate(node.filters)
         size = self._chunk_size(hint)
 
-        specs = getattr(node, "filter_specs", None)
-
         def gen():
-            rows = env[node.cte_name]
-            if isinstance(rows, ColumnChunk) and check is not None:
-                mask = npbatch.eval_masks(specs, rows.cols, params, len(rows))
-                if mask is not None:
-                    kept = rows.take(mask)
-                    for start in range(0, len(kept), size):
-                        yield kept[start : start + size]
-                    return
-            if check is not None:
-                chunk = []
-                for row in rows:
-                    if check(row, params):
-                        chunk.append(row)
-                        if len(chunk) >= size:
-                            yield chunk
-                            chunk = []
-                if chunk:
+            for chunk in self._slices(env[node.cte_name], size):
+                if check is not None:
+                    chunk = self._filter_chunk(chunk, check, node.filter_specs)
+                if len(chunk):
                     yield chunk
-            else:
-                for start in range(0, len(rows), size):
-                    yield rows[start : start + size]
 
         return self._traced(stats, gen())
 
     def _emit_subquery_scan(self, node, env, parent, hint):
         stats = self._node(node.name, node.detail, parent)
-        params = self.params
         check = _predicate(node.filters)
         inner = self._emit_query(
             node.subplan, env, stats, hint if check is None else None
         )
+        return self._traced(
+            stats, self._filtered(inner, check, node.filter_specs)
+        )
 
-        specs = getattr(node, "filter_specs", None)
-
-        def gen():
-            try:
-                if check is None:
-                    # Pass-through: the same chunk objects flow upward.
-                    yield from inner
-                else:
-                    for chunk in inner:
-                        if isinstance(chunk, ColumnChunk):
-                            mask = npbatch.eval_masks(
-                                specs, chunk.cols, params, len(chunk)
-                            )
-                            if mask is not None:
-                                kept = chunk.take(mask)
-                                if len(kept):
-                                    yield kept
-                                continue
-                        out = [row for row in chunk if check(row, params)]
-                        if out:
-                            yield out
-            finally:
-                inner.close()
-
-        return self._traced(stats, gen())
+    def _filtered(self, child, check, specs):
+        """*child*'s batches with only the rows passing *check* (None: the
+        same chunk objects flow upward)."""
+        try:
+            if check is None:
+                yield from child
+                return
+            for chunk in child:
+                kept = self._filter_chunk(chunk, check, specs)
+                if len(kept):
+                    yield kept
+        finally:
+            child.close()
 
     # -- joins -----------------------------------------------------------
     def _emit_inl(self, node, env, parent, hint):
@@ -587,11 +577,11 @@ class BatchExecutor:
         left = self._emit(node.left, env, stats, None)
         table = self.catalog.get(node.table)
         params = self.params
-        key_fns = node.key_fns
+        probe_fns = node.probe_fns
         check = _predicate(node.filters)
 
         np_dec = node.np_decode
-        key_specs = node.np_key_specs
+        probe_specs = node.np_probe_specs
 
         def gen():
             # key -> matching row (None = absent), for the whole statement.
@@ -599,15 +589,15 @@ class BatchExecutor:
             try:
                 for chunk in left:
                     keys = None
-                    if key_specs is not None and isinstance(chunk, ColumnChunk):
+                    if probe_specs is not None and isinstance(chunk, ColumnChunk):
                         # Whole-batch probe keys: one array evaluation per
                         # key column instead of a closure tree per row.
                         keys = npbatch.eval_keys(
-                            key_specs, chunk.cols, params, len(chunk)
+                            probe_specs, chunk.cols, params, len(chunk)
                         )
                     if keys is None:
                         keys = [
-                            _probe_key([fn(row, params) for fn in key_fns])
+                            _probe_key([fn(row, params) for fn in probe_fns])
                             for row in chunk
                         ]
                     # The chunk's unseen keys go to the index together, in
@@ -718,51 +708,32 @@ class BatchExecutor:
     def _emit_filter(self, node, env, parent, hint):
         stats = self._node(node.name, node.detail, parent)
         child = self._emit(node.child, env, stats, None)
-        params = self.params
         check = _predicate(node.predicates)
-        specs = getattr(node, "filter_specs", None)
+        return self._traced(
+            stats, self._filtered(child, check, node.filter_specs)
+        )
 
-        def gen():
-            try:
-                if check is None:
-                    yield from child
-                    return
-                for chunk in child:
-                    if isinstance(chunk, ColumnChunk):
-                        mask = npbatch.eval_masks(
-                            specs, chunk.cols, params, len(chunk)
-                        )
-                        if mask is not None:
-                            kept = chunk.take(mask)
-                            if len(kept):
-                                yield kept
-                            continue
-                    out = [row for row in chunk if check(row, params)]
-                    if out:
-                        yield out
-            finally:
-                child.close()
-
-        return self._traced(stats, gen())
-
-    def _expand_srfs(self, row, srf_fns):
-        """Evaluate this row's SRF arguments, with the row path's checks."""
+    def _srf_arrays(self, row, srf_fns):
+        """This row's UNNEST arguments. NULL is the empty array; an ndarray
+        cell (from an ``np_decode`` scan) stays one, so the column kernel
+        adopts it without a copy."""
         arrays = []
-        max_len = 0
         for fn in srf_fns:
             value = fn(row, self.params)
             if value is None:
                 value = []
-            elif isinstance(value, np.ndarray):
-                # An np_decode scan below an unfused Unnest: materialize so
-                # the expansion yields plain Python ints, as the row path does.
-                value = value.tolist()
-            elif not isinstance(value, (list, tuple)):
+            elif not isinstance(value, (list, tuple, np.ndarray)):
                 raise SQLTypeError(f"UNNEST expects an array, got {value!r}")
             arrays.append(value)
-            if len(value) > max_len:
-                max_len = len(value)
-        return arrays, max_len
+        return arrays
+
+    @staticmethod
+    def _expansion(arrays):
+        """The rows UNNEST makes of one input row's *arrays*: element *j* of
+        each as plain Python values, shorter arrays padded with NULL."""
+        return zip_longest(
+            *[a.tolist() if isinstance(a, np.ndarray) else a for a in arrays]
+        )
 
     def _emit_unnest(self, node, env, parent, hint):
         stats = self._node(node.name, node.detail, parent)
@@ -775,18 +746,10 @@ class BatchExecutor:
                 out: list[tuple] = []
                 for chunk in child:
                     for row in chunk:
-                        arrays, max_len = self._expand_srfs(row, srf_fns)
-                        if len(arrays) == 1:
-                            out.extend(row + (v,) for v in arrays[0])
-                        else:
-                            for j in range(max_len):
-                                out.append(
-                                    row
-                                    + tuple(
-                                        arr[j] if j < len(arr) else None
-                                        for arr in arrays
-                                    )
-                                )
+                        arrays = self._srf_arrays(row, srf_fns)
+                        out.extend(
+                            row + values for values in self._expansion(arrays)
+                        )
                         if len(out) >= size:
                             yield out
                             out = []
@@ -851,198 +814,92 @@ class BatchExecutor:
 
     def _emit_project(self, node, env, parent, hint):
         stats = self._node(node.name, node.detail, parent)
-        specs = node.key_specs
-        ints_only = specs is None or all(isinstance(s, int) for s in specs)
         child_node = node.child
-        if (
-            isinstance(child_node, phys.Unnest)
-            and getattr(child_node, "srf_positions", None)
-            and ints_only
-        ):
-            if specs is None:
-                return self._traced(
-                    stats,
-                    self._np_unnest_project(node, child_node, env, stats),
-                )
-            return self._traced(
-                stats,
-                self._fused_unnest_project(node, child_node, env, stats),
+        if isinstance(child_node, phys.Unnest) and child_node.srf_positions:
+            gen = self._np_unnest_project(node, child_node, env, stats, hint)
+        elif isinstance(child_node, phys.Filter):
+            gen = self._fused_filter_project(node, child_node, env, stats)
+        else:
+            gen = self._projected(
+                node, self._emit(child_node, env, stats, hint)
             )
-        if isinstance(child_node, phys.Filter) and specs is None:
-            return self._traced(
-                stats,
-                self._fused_filter_project(node, child_node, env, stats),
-            )
-        child = self._emit(child_node, env, stats, hint)
+        return self._traced(stats, gen)
+
+    def _projected(self, node, child, fstats=None):
+        """*child*'s batches through *node*'s select list; *fstats* is the
+        fused Filter's trace node, whose row count is *child*'s."""
         params = self.params
         item_fns = node.item_fns
-        simple_cols = getattr(node, "simple_cols", None)
-
-        def gen():
-            try:
-                if specs is None:
-                    if simple_cols is not None:
-                        for chunk in child:
-                            if isinstance(chunk, ColumnChunk):
-                                # Column projection: reindex the array
-                                # list, zero copies, zero per-row work.
-                                yield chunk.project(simple_cols)
-                                continue
-                            yield [
-                                tuple(row[i] for i in simple_cols)
-                                for row in chunk
-                            ]
-                    else:
-                        for chunk in child:
-                            yield [
-                                tuple(fn(row, params) for fn in item_fns)
-                                for row in chunk
-                            ]
+        simple_cols = node.simple_cols
+        try:
+            for chunk in child:
+                if fstats is not None:
+                    fstats.rows += len(chunk)
+                if simple_cols is None:
+                    yield [
+                        tuple(fn(row, params) for fn in item_fns)
+                        for row in chunk
+                    ]
+                elif isinstance(chunk, ColumnChunk):
+                    # Column projection: reindex the array list, zero
+                    # copies, zero per-row work.
+                    yield chunk.project(simple_cols)
                 else:
-                    for chunk in child:
-                        out = []
-                        for row in chunk:
-                            output = tuple(
-                                fn(row, params) for fn in item_fns
-                            )
-                            key = tuple(
-                                output[s] if isinstance(s, int) else s(row, params)
-                                for s in specs
-                            )
-                            out.append((output, key))
-                        yield out
-            finally:
-                child.close()
-
-        return self._traced(stats, gen())
+                    yield [
+                        tuple(row[i] for i in simple_cols) for row in chunk
+                    ]
+        finally:
+            child.close()
+            _sync_fused(fstats)
 
     def _fused_filter_project(self, node, fnode, env, stats):
         """Filter + Project in one pass per batch. The Filter node stays in
         the trace (rows = survivors) but its kernel cost is the Project's."""
         fstats = self._node(fnode.name, fnode.detail, stats)
         child = self._emit(fnode.child, env, fstats, None)
-        params = self.params
         check = _predicate(fnode.predicates)
-        fspecs = getattr(fnode, "filter_specs", None)
-        item_fns = node.item_fns
-        simple_cols = getattr(node, "simple_cols", None)
+        kept = self._filtered(child, check, fnode.filter_specs)
+        return self._projected(node, kept, fstats)
 
-        def gen():
-            try:
-                for chunk in child:
-                    if isinstance(chunk, ColumnChunk) and simple_cols is not None:
-                        mask = npbatch.eval_masks(
-                            fspecs, chunk.cols, params, len(chunk)
-                        )
-                        if mask is not None:
-                            kept_chunk = chunk.take(mask)
-                            if fstats is not None:
-                                fstats.rows += len(kept_chunk)
-                            if len(kept_chunk):
-                                yield kept_chunk.project(simple_cols)
-                            continue
-                    kept = [row for row in chunk if check(row, params)]
-                    if fstats is not None:
-                        fstats.rows += len(kept)
-                    if kept:
-                        yield [
-                            tuple(fn(row, params) for fn in item_fns)
-                            for row in kept
-                        ]
-            finally:
-                child.close()
-                _sync_fused(fstats)
-
-        return gen()
-
-    def _fused_unnest_project(self, node, unode, env, stats):
+    def _np_unnest_project(self, node, unode, env, stats, hint):
         """The array-expansion kernel (slice + FLOOR projection, Codes 2-4).
 
         Non-SRF select items only reference pre-expansion columns, so they
         are evaluated once per *input* row; SRF items are array elements
-        taken column-wise. Output rows are identical to Unnest-then-Project
-        (shorter arrays pad with NULL, empty arrays emit nothing).
+        taken column-wise. If every such base value is an int and every SRF
+        argument is a same-length ``int64`` array, the row's expansion is
+        queued as (base values, element arrays) — batches then materialize
+        as ``repeat`` / ``concatenate`` column ops, one per output column.
+        Any row failing the checks (NULLs, floats, out-of-range ints, ragged
+        multi-SRF lengths that need NULL padding) flushes the columnar
+        buffer and is expanded row by row, so mixed inputs produce the rows
+        of Unnest-then-Project in the same order, just split across chunks
+        at each representation switch.
+
+        Under a LIMIT *hint* the source is pulled one row at a time and
+        the buffers flush at the hint, so no page is read that a
+        row-at-a-time pull would not read.
         """
         ustats = self._node(unode.name, unode.detail, stats)
-        child = self._emit(unode.child, env, ustats, None)
+        child = self._emit(
+            unode.child, env, ustats, None if hint is None else 1
+        )
         params = self.params
         srf_fns = unode.srf_fns
         srf_of = {pos: k for k, pos in enumerate(unode.srf_positions)}
-        item_fns = node.item_fns
-        specs = node.key_specs
-        size = self.batch_size
-        n_items = len(item_fns)
-        single = None
-        if len(srf_of) == 1 and len(srf_fns) == 1:
-            single = next(iter(srf_of))  # the lone SRF's item position
-
-        def gen():
-            try:
-                out: list = []
-                for chunk in child:
-                    for row in chunk:
-                        arrays, max_len = self._expand_srfs(row, srf_fns)
-                        if not max_len:
-                            continue
-                        base = [None] * n_items
-                        for i, fn in enumerate(item_fns):
-                            if i not in srf_of:
-                                base[i] = fn(row, params)
-                        if ustats is not None:
-                            ustats.rows += max_len
-                        if single is not None:
-                            before = tuple(base[:single])
-                            after = tuple(base[single + 1 :])
-                            out.extend(
-                                before + (v,) + after for v in arrays[0]
-                            )
-                        else:
-                            for j in range(max_len):
-                                output = list(base)
-                                for pos, k in srf_of.items():
-                                    arr = arrays[k]
-                                    output[pos] = (
-                                        arr[j] if j < len(arr) else None
-                                    )
-                                out.append(tuple(output))
-                        if len(out) >= size:
-                            yield self._keyed(out, specs)
-                            out = []
-                if out:
-                    yield self._keyed(out, specs)
-            finally:
-                child.close()
-                _sync_fused(ustats)
-
-        return gen()
-
-    def _np_unnest_project(self, node, unode, env, stats):
-        """Array expansion emitting :class:`ColumnChunk` batches.
-
-        Columnar variant of :meth:`_fused_unnest_project`: per input row
-        the non-SRF items are evaluated once (as in the row kernel), and
-        if every base value is an int and every SRF argument is a
-        same-length ``int64`` array, the row's expansion is queued as
-        (base values, element arrays) — batches then materialize as
-        ``repeat`` / ``concatenate`` column ops, one per output column.
-        Any row failing the checks (NULLs, floats, out-of-range ints,
-        ragged multi-SRF lengths that need NULL padding) flushes the
-        columnar buffer and goes through the exact row-kernel code, so
-        mixed inputs produce the same rows in the same order, just split
-        across chunks at each representation switch.
-        """
-        ustats = self._node(unode.name, unode.detail, stats)
-        child = self._emit(unode.child, env, ustats, None)
-        params = self.params
-        srf_fns = unode.srf_fns
-        srf_of = {pos: k for k, pos in enumerate(unode.srf_positions)}
-        item_fns = node.item_fns
-        n_items = len(item_fns)
+        n_items = len(node.item_fns)
         base_fns = [
-            (i, fn) for i, fn in enumerate(item_fns) if i not in srf_of
+            fn for i, fn in enumerate(node.item_fns) if i not in srf_of
         ]
-        base_slot = {i: slot for slot, (i, _fn) in enumerate(base_fns)}
-        size = self.batch_size
+        # Output column i of a row (base values, then SRF values).
+        order, slot = [], 0
+        for i in range(n_items):
+            if i in srf_of:
+                order.append(len(base_fns) + srf_of[i])
+            else:
+                order.append(slot)
+                slot += 1
+        size = self._chunk_size(hint)
 
         def flush(bases, arrays, total):
             # arrays: per buffered row, a tuple of equal-length int64
@@ -1051,39 +908,15 @@ class BatchExecutor:
                 (len(a[0]) for a in arrays), dtype=np.int64, count=len(arrays)
             )
             cols = []
-            for i in range(n_items):
-                k = srf_of.get(i)
-                if k is not None:
-                    cols.append(np.concatenate([a[k] for a in arrays]))
+            for i, at in enumerate(order):
+                if i in srf_of:
+                    cols.append(np.concatenate([a[srf_of[i]] for a in arrays]))
                 else:
-                    slot = base_slot[i]
                     values = np.fromiter(
-                        (b[slot] for b in bases),
-                        dtype=np.int64,
-                        count=len(bases),
+                        (b[at] for b in bases), dtype=np.int64, count=len(bases)
                     )
                     cols.append(np.repeat(values, lengths))
             return ColumnChunk(cols, n=total)
-
-        def expand_np(row):
-            """Like :meth:`_expand_srfs`, but ndarray cells from an
-            ``np_decode`` scan stay ndarrays — ``to_np_arrays`` then adopts
-            them without a copy, and only a row-mode fallback pays the
-            materialization (in ``emit_row_mode``)."""
-            arrays = []
-            max_len = 0
-            for fn in srf_fns:
-                value = fn(row, params)
-                if value is None:
-                    value = []
-                elif not isinstance(value, (list, tuple, np.ndarray)):
-                    raise SQLTypeError(
-                        f"UNNEST expects an array, got {value!r}"
-                    )
-                arrays.append(value)
-                if len(value) > max_len:
-                    max_len = len(value)
-            return arrays, max_len
 
         def to_np_arrays(raw):
             """The row's SRF values as equal-length int64 arrays, or None."""
@@ -1101,30 +934,6 @@ class BatchExecutor:
                 converted.append(arr)
             return tuple(converted)
 
-        def emit_row_mode(out, row, raw, max_len, base):
-            """The row kernel's expansion, verbatim semantics."""
-            raw = [
-                a.tolist() if isinstance(a, np.ndarray) else a for a in raw
-            ]
-            if len(raw) == 1:
-                single = unode.srf_positions[0]
-                before = tuple(base[base_slot[i]] for i in range(single) if i in base_slot)
-                after = tuple(
-                    base[base_slot[i]]
-                    for i in range(single + 1, n_items)
-                    if i in base_slot
-                )
-                out.extend(before + (v,) + after for v in raw[0])
-                return
-            for j in range(max_len):
-                output = [None] * n_items
-                for i, _fn in base_fns:
-                    output[i] = base[base_slot[i]]
-                for pos, k in srf_of.items():
-                    arr = raw[k]
-                    output[pos] = arr[j] if j < len(arr) else None
-                out.append(tuple(output))
-
         def gen():
             try:
                 out: list = []  # row-representation buffer
@@ -1133,10 +942,11 @@ class BatchExecutor:
                 np_len = 0
                 for chunk in child:
                     for row in chunk:
-                        raw, max_len = expand_np(row)
+                        raw = self._srf_arrays(row, srf_fns)
+                        max_len = max(map(len, raw))
                         if not max_len:
                             continue
-                        base = tuple(fn(row, params) for _i, fn in base_fns)
+                        base = tuple(fn(row, params) for fn in base_fns)
                         if ustats is not None:
                             ustats.rows += max_len
                         converted = None
@@ -1156,7 +966,9 @@ class BatchExecutor:
                             if np_len:
                                 yield flush(bases, arrays, np_len)
                                 bases, arrays, np_len = [], [], 0
-                            emit_row_mode(out, row, raw, max_len, base)
+                            for values in self._expansion(raw):
+                                full = base + values
+                                out.append(tuple(full[at] for at in order))
                             if len(out) >= size:
                                 yield out
                                 out = []
@@ -1170,20 +982,11 @@ class BatchExecutor:
 
         return gen()
 
-    def _keyed(self, rows, specs):
-        """Attach integer-spec sort keys to a chunk of output rows."""
-        if specs is None:
-            return rows
-        return [
-            (row, tuple(row[s] for s in specs)) for row in rows
-        ]
-
     # -- aggregation ------------------------------------------------------
     def _emit_aggregate(self, node, env, parent, hint):
         stats = self._node(node.name, node.detail, parent)
-        spec = getattr(node, "simple_spec", None)
-        if spec is not None:
-            gen = self._streaming_aggregate(node, spec, env, stats)
+        if node.simple_spec is not None:
+            gen = self._streaming_aggregate(node, node.simple_spec, env, stats)
         else:
             gen = self._generic_aggregate(node, env, stats)
         return self._traced(stats, gen)
@@ -1264,45 +1067,18 @@ class BatchExecutor:
         output is never materialized.
         """
         params = self.params
-        group_fns = node.group_fns
-        key_specs = node.key_specs  # all ints (simple_spec contract)
-        size = self.batch_size
         feed, final_row, init = self._agg_machinery(node, spec)
 
         def finalize(groups):
-            if not groups and not group_fns:
+            if not groups and not node.group_fns:
                 groups[()] = ([], list(init))  # scalar agg over no rows
-            out = []
-            for state in groups.values():
-                row = final_row(state)
-                if key_specs is None:
-                    out.append(row)
-                else:
-                    out.append((row, tuple(row[s] for s in key_specs)))
-                if len(out) >= size:
-                    yield out
-                    out = []
-            if out:
-                yield out
+            return [final_row(state) for state in groups.values()]
 
         np_spec = node.np_spec
 
-        def emit_np_rows(rows_out):
-            out = []
-            for row in rows_out:
-                if key_specs is None:
-                    out.append(row)
-                else:
-                    out.append((row, tuple(row[s] for s in key_specs)))
-                if len(out) >= size:
-                    yield out
-                    out = []
-            if out:
-                yield out
-
         if isinstance(node.child, phys.HashJoin):
             return self._fused_join_aggregate(
-                node.child, env, stats, feed, finalize, np_spec, emit_np_rows
+                node.child, env, stats, feed, finalize, np_spec
             )
 
         child = self._emit(node.child, env, stats, None)
@@ -1337,17 +1113,15 @@ class BatchExecutor:
                     np_spec, data.cols, params, len(data)
                 )
                 if rows_out is not None:
-                    yield from emit_np_rows(rows_out)
+                    yield from self._slices(rows_out)
                     return
                 for row in data:
                     feed(row, groups)
-            yield from finalize(groups)
+            yield from self._slices(finalize(groups))
 
         return gen()
 
-    def _fused_join_aggregate(
-        self, jnode, env, stats, feed, finalize, np_spec=None, emit_np_rows=None
-    ):
+    def _fused_join_aggregate(self, jnode, env, stats, feed, finalize, np_spec):
         """Hub intersection: HashJoin probe feeding aggregate accumulators.
 
         With columnar inputs on both sides and a lowered join key + filter
@@ -1388,7 +1162,7 @@ class BatchExecutor:
         def gen():
             groups: dict = {}
             joined = 0
-            np_rows = None
+            rows = None
             try:
                 done = None
                 left_src, right_src = left, right
@@ -1396,7 +1170,7 @@ class BatchExecutor:
                     left_src, right_src = list(left), list(right)
                     done = np_join(left_src, right_src)
                 if done is not None:
-                    np_rows, joined = done
+                    rows, joined = done
                 else:
                     buckets = self._build_buckets(right_src, jnode.right_key)
                     for chunk in left_src:
@@ -1419,10 +1193,9 @@ class BatchExecutor:
                 if jstats is not None:
                     jstats.rows = joined
                 _sync_fused(jstats)
-            if np_rows is not None:
-                yield from emit_np_rows(np_rows)
-            else:
-                yield from finalize(groups)
+            if rows is None:
+                rows = finalize(groups)
+            yield from self._slices(rows)
 
         return gen()
 
@@ -1431,7 +1204,6 @@ class BatchExecutor:
         item closures (HAVING, DISTINCT aggregates, array_agg, ...)."""
         child = self._emit(node.child, env, stats, None)
         params = self.params
-        size = self.batch_size
 
         def gen():
             rows: list[tuple] = []
@@ -1457,24 +1229,10 @@ class BatchExecutor:
                     and node.having_fn(group_rows, params) is not True
                 ):
                     continue
-                output = tuple(
-                    fn(group_rows, params) for fn in node.item_fns
+                out.append(
+                    tuple(fn(group_rows, params) for fn in node.item_fns)
                 )
-                if node.key_specs is None:
-                    out.append(output)
-                else:
-                    key = tuple(
-                        output[s]
-                        if isinstance(s, int)
-                        else s(group_rows, params)
-                        for s in node.key_specs
-                    )
-                    out.append((output, key))
-                if len(out) >= size:
-                    yield out
-                    out = []
-            if out:
-                yield out
+            yield from self._slices(out)
 
         return gen()
 
@@ -1485,26 +1243,15 @@ class BatchExecutor:
         def gen():
             seen = set()
             try:
-                if node.keyed:
-                    for chunk in child:
-                        out = []
-                        for row, key in chunk:
-                            h = hashable(row)
-                            if h not in seen:
-                                seen.add(h)
-                                out.append((row, key))
-                        if out:
-                            yield out
-                else:
-                    for chunk in child:
-                        out = []
-                        for row in chunk:
-                            h = hashable(row)
-                            if h not in seen:
-                                seen.add(h)
-                                out.append(row)
-                        if out:
-                            yield out
+                for chunk in child:
+                    out = []
+                    for row in chunk:
+                        h = hashable(row)
+                        if h not in seen:
+                            seen.add(h)
+                            out.append(row)
+                    if out:
+                        yield out
             finally:
                 child.close()
 
@@ -1514,49 +1261,37 @@ class BatchExecutor:
     def _emit_sort(self, node, env, parent, hint):
         stats = self._node(node.name, node.detail, parent)
         child = self._emit(node.child, env, stats, None)
-        params = self.params
-        size = self.batch_size
+        positions = node.positions
+        width = node.width
 
         def gen():
             rows: list[tuple] = []
-            keys: list[tuple] = []
             try:
-                if node.keyed:
-                    for chunk in child:
-                        for row, key in chunk:
-                            rows.append(row)
-                            keys.append(key)
-                else:
-                    key_fns = node.key_fns
-                    for chunk in child:
-                        for row in chunk:
-                            rows.append(row)
-                            keys.append(
-                                tuple(fn(row, params) for fn in key_fns)
-                            )
+                for chunk in child:
+                    rows.extend(chunk)
             finally:
                 child.close()
-            ordered = sort_rows(
-                rows, len(node.descending), keys, node.descending
-            )
-            for start in range(0, len(ordered), size):
-                yield ordered[start : start + size]
+            keys = [tuple(row[i] for i in positions) for row in rows]
+            rows = sort_rows(rows, len(positions), keys, node.descending)
+            if width is not None:
+                rows = [row[:width] for row in rows]  # drop hidden sort columns
+            yield from self._slices(rows)
 
         return self._traced(stats, gen())
 
     def _emit_topk(self, node, env, parent, hint):
         stats = self._node(node.name, node.detail, parent)
         child = self._emit(node.child, env, stats, None)
-        params = self.params
         limit = self._const_int(node.limit_fn)
         offset = (
             self._const_int(node.offset_fn)
             if node.offset_fn is not None
             else 0
         )
+        positions = node.positions
         descending = node.descending
+        width = node.width
         keep = offset + limit
-        size = self.batch_size
 
         def gen():
             # Entries are (composite_key, input_seq, row): the explicit
@@ -1566,35 +1301,25 @@ class BatchExecutor:
             best: list = []
             seq = 0
             try:
-                if node.keyed:
-                    for chunk in child:
-                        entries = [
-                            (composite_key(key, descending), s, row)
-                            for s, (row, key) in enumerate(chunk, seq)
-                        ]
-                        seq += len(chunk)
-                        best = heapq.nsmallest(keep, best + entries)
-                else:
-                    key_fns = node.key_fns
-                    for chunk in child:
-                        entries = [
-                            (
-                                composite_key(
-                                    tuple(fn(row, params) for fn in key_fns),
-                                    descending,
-                                ),
-                                s,
-                                row,
-                            )
-                            for s, row in enumerate(chunk, seq)
-                        ]
-                        seq += len(chunk)
-                        best = heapq.nsmallest(keep, best + entries)
+                for chunk in child if keep else ():  # LIMIT 0 reads nothing
+                    entries = [
+                        (
+                            composite_key(
+                                tuple(row[i] for i in positions), descending
+                            ),
+                            s,
+                            row,
+                        )
+                        for s, row in enumerate(chunk, seq)
+                    ]
+                    seq += len(chunk)
+                    best = heapq.nsmallest(keep, best + entries)
             finally:
                 child.close()
-            out = [row for _key, _seq, row in best[offset:]]
-            for start in range(0, len(out), size):
-                yield out[start : start + size]
+            # row[:None] is the whole row: no hidden sort columns to drop
+            yield from self._slices(
+                [row[:width] for _key, _seq, row in best[offset:]]
+            )
 
         return self._traced(stats, gen())
 

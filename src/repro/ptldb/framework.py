@@ -320,16 +320,10 @@ class PTLDB(_QueryAPI):
         pool_pages: int = 4096,
         ordering: str = "event_degree",
         labels: TTLLabels | None = None,
-        batch_size: int = 1024,
-        readahead: int = 8,
         workers: int = 1,
         cache_dir: str | None = None,
     ) -> "PTLDB":
         """Preprocess (unless labels are given) and load into a fresh DB.
-
-        ``batch_size``/``readahead`` are forwarded to the
-        :class:`Database` executor settings (docs/ARCHITECTURE.md,
-        "Vectorized pipeline"). Results are identical for any combination.
 
         ``workers`` > 1 runs the profile scans of TTL preprocessing on a
         process pool and ``cache_dir`` reuses previously saved labels keyed
@@ -342,12 +336,7 @@ class PTLDB(_QueryAPI):
                 ordering=ordering,
                 workers=workers,
             )
-        db = Database(
-            device=device,
-            pool_pages=pool_pages,
-            batch_size=batch_size,
-            readahead=readahead,
-        )
+        db = Database(device=device, pool_pages=pool_pages)
         self = cls(db, labels)
         # The analytics family needs the raw timetable alongside the
         # labels; this path has it, so the tables always ship together

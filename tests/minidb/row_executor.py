@@ -23,6 +23,16 @@ from repro.minidb.sql.expr import composite_key, hashable, sort_rows
 from repro.minidb.sql.result import _DONE, Result
 
 
+def _probe_key(parts):
+    """The B+Tree key to probe with, or None when no key can match: an
+    integral float equals the BIGINT of the same value; NULL, a fractional
+    float or anything else equals no key."""
+    key = tuple(
+        int(k) if isinstance(k, float) and k.is_integer() else k for k in parts
+    )
+    return key if all(isinstance(k, int) for k in key) else None
+
+
 class Executor:
     """Interprets SELECT plans against a catalog, one row per pull."""
 
@@ -74,28 +84,15 @@ class Executor:
     def _emit_pk_lookup(self, node, env):
         params = self.params
         table = self.catalog.get(node.table)
-        key = tuple(fn((), params) for fn in node.key_fns)
-        if all(isinstance(k, int) for k in key):
-            filters = node.filters
+        filters = node.filters
 
-            def gen():
-                row = table.lookup(key)
-                if row is None:
-                    return
-                if all(p(row, params) is True for p in filters):
-                    yield row
+        def gen():
+            key = _probe_key(fn((), params) for fn in node.probe_fns)
+            row = table.lookup(key) if key is not None else None
+            if row is not None and all(p(row, params) is True for p in filters):
+                yield row
 
-            return gen()
-        # A parameter bound to a non-integer can never match a B+Tree key:
-        # degrade to a scan applying the pin predicates.
-        predicates = list(node.pin_fns) + list(node.filters)
-
-        def scan_gen():
-            for row in table.scan():
-                if all(p(row, params) is True for p in predicates):
-                    yield row
-
-        return scan_gen()
+        return gen()
 
     def _emit_cte_scan(self, node, env):
         params = self.params
@@ -127,19 +124,14 @@ class Executor:
         left = self._emit(node.left, env)
         table = self.catalog.get(node.table)
         params = self.params
-        key_fns = node.key_fns
+        probe_fns = node.probe_fns
         filters = node.filters
 
         def gen():
             probe_cache: dict = {}
             for left_row in left:
-                # An integral float equals the BIGINT of the same value;
-                # NULL, a fractional float or anything else equals no key.
-                key = tuple(
-                    int(k) if isinstance(k, float) and k.is_integer() else k
-                    for k in (fn(left_row, params) for fn in key_fns)
-                )
-                if any(not isinstance(k, int) for k in key):
+                key = _probe_key(fn(left_row, params) for fn in probe_fns)
+                if key is None:
                     continue
                 if key in probe_cache:
                     match = probe_cache[key]
@@ -270,20 +262,10 @@ class Executor:
         child = self._emit(node.child, env)
         params = self.params
         item_fns = node.item_fns
-        specs = node.key_specs
 
         def gen():
-            if specs is None:
-                for row in child:
-                    yield tuple(fn(row, params) for fn in item_fns)
-            else:
-                for row in child:
-                    out = tuple(fn(row, params) for fn in item_fns)
-                    key = tuple(
-                        out[s] if isinstance(s, int) else s(row, params)
-                        for s in specs
-                    )
-                    yield (out, key)
+            for row in child:
+                yield tuple(fn(row, params) for fn in item_fns)
 
         return gen()
 
@@ -309,15 +291,7 @@ class Executor:
                     and node.having_fn(group_rows, params) is not True
                 ):
                     continue
-                out = tuple(fn(group_rows, params) for fn in node.item_fns)
-                if node.key_specs is None:
-                    yield out
-                else:
-                    key = tuple(
-                        out[s] if isinstance(s, int) else s(group_rows, params)
-                        for s in node.key_specs
-                    )
-                    yield (out, key)
+                yield tuple(fn(group_rows, params) for fn in node.item_fns)
 
         return gen()
 
@@ -326,45 +300,29 @@ class Executor:
 
         def gen():
             seen = set()
-            if node.keyed:
-                for row, key in child:
-                    h = hashable(row)
-                    if h not in seen:
-                        seen.add(h)
-                        yield (row, key)
-            else:
-                for row in child:
-                    h = hashable(row)
-                    if h not in seen:
-                        seen.add(h)
-                        yield row
+            for row in child:
+                h = hashable(row)
+                if h not in seen:
+                    seen.add(h)
+                    yield row
 
         return gen()
 
     def _emit_sort(self, node, env):
         child = self._emit(node.child, env)
-        params = self.params
 
         def gen():
-            if node.keyed:
-                pairs = list(child)
-                rows = [pair[0] for pair in pairs]
-                keys = [pair[1] for pair in pairs]
-            else:
-                rows = list(child)
-                keys = [
-                    tuple(fn(row, params) for fn in node.key_fns)
-                    for row in rows
-                ]
-            yield from sort_rows(
-                rows, len(node.descending), keys, node.descending
-            )
+            rows = list(child)
+            keys = [tuple(row[i] for i in node.positions) for row in rows]
+            for row in sort_rows(
+                rows, len(node.positions), keys, node.descending
+            ):
+                yield row[: node.width]  # [:None] when nothing is hidden
 
         return gen()
 
     def _emit_topk(self, node, env):
         child = self._emit(node.child, env)
-        params = self.params
         limit = self._const_int(node.limit_fn)
         offset = (
             self._const_int(node.offset_fn)
@@ -374,21 +332,15 @@ class Executor:
         descending = node.descending
 
         def gen():
-            if node.keyed:
-                entries = (
-                    (composite_key(key, descending), row) for row, key in child
+            entries = (
+                (
+                    composite_key(
+                        tuple(row[i] for i in node.positions), descending
+                    ),
+                    row,
                 )
-            else:
-                entries = (
-                    (
-                        composite_key(
-                            tuple(fn(row, params) for fn in node.key_fns),
-                            descending,
-                        ),
-                        row,
-                    )
-                    for row in child
-                )
+                for row in child
+            )
             # nsmallest is stable (documented as equivalent to a sorted()
             # prefix), so ties keep input order exactly like the full Sort.
             try:
@@ -400,7 +352,7 @@ class Executor:
                 # child explicitly so scan pins are released either way.
                 child.close()
             for _key, row in best[offset:]:
-                yield row
+                yield row[: node.width]
 
         return gen()
 

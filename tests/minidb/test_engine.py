@@ -19,6 +19,19 @@ class TestConstruction:
         with pytest.raises(TypeError, match="parallel_workers"):
             Database(parallel_workers=2)
 
+    def test_removed_executor_options_are_rejected(self):
+        """``batch_size``/``readahead`` are plain attributes set from one
+        module constant each, not constructor options."""
+        from repro.minidb.sql.vectorized import DEFAULT_BATCH_SIZE, DEFAULT_READAHEAD
+        from repro.ptldb.framework import PTLDB
+
+        with pytest.raises(TypeError, match="batch_size"):
+            Database(batch_size=16)
+        with pytest.raises(TypeError, match="readahead"):
+            PTLDB.from_timetable(None, readahead=8)
+        db = Database()
+        assert (db.batch_size, db.readahead) == (DEFAULT_BATCH_SIZE, DEFAULT_READAHEAD)
+
     def test_context_manager(self, tmp_path):
         with Database(path=str(tmp_path / "db.pages")) as db:
             db.execute("CREATE TABLE t (a BIGINT)")

@@ -2,7 +2,8 @@
 
 A left chunk's distinct probe keys go to the index together, in key order
 (``Table.lookup_many``); rows, their order and the cold page I/O must be
-those of the reference model, which probes once per outer row.
+those of the reference model, which probes once per outer row. The point
+lookup (``WHERE pk = $1``) probes by the same key rule.
 """
 
 import random
@@ -118,6 +119,50 @@ class TestBatchedProbes:
         (inl,) = trace.find("Index Nested Loop")
         inl.probes = inl.loops + 1
         assert any("probes=4 <= loops=3" in p for p in trace.validate())
+
+
+class TestPointLookupProbeKey:
+    """``WHERE pk = $n`` probes by the join's rule and never scans: an
+    integral DOUBLE is that integer; a value that equals no BIGINT key
+    returns no row without reading a page."""
+
+    CASES = [(5, [(50,)]), (5.0, [(50,)]), (5.5, []), (None, []), ("x", [])]
+
+    @pytest.mark.parametrize("key, expected", CASES)
+    def test_single_column_key(self, db, key, expected):
+        sql = "SELECT b FROM t WHERE a = $1"
+        engine = run_engine(db, sql, (key,))
+        assert engine == run_reference(db, sql, (key,))
+        assert engine.rows == expected
+        # root, leaf and heap page for a key that can exist, else nothing
+        assert engine.io == ((3, 3) if expected else (0, 0))
+        assert [op.name for op in db.last_trace.operators()] == [
+            "Project", "Index Scan"
+        ]
+        assert db.pool.total_pins() == 0
+
+    @pytest.mark.parametrize(
+        "params, expected",
+        [
+            ((5, 5), [(50,)]),
+            ((5.0, 5.0), [(50,)]),
+            ((5, 5.5), []),
+            ((None, 5), []),
+            ((5, "x"), []),
+        ],
+    )
+    def test_two_column_key(self, db, params, expected):
+        db.execute("CREATE TABLE g (h BIGINT, a BIGINT, b BIGINT, PRIMARY KEY (h, a))")
+        db.executemany(
+            "INSERT INTO g VALUES ($1, $2, $3)",
+            [(i % 7, i, 10 * i) for i in range(2000)],
+        )
+        sql = "SELECT b FROM g WHERE h = $1 AND a = $2"
+        engine = run_engine(db, sql, params)
+        assert engine == run_reference(db, sql, params)
+        assert engine.rows == expected
+        assert (engine.io == (0, 0)) == (not expected)
+        assert not db.last_trace.find("Seq Scan")
 
 
 class TestLookupMany:

@@ -15,8 +15,8 @@ from repro.minidb.engine import Database
 from tests.minidb.reference import run_engine, run_reference
 
 
-def make_db(**kwargs) -> Database:
-    db = Database(device="hdd", **kwargs)
+def make_db() -> Database:
+    db = Database(device="hdd")
     db.execute(
         "CREATE TABLE lab (v BIGINT, hubs BIGINT[], tds BIGINT[], tas BIGINT[], "
         "PRIMARY KEY (v))"
@@ -124,7 +124,8 @@ class TestKernelEdgeCases:
 
     @pytest.mark.parametrize("batch_size", [1, 2, 1024])
     def test_tiny_batches_identical(self, batch_size):
-        db = make_db(batch_size=batch_size)
+        db = make_db()
+        db.batch_size = batch_size
         for sql, params in CORPUS:
             assert run_engine(db, sql, params) == run_reference(db, sql, params), sql
 
@@ -195,8 +196,8 @@ class TestReadahead:
         assert delta.sequential_reads >= delta.reads - 2
 
     def test_readahead_does_not_change_misses_or_results(self):
-        slow = make_db(readahead=0)
-        fast = make_db(readahead=8)
+        slow, fast = make_db(), make_db()
+        slow.readahead, fast.readahead = 0, 8
         for db in (slow, fast):
             db.restart()
         q = "SELECT SUM(w) FROM t"

@@ -25,8 +25,8 @@ ROWS = [
 ]
 
 
-def make_db(rows=ROWS, **kwargs) -> Database:
-    db = Database(**kwargs)
+def make_db(rows=ROWS) -> Database:
+    db = Database()
     db.execute(
         "CREATE TABLE w (id BIGINT, grp BIGINT, val BIGINT, tags BIGINT[], "
         "PRIMARY KEY (id))"
@@ -116,19 +116,22 @@ class TestChunking:
     EXPECTED = [(1, 3), (2, 2), (3, 1), (4, 2), (5, 2), (6, 1), (7, 1)]
 
     def test_batch_size_one(self):
-        db = make_db(batch_size=1)
+        db = make_db()
+        db.batch_size = 1
         check(db, self.SQL, self.EXPECTED)
         window = db.last_trace.find("WindowAgg")[0]
         assert (window.rows, window.pulls) == (7, 7)
 
     def test_input_larger_than_batch_is_rechunked_in_order(self):
-        db = make_db(batch_size=3)
+        db = make_db()
+        db.batch_size = 3
         check(db, self.SQL, self.EXPECTED)
         window = db.last_trace.find("WindowAgg")[0]
         assert (window.rows, window.pulls) == (7, 3)  # 3 + 3 + 1
 
     def test_column_chunk_child_from_np_decode_scan(self):
-        db = Database(batch_size=16)
+        db = Database()
+        db.batch_size = 16
         db.execute(
             "CREATE TABLE lab (v BIGINT, hubs BIGINT[], PRIMARY KEY (v)) "
             "STORAGE = COLUMNAR"
