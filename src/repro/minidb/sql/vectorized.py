@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from itertools import zip_longest
+from itertools import count, zip_longest
 
 import numpy as np
 
@@ -891,14 +891,12 @@ class BatchExecutor:
         base_fns = [
             fn for i, fn in enumerate(node.item_fns) if i not in srf_of
         ]
-        # Output column i of a row (base values, then SRF values).
-        order, slot = [], 0
-        for i in range(n_items):
-            if i in srf_of:
-                order.append(len(base_fns) + srf_of[i])
-            else:
-                order.append(slot)
-                slot += 1
+        # Where output column i sits in (base values..., SRF values...).
+        slot = count()
+        order = [
+            len(base_fns) + srf_of[i] if i in srf_of else next(slot)
+            for i in range(n_items)
+        ]
         size = self._chunk_size(hint)
 
         def flush(bases, arrays, total):
