@@ -1,0 +1,276 @@
+"""GROUP BY / HAVING / aggregates, three ways.
+
+A seeded statement generator over two small tables whose cells hold NULLs,
+floats, text, booleans and ``BIGINT[]`` arrays. Every statement is compared
+
+* with stdlib ``sqlite3`` wherever it accepts the text (3.40: no arrays, no
+  ``BOOL_AND``, no ORDER BY inside an aggregate) — in exact order when the
+  statement has an ORDER BY (sqlite gets ``NULLS LAST`` spelled out, minidb's
+  only order), else as a multiset;
+* with the row-at-a-time reference model, which materializes each group's
+  rows and folds plain lists: rows, their order and cold page I/O.
+
+Floats are multiples of 0.25, so every SUM/AVG is exact in any order.
+"""
+
+import random
+import sqlite3
+from collections import Counter
+
+import pytest
+
+from repro.minidb.engine import Database
+from repro.minidb.sql.expr import hashable
+from tests.minidb.reference import run_engine, run_reference
+
+T_COLS = "a BIGINT, g BIGINT, x BIGINT, f DOUBLE, s TEXT, ok BOOL, xs BIGINT[]"
+T_ROWS = [
+    (
+        a,
+        None if a % 11 == 0 else a % 5,
+        None if a % 7 == 3 else (a * 3) % 8,
+        None if a % 6 == 5 else ((a * 5) % 9) * 0.25,
+        None if a % 9 == 4 else "abcd"[a % 4],
+        None if a % 5 == 2 else a % 3 == 0,
+        None if a % 8 == 6 else list(range(a % 4)),
+    )
+    for a in range(1, 61)
+]
+#: no row for g = 4, a NULL and a repeated w, one w outside t.x
+U_ROWS = [(0, 3, "zero"), (1, None, "odd"), (2, 3, "even"), (3, 40, "odd")]
+
+
+@pytest.fixture(scope="module", params=["ROW", "COLUMNAR"])
+def dbs(request):
+    db, lite = Database(), sqlite3.connect(":memory:")
+    for ddl in (
+        f"CREATE TABLE t ({T_COLS}, PRIMARY KEY (a))",
+        "CREATE TABLE u (g BIGINT, w BIGINT, label TEXT, PRIMARY KEY (g))",
+        "CREATE TABLE sink (k BIGINT, n BIGINT, m DOUBLE)",
+    ):
+        db.execute(f"{ddl} STORAGE = {request.param}")
+        lite.execute(ddl.replace(", xs BIGINT[]", ""))  # no arrays there
+    for table, rows in (("t", T_ROWS), ("u", U_ROWS)):
+        dollars = ", ".join(f"${i + 1}" for i in range(len(rows[0])))
+        db.executemany(f"INSERT INTO {table} VALUES ({dollars})", rows)
+        rows = [row[:6] for row in rows]  # t without xs
+        slots = ", ".join("?" * len(rows[0]))
+        lite.executemany(f"INSERT INTO {table} VALUES ({slots})", rows)
+    yield db, lite
+    lite.close()
+    db.close()
+
+
+def bag(rows):
+    return Counter(hashable(row) for row in rows)
+
+
+def check(dbs, sql, lite_sql=None, ordered=False):
+    """Engine == reference model (rows, order, cold page I/O), and == sqlite3
+    where it accepts the text. Returns ``(engine run, sqlite leg ran)``."""
+    db, lite = dbs
+    engine = run_engine(db, sql)
+    assert db.pool.total_pins() == 0, sql
+    assert engine == run_reference(db, sql), sql
+    try:
+        expected = lite.execute(lite_sql or sql).fetchall()
+    except sqlite3.Error:
+        return engine, False
+    if ordered:
+        assert engine.rows == expected, sql
+    else:
+        assert bag(engine.rows) == bag(expected), sql
+    return engine, True
+
+
+# ---------------------------------------------------------------------------
+# The seeded statement generator
+# ---------------------------------------------------------------------------
+#: ``(select item, GROUP BY spelling)``: by column, expression and alias
+KEYS = [
+    ("g", "g"), ("s", "s"), ("ok", "ok"), ("f", "f"),
+    ("g % 2", "g % 2"), ("x + 1", "x + 1"),
+    ("g + 1 AS k", "k"), ("COALESCE(s, 'none') AS k", "k"),
+]
+#: aggregate items sqlite3 also answers: bare, inside arithmetic and CASE,
+#: DISTINCT, over every scalar type
+AGGS = [
+    "COUNT(*)", "COUNT(x)", "COUNT(s)", "MIN(x)", "MAX(x)", "SUM(x)", "AVG(x)",
+    "MIN(f)", "MAX(f)", "SUM(f)", "AVG(f)", "MIN(s)", "MAX(s)", "MIN(ok)",
+    "COUNT(DISTINCT x)", "COUNT(DISTINCT s)", "SUM(DISTINCT x)",
+    "COUNT(DISTINCT ok)", "SUM(DISTINCT f)", "AVG(DISTINCT x)",
+    "MAX(x) - MIN(x)", "SUM(x) + COUNT(*) * 2", "SUM(f) / 2", "-MAX(a)",
+    "SUM(x * 2 + a)", "MIN(ABS(x - 3))", "COALESCE(SUM(x), -1)",
+    "CASE WHEN MAX(x) > 5 THEN SUM(x) ELSE 0 END",
+    "CASE WHEN COUNT(*) > 10 THEN 'big' WHEN MIN(f) IS NULL THEN 'void' "
+    "ELSE MIN(s) END",
+    "MAX(x) IS NULL",
+]
+#: no sqlite3 leg: arrays, booleans, ORDER BY inside the call
+ARRAY_AGGS = [
+    "ARRAY_AGG(x)", "ARRAY_AGG(x ORDER BY a DESC)", "ARRAY_AGG(s ORDER BY f DESC, a)",
+    "ARRAY_AGG(DISTINCT x ORDER BY x DESC)", "ARRAY_AGG(DISTINCT s ORDER BY s)",
+    "ARRAY_AGG(f ORDER BY x, a)", "CARDINALITY(ARRAY_AGG(a))",
+    "BOOL_AND(ok)", "BOOL_OR(ok)", "BOOL_AND(x > 2)", "MIN(xs)", "MAX(xs)",
+    "COUNT(DISTINCT xs)", "SUM(x ORDER BY a)", "(ARRAY_AGG(a ORDER BY f, a))[1:2]",
+]
+#: on aggregates that are and are not in the select list
+HAVINGS = [
+    "COUNT(*) > 8", "COUNT(*) > 100", "MIN(x) < 2", "SUM(f) >= 4.0",
+    "MAX(x) - MIN(x) > 5 AND COUNT(s) > 1", "COUNT(DISTINCT x) < 6",
+    "AVG(x) > 3 OR MIN(f) IS NULL", "SUM(x) IS NOT NULL",
+]
+WHERES = ["", "", "", "WHERE a > 20", "WHERE x <> 2", "WHERE f < 1.5 AND a > 3",
+          "WHERE a > 99"]  # the last one: empty input
+
+
+def aggregates(rng, count, arrays):
+    """*count* items: one time in three only bare calls, the statements the
+    numpy kernel may take."""
+    pool = AGGS + ARRAY_AGGS if arrays else AGGS
+    if rng.random() < 0.33:
+        pool = AGGS[:14]
+    picked = rng.sample(pool, count)
+    if picked and rng.random() < 0.3:
+        picked.append(picked[0])  # the same call twice
+    return picked
+
+
+def finish(rng, select, from_where, group_by, width, sort_pool):
+    """*select* … plus HAVING / ORDER BY / LIMIT: ``(sql, sqlite sql,
+    ordered)``. Sort keys are aggregates in and outside the select list
+    (hidden columns), then every output position, so the order is total."""
+    sql = f"SELECT {select} {from_where}{group_by}"
+    if rng.random() < 0.35:
+        sql += f" HAVING {rng.choice(HAVINGS)}"
+    if rng.random() < 0.5:
+        return sql, sql, False
+    keys = rng.sample(sort_pool, rng.randint(0, 2))
+    keys += [str(i + 1) for i in range(width)]
+    keys = [key + rng.choice(["", " ASC", " DESC"]) for key in keys]
+    tail = rng.choice(["", "", " LIMIT 3", " LIMIT 1 OFFSET 1", " LIMIT 0"])
+    return (
+        f"{sql} ORDER BY {', '.join(keys)}{tail}",
+        f"{sql} ORDER BY {', '.join(k + ' NULLS LAST' for k in keys)}{tail}",
+        True,
+    )
+
+
+def grouped_statement(rng, arrays=False):
+    keys = rng.sample(KEYS, rng.randint(1, 2))
+    if sum(" AS k" in item for item, _ in keys) == 2:
+        keys.pop()
+    # a key may stay out of the select list, unless it is named by its alias
+    items = [item for item, _ in keys if " AS k" in item or rng.random() < 0.8]
+    items += aggregates(rng, rng.randint(0 if items else 1, 3), arrays)
+    rng.shuffle(items)
+    group_by = " GROUP BY " + ", ".join(spelling for _, spelling in keys)
+    return finish(
+        rng, ", ".join(items), f"FROM t {rng.choice(WHERES)}", group_by,
+        len(items), AGGS,
+    )
+
+
+def array_statement(rng):
+    return grouped_statement(rng, arrays=True)
+
+
+def scalar_statement(rng):
+    """No GROUP BY: one group, even over no rows."""
+    items = aggregates(rng, rng.randint(1, 4), arrays=rng.random() < 0.3)
+    return finish(
+        rng, ", ".join(items), f"FROM t {rng.choice(WHERES)}", "", len(items), AGGS
+    )
+
+
+def join_statement(rng):
+    """Aggregate over an index nested-loop join (``t.g = u.g``, u's key) and
+    over a hash join (``t.x = u.w``)."""
+    on = rng.choice(["t.g = u.g", "t.x = u.w"])
+    source = rng.choice([f"FROM t, u WHERE {on}", f"FROM t JOIN u ON {on}"])
+    if "WHERE" in source and rng.random() < 0.4:
+        source += " AND t.a > 12"
+    key = rng.choice(["u.label", "t.g", "u.w", "t.ok"])
+    aggs = rng.sample(
+        ["COUNT(*)", "MIN(t.x)", "MAX(t.a + u.g)", "SUM(t.f)", "COUNT(DISTINCT t.s)",
+         "MIN(u.w) + MAX(t.x)", "AVG(t.x)", "MAX(t.a) - MIN(t.a)"],
+        rng.randint(1, 3),
+    )
+    group_by = f" GROUP BY {key}" if rng.random() < 0.8 else ""
+    items = ([key] if group_by else []) + aggs
+    return finish(
+        rng, ", ".join(items), source, group_by, len(items),
+        ["COUNT(*)", "MIN(t.a)", "SUM(t.x)"],
+    )
+
+
+SHAPES = {
+    "grouped": (grouped_statement, 160),
+    "arrays": (array_statement, 90),
+    "scalar": (scalar_statement, 70),
+    "join": (join_statement, 70),
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_generated_statements_agree_three_ways(dbs, shape):
+    make, count = SHAPES[shape]
+    rng = random.Random(f"group-by/{shape}")
+    nonempty = on_sqlite = 0
+    for _ in range(count):
+        sql, lite_sql, ordered = make(rng)
+        run, ran = check(dbs, sql, lite_sql, ordered)
+        nonempty += bool(run.rows)
+        on_sqlite += ran
+    assert nonempty > count // 2  # the generator is not vacuous
+    assert shape == "arrays" or on_sqlite > count // 2
+
+
+def test_insert_select_group_by(dbs):
+    db, lite = dbs
+    rng = random.Random("group-by/insert")
+    for _ in range(12):
+        key = rng.choice(["g", "x", "g + 1"])
+        having = rng.choice(["", " HAVING COUNT(*) > 4", " HAVING MIN(f) < 0.5"])
+        sql = (
+            f"INSERT INTO sink SELECT {key}, COUNT(DISTINCT s), SUM(f) FROM t "
+            f"{rng.choice(WHERES)} GROUP BY {key}{having}"
+        )
+        try:
+            source = run_reference(db, sql).rows
+            db.execute(sql)
+            lite.execute(sql)
+            stored = db.execute("SELECT k, n, m FROM sink").rows
+            assert bag(stored) == bag(source), sql
+            assert bag(stored) == bag(
+                lite.execute("SELECT k, n, m FROM sink").fetchall()
+            ), sql
+        finally:
+            db.execute("DELETE FROM sink")
+            lite.execute("DELETE FROM sink")
+
+
+class TestEmptyInput:
+    def test_scalar_aggregates_answer_one_row(self, dbs):
+        run, ran = check(
+            dbs,
+            "SELECT COUNT(*), COUNT(x), SUM(x), MIN(s), AVG(f), "
+            "COUNT(DISTINCT x), COALESCE(MAX(x), -1) FROM t WHERE a > 99",
+        )
+        assert ran and run.rows == [(0, 0, None, None, None, 0, -1)]
+        run, _ = check(
+            dbs,
+            "SELECT ARRAY_AGG(x ORDER BY a), BOOL_AND(ok), BOOL_OR(ok) "
+            "FROM t WHERE a > 99",
+        )
+        assert run.rows == [(None, None, None)]
+
+    def test_grouped_aggregates_answer_no_row(self, dbs):
+        run, ran = check(dbs, "SELECT g, COUNT(*) FROM t WHERE a > 99 GROUP BY g")
+        assert ran and run.rows == []
+
+    def test_having_filters_the_one_group(self, dbs):
+        assert check(dbs, "SELECT COUNT(*) FROM t HAVING COUNT(*) > 99")[0].rows == []
+        assert check(dbs, "SELECT MAX(a) FROM t WHERE a > 99 HAVING COUNT(*) = 0")[
+            0
+        ].rows == [(None,)]
