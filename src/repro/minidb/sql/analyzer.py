@@ -11,7 +11,9 @@ planner lowers without looking a name up again:
   type)``. Stars are expanded, select items classified plain /
   aggregate-bearing / set-returning / window, ``GROUP BY`` aliases
   substituted and ``ORDER BY`` keys resolved to "output column *i*" or a
-  bound expression (the name rules are in ``docs/SQL_DIALECT.md``).
+  bound expression (the name rules are in ``docs/SQL_DIALECT.md``). Every
+  aggregate call of a core becomes a column ``__agg_j`` of the row its
+  select items and ``HAVING`` are evaluated on (``BoundCore.aggs``).
 * **Type checking.** A type is inferred for every bound expression over the
   lattice ``int | float | text | bool | null | unknown | (array, elem)`` and
   the dialect's rules are enforced: array subscripts only on arrays, numeric
@@ -53,7 +55,7 @@ from repro.minidb.sql.diagnostics import (
     Span,
 )
 from repro.minidb.sql.functions import (
-    AGGREGATE_FUNCTIONS,
+    AGGREGATES,
     SCALAR_FUNCTIONS,
     SET_RETURNING,
 )
@@ -286,7 +288,9 @@ class BoundItem:
     An ``SRF`` or ``WINDOW`` item's value is produced by an operator below
     the projection, in a column appended to the core's input row; ``ref``
     names that column, and is what ``GROUP BY`` / ``ORDER BY`` aliases of
-    the item stand for. ``value`` is what the projection evaluates.
+    the item stand for. ``value`` is what the projection evaluates: the
+    ``ref`` when there is one, and for an ``AGG`` item ``expr`` with every
+    aggregate call replaced by its ``__agg_j`` column (``BoundCore.aggs``).
 
     A ``hidden`` item is an ORDER BY key that is not in the select list
     (PostgreSQL's "resjunk" column): the projection or aggregate computes
@@ -299,10 +303,10 @@ class BoundItem:
     kind: str  # PLAIN | AGG | SRF | WINDOW
     ref: ast.BoundRef | None = None
     hidden: bool = False
+    value: object = None
 
-    @property
-    def value(self):
-        return self.ref if self.ref is not None else self.expr
+    def __post_init__(self):
+        self.value = self.ref if self.ref is not None else self.expr
 
 
 @dataclass
@@ -312,9 +316,13 @@ class BoundCore:
     sources: list  # [BoundSource]
     where: list  # bound WHERE conjuncts
     items: list  # [BoundItem]: the select list, then the hidden sort keys
-    grouped: bool  # GROUP BY present, or an aggregate in the select list
+    grouped: bool  # GROUP BY, HAVING or an aggregate in the select list
     group_by: list  # bound keys, select aliases already substituted
-    having: object  # bound expression or None
+    #: the structurally distinct aggregate calls (bound ``FuncCall``s) of the
+    #: select list, HAVING and hidden sort keys; call *j* is the column
+    #: ``__agg_j`` after the core's input row wherever those are evaluated
+    aggs: list
+    having: object  # bound expression over input row + ``aggs``, or None
     distinct: bool
     node: ast.SelectCore
 
@@ -384,7 +392,7 @@ def _calls(expr, registry):
 
 
 def contains_aggregate(expr) -> bool:
-    return next(_calls(expr, AGGREGATE_FUNCTIONS), None) is not None
+    return next(_calls(expr, AGGREGATES), None) is not None
 
 
 def contains_srf(expr) -> bool:
@@ -437,6 +445,8 @@ class Analyzer:
         # When a relation failed to resolve, its scope fragment is unknown;
         # suppress unknown-column cascades while > 0.
         self._poison = 0
+        #: repr of a bound aggregate call -> its type (``__agg_j`` columns)
+        self._agg_types: dict = {}
 
     # -- entry points ------------------------------------------------------
     def analyze(self, stmt) -> Analysis:
@@ -782,7 +792,11 @@ class Analyzer:
                 kind = AGG if contains_aggregate(expr) else PLAIN
                 items.append(BoundItem(expr, name, UNKNOWN, kind))
 
-        grouped = bool(core.group_by) or any(it.kind == AGG for it in items)
+        grouped = (
+            bool(core.group_by)
+            or core.having is not None
+            or any(it.kind == AGG for it in items)
+        )
 
         # GROUP BY keys: a bare name is an input column first, then a select
         # alias (standing for that item's value).
@@ -819,19 +833,11 @@ class Analyzer:
 
         having = None
         if core.having is not None:
-            if not grouped:
-                self.sink.warning(
-                    "AGG004",
-                    "HAVING without GROUP BY or aggregates is ignored "
-                    "by the executor",
-                    core.having,
-                )
             self._no_srf(core.having)
             having, _ = self._check(
                 core.having, scope, allow_agg=True, allow_srf=True
             )
-            if grouped:
-                self._check_grouped(having, group_exprs, "HAVING")
+            self._check_grouped(having, group_exprs, "HAVING")
 
         order_by, limit, offset = [], None, None
         if len(query.cores) == 1:
@@ -847,10 +853,39 @@ class Analyzer:
                 for item in query.order_by
             ]
             limit, offset = self._limit_offset(query)
+
+        # Aggregates are columns: above the grouping, an aggregate call is
+        # the column ``__agg_j`` of its slot in ``aggs``.
+        aggs: dict = {}  # repr(call) -> call, in slot order
+        for item in items:
+            if item.kind == AGG:
+                item.value = self._agg_columns(item.expr, aggs)
+        if having is not None:
+            having = self._agg_columns(having, aggs)
         bound = BoundCore(
-            sources, where, items, grouped, group_by, having, core.distinct, core
+            sources, where, items, grouped, group_by, list(aggs.values()),
+            having, core.distinct, core,
         )
         return bound, order_by, limit, offset
+
+    def _agg_columns(self, expr, aggs: dict):
+        """*expr* with each aggregate call replaced by its column; a call
+        not yet in *aggs* takes the next slot. Two calls are one when they
+        are written alike: ``repr`` tells ``1`` from ``1.0`` and ``TRUE``,
+        which ``==`` does not."""
+
+        def column(node):
+            if not (isinstance(node, ast.FuncCall) and node.name in AGGREGATES):
+                return node
+            key = repr(node)
+            aggs.setdefault(key, node)
+            return ast.BoundRef(
+                None,
+                f"__agg_{list(aggs).index(key)}",
+                self._agg_types.get(key, UNKNOWN),
+            )
+
+        return ast.rewrite(expr, column)
 
     def _order_key(
         self, expr, scope, items, width, grouped, group_exprs, distinct
@@ -956,7 +991,7 @@ class Analyzer:
 
     # -- aggregate / SRF placement ----------------------------------------
     def _no_aggregates(self, expr, where: str) -> None:
-        node = next(_calls(expr, AGGREGATE_FUNCTIONS), None)
+        node = next(_calls(expr, AGGREGATES), None)
         if node is not None:
             self.sink.error(
                 "AGG001",
@@ -981,7 +1016,7 @@ class Analyzer:
             return
         if isinstance(expr, (ast.Literal, ast.Param)):
             return
-        if isinstance(expr, ast.FuncCall) and expr.name in AGGREGATE_FUNCTIONS:
+        if isinstance(expr, ast.FuncCall) and expr.name in AGGREGATES:
             return
         if isinstance(expr, ast.WindowFunc):
             return  # windows are computed before grouping
@@ -1210,8 +1245,10 @@ class Analyzer:
             for arg in expr.args:
                 self._infer(arg)
             return UNKNOWN
-        if name in AGGREGATE_FUNCTIONS:
-            return self._aggregate(expr, allow_agg, ctx, in_agg)
+        if name in AGGREGATES:
+            ty = self._aggregate(expr, allow_agg, ctx, in_agg)
+            self._agg_types[repr(expr)] = ty
+            return ty
         if name not in SCALAR_FUNCTIONS:
             self.sink.error("SEM004", f"unknown function {name!r}", expr)
             for arg in expr.args:

@@ -1,9 +1,11 @@
 """Expression runtime: SQL value semantics and expression compilation.
 
-:func:`compile_expr` turns an expression tree into a ``fn(ctx, params)``
+:func:`compile_expr` turns an expression tree into a ``fn(row, params)``
 closure with **deferred** parameter binding, so one compiled plan serves
-every parameter vector (the prepared-statement contract). The helpers around
-it define the dialect's value semantics — three-valued logic, NULL-aware
+every parameter vector (the prepared-statement contract). There is one kind
+of closure: to the expression around it an aggregate is a column of the row,
+and :func:`accumulator` lowers the call itself. The helpers around them
+define the dialect's value semantics — three-valued logic, NULL-aware
 comparison and arithmetic, ``NULLS LAST`` sort keys — and are shared by the
 planner, the batch executor and the row-at-a-time reference model.
 """
@@ -14,11 +16,7 @@ import numpy as _np
 
 from repro.errors import SQLError
 from repro.minidb.sql import ast
-from repro.minidb.sql.functions import (
-    AGGREGATE_FUNCTIONS,
-    get_scalar,
-    is_aggregate,
-)
+from repro.minidb.sql.functions import AGGREGATES, get_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +143,13 @@ def hashable(row: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 # Expression compilation
 # ---------------------------------------------------------------------------
-def compile_expr(expr, slots: dict, grouped: bool):
-    """Compile the bound expression *expr* into ``fn(ctx, params)``.
+def compile_expr(expr, slots: dict):
+    """Compile the bound expression *expr* into ``fn(row, params)``.
 
     *slots* maps each ``(source, column)`` of the input row to its position;
-    the binder has already proved every reference resolves and every call
-    is well placed, so nothing is validated here.
-    ``ctx`` is a row tuple, or the group's row list when ``grouped``.
+    the binder has already proved every reference resolves, every call is
+    well placed and every aggregate call replaced by its column, so nothing
+    is validated here.
     Parameters are *deferred*: the closure indexes into the vector passed at
     execution time, so compiled plans are parameter-independent and
     cacheable. A short vector is caught up front by the executor via the
@@ -159,79 +157,75 @@ def compile_expr(expr, slots: dict, grouped: bool):
     """
     if isinstance(expr, ast.Literal):
         value = expr.value
-        return lambda _ctx, _params, _v=value: _v
+        return lambda _row, _params, _v=value: _v
     if isinstance(expr, ast.Param):
         idx = expr.index - 1
-        return lambda _ctx, params, _i=idx: params[_i]
+        return lambda _row, params, _i=idx: params[_i]
     if isinstance(expr, ast.BoundRef):
         idx = slots[expr.source, expr.column]
-        if grouped:
-            return lambda rows, _params, _i=idx: rows[0][_i] if rows else None
         return lambda row, _params, _i=idx: row[_i]
     if isinstance(expr, ast.BinaryOp):
-        left = compile_expr(expr.left, slots, grouped)
-        right = compile_expr(expr.right, slots, grouped)
+        left = compile_expr(expr.left, slots)
+        right = compile_expr(expr.right, slots)
         op = expr.op
         if op == "AND":
-            return lambda ctx, params: _logic_and(left(ctx, params), right(ctx, params))
+            return lambda row, params: _logic_and(left(row, params), right(row, params))
         if op == "OR":
-            return lambda ctx, params: _logic_or(left(ctx, params), right(ctx, params))
+            return lambda row, params: _logic_or(left(row, params), right(row, params))
         if op in ("=", "<>", "<", "<=", ">", ">="):
-            return lambda ctx, params, _op=op: _cmp(
-                _op, left(ctx, params), right(ctx, params)
+            return lambda row, params, _op=op: _cmp(
+                _op, left(row, params), right(row, params)
             )
-        return lambda ctx, params, _op=op: _arith(
-            _op, left(ctx, params), right(ctx, params)
+        return lambda row, params, _op=op: _arith(
+            _op, left(row, params), right(row, params)
         )
     if isinstance(expr, ast.UnaryOp):
-        operand = compile_expr(expr.operand, slots, grouped)
+        operand = compile_expr(expr.operand, slots)
         if expr.op == "-":
-            def _neg(ctx, params):
-                value = operand(ctx, params)
+            def _neg(row, params):
+                value = operand(row, params)
                 return None if value is None else -value
 
             return _neg
         if expr.op == "NOT":
-            def _not(ctx, params):
-                value = operand(ctx, params)
+            def _not(row, params):
+                value = operand(row, params)
                 return None if value is None else not value
 
             return _not
         raise SQLError(f"unknown unary operator {expr.op}")
     if isinstance(expr, ast.IsNull):
-        operand = compile_expr(expr.operand, slots, grouped)
+        operand = compile_expr(expr.operand, slots)
         if expr.negated:
-            return lambda ctx, params: operand(ctx, params) is not None
-        return lambda ctx, params: operand(ctx, params) is None
+            return lambda row, params: operand(row, params) is not None
+        return lambda row, params: operand(row, params) is None
     if isinstance(expr, ast.InList):
-        operand = compile_expr(expr.operand, slots, grouped)
-        item_fns = [
-            compile_expr(i, slots, grouped) for i in expr.items
-        ]
+        operand = compile_expr(expr.operand, slots)
+        item_fns = [compile_expr(i, slots) for i in expr.items]
         negated = expr.negated
 
-        def _in(ctx, params):
-            value = operand(ctx, params)
+        def _in(row, params):
+            value = operand(row, params)
             if value is None:
                 return None
-            hit = any(value == fn(ctx, params) for fn in item_fns)
+            hit = any(value == fn(row, params) for fn in item_fns)
             return (not hit) if negated else hit
 
         return _in
     if isinstance(expr, ast.ArraySlice):
-        base = compile_expr(expr.base, slots, grouped)
+        base = compile_expr(expr.base, slots)
         low = high = None
         if expr.low is not None:
-            low = compile_expr(expr.low, slots, grouped)
+            low = compile_expr(expr.low, slots)
         if expr.high is not None:
-            high = compile_expr(expr.high, slots, grouped)
+            high = compile_expr(expr.high, slots)
 
-        def _slice(ctx, params):
-            arr = base(ctx, params)
+        def _slice(row, params):
+            arr = base(row, params)
             if arr is None:
                 return None
-            lo = low(ctx, params) if low is not None else 1
-            hi = high(ctx, params) if high is not None else len(arr)
+            lo = low(row, params) if low is not None else 1
+            hi = high(row, params) if high is not None else len(arr)
             if lo is None or hi is None:
                 return None
             lo = max(lo, 1)
@@ -245,12 +239,12 @@ def compile_expr(expr, slots: dict, grouped: bool):
 
         return _slice
     if isinstance(expr, ast.ArrayIndex):
-        base = compile_expr(expr.base, slots, grouped)
-        index = compile_expr(expr.index, slots, grouped)
+        base = compile_expr(expr.base, slots)
+        index = compile_expr(expr.index, slots)
 
-        def _index(ctx, params):
-            arr = base(ctx, params)
-            i = index(ctx, params)
+        def _index(row, params):
+            arr = base(row, params)
+            i = index(row, params)
             if arr is None or i is None:
                 return None
             if not 1 <= i <= len(arr):
@@ -259,71 +253,67 @@ def compile_expr(expr, slots: dict, grouped: bool):
 
         return _index
     if isinstance(expr, ast.ArrayLiteral):
-        item_fns = [
-            compile_expr(i, slots, grouped) for i in expr.items
-        ]
-        return lambda ctx, params: [fn(ctx, params) for fn in item_fns]
+        item_fns = [compile_expr(i, slots) for i in expr.items]
+        return lambda row, params: [fn(row, params) for fn in item_fns]
     if isinstance(expr, ast.CaseExpr):
         when_fns = [
-            (
-                compile_expr(cond, slots, grouped),
-                compile_expr(result, slots, grouped),
-            )
+            (compile_expr(cond, slots), compile_expr(result, slots))
             for cond, result in expr.whens
         ]
-        default_fn = (
-            compile_expr(expr.default, slots, grouped)
-            if expr.default is not None
-            else None
-        )
+        default_fn = None
+        if expr.default is not None:
+            default_fn = compile_expr(expr.default, slots)
 
-        def _case(ctx, params):
+        def _case(row, params):
             for cond_fn, result_fn in when_fns:
-                if _is_true(cond_fn(ctx, params)):
-                    return result_fn(ctx, params)
-            return default_fn(ctx, params) if default_fn is not None else None
+                if _is_true(cond_fn(row, params)):
+                    return result_fn(row, params)
+            return default_fn(row, params) if default_fn is not None else None
 
         return _case
     if isinstance(expr, ast.FuncCall):
-        if is_aggregate(expr.name):
-            return _compile_aggregate(expr, slots)
         fn = get_scalar(expr.name)
-        arg_fns = [
-            compile_expr(a, slots, grouped) for a in expr.args
-        ]
-        return lambda ctx, params, _f=fn: _f(*[a(ctx, params) for a in arg_fns])
+        arg_fns = [compile_expr(a, slots) for a in expr.args]
+        return lambda row, params, _f=fn: _f(*[a(row, params) for a in arg_fns])
     raise SQLError(f"cannot compile {type(expr).__name__}")
 
 
-def _compile_aggregate(expr: ast.FuncCall, slots: dict):
-    """An aggregate call over the group's row list (its argument and
-    ORDER BY keys are per-row expressions)."""
-    agg = AGGREGATE_FUNCTIONS[expr.name]
-    if expr.star:  # COUNT(*)
-        return lambda rows, _params: len(rows)
-    arg_fn = compile_expr(expr.args[0], slots, grouped=False)
-    order_fns = [
-        compile_expr(item.expr, slots, grouped=False)
-        for item in expr.agg_order_by
-    ]
-    descending = [item.descending for item in expr.agg_order_by]
-    distinct = expr.distinct
+def accumulator(name, value_fn, distinct, key_fns, descending):
+    """Lower one aggregate of a plan (:class:`~repro.minidb.sql.plan.Aggregate`
+    describes it by these five) to ``(arg_fn, init, step, final)``: per input
+    row ``acc = step(acc, arg_fn(row, params))`` from ``init``, then the
+    group's value is ``final(acc)``.
 
-    def _agg(rows, params):
-        use_rows = rows
-        if order_fns:
-            keys = [tuple(fn(r, params) for fn in order_fns) for r in rows]
-            use_rows = sort_rows(list(rows), len(order_fns), keys, descending)
-        values = [arg_fn(r, params) for r in use_rows]
-        if distinct:
-            seen = set()
-            deduped = []
-            for v in values:
-                key = tuple(v) if isinstance(v, list) else v
-                if key not in seen:
-                    seen.add(key)
-                    deduped.append(v)
-            values = deduped
-        return agg(values)
+    A plain call is its :data:`~repro.minidb.sql.functions.AGGREGATES` entry
+    over ``value_fn``. A ``DISTINCT`` or ``ORDER BY`` call collects ``(keys,
+    value)`` per row and folds that same step over the sorted, de-duplicated
+    values when finalized."""
+    init, step, final = AGGREGATES[name]
+    if not (distinct or key_fns):
+        return value_fn, init, step, final
 
-    return _agg
+    def pair_fn(row, params):
+        return tuple(fn(row, params) for fn in key_fns), value_fn(row, params)
+
+    def collect(pairs, pair):
+        if pairs is None:
+            return [pair]
+        pairs.append(pair)
+        return pairs
+
+    def fold(pairs):
+        pairs = pairs or []
+        if key_fns:
+            keys = [keys for keys, _ in pairs]
+            pairs = sort_rows(pairs, len(key_fns), keys, descending)
+        acc, seen = init, set()
+        for _, value in pairs:
+            if distinct:
+                mark = tuple(value) if isinstance(value, list) else value
+                if mark in seen:
+                    continue
+                seen.add(mark)
+            acc = step(acc, value)
+        return final(acc)
+
+    return pair_fn, None, collect, fold

@@ -139,59 +139,48 @@ def get_scalar(name: str):
 # ---------------------------------------------------------------------------
 # Aggregates
 # ---------------------------------------------------------------------------
-def agg_min(values):
-    present = [v for v in values if v is not None]
-    return min(present) if present else None
+# An aggregate is ``(init, step, final)``: a group's accumulator starts at
+# ``init``, each input row makes it ``step(acc, value)`` and the group's
+# result is ``final(acc)``. NULL inputs are skipped, so an accumulator that
+# is still None saw no value and the result is NULL (COUNT starts at 0).
+def _step(first, fold):
+    def step(acc, value):
+        if value is None:
+            return acc
+        return first(value) if acc is None else fold(acc, value)
+
+    return step
 
 
-def agg_max(values):
-    present = [v for v in values if v is not None]
-    return max(present) if present else None
+def _same(acc):
+    return acc
 
 
-def agg_sum(values):
-    present = [v for v in values if v is not None]
-    return sum(present) if present else None
+def _append(acc, value):
+    acc.append(value)
+    return acc
 
 
-def agg_avg(values):
-    present = [v for v in values if v is not None]
-    return sum(present) / len(present) if present else None
+def _mean(acc):
+    return None if acc is None else acc[0] / acc[1]
 
 
-def agg_count(values):
-    return sum(1 for v in values if v is not None)
-
-
-def agg_array(values):
-    present = [v for v in values if v is not None]
-    return present if present else None  # array_agg of nothing is NULL
-
-
-def agg_bool_and(values):
-    present = [v for v in values if v is not None]
-    return all(present) if present else None
-
-
-def agg_bool_or(values):
-    present = [v for v in values if v is not None]
-    return any(present) if present else None
-
-
-AGGREGATE_FUNCTIONS = {
-    "min": agg_min,
-    "max": agg_max,
-    "sum": agg_sum,
-    "avg": agg_avg,
-    "count": agg_count,
-    "array_agg": agg_array,
-    "bool_and": agg_bool_and,
-    "bool_or": agg_bool_or,
+# MIN/MAX keep the first of equal values and SUM/AVG start from ``0 + v``:
+# a fold equals ``min``/``max``/``sum`` over the list of inputs bit for bit.
+AGGREGATES = {
+    "min": (None, _step(_same, lambda acc, v: v if v < acc else acc), _same),
+    "max": (None, _step(_same, lambda acc, v: v if acc < v else acc), _same),
+    "sum": (None, _step(lambda v: 0 + v, lambda acc, v: acc + v), _same),
+    "avg": (
+        None,
+        _step(lambda v: (0 + v, 1), lambda acc, v: (acc[0] + v, acc[1] + 1)),
+        _mean,
+    ),
+    "count": (0, _step(None, lambda acc, _v: acc + 1), _same),
+    "array_agg": (None, _step(lambda v: [v], _append), _same),
+    "bool_and": (None, _step(bool, lambda acc, v: acc and bool(v)), _same),
+    "bool_or": (None, _step(bool, lambda acc, v: acc or bool(v)), _same),
 }
-
-
-def is_aggregate(name: str) -> bool:
-    return name in AGGREGATE_FUNCTIONS
 
 
 # Set-returning functions (expanded by the executor, not evaluated here).

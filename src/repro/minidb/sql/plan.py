@@ -5,7 +5,7 @@ tree of the node classes below; the executor
 (:mod:`repro.minidb.sql.vectorized`) interprets that tree as a pipeline of
 batch generators. Nothing in this module touches storage —
 a plan is a pure description with every column reference resolved to a slot
-and every expression compiled to a ``fn(ctx, params)`` closure, so the same
+and every expression compiled to a ``fn(row, params)`` closure, so the same
 plan object can be cached and re-executed with different parameter vectors
 (prepared statements).
 
@@ -347,29 +347,31 @@ class Project(PlanNode):
 
 
 class Aggregate(PlanNode):
-    """Grouped evaluation; blocking. ``item_fns`` receive the group's row
-    list; as in :class:`Project`, hidden sort columns are trailing items."""
+    """Grouped evaluation; blocking. Aggregates are columns: ``having_fn``
+    and ``item_fns`` are row closures over *the group's first input row + its
+    aggregate values* (``width`` input columns, all NULL for an ungrouped
+    aggregate over no rows); hidden sort columns are trailing items, as in
+    :class:`Project`. ``aggs[j]`` describes aggregate *j* — ``(name, arg_fn,
+    distinct, order_fns, descending)``, which is all the reference model
+    reads — and ``accs[j]`` is its accumulator (``expr.accumulator``)."""
 
-    def __init__(self, child, group_fns, item_fns, having_fn, group_key_count):
+    def __init__(self, child, group_fns, aggs, accs, item_fns, having_fn, width):
         self.child = child
         self.group_fns = group_fns
+        self.aggs = aggs
+        self.accs = accs
         self.item_fns = item_fns
         self.having_fn = having_fn
-        self.group_key_count = group_key_count
-        #: Streaming-accumulator recipe set by the planner when every select
-        #: item is a plain MIN/MAX/SUM/COUNT/AVG (or aggregate-free) and
-        #: there is no HAVING: the batch executor then folds rows into
-        #: per-group accumulators instead of materializing group row lists.
-        self.simple_spec = None
+        self.width = width
         #: numpy grouping recipe ``(group_col_indices, items)`` set by the
-        #: planner when the grouping keys are plain columns and every item
-        #: is MIN/MAX/COUNT over a numpy-evaluable operand: the batch
-        #: executor then aggregates whole column batches with
-        #: ``np.unique`` + ``reduceat`` instead of a per-row Python fold.
+        #: planner when there is no HAVING, the keys are plain columns and
+        #: every item is one of them or a bare MIN/MAX/COUNT over a numpy-
+        #: evaluable operand: whole column batches are then aggregated with
+        #: ``np.unique`` + ``reduceat`` instead of folded row by row.
         self.np_spec = None
-        if group_key_count:
+        if group_fns:
             self.name = "GroupAggregate"
-            self.detail = f"({group_key_count} keys)"
+            self.detail = f"({len(group_fns)} keys)"
         else:
             self.name = "Aggregate"
 

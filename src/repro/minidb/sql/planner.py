@@ -7,7 +7,7 @@ slot comes from its schema's ``(source, column)`` map, and whether a
 conjunct can run at an operator is a set test on the sources it references.
 Planning is pure — no pages are read — and produces a
 :class:`~repro.minidb.sql.plan.Plan` whose expressions are compiled to
-``fn(ctx, params)`` closures with **deferred** parameter binding, so one
+``fn(row, params)`` closures with **deferred** parameter binding, so one
 plan serves every parameter vector (the prepared-statement contract).
 
 The access-path heuristics implement the three paths PTLDB's claims rest
@@ -41,8 +41,7 @@ from repro.minidb.sql.analyzer import (
     analyze,
     is_array,
 )
-from repro.minidb.sql.expr import compile_expr
-from repro.minidb.sql.functions import is_aggregate
+from repro.minidb.sql.expr import accumulator, compile_expr
 from repro.minidb.sql.printer import render_expr
 
 
@@ -77,6 +76,16 @@ class _Schema:
 
 def _refs(expr):
     return (n for n in ast.walk(expr) if isinstance(n, ast.BoundRef))
+
+
+def _agg_slots(aggs, base) -> dict:
+    """Slot of each aggregate column ``__agg_j``: *base* + j."""
+    return {(None, f"__agg_{j}"): base + j for j in range(len(aggs))}
+
+
+def _one(_row, _params):
+    """What ``COUNT(*)`` counts: a value that is never NULL."""
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +274,7 @@ class Planner:
         stmt = write.node
         slots = _Schema([(stmt.table, name) for name, _ in write.columns]).slots
         where_fn = (
-            compile_expr(write.where, slots, grouped=False)
+            compile_expr(write.where, slots)
             if write.where is not None
             else None
         )
@@ -273,7 +282,7 @@ class Planner:
             return phys.DeletePlan(stmt.table, where_fn, ast_ref=stmt)
         if isinstance(stmt, ast.Update):
             value_fns = [
-                compile_expr(value, slots, grouped=False) for value in write.values
+                compile_expr(value, slots) for value in write.values
             ]
             return phys.UpdatePlan(
                 stmt.table, write.positions, value_fns, where_fn, ast_ref=stmt
@@ -282,7 +291,7 @@ class Planner:
         if write.select is not None:
             select = self.plan_query(write.select)
         row_fns = [
-            [compile_expr(value, {}, grouped=False) for value in row]
+            [compile_expr(value, {}) for value in row]
             for row in write.values
         ]
         return phys.InsertPlan(
@@ -325,7 +334,7 @@ class Planner:
             item_fns = [
                 (lambda row, _params, _i=i: row[_i]) for i in range(len(columns))
             ] + [
-                compile_expr(key, slots, grouped=False)
+                compile_expr(key, slots)
                 for key in query.order_exprs
             ]
             node = phys.Project(node, item_fns)
@@ -336,12 +345,12 @@ class Planner:
         """ORDER BY / LIMIT / OFFSET over *node*, whose rows end in *hidden*
         sort-only columns."""
         limit_fn = (
-            compile_expr(query.limit, {}, grouped=False)
+            compile_expr(query.limit, {})
             if query.limit is not None
             else None
         )
         offset_fn = (
-            compile_expr(query.offset, {}, grouped=False)
+            compile_expr(query.offset, {})
             if query.offset is not None
             else None
         )
@@ -372,7 +381,7 @@ class Planner:
         residual = [c for i, c in enumerate(core.where) if i not in used]
         if residual:
             predicates = [
-                compile_expr(c, schema.slots, grouped=False) for c in residual
+                compile_expr(c, schema.slots) for c in residual
             ]
             node = phys.Filter(node, predicates, _predicate_detail(residual))
             node.filter_specs = [_np_cmp(c, schema) for c in residual]
@@ -383,31 +392,33 @@ class Planner:
         slots = schema.slots
 
         if core.grouped:
-            group_fns = [
-                compile_expr(key, slots, grouped=False) for key in core.group_by
+            group_fns = [compile_expr(key, slots) for key in core.group_by]
+            aggs = [
+                (
+                    call.name,
+                    _one if call.star else compile_expr(call.args[0], slots),
+                    call.distinct,
+                    [compile_expr(k.expr, slots) for k in call.agg_order_by],
+                    [k.descending for k in call.agg_order_by],
+                )
+                for call in core.aggs
             ]
-            item_fns = [
-                compile_expr(it.value, slots, grouped=True) for it in items
-            ]
-            having_fn = (
-                compile_expr(core.having, slots, grouped=True)
-                if core.having is not None
-                else None
-            )
+            # Items and HAVING see the group's first row, then its aggregates.
+            slots = {**slots, **_agg_slots(core.aggs, len(schema))}
             node = phys.Aggregate(
-                node, group_fns, item_fns, having_fn, len(core.group_by)
+                node,
+                group_fns,
+                aggs,
+                [accumulator(*agg) for agg in aggs],
+                [compile_expr(it.value, slots) for it in items],
+                compile_expr(core.having, slots) if core.having is not None else None,
+                len(schema),
             )
-            node.simple_spec = self._simple_agg_spec(items, schema, having_fn)
-            if node.simple_spec is not None:
-                node.np_spec = self._np_agg_spec(items, schema, core.group_by)
-                if node.np_spec is not None and isinstance(
-                    node.child, phys.HashJoin
-                ):
-                    self._mark_fused_join(node.child, node.np_spec)
+            node.np_spec = self._np_agg_spec(core, schema)
+            if node.np_spec is not None and isinstance(node.child, phys.HashJoin):
+                self._mark_fused_join(node.child, node.np_spec)
         else:
-            item_fns = [
-                compile_expr(it.value, slots, grouped=False) for it in items
-            ]
+            item_fns = [compile_expr(it.value, slots) for it in items]
             node = phys.Project(node, item_fns)
             node.simple_cols = self._simple_cols(items, schema)
 
@@ -416,84 +427,42 @@ class Planner:
         return node
 
     # -- batch-kernel metadata ------------------------------------------
-    def _simple_agg_spec(self, items, schema, having_fn):
-        """Streaming-accumulator recipe for the batch executor, or None.
-
-        Each select item lowers to one of
-
-        * ``("first", grouped_fn)`` — aggregate-free; every supported
-          aggregate-free expression only reads the group's first row, so
-          the accumulator keeps one row per group instead of all of them;
-        * ``("agg", name, arg_fn)`` — a bare MIN/MAX/SUM/COUNT/AVG over a
-          per-row expression, folded incrementally with the exact NULL
-          semantics of the :mod:`functions` aggregates;
-        * ``("count*", None)`` — COUNT(*).
-
-        HAVING needs the full group, as do DISTINCT/ORDER BY aggregates and
-        aggregates nested inside expressions — any of those returns None
-        and the batch executor falls back to materializing group row lists
-        (still batched, identical semantics, just slower).
-        """
-        if having_fn is not None:
-            return None
-        spec = []
-        for item in items:
-            entry = self._simple_agg_item(item, schema)
-            if entry is None:
-                return None
-            spec.append(entry)
-        return spec
-
-    def _simple_agg_item(self, item, schema):
-        expr = item.value
-        if item.kind != AGG:
-            return ("first", compile_expr(expr, schema.slots, grouped=True))
-        if not (isinstance(expr, ast.FuncCall) and is_aggregate(expr.name)):
-            return None  # aggregate nested inside a larger expression
-        if expr.star:
-            return ("count*", None)
-        if expr.distinct or expr.agg_order_by:
-            return None
-        if expr.name not in ("min", "max", "sum", "count", "avg"):
-            return None
-        arg_fn = compile_expr(expr.args[0], schema.slots, grouped=False)
-        return ("agg", expr.name, arg_fn)
-
-    def _np_agg_spec(self, items, schema, group_by):
+    def _np_agg_spec(self, core, schema):
         """Whole-column aggregation recipe for the numpy kernel, or None.
 
-        Stricter than :meth:`_simple_agg_spec` (which must already have
-        accepted the query): group keys and aggregate-free items must be
-        plain columns, and only MIN/MAX/COUNT/COUNT(*) lower — SUM/AVG stay
-        on the streaming accumulators (int64 overflow and float-division
-        semantics are not worth replicating in the kernel). Returns
-        ``(group_cols, item_specs)`` with item specs ``("first", col)``,
-        ``("count*",)`` or ``("agg", name, operand_spec)``.
+        Only without HAVING, with at most one group key, when keys and
+        aggregate-free items are plain columns and every other item is a
+        bare, non-DISTINCT, unordered MIN/MAX/COUNT/COUNT(*) — SUM/AVG stay
+        on the accumulators (int64 overflow and float-division semantics
+        are not worth replicating in the kernel). Returns ``(group_cols,
+        item_specs)`` with item specs ``("first", col)``, ``("count*",)`` or
+        ``("agg", name, operand_spec)``.
         """
-        if len(group_by) > 1 or not all(
+        group_by = core.group_by
+        if core.having is not None or len(group_by) > 1 or not all(
             isinstance(key, ast.BoundRef) for key in group_by
         ):
             return None
         group_cols = [schema.slot(key) for key in group_by]
+        agg_slots = _agg_slots(core.aggs, 0)
         spec = []
-        for item in items:
-            expr = item.value
-            if item.kind != AGG:
-                if not isinstance(expr, ast.BoundRef):
-                    return None
-                spec.append(("first", schema.slot(expr)))
-                continue
-            if not (isinstance(expr, ast.FuncCall) and is_aggregate(expr.name)):
+        for item in core.items:
+            ref = item.value
+            if not isinstance(ref, ast.BoundRef):
                 return None
-            if expr.star:
+            if item.kind != AGG:
+                spec.append(("first", schema.slot(ref)))
+                continue
+            call = core.aggs[agg_slots[ref.source, ref.column]]
+            if call.star:
                 spec.append(("count*",))
                 continue
-            if expr.name not in ("min", "max", "count"):
+            if call.name not in ("min", "max", "count"):
                 return None
-            operand = _np_operand(expr.args[0], schema)
-            if operand is None:
+            operand = _np_operand(call.args[0], schema)
+            if operand is None or call.distinct or call.agg_order_by:
                 return None
-            spec.append(("agg", expr.name, operand))
+            spec.append(("agg", call.name, operand))
         return tuple(group_cols), spec
 
     def _mark_fused_join(self, jnode, np_spec):
@@ -535,7 +504,7 @@ class Planner:
         if not srfs:
             return node, schema
         srf_fns = [
-            compile_expr(item.expr.args[0], schema.slots, grouped=False)
+            compile_expr(item.expr.args[0], schema.slots)
             for _, item in srfs
         ]
         unnest = phys.Unnest(node, srf_fns)
@@ -698,11 +667,11 @@ class Planner:
         specs = [
             phys.WindowSpec(
                 [
-                    compile_expr(e, slots, grouped=False)
+                    compile_expr(e, slots)
                     for e in item.expr.partition_by
                 ],
                 [
-                    compile_expr(key.expr, slots, grouped=False)
+                    compile_expr(key.expr, slots)
                     for key in item.expr.order_by
                 ],
                 [key.descending for key in item.expr.order_by],
@@ -763,7 +732,7 @@ class Planner:
         pk = table.schema.primary_key
         probe = self._pk_probe(pk, source.alias, all_conj, used)
         if probe is not None:
-            probe_fns = [compile_expr(probe[col], {}, grouped=False) for col in pk]
+            probe_fns = [compile_expr(probe[col], {}) for col in pk]
             filters, specs, _ = self._source_filters(
                 schema, all_conj, on_conjuncts, used
             )
@@ -804,7 +773,7 @@ class Planner:
                 (conj.right, conj.left),
             ):
                 if col_side == zone_col and self._is_constant(const_side):
-                    return compile_expr(const_side, {}, grouped=False)
+                    return compile_expr(const_side, {})
         return None
 
     def _source_filters(self, schema, all_conj, on_conjuncts, used):
@@ -828,7 +797,7 @@ class Planner:
         for idx, conj in indexed_conjuncts:
             if (not always and idx in used) or not schema.covers(conj):
                 continue
-            predicates.append(compile_expr(conj, schema.slots, grouped=False))
+            predicates.append(compile_expr(conj, schema.slots))
             specs.append(_np_cmp(conj, schema))
             exprs.append(conj)
             if not always:
@@ -887,7 +856,7 @@ class Planner:
             return self._is_constant(expr.operand)
         if isinstance(expr, ast.BinaryOp):
             return self._is_constant(expr.left) and self._is_constant(expr.right)
-        if isinstance(expr, ast.FuncCall) and not is_aggregate(expr.name):
+        if isinstance(expr, ast.FuncCall):
             return all(self._is_constant(a) for a in expr.args)
         return False
 
@@ -911,7 +880,7 @@ class Planner:
                     consumed.append(idx)
             if set(pins) == set(pk):
                 probe_fns = [
-                    compile_expr(pins[col], left_schema.slots, grouped=False)
+                    compile_expr(pins[col], left_schema.slots)
                     for col in pk
                 ]
                 used.update(idx for idx in consumed if idx is not None)
@@ -952,8 +921,8 @@ class Planner:
             node = phys.HashJoin(
                 left_node,
                 right_node,
-                compile_expr(left_expr, left_schema.slots, grouped=False),
-                compile_expr(right_expr, right_schema.slots, grouped=False),
+                compile_expr(left_expr, left_schema.slots),
+                compile_expr(right_expr, right_schema.slots),
                 filters,
                 key_text=_predicate_detail([key_conj]),
                 filter_text=_predicate_detail(residual),
@@ -981,7 +950,7 @@ class Planner:
         # ON conjuncts are mandatory on the joined schema (re-checking a
         # conjunct already used to drive the join is harmless).
         predicates += [
-            compile_expr(conj, schema.slots, grouped=False)
+            compile_expr(conj, schema.slots)
             for conj in on_conjuncts
         ]
         specs += [_np_cmp(conj, schema) for conj in on_conjuncts]

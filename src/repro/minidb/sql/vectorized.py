@@ -15,7 +15,11 @@ the effect MonetDB/X100 vectorization removes.
 An ORDER BY key is a column of the row under the sort — a select item, or a
 hidden item the projection/aggregate computes after the visible ones — so
 ordered and unordered queries run the same producers; ``Sort``/``Top-K``
-read keys by position and strip the hidden tail.
+read keys by position and strip the hidden tail. An aggregate is a column
+too: the one ``Aggregate`` operator folds every grouped statement into one
+accumulator per call and group, and evaluates ``HAVING`` and the select
+items as ordinary row closures over *first row of the group + aggregate
+values* — no group's rows are kept.
 
 On top of plain batching, four fused kernels cover the paper's hot
 patterns (the planner marks the plans; see ``plan.py``):
@@ -25,7 +29,7 @@ patterns (the planner marks the plans; see ``plan.py``):
   output: on column batches it is one array kernel — the band merge for
   Code 1's ``key = key AND a <= b`` under MIN/MAX, pair discovery + gather
   otherwise — and on row batches the probe loop folds joined rows straight
-  into streaming MIN/MAX/... accumulators;
+  into the aggregate's accumulators;
 * **array expansion** — ``Project`` over ``Unnest`` (the ``a[1:k]`` slice +
   ``FLOOR`` projection of Codes 2-4) evaluates non-SRF items once per
   *input* row and emits array elements column-wise, as ``ColumnChunk``s
@@ -168,47 +172,6 @@ def _probe_key(parts):
             return None
         key.append(part)
     return tuple(key)
-
-
-def _make_step(name):
-    """Streaming accumulator for one aggregate, replicating the exact NULL
-    and tie semantics of the list-based :mod:`functions` aggregates
-    (``None`` accumulator = no non-NULL value seen yet; SUM/AVG start from
-    ``0 + v`` so float results match ``sum(list)`` bit for bit)."""
-    if name == "min":
-        def step(acc, v):
-            if v is None:
-                return acc
-            if acc is None:
-                return v
-            return v if v < acc else acc
-    elif name == "max":
-        def step(acc, v):
-            if v is None:
-                return acc
-            if acc is None:
-                return v
-            return v if acc < v else acc
-    elif name == "sum":
-        def step(acc, v):
-            if v is None:
-                return acc
-            if acc is None:
-                return 0 + v
-            return acc + v
-    elif name == "count":
-        def step(acc, v):
-            return acc if v is None else acc + 1
-    elif name == "avg":
-        def step(acc, v):
-            if v is None:
-                return acc
-            if acc is None:
-                return (0 + v, 1)
-            return (acc[0] + v, acc[1] + 1)
-    else:  # pragma: no cover - planner only emits the five above
-        raise SQLError(f"no streaming accumulator for {name!r}")
-    return step
 
 
 class BatchExecutor:
@@ -982,102 +945,52 @@ class BatchExecutor:
 
     # -- aggregation ------------------------------------------------------
     def _emit_aggregate(self, node, env, parent, hint):
-        stats = self._node(node.name, node.detail, parent)
-        if node.simple_spec is not None:
-            gen = self._streaming_aggregate(node, node.simple_spec, env, stats)
-        else:
-            gen = self._generic_aggregate(node, env, stats)
-        return self._traced(stats, gen)
+        """Fold rows into per-group accumulators as batches arrive; filter
+        (HAVING) and project when the input ends.
 
-    def _agg_machinery(self, node, spec):
-        """Compile *spec* into ``(feed, final_row, init)``: ``feed`` folds
-        one row into a per-group state dict, ``final_row`` turns one state
-        into the finalized output row, ``init`` is a fresh accumulator list.
+        A group keeps its first input row and one accumulator per aggregate
+        (a ``DISTINCT``/``ORDER BY`` one holds that call's ``(keys, value)``
+        pairs — never the group's rows). When the input is a HashJoin this
+        is the fused hub-intersection kernel: probe results feed the
+        accumulators directly and the join output is never materialized.
         """
+        stats = self._node(node.name, node.detail, parent)
         params = self.params
-        group_fns = node.group_fns
-
-        first_needed = any(entry[0] == "first" for entry in spec)
-        agg_items = []  # (slot, arg_fn or None for COUNT(*), step fn)
-        finalizers = []
-        init = []
-        for slot, entry in enumerate(spec):
-            kind = entry[0]
-            if kind == "first":
-                gfn = entry[1]
-                init.append(None)
-
-                def fin(accs, first, _fn=gfn):
-                    return _fn(first, params)
-
-            elif kind == "count*":
-                init.append(0)
-                agg_items.append((slot, None, None))
-
-                def fin(accs, first, _s=slot):
-                    return accs[_s]
-
-            else:
-                name, arg_fn = entry[1], entry[2]
-                init.append(0 if name == "count" else None)
-                agg_items.append((slot, arg_fn, _make_step(name)))
-                if name == "avg":
-                    def fin(accs, first, _s=slot):
-                        acc = accs[_s]
-                        return None if acc is None else acc[0] / acc[1]
-                else:
-                    def fin(accs, first, _s=slot):
-                        return accs[_s]
-
-            finalizers.append(fin)
+        group_fns, having_fn = node.group_fns, node.having_fn
+        # state of a group: [first row, accumulator 1, accumulator 2, ...]
+        inits = [init for _arg, init, _step, _final in node.accs]
+        steps = [
+            (slot, arg_fn, step)
+            for slot, (arg_fn, _init, step, _final) in enumerate(node.accs, 1)
+        ]
+        finals = [final for _arg, _init, _step, final in node.accs]
 
         def feed(row, groups):
+            key = ()
             if group_fns:
-                key = hashable(
-                    tuple(fn(row, params) for fn in group_fns)
-                )
-            else:
-                key = ()
+                key = hashable(tuple(fn(row, params) for fn in group_fns))
             state = groups.get(key)
             if state is None:
-                state = groups[key] = (
-                    [row] if first_needed else [],
-                    list(init),
-                )
-            accs = state[1]
-            for slot, arg_fn, step in agg_items:
-                if arg_fn is None:
-                    accs[slot] += 1
-                else:
-                    accs[slot] = step(accs[slot], arg_fn(row, params))
-
-        def final_row(state):
-            first, accs = state
-            return tuple(fin(accs, first) for fin in finalizers)
-
-        return feed, final_row, init
-
-    def _streaming_aggregate(self, node, spec, env, stats):
-        """Fold rows into per-group accumulators as batches arrive.
-
-        When the input is a HashJoin this is the fused hub-intersection
-        kernel: probe results feed the accumulators directly and the join
-        output is never materialized.
-        """
-        params = self.params
-        feed, final_row, init = self._agg_machinery(node, spec)
+                state = groups[key] = [row, *inits]
+            for slot, arg_fn, step in steps:
+                state[slot] = step(state[slot], arg_fn(row, params))
 
         def finalize(groups):
-            if not groups and not node.group_fns:
-                groups[()] = ([], list(init))  # scalar agg over no rows
-            return [final_row(state) for state in groups.values()]
+            if not groups and not group_fns:  # scalar aggregate over no rows
+                groups[()] = [(None,) * node.width, *inits]
+            out = []
+            for first, *accs in groups.values():
+                row = first + tuple(fin(acc) for fin, acc in zip(finals, accs))
+                if having_fn is None or having_fn(row, params) is True:
+                    out.append(tuple(fn(row, params) for fn in node.item_fns))
+            return out
 
         np_spec = node.np_spec
-
         if isinstance(node.child, phys.HashJoin):
-            return self._fused_join_aggregate(
+            gen = self._fused_join_aggregate(
                 node.child, env, stats, feed, finalize, np_spec
             )
+            return self._traced(stats, gen)
 
         child = self._emit(node.child, env, stats, None)
 
@@ -1117,7 +1030,7 @@ class BatchExecutor:
                     feed(row, groups)
             yield from self._slices(finalize(groups))
 
-        return gen()
+        return self._traced(stats, gen())
 
     def _fused_join_aggregate(self, jnode, env, stats, feed, finalize, np_spec):
         """Hub intersection: HashJoin probe feeding aggregate accumulators.
@@ -1194,43 +1107,6 @@ class BatchExecutor:
             if rows is None:
                 rows = finalize(groups)
             yield from self._slices(rows)
-
-        return gen()
-
-    def _generic_aggregate(self, node, env, stats):
-        """Materializing fallback: group row lists handed to the compiled
-        item closures (HAVING, DISTINCT aggregates, array_agg, ...)."""
-        child = self._emit(node.child, env, stats, None)
-        params = self.params
-
-        def gen():
-            rows: list[tuple] = []
-            try:
-                for chunk in child:
-                    rows.extend(chunk)
-            finally:
-                child.close()
-            if node.group_fns:
-                groups: dict = {}
-                for row in rows:
-                    key = hashable(
-                        tuple(fn(row, params) for fn in node.group_fns)
-                    )
-                    groups.setdefault(key, []).append(row)
-                group_list = list(groups.values())
-            else:
-                group_list = [rows]  # one group, possibly empty
-            out = []
-            for group_rows in group_list:
-                if (
-                    node.having_fn is not None
-                    and node.having_fn(group_rows, params) is not True
-                ):
-                    continue
-                out.append(
-                    tuple(fn(group_rows, params) for fn in node.item_fns)
-                )
-            yield from self._slices(out)
 
         return gen()
 

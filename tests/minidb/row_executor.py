@@ -23,6 +23,59 @@ from repro.minidb.sql.expr import composite_key, hashable, sort_rows
 from repro.minidb.sql.result import _DONE, Result
 
 
+# Aggregates over the list of a group's values (NULLs skipped), as the
+# engine defined them before it folded accumulators.
+def agg_min(values):
+    present = [v for v in values if v is not None]
+    return min(present) if present else None
+
+
+def agg_max(values):
+    present = [v for v in values if v is not None]
+    return max(present) if present else None
+
+
+def agg_sum(values):
+    present = [v for v in values if v is not None]
+    return sum(present) if present else None
+
+
+def agg_avg(values):
+    present = [v for v in values if v is not None]
+    return sum(present) / len(present) if present else None
+
+
+def agg_count(values):
+    return sum(1 for v in values if v is not None)
+
+
+def agg_array(values):
+    present = [v for v in values if v is not None]
+    return present if present else None  # array_agg of nothing is NULL
+
+
+def agg_bool_and(values):
+    present = [v for v in values if v is not None]
+    return all(present) if present else None
+
+
+def agg_bool_or(values):
+    present = [v for v in values if v is not None]
+    return any(present) if present else None
+
+
+LIST_AGGREGATES = {
+    "min": agg_min,
+    "max": agg_max,
+    "sum": agg_sum,
+    "avg": agg_avg,
+    "count": agg_count,
+    "array_agg": agg_array,
+    "bool_and": agg_bool_and,
+    "bool_or": agg_bool_or,
+}
+
+
 def _probe_key(parts):
     """The B+Tree key to probe with, or None when no key can match: an
     integral float equals the BIGINT of the same value; NULL, a fractional
@@ -270,8 +323,28 @@ class Executor:
         return gen()
 
     def _emit_aggregate(self, node, env):
+        """Materialize every group's rows, evaluate each aggregate over the
+        group's list of values (:data:`LIST_AGGREGATES` — nothing shared
+        with the engine's accumulators), then HAVING and the items over
+        *first row of the group + aggregate values*."""
         child = self._emit(node.child, env)
         params = self.params
+
+        def aggregate(rows, name, arg_fn, distinct, order_fns, descending):
+            if order_fns:
+                keys = [tuple(fn(r, params) for fn in order_fns) for r in rows]
+                rows = sort_rows(list(rows), len(order_fns), keys, descending)
+            values = [arg_fn(r, params) for r in rows]
+            if distinct:
+                seen = set()
+                deduped = []
+                for v in values:
+                    key = tuple(v) if isinstance(v, list) else v
+                    if key not in seen:
+                        seen.add(key)
+                        deduped.append(v)
+                values = deduped
+            return LIST_AGGREGATES[name](values)
 
         def gen():
             rows = list(child)
@@ -286,12 +359,16 @@ class Executor:
             else:
                 group_list = [rows]  # one group, possibly empty
             for group_rows in group_list:
+                first = group_rows[0] if group_rows else (None,) * node.width
+                row = first + tuple(
+                    aggregate(group_rows, *agg) for agg in node.aggs
+                )
                 if (
                     node.having_fn is not None
-                    and node.having_fn(group_rows, params) is not True
+                    and node.having_fn(row, params) is not True
                 ):
                     continue
-                yield tuple(fn(group_rows, params) for fn in node.item_fns)
+                yield tuple(fn(row, params) for fn in node.item_fns)
 
         return gen()
 

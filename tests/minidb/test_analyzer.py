@@ -176,10 +176,15 @@ class TestAggregatesAndPlacement:
     def test_aggregate_in_group_by(self, db):
         assert codes(db, "SELECT a FROM t GROUP BY MIN(a)") == ["AGG001"]
 
-    def test_having_without_grouping_warns(self, db):
-        analysis = analyze_sql("SELECT a FROM t HAVING a > 1", db.catalog)
-        assert [d.code for d in analysis.warnings] == ["AGG004"]
-        assert analysis.ok  # warning only
+    def test_having_alone_makes_one_group(self, db):
+        # HAVING groups the statement as GROUP BY or an aggregate would, so
+        # a bare column is ungrouped — in the select list and in HAVING.
+        sql = "SELECT a FROM t HAVING a > 1"
+        analysis = analyze_sql(sql, db.catalog)
+        assert [d.code for d in analysis.diagnostics] == ["AGG003", "AGG003"]
+        assert analysis.plan is None
+        assert sql[analysis.errors[0].span.start :].startswith("a FROM t")
+        assert codes(db, "SELECT 1 FROM t HAVING 1 = 0") == []
 
     def test_window_in_where(self, db):
         sql = "SELECT a FROM t WHERE ROW_NUMBER() OVER (ORDER BY a) = 1"

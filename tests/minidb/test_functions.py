@@ -1,9 +1,12 @@
 """Direct unit tests of the scalar/aggregate function registry."""
 
+import random
+
 import pytest
 
 from repro.errors import SQLNameError, SQLTypeError
 from repro.minidb.sql import functions as fn
+from tests.minidb.row_executor import LIST_AGGREGATES
 
 
 class TestScalars:
@@ -42,30 +45,76 @@ class TestScalars:
             fn.get_scalar("nope")
 
 
+def fold(name, values):
+    """The accumulator of aggregate *name* folded over *values*."""
+    acc, step, final = fn.AGGREGATES[name]
+    for value in values:
+        acc = step(acc, value)
+    return final(acc)
+
+
 class TestAggregates:
+    """Each aggregate is defined once, as an accumulator; a fold must equal
+    the list definition the reference model keeps (``LIST_AGGREGATES``)."""
+
     def test_min_max_skip_nulls(self):
-        assert fn.agg_min([None, 3, 1, None]) == 1
-        assert fn.agg_max([None]) is None
-        assert fn.agg_max([]) is None
+        assert fold("min", [None, 3, 1, None]) == 1
+        assert fold("max", [None]) is None
+        assert fold("max", []) is None
 
     def test_sum_avg(self):
-        assert fn.agg_sum([1, None, 2]) == 3
-        assert fn.agg_avg([1, None, 2]) == 1.5
-        assert fn.agg_sum([None]) is None
+        assert fold("sum", [1, None, 2]) == 3
+        assert fold("avg", [1, None, 2]) == 1.5
+        assert fold("sum", [None]) is None
+        assert fold("avg", []) is None
 
     def test_count_counts_non_nulls(self):
-        assert fn.agg_count([1, None, "x"]) == 2
+        assert fold("count", [1, None, "x"]) == 2
+        assert fold("count", []) == 0
 
     def test_array_agg(self):
-        assert fn.agg_array([1, None, 2]) == [1, 2]
-        assert fn.agg_array([None]) is None
+        assert fold("array_agg", [1, None, 2]) == [1, 2]
+        assert fold("array_agg", [None]) is None
+        assert fold("array_agg", [3]) is not fold("array_agg", [3])  # no shared list
 
     def test_bool_aggregates(self):
-        assert fn.agg_bool_and([True, True]) is True
-        assert fn.agg_bool_and([True, False]) is False
-        assert fn.agg_bool_and([None]) is None
-        assert fn.agg_bool_or([False, None, True]) is True
+        assert fold("bool_and", [True, True]) is True
+        assert fold("bool_and", [True, False]) is False
+        assert fold("bool_and", [None]) is None
+        assert fold("bool_or", [False, None, True]) is True
 
     def test_is_aggregate(self):
-        assert fn.is_aggregate("min")
-        assert not fn.is_aggregate("floor")
+        assert "min" in fn.AGGREGATES
+        assert "floor" not in fn.AGGREGATES
+
+    @pytest.mark.parametrize("name", sorted(LIST_AGGREGATES))
+    def test_fold_equals_the_list_definition(self, name):
+        assert sorted(fn.AGGREGATES) == sorted(LIST_AGGREGATES)
+        rng = random.Random(f"functions/{name}")
+        pools = {
+            "ints": lambda: rng.randrange(-9, 9),
+            "floats": lambda: rng.uniform(-1e6, 1e6) * 10 ** rng.randrange(-9, 9),
+            "mixed": lambda: rng.choice([rng.randrange(5), rng.random()]),
+            "bools": lambda: rng.random() < 0.7,
+            "text": lambda: rng.choice("abcab"),
+            "arrays": lambda: [rng.randrange(3) for _ in range(rng.randrange(3))],
+        }
+        numeric = ("ints", "floats", "mixed", "bools")
+        for kind, draw in pools.items():
+            if name in ("sum", "avg") and kind not in numeric:
+                continue
+            for _ in range(60):
+                values = [
+                    None if rng.random() < 0.2 else draw()
+                    for _ in range(rng.randrange(0, 12))
+                ]
+                got, want = fold(name, values), LIST_AGGREGATES[name](values)
+                # bit for bit: 0.1 + 0.2 + 0.3 summed in another order differs
+                assert repr(got) == repr(want), (kind, values)
+                assert type(got) is type(want)
+
+    def test_min_max_keep_the_first_of_equal_values(self):
+        # 1 == 1.0 == True: which one comes out shows which one was kept.
+        for values in ([1, 1.0, True], [1.0, True, 1], [True, 1, 1.0]):
+            assert repr(fold("min", values)) == repr(min(values))
+            assert repr(fold("max", values)) == repr(max(values))
