@@ -8,10 +8,7 @@ Format v2 (little-endian): magic ``TTL2``, u32 num_stops, u8 flags
 (bit 0 = dummy tuples were added), the vertex order (u32 each), then for
 each vertex two tuple lists (lout, lin), each a u32 count followed by
 ``<q q q q q>`` records (hub, td, ta, pivot, trip) with -1 encoding NULL
-pivot/trip. Legacy ``TTL1`` files (no flags byte) still load; the dummy
-flag is then reconstructed by probing, which misclassifies the (legal)
-empty-labeling-with-dummies case — the reason the flag moved into the
-header.
+pivot/trip.
 
 Every read is length-checked: a truncated or corrupt file raises
 :class:`~repro.errors.LabelingError` with the byte offset instead of a
@@ -37,7 +34,6 @@ from repro.labeling.labels import LabelTuple, TTLLabels
 from repro.timetable.model import Timetable
 
 _MAGIC = b"TTL2"
-_MAGIC_V1 = b"TTL1"
 _U32 = struct.Struct("<I")
 _U8 = struct.Struct("<B")
 _TUPLE = struct.Struct("<qqqqq")
@@ -125,25 +121,15 @@ def _read_exact(handle, n: int, what: str) -> bytes:
 
 
 def load_labels(path: str) -> TTLLabels:
-    """Read a label file (format v2, or legacy v1), rejecting truncation,
-    short reads and trailing garbage with a :class:`LabelingError`."""
+    """Read a label file, rejecting a foreign magic, truncation, short
+    reads and trailing garbage with a :class:`LabelingError`."""
     with open(path, "rb") as handle:
-        magic = handle.read(4)
-        if magic == _MAGIC:
-            legacy = False
-        elif magic == _MAGIC_V1:
-            legacy = True
-        else:
+        if handle.read(4) != _MAGIC:
             raise LabelingError(f"{path} is not a TTL label file")
         (num_stops,) = _U32.unpack(_read_exact(handle, 4, "num_stops"))
-        if legacy:
-            flags = 0
-        else:
-            (flags,) = _U8.unpack(_read_exact(handle, 1, "header flags"))
-            if flags & ~_FLAG_HAS_DUMMIES:
-                raise LabelingError(
-                    f"{path}: unknown header flag bits 0x{flags:02x}"
-                )
+        (flags,) = _U8.unpack(_read_exact(handle, 1, "header flags"))
+        if flags & ~_FLAG_HAS_DUMMIES:
+            raise LabelingError(f"{path}: unknown header flag bits 0x{flags:02x}")
         order_bytes = _read_exact(
             handle, 4 * num_stops, f"vertex order ({num_stops} stops)"
         )
@@ -182,12 +168,7 @@ def load_labels(path: str) -> TTLLabels:
                 f"trailing garbage after the last tuple list at byte offset "
                 f"{handle.tell() - 1}"
             )
-        if legacy:
-            # v1 files carry no flag; probing misclassifies an empty
-            # labeling saved after add_dummy_tuples() — v2 fixes this.
-            labels._has_dummies = labels.dummy_count() > 0
-        else:
-            labels._has_dummies = bool(flags & _FLAG_HAS_DUMMIES)
+        labels._has_dummies = bool(flags & _FLAG_HAS_DUMMIES)
         return labels
 
 

@@ -286,6 +286,25 @@ class Table:
             self._store_row(row)
         return self.row_count
 
+    def snapshot(self) -> tuple:
+        """The descriptor a write statement can change — heap and index
+        (VACUUM replaces both objects), root page, heap tail, counters — for
+        :meth:`rollback` after the statement's pages were rolled back."""
+        heap, index = self.heap, self.index
+        root_page = None if index is None else index.root_page
+        return (
+            heap, heap.snapshot(), index, root_page, self.row_count, self.data_bytes
+        )
+
+    def rollback(self, snapshot: tuple) -> None:
+        (
+            self.heap, heap_state, self.index, root_page,
+            self.row_count, self.data_bytes,
+        ) = snapshot
+        self.heap.rollback(heap_state)
+        if self.index is not None:
+            self.index.root_page = root_page
+
     def describe(self) -> dict:
         """Catalog metadata for persistence."""
         return {
@@ -355,6 +374,26 @@ class Catalog:
 
     def table_names(self) -> list[str]:
         return sorted(t.schema.name for t in self._tables.values())
+
+    # -- statement rollback ------------------------------------------------
+    def snapshot(self, table: str | None) -> tuple:
+        """What one write statement can change in memory, taken at its start
+        under the exclusive statement latch: the table map (DDL) and the
+        descriptor of *table*, the statement's target."""
+        target = None if table is None else self._tables.get(table.lower())
+        state = None if target is None else target.snapshot()
+        return dict(self._tables), target, state
+
+    def rollback(self, snapshot: tuple) -> None:
+        """Back to :meth:`snapshot`, once the pages are at their
+        before-images. ``version`` never goes backwards: a plan another
+        session cached meanwhile must not match a later catalog."""
+        tables, target, state = snapshot
+        if tables != self._tables:
+            self._tables = tables
+            self.version += 1
+        if target is not None:
+            target.rollback(state)
 
     # -- persistence -----------------------------------------------------
     def describe(self) -> list[dict]:

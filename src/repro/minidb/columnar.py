@@ -420,3 +420,16 @@ class ColumnarHeapFile(HeapFile):
     def _zone_skips(self, page_id: int, zone_eq: int) -> bool:
         bounds = self._zones.get(page_id)
         return bounds is not None and not bounds[0] <= zone_eq <= bounds[1]
+
+    def snapshot(self) -> tuple:
+        """Inserts widen the zone of the tail page and of pages after it:
+        the tail's bounds are the only cached ones a rollback must restore."""
+        return super().snapshot(), self._zones.get(self._last_page)
+
+    def rollback(self, snapshot: tuple) -> None:
+        chain, tail_bounds = snapshot
+        for page_id in self._chain[chain[1] - 1 :]:
+            self._zones.pop(page_id, None)
+        super().rollback(chain)
+        if tail_bounds is not None:
+            self._zones[self._last_page] = tail_bounds

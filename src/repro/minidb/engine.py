@@ -25,7 +25,7 @@ from repro.errors import CrashPoint, DatabaseError, StorageError
 from repro.minidb.buffer import BufferPool
 from repro.minidb.catalog import Catalog
 from repro.minidb.disk import DeviceModel, DiskManager, hdd_model, ram_model, ssd_model
-from repro.minidb.wal import DEFAULT_CHECKPOINT_BYTES, WriteAheadLog
+from repro.minidb.wal import WriteAheadLog
 from repro.minidb.latch import RWLatch
 from repro.minidb.metrics import REGISTRY, QueryTrace
 from repro.minidb.page import HEADER_SIZE, KIND_META, PAGE_SIZE
@@ -33,6 +33,7 @@ from repro.minidb.session import PreparedStatement, QueryCost, Session
 from repro.minidb.sql.analyzer import Analysis, analyze as analyze_stmt
 from repro.minidb.sql.result import Result
 from repro.minidb.sql.parser import parse
+from repro.minidb.sql.plan import ExplainPlan
 from repro.minidb.sql.vectorized import DEFAULT_BATCH_SIZE, DEFAULT_READAHEAD
 
 __all__ = [
@@ -82,8 +83,6 @@ class Database:
         device: str | DeviceModel = "ram",
         pool_pages: int = 4096,
         path: str | None = None,
-        wal: bool = True,
-        wal_checkpoint_bytes: int = DEFAULT_CHECKPOINT_BYTES,
     ):
         if isinstance(device, str):
             try:
@@ -118,14 +117,12 @@ class Database:
         self._session = Session(self)
         self._path = path
         self._closed = False
-        #: Write-ahead log (file-backed databases only; ``wal=False`` opts
-        #: out). Armed on the buffer pool *after* open-time replay so the
-        #: recovery writes themselves are never re-logged.
+        #: Write-ahead log: every file-backed database has one, an in-memory
+        #: one has none. Armed on the buffer pool *after* open-time replay so
+        #: the recovery writes themselves are never re-logged.
         self.wal: WriteAheadLog | None = None
-        if path is not None and wal:
-            self.wal = WriteAheadLog(
-                path + ".wal", checkpoint_bytes=wal_checkpoint_bytes
-            )
+        if path is not None:
+            self.wal = WriteAheadLog(path + ".wal")
         if self.disk.num_pages == 0:
             # Fresh database: page 0 is the catalog checkpoint (META) page.
             # Unpin before the sanity check so the raise path cannot leak
@@ -145,9 +142,7 @@ class Database:
             # committed statements), then restore the catalog — from the
             # last COMMIT record when the log has one, else from the META
             # checkpoint.
-            payload = None
-            if self.wal is not None:
-                payload = self.wal.replay(self.disk)
+            payload = self.wal.replay(self.disk)
             if payload is None:
                 payload = self._read_meta()
             self.catalog.restore(json.loads(payload.decode("utf-8")))
@@ -181,7 +176,8 @@ class Database:
         return self._session.execute(sql, params)
 
     def executemany(self, sql: str, param_rows) -> int:
-        """Run one DML statement for each parameter tuple."""
+        """Run one statement once per parameter tuple as one statement, on
+        the default session (see :meth:`Session.executemany`)."""
         return self._session.executemany(sql, param_rows)
 
     # Per-statement observability delegates to the default session so
@@ -317,8 +313,22 @@ class Database:
         if self.wal.should_checkpoint():
             self.checkpoint()
 
-    def _wal_rollback(self, exc: BaseException) -> None:
-        """Undo the failed statement's frames from their before-images.
+    def _wal_snapshot(self, plan) -> tuple | None:
+        """Statement-start image of the in-memory state the write statement
+        *plan* can change — the catalog's table map and its target table's
+        descriptor — for :meth:`_wal_rollback`. None without a log: nothing
+        is rolled back there."""
+        if self.wal is None:
+            return None
+        node = plan.statement
+        while isinstance(node, ExplainPlan):  # EXPLAIN ANALYZE runs its DML
+            node = node.inner.statement
+        return self.catalog.snapshot(getattr(node, "table", None))
+
+    def _wal_rollback(self, exc: BaseException, snapshot: tuple | None) -> None:
+        """Undo the failed statement: its frames from their before-images,
+        then the descriptors from *snapshot* (a root split, a grown heap
+        chain and the row count live in memory, not on a page).
 
         A :class:`~repro.errors.CrashPoint` is *not* rolled back: it
         simulates the process dying at that instant, and a dead process
@@ -326,6 +336,8 @@ class Database:
         if self.wal is None or isinstance(exc, CrashPoint):
             return
         self.wal.rollback(self.pool)
+        if snapshot is not None:  # None: failed before the statement began
+            self.catalog.rollback(snapshot)
 
     def _write_meta(self, payload: bytes) -> None:
         page_id = 0

@@ -188,6 +188,16 @@ class HeapFile:
         """Whether the page's zone map proves *zone_eq* cannot match."""
         return False
 
+    def snapshot(self) -> tuple:
+        """The in-memory state a statement can change, for :meth:`rollback`
+        once the statement's pages are back at their before-images. The
+        chain only grows at the tail, so its old length is its old value."""
+        return self._last_page, len(self._chain)
+
+    def rollback(self, snapshot: tuple) -> None:
+        self._last_page, length = snapshot
+        del self._chain[length:]
+
     def page_ids(self) -> list[int]:
         """All heap page ids of this file (excluding overflow pages)."""
         out = []

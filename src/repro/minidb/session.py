@@ -78,12 +78,6 @@ class PreparedStatement:
     def execute(self, params: tuple | list = ()) -> Result:
         return self.session.execute(self.sql, params)
 
-    def execute_many(self, param_rows) -> list[Result]:
-        """Run this statement once per parameter tuple with batched binding
-        (one plan-cache probe, one latch acquisition for the whole batch —
-        see :meth:`Session.execute_many`)."""
-        return self.session.execute_many(self.sql, param_rows)
-
     def explain(self) -> list[str]:
         """Static plan lines for this statement (no execution)."""
         from repro.minidb.sql.plan import explain_lines
@@ -124,6 +118,7 @@ class Session:
         # guard keeps the acquire/release paired even when execution raises
         # (and satisfies the no-bare-acquire rule, SAN201).
         with db._stmt_latch.guard(write):
+            snapshot = None
             try:
                 if entry.version != db.catalog.version:
                     # DDL slipped in between the cache probe and the latch.
@@ -132,6 +127,8 @@ class Session:
                     entry = db._ensure_cached(sql)
                 self.last_analysis = entry.analysis
                 plan = entry.plan  # raises the statement's semantic error
+                if write:
+                    snapshot = db._wal_snapshot(plan)
                 disk_stats = db.disk.thread_stats()
                 pool_stats = db.pool.thread_stats()
                 disk_before = disk_stats.snapshot()
@@ -173,9 +170,10 @@ class Session:
             except BaseException as exc:
                 if write:
                     # Restore every frame the failed statement dirtied from
-                    # its before-image, so the pool re-enters the last
+                    # its before-image and the descriptors from the
+                    # snapshot, so pool and catalog re-enter the last
                     # committed state before the latch is released.
-                    db._wal_rollback(exc)
+                    db._wal_rollback(exc, snapshot)
                 tracker = _san.TRACKER
                 if tracker is not None:
                     # The primary error wins; drop any pins the interrupted
@@ -215,29 +213,22 @@ class Session:
         )
 
     def executemany(self, sql: str, param_rows) -> int:
-        """Run one DML statement for each parameter tuple."""
-        count = 0
-        for params in param_rows:
-            self.execute(sql, params)
-            count += 1
-        return count
+        """Run one statement once per parameter tuple, as *one* statement;
+        returns the number of tuples.
 
-    def execute_many(self, sql: str, param_rows) -> list[Result]:
-        """Run one statement once per parameter tuple with batched binding.
-
-        Amortizes the per-statement fixed costs across the whole batch: the
-        plan cache is probed once, the statement latch is acquired once and
-        trace collection is skipped, so only binding + execution remain in
-        the loop. Returns one :class:`Result` per parameter tuple, in order.
+        The batch shares one envelope: one plan-cache probe, one hold of the
+        statement latch, one WAL commit — so on a file-backed database it
+        is all or nothing (a failing tuple rolls back the rows before it).
         ``last_cost`` aggregates the batch's I/O; ``last_trace`` is cleared
         (per-execution traces are a per-``execute`` feature).
         """
 
         def run_batch(plan, _collector):
-            return [
+            count = 0
+            for params in param_rows:
                 self._executor(tuple(params), None).run(plan)
-                for params in param_rows
-            ]
+                count += 1
+            return count
 
         return self._statement(sql, run_batch, traced=False)
 

@@ -79,7 +79,7 @@ _MAX_PAYLOAD = 64 << 20
 #: zero-fills) — the before-image of every page born in the current statement.
 _ZERO_PAGE = bytes(PAGE_SIZE)
 
-#: Default log size that triggers an automatic checkpoint.
+#: Log size that triggers an automatic checkpoint.
 DEFAULT_CHECKPOINT_BYTES = 16 << 20
 
 
@@ -94,9 +94,10 @@ class WriteAheadLog:
     dict, which is safe under the GIL.
     """
 
-    def __init__(self, path: str, checkpoint_bytes: int = DEFAULT_CHECKPOINT_BYTES):
+    def __init__(self, path: str):
         self.path = path
-        self.checkpoint_bytes = checkpoint_bytes
+        #: Log size that triggers an automatic checkpoint.
+        self.checkpoint_bytes = DEFAULT_CHECKPOINT_BYTES
         #: Test hook: called with the crash-point name at every fault site.
         self.fault_injector = None
         exists = os.path.exists(path)

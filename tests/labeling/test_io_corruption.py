@@ -1,8 +1,7 @@
 """Label-file robustness: truncation, trailing garbage, range validation,
-and the v1 -> v2 header migration (dummy flag)."""
+foreign magics and the header's dummy flag."""
 
 import os
-import struct
 
 import pytest
 
@@ -126,51 +125,13 @@ class TestSaveValidation:
         assert loaded.lin[1][0].td == I64_MIN
 
 
-def v1_bytes(num_stops, order, sides):
-    """Hand-assemble a legacy TTL1 file (no flags byte)."""
-    out = [b"TTL1", struct.pack("<I", num_stops)]
-    out += [struct.pack("<I", v) for v in order]
-    for side in sides:  # [lout lists..., lin lists...]
-        out.append(struct.pack("<I", len(side)))
-        for record in side:
-            out.append(struct.pack("<qqqqq", *record))
-    return b"".join(out)
-
-
-class TestLegacyV1:
-    def test_v1_file_still_loads(self, tmp_path):
-        data = v1_bytes(
-            2,
-            [1, 0],
-            [
-                [(1, 10, 20, -1, 3)],  # lout(0)
-                [],  # lout(1)
-                [],  # lin(0)
-                [(1, 10, 20, 0, 3)],  # lin(1)
-            ],
-        )
-        labels = write_and_load(tmp_path, data)
-        assert labels.order == [1, 0]
-        t = labels.lout[0][0]
-        assert (t.hub, t.td, t.ta, t.pivot, t.trip) == (1, 10, 20, None, 3)
-        assert labels.lin[1][0].pivot == 0
-        labels.add_dummy_tuples()  # probe found no dummies -> still allowed
-
-    def test_v1_dummy_probe_positive(self, tmp_path):
-        data = v1_bytes(
-            1, [0], [[(0, 5, 5, -1, -1)], [(0, 5, 5, -1, -1)]]
-        )
-        labels = write_and_load(tmp_path, data)
-        with pytest.raises(LabelingError):
-            labels.add_dummy_tuples()
-
-    def test_v1_misclassifies_empty_labeling_with_dummies(self, tmp_path):
-        """The v1 probe cannot see that add_dummy_tuples() already ran on a
-        labeling that produced zero dummies — the bug that motivated the
-        header flag."""
-        data = v1_bytes(1, [0], [[], []])
-        labels = write_and_load(tmp_path, data)
-        labels.add_dummy_tuples()  # wrongly allowed; v1 cannot know better
+class TestForeignMagic:
+    @pytest.mark.parametrize("magic", [b"TTL1", b"TTL3", b"\x00\x00\x00\x00"])
+    def test_any_other_magic_is_not_a_label_file(self, tmp_path, tiny_label_bytes, magic):
+        # TTL1 was this format's flag-less predecessor; nothing writes it.
+        _, data = tiny_label_bytes
+        with pytest.raises(LabelingError, match="is not a TTL label file"):
+            write_and_load(tmp_path, magic + data[4:])
 
 
 class TestV2DummyFlag:

@@ -240,7 +240,7 @@ class TestEngineWiring:
             with pytest.raises(TypeError):
                 call("SELECT a FROM t", analyze=False)
         with pytest.raises(TypeError):
-            session.execute_many("SELECT a FROM t", [()], analyze=False)
+            session.executemany("SELECT a FROM t", [()], analyze=False)
         with pytest.raises(TypeError):
             db.session(analyze=False)
         for obj in (db, session, db.prepare("SELECT a FROM t")):

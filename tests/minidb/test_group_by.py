@@ -15,12 +15,20 @@ Floats are multiples of 0.25, so every SUM/AVG is exact in any order.
 
 import random
 import sqlite3
+import tracemalloc
 from collections import Counter
 
 import pytest
 
+from repro.errors import AnalyzerStructureError
 from repro.minidb.engine import Database
-from repro.minidb.sql.expr import hashable
+from repro.minidb.sql import ast
+from repro.minidb.sql import plan as phys
+from repro.minidb.sql.analyzer import analyze_sql
+from repro.minidb.sql.expr import compile_expr, hashable
+from repro.minidb.sql.parser import parse
+from repro.minidb.sql.planner import plan_statement
+from repro.minidb.sql.printer import render_expr
 from tests.minidb.reference import run_engine, run_reference
 
 T_COLS = "a BIGINT, g BIGINT, x BIGINT, f DOUBLE, s TEXT, ok BOOL, xs BIGINT[]"
@@ -274,3 +282,89 @@ class TestEmptyInput:
         assert check(dbs, "SELECT MAX(a) FROM t WHERE a > 99 HAVING COUNT(*) = 0")[
             0
         ].rows == [(None,)]
+
+
+class TestHavingAloneGroups:
+    """A core is grouped when it has GROUP BY, an aggregate **or HAVING**
+    (PostgreSQL's rule; the parent ignored such a HAVING under a warning)."""
+
+    def test_constant_having_keeps_or_drops_the_one_group(self, dbs):
+        assert check(dbs, "SELECT 1 FROM t HAVING 1 = 0")[0].rows == []
+        assert check(dbs, "SELECT 1 FROM t HAVING 1 = 1")[0].rows == [(1,)]
+        assert check(dbs, "SELECT 7 FROM t WHERE a > 99 HAVING 1 = 1")[0].rows == [(7,)]
+        assert check(dbs, "SELECT 1 FROM t HAVING MAX(x) > 99")[0].rows == []
+
+    def test_bare_column_is_ungrouped(self, dbs):
+        db, _ = dbs
+        sql = "SELECT g FROM t HAVING g > 2"
+        analysis = analyze_sql(sql, db.catalog)
+        assert {d.code for d in analysis.diagnostics} == {"AGG003"}
+        assert analysis.plan is None
+        assert sql[analysis.errors[0].span.start :].startswith("g FROM t")
+        db.restart()
+        before = db.disk.stats.snapshot()
+        with pytest.raises(AnalyzerStructureError, match="must appear in GROUP BY"):
+            db.execute(sql)
+        assert db.disk.stats.delta(before).reads == 0
+
+
+class TestAggregatesAreColumns:
+    def test_one_slot_per_distinct_call(self, dbs):
+        db, _ = dbs
+        core = analyze_sql(
+            "SELECT g, MAX(x), MAX(x) + 1, SUM(x + 1), SUM(x + 1.0) FROM t "
+            "GROUP BY g HAVING MAX(x) > 2 AND COUNT(*) > 1 ORDER BY MAX(t.x), MIN(f)",
+            db.catalog,
+        ).bound.core
+        # MAX(x) is one slot for two items, HAVING and a sort key; 1 is not 1.0
+        assert [render_expr(call) for call in core.aggs] == [
+            "MAX(x)", "SUM(x + 1)", "SUM(x + 1.0)", "MIN(f)", "COUNT(*)",
+        ]
+        assert [render_expr(it.value) for it in core.items] == [
+            "g", "__agg_0", "__agg_0 + 1", "__agg_1", "__agg_2", "__agg_3",
+        ]
+        assert render_expr(core.having) == "__agg_0 > 2 AND __agg_4 > 1"
+        assert core.items[1].value.type == "int"
+
+    def test_every_closure_takes_a_row(self, dbs):
+        db, _ = dbs
+        with pytest.raises(TypeError):
+            compile_expr(ast.Literal(1), {}, grouped=False)
+        with pytest.raises(TypeError):
+            compile_expr(ast.Literal(1), {}, False)
+        node = plan_statement(
+            parse("SELECT g, ARRAY_AGG(x ORDER BY a) FROM t GROUP BY g HAVING COUNT(*) > 1"),
+            db.catalog,
+        ).statement.root
+        assert isinstance(node, phys.Aggregate)
+        assert not hasattr(node, "simple_spec") and not hasattr(phys.Aggregate, "simple_spec")
+        assert len(node.aggs) == len(node.accs) == 2
+        # HAVING reads the second aggregate column after a 7-column input row
+        assert node.having_fn((None,) * 7 + ([1], 2), ()) is True
+        assert node.having_fn((None,) * 7 + ([1], 1), ()) is False
+
+    def test_no_group_keeps_its_rows(self):
+        """HAVING + ARRAY_AGG used to collect every group's rows; now a
+        group is its first row and one accumulator per call, so the wide
+        ``pad`` strings of all other rows die with their batch."""
+        db = Database()
+        db.batch_size = 32
+        db.execute("CREATE TABLE w (a BIGINT, g BIGINT, pad TEXT, PRIMARY KEY (a))")
+        db.executemany(
+            "INSERT INTO w VALUES ($1, $2, $3)",
+            [(a, a % 5, f"{a:05d}" * 400) for a in range(1500)],  # 3 MB of pad
+        )
+        sql = (
+            "SELECT g, ARRAY_AGG(a ORDER BY a DESC), COUNT(DISTINCT a) FROM w "
+            "GROUP BY g HAVING COUNT(*) > 1"
+        )
+        db.execute(sql)  # every page is in the pool from here on
+        tracemalloc.start()
+        try:
+            rows = db.execute(sql).rows
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [(g, len(xs), n) for g, xs, n in rows] == [(g, 300, 300) for g in range(5)]
+        assert peak < 1_000_000
+        db.close()

@@ -1,4 +1,4 @@
-"""Tests for the batch (vectorized) executor, readahead and execute_many.
+"""Tests for the batch (vectorized) executor, readahead and executemany.
 
 The batch executor must be indistinguishable from the row-at-a-time
 reference model in everything except CPU time: same columns, same rows,
@@ -220,38 +220,41 @@ class TestReadahead:
 
 
 class TestExecuteMany:
+    """``executemany``: the batch runs in one statement envelope."""
+
+    INSERT = "INSERT INTO t VALUES ($1, $2)"
+
     def test_results_match_individual_executes(self):
-        db = make_db()
-        stmt = db.prepare("SELECT w FROM t WHERE v = $1")
-        param_rows = [(i,) for i in range(0, 40, 3)]
-        batched = stmt.execute_many(param_rows)
-        singles = [stmt.execute(p) for p in param_rows]
-        assert [r.rows for r in batched] == [r.rows for r in singles]
-        assert [r.columns for r in batched] == [r.columns for r in singles]
+        batched, single = make_db(), make_db()
+        param_rows = [(i, i % 9) for i in range(2000, 2040, 3)]
+        assert batched.executemany(self.INSERT, param_rows) == len(param_rows)
+        for params in param_rows:
+            single.execute(self.INSERT, params)
+        sql = "SELECT v, w FROM t WHERE v >= 1990"
+        assert batched.execute(sql).rows == single.execute(sql).rows
+        assert batched.table_stats() == single.table_stats()
 
     def test_plan_cache_probed_once(self):
         db = make_db()
-        sql = "SELECT v FROM t WHERE w = $1"
-        db.execute(sql, (0,))  # warm the cache
+        db.execute(self.INSERT, (5000, 0))  # warm the cache
         hits_before = db.plan_cache_hits
-        db.session().execute_many(sql, [(i,) for i in range(10)])
+        db.session().executemany(self.INSERT, [(5001 + i, i) for i in range(10)])
         assert db.plan_cache_hits == hits_before + 1
 
     def test_cost_aggregates_whole_batch(self):
         db = make_db()
         db.restart()
         session = db.session()
-        results = session.execute_many(
-            "SELECT v, w FROM t WHERE v = $1", [(1,), (2,), (3,)]
-        )
-        assert [r.rows for r in results] == [[(1, 7)], [(2, 14)], [(3, 21)]]
+        assert session.executemany(self.INSERT, [(7001, 1), (7002, 2), (7003, 3)]) == 3
         assert session.last_cost is not None
         assert session.last_cost.page_reads > 0
         assert session.last_trace is None  # traces are a per-execute feature
 
     def test_empty_batch(self):
         db = make_db()
-        assert db.prepare("SELECT v FROM t WHERE v = $1").execute_many([]) == []
+        assert db.executemany(self.INSERT, []) == 0
+        assert not hasattr(db.prepare("SELECT v FROM t"), "execute_many")
+        assert not hasattr(db.session(), "execute_many")
 
 
 class TestBatchTraces:

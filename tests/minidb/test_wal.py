@@ -12,6 +12,7 @@ import pytest
 
 from repro.errors import CatalogError, CrashPoint, DatabaseError
 from repro.minidb.engine import Database
+from repro.minidb.wal import DEFAULT_CHECKPOINT_BYTES
 
 DDL = "CREATE TABLE t (k BIGINT, v BIGINT, PRIMARY KEY (k))"
 SEED_ROWS = [(i, i * i) for i in range(50)]
@@ -152,12 +153,27 @@ class TestStatementRollback:
         db = seeded(db_path)
         session = db.session(tracing=False)
         with pytest.raises(DatabaseError):
-            # Second row collides with seeded key 0; the batch commits as
-            # one statement, so the valid first row must vanish with it.
-            session.execute_many(
-                "INSERT INTO t VALUES ($1, $2)", [(60, 1), (0, 9)]
+            # The middle row collides with seeded key 0; the batch commits
+            # as one statement, so the valid first row must vanish with it
+            # and the third is never tried.
+            session.executemany(
+                "INSERT INTO t VALUES ($1, $2)", [(60, 1), (0, 9), (61, 2)]
             )
         assert rows(db) == sorted(SEED_ROWS)
+        assert db.catalog.get("t").row_count == len(SEED_ROWS)
+        assert session.executemany("INSERT INTO t VALUES ($1, $2)", [(60, 1)]) == 1
+        db.close()
+
+    def test_a_batch_is_one_commit_record(self, db_path):
+        db = Database(path=db_path)
+        db.execute(DDL)
+        commits = []
+        db.wal.fault_injector = lambda point: commits.append(point)
+        assert db.executemany("INSERT INTO t VALUES ($1, $2)", SEED_ROWS) == 50
+        assert commits.count("commit:before-append") == 1
+        with pytest.raises(DatabaseError):
+            db.executemany("INSERT INTO t VALUES ($1, $2)", [(90, 1), (7, 7), (91, 1)])
+        assert rows(db) == sorted(SEED_ROWS)  # zero rows of the failed batch
         db.close()
 
     def test_failed_insert_select_rolls_back_every_source_row(self, db_path):
@@ -202,15 +218,24 @@ class TestStatementRollback:
         db.close()
 
 
-class TestWalDisabled:
-    def test_wal_false_still_round_trips_via_checkpoint(self, db_path):
-        db = Database(path=db_path, wal=False)
-        db.execute(DDL)
-        db.execute("INSERT INTO t VALUES (1, 2)")
-        assert db.wal is None
-        db.close()
-        with Database.open(db_path, wal=False) as again:
-            assert rows(again) == [(1, 2)]
+class TestRemovedOptions:
+    def test_a_file_backed_database_always_logs(self, db_path):
+        for option in ({"wal": False}, {"wal_checkpoint_bytes": 1}):
+            with pytest.raises(TypeError):
+                Database(path=db_path, **option)
+            with pytest.raises(TypeError):
+                Database.open(db_path, **option)
+        with Database(path=db_path) as db:
+            assert db.wal.checkpoint_bytes == DEFAULT_CHECKPOINT_BYTES
+
+    def test_a_log_past_the_threshold_checkpoints_itself(self, db_path):
+        db = seeded(db_path)
+        db.wal.checkpoint_bytes = 1  # an attribute, not an option
+        db.execute("INSERT INTO t VALUES (70, 7)")
+        assert db.wal.size_bytes() == 0
+        db.simulate_crash()
+        with Database.open(db_path) as again:
+            assert rows(again) == sorted(SEED_ROWS + [(70, 7)])
 
 
 class TestIndexSplitsUnderTheWal:
@@ -240,6 +265,7 @@ class TestIndexSplitsUnderTheWal:
     def test_failure_on_the_last_row_restores_every_page(self, db_path):
         db = self.loaded(db_path)
         before = self.images(db)
+        described = db.catalog.describe()
         size_before = db.wal.size_bytes()
         with pytest.raises(CatalogError, match=r"duplicate primary key \(0,\)"):
             # Keys 0..998 land (leaf splits, then a new root); the last
@@ -251,11 +277,76 @@ class TestIndexSplitsUnderTheWal:
         assert all(image == bytes(len(image)) for image in after[len(before) :])
         assert db.wal.size_bytes() == size_before
         assert db.pool.total_pins() == 0
+        # The descriptor is back too — root page, heap tail, counters — so
+        # the same handle goes on using the table.
+        assert db.catalog.describe() == described
+        assert rows(db) == []
+        db.execute("INSERT INTO t SELECT k, v FROM src WHERE k < 5")
+        assert rows(db) == [(i, 3 * i) for i in range(5)]
         db.simulate_crash()
         with Database.open(db_path) as again:
-            assert rows(again) == []
-            again.execute("INSERT INTO t SELECT k, v FROM src WHERE k < 5")
             assert rows(again) == [(i, 3 * i) for i in range(5)]
+            again.execute("INSERT INTO t SELECT k, v FROM src WHERE k >= 995")
+            assert len(rows(again)) == 10
+
+    @pytest.mark.parametrize("storage", ["ROW", "COLUMNAR"])
+    def test_rolled_back_statements_leave_the_descriptor_alone(
+        self, db_path, storage
+    ):
+        """Failing INSERT … SELECT (chain growth, root split, zone maps),
+        UPDATE and batch between succeeding ones: the table always equals a
+        twin that ran only the successes."""
+        ddl = (
+            "CREATE TABLE t (k BIGINT, hub BIGINT, vs BIGINT[], PRIMARY KEY (k))"
+            f" STORAGE = {storage}"
+        )
+        db, twin = Database(path=db_path), Database()
+        for handle in (db, twin):
+            handle.execute(ddl)
+            handle.execute(ddl.replace("TABLE t", "TABLE src"))
+            handle.executemany(
+                "INSERT INTO src VALUES ($1, $2, $3)",
+                [(i, i // 40, list(range(i % 30))) for i in range(1200)],
+            )
+        steps = [
+            ("INSERT INTO t SELECT k, hub, vs FROM src WHERE k < 300", True),
+            ("INSERT INTO t SELECT k % 1100 + 300, hub, vs FROM src", False),
+            ("UPDATE t SET k = 7 WHERE k >= 290", False),
+            ("INSERT INTO t SELECT k, hub, vs FROM src WHERE k >= 900", True),
+            ("DELETE FROM t WHERE hub = 3", True),
+            ("INSERT INTO t SELECT k + 2000, hub, vs FROM src WHERE k <> 1199 "
+             "UNION ALL SELECT 5, 0, vs FROM src WHERE k = 1199", False),
+            ("VACUUM t", True),
+            ("INSERT INTO t SELECT k, hub, vs FROM src WHERE k >= 895", False),
+        ]
+        table = db.catalog.get("t")
+        for sql, succeeds in steps:
+            described = db.catalog.describe()
+            chain = list(table.heap._chain)
+            zones = dict(getattr(table.heap, "_zones", {}))
+            if succeeds:
+                db.execute(sql)
+                twin.execute(sql)
+            else:
+                with pytest.raises(CatalogError, match="duplicate primary key"):
+                    db.execute(sql)
+                assert db.catalog.describe() == described, sql
+                assert table.heap._chain == chain, sql
+                assert getattr(table.heap, "_zones", {}) == zones, sql
+            assert db.pool.total_pins() == 0
+            expected = twin.catalog.get("t")
+            assert (table.row_count, table.data_bytes) == (
+                expected.row_count, expected.data_bytes,
+            ), sql
+            for probe in ("SELECT k, hub, vs FROM t", "SELECT k FROM t WHERE hub = 23"):
+                assert sorted(db.execute(probe).rows) == sorted(
+                    twin.execute(probe).rows
+                ), sql
+        with pytest.raises(CatalogError, match="duplicate primary key"):
+            db.executemany("INSERT INTO t VALUES ($1, 0, NULL)", [(5000,), (0,)])
+        assert table.row_count == twin.catalog.get("t").row_count
+        db.close()
+        twin.close()
 
     def test_success_survives_a_crash_with_index_and_heap_agreeing(self, db_path):
         db = self.loaded(db_path)
