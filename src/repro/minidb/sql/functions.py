@@ -176,7 +176,7 @@ AGGREGATES = {
         _step(lambda v: (0 + v, 1), lambda acc, v: (acc[0] + v, acc[1] + 1)),
         _mean,
     ),
-    "count": (0, _step(None, lambda acc, _v: acc + 1), _same),
+    "count": (0, _step(None, lambda acc, _v: acc + 1), _same),  # never None
     "array_agg": (None, _step(lambda v: [v], _append), _same),
     "bool_and": (None, _step(bool, lambda acc, v: acc and bool(v)), _same),
     "bool_or": (None, _step(bool, lambda acc, v: acc or bool(v)), _same),

@@ -347,13 +347,12 @@ class Project(PlanNode):
 
 
 class Aggregate(PlanNode):
-    """Grouped evaluation; blocking. Aggregates are columns: ``having_fn``
-    and ``item_fns`` are row closures over *the group's first input row + its
-    aggregate values* (``width`` input columns, all NULL for an ungrouped
-    aggregate over no rows); hidden sort columns are trailing items, as in
-    :class:`Project`. ``aggs[j]`` describes aggregate *j* — ``(name, arg_fn,
-    distinct, order_fns, descending)``, which is all the reference model
-    reads — and ``accs[j]`` is its accumulator (``expr.accumulator``)."""
+    """Grouped evaluation; blocking. Aggregates are columns: ``having_fn`` and
+    ``item_fns`` (hidden sort columns trailing, as in :class:`Project`) are row
+    closures over *the group's first input row + its aggregate values* —
+    ``width`` input columns, NULL for an ungrouped aggregate over no rows.
+    ``aggs[j]`` is ``(name, arg_fn, distinct, order_fns, descending)``, what the
+    reference model reads; ``accs[j]`` its ``expr.accumulator``, what we fold."""
 
     def __init__(self, child, group_fns, aggs, accs, item_fns, having_fn, width):
         self.child = child
@@ -363,11 +362,10 @@ class Aggregate(PlanNode):
         self.item_fns = item_fns
         self.having_fn = having_fn
         self.width = width
-        #: numpy grouping recipe ``(group_col_indices, items)`` set by the
-        #: planner when there is no HAVING, the keys are plain columns and
-        #: every item is one of them or a bare MIN/MAX/COUNT over a numpy-
-        #: evaluable operand: whole column batches are then aggregated with
-        #: ``np.unique`` + ``reduceat`` instead of folded row by row.
+        #: numpy grouping recipe ``(group_col_indices, items)``, set by the
+        #: planner for a HAVING-free aggregate whose keys are plain columns
+        #: and whose items are those or bare MIN/MAX/COUNT: whole column
+        #: batches then go through ``np.unique`` + ``reduceat``, not the fold.
         self.np_spec = None
         if group_fns:
             self.name = "GroupAggregate"

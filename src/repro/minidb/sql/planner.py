@@ -405,13 +405,16 @@ class Planner:
             ]
             # Items and HAVING see the group's first row, then its aggregates.
             slots = {**slots, **_agg_slots(core.aggs, len(schema))}
+            having_fn = None
+            if core.having is not None:
+                having_fn = compile_expr(core.having, slots)
             node = phys.Aggregate(
                 node,
                 group_fns,
                 aggs,
                 [accumulator(*agg) for agg in aggs],
                 [compile_expr(it.value, slots) for it in items],
-                compile_expr(core.having, slots) if core.having is not None else None,
+                having_fn,
                 len(schema),
             )
             node.np_spec = self._np_agg_spec(core, schema)
