@@ -956,7 +956,7 @@ class BatchExecutor:
         """
         stats = self._node(node.name, node.detail, parent)
         params = self.params
-        group_fns, having_fn = node.group_fns, node.having_fn
+        group_fns, having_fn, item_fns = node.group_fns, node.having_fn, node.item_fns
         # state of a group: [first row, accumulator 1, accumulator 2, ...]
         inits = [init for _arg, init, _step, _final in node.accs]
         steps = [
@@ -980,9 +980,9 @@ class BatchExecutor:
                 groups[()] = [(None,) * node.width, *inits]
             out = []
             for first, *accs in groups.values():
-                row = first + tuple(fin(acc) for fin, acc in zip(finals, accs))
+                row = first + tuple([fin(acc) for fin, acc in zip(finals, accs)])
                 if having_fn is None or having_fn(row, params) is True:
-                    out.append(tuple(fn(row, params) for fn in node.item_fns))
+                    out.append(tuple([fn(row, params) for fn in item_fns]))
             return out
 
         np_spec = node.np_spec

@@ -126,7 +126,9 @@ class TestSaveValidation:
 
 
 class TestForeignMagic:
-    @pytest.mark.parametrize("magic", [b"TTL1", b"TTL3", b"\x00\x00\x00\x00"])
+    @pytest.mark.parametrize(
+        "magic", [b"TTL1", b"TTL3", bytes(4)], ids=["TTL1", "TTL3", "zeros"]
+    )
     def test_any_other_magic_is_not_a_label_file(self, tmp_path, tiny_label_bytes, magic):
         # TTL1 was this format's flag-less predecessor; nothing writes it.
         _, data = tiny_label_bytes
