@@ -136,7 +136,7 @@ def composite_key(key: tuple, descending: list[bool]) -> tuple:
     )
 
 
-def hashable(row: tuple) -> tuple:
+def hashable(row) -> tuple:
     return tuple(tuple(v) if isinstance(v, list) else v for v in row)
 
 

@@ -968,7 +968,7 @@ class BatchExecutor:
         def feed(row, groups):
             key = ()
             if group_fns:
-                key = hashable(tuple(fn(row, params) for fn in group_fns))
+                key = hashable([fn(row, params) for fn in group_fns])
             state = groups.get(key)
             if state is None:
                 state = groups[key] = [row, *inits]
