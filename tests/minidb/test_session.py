@@ -5,7 +5,13 @@ import threading
 import pytest
 
 from repro.errors import SQLError
-from repro.minidb.engine import Database, PreparedStatement, QueryCost, Session
+from repro.minidb.engine import (
+    PLAN_CACHE_CAP,
+    Database,
+    PreparedStatement,
+    QueryCost,
+    Session,
+)
 
 
 def make_db():
@@ -103,6 +109,91 @@ class TestSessionPrepared:
         stmt = session.prepare("SELECT w FROM t WHERE v=$1")
         db.execute("CREATE TABLE other (x BIGINT, PRIMARY KEY (x))")
         assert stmt.execute((5,)).scalar() == 50
+
+
+class TestPreparedHandleAcrossDDL:
+    """A bound handle re-plans once per catalog-version bump, counts one
+    plan-cache hit for every other execution and never runs a stale plan."""
+
+    SQL = "SELECT w FROM t WHERE v=$1"
+
+    @staticmethod
+    def _delta(db, before):
+        after = db.plan_cache_stats()
+        return after["hits"] - before["hits"], after["misses"] - before["misses"]
+
+    def test_one_replan_per_version_bump_one_hit_otherwise(self):
+        db = make_db()
+        stmt = db.prepare(self.SQL)
+        assert stmt.execute((5,)).scalar() == 50
+        for ddl in (
+            "CREATE TABLE other (x BIGINT, PRIMARY KEY (x))",
+            "DROP TABLE other",
+        ):
+            db.execute(ddl)
+            before = db.plan_cache_stats()
+            for v in (5, 6, 7):
+                assert stmt.execute((v,)).scalar() == v * 10
+            assert self._delta(db, before) == (2, 1), ddl
+            assert (
+                db.plan_cache_stats()["invalidations"]
+                == before["invalidations"] + 1
+            )
+
+    def test_own_table_dropped_and_recreated(self):
+        db = make_db()
+        stmt = db.prepare(self.SQL)
+        assert stmt.execute((5,)).scalar() == 50
+        db.execute("DROP TABLE t")
+        db.execute("CREATE TABLE t (v BIGINT, w BIGINT, PRIMARY KEY (v))")
+        db.execute("INSERT INTO t VALUES (5, 77)")
+        before = db.plan_cache_stats()
+        assert stmt.execute((5,)).scalar() == 77  # not the old table's 50
+        assert stmt.execute((6,)).rows == []
+        assert self._delta(db, before) == (1, 1)
+
+    def test_semantic_error_from_ddl_is_the_typed_error(self):
+        db = make_db()
+        stmt = db.prepare(self.SQL)
+        db.execute("DROP TABLE t")
+        with pytest.raises(SQLError) as by_text:
+            db.execute(self.SQL, (5,))
+        before = db.plan_cache_stats()
+        for _ in range(2):
+            with pytest.raises(type(by_text.value)) as bound:
+                stmt.execute((5,))
+            assert str(bound.value) == str(by_text.value)
+        assert self._delta(db, before) == (2, 0)  # the error is cached too
+        db.execute("CREATE TABLE t (v BIGINT, w TEXT, PRIMARY KEY (v))")
+        db.execute("INSERT INTO t VALUES (5, 'five')")
+        assert stmt.execute((5,)).scalar() == "five"
+
+    def test_handle_outlives_its_lru_entry(self):
+        db = make_db()
+        stmt = db.prepare(self.SQL)
+        assert stmt.execute((5,)).scalar() == 50
+        for i in range(PLAN_CACHE_CAP + 1):
+            db.execute(f"SELECT {i} FROM t WHERE v = 1")
+        assert self.SQL not in db._plan_cache
+        before = db.plan_cache_stats()
+        assert stmt.execute((6,)).scalar() == 60
+        assert stmt.execute((7,)).scalar() == 70
+        hits, misses = self._delta(db, before)
+        assert hits + misses == 2 and misses <= 1
+        db.execute("CREATE TABLE other (x BIGINT, PRIMARY KEY (x))")
+        before = db.plan_cache_stats()
+        assert stmt.execute((8,)).scalar() == 80
+        assert self._delta(db, before) == (0, 1)
+
+    def test_registry_counters_follow_the_bound_path(self):
+        from repro.minidb.metrics import REGISTRY
+
+        db = make_db()
+        stmt = db.prepare(self.SQL)
+        hits = REGISTRY.counter("plan_cache.hits").value
+        for v in range(10):
+            stmt.execute((v,))
+        assert REGISTRY.counter("plan_cache.hits").value == hits + 10
 
 
 class TestStatementLatch:
