@@ -114,8 +114,12 @@ class BTree:
     def search(self, key: tuple) -> tuple[int, int] | None:
         """Exact lookup; returns the rid or ``None``."""
         key = self._check_key(key)
-        with self._leaf(key) as (page_id, page, _):
-            with self.pool.latch(page_id).read():
+        page_id = self.root_page
+        while True:  # the descent of _leaf, one read guard per node
+            with self.pool.reading(page_id) as page:
+                if page.kind != KIND_BTREE_LEAF:
+                    page_id = self._descend(page, key)
+                    continue
                 _, offset, found = self._locate(page, self._leaf_cell, key)
                 if found:
                     return _RID.unpack_from(page.buf, offset + self._key.size)
@@ -141,7 +145,7 @@ class BTree:
         while i < len(keys):
             descents += 1
             with self._leaf(keys[i]) as (page_id, page, _):
-                with self.pool.latch(page_id).read():
+                with self.pool.reading(page_id, pinned=True):
                     buf = page.buf
                     last = None  # the leaf's last key; None while unread/empty
                     while True:
@@ -183,10 +187,9 @@ class BTree:
         while page_id != -1:
             # Copy the leaf's cells under pin+latch, then yield latch-free so
             # consumers may issue their own page operations.
-            with self.pool.pinned(page_id) as page:
-                with self.pool.latch(page_id).read():
-                    next_page = page.next_page
-                    cells = self._read_leaf_cells(page)
+            with self.pool.reading(page_id) as page:
+                next_page = page.next_page
+                cells = self._read_leaf_cells(page)
             for key, rid in cells:
                 if low is not None and key < low:
                     continue
@@ -214,7 +217,7 @@ class BTree:
             raise StorageError(
                 f"key arity {len(key)} does not match index arity {self.key_len}"
             )
-        return tuple(int(part) for part in key)
+        return tuple(map(int, key))
 
     def _read_leaf_cells(self, page: Page) -> list[tuple[tuple, tuple[int, int]]]:
         count = _get_count(page)
@@ -275,7 +278,7 @@ class BTree:
                 if page.kind == KIND_BTREE_LEAF:
                     yield page_id, page, depth
                     return
-                with self.pool.latch(page_id).read():
+                with self.pool.reading(page_id, pinned=True):
                     child_id = self._descend(page, key)
             finally:
                 self.pool.unpin(page_id)
@@ -299,7 +302,7 @@ class BTree:
         try:
             if page.kind == KIND_BTREE_LEAF:
                 return self._put(page_id, page, key, _RID.pack(*rid), self._leaf_cap)
-            with self.pool.latch(page_id).read():
+            with self.pool.reading(page_id, pinned=True):
                 child_id = self._descend(page, key)
             split = self._insert(child_id, key, rid)
             if split is None:

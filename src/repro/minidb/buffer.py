@@ -49,6 +49,51 @@ from repro.minidb.page import Page
 from repro.minidb.sanitize import dynamic as _san
 
 
+class _ReadingGuard:
+    """``with``-guard for one page read (see ``BufferPool.reading``): under
+    one hold of the pool lock it finds the frame, pins it and takes the
+    shared side of its latch; under a second it gives both back."""
+
+    __slots__ = ("_pool", "_page_id", "_pinned", "_frame")
+
+    def __init__(self, pool: "BufferPool", page_id: int, pinned: bool):
+        self._pool = pool
+        self._page_id = page_id
+        self._pinned = pinned
+
+    def __enter__(self) -> Page:
+        pool, page_id = self._pool, self._page_id
+        ident = threading.get_ident()
+        with pool._lock:
+            if self._pinned:
+                frame = pool._frames[page_id]
+            else:
+                frame = pool._fetch(page_id, ident)
+            frame.pins += 1
+            try:
+                # Blocks while a writer holds the frame, the pin keeping it
+                # resident; raises on a self-deadlock.
+                frame.latch.acquire_read_locked(ident)
+            except BaseException:
+                frame.pins -= 1
+                raise
+            tracker = _san.TRACKER
+            if tracker is not None:
+                tracker.on_pin(page_id)
+        self._frame = frame
+        return frame.page
+
+    def __exit__(self, exc_type, exc, tb):
+        frame = self._frame
+        with self._pool._lock:
+            frame.latch.release_read_locked(threading.get_ident())
+            tracker = _san.TRACKER
+            if tracker is not None:
+                tracker.on_unpin(self._page_id)
+            frame.pins -= 1
+        return False
+
+
 class _PinGuard:
     """``with``-guard pairing one pin with one unpin (see ``pinned``)."""
 
@@ -92,11 +137,11 @@ class _Frame:
 
     __slots__ = ("page", "dirty", "pins", "latch")
 
-    def __init__(self, page: Page, dirty: bool, page_id: int):
+    def __init__(self, page: Page, dirty: bool, page_id: int, lock):
         self.page = page
         self.dirty = dirty
         self.pins = 0
-        self.latch = RWLatch(name=f"page:{page_id}")
+        self.latch = RWLatch(f"page:{page_id}", lock)
 
 
 class BufferPool:
@@ -129,10 +174,6 @@ class BufferPool:
             stats = self._thread_stats.setdefault(ident, PoolStats())
         return stats
 
-    def _record_hit(self) -> None:
-        self.stats.hits += 1
-        self.thread_stats().hits += 1
-
     def _record_miss(self) -> None:
         self.stats.misses += 1
         self.thread_stats().misses += 1
@@ -149,20 +190,26 @@ class BufferPool:
         lock is released, so the page cannot be evicted until a matching
         :meth:`unpin`."""
         with self._lock:
-            frame = self._frames.get(page_id)
-            if frame is None:
-                self._record_miss()
-                page = Page(self.disk.read_page(page_id))
-                frame = self._admit(page_id, page, dirty=False)
-            else:
-                self._record_hit()
-                self._frames.move_to_end(page_id)
+            frame = self._fetch(page_id, threading.get_ident())
             if pin:
                 frame.pins += 1
                 tracker = _san.TRACKER
                 if tracker is not None:
                     tracker.on_pin(page_id)
             return frame.page
+
+    def _fetch(self, page_id: int, ident: int) -> _Frame:
+        """The page's frame, read through on a miss, counted as one access
+        of thread *ident*. Caller holds ``self._lock``."""
+        frame = self._frames.get(page_id)
+        if frame is None:
+            self._record_miss()
+            page = Page(self.disk.read_page(page_id))
+            return self._admit(page_id, page, dirty=False)
+        self.stats.hits += 1
+        (self._thread_stats.get(ident) or self.thread_stats()).hits += 1
+        self._frames.move_to_end(page_id)
+        return frame
 
     def prefetch(self, page_ids) -> int:
         """Readahead: admit the missing pages among *page_ids* in one
@@ -215,6 +262,15 @@ class BufferPool:
     def pinned(self, page_id: int):
         """``with pool.pinned(pid) as page:`` — pin for the block's duration."""
         return _PinGuard(self, page_id)
+
+    def reading(self, page_id: int, pinned: bool = False):
+        """``with pool.reading(pid) as page:`` — the page pinned and its
+        latch held shared for the block: the one way page content is read.
+
+        ``pinned=True`` is for a caller that reached the page through a pin
+        it still holds (a descent keeping its node for a later write): the
+        guard then counts no second access."""
+        return _ReadingGuard(self, page_id, pinned)
 
     def pin_count(self, page_id: int) -> int:
         with self._lock:
@@ -366,6 +422,6 @@ class BufferPool:
             self._record_eviction()
             if victim.dirty:
                 self.disk.write_page(victim_id, victim.page.buf)
-        frame = _Frame(page, dirty, page_id)
+        frame = _Frame(page, dirty, page_id, self._lock)
         self._frames[page_id] = frame
         return frame

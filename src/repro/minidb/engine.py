@@ -218,8 +218,7 @@ class Database:
             entry = self._plan_cache.get(sql)
             if entry is not None and entry.version == self.catalog.version:
                 self._plan_cache.move_to_end(sql)
-                self.plan_cache_hits += 1
-                REGISTRY.counter("plan_cache.hits").inc()
+                self._count_hit()
                 return entry
             self.plan_cache_misses += 1
             REGISTRY.counter("plan_cache.misses").inc()
@@ -236,6 +235,13 @@ class Database:
                 self.plan_cache_evictions += 1
                 REGISTRY.counter("plan_cache.evictions").inc()
             return entry
+
+    def _count_hit(self) -> None:
+        """One execution reused a cached plan — found by this probe, or
+        still bound to a prepared handle that needed none."""
+        with self._cache_lock:
+            self.plan_cache_hits += 1
+        REGISTRY.counter("plan_cache.hits").inc()
 
     def prepare(self, sql: str) -> PreparedStatement:
         """Prepare *sql* on the default session (see :meth:`Session.prepare`)."""

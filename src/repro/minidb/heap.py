@@ -98,11 +98,10 @@ class HeapFile:
     def read(self, rid: tuple[int, int]) -> bytes:
         """Fetch the record stored at *rid*."""
         page_id, slot = rid
-        with self.pool.pinned(page_id) as page:
-            with self.pool.latch(page_id).read():
-                if page.kind != self.PAGE_KIND:
-                    raise StorageError(f"rid {rid} does not point at a heap page")
-                cell = bytes(page.read(slot))
+        with self.pool.reading(page_id) as page:
+            if page.kind != self.PAGE_KIND:
+                raise StorageError(f"rid {rid} does not point at a heap page")
+            cell = self._cell(page.view(slot))
         return self._record(cell)
 
     def read_many(self, rids: list[tuple[int, int]]) -> list[bytes]:
@@ -113,15 +112,14 @@ class HeapFile:
         i = 0
         while i < len(rids):
             page_id = rids[i][0]
-            with self.pool.pinned(page_id) as page:
-                with self.pool.latch(page_id).read():
-                    if page.kind != self.PAGE_KIND:
-                        raise StorageError(
-                            f"rid {rids[i]} does not point at a heap page"
-                        )
-                    while i < len(rids) and rids[i][0] == page_id:
-                        cells.append(bytes(page.read(rids[i][1])))
-                        i += 1
+            with self.pool.reading(page_id) as page:
+                if page.kind != self.PAGE_KIND:
+                    raise StorageError(
+                        f"rid {rids[i]} does not point at a heap page"
+                    )
+                while i < len(rids) and rids[i][0] == page_id:
+                    cells.append(self._cell(page.view(rids[i][1])))
+                    i += 1
         return [self._record(cell) for cell in cells]
 
     def delete(self, rid: tuple[int, int]) -> None:
@@ -179,7 +177,7 @@ class HeapFile:
                     with latch.read():
                         if page.is_deleted(slot):
                             continue
-                        cell = bytes(page.read(slot))
+                        cell = self._cell(page.view(slot))
                     yield (page_id, slot), self._record(cell)
             finally:
                 self.pool.unpin(page_id)
@@ -260,12 +258,20 @@ class HeapFile:
             self.pool.unpin(prev_id)
         return first
 
-    def _record(self, cell: bytes) -> bytes:
-        """The record a heap cell stands for: its inline payload, or the
-        overflow chain its stub points at (call with no heap latch held)."""
-        if cell[0] == _INLINE:
-            return cell[1:]
-        _, total, ovf_page = _STUB.unpack(cell)
+    @staticmethod
+    def _cell(view: memoryview):
+        """What leaves the latch of a heap cell, copied once: the inline
+        record itself, or the unpacked stub of its overflow chain."""
+        if view[0] == _INLINE:
+            return bytes(view[1:])
+        return _STUB.unpack(view)
+
+    def _record(self, cell) -> bytes:
+        """The record a :meth:`_cell` stands for: itself, or the overflow
+        chain its stub points at (call with no heap latch held)."""
+        if type(cell) is bytes:
+            return cell
+        _, total, ovf_page = cell
         return self._read_overflow(ovf_page, total)
 
     def _read_overflow(self, first_page: int, total: int) -> bytes:
@@ -275,17 +281,14 @@ class HeapFile:
         while remaining > 0:
             if page_id == -1:
                 raise StorageError("overflow chain truncated")
-            with self.pool.pinned(page_id) as page:
-                with self.pool.latch(page_id).read():
-                    if page.kind != KIND_OVERFLOW:
-                        raise StorageError(
-                            f"page {page_id} is not an overflow page"
-                        )
-                    (length,) = _CHUNK_LEN.unpack_from(page.buf, HEADER_SIZE)
-                    parts.append(
-                        bytes(page.buf[HEADER_SIZE + 2 : HEADER_SIZE + 2 + length])
-                    )
-                    next_page = page.next_page
+            with self.pool.reading(page_id) as page:
+                if page.kind != KIND_OVERFLOW:
+                    raise StorageError(f"page {page_id} is not an overflow page")
+                (length,) = _CHUNK_LEN.unpack_from(page.buf, HEADER_SIZE)
+                parts.append(
+                    bytes(page.buf[HEADER_SIZE + 2 : HEADER_SIZE + 2 + length])
+                )
+                next_page = page.next_page
             remaining -= length
             page_id = next_page
         data = b"".join(parts)

@@ -109,8 +109,11 @@ class RWLatch:
         "__weakref__",
     )
 
-    def __init__(self, name: str = "latch"):
-        self._cond = threading.Condition(threading.Lock())
+    def __init__(self, name: str = "latch", lock=None):
+        # *lock* is the lock the latch's state changes under. The buffer
+        # pool passes its own, so a page touch finds, pins and latches a
+        # frame under one acquisition (``BufferPool.reading``).
+        self._cond = threading.Condition(lock or threading.Lock())
         self._readers = 0
         self._writer = False
         self._read_guard = _ReadGuard(self)
@@ -124,38 +127,49 @@ class RWLatch:
 
     # -- shared (read) side ---------------------------------------------
     def acquire_read(self) -> None:
+        with self._cond:
+            self.acquire_read_locked(threading.get_ident())
+
+    def release_read(self) -> None:
+        with self._cond:
+            self.release_read_locked(threading.get_ident())
+
+    def acquire_read_locked(self, ident: int) -> None:
+        """:meth:`acquire_read` for a caller already holding the latch's
+        lock (the buffer pool's read guard); blocks while a writer holds
+        the latch, releasing that lock as it waits."""
         tracker = _san.TRACKER
         if tracker is not None:
             tracker.before_acquire(self, "read")
-        ident = threading.get_ident()
-        with self._cond:
+        if self._writer:
             if self._writer_ident == ident:
                 raise StorageError(
                     f"latch {self.name!r}: acquire_read while this thread "
                     "holds the write side (self-deadlock)"
                 )
-            if self._writer:
-                self._wait_contended(lambda: not self._writer)
-            self._readers += 1
-            self._reader_idents[ident] = self._reader_idents.get(ident, 0) + 1
+            self._wait_contended(lambda: not self._writer)
+        self._readers += 1
+        idents = self._reader_idents
+        idents[ident] = idents.get(ident, 0) + 1
         if tracker is not None:
             tracker.after_acquire(self, "read")
 
-    def release_read(self) -> None:
-        ident = threading.get_ident()
-        with self._cond:
-            if self._readers <= 0 or self._reader_idents.get(ident, 0) <= 0:
-                raise StorageError(
-                    f"latch {self.name!r}: release_read without a matching "
-                    "acquire_read on this thread (double release?)"
-                )
-            if self._reader_idents[ident] == 1:
-                del self._reader_idents[ident]
-            else:
-                self._reader_idents[ident] -= 1
-            self._readers -= 1
-            if self._readers == 0:
-                self._cond.notify_all()
+    def release_read_locked(self, ident: int) -> None:
+        """:meth:`release_read` under the already-held lock."""
+        idents = self._reader_idents
+        held = idents.get(ident, 0)
+        if held <= 0:
+            raise StorageError(
+                f"latch {self.name!r}: release_read without a matching "
+                "acquire_read on this thread (double release?)"
+            )
+        if held == 1:
+            del idents[ident]
+        else:
+            idents[ident] = held - 1
+        self._readers -= 1
+        if self._waiting and not self._readers:
+            self._cond.notify_all()
         tracker = _san.TRACKER
         if tracker is not None:
             tracker.on_release(self, "read")

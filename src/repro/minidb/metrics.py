@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 # ---------------------------------------------------------------------------
 # Operator tree
 # ---------------------------------------------------------------------------
-@dataclass
+@dataclass(slots=True)
 class OperatorStats:
     """One plan operator's lifecycle figures (inclusive of children)."""
 
@@ -267,10 +267,17 @@ class _NullScope:
 NULL_SCOPE = _NullScope()
 
 
+class _NoStats:
+    """The counters of a collector without a pool: nothing ever moves."""
+
+    hits = misses = reads = 0
+    simulated_read_ms = 0.0
+
+
 def _stats_view(obj):
     """The stats object to delta against: per-thread when available."""
     if obj is None:
-        return None
+        return _NoStats
     thread_stats = getattr(obj, "thread_stats", None)
     if thread_stats is not None:
         return thread_stats()
@@ -278,11 +285,12 @@ def _stats_view(obj):
 
 
 class TraceCollector:
-    """Builds the operator tree as the executor enters and exits scopes.
+    """Builds the operator tree and charges each node its windows.
 
-    Each scope snapshots the pool and disk counters on entry and records
-    the deltas on exit, so a node's figures are inclusive of everything its
-    children did while it was open.
+    A window (:meth:`window`, or the body of an :meth:`operator` scope)
+    reads the clock and the four pool/disk counters when it opens and adds
+    the differences to its node when it closes, so a node's figures are
+    inclusive of everything its children did while it was open.
 
     Counters are read from the *calling thread's* view when the pool/disk
     expose one (``thread_stats()``): a collector created on a session's
@@ -302,9 +310,9 @@ class TraceCollector:
     def node(self, name: str, detail: str = "", parent=None):
         """Create a stats node with explicit parentage (no scope stack).
 
-        The streaming executor attaches operators to the tree at plan-emit
-        time and accounts per-pull deltas itself; *parent* of ``None`` makes
-        the node a root.
+        The executor attaches operators to the tree at plan-emit time and
+        opens their windows itself; *parent* of ``None`` makes the node a
+        root.
         """
         node = OperatorStats(name=name, detail=detail)
         if parent is not None:
@@ -313,34 +321,42 @@ class TraceCollector:
             self.roots.append(node)
         return node
 
+    def window(self, stats: OperatorStats, pull):
+        """``pull()`` inside one accounting window of *stats*: its wall time
+        and what it moved the thread's four pool/disk counters by are added
+        to the node, inclusive of every operator that ran beneath it. The
+        counters are read directly, once on each side of the call."""
+        pool_stats, disk_stats = self.pool_stats, self.disk_stats
+        hits, misses = pool_stats.hits, pool_stats.misses
+        reads, read_ms = disk_stats.reads, disk_stats.simulated_read_ms
+        started = time.perf_counter()
+        try:
+            return pull()
+        finally:
+            stats.time_ms += (time.perf_counter() - started) * 1000.0
+            stats.pool_hits += pool_stats.hits - hits
+            stats.pool_misses += pool_stats.misses - misses
+            stats.page_reads += disk_stats.reads - reads
+            stats.io_ms += disk_stats.simulated_read_ms - read_ms
+
     @contextmanager
     def operator(self, name: str, detail: str = ""):
-        node = OperatorStats(name=name, detail=detail)
-        parent = self._stack[-1] if self._stack else None
-        if parent is not None:
-            parent.children.append(node)
-        else:
-            self.roots.append(node)
+        """Scope-style node (DML, VACUUM): the ``with`` body is its one
+        window, and nodes opened inside it become its children."""
+        node = self.node(name, detail, self._stack[-1] if self._stack else None)
         self._stack.append(node)
-        pool_before = (
-            self.pool_stats.snapshot() if self.pool_stats is not None else None
-        )
-        disk_before = (
-            self.disk_stats.snapshot() if self.disk_stats is not None else None
-        )
+        pool_stats, disk_stats = self.pool_stats, self.disk_stats
+        hits, misses = pool_stats.hits, pool_stats.misses
+        reads, read_ms = disk_stats.reads, disk_stats.simulated_read_ms
         started = time.perf_counter()
         try:
             yield node
         finally:
             node.time_ms += (time.perf_counter() - started) * 1000.0
-            if pool_before is not None:
-                pool_delta = self.pool_stats.delta(pool_before)
-                node.pool_hits += pool_delta.hits
-                node.pool_misses += pool_delta.misses
-            if disk_before is not None:
-                disk_delta = self.disk_stats.delta(disk_before)
-                node.page_reads += disk_delta.reads
-                node.io_ms += disk_delta.simulated_read_ms
+            node.pool_hits += pool_stats.hits - hits
+            node.pool_misses += pool_stats.misses - misses
+            node.page_reads += disk_stats.reads - reads
+            node.io_ms += disk_stats.simulated_read_ms - read_ms
             self._stack.pop()
 
 

@@ -128,12 +128,17 @@ class Page:
         self._write_header(kind, flags, nslots + 1, lower + SLOT_SIZE, upper, aux)
         return slot
 
-    def read(self, slot: int) -> bytes:
-        """Return the cell stored at *slot* (raises on tombstones)."""
+    def view(self, slot: int) -> memoryview:
+        """The cell stored at *slot*, uncopied (raises on tombstones); only
+        valid while the caller holds the page's latch."""
         offset, length = self._slot_entry(slot)
         if offset == 0:
             raise StorageError(f"slot {slot} is deleted")
-        return bytes(self.buf[offset : offset + length])
+        return memoryview(self.buf)[offset : offset + length]
+
+    def read(self, slot: int) -> bytes:
+        """Return a copy of the cell stored at *slot*."""
+        return bytes(self.view(slot))
 
     def delete(self, slot: int) -> None:
         """Tombstone *slot* (space is reclaimed only by rebuilding the page)."""

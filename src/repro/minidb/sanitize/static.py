@@ -14,9 +14,11 @@ SAN102    ``return`` / ``raise`` / ``yield`` reached while pins taken in
           this function are still open and not protected by a
           ``try``/``finally`` that unpins
 SAN201    bare ``acquire_read`` / ``acquire_write`` / ``release_read`` /
-          ``release_write`` call outside ``latch.py`` — latches must be
-          held through the ``with latch.read()/.write()`` guards so
-          release is exception-safe
+          ``release_write`` call (or the ``_locked`` form of the read
+          pair) outside ``latch.py`` and ``buffer.py`` — latches must be
+          held through the ``with latch.read()/.write()`` or
+          ``with pool.reading(page_id)`` guards so release is
+          exception-safe
 SAN202    ``yield`` inside a latch-guard ``with`` block (warning) — the
           latch stays held across the suspension, for as long as the
           consumer pleases
@@ -54,7 +56,7 @@ __all__ = ["CODES", "FileReport", "check_source", "check_file", "check_tree"]
 CODES = {
     "SAN101": "pin acquired but never unpinned in the same function",
     "SAN102": "return/raise/yield while pins are open and unprotected",
-    "SAN201": "bare latch acquire/release outside latch.py",
+    "SAN201": "bare latch acquire/release outside latch.py and buffer.py",
     "SAN202": "yield while holding a latch guard",
     "SAN203": "nested latch guards on the same latch expression",
     "SAN301": "buffer-pool internals touched outside buffer.py",
@@ -62,7 +64,7 @@ CODES = {
 
 #: Files exempt per rule family (they implement the discipline).
 _PIN_EXEMPT = {"buffer.py"}  # SAN101 / SAN102
-_LATCH_EXEMPT = {"latch.py"}  # SAN201
+_LATCH_EXEMPT = {"latch.py", "buffer.py"}  # SAN201
 _POOL_EXEMPT = {"buffer.py"}  # SAN301
 
 _BARE_LATCH_CALLS = {
@@ -70,11 +72,13 @@ _BARE_LATCH_CALLS = {
     "acquire_write",
     "release_read",
     "release_write",
+    "acquire_read_locked",
+    "release_read_locked",
 }
 _POOL_INTERNALS = {
     "_frames",
     "_admit",
-    "_record_hit",
+    "_fetch",
     "_record_miss",
     "_record_eviction",
 }
@@ -144,13 +148,23 @@ def _is_unpin_call(node: ast.AST) -> bool:
 
 
 def _latch_guard(item: ast.withitem) -> tuple[str, str] | None:
-    """``(receiver_text, mode)`` when *item* is ``with <latch>.read()/.write()``.
+    """``(receiver_text, mode)`` when *item* is ``with <latch>.read()/.write()``
+    or the pool's read guard, ``with <pool>.reading(pid)`` — which holds the
+    shared side of ``<pool>.latch(pid)`` and is reported as that receiver.
 
     Receiver detection is textual: the unparsed receiver must mention
     "latch" (``self.pool.latch(pid)``, ``frame.latch``, ``self._stmt_latch``
     all do), so ``open(path).read()`` never matches.
     """
     expr = item.context_expr
+    if (
+        isinstance(expr, ast.Call)
+        and isinstance(expr.func, ast.Attribute)
+        and expr.func.attr == "reading"
+        and expr.args
+    ):
+        pool, page = ast.unparse(expr.func.value), ast.unparse(expr.args[0])
+        return f"{pool}.latch({page})", "read"
     if not (
         isinstance(expr, ast.Call)
         and isinstance(expr.func, ast.Attribute)
@@ -337,7 +351,7 @@ class _Checker:
                         "latch",
                         node,
                         hint="hold latches through `with latch.read():` / "
-                        "`with latch.write():` guards",
+                        "`with latch.write():` / `with pool.reading(pid):`",
                     )
 
     # -- SAN202 / SAN203: latch-guard shapes ----------------------------

@@ -59,24 +59,28 @@ class QueryCost:
 
 
 class PreparedStatement:
-    """A reusable handle for one SQL statement, bound to a session.
+    """A reusable handle for one SQL statement, bound to a session and to
+    its plan-cache entry.
 
-    Thin by design: execution routes through :meth:`Session.execute`, so a
-    prepared statement's speed comes entirely from the shared plan cache —
-    repeat executions skip parse, binding and planning (the cache hit
-    counter proves it) and stale entries re-plan automatically after DDL.
+    Repeat executions skip parse, binding, planning *and* the cache probe:
+    the handle keeps the entry it last ran and the statement envelope only
+    compares its catalog version, counting the execution as the plan-cache
+    hit it is. After DDL the stale entry is re-planned through the cache
+    once and the handle rebinds; an entry the LRU has dropped keeps serving
+    its handle until then.
     """
 
     def __init__(self, session: "Session", sql: str):
         self.session = session
         self.sql = sql
+        self.entry = None  # bound by the first execution
 
     @property
     def db(self):
         return self.session.db
 
     def execute(self, params: tuple | list = ()) -> Result:
-        return self.session.execute(self.sql, params)
+        return self.session._execute(self, params)
 
     def explain(self) -> list[str]:
         """Static plan lines for this statement (no execution)."""
@@ -104,15 +108,20 @@ class Session:
         self.last_analysis: Analysis | None = None
 
     # ------------------------------------------------------------------
-    def _statement(self, sql: str, run, traced: bool):
-        """The envelope every statement runs in: plan-cache probe, statement
+    def _statement(self, stmt: PreparedStatement, run, traced: bool):
+        """The envelope every statement runs in: plan-cache entry, statement
         latch, I/O accounting, WAL commit or rollback, pin check.
 
         ``run(plan, collector)`` executes the plan — once, or once per
         parameter row — and its value is returned. *traced* statements get a
-        trace collector when tracing is on."""
+        trace collector when tracing is on. *stmt*'s bound entry is used
+        while the catalog version it was planned against is current."""
         db = self.db
-        entry = db._ensure_cached(sql)
+        sql, entry = stmt.sql, stmt.entry
+        if entry is None or entry.version != db.catalog.version:
+            entry = db._ensure_cached(sql)
+        else:
+            db._count_hit()
         write = not _is_read_stmt(entry.stmt)
         # Reads share the statement latch, DML/DDL hold it exclusively; the
         # guard keeps the acquire/release paired even when execution raises
@@ -125,26 +134,27 @@ class Session:
                     # It cannot happen again while we hold the latch, so one
                     # re-probe suffices.
                     entry = db._ensure_cached(sql)
+                stmt.entry = entry
                 self.last_analysis = entry.analysis
                 plan = entry.plan  # raises the statement's semantic error
                 if write:
                     snapshot = db._wal_snapshot(plan)
+                # The four counters are read directly, as the per-operator
+                # windows do: no snapshot/delta objects per statement.
                 disk_stats = db.disk.thread_stats()
                 pool_stats = db.pool.thread_stats()
-                disk_before = disk_stats.snapshot()
-                pool_before = pool_stats.snapshot()
+                reads, read_ms = disk_stats.reads, disk_stats.simulated_read_ms
+                hits, misses = pool_stats.hits, pool_stats.misses
                 tracing = db.tracing if self.tracing is None else self.tracing
                 collector = TraceCollector(db.pool) if traced and tracing else None
                 started = time.perf_counter()
                 result = run(plan, collector)
                 elapsed_ms = (time.perf_counter() - started) * 1000.0
-                disk_delta = disk_stats.delta(disk_before)
-                pool_delta = pool_stats.delta(pool_before)
-                self.last_cost = QueryCost(
-                    page_reads=disk_delta.reads,
-                    pool_hits=pool_delta.hits,
-                    simulated_io_ms=disk_delta.simulated_read_ms,
-                    pool_misses=pool_delta.misses,
+                self.last_cost = cost = QueryCost(
+                    page_reads=disk_stats.reads - reads,
+                    pool_hits=pool_stats.hits - hits,
+                    simulated_io_ms=disk_stats.simulated_read_ms - read_ms,
+                    pool_misses=pool_stats.misses - misses,
                 )
                 # Never leave a previous statement's trace lying around — a
                 # stale tree would silently misattribute this statement's
@@ -155,10 +165,10 @@ class Session:
                         sql=sql,
                         roots=collector.roots,
                         total_ms=elapsed_ms,
-                        pool_hits=pool_delta.hits,
-                        pool_misses=pool_delta.misses,
-                        page_reads=disk_delta.reads,
-                        io_ms=disk_delta.simulated_read_ms,
+                        pool_hits=cost.pool_hits,
+                        pool_misses=cost.pool_misses,
+                        page_reads=cost.page_reads,
+                        io_ms=cost.simulated_io_ms,
                     )
                 if write:
                     # Seal the statement in the WAL while the exclusive
@@ -193,11 +203,13 @@ class Session:
         Semantic errors (unknown names, type violations, misplaced
         aggregates, ...) raise *before* any page is read; access-path
         warnings (``APL*``) never block execution."""
+        return self._execute(PreparedStatement(self, sql), params)
 
+    def _execute(self, stmt: PreparedStatement, params) -> Result:
         def run_one(plan, collector):
             return self._executor(tuple(params), collector).run(plan)
 
-        result = self._statement(sql, run_one, traced=True)
+        result = self._statement(stmt, run_one, traced=True)
         result.trace = self.last_trace
         return result
 
@@ -230,7 +242,7 @@ class Session:
                 count += 1
             return count
 
-        return self._statement(sql, run_batch, traced=False)
+        return self._statement(PreparedStatement(self, sql), run_batch, False)
 
     def prepare(self, sql: str) -> PreparedStatement:
         """Parse, bind and plan *sql* once, returning a reusable handle.
@@ -238,8 +250,10 @@ class Session:
         Semantic errors raise here, not at the first ``execute``. The handle
         stays valid across DDL: a catalog-version bump invalidates the
         cached plan and the next execution re-plans."""
-        self.db._ensure_cached(sql).analysis.raise_if_errors()
-        return PreparedStatement(self, sql)
+        stmt = PreparedStatement(self, sql)
+        stmt.entry = self.db._ensure_cached(sql)
+        stmt.entry.analysis.raise_if_errors()
+        return stmt
 
     def __repr__(self) -> str:
         return f"Session(db={self.db!r})"

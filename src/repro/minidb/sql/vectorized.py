@@ -57,7 +57,7 @@ on to pin rows and page I/O is a test fixture, not part of the engine
 from __future__ import annotations
 
 import heapq
-import time
+from functools import partial
 from itertools import count, zip_longest
 
 import numpy as np
@@ -77,35 +77,15 @@ DEFAULT_READAHEAD = 8
 
 
 def _traced_batches(stats, gen, collector):
-    """Per-*batch* accounting: one time/counter window per pull.
-
-    The bookkeeping is amortized over up to ``batch_size`` rows.
-    ``stats.pulls`` counts batches so traces expose rows-per-pull; counter
-    deltas are measured around every ``next()``, so a parent's figures are
-    inclusive of its children (the ``self_*`` properties subtract them
-    back out).
+    """Per-*batch* accounting: one trace window per pull, its bookkeeping
+    amortized over up to ``batch_size`` rows. ``stats.pulls`` counts batches
+    so traces expose rows-per-pull; a parent's window contains its
+    children's (the ``self_*`` properties subtract them back out).
     """
-    pool_stats = collector.pool_stats
-    disk_stats = collector.disk_stats
+    pull = partial(next, gen, _DONE)
     try:
         while True:
-            # The four counters are read directly: a snapshot()/delta() pair
-            # per pull would allocate four stats objects to subtract them.
-            if pool_stats is not None:
-                hits, misses = pool_stats.hits, pool_stats.misses
-            if disk_stats is not None:
-                reads, read_ms = disk_stats.reads, disk_stats.simulated_read_ms
-            started = time.perf_counter()
-            try:
-                chunk = next(gen, _DONE)
-            finally:
-                stats.time_ms += (time.perf_counter() - started) * 1000.0
-                if pool_stats is not None:
-                    stats.pool_hits += pool_stats.hits - hits
-                    stats.pool_misses += pool_stats.misses - misses
-                if disk_stats is not None:
-                    stats.page_reads += disk_stats.reads - reads
-                    stats.io_ms += disk_stats.simulated_read_ms - read_ms
+            chunk = collector.window(stats, pull)
             if chunk is _DONE:
                 return
             stats.pulls += 1
@@ -113,6 +93,52 @@ def _traced_batches(stats, gen, collector):
             yield chunk
     finally:
         gen.close()
+
+
+def _only(gen):
+    """The one chunk of a generator that yields at most one (``_DONE`` if
+    none), run to its end so its ``finally`` work is inside the pull."""
+    try:
+        return next(gen, _DONE)
+    finally:
+        gen.close()
+
+
+class _Once:
+    """The batch stream of an operator that yields at most one chunk — a
+    point lookup, a projection or scalar aggregate over one, a scan of a
+    one-chunk CTE. ``pull()`` makes the chunk (or ``_DONE``); traced, it
+    runs inside the operator's single window: the stream is never resumed
+    a second time just to learn that it is exhausted."""
+
+    __slots__ = ("pull", "stats", "collector")
+
+    def __init__(self, pull, stats, collector):
+        self.pull = pull
+        self.stats = stats
+        self.collector = collector
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        pull, stats = self.pull, self.stats
+        if pull is None:
+            raise StopIteration
+        self.pull = None
+        if stats is None:
+            chunk = pull()
+        else:
+            chunk = self.collector.window(stats, pull)
+        if chunk is _DONE:
+            raise StopIteration
+        if stats is not None:
+            stats.pulls += 1
+            stats.rows += len(chunk)
+        return chunk
+
+    def close(self):
+        self.pull = None
 
 
 def _sync_fused(stats):
@@ -126,11 +152,16 @@ def _sync_fused(stats):
     """
     if stats is None:
         return
-    stats.time_ms = sum(c.time_ms for c in stats.children)
-    stats.pool_hits = sum(c.pool_hits for c in stats.children)
-    stats.pool_misses = sum(c.pool_misses for c in stats.children)
-    stats.page_reads = sum(c.page_reads for c in stats.children)
-    stats.io_ms = sum(c.io_ms for c in stats.children)
+    time_ms = io_ms = 0.0
+    hits = misses = reads = 0
+    for child in stats.children:
+        time_ms += child.time_ms
+        hits += child.pool_hits
+        misses += child.pool_misses
+        reads += child.page_reads
+        io_ms += child.io_ms
+    stats.time_ms, stats.io_ms = time_ms, io_ms
+    stats.pool_hits, stats.pool_misses, stats.page_reads = hits, misses, reads
 
 
 def _predicate(filters):
@@ -344,7 +375,11 @@ class BatchExecutor:
             return None
         return self.collector.node(name, detail, parent)
 
-    def _traced(self, stats, gen):
+    def _traced(self, stats, gen, once=False):
+        """*gen*'s batches, charged to *stats* when tracing: a window per
+        pull, or a single one when *gen* is known to yield at most *once*."""
+        if once:
+            return _Once(partial(_only, gen), stats, self.collector)
         if stats is None:
             return gen
         return _traced_batches(stats, gen, self.collector)
@@ -371,7 +406,7 @@ class BatchExecutor:
         if isinstance(chunk, ColumnChunk):
             mask = npbatch.eval_masks(specs, chunk.cols, params, len(chunk))
             if mask is not None:
-                return chunk.take(mask)
+                return chunk if mask.all() else chunk.take(mask)
         return [row for row in chunk if check(row, params)]
 
     def _const_int(self, fn):
@@ -384,17 +419,24 @@ class BatchExecutor:
 
     # -- query interpretation -------------------------------------------
     def _emit_query(self, qplan: phys.QueryPlan, env: dict, parent, hint):
+        if not qplan.ctes:
+            return self._emit(qplan.root, env, parent, hint)
         env = dict(env)
 
         def gen():
             for name, sub in qplan.ctes:
                 stats = self._node("CTE", name, parent)
-                chunks: list = []
-                for chunk in self._traced(
-                    stats, self._emit_query(sub, env, stats, None)
-                ):
-                    chunks.append(chunk)
-                if chunks and all(isinstance(c, ColumnChunk) for c in chunks):
+                # Materialized eagerly and whole: one window around the drain.
+                drain = partial(list, self._emit_query(sub, env, stats, None))
+                if stats is None:
+                    chunks = drain()
+                else:
+                    chunks = self.collector.window(stats, drain)
+                    stats.pulls = len(chunks)
+                    stats.rows = sum(map(len, chunks))
+                if len(chunks) == 1:
+                    env[name] = chunks[0]  # scanned as the chunk it is
+                elif chunks and all(isinstance(c, ColumnChunk) for c in chunks):
                     # Keep the CTE columnar: downstream scans slice and
                     # filter it with array kernels (and fall back to the
                     # row view transparently — ColumnChunk iterates as
@@ -417,11 +459,7 @@ class BatchExecutor:
     # -- scans -----------------------------------------------------------
     def _emit_result0(self, node, env, parent, hint):
         stats = self._node(node.name, node.detail, parent)
-
-        def gen():
-            yield [()]
-
-        return self._traced(stats, gen())
+        return _Once(lambda: [()], stats, self.collector)
 
     def _scan_chunks(
         self, table, predicates, hint, zone_eq=None, np_arrays=False
@@ -484,29 +522,33 @@ class BatchExecutor:
         stats = self._node(node.name, node.detail, parent)
         check = _predicate(node.filters)
 
-        def gen():
+        def fetch():
             key = _probe_key([fn((), params) for fn in node.probe_fns])
-            if key is None:
-                return  # equals no key: no row, no page read
-            row = table.lookup(key, np_arrays=node.np_decode)
-            if row is not None and (check is None or check(row, params)):
-                yield [row]
+            if key is not None:  # else it equals no key: no row, no page read
+                row = table.lookup(key, np_arrays=node.np_decode)
+                if row is not None and (check is None or check(row, params)):
+                    return [row]
+            return _DONE
 
-        return self._traced(stats, gen())
+        return _Once(fetch, stats, self.collector)
 
     def _emit_cte_scan(self, node, env, parent, hint):
         stats = self._node(node.name, node.detail, parent)
         check = _predicate(node.filters)
         size = self._chunk_size(hint)
+        rows = env[node.cte_name]
 
-        def gen():
-            for chunk in self._slices(env[node.cte_name], size):
-                if check is not None:
-                    chunk = self._filter_chunk(chunk, check, node.filter_specs)
-                if len(chunk):
-                    yield chunk
+        def scan(chunk):
+            if check is not None:
+                chunk = self._filter_chunk(chunk, check, node.filter_specs)
+            return chunk if len(chunk) else _DONE
 
-        return self._traced(stats, gen())
+        if len(rows) <= size:
+            return _Once(partial(scan, rows), stats, self.collector)
+        return self._traced(
+            stats,
+            (c for c in map(scan, self._slices(rows, size)) if c is not _DONE),
+        )
 
     def _emit_subquery_scan(self, node, env, parent, hint):
         stats = self._node(node.name, node.detail, parent)
@@ -515,7 +557,9 @@ class BatchExecutor:
             node.subplan, env, stats, hint if check is None else None
         )
         return self._traced(
-            stats, self._filtered(inner, check, node.filter_specs)
+            stats,
+            self._filtered(inner, check, node.filter_specs),
+            isinstance(inner, _Once),
         )
 
     def _filtered(self, child, check, specs):
@@ -673,7 +717,9 @@ class BatchExecutor:
         child = self._emit(node.child, env, stats, None)
         check = _predicate(node.predicates)
         return self._traced(
-            stats, self._filtered(child, check, node.filter_specs)
+            stats,
+            self._filtered(child, check, node.filter_specs),
+            isinstance(child, _Once),
         )
 
     def _srf_arrays(self, row, srf_fns):
@@ -779,14 +825,26 @@ class BatchExecutor:
         stats = self._node(node.name, node.detail, parent)
         child_node = node.child
         if isinstance(child_node, phys.Unnest) and child_node.srf_positions:
-            gen = self._np_unnest_project(node, child_node, env, stats, hint)
-        elif isinstance(child_node, phys.Filter):
-            gen = self._fused_filter_project(node, child_node, env, stats)
-        else:
-            gen = self._projected(
-                node, self._emit(child_node, env, stats, hint)
+            # One input row expands into one chunk, and a point lookup
+            # yields at most one row.
+            return self._traced(
+                stats,
+                self._np_unnest_project(node, child_node, env, stats, hint),
+                isinstance(child_node.child, phys.PkLookup),
             )
-        return self._traced(stats, gen)
+        fstats = None
+        if isinstance(child_node, phys.Filter):
+            # Filter + Project in one pass per batch. The Filter node stays
+            # in the trace (rows = survivors), its kernel cost the Project's.
+            fstats = self._node(child_node.name, child_node.detail, stats)
+            source = self._emit(child_node.child, env, fstats, None)
+            check = _predicate(child_node.predicates)
+            child = self._filtered(source, check, child_node.filter_specs)
+        else:
+            source = child = self._emit(child_node, env, stats, hint)
+        return self._traced(
+            stats, self._projected(node, child, fstats), isinstance(source, _Once)
+        )
 
     def _projected(self, node, child, fstats=None):
         """*child*'s batches through *node*'s select list; *fstats* is the
@@ -814,15 +872,6 @@ class BatchExecutor:
         finally:
             child.close()
             _sync_fused(fstats)
-
-    def _fused_filter_project(self, node, fnode, env, stats):
-        """Filter + Project in one pass per batch. The Filter node stays in
-        the trace (rows = survivors) but its kernel cost is the Project's."""
-        fstats = self._node(fnode.name, fnode.detail, stats)
-        child = self._emit(fnode.child, env, fstats, None)
-        check = _predicate(fnode.predicates)
-        kept = self._filtered(child, check, fnode.filter_specs)
-        return self._projected(node, kept, fstats)
 
     def _np_unnest_project(self, node, unode, env, stats, hint):
         """The array-expansion kernel (slice + FLOOR projection, Codes 2-4).
@@ -865,6 +914,10 @@ class BatchExecutor:
         def flush(bases, arrays, total):
             # arrays: per buffered row, a tuple of equal-length int64
             # arrays (one per SRF). Base columns repeat per row length.
+            if len(arrays) == 1 and not base_fns:
+                # One row of SRF items only: its arrays are the columns.
+                (row,) = arrays
+                return ColumnChunk([row[srf_of[i]] for i in range(n_items)], total)
             lengths = np.fromiter(
                 (len(a[0]) for a in arrays), dtype=np.int64, count=len(arrays)
             )
@@ -957,6 +1010,7 @@ class BatchExecutor:
         stats = self._node(node.name, node.detail, parent)
         params = self.params
         group_fns, having_fn, item_fns = node.group_fns, node.having_fn, node.item_fns
+        scalar = not group_fns  # one output row at most: a single chunk
         # state of a group: [first row, accumulator 1, accumulator 2, ...]
         inits = [init for _arg, init, _step, _final in node.accs]
         steps = [
@@ -990,7 +1044,7 @@ class BatchExecutor:
             gen = self._fused_join_aggregate(
                 node.child, env, stats, feed, finalize, np_spec
             )
-            return self._traced(stats, gen)
+            return self._traced(stats, gen, scalar)
 
         child = self._emit(node.child, env, stats, None)
 
@@ -1030,7 +1084,7 @@ class BatchExecutor:
                     feed(row, groups)
             yield from self._slices(finalize(groups))
 
-        return self._traced(stats, gen())
+        return self._traced(stats, gen(), scalar)
 
     def _fused_join_aggregate(self, jnode, env, stats, feed, finalize, np_spec):
         """Hub intersection: HashJoin probe feeding aggregate accumulators.

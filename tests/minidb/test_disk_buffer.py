@@ -1,13 +1,26 @@
 """Tests for the disk manager, device models and buffer pool."""
 
 import os
+import threading
+import time
 
 import pytest
 
 from repro.errors import StorageError
 from repro.minidb.buffer import BufferPool
 from repro.minidb.disk import DiskManager, hdd_model, ram_model, ssd_model
+from repro.minidb.metrics import REGISTRY
 from repro.minidb.page import KIND_HEAP, PAGE_SIZE, Page
+from repro.minidb.sanitize import dynamic
+
+
+def store(pool, pid, cell):
+    """Insert *cell* the way the engine mutates a page — pinned and under
+    its write latch — so these tests also run with ``SANITIZE=1``."""
+    with pool.pinned(pid) as page:
+        with pool.latch(pid).write():
+            page.insert(cell)
+            pool.mark_dirty(pid)
 
 
 class TestDeviceModels:
@@ -207,9 +220,8 @@ class TestBufferPool:
 
     def test_eviction_writes_back_dirty(self):
         pool, disk = self.make(capacity=2)
-        pid, page = self.new_page(pool)
-        page.insert(b"dirty data")
-        pool.mark_dirty(pid)
+        pid, _ = self.new_page(pool)
+        store(pool, pid, b"dirty data")
         # admit two more pages, evicting the first
         self.new_page(pool)
         self.new_page(pool)
@@ -228,9 +240,8 @@ class TestBufferPool:
 
     def test_clear_flushes(self):
         pool, disk = self.make()
-        pid, page = self.new_page(pool)
-        page.insert(b"payload")
-        pool.mark_dirty(pid)
+        pid, _ = self.new_page(pool)
+        store(pool, pid, b"payload")
         pool.clear()
         assert len(pool) == 0
         fresh = Page(disk.read_page(pid))
@@ -276,8 +287,7 @@ class TestPins:
             other, _ = pool.new_page(KIND_HEAP)
             pool.unpin(other)
         assert pool.resident(pid)
-        page.insert(b"still here")
-        pool.mark_dirty(pid)  # pre-fix: StorageError
+        store(pool, pid, b"still here")  # pre-fix: StorageError
         pool.unpin(pid)
 
     def test_all_pinned_overflows_capacity(self):
@@ -317,6 +327,173 @@ class TestPins:
             pool.clear()
         pool.unpin(pid)
         pool.clear()
+
+
+class _CountingLock:
+    """A re-entrant lock that counts its acquisitions."""
+
+    def __init__(self):
+        self._lock = threading.RLock()
+        self.acquisitions = 0
+
+    def acquire(self, *args):
+        got = self._lock.acquire(*args)
+        self.acquisitions += got
+        return got
+
+    def release(self):
+        self._lock.release()
+
+    def __enter__(self):
+        return self.acquire()
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+class TestReadGuard:
+    """``pool.reading(pid)``: one pin plus the shared side of the frame's
+    latch, for the block — the one way page content is read."""
+
+    def make(self, capacity=4, pages=1):
+        pool = BufferPool(DiskManager(device=hdd_model()), capacity=capacity)
+        pids = []
+        for i in range(pages):
+            pid, _ = pool.new_page(KIND_HEAP)
+            store(pool, pid, b"cell %d" % i)
+            pool.unpin(pid)
+            pids.append(pid)
+        return pool, pids
+
+    def test_pins_and_latches_for_the_block_only(self):
+        pool, (pid,) = self.make()
+        me = threading.get_ident()
+        with pool.reading(pid) as page:
+            assert page.read(0) == b"cell 0"
+            assert pool.pin_count(pid) == 1
+            assert pool.latch(pid).holders() == {"readers": {me: 1}, "writer": None}
+        assert pool.pin_count(pid) == 0
+        assert not pool.latch(pid).held()
+
+    def test_releases_exactly_once_when_the_body_raises(self):
+        pool, (pid,) = self.make()
+        with pytest.raises(ZeroDivisionError):
+            with pool.reading(pid):
+                1 / 0
+        assert pool.total_pins() == 0
+        assert not pool.latch(pid).held()
+        with pool.latch(pid).write():  # a leaked reader would block this
+            pass
+
+    def test_counts_one_access_and_reads_through_a_miss(self):
+        pool, (pid,) = self.make()
+        before = pool.stats.snapshot()
+        with pool.reading(pid):
+            pass
+        assert pool.stats.delta(before).hits == 1
+        pool.clear()
+        with pool.reading(pid) as page:
+            assert page.read(0) == b"cell 0"
+        assert (pool.stats.hits, pool.stats.misses) == (0, 1)
+        assert pool.thread_stats().misses == 1
+
+    def test_on_a_held_pin_counts_no_second_access(self):
+        pool, (pid,) = self.make()
+        page = pool.pin(pid)
+        before = pool.stats.snapshot()
+        with pool.reading(pid, pinned=True) as same:
+            assert same is page
+            assert pool.pin_count(pid) == 2
+        assert pool.pin_count(pid) == 1
+        assert pool.stats.delta(before).accesses == 0
+        pool.unpin(pid)
+
+    def test_a_hot_touch_is_two_lock_acquisitions(self):
+        # Frame table, pin counts and every frame latch's state change under
+        # the pool's one lock, so the guard finds, pins and latches in one
+        # hold and gives both back in a second.
+        pool = BufferPool(DiskManager(device=hdd_model()), capacity=4)
+        pool._lock = counting = _CountingLock()
+        pid, _ = pool.new_page(KIND_HEAP)
+        pool.unpin(pid)
+        assert pool.latch(pid)._cond._lock is counting
+        counting.acquisitions = 0
+        with pool.reading(pid):
+            assert counting.acquisitions == 1
+        assert counting.acquisitions == 2
+        assert pool.total_pins() == 0
+
+    def test_upgrade_inside_the_guard_raises(self):
+        pool, (pid,) = self.make()
+        with pool.reading(pid):
+            # SAND05 under SANITIZE=1, the latch's own StorageError without.
+            with pytest.raises((StorageError, dynamic.SanitizerError)):
+                with pool.latch(pid).write():
+                    pass
+        assert pool.total_pins() == 0 and not pool.latch(pid).held()
+
+    def test_reading_under_own_write_latch_raises_and_leaves_no_pin(self):
+        pool, (pid,) = self.make()
+        with pool.pinned(pid):
+            with pool.latch(pid).write():
+                with pytest.raises((StorageError, dynamic.SanitizerError)):
+                    with pool.reading(pid):
+                        pass
+                assert pool.pin_count(pid) == 1  # only the outer pin
+
+    def test_blocks_behind_a_writer_then_proceeds(self):
+        REGISTRY.reset()
+        pool, (pid,) = self.make()
+        entered, release = threading.Event(), threading.Event()
+        seen = []
+
+        def reader():
+            entered.set()
+            with pool.reading(pid) as page:  # the slow path: a writer holds it
+                seen.append(page.read(0))
+
+        with pool.pinned(pid):
+            with pool.latch(pid).write():
+                thread = threading.Thread(target=reader)
+                thread.start()
+                assert entered.wait(5)
+                deadline = time.monotonic() + 5
+                while not pool.latch(pid).waiting():
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+                # Blocked with its pin already taken: the frame cannot be
+                # evicted from under the waiting reader.
+                assert pool.pin_count(pid) == 2 and seen == []
+        thread.join(5)
+        assert not thread.is_alive() and seen == [b"cell 0"]
+        assert REGISTRY.counter("latch.page.wait_count").value == 1
+        assert pool.total_pins() == 0
+
+    def test_a_thousand_guarded_reads_across_evictions_leave_no_pin(self):
+        pool, pids = self.make(capacity=4, pages=12)
+        for i in range(1000):
+            with pool.reading(pids[i * 7 % len(pids)]) as page:
+                assert page.read(0) == b"cell %d" % (i * 7 % len(pids))
+        assert pool.stats.evictions > 100  # the 4-page pool kept turning over
+        assert pool.total_pins() == 0
+        assert len(pool) <= 4
+
+    def test_a_guard_left_open_is_a_pin_leak_at_statement_end(self):
+        was = dynamic.TRACKER
+        tracker = dynamic.enable()
+        try:
+            pool, (pid,) = self.make()
+            guard = pool.reading(pid)
+            guard.__enter__()
+            with pytest.raises(dynamic.SanitizerError) as leak:
+                tracker.check_statement_end()
+            assert leak.value.code == "SAND02"
+            with pytest.raises(dynamic.SanitizerError) as upgrade:
+                with pool.latch(pid).write():
+                    pass
+            assert upgrade.value.code == "SAND05"
+        finally:
+            dynamic.TRACKER = was
 
 
 class TestIOAccounting:
@@ -381,9 +558,8 @@ class TestIOAccounting:
     def test_clear_resets_io_stats_exactly(self):
         disk = DiskManager(device=hdd_model())
         pool = BufferPool(disk, capacity=2)
-        pid, page = pool.new_page(KIND_HEAP)
-        page.insert(b"x")
-        pool.mark_dirty(pid)
+        pid, _ = pool.new_page(KIND_HEAP)
+        store(pool, pid, b"x")
         pool.unpin(pid)
         pool.clear()
         # After the cold-cache restart every counter starts from zero...

@@ -213,3 +213,71 @@ class TestWaitMetrics:
         with latch.write():
             pass
         assert REGISTRY.counter("latch.wait_count").value == before
+
+
+class TestCallerHeldLock:
+    """A latch built over a caller's lock (the buffer pool's, for its frame
+    latches): the ``_locked`` read pair runs under that lock, already held,
+    and is the same shared side ``acquire_read`` takes."""
+
+    def test_locked_read_pair_is_the_shared_side(self):
+        lock = threading.RLock()
+        latch = RWLatch("page:7", lock)
+        me = threading.get_ident()
+        with lock:
+            latch.acquire_read_locked(me)
+        assert latch.holders() == {"readers": {me: 1}, "writer": None}
+        with pytest.raises(StorageError, match="upgrade"):
+            latch.acquire_write()
+        with latch.read():  # re-entrant with the public side
+            assert latch.holders()["readers"] == {me: 2}
+        with lock:
+            latch.release_read_locked(me)
+            with pytest.raises(StorageError, match="double release"):
+                latch.release_read_locked(me)
+        assert not latch.held()
+
+    def test_locked_read_waits_for_a_writer_releasing_the_callers_lock(self):
+        lock = threading.RLock()
+        latch = RWLatch("page:8", lock)
+        waits = REGISTRY.counter("latch.page.wait_count").value
+        got = []
+
+        def reader():
+            with lock:
+                latch.acquire_read_locked(threading.get_ident())
+                got.append("read")
+                latch.release_read_locked(threading.get_ident())
+
+        latch.acquire_write()
+        thread = threading.Thread(target=reader)
+        thread.start()
+        deadline = time.monotonic() + 5.0
+        while latch.waiting() == 0:  # takes `lock`: the waiter let go of it
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        assert got == []
+        latch.release_write()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive() and got == ["read"]
+        assert REGISTRY.counter("latch.page.wait_count").value == waits + 1
+
+    def test_last_reader_wakes_a_waiting_writer(self):
+        latch = RWLatch("page:9")
+        latch.acquire_read()
+        done = threading.Event()
+
+        def writer():
+            with latch.write():
+                done.set()
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        deadline = time.monotonic() + 5.0
+        while latch.waiting() == 0:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        latch.release_read()
+        assert done.wait(timeout=5.0)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()

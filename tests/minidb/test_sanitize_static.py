@@ -46,6 +46,14 @@ EXPECTED = {
         ("SAN201", 18),
     },
     "latch_across_yield.py": {("SAN202", 12)},
+    "read_guard.py": {
+        ("SAN203", 17),
+        ("SAN202", 24),
+        ("SAN201", 28),
+        ("SAN201", 30),
+        ("SAN201", 31),
+        ("SAN201", 32),
+    },
     "upgrade_deadlock.py": {("SAN203", 16)},
     "pool_internals.py": {
         ("SAN301", 5),
@@ -157,6 +165,7 @@ class TestHeuristics:
         }
         bare = "def acquire_read(self):\n    self._latch.acquire_read()\n"
         assert check_source(bare, "src/repro/minidb/latch.py") == []
+        assert check_source(bare, "src/repro/minidb/buffer.py") == []
         assert [d.code for d in check_source(bare, "other.py")] == ["SAN201"]
 
     def test_self_pins_attribute_is_not_pool_internals(self):
