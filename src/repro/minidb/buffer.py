@@ -8,9 +8,10 @@ model. Benchmarks call :meth:`BufferPool.clear` to emulate the paper's
 
 Concurrency (docs/ARCHITECTURE.md, "Concurrency model"):
 
-* One pool-wide lock guards the frame table, LRU order and all counters, so
-  any number of sessions can hit/miss/evict concurrently without corrupting
-  the accounting the reproduction exists to measure.
+* One pool-wide lock guards the frame table, LRU order, all counters and
+  the state of every frame latch, so any number of sessions can
+  hit/miss/evict concurrently without corrupting the accounting the
+  reproduction exists to measure.
 * Each frame carries a **pin count**. A pinned frame is never chosen as an
   eviction victim, so a heap/B+Tree operation that holds a page across
   another pool call (the classic "allocate a new page while extending the
@@ -19,9 +20,11 @@ Concurrency (docs/ARCHITECTURE.md, "Concurrency model"):
   temporarily admits over capacity instead of failing; the next admission
   evicts back down once pins are released.
 * Each frame carries a :class:`~repro.minidb.latch.RWLatch` protecting the
-  page *content*: readers share it, mutators take it exclusively. Callers
-  must hold a pin while holding the latch (the pin keeps the frame — and
-  therefore the latch identity — alive).
+  page *content*, built over the pool lock: readers share it, mutators take
+  it exclusively, pinned first (the pin keeps the frame — and the latch
+  identity — alive). Content is read through :meth:`BufferPool.reading`:
+  one hold of that lock finds, pins and share-latches a frame (waiting,
+  lock released, only on a writer) and a second gives both back.
 
 Like the disk manager, the pool keeps per-thread counters next to the
 global ones so concurrent sessions can attribute hits/misses exactly.
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.errors import StorageError
@@ -50,9 +54,9 @@ from repro.minidb.sanitize import dynamic as _san
 
 
 class _ReadingGuard:
-    """``with``-guard for one page read (see ``BufferPool.reading``): under
-    one hold of the pool lock it finds the frame, pins it and takes the
-    shared side of its latch; under a second it gives both back."""
+    """``with``-guard of ``BufferPool.reading``: one hold of the pool lock
+    finds the frame, pins it and takes the shared side of its latch; a
+    second gives both back."""
 
     __slots__ = ("_pool", "_page_id", "_pinned", "_frame")
 
@@ -65,16 +69,14 @@ class _ReadingGuard:
         pool, page_id = self._pool, self._page_id
         ident = threading.get_ident()
         with pool._lock:
-            if self._pinned:
+            if self._pinned:  # reached through a pin: not another access
                 frame = pool._frames[page_id]
             else:
                 frame = pool._fetch(page_id, ident)
-            frame.pins += 1
+            frame.pins += 1  # before a wait on a writer: it cannot be evicted
             try:
-                # Blocks while a writer holds the frame, the pin keeping it
-                # resident; raises on a self-deadlock.
                 frame.latch.acquire_read_locked(ident)
-            except BaseException:
+            except BaseException:  # a self-deadlock: leave no pin behind
                 frame.pins -= 1
                 raise
             tracker = _san.TRACKER
@@ -91,23 +93,6 @@ class _ReadingGuard:
             if tracker is not None:
                 tracker.on_unpin(self._page_id)
             frame.pins -= 1
-        return False
-
-
-class _PinGuard:
-    """``with``-guard pairing one pin with one unpin (see ``pinned``)."""
-
-    __slots__ = ("_pool", "_page_id")
-
-    def __init__(self, pool: "BufferPool", page_id: int):
-        self._pool = pool
-        self._page_id = page_id
-
-    def __enter__(self) -> Page:
-        return self._pool.pin(self._page_id)
-
-    def __exit__(self, exc_type, exc, tb):
-        self._pool.unpin(self._page_id)
         return False
 
 
@@ -204,8 +189,7 @@ class BufferPool:
         frame = self._frames.get(page_id)
         if frame is None:
             self._record_miss()
-            page = Page(self.disk.read_page(page_id))
-            return self._admit(page_id, page, dirty=False)
+            return self._admit(page_id, Page(self.disk.read_page(page_id)), False)
         self.stats.hits += 1
         (self._thread_stats.get(ident) or self.thread_stats()).hits += 1
         self._frames.move_to_end(page_id)
@@ -259,17 +243,21 @@ class BufferPool:
                 tracker.on_unpin(page_id)
             frame.pins -= 1
 
+    @contextmanager
     def pinned(self, page_id: int):
-        """``with pool.pinned(pid) as page:`` — pin for the block's duration."""
-        return _PinGuard(self, page_id)
+        """``with pool.pinned(pid) as page:`` — pin for the block's duration
+        (the write paths' guard; reads go through :meth:`reading`)."""
+        page = self.pin(page_id)
+        try:
+            yield page
+        finally:
+            self.unpin(page_id)
 
     def reading(self, page_id: int, pinned: bool = False):
         """``with pool.reading(pid) as page:`` — the page pinned and its
         latch held shared for the block: the one way page content is read.
-
-        ``pinned=True`` is for a caller that reached the page through a pin
-        it still holds (a descent keeping its node for a later write): the
-        guard then counts no second access."""
+        ``pinned=True`` counts no access: the caller reached the page through
+        a pin it still holds (a descent keeping its node for a later write)."""
         return _ReadingGuard(self, page_id, pinned)
 
     def pin_count(self, page_id: int) -> int:

@@ -237,8 +237,7 @@ class Database:
             return entry
 
     def _count_hit(self) -> None:
-        """One execution reused a cached plan — found by this probe, or
-        still bound to a prepared handle that needed none."""
+        """One execution reused a cached plan: probed, or bound to a handle."""
         with self._cache_lock:
             self.plan_cache_hits += 1
         REGISTRY.counter("plan_cache.hits").inc()

@@ -3,8 +3,10 @@
 Two users:
 
 * :class:`~repro.minidb.buffer.BufferPool` keeps one :class:`RWLatch` per
-  resident frame so page content can be read by many threads while a
-  mutation holds the frame exclusively.
+  resident frame, built over the pool's own lock, so page content can be
+  read by many threads while a mutation holds the frame exclusively; its
+  ``reading`` guard takes the shared side through the ``*_read_locked``
+  pair, under the hold of that lock that also pins the frame.
 * :class:`~repro.minidb.engine.Database` keeps a statement-level latch:
   read statements share it, DML/DDL take it exclusively (the engine's
   single-writer rule — see docs/ARCHITECTURE.md, "Concurrency model").
@@ -30,8 +32,9 @@ PR 7 that rule is *checked*, not just documented:
   stacks. See docs/SANITIZER.md.
 
 Latches are only ever taken through the :meth:`RWLatch.read` /
-:meth:`RWLatch.write` / :meth:`RWLatch.guard` context managers outside this
-module — the static checker (``repro sanitize``, code SAN201) enforces it.
+:meth:`RWLatch.write` / :meth:`RWLatch.guard` context managers (or the
+pool's ``reading``) outside this module and ``buffer.py`` — the static
+checker (``repro sanitize``, code SAN201) enforces it.
 """
 
 from __future__ import annotations
@@ -44,43 +47,25 @@ from repro.minidb.metrics import REGISTRY
 from repro.minidb.sanitize import dynamic as _san
 
 
-class _ReadGuard:
-    """Stateless ``with``-guard for the shared side of one latch.
+class _Guard:
+    """Stateless ``with``-guard for one side of one latch, returned by every
+    :meth:`RWLatch.read` / :meth:`RWLatch.write` call: the latch's counts
+    hold the per-acquisition state, so reusing it across concurrent/nested
+    blocks is safe and the hot path allocates nothing."""
 
-    One instance per latch, returned by every :meth:`RWLatch.read` call —
-    the guard holds no per-acquisition state (the latch's reader count
-    does), so reusing it across concurrent/nested blocks is safe and the
-    hot path allocates nothing.
-    """
+    __slots__ = ("_latch", "_acquire", "_release")
 
-    __slots__ = ("_latch",)
-
-    def __init__(self, latch: "RWLatch"):
+    def __init__(self, latch: "RWLatch", acquire, release):
         self._latch = latch
+        self._acquire = acquire
+        self._release = release
 
     def __enter__(self):
-        self._latch.acquire_read()
+        self._acquire()
         return self._latch
 
     def __exit__(self, exc_type, exc, tb):
-        self._latch.release_read()
-        return False
-
-
-class _WriteGuard:
-    """Stateless ``with``-guard for the exclusive side of one latch."""
-
-    __slots__ = ("_latch",)
-
-    def __init__(self, latch: "RWLatch"):
-        self._latch = latch
-
-    def __enter__(self):
-        self._latch.acquire_write()
-        return self._latch
-
-    def __exit__(self, exc_type, exc, tb):
-        self._latch.release_write()
+        self._release()
         return False
 
 
@@ -110,14 +95,12 @@ class RWLatch:
     )
 
     def __init__(self, name: str = "latch", lock=None):
-        # *lock* is the lock the latch's state changes under. The buffer
-        # pool passes its own, so a page touch finds, pins and latches a
-        # frame under one acquisition (``BufferPool.reading``).
+        # The buffer pool passes its own *lock*: pin + latch, one acquisition.
         self._cond = threading.Condition(lock or threading.Lock())
         self._readers = 0
         self._writer = False
-        self._read_guard = _ReadGuard(self)
-        self._write_guard = _WriteGuard(self)
+        self._read_guard = _Guard(self, self.acquire_read, self.release_read)
+        self._write_guard = _Guard(self, self.acquire_write, self.release_write)
         self.name = name
         self._kind = name.split(":", 1)[0]
         #: thread ident -> number of read holds (re-entrant reads stack).

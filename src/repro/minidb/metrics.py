@@ -29,6 +29,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 
 # ---------------------------------------------------------------------------
@@ -267,43 +268,28 @@ class _NullScope:
 NULL_SCOPE = _NullScope()
 
 
-class _NoStats:
-    """The counters of a collector without a pool: nothing ever moves."""
-
-    hits = misses = reads = 0
-    simulated_read_ms = 0.0
-
-
-def _stats_view(obj):
-    """The stats object to delta against: per-thread when available."""
-    if obj is None:
-        return _NoStats
-    thread_stats = getattr(obj, "thread_stats", None)
-    if thread_stats is not None:
-        return thread_stats()
-    return obj.stats
+#: The counters of a collector without a pool: nothing ever moves.
+_NO_STATS = SimpleNamespace(hits=0, misses=0, reads=0, simulated_read_ms=0.0)
 
 
 class TraceCollector:
     """Builds the operator tree and charges each node its windows.
 
     A window (:meth:`window`, or the body of an :meth:`operator` scope)
-    reads the clock and the four pool/disk counters when it opens and adds
-    the differences to its node when it closes, so a node's figures are
-    inclusive of everything its children did while it was open.
+    reads the clock and the four pool/disk counters as it opens and closes
+    and adds the differences to its node: inclusive of its children's.
 
-    Counters are read from the *calling thread's* view when the pool/disk
-    expose one (``thread_stats()``): a collector created on a session's
-    thread only ever sees that session's activity, so traces stay exact
-    while other sessions run concurrently. Single-threaded code observes
-    identical numbers either way.
+    Counters are read from the *calling thread's* view of the pool and its
+    disk (``thread_stats()``): a collector created on a session's thread
+    only ever sees that session's activity, so traces stay exact while
+    other sessions run concurrently.
     """
 
     def __init__(self, pool=None):
-        self.pool = pool
-        self.disk = pool.disk if pool is not None else None
-        self.pool_stats = _stats_view(pool)
-        self.disk_stats = _stats_view(self.disk)
+        self.pool_stats = self.disk_stats = _NO_STATS
+        if pool is not None:
+            self.pool_stats = pool.thread_stats()
+            self.disk_stats = pool.disk.thread_stats()
         self.roots: list[OperatorStats] = []
         self._stack: list[OperatorStats] = []
 
@@ -323,9 +309,8 @@ class TraceCollector:
 
     def window(self, stats: OperatorStats, pull):
         """``pull()`` inside one accounting window of *stats*: its wall time
-        and what it moved the thread's four pool/disk counters by are added
-        to the node, inclusive of every operator that ran beneath it. The
-        counters are read directly, once on each side of the call."""
+        and what it moved the thread's four pool/disk counters by (each read
+        directly, once on each side of the call) are added to the node."""
         pool_stats, disk_stats = self.pool_stats, self.disk_stats
         hits, misses = pool_stats.hits, pool_stats.misses
         reads, read_ms = disk_stats.reads, disk_stats.simulated_read_ms
@@ -341,8 +326,7 @@ class TraceCollector:
 
     @contextmanager
     def operator(self, name: str, detail: str = ""):
-        """Scope-style node (DML, VACUUM): the ``with`` body is its one
-        window, and nodes opened inside it become its children."""
+        """Scope-style node (DML, VACUUM): the ``with`` body is its window."""
         node = self.node(name, detail, self._stack[-1] if self._stack else None)
         self._stack.append(node)
         pool_stats, disk_stats = self.pool_stats, self.disk_stats
@@ -386,42 +370,68 @@ class Counter:
 
 
 class Histogram:
-    """A named distribution of observations (milliseconds, rows, ...).
-
-    ``observe`` is locked for the same reason ``Counter.inc`` is: list
-    appends are atomic under CPython's GIL today, but the summary
-    properties iterate the list and a torn read during a concurrent resize
-    is not something the metrics layer should gamble on.
+    """A named distribution of observations (milliseconds, rows, ...), kept
+    as aggregates, never as samples: exact count / total / min / max plus
+    counts in fixed log-spaced buckets, 64 per power of two. A percentile
+    is the lower bound of its sample's bucket (at most 1.6 % under the
+    sample; integers below 128 are exact), state does not grow with the
+    observations, and merging adds bucket counts — the percentiles of the
+    pooled samples. Updates are locked for the reason ``Counter.inc`` is.
     """
+
+    _UNDER = -(1 << 20)  # the bucket of zero and negatives, below all others
 
     def __init__(self, name: str):
         self.name = name
-        self.values: list[float] = []
+        self.count, self.total = 0, 0.0
+        self.min, self.max = math.inf, -math.inf
+        self.buckets: dict[int, int] = {}  # bucket -> observations
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
+        value = float(value)
+        bucket = self._UNDER
+        if value > 0:
+            fraction, exponent = math.frexp(value)  # fraction in [0.5, 1)
+            bucket = exponent * 64 + int(fraction * 128) - 64
+        self.merge(dict(count=1, total=value, min=value, max=value,
+                        buckets=((bucket, 1),)))
+
+    def merge(self, dump: dict) -> None:
+        """Fold in another histogram's :meth:`to_dict`."""
         with self._lock:
-            self.values.append(float(value))
+            self.count += dump["count"]
+            self.total += dump["total"]
+            self.min = min(self.min, dump["min"])
+            self.max = max(self.max, dump["max"])
+            for bucket, n in dump["buckets"]:
+                self.buckets[bucket] = self.buckets.get(bucket, 0) + n
 
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-    @property
-    def total(self) -> float:
-        return sum(self.values)
+    def to_dict(self) -> dict:
+        with self._lock:
+            buckets = sorted(self.buckets.items())
+            return dict(count=self.count, total=self.total, min=self.min,
+                        max=self.max, buckets=buckets)
 
     @property
     def mean(self) -> float:
-        return self.total / self.count if self.values else 0.0
+        return self.total / self.count if self.count else 0.0
 
     def percentile(self, p: float) -> float:
-        """Nearest-rank percentile, ``p`` in [0, 100]."""
-        if not self.values:
-            return 0.0
-        ordered = sorted(self.values)
-        rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-        return ordered[min(rank, len(ordered)) - 1]
+        """Nearest-rank percentile, ``p`` in [0, 100], to bucket resolution
+        (the first and last ranks are ``min`` and ``max`` exactly)."""
+        dump = self.to_dict()
+        rank = max(1, math.ceil(p / 100.0 * dump["count"]))
+        if rank >= dump["count"]:
+            return dump["max"] if dump["count"] else 0.0
+        for bucket, n in dump["buckets"]:
+            rank -= n
+            if rank <= 0:
+                break
+        if bucket == self._UNDER:
+            return dump["min"]
+        exponent, step = divmod(bucket, 64)
+        return max(dump["min"], math.ldexp((64 + step) / 128, exponent))
 
     def snapshot(self) -> dict:
         return {
@@ -430,7 +440,7 @@ class Histogram:
             "mean": round(self.mean, 3),
             "p50": round(self.percentile(50), 3),
             "p95": round(self.percentile(95), 3),
-            "max": round(max(self.values), 3) if self.values else 0.0,
+            "max": round(self.max, 3) if self.count else 0.0,
         }
 
 
@@ -469,18 +479,19 @@ class MetricsRegistry:
         }
 
     def to_dict(self) -> dict:
-        """Lossless, JSON-serializable dump of the registry.
+        """Mergeable, JSON-serializable dump of the registry.
 
         Unlike :meth:`snapshot` (which summarizes histograms into
-        percentiles), this keeps every raw observation, so a worker process
-        can ship its registry over a pipe and the router can :meth:`merge`
-        it without losing percentile fidelity."""
+        percentiles), this keeps every histogram's aggregates and bucket
+        counts — a frame whose size does not depend on how many requests a
+        worker has served — so a worker process can ship its registry over
+        a pipe and the router can :meth:`merge` it."""
         return {
             "counters": {
                 name: c.value for name, c in sorted(self._counters.items())
             },
             "histograms": {
-                name: list(h.values)
+                name: h.to_dict()
                 for name, h in sorted(self._histograms.items())
             },
         }
@@ -490,13 +501,11 @@ class MetricsRegistry:
 
         *prefix* preserves attribution: the router merges each worker's
         dump under ``shard<i>.`` so per-shard counters stay distinguishable
-        after aggregation. Counters add; histogram observations append."""
+        after aggregation. Counters add; histogram buckets add."""
         for name, value in dump.get("counters", {}).items():
             self.counter(prefix + name).inc(value)
-        for name, values in dump.get("histograms", {}).items():
-            histogram = self.histogram(prefix + name)
-            for value in values:
-                histogram.observe(value)
+        for name, part in dump.get("histograms", {}).items():
+            self.histogram(prefix + name).merge(part)
 
     def reset(self) -> None:
         with self._lock:

@@ -129,15 +129,14 @@ class Page:
         return slot
 
     def view(self, slot: int) -> memoryview:
-        """The cell stored at *slot*, uncopied (raises on tombstones); only
-        valid while the caller holds the page's latch."""
+        """The cell at *slot*, uncopied: valid under the page's latch only."""
         offset, length = self._slot_entry(slot)
         if offset == 0:
             raise StorageError(f"slot {slot} is deleted")
         return memoryview(self.buf)[offset : offset + length]
 
     def read(self, slot: int) -> bytes:
-        """Return a copy of the cell stored at *slot*."""
+        """Return the cell stored at *slot* (raises on tombstones)."""
         return bytes(self.view(slot))
 
     def delete(self, slot: int) -> None:

@@ -14,11 +14,10 @@ SAN102    ``return`` / ``raise`` / ``yield`` reached while pins taken in
           this function are still open and not protected by a
           ``try``/``finally`` that unpins
 SAN201    bare ``acquire_read`` / ``acquire_write`` / ``release_read`` /
-          ``release_write`` call (or the ``_locked`` form of the read
-          pair) outside ``latch.py`` and ``buffer.py`` — latches must be
-          held through the ``with latch.read()/.write()`` or
-          ``with pool.reading(page_id)`` guards so release is
-          exception-safe
+          ``release_write`` call (or a ``*_read_locked`` one) outside
+          ``latch.py``/``buffer.py`` — latches must be held through the
+          ``with latch.read()/.write()`` or ``with pool.reading(pid)``
+          guards so release is exception-safe
 SAN202    ``yield`` inside a latch-guard ``with`` block (warning) — the
           latch stays held across the suspension, for as long as the
           consumer pleases
@@ -149,34 +148,23 @@ def _is_unpin_call(node: ast.AST) -> bool:
 
 def _latch_guard(item: ast.withitem) -> tuple[str, str] | None:
     """``(receiver_text, mode)`` when *item* is ``with <latch>.read()/.write()``
-    or the pool's read guard, ``with <pool>.reading(pid)`` — which holds the
-    shared side of ``<pool>.latch(pid)`` and is reported as that receiver.
+    or ``with <pool>.reading(pid)``, the shared side of ``<pool>.latch(pid)``.
 
     Receiver detection is textual: the unparsed receiver must mention
     "latch" (``self.pool.latch(pid)``, ``frame.latch``, ``self._stmt_latch``
     all do), so ``open(path).read()`` never matches.
     """
     expr = item.context_expr
-    if (
-        isinstance(expr, ast.Call)
-        and isinstance(expr.func, ast.Attribute)
-        and expr.func.attr == "reading"
-        and expr.args
-    ):
-        pool, page = ast.unparse(expr.func.value), ast.unparse(expr.args[0])
-        return f"{pool}.latch({page})", "read"
-    if not (
-        isinstance(expr, ast.Call)
-        and isinstance(expr.func, ast.Attribute)
-        and expr.func.attr in ("read", "write")
-        and not expr.args
-        and not expr.keywords
-    ):
+    if not (isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute)):
         return None
-    receiver = ast.unparse(expr.func.value)
+    receiver, attr = ast.unparse(expr.func.value), expr.func.attr
+    if attr == "reading" and expr.args:
+        return f"{receiver}.latch({ast.unparse(expr.args[0])})", "read"
+    if attr not in ("read", "write") or expr.args or expr.keywords:
+        return None
     if "latch" not in receiver.lower():
         return None
-    return receiver, expr.func.attr
+    return receiver, attr
 
 
 def _walk_no_defs(node: ast.AST):

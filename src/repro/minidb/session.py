@@ -14,11 +14,12 @@ Isolation model (docs/ARCHITECTURE.md, "Concurrency model"):
   ``VACUUM`` — holds it exclusively. Readers therefore always observe a
   consistent catalog + page image, and writers never interleave (the
   single-writer rule).
-* Plan-cache entries carry the catalog version they were built against.
+* Plan-cache entries carry the catalog version they were built against (a
+  prepared handle keeps its entry and skips the probe while it is current).
   The version is re-checked *after* the statement latch is acquired: DDL
   cannot run while we hold the latch, so a version that matches under the
   latch stays valid for the whole statement.
-* Cost/trace deltas are measured against the calling thread's private
+* Cost/trace deltas are read directly off the calling thread's private
   counters (``DiskManager.thread_stats`` / ``BufferPool.thread_stats``),
   which the storage layer charges in lockstep with the global ones —
   attribution stays exact no matter how many sessions run concurrently.
@@ -60,20 +61,18 @@ class QueryCost:
 
 class PreparedStatement:
     """A reusable handle for one SQL statement, bound to a session and to
-    its plan-cache entry.
+    the plan-cache entry it last ran.
 
     Repeat executions skip parse, binding, planning *and* the cache probe:
-    the handle keeps the entry it last ran and the statement envelope only
-    compares its catalog version, counting the execution as the plan-cache
-    hit it is. After DDL the stale entry is re-planned through the cache
-    once and the handle rebinds; an entry the LRU has dropped keeps serving
-    its handle until then.
+    the envelope compares the entry's catalog version and counts the hit.
+    After DDL the statement re-plans through the cache once and the handle
+    rebinds; an entry the LRU dropped serves until then.
     """
 
-    def __init__(self, session: "Session", sql: str):
+    def __init__(self, session: "Session", sql: str, entry=None):
         self.session = session
         self.sql = sql
-        self.entry = None  # bound by the first execution
+        self.entry = entry  # None: bound by the first execution
 
     @property
     def db(self):
@@ -114,8 +113,8 @@ class Session:
 
         ``run(plan, collector)`` executes the plan — once, or once per
         parameter row — and its value is returned. *traced* statements get a
-        trace collector when tracing is on. *stmt*'s bound entry is used
-        while the catalog version it was planned against is current."""
+        trace collector when tracing is on; *stmt*'s bound entry serves while
+        the catalog version it was planned against is current."""
         db = self.db
         sql, entry = stmt.sql, stmt.entry
         if entry is None or entry.version != db.catalog.version:
@@ -139,8 +138,7 @@ class Session:
                 plan = entry.plan  # raises the statement's semantic error
                 if write:
                     snapshot = db._wal_snapshot(plan)
-                # The four counters are read directly, as the per-operator
-                # windows do: no snapshot/delta objects per statement.
+                # Read directly, like a trace window: no snapshot objects.
                 disk_stats = db.disk.thread_stats()
                 pool_stats = db.pool.thread_stats()
                 reads, read_ms = disk_stats.reads, disk_stats.simulated_read_ms
@@ -250,10 +248,9 @@ class Session:
         Semantic errors raise here, not at the first ``execute``. The handle
         stays valid across DDL: a catalog-version bump invalidates the
         cached plan and the next execution re-plans."""
-        stmt = PreparedStatement(self, sql)
-        stmt.entry = self.db._ensure_cached(sql)
-        stmt.entry.analysis.raise_if_errors()
-        return stmt
+        entry = self.db._ensure_cached(sql)
+        entry.analysis.raise_if_errors()
+        return PreparedStatement(self, sql, entry)
 
     def __repr__(self) -> str:
         return f"Session(db={self.db!r})"

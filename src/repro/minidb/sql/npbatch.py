@@ -220,13 +220,14 @@ def eval_masks(specs, cols, params, n):
     """
     if specs is None or any(s is None for s in specs):
         return None
-    mask = np.ones(n, dtype=bool)
+    mask = None  # the first conjunct's mask is the accumulator
     try:
         for spec in specs:
-            mask &= eval_mask(spec, cols, params, n)
+            part = eval_mask(spec, cols, params, n)
+            mask = part if mask is None else mask & part
     except (TypeError, OverflowError):
         return None
-    return mask
+    return np.ones(n, dtype=bool) if mask is None else mask
 
 
 def eval_keys(specs, cols, params, n):

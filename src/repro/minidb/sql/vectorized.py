@@ -6,8 +6,9 @@ here. Operators exchange **batches** instead of single rows, in exactly two
 shapes: a list of up to ``batch_size`` row tuples, or a
 :class:`~repro.minidb.sql.npbatch.ColumnChunk` of int64 columns (which
 iterates as the same tuples). The per-pull bookkeeping — one generator
-round trip, plus two counter snapshots and two clock reads when tracing —
-amortizes over the whole batch and hot inner loops run as list
+round trip, plus one trace window (two clock and eight counter reads) when
+tracing — amortizes over the whole batch, an operator that makes at most
+one chunk opens a single window, and hot inner loops run as list
 comprehensions or array kernels. For the paper's CPU-bound families
 (kNN/OTM on SSD, Figures 7-8) that interpreter overhead dominates, exactly
 the effect MonetDB/X100 vectorization removes.
@@ -96,49 +97,24 @@ def _traced_batches(stats, gen, collector):
 
 
 def _only(gen):
-    """The one chunk of a generator that yields at most one (``_DONE`` if
-    none), run to its end so its ``finally`` work is inside the pull."""
+    """The chunk of a generator that yields at most one, run to its end."""
     try:
         return next(gen, _DONE)
     finally:
         gen.close()
 
 
-class _Once:
-    """The batch stream of an operator that yields at most one chunk — a
-    point lookup, a projection or scalar aggregate over one, a scan of a
-    one-chunk CTE. ``pull()`` makes the chunk (or ``_DONE``); traced, it
-    runs inside the operator's single window: the stream is never resumed
-    a second time just to learn that it is exhausted."""
-
-    __slots__ = ("pull", "stats", "collector")
-
-    def __init__(self, pull, stats, collector):
-        self.pull = pull
-        self.stats = stats
-        self.collector = collector
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        pull, stats = self.pull, self.stats
-        if pull is None:
-            raise StopIteration
-        self.pull = None
-        if stats is None:
-            chunk = pull()
-        else:
-            chunk = self.collector.window(stats, pull)
-        if chunk is _DONE:
-            raise StopIteration
+def _once(pull, stats, collector):
+    """The batch stream of an operator that makes at most one chunk — a
+    point lookup, its expansion, a scalar aggregate, a scan of a one-chunk
+    CTE: ``pull()`` returns it, or ``_DONE``. Traced, that call is the
+    operator's single window: none opens just to find it exhausted."""
+    chunk = pull() if stats is None else collector.window(stats, pull)
+    if chunk is not _DONE:
         if stats is not None:
             stats.pulls += 1
             stats.rows += len(chunk)
-        return chunk
-
-    def close(self):
-        self.pull = None
+        yield chunk
 
 
 def _sync_fused(stats):
@@ -377,11 +353,11 @@ class BatchExecutor:
 
     def _traced(self, stats, gen, once=False):
         """*gen*'s batches, charged to *stats* when tracing: a window per
-        pull, or a single one when *gen* is known to yield at most *once*."""
-        if once:
-            return _Once(partial(_only, gen), stats, self.collector)
+        pull, or a single one when *gen* yields at most *once*."""
         if stats is None:
             return gen
+        if once:
+            return _once(partial(_only, gen), stats, self.collector)
         return _traced_batches(stats, gen, self.collector)
 
     def _chunk_size(self, hint):
@@ -406,7 +382,7 @@ class BatchExecutor:
         if isinstance(chunk, ColumnChunk):
             mask = npbatch.eval_masks(specs, chunk.cols, params, len(chunk))
             if mask is not None:
-                return chunk if mask.all() else chunk.take(mask)
+                return chunk.take(mask)
         return [row for row in chunk if check(row, params)]
 
     def _const_int(self, fn):
@@ -459,7 +435,7 @@ class BatchExecutor:
     # -- scans -----------------------------------------------------------
     def _emit_result0(self, node, env, parent, hint):
         stats = self._node(node.name, node.detail, parent)
-        return _Once(lambda: [()], stats, self.collector)
+        return _once(lambda: [()], stats, self.collector)
 
     def _scan_chunks(
         self, table, predicates, hint, zone_eq=None, np_arrays=False
@@ -530,7 +506,7 @@ class BatchExecutor:
                     return [row]
             return _DONE
 
-        return _Once(fetch, stats, self.collector)
+        return _once(fetch, stats, self.collector)
 
     def _emit_cte_scan(self, node, env, parent, hint):
         stats = self._node(node.name, node.detail, parent)
@@ -544,7 +520,7 @@ class BatchExecutor:
             return chunk if len(chunk) else _DONE
 
         if len(rows) <= size:
-            return _Once(partial(scan, rows), stats, self.collector)
+            return _once(partial(scan, rows), stats, self.collector)
         return self._traced(
             stats,
             (c for c in map(scan, self._slices(rows, size)) if c is not _DONE),
@@ -557,9 +533,7 @@ class BatchExecutor:
             node.subplan, env, stats, hint if check is None else None
         )
         return self._traced(
-            stats,
-            self._filtered(inner, check, node.filter_specs),
-            isinstance(inner, _Once),
+            stats, self._filtered(inner, check, node.filter_specs)
         )
 
     def _filtered(self, child, check, specs):
@@ -717,9 +691,7 @@ class BatchExecutor:
         child = self._emit(node.child, env, stats, None)
         check = _predicate(node.predicates)
         return self._traced(
-            stats,
-            self._filtered(child, check, node.filter_specs),
-            isinstance(child, _Once),
+            stats, self._filtered(child, check, node.filter_specs)
         )
 
     def _srf_arrays(self, row, srf_fns):
@@ -824,27 +796,18 @@ class BatchExecutor:
     def _emit_project(self, node, env, parent, hint):
         stats = self._node(node.name, node.detail, parent)
         child_node = node.child
+        once = False
         if isinstance(child_node, phys.Unnest) and child_node.srf_positions:
-            # One input row expands into one chunk, and a point lookup
-            # yields at most one row.
-            return self._traced(
-                stats,
-                self._np_unnest_project(node, child_node, env, stats, hint),
-                isinstance(child_node.child, phys.PkLookup),
-            )
-        fstats = None
-        if isinstance(child_node, phys.Filter):
-            # Filter + Project in one pass per batch. The Filter node stays
-            # in the trace (rows = survivors), its kernel cost the Project's.
-            fstats = self._node(child_node.name, child_node.detail, stats)
-            source = self._emit(child_node.child, env, fstats, None)
-            check = _predicate(child_node.predicates)
-            child = self._filtered(source, check, child_node.filter_specs)
+            gen = self._np_unnest_project(node, child_node, env, stats, hint)
+            # One input row expands into one chunk; a point lookup has one.
+            once = isinstance(child_node.child, phys.PkLookup)
+        elif isinstance(child_node, phys.Filter):
+            gen = self._fused_filter_project(node, child_node, env, stats)
         else:
-            source = child = self._emit(child_node, env, stats, hint)
-        return self._traced(
-            stats, self._projected(node, child, fstats), isinstance(source, _Once)
-        )
+            gen = self._projected(
+                node, self._emit(child_node, env, stats, hint)
+            )
+        return self._traced(stats, gen, once)
 
     def _projected(self, node, child, fstats=None):
         """*child*'s batches through *node*'s select list; *fstats* is the
@@ -872,6 +835,15 @@ class BatchExecutor:
         finally:
             child.close()
             _sync_fused(fstats)
+
+    def _fused_filter_project(self, node, fnode, env, stats):
+        """Filter + Project in one pass per batch. The Filter node stays in
+        the trace (rows = survivors) but its kernel cost is the Project's."""
+        fstats = self._node(fnode.name, fnode.detail, stats)
+        child = self._emit(fnode.child, env, fstats, None)
+        check = _predicate(fnode.predicates)
+        kept = self._filtered(child, check, fnode.filter_specs)
+        return self._projected(node, kept, fstats)
 
     def _np_unnest_project(self, node, unode, env, stats, hint):
         """The array-expansion kernel (slice + FLOOR projection, Codes 2-4).
@@ -1010,7 +982,6 @@ class BatchExecutor:
         stats = self._node(node.name, node.detail, parent)
         params = self.params
         group_fns, having_fn, item_fns = node.group_fns, node.having_fn, node.item_fns
-        scalar = not group_fns  # one output row at most: a single chunk
         # state of a group: [first row, accumulator 1, accumulator 2, ...]
         inits = [init for _arg, init, _step, _final in node.accs]
         steps = [
@@ -1044,7 +1015,7 @@ class BatchExecutor:
             gen = self._fused_join_aggregate(
                 node.child, env, stats, feed, finalize, np_spec
             )
-            return self._traced(stats, gen, scalar)
+            return self._traced(stats, gen, not group_fns)
 
         child = self._emit(node.child, env, stats, None)
 
@@ -1084,7 +1055,7 @@ class BatchExecutor:
                     feed(row, groups)
             yield from self._slices(finalize(groups))
 
-        return self._traced(stats, gen(), scalar)
+        return self._traced(stats, gen(), not group_fns)  # scalar: one row
 
     def _fused_join_aggregate(self, jnode, env, stats, feed, finalize, np_spec):
         """Hub intersection: HashJoin probe feeding aggregate accumulators.

@@ -206,6 +206,98 @@ class TestRegistry:
         assert Histogram("empty").percentile(50) == 0.0
 
 
+class TestHistogramIsBounded:
+    """A histogram is aggregates, not samples: a worker that observes one
+    request time per request must not grow — in memory or in its ``metrics``
+    frame — with its uptime."""
+
+    @staticmethod
+    def _stream(seed, n):
+        import math
+        import random
+
+        rng = random.Random(seed)
+        low, high = math.log(0.02), math.log(900.0)
+        return [math.exp(rng.uniform(low, high)) for _ in range(n)]
+
+    @staticmethod
+    def _footprint(registry):
+        import json
+        import sys
+
+        histogram = registry.histogram("request_ms")
+        state = sys.getsizeof(histogram.buckets) + sum(
+            sys.getsizeof(v) for v in vars(histogram).values()
+        )
+        return state, len(json.dumps(registry.to_dict()))
+
+    def test_a_million_observations_leave_state_and_frame_constant(self):
+        registry = MetricsRegistry()
+        observe = registry.histogram("request_ms").observe
+        values = self._stream(3, 50_000)
+        for value in values:
+            observe(value)
+        state, frame = self._footprint(registry)
+        for _ in range(19):  # 950,000 more of the same distribution
+            for value in values:
+                observe(value)
+        assert registry.histogram("request_ms").count == 1_000_000
+        state_after, frame_after = self._footprint(registry)
+        assert state_after == state
+        # Only the digits of the counts grow: a frame of 20x the requests
+        # is not 1.2x the bytes (raw samples made it 20x).
+        assert frame_after < frame * 1.2
+        assert frame_after < 64 * 1024
+
+    def test_percentiles_are_the_samples_to_bucket_resolution(self):
+        import math
+
+        values = sorted(self._stream(5, 20_000))
+        histogram = Histogram("h")
+        for value in values:
+            histogram.observe(value)
+        for p in (0, 1, 25, 50, 90, 95, 99, 99.9, 100):
+            exact = values[max(1, math.ceil(p / 100 * len(values))) - 1]
+            assert exact * (1 - 1 / 64) <= histogram.percentile(p) <= exact, p
+        assert histogram.percentile(0) == values[0]
+        assert histogram.percentile(100) == values[-1]
+        snap = histogram.snapshot()
+        assert set(snap) == {"count", "total", "mean", "p50", "p95", "max"}
+        assert snap["max"] == round(values[-1], 3)
+        assert snap["mean"] == round(sum(values) / len(values), 3)
+
+    def test_merged_registries_equal_one_fed_both_streams(self):
+        import json
+
+        a, b = self._stream(7, 5_000), self._stream(8, 7_000)
+        one, left, right = MetricsRegistry(), MetricsRegistry(), MetricsRegistry()
+        for registry, stream in ((left, a), (right, b), (one, a), (one, b)):
+            for value in stream:
+                registry.histogram("request_ms").observe(value)
+                registry.counter("requests").inc()
+        merged = MetricsRegistry()
+        # Across the pipe, as the router receives them.
+        merged.merge(json.loads(json.dumps(left.to_dict())))
+        merged.merge(json.loads(json.dumps(right.to_dict())))
+        got, want = merged.to_dict(), one.to_dict()
+        assert got["counters"] == want["counters"]
+        got, want = got["histograms"]["request_ms"], want["histograms"]["request_ms"]
+        assert got.pop("total") == pytest.approx(want.pop("total"))
+        assert json.loads(json.dumps(got)) == json.loads(json.dumps(want))
+        for p in (1, 50, 95, 99):
+            assert merged.histogram("request_ms").percentile(p) == one.histogram(
+                "request_ms"
+            ).percentile(p)
+
+    def test_zero_negative_and_out_of_range_values_are_counted(self):
+        histogram = Histogram("h")
+        for value in (0, -3, 1e-12, 1e30):
+            histogram.observe(value)
+        assert histogram.count == 4
+        assert histogram.percentile(0) == -3 and histogram.percentile(100) == 1e30
+        assert len(histogram.buckets) == 3
+
+
 class TestRegistryThreadSafety:
     """Racing increments must not be lost (intra-query workers share one
     registry, so an unlocked read-modify-write would drop counts)."""
