@@ -41,6 +41,7 @@ docs/SANITIZER.md).
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from contextlib import contextmanager
 
 from repro.errors import StorageError
@@ -81,7 +82,8 @@ class BTree:
         self.pool = pool
         self.key_len = key_len
         self._key = struct.Struct("<" + "q" * key_len)
-        self._leaf_cell = self._key.size + _RID.size
+        self._cells = struct.Struct(self._key.format + _RID.format[1:])  # key, rid
+        self._leaf_cell = self._cells.size
         self._int_cell = self._key.size + _CHILD.size
         body = PAGE_SIZE - HEADER_SIZE
         self._leaf_cap = body // self._leaf_cell
@@ -131,35 +133,35 @@ class BTree:
         """Exact lookups of ascending *keys* (repeats allowed): their rids,
         ``None`` for absent keys, and the number of descents it took.
 
-        One descent per leaf visited: every following key ``<=`` the leaf's
-        last cell is resolved under the same pin and read-latch hold. A key
-        beyond the last cell starts the next descent, so each descent
-        consumes at least one key and a key between two leaves is a miss.
+        One descent per leaf visited: the leaf's cells are unpacked once,
+        under its pin and read guard, and every following key ``<=`` its
+        last cell is bisected in them. A key beyond the last cell starts
+        the next descent, so each descent consumes at least one key and a
+        key between two leaves is a miss.
         """
         keys = [self._check_key(key) for key in keys]
         if any(a > b for a, b in zip(keys, keys[1:])):
             raise StorageError("search_many needs keys in ascending order")
-        cell, key_size = self._leaf_cell, self._key.size
+        width = self.key_len
         rids: list[tuple[int, int] | None] = []
         i, descents = 0, 0
         while i < len(keys):
             descents += 1
             with self._leaf(keys[i]) as (page_id, page, _):
                 with self.pool.reading(page_id, pinned=True):
-                    buf = page.buf
-                    last = None  # the leaf's last key; None while unread/empty
-                    while True:
-                        end, offset, found = self._locate(page, cell, keys[i])
-                        rids.append(
-                            _RID.unpack_from(buf, offset + key_size)
-                            if found
-                            else None
-                        )
-                        i += 1
-                        if last is None and end > HEADER_SIZE:
-                            last = self._key.unpack_from(buf, end - cell)
-                        if i == len(keys) or last is None or keys[i] > last:
-                            break
+                    end = HEADER_SIZE + _get_count(page) * self._leaf_cell
+                    # (key..., rid page, rid slot) per cell, in key order
+                    cells = list(self._cells.iter_unpack(page.buf[HEADER_SIZE:end]))
+            last = cells[-1][:width] if cells else None
+            at = 0
+            while True:
+                # A key tuple sorts just below every cell that starts with it.
+                at = bisect_left(cells, keys[i], at)
+                hit = at < len(cells) and cells[at][:width] == keys[i]
+                rids.append(cells[at][width:] if hit else None)
+                i += 1
+                if i == len(keys) or last is None or keys[i] > last:
+                    break
         return rids, descents
 
     def remove(self, key: tuple) -> bool:

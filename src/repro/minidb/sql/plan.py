@@ -297,6 +297,8 @@ class Unnest(PlanNode):
         #: fuse a parent Project into the expansion loop: non-SRF items are
         #: evaluated once per *input* row instead of once per output row.
         self.srf_positions = None
+        #: Per SRF, ``Planner._srf_chunk_arg`` (read once per chunk) or None.
+        self.srf_args = [None] * len(srf_fns)
 
     def children(self):
         return (self.child,)

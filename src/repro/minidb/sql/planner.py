@@ -29,6 +29,8 @@ as the paper requires.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from repro.errors import SQLError
 from repro.minidb.sql import ast
 from repro.minidb.sql import plan as phys
@@ -512,6 +514,9 @@ class Planner:
         ]
         unnest = phys.Unnest(node, srf_fns)
         unnest.srf_positions = [i for i, _ in srfs]
+        unnest.srf_args = [
+            self._srf_chunk_arg(item.expr.args[0], schema) for _, item in srfs
+        ]
         self._mark_np_decode(node, items, schema)
         appended = [(item.ref.source, item.ref.column) for _, item in srfs]
         return unnest, schema + _Schema(appended)
@@ -593,6 +598,17 @@ class Planner:
                     return None
             return schema.slot(expr.base)
         return None
+
+    def _srf_chunk_arg(self, expr, schema):
+        """``(itemgetter(slot), low_fn, high_fn)`` of an UNNEST argument the
+        executor reads once per chunk: a column, or a constant-bound slice."""
+        slot = self._srf_arg_col(expr, schema, range(len(schema)))
+        if slot is None:
+            return None
+        sliced = isinstance(expr, ast.ArraySlice)
+        bounds = (expr.low, expr.high) if sliced else (None, None)
+        fns = [None if b is None else compile_expr(b, schema.slots) for b in bounds]
+        return (itemgetter(slot), *fns)
 
     # -- cross-CTE np_decode ---------------------------------------------
     # The kNN/OTM plans probe the grouped label tables through an index

@@ -17,7 +17,6 @@ from repro.minidb.buffer import BufferPool
 from repro.minidb.columnar import (
     NP_DECODE_MIN,
     ColumnarHeapFile,
-    _decode_delta,
     _decode_delta_np,
     _encode_int_array,
     decode_columnar,
@@ -160,7 +159,7 @@ class TestNumpyDecode:
     def test_decoders_agree(self, values):
         enc, payload = _encode_int_array(values)
         width = {5: 1, 6: 2, 7: 4, 8: 8}[enc]
-        as_list = _decode_delta(memoryview(payload), len(values), width)
+        as_list = roundtrip((T_BIGINT_ARRAY,), (values,))[0]
         as_np = _decode_delta_np(memoryview(payload), len(values), width)
         assert as_list == values
         assert as_np.tolist() == values

@@ -12,14 +12,20 @@ import threading
 import time
 import types
 
+import numpy as np
 import pytest
 
-from repro.errors import BackpressureError, ServingError, WorkerDiedError
+from repro.errors import (
+    BackpressureError,
+    ProtocolError,
+    ServingError,
+    WorkerDiedError,
+)
 from repro.labeling.ttl import build_labels
 from repro.minidb.engine import Database
 from repro.ptldb.framework import PTLDB
 from repro.minidb.metrics import REGISTRY
-from repro.serving import Router, build_shards
+from repro.serving import Router, build_shards, protocol
 from repro.serving.protocol import recv_message, send_message
 from repro.serving.router import WorkerHandle
 from repro.timetable.generator import random_timetable
@@ -264,6 +270,59 @@ class TestSendFailure:
         assert deaths.value == before + 1
         with pytest.raises(WorkerDiedError, match="is dead"):
             handle.request({"op": "ping"}).wait()
+
+
+def bounded(fn, *args, deadline=30, **kwargs):
+    """``fn(*args, **kwargs)`` on a thread joined with a deadline: its value,
+    or its exception re-raised — a hung call fails the test instead of
+    stalling the suite."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((True, fn(*args, **kwargs)))
+        except Exception as exc:
+            outcome.append((False, exc))
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(deadline)
+    assert outcome, f"{fn.__name__}{args} did not return in {deadline} s"
+    ok, value = outcome[0]
+    if not ok:
+        raise value
+    return value
+
+
+class TestUnframeableRequest:
+    def test_pipe_stays_in_step(self, fixture, monkeypatch):
+        """Regression: ``request`` queued its ticket before encoding the
+        frame, so a numpy argument (``TypeError`` from ``json.dumps``) or a
+        frame over ``MAX_FRAME`` left an orphan ticket in the FIFO — the
+        next caller hung and the one after it got another request's
+        answer."""
+        reference, router, _ = fixture
+        handle = router.worker(0)
+        with pytest.raises(ProtocolError, match=r"shard0\.r0: .*JSON serializable"):
+            bounded(router.execute, "SELECT $1", (np.int64(5),), shard=0)
+        with pytest.raises(ProtocolError, match=r"shard0\.r0: .*JSON serializable"):
+            bounded(router.earliest_arrival, np.int64(3), 0, 30000)
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "MAX_FRAME", 1024)
+            with pytest.raises(ProtocolError, match=r"shard0\.r0: frame too large"):
+                bounded(router.execute, "SELECT $1", ("x" * 4096,), shard=0)
+        assert handle.alive and handle._tickets == [] and handle.pending == 0
+        # Goal 0 lives on shard 0; kNN and OTM scatter to it as well.
+        for s, t in ((3, 30000), (7, 30000), (5, 41000)):
+            assert bounded(router.earliest_arrival, s, 0, t) == (
+                reference.earliest_arrival(s, 0, t)
+            )
+            assert bounded(router.ea_knn, "poi", s, t, 2) == reference.ea_knn(
+                "poi", s, t, 2
+            )
+            assert bounded(router.ea_one_to_many, "poi", s, t) == (
+                reference.ea_one_to_many("poi", s, t)
+            )
 
 
 class TestProtocol:
