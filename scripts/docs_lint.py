@@ -3,7 +3,7 @@
 
 Scans ``docs/*.md`` (plus README.md) for inline-code spans that look like
 Python symbols — ``CamelCase`` names, ``snake_case`` names, ``ALL_CAPS``
-constants and dotted paths like ``repro.bench.trace_smoke`` — and
+constants and dotted paths like ``repro.bench.runner`` — and
 fails if any component never appears as an identifier anywhere under
 ``src/``. Spans that look like repo file paths are checked for existence
 instead. Plain English words, CLI flags, SQL fragments and fenced code

@@ -36,31 +36,6 @@ def format_markdown(
     return "\n".join(lines)
 
 
-def format_stage_breakdown(stages: dict[str, dict], title: str | None = None) -> str:
-    """Per-operator-stage table from ``BenchResult.stages`` (or a single
-    trace's ``stage_totals()``), costliest simulated I/O first."""
-    headers = [
-        "stage", "calls", "rows", "pool_hits", "pool_misses",
-        "page_reads", "io_ms", "time_ms",
-    ]
-    rows = []
-    for stage in sorted(stages, key=lambda s: -stages[s]["io_ms"]):
-        figures = stages[stage]
-        rows.append(
-            [
-                stage,
-                figures["calls"],
-                figures["rows"],
-                figures["pool_hits"],
-                figures["pool_misses"],
-                figures["page_reads"],
-                round(figures["io_ms"], 3),
-                round(figures["time_ms"], 3),
-            ]
-        )
-    return format_table(headers, rows, title=title)
-
-
 def speedup(base_ms: float, other_ms: float) -> float:
     """How many times faster *other* is than *base*."""
     if other_ms <= 0:

@@ -7,11 +7,9 @@ from dataclasses import dataclass
 from repro.errors import CatalogError, SQLTypeError
 from repro.minidb.btree import BTree
 from repro.minidb.buffer import BufferPool
-from repro.minidb.columnar import ColumnarHeapFile, decode_columnar, encode_columnar
+from repro.minidb.columnar import decode_columnar, encode_columnar
 from repro.minidb.heap import HeapFile
 from repro.minidb.values import (
-    T_BIGINT,
-    T_BIGINT_ARRAY,
     Column,
     check_value,
     decode_record,
@@ -46,24 +44,6 @@ class TableSchema:
                 f"(expected one of {STORAGES})"
             )
 
-    def zone_info(self) -> tuple[int, bool] | None:
-        """``(column index, is_array)`` of the zone-map column, if any.
-
-        Columnar pages keep min/max of one designated column per page. The
-        convention mirrors the PTLDB schemas: a scalar BIGINT ``hub``
-        column (the aux tables) or, failing that, a BIGINT-array ``hubs``
-        column (the label tables, whose arrays are sorted by hub).
-        """
-        if self.storage != "columnar":
-            return None
-        for i, col in enumerate(self.columns):
-            if col.name == "hub" and col.type_tag == T_BIGINT:
-                return i, False
-        for i, col in enumerate(self.columns):
-            if col.name == "hubs" and col.type_tag == T_BIGINT_ARRAY:
-                return i, True
-        return None
-
     @property
     def column_names(self) -> list[str]:
         return [c.name for c in self.columns]
@@ -84,13 +64,16 @@ class TableSchema:
 
 
 class Table:
-    """A stored table: heap file plus (optional) primary-key B+Tree."""
+    """A stored table: heap file plus (optional) primary-key B+Tree.
+
+    Both storages use the same heap pages; ``schema.storage`` only picks
+    the cell codec (:meth:`encode` / :meth:`decode`)."""
 
     def __init__(self, schema: TableSchema, pool: BufferPool):
         self.schema = schema
         self.pool = pool
-        self._init_storage()
-        self.heap = self._new_heap()
+        self._types = schema.types
+        self.heap = HeapFile(pool)
         self.row_count = 0
         #: Total encoded record bytes currently live (inline or overflow);
         #: the numerator of the storage-footprint benchmarks.
@@ -113,8 +96,8 @@ class Table:
         table = cls.__new__(cls)
         table.schema = schema
         table.pool = pool
-        table._init_storage()
-        table.heap = table._new_heap(first_page=heap_first_page)
+        table._types = schema.types
+        table.heap = HeapFile(pool, first_page=heap_first_page)
         table.row_count = row_count
         table.data_bytes = data_bytes
         table.index = None
@@ -128,25 +111,11 @@ class Table:
             )
         return table
 
-    # -- storage routing -------------------------------------------------
-    def _init_storage(self) -> None:
-        self._types = self.schema.types
-        self._zone = self.schema.zone_info()
-        self._sorted_cols = (
-            frozenset({self._zone[0]})
-            if self._zone is not None and self._zone[1]
-            else frozenset()
-        )
-
-    def _new_heap(self, first_page: int | None = None) -> HeapFile:
-        if self.schema.storage == "columnar":
-            return ColumnarHeapFile(self.pool, first_page=first_page)
-        return HeapFile(self.pool, first_page=first_page)
-
+    # -- storage codec ---------------------------------------------------
     def encode(self, row: tuple) -> bytes:
         """Serialize *row* with the table's storage codec."""
         if self.schema.storage == "columnar":
-            return encode_columnar(self._types, row, self._sorted_cols)
+            return encode_columnar(self._types, row)
         return encode_record(self._types, row)
 
     def decode(self, raw: bytes | memoryview) -> tuple:
@@ -164,26 +133,10 @@ class Table:
             return decode_columnar(self._types, raw, np_arrays=True)
         return decode_record(self._types, raw)
 
-    def _zone_of(self, row: tuple) -> tuple[int, int] | None:
-        """The ``(min, max)`` zone-column bounds contributed by *row*."""
-        if self._zone is None:
-            return None
-        idx, is_array = self._zone
-        value = row[idx]
-        if value is None:
-            return None
-        if not is_array:
-            return value, value
-        present = [v for v in value if v is not None]
-        if not present:
-            return None
-        # The array is enforced nondecreasing at encode time.
-        return present[0], present[-1]
-
     def _store_row(self, row: tuple) -> tuple[int, int]:
         """Encode, store, index and account one validated row."""
         record = self.encode(row)
-        rid = self.heap.insert(record, self._zone_of(row))
+        rid = self.heap.insert(record)
         if self.index is not None:
             self.index.insert(self._pk_of(row), rid)
         self.row_count += 1
@@ -239,21 +192,14 @@ class Table:
         rows = map(decode, self.heap.read_many(found))
         return [None if rid is None else next(rows) for rid in rids], descents
 
-    def scan(
-        self,
-        readahead: int = 0,
-        zone_eq: int | None = None,
-        np_arrays: bool = False,
-    ):
+    def scan(self, readahead: int = 0, np_arrays: bool = False):
         """Yield every row (decoded tuples) in heap order.
 
         ``readahead`` batches heap-chain page fetches into sequential
-        device runs (see :meth:`HeapFile.scan`). ``zone_eq`` lets columnar
-        heaps skip pages whose zone map excludes the value; row heaps
-        accept and ignore it. ``np_arrays`` routes cells through
-        :meth:`decode_np` (identical I/O, ndarray array cells)."""
+        device runs (see :meth:`HeapFile.scan`). ``np_arrays`` routes cells
+        through :meth:`decode_np` (identical I/O, ndarray array cells)."""
         decode = self.decode_np if np_arrays else self.decode
-        for _, raw in self.heap.scan(readahead=readahead, zone_eq=zone_eq):
+        for _, raw in self.heap.scan(readahead=readahead):
             yield decode(raw)
 
     def delete_row(self, rid: tuple[int, int], row: tuple) -> None:
@@ -277,7 +223,7 @@ class Table:
         free-space map); the table's footprint is what the fresh heap uses.
         """
         live = [self.decode(raw) for _, raw in self.heap.scan()]
-        self.heap = self._new_heap()
+        self.heap = HeapFile(self.pool)
         if self.index is not None:
             self.index = BTree(self.pool, key_len=len(self.schema.primary_key))
         self.row_count = 0

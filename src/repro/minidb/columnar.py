@@ -1,4 +1,4 @@
-"""Columnar record codec and zone-mapped heap for label tables.
+"""Columnar record codec for label tables.
 
 The paper's hub-label tables are array-heavy and sorted: every row carries
 ``hubs``/``tds``/``tas`` parallel arrays ordered by ``(hub, td)``. The row
@@ -21,16 +21,9 @@ little-endian deltas of the tag's width. Deltas are computed mod 2^64 (the
 same wraparound numpy's int64 arithmetic performs), so any int64 sequence
 round-trips exactly.
 
-``ColumnarHeapFile`` extends the ordinary heap with per-page zone maps
-(min/max hub) maintained on insert and consulted by ``scan(zone_eq=...)``
-to skip pages — skipped pages are never touched in the buffer pool, which
-is what the paper-bound page counts measure.
-
-Pin and latch handling is the heap's: ``HeapFile._insert_cell`` widens the
-zone map under the same pin and write-latch hold that stores the cell, so
-a row insert dirties its page once. It is checked by the concurrency
-sanitizer — ``SANITIZE=1`` dynamically, ``repro sanitize`` statically
-(docs/SANITIZER.md).
+The cells live on ordinary heap pages: ``Table.encode``/``decode`` pick
+this codec or ``values.encode_record`` per table, and nothing below the
+codec knows which one a cell holds.
 """
 
 from __future__ import annotations
@@ -41,9 +34,6 @@ import struct
 import numpy as _np
 
 from repro.errors import StorageError
-from repro.minidb.buffer import BufferPool
-from repro.minidb.heap import HeapFile
-from repro.minidb.page import KIND_COLUMNAR, MAX_CELL, ZONE_SIZE
 from repro.minidb.values import (
     T_BIGINT,
     T_BIGINT_ARRAY,
@@ -162,13 +152,9 @@ def _decode_varint_array(buf: memoryview, pos: int) -> tuple[list, int]:
 # ---------------------------------------------------------------------------
 # Integer-array segment encode/decode
 # ---------------------------------------------------------------------------
-def _encode_int_array(values: list, require_sorted: bool = False) -> tuple[int, bytes]:
+def _encode_int_array(values: list) -> tuple[int, bytes]:
     """Encode one BIGINT[] column value, returning ``(encoding, payload)``."""
     if None in values:
-        if require_sorted:
-            raise StorageError(
-                "columnar zone column arrays may not contain NULL elements"
-            )
         return ENC_VARINT, _encode_varint_array(values)
     if not values:
         return ENC_DELTA1, b""
@@ -179,12 +165,6 @@ def _encode_int_array(values: list, require_sorted: bool = False) -> tuple[int, 
         return ENC_DELTA1, _I64.pack(first)
     deltas = list(map(operator.sub, values[1:], values))
     low = min(deltas)
-    if require_sorted and low < 0:
-        at = next(i for i, delta in enumerate(deltas) if delta < 0)
-        raise StorageError(
-            "columnar zone column array is not sorted "
-            f"({values[at]} followed by {values[at + 1]})"
-        )
     # Deltas mod 2^64, then zig-zag — both are exactly numpy's wrapping
     # int64 arithmetic, so encode and decode agree on either path. Only a
     # pair of elements more than 2^63 apart has a delta that needs the wrap.
@@ -235,20 +215,14 @@ def _decode_delta_np(payload: memoryview, count: int, width: int):
 # ---------------------------------------------------------------------------
 # Whole-record encode/decode
 # ---------------------------------------------------------------------------
-def encode_columnar(
-    types: tuple[int, ...], values: tuple, sorted_cols: frozenset[int] = frozenset()
-) -> bytes:
-    """Serialize one row as a column-group cell.
-
-    ``sorted_cols`` are array columns whose elements must be nondecreasing
-    (the zone column); violations are rejected so zone maps stay honest.
-    """
+def encode_columnar(types: tuple[int, ...], values: tuple) -> bytes:
+    """Serialize one row as a column-group cell."""
     if len(values) != len(types):
         raise StorageError(
             f"record has {len(values)} values for {len(types)} columns"
         )
     parts = [bytes([COLUMNAR_VERSION])]
-    for i, (tag, value) in enumerate(zip(types, values)):
+    for tag, value in zip(types, values):
         if value is None:
             parts.append(_SEG.pack(ENC_NULL, 0))
         elif tag == T_BIGINT:
@@ -265,9 +239,7 @@ def encode_columnar(
             parts.append(_SEG.pack(ENC_TEXT, len(raw)))
             parts.append(raw)
         elif tag == T_BIGINT_ARRAY:
-            enc, payload = _encode_int_array(
-                value, require_sorted=i in sorted_cols
-            )
+            enc, payload = _encode_int_array(value)
             parts.append(_SEG.pack(enc, len(value)))
             parts.append(payload)
         elif tag == T_DOUBLE_ARRAY:
@@ -355,75 +327,3 @@ def decode_columnar(
         else:
             raise StorageError(f"unknown columnar encoding tag {enc}")
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# Zone-mapped heap
-# ---------------------------------------------------------------------------
-class ColumnarHeapFile(HeapFile):
-    """A heap of columnar cells on KIND_COLUMNAR pages with zone maps.
-
-    Each chain page reserves a 17-byte zone area holding min/max of the
-    zone column (hub) across the records it stores. The bounds are kept in
-    an in-memory cache too — built for free while ``_find_last_page`` walks
-    the chain on attach — so ``scan(zone_eq=...)`` decides skips without
-    touching the buffer pool at all.
-    """
-
-    PAGE_KIND = KIND_COLUMNAR
-    INLINE_LIMIT = MAX_CELL - ZONE_SIZE - 1
-
-    def __init__(self, pool: BufferPool, first_page: int | None = None):
-        #: page_id -> (min, max) for pages with a valid zone map. Pages
-        #: absent from the dict are always read (conservative).
-        self._zones: dict[int, tuple[int, int]] = {}
-        super().__init__(pool, first_page)
-
-    def _find_last_page(self) -> int:
-        page_id = self.first_page
-        while True:
-            self._chain.append(page_id)
-            page = self.pool.get(page_id)
-            bounds = page.zone_bounds()
-            if bounds is not None:
-                self._zones[page_id] = bounds
-            if page.next_page == -1:
-                return page_id
-            page_id = page.next_page
-
-    def insert(
-        self, record: bytes, zone: tuple[int, int] | None = None
-    ) -> tuple[int, int]:
-        """Store *record*; widen the landing page's zone map to cover *zone*.
-
-        A record with ``zone=None`` (NULL/empty zone column) never widens
-        the map — NULL compares as unknown, so equality can never select
-        it and the page bounds stay tight.
-        """
-        rid = super().insert(record, zone)
-        if zone is not None:
-            page_id = rid[0]
-            lo, hi = zone
-            cached = self._zones.get(page_id)
-            if cached is None:
-                self._zones[page_id] = (lo, hi)
-            else:
-                self._zones[page_id] = (min(cached[0], lo), max(cached[1], hi))
-        return rid
-
-    def _zone_skips(self, page_id: int, zone_eq: int) -> bool:
-        bounds = self._zones.get(page_id)
-        return bounds is not None and not bounds[0] <= zone_eq <= bounds[1]
-
-    def snapshot(self) -> tuple:
-        """Inserts widen the zone of the tail page and of pages after it:
-        the tail's bounds are the only cached ones a rollback must restore."""
-        return super().snapshot(), self._zones.get(self._last_page)
-
-    def rollback(self, snapshot: tuple) -> None:
-        chain, tail_bounds = snapshot
-        for page_id in self._chain[chain[1] - 1 :]:
-            self._zones.pop(page_id, None)
-        super().rollback(chain)
-        if tail_bounds is not None:
-            self._zones[self._last_page] = tail_bounds

@@ -49,18 +49,12 @@ _INLINE_LIMIT = MAX_CELL - 1
 class HeapFile:
     """An append-oriented heap of byte records over a buffer pool."""
 
-    #: Page kind used for the file's chain pages. Subclasses (the columnar
-    #: heap) override this to get pages with a zone-map area.
-    PAGE_KIND = KIND_HEAP
-    #: Largest record stored inline; bigger records go to overflow chains.
-    INLINE_LIMIT = _INLINE_LIMIT
-
     def __init__(self, pool: BufferPool, first_page: int | None = None):
         self.pool = pool
         if first_page is None:
             # new_page admits the frame already dirty, and nothing else can
             # reach an unlinked page, so no latch (or mark_dirty) is needed.
-            first_page, _ = pool.new_page(self.PAGE_KIND)
+            first_page, _ = pool.new_page(KIND_HEAP)
             pool.unpin(first_page)
         self.first_page = first_page
         #: Heap page ids in chain order. The chain only ever grows at the
@@ -71,35 +65,36 @@ class HeapFile:
         self._last_page = self._find_last_page()
 
     def _find_last_page(self) -> int:
+        """Walk the chain once at attach, refusing any page that is not a
+        heap page: its slot directory would be misread, not rejected."""
         page_id = self.first_page
         while True:
             self._chain.append(page_id)
             page = self.pool.get(page_id)
+            if page.kind != KIND_HEAP:
+                raise StorageError(
+                    f"heap chain page {page_id} has page kind {page.kind}, "
+                    f"not {KIND_HEAP} (heap)"
+                )
             if page.next_page == -1:
                 return page_id
             page_id = page.next_page
 
     # ------------------------------------------------------------------
-    def insert(
-        self, record: bytes, zone: tuple[int, int] | None = None
-    ) -> tuple[int, int]:
-        """Store *record*, returning its rid.
-
-        *zone* widens the landing page's zone map under the same latch hold
-        that stores the cell; only columnar pages have one, so row heaps
-        pass none."""
-        if len(record) + 1 <= self.INLINE_LIMIT:
+    def insert(self, record: bytes) -> tuple[int, int]:
+        """Store *record*, returning its rid."""
+        if len(record) + 1 <= _INLINE_LIMIT:
             cell = bytes([_INLINE]) + record
         else:
             first_chunk_page = self._write_overflow(record)
             cell = _STUB.pack(_OVERFLOW, len(record), first_chunk_page)
-        return self._insert_cell(cell, zone)
+        return self._insert_cell(cell)
 
     def read(self, rid: tuple[int, int]) -> bytes:
         """Fetch the record stored at *rid*."""
         page_id, slot = rid
         with self.pool.reading(page_id) as page:
-            if page.kind != self.PAGE_KIND:
+            if page.kind != KIND_HEAP:
                 raise StorageError(f"rid {rid} does not point at a heap page")
             cell = self._cell(page.view(slot))
         return self._record(cell)
@@ -113,7 +108,7 @@ class HeapFile:
         while i < len(rids):
             page_id = rids[i][0]
             with self.pool.reading(page_id) as page:
-                if page.kind != self.PAGE_KIND:
+                if page.kind != KIND_HEAP:
                     raise StorageError(
                         f"rid {rids[i]} does not point at a heap page"
                     )
@@ -130,7 +125,7 @@ class HeapFile:
                 page.delete(slot)
                 self.pool.mark_dirty(page_id)
 
-    def scan(self, readahead: int = 0, zone_eq: int | None = None):
+    def scan(self, readahead: int = 0):
         """Yield ``(rid, record_bytes)`` over every live record, in rid order.
 
         The scan walks pages in chain order, which is also allocation order,
@@ -144,29 +139,15 @@ class HeapFile:
         slots are walked (overflow reads in between can therefore never
         evict it); the latch is released before each ``yield`` so consumers
         may issue their own page operations freely.
-
-        ``zone_eq`` is the zone-map skip key: pages whose zone map provably
-        excludes the value are skipped without touching the buffer pool
-        (and without being prefetched). Plain heaps have no zone maps, so
-        the argument is accepted but never skips anything there.
         """
         chain = self._chain
         index = 0
         pending = 0  # pages of the current prefetch group not yet walked
         while index < len(chain):
             page_id = chain[index]
-            index += 1
-            if zone_eq is not None and self._zone_skips(page_id, zone_eq):
-                continue
             if readahead > 1:
                 if pending == 0:
-                    batch = [page_id]
-                    probe = index
-                    while probe < len(chain) and len(batch) < readahead:
-                        nxt = chain[probe]
-                        if zone_eq is None or not self._zone_skips(nxt, zone_eq):
-                            batch.append(nxt)
-                        probe += 1
+                    batch = chain[index : index + readahead]
                     self.pool.prefetch(batch)
                     pending = len(batch)
                 pending -= 1
@@ -181,10 +162,7 @@ class HeapFile:
                     yield (page_id, slot), self._record(cell)
             finally:
                 self.pool.unpin(page_id)
-
-    def _zone_skips(self, page_id: int, zone_eq: int) -> bool:
-        """Whether the page's zone map proves *zone_eq* cannot match."""
-        return False
+            index += 1
 
     def snapshot(self) -> tuple:
         """The in-memory state a statement can change, for :meth:`rollback`
@@ -206,9 +184,7 @@ class HeapFile:
         return out
 
     # ------------------------------------------------------------------
-    def _insert_cell(
-        self, cell: bytes, zone: tuple[int, int] | None
-    ) -> tuple[int, int]:
+    def _insert_cell(self, cell: bytes) -> tuple[int, int]:
         page_id = self._last_page
         page = self.pool.pin(page_id)
         try:
@@ -216,7 +192,7 @@ class HeapFile:
                 # Extend the chain. The old tail stays pinned while the new
                 # page is admitted, so even a capacity-1 pool cannot evict
                 # it before the next-page link lands.
-                new_id, new_page = self.pool.new_page(self.PAGE_KIND)
+                new_id, new_page = self.pool.new_page(KIND_HEAP)
                 with self.pool.latch(page_id).write():
                     page.next_page = new_id
                     self.pool.mark_dirty(page_id)
@@ -226,8 +202,6 @@ class HeapFile:
                 page_id, page = new_id, new_page
             with self.pool.latch(page_id).write():
                 slot = page.insert(cell)
-                if zone is not None:
-                    page.zone_extend(*zone)
                 self.pool.mark_dirty(page_id)
             return (page_id, slot)
         finally:

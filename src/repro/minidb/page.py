@@ -11,10 +11,6 @@ Layout (little-endian):
     offset 16+ slot directory: per slot u16 offset, u16 length
                 (offset == 0 means the slot is a tombstone)
 
-COLUMNAR pages additionally reserve a 17-byte zone map between the header
-and the slot directory: ``i64 min, i64 max, u8 flags`` over the page's zone
-column (hub), enabling page skipping on hub-equality predicates.
-
 Cells grow downward from the end of the page, the slot directory grows
 upward — the classic PostgreSQL/SQLite arrangement.
 """
@@ -33,25 +29,11 @@ KIND_OVERFLOW = 2
 KIND_BTREE_LEAF = 3
 KIND_BTREE_INTERNAL = 4
 KIND_META = 5
-KIND_COLUMNAR = 6
 
 _HEADER = struct.Struct("<BBHHHq")
 HEADER_SIZE = _HEADER.size  # 16
 _SLOT = struct.Struct("<HH")
 SLOT_SIZE = _SLOT.size  # 4
-
-# Columnar pages carry a zone map right after the header: min/max of the
-# page's zone column plus a validity flag (bit 0). The slot directory is
-# shifted past it.
-_ZONE = struct.Struct("<qqB")
-ZONE_SIZE = _ZONE.size  # 17
-_ZONE_VALID = 1
-
-
-def zone_area_size(kind: int) -> int:
-    """Bytes reserved between header and slot directory for this page kind."""
-    return ZONE_SIZE if kind == KIND_COLUMNAR else 0
-
 
 # The largest cell a fresh page can hold.
 MAX_CELL = PAGE_SIZE - HEADER_SIZE - SLOT_SIZE
@@ -80,10 +62,7 @@ class Page:
 
     def format(self, kind: int) -> None:
         """Initialize an empty page of the given kind."""
-        lower = HEADER_SIZE + zone_area_size(kind)
-        self._write_header(kind, 0, 0, lower, PAGE_SIZE, -1)
-        if kind == KIND_COLUMNAR:
-            _ZONE.pack_into(self.buf, HEADER_SIZE, 0, 0, 0)
+        self._write_header(kind, 0, 0, HEADER_SIZE, PAGE_SIZE, -1)
 
     @property
     def kind(self) -> int:
@@ -142,7 +121,7 @@ class Page:
     def delete(self, slot: int) -> None:
         """Tombstone *slot* (space is reclaimed only by rebuilding the page)."""
         self._slot_entry(slot)  # bounds check
-        _SLOT.pack_into(self.buf, self._slot_base() + slot * SLOT_SIZE, 0, 0)
+        _SLOT.pack_into(self.buf, HEADER_SIZE + slot * SLOT_SIZE, 0, 0)
 
     def is_deleted(self, slot: int) -> bool:
         offset, _ = self._slot_entry(slot)
@@ -155,34 +134,7 @@ class Page:
             if offset != 0:
                 yield slot, bytes(self.buf[offset : offset + length])
 
-    def _slot_base(self) -> int:
-        return HEADER_SIZE + zone_area_size(self.kind)
-
     def _slot_entry(self, slot: int) -> tuple[int, int]:
         if not 0 <= slot < self.slot_count:
             raise StorageError(f"slot {slot} out of range (have {self.slot_count})")
-        return _SLOT.unpack_from(self.buf, self._slot_base() + slot * SLOT_SIZE)
-
-    # -- zone map (columnar pages only) --------------------------------------
-    def zone_bounds(self) -> tuple[int, int] | None:
-        """The page's zone-map ``(min, max)``, or ``None`` when not valid.
-
-        A page whose zone map was never set (or that holds records with no
-        zone value) reports ``None`` and must always be read — skipping is
-        strictly an optimization for pages with proven bounds.
-        """
-        if self.kind != KIND_COLUMNAR:
-            return None
-        lo, hi, flags = _ZONE.unpack_from(self.buf, HEADER_SIZE)
-        if not flags & _ZONE_VALID:
-            return None
-        return lo, hi
-
-    def zone_extend(self, lo: int, hi: int) -> None:
-        """Widen the page zone map to cover ``[lo, hi]``."""
-        if self.kind != KIND_COLUMNAR:
-            raise StorageError("zone maps exist only on columnar pages")
-        cur_lo, cur_hi, flags = _ZONE.unpack_from(self.buf, HEADER_SIZE)
-        if flags & _ZONE_VALID:
-            lo, hi = min(cur_lo, lo), max(cur_hi, hi)
-        _ZONE.pack_into(self.buf, HEADER_SIZE, lo, hi, flags | _ZONE_VALID)
+        return _SLOT.unpack_from(self.buf, HEADER_SIZE + slot * SLOT_SIZE)

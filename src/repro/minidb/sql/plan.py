@@ -107,14 +107,6 @@ class Result0(PlanNode):
 class SeqScan(PlanNode):
     name = "Seq Scan"
 
-    #: ``fn((), params)`` producing the zone-map skip key, set by the
-    #: planner when the table is columnar and a pushed-down conjunct pins
-    #: the zone column (hub) to a constant/parameter. The executor and the
-    #: reference model apply it identically via :func:`zone_key`, so their
-    #: page-I/O accounting stays identical; skipping is conservative (pages
-    #: without valid zone maps are always read) and the filters still run.
-    zone_eq_fn = None
-
     def __init__(self, table, alias, filters, ast_ref=None):
         self.table = table
         self.alias = alias
@@ -555,19 +547,3 @@ def explain_lines(plan: Plan) -> list[str]:
     visit(node, 0)
     return lines
 
-
-def zone_key(node, params) -> int | None:
-    """Resolve a scan node's zone-map skip key for this execution.
-
-    Returns ``None`` (no skipping) unless the node carries a ``zone_eq_fn``
-    that yields a plain integer — any other runtime value means the
-    equality can never use the integer zone bounds soundly, so the scan
-    reads every page and lets the filters decide.
-    """
-    fn = getattr(node, "zone_eq_fn", None)
-    if fn is None:
-        return None
-    value = fn((), params)
-    if isinstance(value, bool) or not isinstance(value, int):
-        return None
-    return value

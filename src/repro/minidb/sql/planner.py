@@ -750,50 +750,22 @@ class Planner:
         table = self.catalog.get(source.name)
         pk = table.schema.primary_key
         probe = self._pk_probe(pk, source.alias, all_conj, used)
+        filters, specs, _ = self._source_filters(
+            schema, all_conj, on_conjuncts, used
+        )
         if probe is not None:
             probe_fns = [compile_expr(probe[col], {}) for col in pk]
-            filters, specs, _ = self._source_filters(
-                schema, all_conj, on_conjuncts, used
-            )
             node = phys.PkLookup(
                 source.name, source.alias, pk, probe_fns, filters,
                 ast_ref=source.node,
             )
         else:
-            filters, specs, pushed = self._source_filters(
-                schema, all_conj, on_conjuncts, used
-            )
             node = phys.SeqScan(
                 source.name, source.alias, filters, ast_ref=source.node
             )
-            node.zone_eq_fn = self._zone_eq_fn(table, source, pushed)
         node.filter_specs = specs
         self._scanned[node] = source
         return node, schema
-
-    def _zone_eq_fn(self, table, source, pushed):
-        """Compile the zone-map skip key for a columnar seq scan, or None.
-
-        Looks for an equality conjunct pinning the table's scalar zone
-        column (hub) to a constant/parameter. Such a conjunct references
-        only this source, so ``_source_filters`` always pushed it into the
-        scan's own filters — skipping a page can therefore only skip rows
-        the filter would reject anyway, on either executor.
-        """
-        zone = table.schema.zone_info()
-        if zone is None or zone[1]:  # array zone columns: no scalar equality
-            return None
-        zone_col = ast.BoundRef(source.alias, source.columns[zone[0]][0])
-        for conj in pushed:
-            if not (isinstance(conj, ast.BinaryOp) and conj.op == "="):
-                continue
-            for col_side, const_side in (
-                (conj.left, conj.right),
-                (conj.right, conj.left),
-            ):
-                if col_side == zone_col and self._is_constant(const_side):
-                    return compile_expr(const_side, {})
-        return None
 
     def _source_filters(self, schema, all_conj, on_conjuncts, used):
         """Push down single-source filters (WHERE, then mandatory ON).

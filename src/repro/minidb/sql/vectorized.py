@@ -503,18 +503,14 @@ class BatchExecutor:
         stats = self._node(node.name, node.detail, parent)
         return _once(lambda: [()], stats, self.collector)
 
-    def _scan_chunks(
-        self, table, predicates, hint, zone_eq=None, np_arrays=False
-    ):
+    def _scan_chunks(self, table, predicates, hint, np_arrays):
         """Batched heap scan with buffer-pool readahead.
 
         A row-limit hint disables readahead: a bounded query may stop
         mid-table, and prefetching past the stopping page would charge
         reads a row-at-a-time pull never performs. Page-I/O parity with
         the reference model is a harder invariant than prefetch
-        throughput. ``zone_eq`` is the columnar zone-map skip key; the
-        reference model derives the identical key from the same plan node,
-        so skipped pages match exactly.
+        throughput.
         """
         params = self.params
         size = self._chunk_size(hint)
@@ -522,9 +518,7 @@ class BatchExecutor:
         check = _predicate(predicates)
 
         def gen():
-            scan = table.scan(
-                readahead=readahead, zone_eq=zone_eq, np_arrays=np_arrays
-            )
+            scan = table.scan(readahead=readahead, np_arrays=np_arrays)
             chunk: list[tuple] = []
             try:
                 if check is not None:
@@ -550,12 +544,8 @@ class BatchExecutor:
     def _emit_seq_scan(self, node, env, parent, hint):
         stats = self._node(node.name, node.detail, parent)
         table = self.catalog.get(node.table)
-        zone_eq = phys.zone_key(node, self.params)
         return self._traced(
-            stats,
-            self._scan_chunks(
-                table, node.filters, hint, zone_eq, node.np_decode
-            ),
+            stats, self._scan_chunks(table, node.filters, hint, node.np_decode)
         )
 
     def _emit_pk_lookup(self, node, env, parent, hint):

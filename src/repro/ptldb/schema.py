@@ -27,7 +27,7 @@ def load_labels(db: Database, labels: TTLLabels) -> None:
 
     Both tables are ``STORAGE = COLUMNAR`` (docs/STORAGE.md): each row is a
     column group whose sorted arrays are delta-encoded into numpy-decodable
-    fixed-width segments, and every heap page keeps a min/max-hub zone map.
+    fixed-width segments, stored on ordinary heap pages.
     """
     if labels.total_tuples > 0 and labels.dummy_count() == 0:
         raise DatabaseError(

@@ -125,10 +125,9 @@ class Executor:
         table = self.catalog.get(node.table)
         params = self.params
         filters = node.filters
-        zone_eq = phys.zone_key(node, params)
 
         def gen():
-            for row in table.scan(zone_eq=zone_eq):
+            for row in table.scan():
                 if all(p(row, params) is True for p in filters):
                     yield row
 
