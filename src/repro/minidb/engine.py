@@ -142,10 +142,16 @@ class Database:
             # committed statements), then restore the catalog — from the
             # last COMMIT record when the log has one, else from the META
             # checkpoint.
-            payload = self.wal.replay(self.disk)
-            if payload is None:
-                payload = self._read_meta()
-            self.catalog.restore(json.loads(payload.decode("utf-8")))
+            try:
+                payload = self.wal.replay(self.disk)
+                if payload is None:
+                    payload = self._read_meta()
+                self.catalog.restore(json.loads(payload.decode("utf-8")))
+            except BaseException:
+                # A file that fails to open leaves no handle open behind it.
+                self.wal.abandon()
+                self.disk.close()
+                raise
         # Arm the pool hooks last: from here on every first-dirty is logged.
         self.pool.wal = self.wal
 
