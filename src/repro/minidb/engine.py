@@ -269,7 +269,7 @@ class Database:
         self.pool.clear()
 
     def table_stats(self) -> dict[str, dict]:
-        """Per-table row counts, storage codec and page/byte footprints."""
+        """Per-table row counts and page/byte footprints."""
         out = {}
         for name in self.catalog.table_names():
             table = self.catalog.get(name)
@@ -277,7 +277,6 @@ class Database:
             out[name] = {
                 "rows": table.row_count,
                 "heap_pages": heap_pages,
-                "storage": table.schema.storage,
                 "data_bytes": table.data_bytes,
                 "index_height": (
                     table.index.height() if table.index is not None else 0

@@ -231,7 +231,6 @@ class CreateTable:
     columns: tuple[ColumnDef, ...]
     primary_key: tuple[str, ...]
     if_not_exists: bool = False
-    storage: str = "row"
     span: tuple | None = _span_field()
 
 

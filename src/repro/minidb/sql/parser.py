@@ -580,21 +580,10 @@ class Parser:
             if not self.accept_op(","):
                 break
         self.expect_op(")")
-        storage = "row"
-        tok = self.peek()
-        if tok.kind == IDENT and tok.value == "storage":
-            self.next()
-            self.expect_op("=")
-            value = self.expect_ident()
-            if value not in ("row", "columnar"):
-                raise self.error(
-                    f"unknown storage {value!r} (expected ROW or COLUMNAR)"
-                )
-            storage = value
         if not pk:
             inline = tuple(c.name for c in columns if c.primary_key)
             pk = inline
-        return ast.CreateTable(name, tuple(columns), pk, if_not_exists, storage)
+        return ast.CreateTable(name, tuple(columns), pk, if_not_exists)
 
     def _type_name(self) -> str:
         tok = self.peek()

@@ -42,8 +42,8 @@ class PlanNode:
     #: identical either way.
     filter_specs = None
 
-    #: Scans only (SeqScan / PkLookup / IndexNestedLoop): decode columnar
-    #: integer-array cells straight to int64 ndarrays for the executor's
+    #: Scans only (SeqScan / PkLookup / IndexNestedLoop): decode BIGINT[]
+    #: cells straight to int64 ndarrays for the executor's
     #: UNNEST column kernels. Set by the planner only when it proves
     #: nothing but UNNEST ever touches those cells (select items, filters
     #: and sort keys all reference scalar columns); the reference model

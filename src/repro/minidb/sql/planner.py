@@ -522,7 +522,7 @@ class Planner:
         return unnest, schema + _Schema(appended)
 
     def _mark_np_decode(self, node, items, schema):
-        """Let an UNNEST-feeding columnar scan decode arrays as ndarrays.
+        """Let an UNNEST-feeding scan decode arrays as ndarrays.
 
         Safe only when the array cells cannot reach any consumer that
         expects Python lists: every SRF argument must be a plain column
@@ -547,16 +547,14 @@ class Planner:
     def _scan_np_arrays(self, node):
         """Output positions a scan could fill with ndarray cells, or None.
 
-        The positions are the scanned columnar table's array-typed columns
-        (offset by ``np_probe_base`` for an INL probe). None means the node
-        is no candidate: not a base-table scan, row storage, no array
-        columns, or key/filter machinery that would have to evaluate
-        Python-list semantics on the array cells.
+        The positions are the scanned table's array-typed columns (offset
+        by ``np_probe_base`` for an INL probe). None means the node is no
+        candidate: not a base-table scan, no array columns, or key/filter
+        machinery that would have to evaluate Python-list semantics on the
+        array cells.
         """
         source = self._scanned.get(node)
         if source is None:
-            return None
-        if self.catalog.get(source.name).schema.storage != "columnar":
             return None
         pk = getattr(node, "pk", ())
         if any(is_array(ty) for name, ty in source.columns if name in pk):
@@ -615,7 +613,7 @@ class Planner:
     # nested-loop whose rows materialize into a CTE; the UNNESTs then read
     # from CteScans, not from the probing scan itself. The analysis below
     # re-creates the direct-scan guarantee across that boundary: a CTE
-    # whose rows come straight from a columnar scan (via a column-picking
+    # whose rows come straight from a table scan (via a column-picking
     # Project) may carry ndarray cells iff EVERY scan of the CTE touches
     # those positions only as UNNEST arguments.
 

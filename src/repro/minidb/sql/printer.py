@@ -177,10 +177,7 @@ def render(stmt) -> str:
         if stmt.primary_key:
             pk = ", PRIMARY KEY (" + ", ".join(stmt.primary_key) + ")"
         ine = "IF NOT EXISTS " if stmt.if_not_exists else ""
-        storage = (
-            f" STORAGE = {stmt.storage.upper()}" if stmt.storage != "row" else ""
-        )
-        return f"CREATE TABLE {ine}{stmt.name} ({columns}{pk}){storage}"
+        return f"CREATE TABLE {ine}{stmt.name} ({columns}{pk})"
     if isinstance(stmt, ast.DropTable):
         ie = "IF EXISTS " if stmt.if_exists else ""
         return f"DROP TABLE {ie}{stmt.name}"

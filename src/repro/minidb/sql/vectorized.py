@@ -317,9 +317,7 @@ class BatchExecutor:
         columns = [
             Column(c.name, type_from_name(c.type_name)) for c in stmt.columns
         ]
-        schema = TableSchema(
-            stmt.name, columns, stmt.primary_key, storage=stmt.storage
-        )
+        schema = TableSchema(stmt.name, columns, stmt.primary_key)
         self.catalog.create_table(schema, if_not_exists=stmt.if_not_exists)
         return Result([], [])
 

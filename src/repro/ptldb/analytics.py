@@ -58,9 +58,8 @@ def derive_trip_rows(timetable: Timetable) -> list[tuple]:
 def load_analytics(db: Database, timetable: Timetable) -> None:
     """Create and fill ``connections`` / ``trips`` from *timetable*.
 
-    Row storage: the analytics family reads these tables through full
-    sequential scans, so they keep the plain heap layout (the columnar
-    codec is specialized for the label tables' sorted arrays).
+    The analytics family reads these tables through full sequential
+    scans; their columns are all scalars.
     """
     db.execute("DROP TABLE IF EXISTS connections")
     db.execute("DROP TABLE IF EXISTS trips")

@@ -84,14 +84,12 @@ def hours_ddl(name: str) -> str:
 
 def naive_ea_ddl(name: str) -> str:
     return f"""CREATE TABLE {name} (
-  hub BIGINT, td BIGINT, vs BIGINT[], tas BIGINT[], PRIMARY KEY (hub, td))
-  STORAGE = COLUMNAR"""
+  hub BIGINT, td BIGINT, vs BIGINT[], tas BIGINT[], PRIMARY KEY (hub, td))"""
 
 
 def naive_ld_ddl(name: str) -> str:
     return f"""CREATE TABLE {name} (
-  hub BIGINT, ta BIGINT, vs BIGINT[], tds BIGINT[], PRIMARY KEY (hub, ta))
-  STORAGE = COLUMNAR"""
+  hub BIGINT, ta BIGINT, vs BIGINT[], tds BIGINT[], PRIMARY KEY (hub, ta))"""
 
 
 def grouped_ea_ddl(name: str) -> str:
@@ -99,8 +97,7 @@ def grouped_ea_ddl(name: str) -> str:
   hub BIGINT, dephour BIGINT,
   vs BIGINT[], tas BIGINT[],
   tds_exp BIGINT[], vs_exp BIGINT[], tas_exp BIGINT[],
-  PRIMARY KEY (hub, dephour))
-  STORAGE = COLUMNAR"""
+  PRIMARY KEY (hub, dephour))"""
 
 
 def grouped_ld_ddl(name: str) -> str:
@@ -108,8 +105,7 @@ def grouped_ld_ddl(name: str) -> str:
   hub BIGINT, arrhour BIGINT,
   vs BIGINT[], tds BIGINT[],
   tds_exp BIGINT[], vs_exp BIGINT[], tas_exp BIGINT[],
-  PRIMARY KEY (hub, arrhour))
-  STORAGE = COLUMNAR"""
+  PRIMARY KEY (hub, arrhour))"""
 
 
 def create_targets_table(db: Database, tag: str, targets) -> str:

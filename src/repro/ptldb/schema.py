@@ -12,10 +12,8 @@ from repro.errors import DatabaseError
 from repro.labeling.labels import TTLLabels
 from repro.minidb.engine import Database
 
-#: The one label layout: both tables, always columnar.
 LABEL_DDL = """CREATE TABLE {table} (
-  v BIGINT, hubs BIGINT[], tds BIGINT[], tas BIGINT[], PRIMARY KEY (v))
-  STORAGE = COLUMNAR"""
+  v BIGINT, hubs BIGINT[], tds BIGINT[], tas BIGINT[], PRIMARY KEY (v))"""
 LOUT_DDL = LABEL_DDL.format(table="lout")
 LIN_DDL = LABEL_DDL.format(table="lin")
 
@@ -25,9 +23,8 @@ INSERT_LABEL_ROW = "INSERT INTO {table} VALUES ($1, $2, $3, $4)"
 def load_labels(db: Database, labels: TTLLabels) -> None:
     """Create and fill *lout* / *lin* from a TTL labeling.
 
-    Both tables are ``STORAGE = COLUMNAR`` (docs/STORAGE.md): each row is a
-    column group whose sorted arrays are delta-encoded into numpy-decodable
-    fixed-width segments, stored on ordinary heap pages.
+    Each row is one record (docs/STORAGE.md) whose sorted arrays are
+    delta-encoded into numpy-decodable fixed-width segments.
     """
     if labels.total_tuples > 0 and labels.dummy_count() == 0:
         raise DatabaseError(

@@ -54,12 +54,12 @@ def statement(op, agg, operand, flipped=False):
 
 
 def make_db(left, right) -> Database:
-    """*left*/*right* are lists of ``(k, v, x)``; each side is one columnar
-    row of three parallel arrays, the shape of a label row."""
+    """*left*/*right* are lists of ``(k, v, x)``; each side is one row of
+    three parallel arrays, the shape of a label row."""
     db = Database(device="hdd")
     db.execute(
         "CREATE TABLE side (id BIGINT, ks BIGINT[], vs BIGINT[], xs BIGINT[], "
-        "PRIMARY KEY (id)) STORAGE = COLUMNAR"
+        "PRIMARY KEY (id))"
     )
     for ident, rows in ((1, left), (2, right)):
         cols = [[row[i] for row in rows] for i in range(3)]

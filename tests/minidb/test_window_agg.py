@@ -132,11 +132,8 @@ class TestChunking:
     def test_column_chunk_child_from_np_decode_scan(self):
         db = Database()
         db.batch_size = 16
-        db.execute(
-            "CREATE TABLE lab (v BIGINT, hubs BIGINT[], PRIMARY KEY (v)) "
-            "STORAGE = COLUMNAR"
-        )
-        # Long enough for the ndarray decode (columnar.NP_DECODE_MIN).
+        db.execute("CREATE TABLE lab (v BIGINT, hubs BIGINT[], PRIMARY KEY (v))")
+        # Long enough for the ndarray decode (values.NP_DECODE_MIN).
         hubs = {1: list(range(0, 80, 2)), 2: list(range(5, 50))}
         db.executemany("INSERT INTO lab VALUES ($1, $2)", list(hubs.items()))
         sql = (

