@@ -35,10 +35,6 @@ class TableSchema:
                 )
 
     @property
-    def column_names(self) -> list[str]:
-        return [c.name for c in self.columns]
-
-    @property
     def types(self) -> tuple[int, ...]:
         return tuple(c.type_tag for c in self.columns)
 
@@ -103,12 +99,10 @@ class Table:
         """Serialize *row* as one stored record."""
         return encode_record(self._types, row)
 
-    def decode(self, raw: bytes | memoryview, np_arrays: bool = False) -> tuple:
-        """Deserialize one stored record. ``np_arrays`` keeps long BIGINT[]
-        cells int64 ndarrays (zero-copy into the UNNEST column kernels);
-        only the batch executor asks, on plan nodes the planner marked
-        ``np_decode``."""
-        return decode_record(self._types, raw, np_arrays)
+    def decode(self, raw: bytes | memoryview) -> tuple:
+        """Deserialize one stored record (a long BIGINT[] cell is an int64
+        ndarray; see :func:`~repro.minidb.values.decode_record`)."""
+        return decode_record(self._types, raw)
 
     def _store_row(self, row: tuple) -> tuple[int, int]:
         """Encode, store, index and account one validated row."""
@@ -148,22 +142,17 @@ class Table:
             for col, value in zip(schema.columns, values)
         )
 
-    def lookup(self, key: tuple, np_arrays: bool = False) -> tuple | None:
-        """Primary-key point lookup. Returns the decoded row or ``None``.
-
-        ``np_arrays`` is :meth:`decode`'s (the batch executor's
-        ``np_decode`` plan flag); I/O is identical."""
+    def lookup(self, key: tuple) -> tuple | None:
+        """Primary-key point lookup. Returns the decoded row or ``None``."""
         if self.index is None:
             raise CatalogError(f"{self.schema.name} has no primary key index")
         rid = self.index.search(tuple(key))
         if rid is None:
             return None
         raw = self.heap.read(rid)
-        return self.decode(raw, np_arrays)
+        return self.decode(raw)
 
-    def lookup_many(
-        self, keys: list[tuple], np_arrays: bool = False
-    ) -> tuple[list[tuple | None], int]:
+    def lookup_many(self, keys: list[tuple]) -> tuple[list[tuple | None], int]:
         """:meth:`lookup` for ascending *keys* in one pass — every index
         leaf, then every heap page, visited once per run of keys on it.
         Returns the decoded rows (``None`` per absent key) and the number
@@ -172,25 +161,23 @@ class Table:
             raise CatalogError(f"{self.schema.name} has no primary key index")
         rids, descents = self.index.search_many(keys)
         found = [rid for rid in rids if rid is not None]
-        rows = (self.decode(raw, np_arrays) for raw in self.heap.read_many(found))
+        rows = map(self.decode, self.heap.read_many(found))
         return [None if rid is None else next(rows) for rid in rids], descents
 
-    def scan(self, readahead: int = 0, np_arrays: bool = False):
+    def scan(self, readahead: int = 0):
         """Yield every row (decoded tuples) in heap order.
 
         ``readahead`` batches heap-chain page fetches into sequential
-        device runs (see :meth:`HeapFile.scan`). ``np_arrays`` is
-        :meth:`decode`'s (identical I/O, ndarray array cells)."""
+        device runs (see :meth:`HeapFile.scan`)."""
         for _, raw in self.heap.scan(readahead=readahead):
-            yield self.decode(raw, np_arrays)
+            yield self.decode(raw)
 
     def delete_row(self, rid: tuple[int, int], row: tuple) -> None:
         """Remove one row: heap tombstone plus index-entry removal."""
-        self.heap.delete(rid)
+        self.data_bytes -= self.heap.delete(rid)
         if self.index is not None:
             self.index.remove(self._pk_of(row))
         self.row_count -= 1
-        self.data_bytes -= len(self.encode(row))
 
     def update_row(self, rid: tuple[int, int], old: tuple, new: tuple) -> None:
         """Replace one row (delete + reinsert; rids are not stable across
@@ -206,7 +193,7 @@ class Table:
         Returns the number of live rows. Old pages are abandoned (no
         free-space map); the table's footprint is what the fresh heap uses.
         """
-        live = [self.decode(raw) for _, raw in self.heap.scan()]
+        live = [self._checked(self.decode(raw)) for _, raw in self.heap.scan()]
         self.heap = HeapFile(self.pool)
         if self.index is not None:
             self.index = BTree(self.pool, key_len=len(self.schema.primary_key))

@@ -117,13 +117,17 @@ class HeapFile:
                     i += 1
         return [self._record(cell) for cell in cells]
 
-    def delete(self, rid: tuple[int, int]) -> None:
-        """Tombstone the record (overflow pages are left to vacuum)."""
+    def delete(self, rid: tuple[int, int]) -> int:
+        """Tombstone the record (overflow pages are left to vacuum) and
+        return its length."""
         page_id, slot = rid
         with self.pool.pinned(page_id) as page:
             with self.pool.latch(page_id).write():
+                view = page.view(slot)
+                length = len(view) - 1 if view[0] == _INLINE else _STUB.unpack(view)[1]
                 page.delete(slot)
                 self.pool.mark_dirty(page_id)
+        return length
 
     def scan(self, readahead: int = 0):
         """Yield ``(rid, record_bytes)`` over every live record, in rid order.

@@ -242,9 +242,6 @@ class Analysis:
             }.get(prefix, SQLAnalysisError)
         raise cls(first.render(self.sql))
 
-    def paths_for(self, table: str) -> list[AccessPath]:
-        return [p for p in self.access_paths if p.table == table]
-
     def summary(self) -> list[dict]:
         """JSON-friendly access-path list (consumed by the bench runner)."""
         return [

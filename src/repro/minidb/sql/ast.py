@@ -209,10 +209,6 @@ class Query:
     ctes: tuple[tuple[str, "Query"], ...] = ()
     span: tuple | None = _span_field()
 
-    @property
-    def is_simple(self) -> bool:
-        return len(self.cores) == 1
-
 
 # ---------------------------------------------------------------------------
 # Statements

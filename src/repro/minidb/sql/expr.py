@@ -16,6 +16,7 @@ import numpy as _np
 
 from repro.errors import SQLError
 from repro.minidb.sql import ast
+from repro.minidb.sql.analyzer import is_array
 from repro.minidb.sql.functions import AGGREGATES, get_scalar
 
 
@@ -163,6 +164,14 @@ def compile_expr(expr, slots: dict):
         return lambda _row, params, _i=idx: params[_i]
     if isinstance(expr, ast.BoundRef):
         idx = slots[expr.source, expr.column]
+        if is_array(expr.type):
+            # A long BIGINT[] cell decodes to an int64 ndarray
+            # (values.decode_record); SQL reads it as the list it stores.
+            def _array(row, _params, _i=idx):
+                cell = row[_i]
+                return cell.tolist() if type(cell) is _np.ndarray else cell
+
+            return _array
         return lambda row, _params, _i=idx: row[_i]
     if isinstance(expr, ast.BinaryOp):
         left = compile_expr(expr.left, slots)
@@ -230,10 +239,6 @@ def compile_expr(expr, slots: dict):
                 return None
             lo = max(lo, 1)
             if isinstance(arr, list):
-                return arr[lo - 1 : hi]
-            if isinstance(arr, _np.ndarray):
-                # np_decode batch cells: keep the (zero-copy) array view;
-                # every other cell is a list, so list semantics hold.
                 return arr[lo - 1 : hi]
             return list(arr[lo - 1 : hi])
 

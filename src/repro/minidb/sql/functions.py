@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from repro.errors import SQLNameError, SQLTypeError
+from repro.errors import SQLError, SQLNameError, SQLTypeError
 
 
 # ---------------------------------------------------------------------------
@@ -70,15 +70,16 @@ def _array_length(arr, dim=1):
 
 
 def _mod(a, b):
+    """The remainder of ``a / b``, with the dividend's sign (PostgreSQL):
+    exact for integers, ``fmod`` once either side is a double."""
     if a is None or b is None:
         return None
-    return a - b * (a // b if (a < 0) == (b < 0) else -((-a) // b) if b > 0 else -(a // -b))
-
-
-def _mod_simple(a, b):
-    if a is None or b is None:
-        return None
-    return math.fmod(a, b) if isinstance(a, float) or isinstance(b, float) else int(math.fmod(a, b))
+    if b == 0:
+        raise SQLError("division by zero")
+    if isinstance(a, int) and isinstance(b, int):
+        rem = abs(a) % abs(b)
+        return -rem if a < 0 else rem
+    return math.fmod(a, b)
 
 
 def _power(a, b):
@@ -119,7 +120,7 @@ SCALAR_FUNCTIONS = {
     "greatest": _greatest,
     "cardinality": _cardinality,
     "array_length": _array_length,
-    "mod": _mod_simple,
+    "mod": _mod,
     "power": _power,
     "sqrt": _sqrt,
     "round": _round,

@@ -42,20 +42,6 @@ class PlanNode:
     #: identical either way.
     filter_specs = None
 
-    #: Scans only (SeqScan / PkLookup / IndexNestedLoop): decode BIGINT[]
-    #: cells straight to int64 ndarrays for the executor's
-    #: UNNEST column kernels. Set by the planner only when it proves
-    #: nothing but UNNEST ever touches those cells (select items, filters
-    #: and sort keys all reference scalar columns); the reference model
-    #: ignores the flag and decodes lists as always.
-    np_decode = False
-
-    #: First output position the scanned table's columns occupy: 0 for a
-    #: plain scan, the left input's width for an IndexNestedLoop probe
-    #: (set by the planner). Lets np_decode analyses locate array cells
-    #: in the node's output schema without re-deriving the join shape.
-    np_probe_base = 0
-
     def children(self):
         """Child operators in display order (sub-plans included)."""
         return ()
@@ -290,6 +276,9 @@ class Unnest(PlanNode):
         #: evaluated once per *input* row instead of once per output row.
         self.srf_positions = None
         #: Per SRF, ``Planner._srf_chunk_arg`` (read once per chunk) or None.
+        #: These getters are the only readers that see a cell as decoded (an
+        #: int64 ndarray for a long ``BIGINT[]``); ``srf_fns``, like every
+        #: compiled expression, see the list.
         self.srf_args = [None] * len(srf_fns)
 
     def children(self):
@@ -335,6 +324,10 @@ class Project(PlanNode):
         #: column reference (planner-set); lets the batch executor project
         #: by tuple indexing instead of calling one closure per item.
         self.simple_cols = None
+        #: Positions of ``simple_cols`` that are array-typed: tuple indexing
+        #: bypasses the closures, so the projection itself turns a decoded
+        #: ndarray cell into the list SQL reads.
+        self.array_cols = ()
 
     def children(self):
         return (self.child,)

@@ -224,9 +224,7 @@ def _spec_cols(spec, out: set) -> None:
 def lower(stmt, bound, catalog) -> phys.Plan:
     """Lower *bound*, the binder's tree for the error-free statement *stmt*,
     into an executable physical plan."""
-    planner = Planner(catalog)
-    node = planner.plan(bound)
-    planner.finalize_np_decode()
+    node = Planner(catalog).plan(bound)
     return phys.Plan(_explained(stmt, node), ast.param_indices(stmt))
 
 
@@ -250,13 +248,6 @@ def plan_statement(stmt, catalog) -> phys.Plan:
 class Planner:
     def __init__(self, catalog):
         self.catalog = catalog
-        #: base-table scan node -> the BoundSource it reads (column types
-        #: for the np_decode analyses)
-        self._scanned: dict = {}
-        #: CTE name -> {"scan", "out_arr", "uses"}: candidates for the
-        #: cross-CTE np_decode analysis (see _register_cte). Lives for one
-        #: statement; finalize_np_decode resolves it after planning.
-        self._cte_np: dict = {}
 
     # -- statements -----------------------------------------------------
     def plan(self, bound):
@@ -305,9 +296,7 @@ class Planner:
     def plan_query(self, query: BoundQuery) -> phys.QueryPlan:
         ctes = []
         for name, cte_query in query.ctes:
-            sub = self.plan_query(cte_query)
-            ctes.append((name, sub))
-            self._register_cte(name, sub)
+            ctes.append((name, self.plan_query(cte_query)))
         columns = [name for name, _ in query.columns]
 
         core = query.core
@@ -426,6 +415,10 @@ class Planner:
             item_fns = [compile_expr(it.value, slots) for it in items]
             node = phys.Project(node, item_fns)
             node.simple_cols = self._simple_cols(items, schema)
+            if node.simple_cols is not None:
+                node.array_cols = tuple(
+                    i for i, item in enumerate(items) if is_array(item.value.type)
+                )
 
         if core.distinct:
             node = phys.Distinct(node)
@@ -517,164 +510,22 @@ class Planner:
         unnest.srf_args = [
             self._srf_chunk_arg(item.expr.args[0], schema) for _, item in srfs
         ]
-        self._mark_np_decode(node, items, schema)
         appended = [(item.ref.source, item.ref.column) for _, item in srfs]
         return unnest, schema + _Schema(appended)
 
-    def _mark_np_decode(self, node, items, schema):
-        """Let an UNNEST-feeding scan decode arrays as ndarrays.
-
-        Safe only when the array cells cannot reach any consumer that
-        expects Python lists: every SRF argument must be a plain column
-        reference (or an array slice over one), and every other select
-        item plus every scan filter may touch scalar columns only. The
-        check is conservative — failing it just keeps the
-        (always-correct) list decode.
-
-        A :class:`~repro.minidb.sql.plan.CteScan` source defers to the
-        cross-CTE analysis instead: the scan itself decodes nothing, but
-        proving that THIS use of the CTE only touches its array columns
-        through UNNEST lets :meth:`finalize_np_decode` flip the flag on
-        the scan that produced the CTE's rows.
-        """
-        if isinstance(node, phys.CteScan):
-            self._mark_cte_use(node, items, schema)
-            return
-        arr = self._scan_np_arrays(node)
-        if arr is not None and self._items_np_safe(items, schema, arr):
-            node.np_decode = True
-
-    def _scan_np_arrays(self, node):
-        """Output positions a scan could fill with ndarray cells, or None.
-
-        The positions are the scanned table's array-typed columns (offset
-        by ``np_probe_base`` for an INL probe). None means the node is no
-        candidate: not a base-table scan, no array columns, or key/filter
-        machinery that would have to evaluate Python-list semantics on the
-        array cells.
-        """
-        source = self._scanned.get(node)
-        if source is None:
-            return None
-        pk = getattr(node, "pk", ())
-        if any(is_array(ty) for name, ty in source.columns if name in pk):
-            return None
-        arr = {
-            node.np_probe_base + i
-            for i, (_, ty) in enumerate(source.columns)
-            if is_array(ty)
-        }
-        return arr if arr and _specs_avoid(node, arr) else None
-
-    def _items_np_safe(self, items, schema, arr):
-        """True when select items confine *arr* positions to UNNEST args."""
-        for item in items:
-            if item.kind == SRF:
-                if self._srf_arg_col(item.expr.args[0], schema, arr) is None:
-                    return False
-            elif any(schema.slot(ref) in arr for ref in _refs(item.expr)):
-                return False
-        return True
-
-    def _srf_arg_col(self, expr, schema, arr):
-        """Input column an UNNEST argument reads, when ndarray-safe.
-
-        Plain column references and array slices over one (with bounds
-        free of array columns) evaluate identically on list and ndarray
-        cells — the compiled slice closure preserves the ndarray view.
-        Anything else returns None.
-        """
-        if isinstance(expr, ast.BoundRef):
-            return schema.slot(expr)
-        if isinstance(expr, ast.ArraySlice) and isinstance(
-            expr.base, ast.BoundRef
-        ):
-            for bound in (expr.low, expr.high):
-                if bound is not None and any(
-                    schema.slot(ref) in arr for ref in _refs(bound)
-                ):
-                    return None
-            return schema.slot(expr.base)
-        return None
-
     def _srf_chunk_arg(self, expr, schema):
         """``(itemgetter(slot), low_fn, high_fn)`` of an UNNEST argument the
-        executor reads once per chunk: a column, or a constant-bound slice."""
-        slot = self._srf_arg_col(expr, schema, range(len(schema)))
-        if slot is None:
+        executor reads raw, its bounds once per chunk: a column, or a slice
+        of one whose bounds reference no column. None for anything else."""
+        bounds = (None, None)
+        if isinstance(expr, ast.ArraySlice):
+            expr, bounds = expr.base, (expr.low, expr.high)
+            if any(b is not None and any(_refs(b)) for b in bounds):
+                return None
+        if not isinstance(expr, ast.BoundRef):
             return None
-        sliced = isinstance(expr, ast.ArraySlice)
-        bounds = (expr.low, expr.high) if sliced else (None, None)
         fns = [None if b is None else compile_expr(b, schema.slots) for b in bounds]
-        return (itemgetter(slot), *fns)
-
-    # -- cross-CTE np_decode ---------------------------------------------
-    # The kNN/OTM plans probe the grouped label tables through an index
-    # nested-loop whose rows materialize into a CTE; the UNNESTs then read
-    # from CteScans, not from the probing scan itself. The analysis below
-    # re-creates the direct-scan guarantee across that boundary: a CTE
-    # whose rows come straight from a table scan (via a column-picking
-    # Project) may carry ndarray cells iff EVERY scan of the CTE touches
-    # those positions only as UNNEST arguments.
-
-    def _register_cte(self, name, sub):
-        """Record *name* as an np_decode candidate if its plan qualifies."""
-        if name in self._cte_np:
-            # Shadowed CTE name: use attribution would be ambiguous, so
-            # neither definition participates.
-            self._cte_np[name]["scan"] = None
-            return
-        info = {"scan": None, "out_arr": frozenset(), "uses": []}
-        self._cte_np[name] = info
-        root = sub.root
-        if not isinstance(root, phys.Project) or root.simple_cols is None:
-            return
-        scan = root.child
-        arr = self._scan_np_arrays(scan)
-        if arr is None:
-            return
-        out_arr = frozenset(
-            out_i
-            for out_i, col_i in enumerate(root.simple_cols)
-            if col_i in arr
-        )
-        if not out_arr:
-            # The projection drops every array column before anything
-            # downstream sees the rows: always safe, and the scan still
-            # skips the list materialization.
-            scan.np_decode = True
-            return
-        info["scan"] = scan
-        info["out_arr"] = out_arr
-
-    def _mark_cte_use(self, node, items, schema):
-        """Upgrade one recorded CteScan use to "safe" if provably so."""
-        info = self._cte_np.get(node.cte_name)
-        if info is None or info["scan"] is None:
-            return
-        record = next((r for r in info["uses"] if r[0] is node), None)
-        if record is None:
-            return
-        out_arr = info["out_arr"]
-        if _specs_avoid(node, out_arr) and self._items_np_safe(
-            items, schema, out_arr
-        ):
-            record[1] = True
-
-    def finalize_np_decode(self):
-        """Flip np_decode on CTE-producing scans once all uses are known.
-
-        Called by :func:`lower` after the whole statement is
-        planned. A use that never reached :meth:`_mark_cte_use` (a join
-        source, a SELECT without SRFs) stays unsafe and vetoes the flag —
-        conservative by construction.
-        """
-        for info in self._cte_np.values():
-            scan = info["scan"]
-            if scan is None or not info["uses"]:
-                continue
-            if all(safe for _node, safe in info["uses"]):
-                scan.np_decode = True
+        return (itemgetter(schema.slot(expr)), *fns)
 
     def _plan_windows(self, items, schema, node):
         wins = [item for item in items if item.kind == WINDOW]
@@ -739,11 +590,6 @@ class Planner:
                 filter_text=_predicate_detail(pushed),
             )
             node.filter_specs = specs
-            info = self._cte_np.get(source.name)
-            if info is not None and info["scan"] is not None:
-                # Every scan of an np_decode candidate starts out unsafe;
-                # _mark_np_decode upgrades the ones it can prove harmless.
-                info["uses"].append([node, False])
             return node, schema
         table = self.catalog.get(source.name)
         pk = table.schema.primary_key
@@ -762,7 +608,6 @@ class Planner:
                 source.name, source.alias, filters, ast_ref=source.node
             )
         node.filter_specs = specs
-        self._scanned[node] = source
         return node, schema
 
     def _source_filters(self, schema, all_conj, on_conjuncts, used):
@@ -882,11 +727,9 @@ class Planner:
                     ast_ref=source.node,
                 )
                 node.filter_specs = specs
-                node.np_probe_base = len(left_schema)
                 probe_specs = [_np_operand(pins[col], left_schema) for col in pk]
                 if all(spec is not None for spec in probe_specs):
                     node.np_probe_specs = probe_specs
-                self._scanned[node] = source
                 return node, schema
 
         # --- plan the right side, then hash or cross join -------------------
@@ -969,19 +812,6 @@ class Planner:
             if left_schema.covers(a) and right_schema.covers(b):
                 return a, b
         return None
-
-
-def _specs_avoid(node, positions) -> bool:
-    """Whether every filter of a scan has an array form that reads none of
-    *positions* (so no row closure ever sees an ndarray cell)."""
-    filters = getattr(node, "filters", None) or []
-    specs = node.filter_specs or []
-    if len(specs) != len(filters) or any(s is None for s in specs):
-        return False
-    cols: set = set()
-    for spec in specs:
-        _spec_cols(spec, cols)
-    return not cols & positions
 
 
 def _predicate_detail(conjuncts) -> str:

@@ -207,6 +207,13 @@ def _columns(arrays):
     return cols if {col.dtype for col in cols} == _INT64 else None
 
 
+def _lists(cells):
+    """A column of array cells with every int64 ndarray as its list."""
+    if np.ndarray not in set(map(type, cells)):
+        return cells
+    return [c.tolist() if type(c) is np.ndarray else c for c in cells]
+
+
 def _flatten(cells, picked):
     """Per SRF, the *picked* rows' cells as one int64 column (or None): one
     exact-``int`` test of the list elements, one conversion per column."""
@@ -501,7 +508,7 @@ class BatchExecutor:
         stats = self._node(node.name, node.detail, parent)
         return _once(lambda: [()], stats, self.collector)
 
-    def _scan_chunks(self, table, predicates, hint, np_arrays):
+    def _scan_chunks(self, table, predicates, hint):
         """Batched heap scan with buffer-pool readahead.
 
         A row-limit hint disables readahead: a bounded query may stop
@@ -516,7 +523,7 @@ class BatchExecutor:
         check = _predicate(predicates)
 
         def gen():
-            scan = table.scan(readahead=readahead, np_arrays=np_arrays)
+            scan = table.scan(readahead=readahead)
             chunk: list[tuple] = []
             try:
                 if check is not None:
@@ -542,9 +549,7 @@ class BatchExecutor:
     def _emit_seq_scan(self, node, env, parent, hint):
         stats = self._node(node.name, node.detail, parent)
         table = self.catalog.get(node.table)
-        return self._traced(
-            stats, self._scan_chunks(table, node.filters, hint, node.np_decode)
-        )
+        return self._traced(stats, self._scan_chunks(table, node.filters, hint))
 
     def _emit_pk_lookup(self, node, env, parent, hint):
         params = self.params
@@ -555,7 +560,7 @@ class BatchExecutor:
         def fetch():
             key = _probe_key([fn((), params) for fn in node.probe_fns])
             if key is not None:  # else it equals no key: no row, no page read
-                row = table.lookup(key, np_arrays=node.np_decode)
+                row = table.lookup(key)
                 if row is not None and (check is None or check(row, params)):
                     return [row]
             return _DONE
@@ -614,8 +619,6 @@ class BatchExecutor:
         params = self.params
         probe_fns = node.probe_fns
         check = _predicate(node.filters)
-
-        np_dec = node.np_decode
         probe_specs = node.np_probe_specs
 
         def gen():
@@ -640,7 +643,7 @@ class BatchExecutor:
                     fresh = sorted(
                         {k for k in keys if k is not None and k not in memo}
                     )
-                    matches, descents = table.lookup_many(fresh, np_dec)
+                    matches, descents = table.lookup_many(fresh)
                     memo.update(zip(fresh, matches))
                     if stats is not None:
                         stats.loops += len(keys)
@@ -751,28 +754,42 @@ class BatchExecutor:
             stats, self._filtered(child, check, node.filter_specs)
         )
 
-    def _srf_cells(self, unode, rows):
-        """Per SRF, its argument's array in each of *rows* (NULL: ``()``): a
-        column or constant-bound slice of one (``unode.srf_args``) read for
-        all rows at once, any other argument by its row closure."""
+    def _srf_readers(self, unode):
+        """Per SRF, ``read(row)``: its argument's array in *row*. A column,
+        or a constant-bound slice of one (``unode.srf_args``), is read raw,
+        so a long ``BIGINT[]`` stays the int64 ndarray it decoded to; any
+        other argument runs its row closure."""
         params = self.params
-        out = []
+        readers = []
         for arg, fn in zip(unode.srf_args, unode.srf_fns):
             if arg is None:
-                cells = [fn(row, params) for row in rows]
-            else:
-                getter, low, high = arg
-                cells = list(map(getter, rows))
-                if low is not None or high is not None:
-                    # The compiled a[low:high] closure's steps, the bounds
-                    # evaluated once: a NULL bound makes every slice NULL.
-                    lo = 1 if low is None else low((), params)
-                    hi = None if high is None else high((), params)
-                    null = lo is None or (high is not None and hi is None)
-                    cells = [
-                        None if null or c is None else c[max(lo, 1) - 1 : hi]
-                        for c in cells
-                    ]
+                readers.append(lambda row, _fn=fn: _fn(row, params))
+                continue
+            getter, low, high = arg
+            if low is None and high is None:
+                readers.append(getter)
+                continue
+            # The compiled a[low:high] closure's steps, the bounds
+            # evaluated once: a NULL bound makes every slice NULL.
+            lo = 1 if low is None else low((), params)
+            hi = None if high is None else high((), params)
+            if lo is None or (high is not None and hi is None):
+                readers.append(lambda row: None)
+                continue
+            cut = slice(max(lo, 1) - 1, hi)
+            readers.append(
+                lambda row, _get=getter, _cut=cut: (
+                    None if (c := _get(row)) is None else c[_cut]
+                )
+            )
+        return readers
+
+    def _srf_cells(self, unode, rows):
+        """Per SRF, its argument's array in each of *rows* (NULL: ``()``),
+        read by :meth:`_srf_readers`."""
+        out = []
+        for read in self._srf_readers(unode):
+            cells = list(map(read, rows))
             kinds = set(map(type, cells)) - _ARRAYS
             if kinds:  # NULLs, or a value UNNEST cannot expand
                 for cell in cells if kinds - {type(None)} else ():
@@ -902,7 +919,10 @@ class BatchExecutor:
                     # copies, zero per-row work.
                     yield chunk.project(simple_cols)
                 else:  # column by column: no per-row tuple building
-                    yield list(zip(*[map(itemgetter(i), chunk) for i in simple_cols]))
+                    cols = [map(itemgetter(i), chunk) for i in simple_cols]
+                    for at in node.array_cols:
+                        cols[at] = _lists(list(cols[at]))
+                    yield list(zip(*cols))
         finally:
             child.close()
             _sync_fused(fstats)
@@ -958,7 +978,8 @@ class BatchExecutor:
                 held_len = 0
                 for chunk in child:
                     if point:  # one row: its int64 arrays are the SRF columns
-                        cols = _columns([fn(chunk[0], params) for fn in unode.srf_fns])
+                        readers = self._srf_readers(unode)
+                        cols = _columns([read(chunk[0]) for read in readers])
                         n = 0 if cols is None else len(cols[0])
                         base = [fn(chunk[0], params) for fn in base_fns] if n else None
                         if n and _int64s(base):

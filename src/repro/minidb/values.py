@@ -83,10 +83,6 @@ def type_from_name(name: str) -> int:
         raise SQLTypeError(f"unknown SQL type {name!r}") from None
 
 
-def is_array_type(tag: int) -> bool:
-    return tag in (T_BIGINT_ARRAY, T_DOUBLE_ARRAY)
-
-
 def check_value(tag: int, value: object) -> object:
     """Validate (and lightly coerce) *value* against column type *tag*.
 
@@ -126,6 +122,8 @@ def check_value(tag: int, value: object) -> object:
             raise SQLTypeError(f"expected BOOL, got {value!r}")
         return value
     if tag == T_BIGINT_ARRAY:
+        if type(value) is _np.ndarray and value.dtype == _np.int64:
+            return value.tolist()  # a decoded cell (see decode_record)
         if not isinstance(value, (list, tuple)):
             raise SQLTypeError(f"expected BIGINT[], got {value!r}")
         out = []
@@ -336,9 +334,10 @@ def _encode_int_array(values: list) -> tuple[int, bytes]:
     return _WIDTH_ENC[width], payload
 
 
-#: Below this element count the pure-python delta loop beats numpy — the
-#: fixed per-call cost of ~7 small-array numpy operations crosses over
-#: around 32 elements (measured; see docs/PERFORMANCE.md).
+#: From this element count on, a delta segment decodes to an int64 ndarray;
+#: below it the pure-python delta loop beats numpy — the fixed per-call cost
+#: of ~7 small-array numpy operations crosses over around 32 elements
+#: (measured; see docs/PERFORMANCE.md).
 NP_DECODE_MIN = 32
 
 
@@ -397,17 +396,15 @@ def encode_record(types: tuple[int, ...], values: tuple) -> bytes:
     return bytes(bitmap) + b"".join(parts)
 
 
-def decode_record(
-    types: tuple[int, ...], data: bytes | memoryview, np_arrays: bool = False
-) -> tuple:
+def decode_record(types: tuple[int, ...], data: bytes | memoryview) -> tuple:
     """Inverse of :func:`encode_record`.
 
-    With ``np_arrays=True`` a delta segment of ``NP_DECODE_MIN`` or more
-    elements comes back as an int64 ndarray instead of a list: no
-    per-element materialization at all. Only the batch executor's UNNEST
-    producers ask for this shape (the planner marks eligible scans
-    ``np_decode``); shorter and varint (NULL-bearing) segments decode to
-    lists either way.
+    A delta segment of ``NP_DECODE_MIN`` or more elements comes back as an
+    int64 ndarray — no per-element materialization at all; shorter and
+    varint (NULL-bearing) segments decode to lists. The executor reads
+    ndarray cells raw only as UNNEST arguments; every other consumer sees
+    the list (an array-typed column reference and a projection convert,
+    :func:`check_value` stores one back).
     """
     buf = memoryview(data)
     pos = (len(types) + 7) // 8
@@ -424,9 +421,8 @@ def decode_record(
             enc, count = _SEG.unpack_from(buf, pos)
             pos += _SEG.size
             if enc in _DELTA_WIDTH and count < NP_DECODE_MIN:
-                # Below the crossover the python loop wins even for ndarray
-                # consumers (they take list cells); inline: aux arrays are
-                # short.
+                # Below the crossover the python loop wins; inline: aux
+                # arrays are short.
                 value = []
                 if count:
                     (prev,) = _I64.unpack_from(buf, pos)
@@ -453,8 +449,6 @@ def decode_record(
             elif enc in _DELTA_WIDTH:
                 end = pos + 8 + (count - 1) * _DELTA_WIDTH[enc]
                 value = _decode_delta_np(buf[pos:end], count, _DELTA_WIDTH[enc])
-                if not np_arrays:
-                    value = value.tolist()
                 pos = end
             elif enc == ENC_VARINT:
                 value, pos = _decode_varint_array(buf, pos)

@@ -116,9 +116,6 @@ class WriteAheadLog:
         """Whether *page_id* holds uncommitted changes (never evict/flush)."""
         return page_id in self._pending
 
-    def pending_count(self) -> int:
-        return len(self._pending)
-
     def on_page_dirty(self, page_id: int, pool, fresh: bool = False) -> None:
         """Record the first dirtying of *page_id* in the current statement.
 

@@ -84,9 +84,6 @@ class MultiPeriodPTLDB:
         return instance
 
     # ------------------------------------------------------------------
-    def period_names(self) -> list[str]:
-        return sorted(self._periods)
-
     def instance_for(self, when) -> PTLDB:
         """The PTLDB serving *when* (a date, a weekday int, or a name)."""
         if isinstance(when, str):

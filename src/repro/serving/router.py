@@ -479,12 +479,6 @@ class Router:
             return self._scatter(message)
         return self._call_shard(shard, message)
 
-    def checkpoint_all(self) -> list:
-        return self._scatter({"op": "checkpoint"}, admit=False)
-
-    def ping_all(self) -> list:
-        return self._scatter({"op": "ping"}, admit=False)
-
     def gather_metrics(self) -> MetricsRegistry:
         """Merge every live worker's registry (per-shard prefixes) with the
         router's own (``router.`` prefix) into a fresh registry."""

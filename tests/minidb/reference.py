@@ -9,9 +9,12 @@ buffer pool and return a :class:`Run`, so a test is
 
 from typing import NamedTuple
 
+import numpy as np
+
 from repro.minidb.sql import plan as phys
 from repro.minidb.sql.parser import parse
 from repro.minidb.sql.planner import plan_statement
+from repro.minidb.values import NP_DECODE_MIN, T_BIGINT_ARRAY
 from tests.minidb.row_executor import Executor
 
 #: The single value some suites still parametrise on. Their ids (and the
@@ -77,3 +80,24 @@ def facade_statement(ptldb, call):
         del ptldb._exec  # drop the instance attribute shadowing the method
     (statement,) = seen
     return statement
+
+
+def assert_decoded(types, decoded, stored):
+    """*decoded* is the decode of row *stored* (columns of *types*) under
+    the one representation rule: a ``BIGINT[]`` cell is an int64 ndarray
+    exactly when it is a delta segment (NULL-free) of at least
+    ``NP_DECODE_MIN`` elements, a list otherwise, and it equals the stored
+    list either way."""
+    assert len(decoded) == len(stored) == len(types)
+    for tag, cell, want in zip(types, decoded, stored):
+        long = (
+            tag == T_BIGINT_ARRAY
+            and want is not None
+            and None not in want
+            and len(want) >= NP_DECODE_MIN
+        )
+        assert isinstance(cell, np.ndarray) == long, (cell, want)
+        if long:
+            assert cell.dtype == np.int64
+            cell = cell.tolist()
+        assert cell == want

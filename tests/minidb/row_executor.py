@@ -86,6 +86,14 @@ def _probe_key(parts):
     return key if all(isinstance(k, int) for k in key) else None
 
 
+def _listed(row):
+    """A decoded row with every array cell a list: a long ``BIGINT[]``
+    decodes to an int64 ndarray, which the model never reads."""
+    if row is None:
+        return None
+    return tuple(cell.tolist() if hasattr(cell, "tolist") else cell for cell in row)
+
+
 class Executor:
     """Interprets SELECT plans against a catalog, one row per pull."""
 
@@ -127,7 +135,7 @@ class Executor:
         filters = node.filters
 
         def gen():
-            for row in table.scan():
+            for row in map(_listed, table.scan()):
                 if all(p(row, params) is True for p in filters):
                     yield row
 
@@ -140,7 +148,7 @@ class Executor:
 
         def gen():
             key = _probe_key(fn((), params) for fn in node.probe_fns)
-            row = table.lookup(key) if key is not None else None
+            row = _listed(table.lookup(key)) if key is not None else None
             if row is not None and all(p(row, params) is True for p in filters):
                 yield row
 
@@ -188,7 +196,7 @@ class Executor:
                 if key in probe_cache:
                     match = probe_cache[key]
                 else:
-                    match = table.lookup(key)
+                    match = _listed(table.lookup(key))
                     probe_cache[key] = match
                 if match is None:
                     continue

@@ -3,7 +3,8 @@
 Pins the storage-level contracts docs/STORAGE.md documents: every value
 round-trips bit-exactly through the record, ``BIGINT[]`` cells as delta
 segments whose numpy and pure-python decoders agree everywhere (including
-int64 wraparound and the ``NP_DECODE_MIN`` crossover), tables with array
+int64 wraparound) and decode to an ndarray exactly from ``NP_DECODE_MIN``
+elements on (``assert_decoded``), tables with array
 columns survive DML and reopen, and the batch kernels reproduce the row
 executor's integer semantics exactly or decline.
 """
@@ -33,6 +34,7 @@ from repro.minidb.values import (
     decode_record,
     encode_record,
 )
+from tests.minidb.reference import assert_decoded
 
 np = npbatch.np
 
@@ -59,21 +61,16 @@ def delta_segment(values):
     return {1: 5, 2: 6, 4: 7, 8: 8}[width], payload
 
 
-def _plain(value):
-    """An ndarray cell as a list, so list and ndarray decodes compare."""
-    return value.tolist() if hasattr(value, "tolist") else value
-
-
-def roundtrip(types, row, np_arrays=False):
-    cell = encode_record(types, row)
-    return decode_record(types, cell, np_arrays=np_arrays)
+def roundtrip(types, row):
+    return decode_record(types, encode_record(types, row))
 
 
 class TestRoundTrip:
     def test_all_types(self):
         row = (7, [1, 5, 5, 9], 2.5, True, "héllo", [0.25, -1.0])
         assert roundtrip(SCHEMA, row) == row
-        assert roundtrip(SCHEMA, row, np_arrays=True) == row
+        long = (7, list(range(NP_DECODE_MIN)), 2.5, True, "héllo", [0.25, -1.0])
+        assert_decoded(SCHEMA, roundtrip(SCHEMA, long), long)
 
     def test_nulls_everywhere(self):
         row = (None,) * len(SCHEMA)
@@ -83,9 +80,7 @@ class TestRoundTrip:
         full = (7, long, 2.5, False, "", [None, 1.0])
         for i in range(len(SCHEMA)):
             row = full[:i] + (None,) + full[i + 1 :]
-            assert roundtrip(SCHEMA, row) == row
-            got = roundtrip(SCHEMA, row, np_arrays=True)
-            assert [_plain(v) for v in got] == list(row)
+            assert_decoded(SCHEMA, roundtrip(SCHEMA, row), row)
 
     def test_empty_array(self):
         assert roundtrip((T_BIGINT_ARRAY,), ([],)) == ([],)
@@ -121,7 +116,8 @@ class TestRoundTrip:
     )
     @settings(max_examples=60, deadline=None)
     def test_any_int64_sequence(self, values):
-        assert roundtrip((T_BIGINT_ARRAY,), (values,)) == (values,)
+        got = roundtrip((T_BIGINT_ARRAY,), (values,))
+        assert_decoded((T_BIGINT_ARRAY,), got, (values,))
         assert _encode_int_array(values) == delta_segment(values)
         # The cell is the null bitmap, then ``u8 enc | u32 count | payload``.
         enc, payload = delta_segment(values)
@@ -135,10 +131,8 @@ class TestNumpyDecode:
     def test_crossover_boundary(self):
         below = list(range(NP_DECODE_MIN - 1))
         at = list(range(NP_DECODE_MIN))
-        got_below = roundtrip(
-            (T_BIGINT_ARRAY,), (below,), np_arrays=True
-        )[0]
-        got_at = roundtrip((T_BIGINT_ARRAY,), (at,), np_arrays=True)[0]
+        got_below = roundtrip((T_BIGINT_ARRAY,), (below,))[0]
+        got_at = roundtrip((T_BIGINT_ARRAY,), (at,))[0]
         # Below the crossover the cheap list decode is returned; at and
         # above, an int64 ndarray (the UNNEST kernels accept both).
         assert isinstance(got_below, list) and got_below == below
@@ -148,7 +142,7 @@ class TestNumpyDecode:
 
     def test_varint_fallback_stays_list(self):
         values = [1, None, 2] * NP_DECODE_MIN
-        got = roundtrip((T_BIGINT_ARRAY,), (values,), np_arrays=True)[0]
+        got = roundtrip((T_BIGINT_ARRAY,), (values,))[0]
         assert isinstance(got, list) and got == values
 
     @given(
@@ -167,13 +161,10 @@ class TestNumpyDecode:
     def test_decoders_agree(self, values):
         enc, payload = _encode_int_array(values)
         width = {5: 1, 6: 2, 7: 4, 8: 8}[enc]
-        as_list = roundtrip((T_BIGINT_ARRAY,), (values,))[0]
         as_np = _decode_delta_np(memoryview(payload), len(values), width)
-        assert as_list == values
         assert as_np.tolist() == values
-        cell = roundtrip((T_BIGINT_ARRAY,), (values,), np_arrays=True)[0]
-        assert _plain(cell) == values
-        assert isinstance(cell, list) == (len(values) < NP_DECODE_MIN)
+        cell = roundtrip((T_BIGINT_ARRAY,), (values,))
+        assert_decoded((T_BIGINT_ARRAY,), cell, (values,))
         # The branch-free unzigzag against the select-by-parity definition,
         # element for element on the stored zig-zag words.
         raw = np.frombuffer(

@@ -1,10 +1,12 @@
 """Direct unit tests of the scalar/aggregate function registry."""
 
 import random
+import sqlite3
 
 import pytest
 
-from repro.errors import SQLNameError, SQLTypeError
+from repro.errors import SQLError, SQLNameError, SQLTypeError
+from repro.minidb.engine import Database
 from repro.minidb.sql import functions as fn
 from tests.minidb.row_executor import LIST_AGGREGATES
 
@@ -39,6 +41,26 @@ class TestScalars:
         assert array_length([], 1) is None  # PostgreSQL returns NULL
         with pytest.raises(SQLTypeError):
             array_length([1], 2)  # one-dimensional only
+
+    def test_mod_is_exact_and_fails_like_division(self):
+        db = Database()
+        pairs = [
+            (9007199254740993, 2),  # 2^53 + 1: not a double
+            (9223372036854775807, 10),
+            (-9223372036854775808, 7),
+            (-7, 2),
+            (7, -2),
+            (-7, -2),
+        ]
+        conn = sqlite3.connect(":memory:")
+        for a, b in pairs:
+            (want,) = conn.execute("SELECT ? % ?", (a, b)).fetchone()
+            assert db.execute("SELECT MOD($1, $2)", (a, b)).scalar() == want
+        conn.close()
+        assert db.execute("SELECT MOD(-7.5, 2)").scalar() == -1.5
+        for sql in ("SELECT MOD(7, 0)", "SELECT MOD(7.5, 0)", "SELECT 7 / 0"):
+            with pytest.raises(SQLError, match="division by zero"):
+                db.execute(sql)
 
     def test_unknown_lookup(self):
         with pytest.raises(SQLNameError):

@@ -16,6 +16,7 @@ from repro.minidb.values import (
     decode_record,
     encode_record,
 )
+from tests.minidb.reference import assert_decoded
 
 TYPES = (T_BIGINT_ARRAY,)
 I64_MIN = -(2**63)
@@ -27,8 +28,9 @@ def varint_roundtrip(arr):
     what carried it (cell = null bitmap byte, then the segment's tag)."""
     cell = encode_record(TYPES, (arr,))
     assert cell[1] == ENC_VARINT
-    assert decode_record(TYPES, cell, np_arrays=True) == decode_record(TYPES, cell)
-    return decode_record(TYPES, cell)[0]
+    decoded = decode_record(TYPES, cell)
+    assert_decoded(TYPES, decoded, (arr,))  # a varint segment is a list
+    return decoded[0]
 
 
 def flat_bytes(arr):

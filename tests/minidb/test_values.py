@@ -19,6 +19,7 @@ from repro.minidb.values import (
     type_from_name,
     type_name,
 )
+from tests.minidb.reference import assert_decoded
 
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
@@ -131,7 +132,7 @@ class TestRecordCodec:
     def test_property_roundtrip(self, number, real, text, flag, arr):
         types = (T_BIGINT, T_DOUBLE, T_TEXT, T_BOOL, T_BIGINT_ARRAY)
         row = (number, real, text, flag, arr)
-        assert decode_record(types, encode_record(types, row)) == row
+        assert_decoded(types, decode_record(types, encode_record(types, row)), row)
 
 
 class TestOutOfRangeWrites:
