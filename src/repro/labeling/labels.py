@@ -13,6 +13,7 @@ into one join — see DESIGN.md for the reverse-engineered generation rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.errors import LabelingError
 
@@ -60,9 +61,10 @@ class TTLLabels:
     # ------------------------------------------------------------------
     def sort(self) -> None:
         """Sort every label list by (hub, td) — PTLDB's storage order."""
+        key = attrgetter("hub", "td", "ta")  # the generated __lt__'s order
         for labels in (self.lout, self.lin):
             for tuples in labels:
-                tuples.sort()
+                tuples.sort(key=key)
 
     @property
     def total_tuples(self) -> int:

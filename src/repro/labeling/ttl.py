@@ -29,9 +29,11 @@ reversed search that produced them.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right
 from contextlib import closing
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from repro.errors import LabelingError
 from repro.labeling.labels import LabelTuple, TTLLabels
@@ -43,61 +45,76 @@ from repro.labeling.scan import (
 )
 from repro.timetable.model import Timetable
 
+_INT64_MAX = np.iinfo(np.int64).max
 
 # ---------------------------------------------------------------------------
-# Cover checks (PLL pruning) over per-vertex, per-hub sorted (td, ta) indexes
+# Cover checks (PLL pruning): one numpy pass per hub and direction
 # ---------------------------------------------------------------------------
-def _covered(out_idx_v: dict, lin_h: dict, dep: int, arr: int) -> bool:
-    """Is a candidate v -> h journey (dep, arr) answerable from
-    ``Lout(v) x Lin(h)``?
+class _CoverIndex:
+    """One label side of the vertices not yet processed as hubs, as flat
+    int64 columns sorted by ``key = v * m + t``.
 
-    For each hub *x* both sides know, the per-hub entries are Pareto —
-    strictly increasing ``(td, ta)`` — so the only ``Lout(v)`` tuple worth
-    testing is the earliest one departing >= *dep* (it has the smallest
-    arrival among feasible ones, making the transfer easiest), and the only
-    ``Lin(h)`` entry worth testing is the earliest one departing after that
-    arrival: two bisects per common hub, with the same boolean outcome as
-    testing every pair (``tests/labeling/reference_build.py`` does).
+    *t* is a tuple's departure and *o* its arrival, relative to the side's
+    own time frame — forward for ``Lout``, reversed for ``Lin`` — so both
+    lie in ``0 .. m - 2``; *x* is the hub's rank. In that frame a ``Lin``
+    check is a ``Lout`` check, and one :meth:`covered` serves both.
     """
-    bl = bisect_left
-    for x, (tds, tas) in out_idx_v.items():
-        candidates = lin_h.get(x)
-        if candidates is None:
-            continue
-        i = bl(tds, dep)
-        if i == len(tds):
-            continue
-        ta1 = tas[i]
-        if ta1 > arr:
-            continue
-        ctds, ctas = candidates
-        j = bl(ctds, ta1)
-        if j < len(ctds) and ctas[j] <= arr:
-            return True
-    return False
 
+    def __init__(self, m: int):
+        self.m = m
+        self.key = self.o = self.x = np.empty(0, np.int64)
 
-def _covered_in(lout_h: dict, in_idx_v: dict, dep: int, arr: int) -> bool:
-    """Cover check for a candidate h -> v journey: join Lout(h) x Lin(v).
+    def pop(self, v: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Drop v's tuples; return them as ``(x, t, o)`` in the *other*
+        side's time frame, where departure and arrival swap."""
+        m, last = self.m, self.m - 2
+        lo, hi = np.searchsorted(self.key, (v * m, (v + 1) * m))
+        popped = (self.x[lo:hi], last - self.o[lo:hi],
+                  last - (self.key[lo:hi] - v * m))
+        cut = slice(lo, hi)
+        self.key, self.o, self.x = (
+            np.delete(a, cut) for a in (self.key, self.o, self.x))
+        return popped
 
-    Mirror image of :func:`_covered`: the best ``Lin(v)`` entry per
-    hub is the latest-departing one arriving <= *arr*, and the best
-    ``Lout(h)`` entry is the earliest one departing >= *dep*.
-    """
-    bl = bisect_left
-    for x, (tds, tas) in in_idx_v.items():
-        candidates = lout_h.get(x)
-        if candidates is None:
-            continue
-        j = bisect_right(tas, arr)
-        if j == 0:
-            continue
-        td2 = tds[j - 1]
-        ctds, ctas = candidates
-        i = bl(ctds, dep)
-        if i < len(ctds) and ctas[i] <= td2:
-            return True
-    return False
+    def add(self, vs: np.ndarray, t: np.ndarray, o: np.ndarray, x: int) -> None:
+        """Insert one hub's kept tuples in one batch."""
+        key = vs * self.m + t
+        order = np.argsort(key)
+        at = np.searchsorted(self.key, key[order])
+        self.key = np.insert(self.key, at, key[order])
+        self.o = np.insert(self.o, at, o[order])
+        self.x = np.insert(self.x, at, x)
+
+    def covered(self, partner: tuple, vs: np.ndarray, t: np.ndarray,
+                o: np.ndarray) -> np.ndarray:
+        """Which candidate journeys ``vs -> h`` (departing *t*, arriving
+        *o*) can the tuples already here, joined with *partner* (h's other
+        side, from :meth:`pop`), answer?
+
+        Per entry *e*, ``g(e)`` is the earliest partner arrival via e's hub
+        departing at or after ``e.o`` (``m - 1``: none) — the first such
+        partner tuple, as a hub's tuples are Pareto. A candidate is
+        covered iff ``min g`` over its vertex's entries with ``e.t >= t``
+        — a segmented suffix-min read at the first such entry — is
+        ``<= o``: the same answer as testing every pair of tuples.
+        """
+        px, pt, po = partner
+        m, n = self.m, len(self.key)
+        if not n or not len(px):
+            return np.zeros(len(vs), bool)
+        pk = px * m + pt
+        order = np.argsort(pk)
+        pk, px, po = pk[order], px[order], po[order]
+        j = np.searchsorted(pk, self.x * m + self.o)
+        jc = np.minimum(j, len(pk) - 1)
+        g = np.where((j < len(pk)) & (px[jc] == self.x), po[jc], m - 1)
+        # segmented suffix-min: adding v * m to values below m keeps every
+        # later vertex's segment above the current one
+        base = self.key - self.key % m
+        best = np.minimum.accumulate((base + g)[::-1])[::-1] - base
+        at = np.searchsorted(self.key, vs * m + t)
+        atc = np.minimum(at, n - 1)
+        return (at < n) & (base[atc] == vs * m) & (best[atc] <= o)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +181,13 @@ def build_labels(
         order = make_order(timetable, ordering)
     labels = TTLLabels(timetable.num_stops, order)
     rank = labels.rank
+    low, high = timetable.time_range() if timetable.connections else (0, 0)
+    m = high - low + 2  # key radix: times relative to low, m - 1 = none
+    if timetable.num_stops * m > _INT64_MAX or min(low, -high) < -_INT64_MAX:
+        raise LabelingError(
+            f"times {low}..{high} (span {high - low}) over "
+            f"{timetable.num_stops} stops do not fit int64 label keys"
+        )
     cols = ConnectionColumns.from_timetable(timetable)
     if workers == 1:
         scans = in_process_scans(cols, rank, order)
@@ -173,71 +197,48 @@ def build_labels(
 
     candidates = pruned = 0
     scan_cpu_s = 0.0
-    # Per-vertex per-hub ascending (td, ta) indexes for the cover checks.
-    out_idx: list[dict] = [{} for _ in range(timetable.num_stops)]
-    in_idx: list[dict] = [{} for _ in range(timetable.num_stops)]
+    out_ix, in_ix = _CoverIndex(m), _CoverIndex(m)
     pipeline_started = time.perf_counter()
     with closing(scans):  # an error below must not leave a pool running
         for results, cpu_s in scans:
             scan_cpu_s += cpu_s
             for h, fwd, rev in results:
-                # --- journeys v -> h: tuples for Lout(v) ----------------
-                lin_h = in_idx[h]
-                for v, deps, arrs, trips, pivots in fwd:
-                    lout_v = labels.lout[v]
-                    oi = out_idx[v]
-                    keep_td: list[int] = []
-                    keep_ta: list[int] = []
-                    for dep, arr, trip, pivot in zip(deps, arrs, trips, pivots):
-                        candidates += 1
-                        if prune and _covered(oi, lin_h, dep, arr):
-                            pruned += 1
-                            continue
-                        lout_v.append(
-                            LabelTuple(
-                                hub=h, td=dep, ta=arr, pivot=pivot, trip=trip
-                            )
-                        )
-                        keep_td.append(dep)
-                        keep_ta.append(arr)
-                    if keep_td:
-                        # entries arrive departure-descending; index ascending
-                        keep_td.reverse()
-                        keep_ta.reverse()
-                        oi[h] = (keep_td, keep_ta)
-
-                # --- journeys h -> v: tuples for Lin(v) -----------------
-                lout_h = out_idx[h]
-                for v, rdeps, rarrs, trips, pivots in rev:
-                    lin_v = labels.lin[v]
-                    ii = in_idx[v]
-                    keep_td = []
-                    keep_ta = []
-                    for rdep, rarr, trip, pivot in zip(
-                        rdeps, rarrs, trips, pivots
-                    ):
-                        dep, arr = -rarr, -rdep  # undo the time reversal
-                        candidates += 1
-                        if prune and _covered_in(lout_h, ii, dep, arr):
-                            pruned += 1
-                            continue
-                        lin_v.append(
-                            LabelTuple(
-                                hub=h, td=dep, ta=arr, pivot=pivot, trip=trip
-                            )
-                        )
-                        keep_td.append(dep)
-                        keep_ta.append(arr)
-                    if keep_td:
-                        # reversed entries arrive rev-departure-descending,
-                        # i.e. already ascending in real (td, ta)
-                        ii[h] = (keep_td, keep_ta)
+                lin_h, lout_h = in_ix.pop(h), out_ix.pop(h)
+                # journeys v -> h: tuples for Lout(v), forward times;
+                # journeys h -> v: tuples for Lin(v), reversed times
+                for entries, index, partner, side, forward in (
+                    (fwd, out_ix, lin_h, labels.lout, True),
+                    (rev, in_ix, lout_h, labels.lin, False),
+                ):
+                    if not entries:
+                        continue
+                    vids, *lists = zip(*entries)
+                    deps, arrs, trips, pivots = (
+                        list(chain.from_iterable(col)) for col in lists)
+                    vs = np.repeat(vids, [len(d) for d in lists[0]])
+                    shift = -low if forward else high
+                    t = np.array(deps, np.int64) + shift
+                    o = np.array(arrs, np.int64) + shift
+                    keep = np.arange(len(vs))
+                    if prune:
+                        keep = np.flatnonzero(~index.covered(partner, vs, t, o))
+                        index.add(vs[keep], t[keep], o[keep], rank[h])
+                    candidates += len(vs)
+                    pruned += len(vs) - len(keep)
+                    for k, v in zip(keep.tolist(), vs[keep].tolist()):
+                        # undo the reverse scan's time reversal
+                        td, ta = ((deps[k], arrs[k]) if forward
+                                  else (-arrs[k], -deps[k]))
+                        side[v].append(LabelTuple(
+                            hub=h, td=td, ta=ta, pivot=pivots[k], trip=trips[k]
+                        ))
     pipeline_s = time.perf_counter() - pipeline_started
 
     finalize_started = time.perf_counter()
-    labels.sort()
     if add_dummies:
-        labels.add_dummy_tuples()
+        labels.add_dummy_tuples()  # sorts
+    else:
+        labels.sort()
     finalize_s = time.perf_counter() - finalize_started
 
     wall_s = time.perf_counter() - wall_started

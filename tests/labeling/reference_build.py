@@ -2,7 +2,7 @@
 
 Not on any build path: every build runs
 :func:`repro.labeling.ttl.build_labels` (decoded scan rows,
-:func:`repro.labeling.scan.profile_scan`, indexed cover checks). This
+:func:`repro.labeling.scan.profile_scan`, batched cover checks). This
 module keeps the obviously-correct reading the shipped pipeline is pinned
 against — object profiles filled from `Connection` attributes over a real
 reversed :class:`~repro.timetable.model.Timetable`, and cover checks that

@@ -18,8 +18,9 @@ from repro.labeling.io import save_labels
 from repro.labeling.query import TTLQueryEngine
 from repro.labeling.scan import ConnectionColumns, profile_scan
 from repro.labeling.ttl import BuildReport, build_labels
+from repro.timetable.datasets import load_dataset
 from repro.timetable.generator import random_timetable
-from repro.timetable.model import Timetable
+from repro.timetable.model import Connection, Timetable
 
 from tests.conftest import PAPER_ORDER, make_paper_timetable
 from tests.labeling.reference_build import journey_profiles, reference_build
@@ -161,6 +162,17 @@ class TestIdentity:
             assert_same_labels(built, expected)
             assert report.pruned_tuples == 0
 
+    def test_salt_lake_city_paper(self):
+        """Paper scale: 240 stops and 477,459 candidates through the
+        batched cover checks, against the every-pair model."""
+        tt = load_dataset("Salt Lake City", scale="paper")
+        expected, expected_report = reference_build(tt)
+        built, report = build_labels(tt)
+        assert_same_labels(built, expected)
+        assert_same_counters(report, expected_report)
+        assert report.candidate_tuples == 477_459
+        assert report.kept_tuples == 26_642
+
     @settings(max_examples=10, deadline=None)
     @given(
         num_stops=st.integers(min_value=2, max_value=12),
@@ -229,10 +241,39 @@ class TestScanProducers:
             scan._scan_window([3, 4])
 
 
+def _shifted(tt, by):
+    return Timetable(tt.num_stops, [
+        Connection(c.dep + by, c.arr + by, c.u, c.v, c.trip)
+        for c in tt.connections
+    ])
+
+
 class TestValidationAndReport:
     def test_rejects_zero_workers(self, small_timetable):
         with pytest.raises(LabelingError):
             build_labels(small_timetable, workers=0)
+
+    @pytest.mark.parametrize("edge", ["negative", "int64 max"])
+    def test_shifted_times_shift_the_labels(self, small_timetable, edge):
+        """Cover keys are relative to the earliest departure: negative
+        times and times at the int64 edge build the same labels, shifted."""
+        by = -10**12 if edge == "negative" else (
+            2**63 - 1 - small_timetable.time_range()[1])
+        expected, expected_report = build_labels(small_timetable)
+        built, report = build_labels(
+            _shifted(small_timetable, by), order=expected.order
+        )
+        assert_same_counters(report, expected_report)
+        for side in ("lout", "lin"):
+            for got, want in zip(getattr(built, side), getattr(expected, side)):
+                assert [(t.hub, t.td - by, t.ta - by, t.pivot, t.trip)
+                        for t in got] == [
+                    (t.hub, t.td, t.ta, t.pivot, t.trip) for t in want]
+
+    def test_oversized_time_span_is_refused(self):
+        tt = Timetable(3, [Connection(0, 2**62, 0, 1, 0)])
+        with pytest.raises(LabelingError, match=f"span {2**62}"):
+            build_labels(tt)
 
     def test_report_fields(self, small_timetable):
         for workers in WORKERS:
