@@ -43,10 +43,13 @@ def hub_sample_order(timetable: Timetable, samples: int = 32, seed: int = 7) -> 
     Runs earliest-arrival scans from *samples* random (stop, time) states and
     counts, for every stop, how many other stops' optimal arrival was relayed
     through it (i.e. it was the arrival stop of a connection that improved
-    someone downstream within the same scan).
+    someone downstream within the same scan). A timetable without
+    connections has nothing to sample and keeps the stop-id order.
     """
     from repro.baselines.csa import INF
 
+    if not timetable.connections:
+        return list(range(timetable.num_stops))
     rng = random.Random(seed)
     score = [0.0] * timetable.num_stops
     low, high = timetable.time_range()

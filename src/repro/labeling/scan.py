@@ -3,8 +3,9 @@ the labels.
 
 For hub *h*, :func:`repro.labeling.ttl.build_labels` needs the Pareto
 ``(td, ta)`` journeys between *h* and every lower-ranked vertex, forward and
-reverse. That depends only on the timetable and *h*, so the scans may run
-anywhere; the order-dependent pruning stays in the coordinator. This module
+reverse, that touch no stop ranked above *h*. That depends only on the
+timetable, the ranks and *h*, so the scans may run anywhere; the pruning,
+which reads the labels built so far, stays in the coordinator. This module
 holds the three pieces every build uses and the two places the scans can
 run:
 
@@ -94,8 +95,8 @@ class ConnectionColumns:
     def num_trips(self) -> int:
         return int(self.trip.max()) + 1 if len(self.trip) else 0
 
-    def scan_rows(self, reverse: bool) -> list[tuple[int, int, int, int, int]]:
-        """Rows ``(dep, arr, u, v, trip)`` in profile-CSA iteration order.
+    def scan_order(self, reverse: bool) -> np.ndarray:
+        """Connection indices in profile-CSA iteration order.
 
         Forward: the canonical ascending connection order, reversed.
         Reverse: the time-reversed timetable's connections
@@ -104,31 +105,20 @@ class ConnectionColumns:
         second :class:`~repro.timetable.model.Timetable`, with identical
         tie-breaking (``Connection`` sorts by the full 5-tuple).
         """
-        if not len(self.dep):
-            return []
         if not reverse:
-            return list(
-                zip(
-                    self.dep[::-1].tolist(),
-                    self.arr[::-1].tolist(),
-                    self.u[::-1].tolist(),
-                    self.v[::-1].tolist(),
-                    self.trip[::-1].tolist(),
-                )
-            )
-        rdep, rarr = -self.arr, -self.dep
+            return np.arange(len(self.dep))[::-1]
         # lexsort: last key is primary -> ascending (-arr, -dep, v, u, trip)
-        asc = np.lexsort((self.trip, self.u, self.v, rarr, rdep))
-        desc = asc[::-1]
-        return list(
-            zip(
-                rdep[desc].tolist(),
-                rarr[desc].tolist(),
-                self.v[desc].tolist(),
-                self.u[desc].tolist(),
-                self.trip[desc].tolist(),
-            )
-        )
+        return np.lexsort((self.trip, self.u, self.v, -self.dep, -self.arr))[::-1]
+
+    def scan_rows(self, reverse: bool) -> list[tuple[int, int, int, int, int]]:
+        """Rows ``(dep, arr, u, v, trip)`` in :meth:`scan_order`; a reverse
+        row is the time-reversed connection ``(-arr, -dep, v, u, trip)``."""
+        at = self.scan_order(reverse)
+        if not reverse:
+            columns = (self.dep, self.arr, self.u, self.v, self.trip)
+        else:
+            columns = (-self.arr, -self.dep, self.v, self.u, self.trip)
+        return list(zip(*(col[at].tolist() for col in columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +129,6 @@ def profile_scan(
     num_stops: int,
     num_trips: int,
     target: int,
-    rank: list[int] | None = None,
 ) -> list[ScanEntries]:
     """All-to-one profile CSA over pre-decoded connection rows.
 
@@ -150,8 +139,8 @@ def profile_scan(
     stop's arrivals are strictly decreasing along its entry list. Rows are
     plain tuples, the profile per stop is kept as parallel lists keyed by
     *negated* departure so the profile evaluation is one C-level
-    ``bisect_right``, and only vertices that can contribute label tuples
-    (``rank[v] > rank[target]``) are returned.
+    ``bisect_right``. Every stop with an entry, the target excepted, is
+    returned.
     """
     sdeps: list[list[int]] = [[] for _ in range(num_stops)]  # -dep, ascending
     sarrs: list[list[int]] = [[] for _ in range(num_stops)]
@@ -190,27 +179,27 @@ def profile_scan(
         strips[cu].append(ct)
         spivots[cu].append(cv)
 
-    out: list[ScanEntries] = []
-    target_rank = rank[target] if rank is not None else -1
-    for s in range(num_stops):
-        if not sdeps[s] or s == target:
-            continue
-        if rank is not None and rank[s] <= target_rank:
-            continue
-        out.append(
-            (s, [-d for d in sdeps[s]], sarrs[s], strips[s], spivots[s])
-        )
-    return out
+    return [
+        (s, [-d for d in sdeps[s]], sarrs[s], strips[s], spivots[s])
+        for s in range(num_stops)
+        if sdeps[s] and s != target
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Scan producers
 # ---------------------------------------------------------------------------
 def _scan_state(cols: ConnectionColumns, rank: list[int]) -> tuple:
-    """Everything a scan needs, materialized once per scanning process."""
+    """Everything a scan needs, materialized once per scanning process:
+    per direction the rows and each row's *rank floor*, the smaller rank
+    (the more important) of its two stops."""
+    ranks = np.asarray(rank, dtype=np.int64)
+    floor = np.minimum(ranks[cols.u], ranks[cols.v])
     return (
         cols.scan_rows(reverse=False),
+        floor[cols.scan_order(reverse=False)],
         cols.scan_rows(reverse=True),
+        floor[cols.scan_order(reverse=True)],
         cols.num_stops,
         cols.num_trips,
         rank,
@@ -218,15 +207,23 @@ def _scan_state(cols: ConnectionColumns, rank: list[int]) -> tuple:
 
 
 def _scan_hubs(state: tuple, hubs: list[int]) -> ScanBatch:
-    """Forward + reverse profile scans for consecutive hubs."""
-    fwd_rows, rev_rows, num_stops, num_trips, rank = state
+    """Forward + reverse profile scans for consecutive hubs.
+
+    The scan for *h* reads only the rows whose two stops both rank at or
+    below h: a journey through a higher-ranked stop w is covered by the
+    labels of w, built before h's (PLL's highest-ranked-vertex argument),
+    so the coordinator would prune every candidate it yields.
+    """
+    fwd_rows, fwd_floor, rev_rows, rev_floor, num_stops, num_trips, rank = state
+
+    def scan(rows: list, floor: np.ndarray, h: int) -> list[ScanEntries]:
+        picked = np.flatnonzero(floor >= rank[h]).tolist()
+        return profile_scan(
+            list(map(rows.__getitem__, picked)), num_stops, num_trips, h)
+
     started = time.process_time()
     results = [
-        (
-            h,
-            profile_scan(fwd_rows, num_stops, num_trips, h, rank),
-            profile_scan(rev_rows, num_stops, num_trips, h, rank),
-        )
+        (h, scan(fwd_rows, fwd_floor, h), scan(rev_rows, rev_floor, h))
         for h in hubs
     ]
     return results, time.process_time() - started

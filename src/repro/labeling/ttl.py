@@ -10,14 +10,15 @@ some hub in ``Lout(s) x Lin(g)`` with a feasible transfer
 
 Construction processes hubs from most to least important. For hub *h* a
 profile connection scan (:mod:`repro.labeling.scan`) yields the Pareto
-``(td, ta)`` journey set between *h* and every other vertex; each candidate
-tuple is kept only if the labels built so far (which reference strictly
-higher-ranked hubs only) cannot already answer it — PLL-style pruning
-adapted to the temporal setting. The scans never read the labels, so they
-may run ahead of the pruning on a process pool; the pruning is
-order-dependent and stays in this one loop, which consumes candidates in
-(hub rank, vertex, entry) order wherever the scans ran. The labels are
-therefore the same bytes at every worker count.
+``(td, ta)`` journey set between *h* and every lower-ranked vertex over
+the stops ranked at or below *h* (a journey through a higher stop is that
+stop's to cover); each candidate tuple is kept only if the labels built so
+far (which reference strictly higher-ranked hubs only) cannot already
+answer it — PLL-style pruning adapted to the temporal setting. The scans
+never read the labels, so they may run ahead of the pruning on a process
+pool; the pruning is order-dependent and stays in this one loop, which
+consumes candidates in (hub rank, vertex, entry) order wherever the scans
+ran. The labels are therefore the same bytes at every worker count.
 
 Each kept tuple also records the first boarded trip and the *pivot* — the
 next stop along the journey from the label's vertex side (the hub itself
@@ -151,7 +152,6 @@ def build_labels(
     timetable: Timetable,
     order: list[int] | None = None,
     ordering: str = "event_degree",
-    prune: bool = True,
     add_dummies: bool = False,
     workers: int = 1,
 ) -> tuple[TTLLabels, BuildReport]:
@@ -162,8 +162,6 @@ def build_labels(
         order: explicit vertex order (most important first); computed with
             *ordering* when omitted.
         ordering: strategy name from :mod:`repro.labeling.ordering`.
-        prune: disable to measure how much PLL-style pruning saves
-            (ablation); the labels stay correct either way, only bigger.
         add_dummies: also add PTLDB's dummy tuples before returning.
         workers: where the per-hub profile scans run: 1 scans in the
             calling process and starts no other, more scans ahead of the
@@ -219,10 +217,8 @@ def build_labels(
                     shift = -low if forward else high
                     t = np.array(deps, np.int64) + shift
                     o = np.array(arrs, np.int64) + shift
-                    keep = np.arange(len(vs))
-                    if prune:
-                        keep = np.flatnonzero(~index.covered(partner, vs, t, o))
-                        index.add(vs[keep], t[keep], o[keep], rank[h])
+                    keep = np.flatnonzero(~index.covered(partner, vs, t, o))
+                    index.add(vs[keep], t[keep], o[keep], rank[h])
                     candidates += len(vs)
                     pruned += len(vs) - len(keep)
                     for k, v in zip(keep.tolist(), vs[keep].tolist()):

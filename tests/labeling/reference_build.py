@@ -8,8 +8,11 @@ against — object profiles filled from `Connection` attributes over a real
 reversed :class:`~repro.timetable.model.Timetable`, and cover checks that
 test every label pair — so the identity suite
 (``tests/labeling/test_parallel.py``) can require the same labels byte for
-byte and the same candidate/pruned/kept counters. It is slow (linear cover
-scans: Madrid ``paper`` takes minutes); use it on test-sized timetables.
+byte and the same kept counter. Its scans do not skip the stops ranked
+above the hub, so it yields (and prunes) more candidates than the builder;
+``prune=False`` keeps every Pareto journey, the unpruned labels. It is
+slow (linear cover scans: Madrid ``paper`` takes minutes); use it on
+test-sized timetables.
 """
 
 from __future__ import annotations

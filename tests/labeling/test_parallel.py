@@ -1,5 +1,6 @@
-"""The one label builder, at every worker count, must be bit-identical to
-the definitional model in ``tests/labeling/reference_build.py``."""
+"""The one label builder, at every worker count, must build the labels of
+the definitional model in ``tests/labeling/reference_build.py`` bit for
+bit."""
 
 import multiprocessing
 import os
@@ -15,6 +16,7 @@ from repro.baselines import csa
 from repro.errors import LabelingError
 from repro.labeling import scan
 from repro.labeling.io import save_labels
+from repro.labeling.ordering import ORDERINGS
 from repro.labeling.query import TTLQueryEngine
 from repro.labeling.scan import ConnectionColumns, profile_scan
 from repro.labeling.ttl import BuildReport, build_labels
@@ -45,6 +47,13 @@ def assert_same_counters(a, b):
     assert a.candidate_tuples == b.candidate_tuples
     assert a.pruned_tuples == b.pruned_tuples
     assert a.kept_tuples == b.kept_tuples
+
+
+def assert_model_counters(report, model):
+    """The scans skip journeys through stops ranked above the hub, which
+    the model scans and then prunes: same kept tuples, fewer candidates."""
+    assert report.kept_tuples == model.kept_tuples
+    assert report.candidate_tuples <= model.candidate_tuples
 
 
 class TestScanKernel:
@@ -86,27 +95,46 @@ class TestScanKernel:
             else:
                 assert v not in scanned
 
-    def test_profile_scan_rank_filter(self, small_timetable):
-        """With a rank, only vertices ranked below the target come back."""
+    def test_profile_scan_rank_filter(self, monkeypatch, small_timetable):
+        """The kernel for hub h gets exactly the rows, in scan order, whose
+        two stops both rank at or below h — so no stop ranked above h ever
+        comes back from it."""
         labels, _ = build_labels(small_timetable)
+        rank = labels.rank
         cols = ConnectionColumns.from_timetable(small_timetable)
-        rows = cols.scan_rows(reverse=False)
-        target = labels.order[2]
-        for v, *_ in profile_scan(
-            rows, cols.num_stops, cols.num_trips, target, labels.rank
-        ):
-            assert labels.rank[v] > labels.rank[target]
+        given = []
+
+        def recording_scan(rows, num_stops, num_trips, target):
+            given.append((target, rows))
+            return profile_scan(rows, num_stops, num_trips, target)
+
+        monkeypatch.setattr(scan, "profile_scan", recording_scan)
+        state = scan._scan_state(cols, rank)
+        results, _ = scan._scan_hubs(state, labels.order)
+        assert len(given) == 2 * small_timetable.num_stops
+        for (h, rows), reverse in zip(given, [False, True] * len(results)):
+            assert rows == [
+                row for row in cols.scan_rows(reverse)
+                if min(rank[row[2]], rank[row[3]]) >= rank[h]
+            ]
+        for h, fwd, rev in results:
+            for v, *_ in fwd + rev:
+                assert rank[v] > rank[h]
 
     def test_empty_timetable(self):
+        """Every ordering builds empty labels for a timetable without
+        connections (``hub_sample`` has no time range to sample)."""
         tt = Timetable(num_stops=3, connections=[])
         cols = ConnectionColumns.from_timetable(tt)
         assert cols.scan_rows(reverse=False) == []
         assert cols.scan_rows(reverse=True) == []
-        expected, _ = reference_build(tt)
-        for workers in WORKERS:
-            labels, report = build_labels(tt, workers=workers)
-            assert_same_labels(labels, expected)
-            assert report.candidate_tuples == 0
+        for ordering in ORDERINGS:
+            expected, _ = reference_build(tt, ordering=ordering)
+            for workers in WORKERS:
+                labels, report = build_labels(
+                    tt, ordering=ordering, workers=workers)
+                assert_same_labels(labels, expected)
+                assert report.candidate_tuples == 0
 
 
 class TestIdentity:
@@ -146,31 +174,47 @@ class TestIdentity:
                 ) == csa.latest_departure(small_timetable, s, g, t)
 
     def test_pruning_counters_match_sequential(self, small_timetable):
-        """The indexed cover checks must prune the exact same candidates
-        the every-pair checks of the model do."""
+        """The batched cover checks keep the exact tuples the every-pair
+        checks of the model keep, at every worker count alike."""
         _, expected = reference_build(small_timetable)
-        for workers in WORKERS:
-            _, report = build_labels(small_timetable, workers=workers)
-            assert_same_counters(report, expected)
+        reports = [
+            build_labels(small_timetable, workers=workers)[1]
+            for workers in WORKERS
+        ]
+        for report in reports:
+            assert_model_counters(report, expected)
+            assert_same_counters(report, reports[0])
+        assert (reports[0].candidate_tuples, reports[0].pruned_tuples) == (
+            435, 44)
 
     def test_prune_disabled(self, small_timetable):
-        expected, _ = reference_build(small_timetable, prune=False)
+        """Every kept tuple, witness included, is a tuple of the unpruned
+        model: pruning only drops tuples."""
+        unpruned, model = reference_build(small_timetable, prune=False)
+        assert model.pruned_tuples == 0
         for workers in WORKERS:
-            built, report = build_labels(
-                small_timetable, workers=workers, prune=False
-            )
-            assert_same_labels(built, expected)
-            assert report.pruned_tuples == 0
+            built, report = build_labels(small_timetable, workers=workers)
+            assert report.kept_tuples < model.kept_tuples
+            for side in ("lout", "lin"):
+                for got, full in zip(getattr(built, side),
+                                     getattr(unpruned, side)):
+                    witnessed = {(t.hub, t.td, t.ta, t.pivot, t.trip)
+                                 for t in full}
+                    for t in got:
+                        assert (t.hub, t.td, t.ta, t.pivot,
+                                t.trip) in witnessed
 
     def test_salt_lake_city_paper(self):
-        """Paper scale: 240 stops and 477,459 candidates through the
-        batched cover checks, against the every-pair model."""
+        """Paper scale: 240 stops and 56,349 candidates through the
+        batched cover checks, against the every-pair model (477,459
+        candidates: it also scans the journeys through higher stops)."""
         tt = load_dataset("Salt Lake City", scale="paper")
         expected, expected_report = reference_build(tt)
         built, report = build_labels(tt)
         assert_same_labels(built, expected)
-        assert_same_counters(report, expected_report)
-        assert report.candidate_tuples == 477_459
+        assert_model_counters(report, expected_report)
+        assert report.candidate_tuples == 56_349
+        assert report.pruned_tuples == 29_707
         assert report.kept_tuples == 26_642
 
     @settings(max_examples=10, deadline=None)
@@ -182,12 +226,41 @@ class TestIdentity:
     def test_random_timetables(self, num_stops, num_connections, seed):
         tt = random_timetable(num_stops, num_connections, seed=seed)
         expected, expected_report = reference_build(tt, add_dummies=True)
+        reports = []
         for workers in WORKERS:
             built, report = build_labels(
                 tt, workers=workers, add_dummies=True
             )
             assert_same_labels(built, expected)
-            assert_same_counters(report, expected_report)
+            assert_model_counters(report, expected_report)
+            reports.append(report)
+        assert_same_counters(reports[1], reports[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ordering=st.sampled_from(sorted(ORDERINGS)),
+        num_stops=st.integers(min_value=2, max_value=12),
+        num_connections=st.integers(min_value=0, max_value=60),
+        span=st.sampled_from([3, 10, 60, 600, 3600, 4 * 3600]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_every_ordering_with_ties(
+        self, ordering, num_stops, num_connections, span, seed
+    ):
+        """Rank-restricted scans keep the model's labels, pivot and trip
+        included, under every ordering — also when a few seconds of span
+        force equal departure and arrival times."""
+        tt = random_timetable(num_stops, num_connections, seed=seed,
+                              span_start=28_800, span_end=28_800 + span)
+        expected, expected_report = reference_build(tt, ordering=ordering)
+        reports = []
+        for workers in WORKERS:
+            built, report = build_labels(
+                tt, ordering=ordering, workers=workers)
+            assert_same_labels(built, expected)
+            assert_model_counters(report, expected_report)
+            reports.append(report)
+        assert_same_counters(reports[1], reports[0])
 
 
 def _scan_window_killed_at_rank_4(hubs):
