@@ -9,7 +9,7 @@ present in the labels (PTLDB's unified v2v join depends on them).
 from __future__ import annotations
 
 from repro.errors import DatabaseError
-from repro.labeling.labels import TTLLabels
+from repro.labeling.labels import HUB, TA, TD, TTLLabels
 from repro.minidb.engine import Database
 
 LABEL_DDL = """CREATE TABLE {table} (
@@ -37,35 +37,22 @@ def load_labels(db: Database, labels: TTLLabels) -> None:
     db.execute(LIN_DDL)
     for table, side in (("lout", labels.lout), ("lin", labels.lin)):
         sql = INSERT_LABEL_ROW.format(table=table)
-        for v in range(labels.num_stops):
-            tuples = side[v]  # already sorted by (hub, td)
-            db.execute(
-                sql,
-                (
-                    v,
-                    [t.hub for t in tuples],
-                    [t.td for t in tuples],
-                    [t.ta for t in tuples],
-                ),
-            )
+        offsets = side.offsets.tolist()
+        hubs, tds, tas = (side.records[:, col] for col in (HUB, TD, TA))
+        for v in range(labels.num_stops):  # rows already sorted by (hub, td)
+            a, b = offsets[v], offsets[v + 1]
+            db.execute(sql, (v, hubs[a:b], tds[a:b], tas[a:b]))
     db.pool.flush()
 
 
 def label_time_range(labels: TTLLabels) -> tuple[int, int]:
-    """(min, max) timestamp across every stored label tuple.
+    """(min td, max ta) across every stored label tuple.
 
     An empty labeling (a timetable with no connections) degenerates to
     ``(0, 0)`` — every query then correctly returns no journeys.
     """
-    low = None
-    high = None
-    for side in (labels.lout, labels.lin):
-        for tuples in side:
-            for t in tuples:
-                if low is None or t.td < low:
-                    low = t.td
-                if high is None or t.ta > high:
-                    high = t.ta
-    if low is None:
+    sides = [s.records for s in (labels.lout, labels.lin) if len(s.records)]
+    if not sides:
         return 0, 0
-    return low, high
+    return (int(min(r[:, TD].min() for r in sides)),
+            int(max(r[:, TA].max() for r in sides)))

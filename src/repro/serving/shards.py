@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import ServingError
-from repro.labeling.labels import TTLLabels
+from repro.labeling.labels import LabelSide, TTLLabels
 from repro.minidb.engine import Database
 from repro.ptldb.framework import PTLDB
 from repro.ptldb.schema import label_time_range
@@ -68,16 +68,13 @@ def partition_labels(labels: TTLLabels, lo: int, hi: int) -> TTLLabels:
     """The shard-local labeling for vertex range ``[lo, hi)``.
 
     ``lout`` is shared by reference (replicated into every shard's file);
-    ``lin`` keeps only the owned vertices' tuple lists — out-of-range rows
+    ``lin`` keeps only the owned vertices' rows — the others are empty and
     load as empty arrays, which no routed query ever probes."""
-    shard = TTLLabels(labels.num_stops, labels.order)
-    shard.lout = labels.lout
-    shard.lin = [
-        labels.lin[v] if lo <= v < hi else []
-        for v in range(labels.num_stops)
-    ]
-    shard._has_dummies = labels._has_dummies
-    return shard
+    offsets = labels.lin.offsets
+    a, b = offsets[lo], offsets[hi]
+    lin = LabelSide(offsets.clip(a, b) - a, labels.lin.records[a:b])
+    return TTLLabels(labels.num_stops, labels.order, labels.lout, lin,
+                     has_dummies=labels._has_dummies)
 
 
 #: Exact key set (and value types) of ``manifest.json`` and of each of its

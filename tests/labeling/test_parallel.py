@@ -8,6 +8,7 @@ import random
 import signal
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,13 +35,9 @@ WORKERS = (1, 2)
 def assert_same_labels(a, b):
     assert a.num_stops == b.num_stops
     assert a.order == b.order
-    assert a.lout == b.lout
-    assert a.lin == b.lin
-    # pivot/trip don't participate in LabelTuple equality; compare them too
-    for side in ("lout", "lin"):
-        for ta_list, tb_list in zip(getattr(a, side), getattr(b, side)):
-            for ta, tb in zip(ta_list, tb_list):
-                assert (ta.pivot, ta.trip) == (tb.pivot, tb.trip)
+    for side in ("lout", "lin"):  # every column, pivot and trip included
+        assert np.array_equal(getattr(a, side).offsets, getattr(b, side).offsets)
+        assert np.array_equal(getattr(a, side).records, getattr(b, side).records)
 
 
 def assert_same_counters(a, b):

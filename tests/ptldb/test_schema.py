@@ -23,8 +23,8 @@ class TestLoadLabels:
             assert len(hubs) == len(tds) == len(tas)
             keys = list(zip(hubs, tds))
             assert keys == sorted(keys)  # the paper's (hub, td) order
-            expected = [(t.hub, t.td, t.ta) for t in small_labels.lout[v]]
-            assert list(zip(hubs, tds, tas)) == expected
+            expected = small_labels.lout.rows(v)[:, :3].tolist()
+            assert [list(t) for t in zip(hubs, tds, tas)] == expected
 
     def test_requires_dummy_tuples(self, small_timetable):
         labels, _ = build_labels(small_timetable)  # no dummies

@@ -1,5 +1,6 @@
 """Partitioner correctness: routing, bounds, label splitting, manifests."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ServingError
@@ -60,9 +61,12 @@ class TestPartitionLabels:
         assert shard.lout is labels.lout  # replicated by reference
         for v in range(labels.num_stops):
             if lo <= v < hi:
-                assert shard.lin[v] == labels.lin[v]
+                assert np.array_equal(shard.lin.rows(v), labels.lin.rows(v))
             else:
-                assert shard.lin[v] == []
+                assert len(shard.lin.rows(v)) == 0
+        # the owned rows are one slice of the full side's records
+        a, b = labels.lin.offsets[lo], labels.lin.offsets[hi]
+        assert np.array_equal(shard.lin.records, labels.lin.records[a:b])
 
     def test_dummy_flag_preserved(self, labels):
         shard = partition_labels(labels, 0, 9)
@@ -72,12 +76,12 @@ class TestPartitionLabels:
         bounds = shard_bounds(labels.num_stops, 3)
         for v in range(labels.num_stops):
             kept = [
-                partition_labels(labels, lo, hi).lin[v]
+                partition_labels(labels, lo, hi).lin.rows(v)
                 for lo, hi in bounds
                 if (lo <= v < hi)
             ]
             assert len(kept) == 1
-            assert kept[0] == labels.lin[v]
+            assert np.array_equal(kept[0], labels.lin.rows(v))
 
 
 class TestManifest:
