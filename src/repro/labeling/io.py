@@ -32,12 +32,11 @@ import struct
 import numpy as np
 
 from repro.errors import LabelingError
-from repro.labeling.labels import LabelSide, TTLLabels
+from repro.labeling.labels import LabelSide, LabelTuple, TTLLabels
 from repro.timetable.model import Timetable
 
 _MAGIC = b"TTL2"
 _U32 = struct.Struct("<I")
-_RECORD = 40  # <q q q q q: one row of a LabelSide's records
 _FLAG_HAS_DUMMIES = 0x01
 
 _U32_MAX = 2**32 - 1
@@ -52,31 +51,40 @@ def _check_u32(value: int, what: str) -> int:
 # ---------------------------------------------------------------------------
 # Saving (with range validation)
 # ---------------------------------------------------------------------------
+def side_chunks(labels: TTLLabels, base: int) -> list[bytes]:
+    """Both sides of *labels* as a label file lays them out after its
+    header (*base* bytes long): per side, per vertex a u32 count and the
+    vertex's records. Each side must pass the checks :func:`read_sides`
+    applies."""
+    chunks = []
+    for name, side in (("lout", labels.lout), ("lin", labels.lin)):
+        side.check(name, labels.num_stops, base, labels.bounds)
+        offsets = side.offsets.tolist()
+        for v, (a, b) in enumerate(zip(offsets, offsets[1:])):
+            chunks += (_U32.pack(_check_u32(b - a, f"{name}({v}) tuple count")),
+                       side.records[a:b].astype("<i8").tobytes())
+        base += 4 * labels.num_stops + side.records.nbytes
+    return chunks
+
+
 def save_labels(labels: TTLLabels, path: str) -> None:
     """Write *labels* to *path* in format v2. Counts and the order must fit
     u32, and each side must pass the checks :func:`load_labels` applies."""
     num_stops = _check_u32(labels.num_stops, "num_stops")
     for position, vertex in enumerate(labels.order):
         _check_u32(vertex, f"vertex order entry {position}")
-    chunks = [_MAGIC, _U32.pack(num_stops),
+    header = [_MAGIC, _U32.pack(num_stops),
               bytes([_FLAG_HAS_DUMMIES if labels._has_dummies else 0]),
               np.asarray(labels.order, "<u4").tobytes()]
-    base = 9 + 4 * num_stops  # where the lout counts start
-    for name, side in (("lout", labels.lout), ("lin", labels.lin)):
-        side.check(name, num_stops, base)
-        offsets = side.offsets.tolist()
-        for v, (a, b) in enumerate(zip(offsets, offsets[1:])):
-            chunks += (_U32.pack(_check_u32(b - a, f"{name}({v}) tuple count")),
-                       side.records[a:b].astype("<i8").tobytes())
-        base += 4 * num_stops + _RECORD * len(side.records)
+    chunks = side_chunks(labels, 9 + 4 * num_stops)
     with open(path, "wb") as handle:
-        handle.writelines(chunks)
+        handle.writelines(header + chunks)
 
 
 # ---------------------------------------------------------------------------
 # Loading (length-checked)
 # ---------------------------------------------------------------------------
-def _take(data: memoryview, offset: int, n: int, what: str) -> memoryview:
+def take(data: memoryview, offset: int, n: int, what: str) -> memoryview:
     """The *n* bytes for *what* at *offset*, which must all be there."""
     if len(data) - offset < n:
         raise LabelingError(
@@ -84,6 +92,31 @@ def _take(data: memoryview, offset: int, n: int, what: str) -> memoryview:
             f"offset {offset}, got {len(data) - offset}"
         )
     return data[offset:offset + n]
+
+
+def read_sides(data: memoryview, pos: int, num_stops: int,
+               view: type = LabelTuple, bounds: tuple = ()) -> list[LabelSide]:
+    """The lout and lin sides that start at byte *pos* and end the file,
+    as *view* records, refusing a short read, trailing garbage and any
+    record :meth:`LabelSide.check` refuses under *bounds*."""
+    width, sides = 8 * len(view._fields), []
+    for name in ("lout", "lin"):
+        base, parts, counts = pos, [np.empty(0, "<i8")], [0]
+        for v in range(num_stops):
+            (count,) = _U32.unpack(take(data, pos, 4, f"{name}({v}) count"))
+            parts.append(np.frombuffer(take(
+                data, pos + 4, width * count,
+                f"{name}({v}) tuples ({count} records)"), "<i8"))
+            counts.append(count)
+            pos += 4 + width * count
+        records = np.concatenate(parts, dtype=np.int64).reshape(-1, width // 8)
+        sides.append(LabelSide(np.cumsum(counts), records, view))
+        sides[-1].check(name, num_stops, base, bounds)
+    if pos != len(data):
+        raise LabelingError(
+            f"trailing garbage after the last tuple list at byte offset {pos}"
+        )
+    return sides
 
 
 def load_labels(path: str) -> TTLLabels:
@@ -94,29 +127,13 @@ def load_labels(path: str) -> TTLLabels:
         data = memoryview(handle.read())
     if data[:4] != _MAGIC:
         raise LabelingError(f"{path} is not a TTL label file")
-    (num_stops,) = _U32.unpack(_take(data, 4, 4, "num_stops"))
-    flags = _take(data, 8, 1, "header flags")[0]
+    (num_stops,) = _U32.unpack(take(data, 4, 4, "num_stops"))
+    flags = take(data, 8, 1, "header flags")[0]
     if flags & ~_FLAG_HAS_DUMMIES:
         raise LabelingError(f"{path}: unknown header flag bits 0x{flags:02x}")
-    order = np.frombuffer(_take(
+    order = np.frombuffer(take(
         data, 9, 4 * num_stops, f"vertex order ({num_stops} stops)"), "<u4")
-    pos, sides = 9 + 4 * num_stops, []
-    for name in ("lout", "lin"):
-        base, parts, counts = pos, [np.empty(0, "<i8")], [0]
-        for v in range(num_stops):
-            (count,) = _U32.unpack(_take(data, pos, 4, f"{name}({v}) count"))
-            parts.append(np.frombuffer(_take(
-                data, pos + 4, _RECORD * count,
-                f"{name}({v}) tuples ({count} records)"), "<i8"))
-            counts.append(count)
-            pos += 4 + _RECORD * count
-        records = np.concatenate(parts, dtype=np.int64).reshape(-1, 5)
-        sides.append(LabelSide(np.cumsum(counts), records))
-        sides[-1].check(name, num_stops, base)
-    if pos != len(data):
-        raise LabelingError(
-            f"trailing garbage after the last tuple list at byte offset {pos}"
-        )
+    sides = read_sides(data, 9 + 4 * num_stops, num_stops)
     return TTLLabels(num_stops, order.tolist(), *sides,
                      has_dummies=bool(flags & _FLAG_HAS_DUMMIES))
 

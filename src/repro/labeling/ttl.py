@@ -59,32 +59,30 @@ class _CoverIndex:
     own time frame — forward for ``Lout``, reversed for ``Lin`` — so both
     lie in ``0 .. m - 2``; *x* is the hub's rank. In that frame a ``Lin``
     check is a ``Lout`` check, and one :meth:`covered` serves both.
+    *payload* more columns ride along, the same in either frame.
     """
 
-    def __init__(self, m: int):
+    def __init__(self, m: int, payload: int = 0):
         self.m = m
-        self.key = self.o = self.x = np.empty(0, np.int64)
+        self.cols = [np.empty(0, np.int64)] * (3 + payload)  # key, o, x, ...
 
-    def pop(self, v: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Drop v's tuples; return them as ``(x, t, o)`` in the *other*
-        side's time frame, where departure and arrival swap."""
+    def pop(self, v: int) -> tuple[np.ndarray, ...]:
+        """Drop v's tuples; return them as ``(x, t, o, *payload)`` in the
+        *other* side's time frame, where departure and arrival swap."""
         m, last = self.m, self.m - 2
-        lo, hi = np.searchsorted(self.key, (v * m, (v + 1) * m))
-        popped = (self.x[lo:hi], last - self.o[lo:hi],
-                  last - (self.key[lo:hi] - v * m))
-        cut = slice(lo, hi)
-        self.key, self.o, self.x = (
-            np.delete(a, cut) for a in (self.key, self.o, self.x))
-        return popped
+        lo, hi = np.searchsorted(self.cols[0], (v * m, (v + 1) * m))
+        key, o, x, *payload = (col[lo:hi] for col in self.cols)
+        self.cols = [np.delete(col, slice(lo, hi)) for col in self.cols]
+        return (x, last - o, last - (key - v * m), *payload)
 
-    def add(self, vs: np.ndarray, t: np.ndarray, o: np.ndarray, x: int) -> None:
+    def add(self, vs: np.ndarray, t: np.ndarray, o: np.ndarray, x: int,
+            *payload: np.ndarray) -> None:
         """Insert one hub's kept tuples in one batch."""
         key = vs * self.m + t
         order = np.argsort(key)
-        at = np.searchsorted(self.key, key[order])
-        self.key = np.insert(self.key, at, key[order])
-        self.o = np.insert(self.o, at, o[order])
-        self.x = np.insert(self.x, at, x)
+        at = np.searchsorted(self.cols[0], key[order])
+        self.cols = [np.insert(col, at, new if np.ndim(new) == 0 else new[order])
+                     for col, new in zip(self.cols, (key, o, x, *payload))]
 
     def covered(self, partner: tuple, vs: np.ndarray, t: np.ndarray,
                 o: np.ndarray) -> np.ndarray:
@@ -100,20 +98,28 @@ class _CoverIndex:
         ``<= o``: the same answer as testing every pair of tuples.
         """
         px, pt, po = partner
-        m, n = self.m, len(self.key)
+        key, eo, ex = self.cols
+        m, n = self.m, len(key)
         if not n or not len(px):
             return np.zeros(len(vs), bool)
         pk = px * m + pt
         order = np.argsort(pk)
         pk, px, po = pk[order], px[order], po[order]
-        j = np.searchsorted(pk, self.x * m + self.o)
+        j = np.searchsorted(pk, ex * m + eo)
         jc = np.minimum(j, len(pk) - 1)
-        g = np.where((j < len(pk)) & (px[jc] == self.x), po[jc], m - 1)
+        g = np.where((j < len(pk)) & (px[jc] == ex), po[jc], m - 1)
+        return self.reaches(g, vs, t, o)
+
+    def reaches(self, g: np.ndarray, vs: np.ndarray, t: np.ndarray,
+                o: np.ndarray) -> np.ndarray:
+        """Is ``min g`` over vertex ``vs``'s entries with ``e.t >= t`` at
+        most *o*? *g* holds one arrival per entry (``m - 1``: none)."""
+        key, m, n = self.cols[0], self.m, len(self.cols[0])
         # segmented suffix-min: adding v * m to values below m keeps every
         # later vertex's segment above the current one
-        base = self.key - self.key % m
+        base = key - key % m
         best = np.minimum.accumulate((base + g)[::-1])[::-1] - base
-        at = np.searchsorted(self.key, vs * m + t)
+        at = np.searchsorted(key, vs * m + t)
         atc = np.minimum(at, n - 1)
         return (at < n) & (base[atc] == vs * m) & (best[atc] <= o)
 

@@ -14,6 +14,13 @@ from repro.timetable.model import Timetable
 INF = float("inf")
 
 
+def _check_stops(timetable: Timetable, *stops: int) -> None:
+    for stop in stops:
+        if not 0 <= stop < timetable.num_stops:
+            raise TimetableError(
+                f"stop {stop} out of range [0, {timetable.num_stops})")
+
+
 def earliest_arrival_by_trips(
     timetable: Timetable, source: int, depart_at: int, max_trips: int
 ) -> list[list[float]]:
@@ -26,6 +33,7 @@ def earliest_arrival_by_trips(
     """
     if max_trips < 0:
         raise TimetableError("max_trips must be non-negative")
+    _check_stops(timetable, source)
     n = timetable.num_stops
     rounds: list[list[float]] = [[INF] * n]
     rounds[0][source] = depart_at
@@ -53,6 +61,7 @@ def earliest_arrival_bounded(
     max_trips: int,
 ) -> int | None:
     """EA(s, g, t) restricted to at most *max_trips* trips."""
+    _check_stops(timetable, source, goal)
     if source == goal:
         return depart_at
     value = earliest_arrival_by_trips(timetable, source, depart_at, max_trips)[
@@ -69,6 +78,7 @@ def latest_departure_bounded(
     max_trips: int,
 ) -> int | None:
     """LD(s, g, t') restricted to at most *max_trips* trips (via reversal)."""
+    _check_stops(timetable, source, goal)
     if source == goal:
         return arrive_by
     reverse = timetable.reverse()
@@ -88,6 +98,7 @@ def trips_needed(
 ) -> int | None:
     """Minimum number of trips to get from s to g departing >= t (and, when
     given, arriving <= t'). ``None`` if unreachable within *limit* trips."""
+    _check_stops(timetable, source, goal)
     if source == goal:
         return 0
     rounds = earliest_arrival_by_trips(timetable, source, depart_at, limit)

@@ -7,16 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import csa
-from repro.errors import LabelingError
+from repro.errors import LabelingError, TimetableError
+from repro.labeling.scan import ConnectionColumns
 from repro.timetable.generator import random_timetable
 from repro.transfers.csa import (
     earliest_arrival_bounded,
+    earliest_arrival_by_trips,
     latest_departure_bounded,
+    trips_needed,
 )
 from repro.transfers.labels import TransferLabels, TransferLabelTuple
-from repro.transfers.profiles import bounded_profiles
 from repro.transfers.query import TransferQueryEngine
-from repro.transfers.ttl import build_transfer_labels
+from repro.transfers.ttl import bounded_scan, build_transfer_labels
 
 
 @pytest.fixture(scope="module")
@@ -26,12 +28,37 @@ def instance():
     return tt, labels, TransferQueryEngine(labels)
 
 
+def one_tuple(t, max_trips=2):
+    """Hand-made labels of two stops: *t* is vertex 1's only Lout tuple."""
+    return TransferLabels.from_tuples(2, [0, 1], [[], [t]], [[], []],
+                                      max_trips=max_trips)
+
+
+def kernel_candidates(tt, target, max_trips):
+    """``bounded_scan``'s candidates for every stop but *target*, as
+    ``(v, r, dep, arr)`` tuples."""
+    cols = ConnectionColumns.from_timetable(tt)
+    rank = [int(v != target) for v in range(tt.num_stops)]
+    vs, rs, deps, arrs, _, _ = bounded_scan(
+        cols.scan_rows(reverse=False), tt.num_stops, max(cols.num_trips, 1),
+        target, max_trips, rank)
+    return list(zip(vs.tolist(), rs.tolist(), deps.tolist(), arrs.tolist()))
+
+
+def best_arrival(cands, v, r, t):
+    """Earliest candidate arrival from v with at most r trips departing at
+    or after t."""
+    return min((a for u, k, d, a in cands if u == v and k <= r and d >= t),
+               default=float("inf"))
+
+
 class TestTupleAndContainer:
     def test_tuple_validation(self):
-        with pytest.raises(LabelingError):
-            TransferLabelTuple(hub=0, td=10, ta=5, trips=1)
-        with pytest.raises(LabelingError):
-            TransferLabelTuple(hub=0, td=5, ta=10, trips=-1)
+        with pytest.raises(LabelingError, match="arrives before it departs"):
+            one_tuple((0, 10, 5, 1))
+        with pytest.raises(LabelingError, match="trips outside"):
+            one_tuple((0, 5, 10, -1))
+        assert one_tuple((0, 5, 10, 1)).lout[1] == [(0, 5, 10, 1, None, None)]
         assert TransferLabelTuple(hub=0, td=5, ta=5, trips=0).is_dummy
 
     def test_container_validation(self):
@@ -41,10 +68,8 @@ class TestTupleAndContainer:
             TransferLabels(2, [0, 1], max_trips=0)
 
     def test_validate_catches_excess_trips(self):
-        labels = TransferLabels(2, [0, 1], max_trips=1)
-        labels.lout[1].append(TransferLabelTuple(hub=0, td=0, ta=5, trips=2))
-        with pytest.raises(LabelingError, match="max_trips"):
-            labels.validate()
+        with pytest.raises(LabelingError, match=r"lout\(1\) tuple 0: trips outside \[0, 1\]"):
+            one_tuple((0, 0, 5, 2), max_trips=1)
 
 
 class TestBoundedProfiles:
@@ -58,18 +83,18 @@ class TestBoundedProfiles:
     def test_profiles_match_bounded_oracle(self, stops, connections, seed, target):
         tt = random_timetable(stops, connections, seed=seed)
         target %= stops
-        profiles = bounded_profiles(tt, target, max_trips=3)
+        cands = kernel_candidates(tt, target, max_trips=3)
+        for s, r, dep, arr in cands:
+            oracle = earliest_arrival_bounded(tt, s, target, dep, r)
+            assert oracle is not None and oracle <= arr
         for r in (1, 2, 3):
             for s in range(stops):
                 if s == target:
                     continue
-                for dep, arr, _first, _last in profiles[r][s].entries:
-                    oracle = earliest_arrival_bounded(tt, s, target, dep, r)
-                    assert oracle is not None and oracle <= arr
                 # completeness spot check
                 for t in (30_000, 60_000):
                     oracle = earliest_arrival_bounded(tt, s, target, t, r)
-                    value, _ = profiles[r][s].evaluate(t)
+                    value = best_arrival(cands, s, r, t)
                     if oracle is None:
                         assert value == float("inf")
                     else:
@@ -77,12 +102,13 @@ class TestBoundedProfiles:
 
     def test_budget_monotonicity(self, instance):
         tt, _, _ = instance
-        profiles = bounded_profiles(tt, 3, max_trips=3)
+        cands = kernel_candidates(tt, 3, max_trips=3)
+        assert {r for _, r, _, _ in cands} == {1, 2, 3}
+        for s, r, dep, arr in cands:  # one more vehicle buys something
+            assert best_arrival(cands, s, r - 1, dep) > arr
         for s in range(tt.num_stops):
             for t in range(20_000, 90_000, 7000):
-                v1 = profiles[1][s].evaluate(t)[0]
-                v2 = profiles[2][s].evaluate(t)[0]
-                v3 = profiles[3][s].evaluate(t)[0]
+                v1, v2, v3 = (best_arrival(cands, s, r, t) for r in (1, 2, 3))
                 assert v3 <= v2 <= v1
 
 
@@ -169,12 +195,42 @@ class TestEngineContract:
                 assert engine.earliest_arrival(s, g, t, k0) == a0
 
 
+class TestStopRange:
+    """A stop outside ``[0, num_stops)`` is an error naming it, never the
+    answer for stop ``n - 1`` (Python's negative index) or an
+    ``IndexError``."""
+
+    @pytest.mark.parametrize("stop", [-1, -14, 14, 99])
+    def test_engine(self, instance, stop):
+        _, _, engine = instance
+        for query in (engine.earliest_arrival, engine.latest_departure):
+            with pytest.raises(LabelingError, match=rf"stop {stop} out of range"):
+                query(2, stop, 40_000, 3)
+            with pytest.raises(LabelingError, match=rf"stop {stop} out of range"):
+                query(stop, 2, 40_000, 3)
+        with pytest.raises(LabelingError, match=rf"stop {stop} out of range"):
+            engine.pareto_arrivals(stop, 2, 40_000)
+
+    @pytest.mark.parametrize("stop", [-1, -14, 14, 99])
+    def test_oracles(self, instance, stop):
+        tt, _, _ = instance
+        for query in (earliest_arrival_bounded, latest_departure_bounded):
+            with pytest.raises(TimetableError, match=rf"stop {stop} out of range"):
+                query(tt, 2, stop, 40_000, 3)
+            with pytest.raises(TimetableError, match=rf"stop {stop} out of range"):
+                query(tt, stop, 2, 40_000, 3)
+        with pytest.raises(TimetableError, match=rf"stop {stop} out of range"):
+            trips_needed(tt, 2, stop, 40_000)
+        with pytest.raises(TimetableError, match=rf"stop {stop} out of range"):
+            earliest_arrival_by_trips(tt, stop, 40_000, 3)
+
+
 class TestConstruction:
     def test_pruning_shrinks_labels(self):
+        # every candidate is a tuple of the unpruned build
         tt = random_timetable(12, 100, seed=3)
-        pruned, _ = build_transfer_labels(tt, max_trips=3)
-        unpruned, _ = build_transfer_labels(tt, max_trips=3, prune=False)
-        assert pruned.total_tuples <= unpruned.total_tuples
+        pruned, report = build_transfer_labels(tt, max_trips=3)
+        assert pruned.total_tuples <= report.candidate_tuples
 
     def test_validate_passes(self, instance):
         _, labels, _ = instance
