@@ -5,11 +5,18 @@ tuples, the ``INSERT`` per vertex, the record codec — and any of them can
 change what lands on a page without changing a query answer. These digests
 catch that: every page of a database that holds only the ``lout``/``lin``
 tables (catalog, heap chains, overflow pages and B+Trees), and both files of
-a two-shard build. Regenerate them only for an intended change to the
-labels or the storage format, and say why where the change is recorded.
+a two-shard build. The same holds for the auxiliary tables: a seeded run of
+``build_target_set`` over all six families on a file-backed database pins
+every page of the file and a digest of every aux table's rows, so a change
+to how the build statements are planned or executed cannot move a byte
+unnoticed. Regenerate them only for an intended change to the labels, the
+aux tables or the storage format, and say why where the change is recorded.
 """
 
 import hashlib
+import random
+
+import pytest
 
 from repro.labeling.ttl import preprocess
 from repro.minidb.engine import Database
@@ -20,20 +27,61 @@ from repro.timetable.datasets import load_dataset
 SALT_LAKE_CITY_PAPER_PAGES = (
     "41b7d2d3b733bf74ba099c8b3b985a018d59a8afb5c5aa012472a0dbac0fd391"
 )
+#: Seeded target-set builds on Salt Lake City ``paper``: every page of the
+#: file after ``pool.flush()``, and the rows of every aux table.
+SALT_LAKE_CITY_BUILD_PAGES = (
+    "5a74e4c95eaea1807ed3921ee14508ba573650e7271843c24322d3deba39d809"
+)
+SALT_LAKE_CITY_BUILD_ROWS = (
+    "6ab609100d94804de96e3d6d3bf27b6e11b68b57e6b29f7a49bc41c7a098a25c"
+)
+BUILD_FAMILIES = ("knn_ea", "knn_ld", "otm_ea", "otm_ld", "naive_ea", "naive_ld")
 AUSTIN_SMALL_SHARD_FILES = (
     "3a0de5d53773156f8c2eef0d2a6bf2f9647b33208fa8d6f4a096166585b46bc1",
     "5dc322f76ba7626e4d9c7a692f834c312f45b71f2af27b970cd2691f7cd9b7de",
 )
 
 
-def test_loaded_label_pages():
-    db = Database()
-    PTLDB(db, preprocess(load_dataset("Salt Lake City", scale="paper")))
+@pytest.fixture(scope="module")
+def salt_lake_city_labels():
+    return preprocess(load_dataset("Salt Lake City", scale="paper"))
+
+
+def page_digest(db) -> str:
     db.pool.flush()
     digest = hashlib.sha256()
     for page_id in range(db.pool.disk.num_pages):
         digest.update(db.pool.disk.peek_page(page_id))
-    assert digest.hexdigest() == SALT_LAKE_CITY_PAPER_PAGES
+    return digest.hexdigest()
+
+
+def test_loaded_label_pages(salt_lake_city_labels):
+    db = Database()
+    PTLDB(db, salt_lake_city_labels)
+    assert page_digest(db) == SALT_LAKE_CITY_PAPER_PAGES
+
+
+def test_target_set_build_pages(salt_lake_city_labels, tmp_path):
+    db = Database(path=str(tmp_path / "build.minidb"))
+    ptldb = PTLDB(db, salt_lake_city_labels)
+    rng = random.Random(34)
+    rows = hashlib.sha256()
+    for i in range(6):
+        targets = rng.sample(range(ptldb.num_stops), rng.randint(1, 12))
+        handle = ptldb.build_target_set(
+            f"g{i}", targets, kmax=rng.choice((1, 4, 16)), families=BUILD_FAMILIES
+        )
+        aux = handle.aux
+        for table in (
+            aux.knn_ea, aux.knn_ld, aux.otm_ea, aux.otm_ld,
+            aux.knn_ea_naive, aux.knn_ld_naive,
+        ):
+            found = db.execute(f"SELECT * FROM {table}").rows
+            rows.update(repr((table, found)).encode())
+    assert (rows.hexdigest(), page_digest(db)) == (
+        SALT_LAKE_CITY_BUILD_ROWS, SALT_LAKE_CITY_BUILD_PAGES
+    )
+    db.close()
 
 
 def test_shard_files(tmp_path):
