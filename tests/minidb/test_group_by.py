@@ -11,12 +11,19 @@ floats, text, booleans and ``BIGINT[]`` arrays. Every statement is compared
   rows and folds plain lists: rows, their order and cold page I/O.
 
 Floats are multiples of 0.25, so every SUM/AVG is exact in any order.
+
+One shape feeds the column kernels: an ``UNNEST`` CTE (int64 columns, with
+int64-edge and high-cardinality values, a ragged and a NULL-element row
+that expand row by row) comma-joined with a small integer table under a
+comparison with arithmetic on both sides, grouped by two to four plain
+columns. sqlite3 reads the same CTE rows from a flattened table.
 """
 
 import random
 import sqlite3
 import tracemalloc
 from collections import Counter
+from itertools import zip_longest
 
 import pytest
 
@@ -46,6 +53,33 @@ T_ROWS = [
 ]
 #: no row for g = 4, a NULL and a repeated w, one w outside t.x
 U_ROWS = [(0, 3, "zero"), (1, None, "odd"), (2, 3, "even"), (3, 40, "odd")]
+#: int64 edges: a group code built as a product of key ranges overflows
+EDGES = [-(2**63), 2**63 - 1, -(2**63) + 1, 2**63 - 2]
+
+
+def _arr_row(i):
+    """``(id, xs, ys)``: equally long arrays (some 32+ elements, decoded as
+    ndarrays) except a ragged row and a NULL-element row."""
+    n = (i * 7) % 45
+    xs = [(i * 1_000_003 + j * 7_919) % 10_007 - 5_000 for j in range(n)]
+    for j in range(i % 4, n, 9):
+        xs[j] = EDGES[(i + j) % 4]
+    ys = [(i + j) % 6 for j in range(n)]
+    if i % 13 == 0:
+        ys.append(i)  # ragged: xs pads with NULL
+    if i % 17 == 0 and n:
+        xs[0] = None
+    return (i, xs, ys)
+
+
+ARR_ROWS = [_arr_row(i) for i in range(1, 41)]
+#: a small integer table; KN has a NULL, so its cross product stays rows
+K_ROWS = [(h, h * h - 3) for h in range(6)]
+KN_ROWS = K_ROWS[:3] + [(3, None)]
+UNNEST_CTE = "WITH e AS (SELECT id, UNNEST(xs) AS x, UNNEST(ys) AS y FROM arr{}) "
+FLAT_CTE = "WITH e AS (SELECT id, x, y FROM arr_flat{}) "
+#: without the ragged and NULL-element rows every chunk of e is columnar
+COLUMNAR = " WHERE id % 13 <> 0 AND id % 17 <> 0"
 
 
 @pytest.fixture(scope="module", params=[FORMAT_ID])
@@ -58,9 +92,20 @@ def dbs():
     ):
         db.execute(ddl)
         lite.execute(ddl.replace(", xs BIGINT[]", ""))  # no arrays there
-    for table, rows in (("t", T_ROWS), ("u", U_ROWS)):
+    db.execute("CREATE TABLE arr (id BIGINT, xs BIGINT[], ys BIGINT[], PRIMARY KEY (id))")
+    lite.execute("CREATE TABLE arr_flat (id BIGINT, x BIGINT, y BIGINT)")
+    for name in ("k", "kn"):
+        ddl = f"CREATE TABLE {name} (h BIGINT, w BIGINT, PRIMARY KEY (h))"
+        db.execute(ddl)
+        lite.execute(ddl)
+    for table, rows in (
+        ("t", T_ROWS), ("u", U_ROWS), ("arr", ARR_ROWS), ("k", K_ROWS), ("kn", KN_ROWS)
+    ):
         dollars = ", ".join(f"${i + 1}" for i in range(len(rows[0])))
         db.executemany(f"INSERT INTO {table} VALUES ({dollars})", rows)
+        if table == "arr":
+            table = "arr_flat"
+            rows = [(i, *pair) for i, xs, ys in rows for pair in zip_longest(xs, ys)]
         rows = [row[:6] for row in rows]  # t without xs
         slots = ", ".join("?" * len(rows[0]))
         lite.executemany(f"INSERT INTO {table} VALUES ({slots})", rows)
@@ -144,13 +189,13 @@ def aggregates(rng, count, arrays):
     return picked
 
 
-def finish(rng, select, from_where, group_by, width, sort_pool):
+def finish(rng, select, from_where, group_by, width, sort_pool, havings=HAVINGS):
     """*select* … plus HAVING / ORDER BY / LIMIT: ``(sql, sqlite sql,
     ordered)``. Sort keys are aggregates in and outside the select list
     (hidden columns), then every output position, so the order is total."""
     sql = f"SELECT {select} {from_where}{group_by}"
     if rng.random() < 0.35:
-        sql += f" HAVING {rng.choice(HAVINGS)}"
+        sql += f" HAVING {rng.choice(havings)}"
     if rng.random() < 0.5:
         return sql, sql, False
     keys = rng.sample(sort_pool, rng.randint(0, 2))
@@ -212,11 +257,51 @@ def join_statement(rng):
     )
 
 
+#: comparisons with arithmetic on both sides; only small values meet the
+#: arithmetic, so sqlite3's float overflow never decides one
+CROSS_FILTERS = [
+    "e.y + 1 >= (k.h + 1) * 2", "e.y * 2 < k.w + k.h", "e.y - k.h <= 1 - k.h % 2",
+    "e.x + k.h > k.w * 1000", "e.id % 5 <> k.h + 0",
+]
+UNNEST_KEYS = ["e.id", "e.x", "e.y", "k.h", "k.w"]
+UNNEST_AGGS = [
+    "COUNT(*)", "MIN(e.x)", "MAX(e.x)", "COUNT(e.x)", "MIN(e.y + k.h)",
+    "MAX(k.w)", "MIN(e.id)",
+]
+
+
+def unnest_join_statement(rng):
+    """A GROUP BY over 2-4 plain columns of an UNNEST CTE, cross-joined with
+    ``k`` (or ``kn``, whose NULL keeps the join on rows) under a filter, or
+    of the CTE alone."""
+    joined = rng.random() < 0.8
+    keys = UNNEST_KEYS if joined else UNNEST_KEYS[:3]
+    aggs = UNNEST_AGGS if joined else UNNEST_AGGS[:4]
+    source = "FROM e"
+    if joined:
+        right = rng.choice(["k", "k", "kn AS k"])
+        source = f"FROM e, {right} WHERE {rng.choice(CROSS_FILTERS)}"
+        if rng.random() < 0.3:
+            source += f" AND {rng.choice(CROSS_FILTERS)}"
+    group = rng.sample(keys, rng.randint(2, min(4, len(keys))))
+    items = [key for key in group if rng.random() < 0.85]
+    items += rng.sample(aggs, rng.randint(1, 3))
+    rng.shuffle(items)
+    sql, lite_sql, ordered = finish(
+        rng, ", ".join(items), source, " GROUP BY " + ", ".join(group),
+        len(items), ["COUNT(*)", "MIN(e.x)"],
+        ["COUNT(*) > 3", "MIN(e.x) < 0", "MAX(e.y) - MIN(e.y) > 2"],
+    )
+    where = COLUMNAR if rng.random() < 0.75 else ""
+    return UNNEST_CTE.format(where) + sql, FLAT_CTE.format(where) + lite_sql, ordered
+
+
 SHAPES = {
     "grouped": (grouped_statement, 160),
     "arrays": (array_statement, 90),
     "scalar": (scalar_statement, 70),
     "join": (join_statement, 70),
+    "unnest_join": (unnest_join_statement, 120),
 }
 
 
