@@ -425,9 +425,15 @@ def group_aggregate(np_spec, cols, params, n):
                 out.append(_scalar_agg(item, cols, params, n))
             return [tuple(out)]
 
-        keys = cols[group_cols[0]]
         if n == 0:
             return []
+        keys = cols[group_cols[0]]
+        for col in group_cols[1:]:
+            # One int64 code for the key tuple: dense ranks combined, the
+            # running code re-ranked first, so it stays below n * n.
+            _, code = np.unique(keys, return_inverse=True)
+            _, rank = np.unique(cols[col], return_inverse=True)
+            keys = code * (int(rank.max()) + 1) + rank
         uniq, first_idx, inverse = np.unique(
             keys, return_index=True, return_inverse=True
         )

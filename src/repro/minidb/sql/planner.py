@@ -22,9 +22,13 @@ on, in this order of preference:
 * **hash join**, then a nested-loop cross product, for everything else.
 
 Comma joins are reordered derived-first (CTEs and subqueries before base
-tables) so the big label-side table ends up on the probed side — this is
-what makes ``FROM knn_ea n1bb, n1`` touch only ``|n1|`` rows of ``knn_ea``,
-as the paper requires.
+tables), then base tables by ascending row count (``Table.row_count``, an
+in-memory descriptor field, so planning still reads no pages; ties keep
+FROM order), so the big label-side table ends up on the probed side — this
+is what makes ``FROM knn_ea n1bb, n1`` touch only ``|n1|`` rows of
+``knn_ea``, and a target-set build's ``FROM lin, tgt`` only ``|tgt|`` rows
+of ``lin``, as the paper requires. A cached plan whose tables have since
+grown or shrunk keeps its order: it may be slower, never wrong.
 """
 
 from __future__ import annotations
@@ -408,9 +412,13 @@ class Planner:
                 having_fn,
                 len(schema),
             )
-            node.np_spec = self._np_agg_spec(core, schema)
-            if node.np_spec is not None and isinstance(node.child, phys.HashJoin):
-                self._mark_fused_join(node.child, node.np_spec)
+            spec = self._np_agg_spec(core, schema)
+            if spec is not None and isinstance(node.child, phys.HashJoin):
+                if len(spec[0]) > 1:
+                    spec = None  # the fused join kernels take one key at most
+                else:
+                    self._mark_fused_join(node.child, spec)
+            node.np_spec = spec
         else:
             item_fns = [compile_expr(it.value, slots) for it in items]
             node = phys.Project(node, item_fns)
@@ -428,7 +436,7 @@ class Planner:
     def _np_agg_spec(self, core, schema):
         """Whole-column aggregation recipe for the numpy kernel, or None.
 
-        Only without HAVING, with at most one group key, when keys and
+        Only without HAVING, when the group keys (any number) and the
         aggregate-free items are plain columns and every other item is a
         bare, non-DISTINCT, unordered MIN/MAX/COUNT/COUNT(*) — SUM/AVG stay
         on the accumulators (int64 overflow and float-division semantics
@@ -437,7 +445,7 @@ class Planner:
         ``("agg", name, operand_spec)``.
         """
         group_by = core.group_by
-        if core.having is not None or len(group_by) > 1 or not all(
+        if core.having is not None or not all(
             isinstance(key, ast.BoundRef) for key in group_by
         ):
             return None
@@ -553,14 +561,17 @@ class Planner:
     def _plan_from(self, sources, conjuncts, used):
         if not sources:
             return phys.Result0(), _Schema([])
-        # Join-order heuristic: derived relations (CTEs, subqueries) first so
-        # base tables can be probed by index nested-loop instead of scanned —
-        # this is what makes "FROM knn_ea n1bb, n1" touch only |n1| rows of
-        # knn_ea, as the paper requires. Comma joins only (ON pins order).
+        # Join-order heuristic: derived relations (CTEs, subqueries) first,
+        # then base tables smallest first (stable), so the larger tables can
+        # be probed by index nested-loop instead of scanned — this is what
+        # makes "FROM knn_ea n1bb, n1" touch only |n1| rows of knn_ea and
+        # "FROM lin, tgt" only |tgt| rows of lin, as the paper requires.
+        # Comma joins only (ON pins order).
         if len(sources) > 1 and all(not source.on for source in sources):
-            sources = [s for s in sources if s.kind != "table"] + [
-                s for s in sources if s.kind == "table"
-            ]
+            sources = [s for s in sources if s.kind != "table"] + sorted(
+                (s for s in sources if s.kind == "table"),
+                key=lambda s: self.catalog.get(s.name).row_count,
+            )
         node, schema = self._plan_source(
             sources[0], sources[0].on, conjuncts, used
         )

@@ -140,3 +140,69 @@ class TestTopK:
             row[0] for row in db.execute("EXPLAIN SELECT a FROM t ORDER BY b")
         ]
         assert any(line.strip().startswith("Sort") for line in lines)
+
+
+class TestCommaJoinOrder:
+    """Derived relations first, then base tables by ascending row count."""
+
+    @pytest.fixture()
+    def joined(self, db):
+        for name, rows in (("s", [(1, 10), (4, 40)]), ("u", range(10))):
+            db.execute(f"CREATE TABLE {name} (a BIGINT, c BIGINT, PRIMARY KEY (a))")
+            db.executemany(
+                f"INSERT INTO {name} VALUES ($1, $2)",
+                [row if name == "s" else (row, -row) for row in rows],
+            )
+        return db
+
+    @staticmethod
+    def scans(db, sql):
+        """The plan's join and scan lines, outermost first."""
+        lines = [row[0].strip() for row in db.execute("EXPLAIN " + sql)]
+        return [line for line in lines if "Loop" in line or "Scan" in line]
+
+    @pytest.mark.parametrize("tables", ["t, s", "s, t"])
+    def test_the_larger_table_is_probed(self, joined, tables):
+        sql = f"SELECT t.b, s.c FROM {tables} WHERE t.a = s.a"
+        assert self.scans(joined, sql) == [
+            "Index Nested Loop probe t by primary key (a)",
+            "Seq Scan on s",
+        ]
+        assert sorted(joined.execute(sql).rows) == [(2, 10), (3, 40)]
+
+    @pytest.mark.parametrize("first, second", [("t", "u"), ("u", "t")])
+    def test_equal_counts_keep_from_order(self, joined, first, second):
+        sql = f"SELECT t.b, u.c FROM {first}, {second} WHERE t.a = u.a"
+        assert self.scans(joined, sql) == [
+            f"Index Nested Loop probe {second} by primary key (a)",
+            f"Seq Scan on {first}",
+        ]
+
+    def test_derived_relations_still_go_first(self, joined):
+        # d (2 rows) drives although it is the last source; t and u follow
+        # in FROM order (equal counts), each probed by its primary key
+        sql = (
+            "WITH d AS (SELECT a FROM s) "
+            "SELECT t.b, u.c FROM t, u, d WHERE t.a = d.a AND u.a = t.a"
+        )
+        assert self.scans(joined, sql)[-3:] == [
+            "Index Nested Loop probe u by primary key (a)",
+            "Index Nested Loop probe t by primary key (a)",
+            "CTE Scan on d",
+        ]
+        assert joined.execute(sql).rows == [(2, -1), (3, -4)]
+
+    def test_a_cached_plan_outlives_its_counts(self, joined):
+        """Counts steer only the order: a plan cached before they change
+        keeps probing t, and still answers right."""
+        sql = "SELECT t.b, s.c FROM s, t WHERE t.a = s.a"
+        stmt = joined.prepare(sql)
+        assert stmt.execute(()).rows == [(2, 10), (3, 40)]
+        joined.executemany(
+            "INSERT INTO s VALUES ($1, $2)", [(a, a) for a in range(20, 40)]
+        )
+        before = joined.plan_cache_stats()
+        assert stmt.execute(()).rows == [(2, 10), (3, 40)]
+        assert joined.plan_cache_stats()["misses"] == before["misses"]
+        # planned afresh, the now larger s is the probed side
+        assert self.scans(joined, sql)[0] == "Index Nested Loop probe s by primary key (a)"
