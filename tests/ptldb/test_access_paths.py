@@ -14,7 +14,7 @@ from repro.minidb.sql.analyzer import (
     check_paper_bounds,
     is_label_table,
 )
-from repro.ptldb import sqltext
+from repro.ptldb import aux, sqltext
 
 
 def classify(db, sql):
@@ -153,3 +153,34 @@ class TestCorpus:
             assert check_paper_bounds(analysis, query.family) == [], query.name
             apl = [d for d in analysis.diagnostics if d.code.startswith("APL")]
             assert apl == [], f"{query.name}: {analysis.render()}"
+
+
+class TestBuildStatements:
+    """``build_target_set``'s six ``INSERT ... SELECT``s reach ``lin`` by
+    primary key: the target set drives, each target probes its Lin row."""
+
+    def test_lin_is_probed_never_scanned(self, small_ptldb):
+        statements = sqltext.build_corpus("poi", kmax=4)
+        assert len(statements) == 6
+        for query in statements:
+            analysis = classify(small_ptldb.db, query.sql)
+            lin = [p.kind for p in analysis.access_paths if p.table == "lin"]
+            assert lin == ["pk-probe"], query.name
+            apl = [d for d in analysis.diagnostics if d.code.startswith("APL")]
+            assert apl == [], f"{query.name}: {analysis.render()}"
+
+    def test_the_builders_run_the_linted_text(self):
+        issued = []
+
+        class Recorder:
+            def execute(self, sql, params=()):
+                issued.append(sql)
+
+        tables = aux.AuxTables("poi", "tgt_poi", "hours_poi", 4, 3600, 0, 30)
+        for build in (
+            aux.build_knn_ea, aux.build_knn_ld, aux.build_otm_ea,
+            aux.build_otm_ld, aux.build_naive_ea, aux.build_naive_ld,
+        ):
+            build(Recorder(), tables)
+        inserts = [sql for sql in issued if sql.lstrip().startswith("INSERT")]
+        assert inserts == [q.sql for q in sqltext.build_corpus("poi", kmax=4)]

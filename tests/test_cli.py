@@ -139,7 +139,7 @@ class TestLint:
     def test_corpus_is_clean(self, capsys):
         assert main(["lint", "--corpus"]) == 0
         out = capsys.readouterr().out
-        assert "14 statement(s) ok" in out
+        assert "20 statement(s) ok" in out
         # every v2v family classified as exactly two PK point lookups
         for family in ("v2v_ea", "v2v_ld", "v2v_sd"):
             line = next(l for l in out.splitlines() if l.startswith(family))
