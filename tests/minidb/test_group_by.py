@@ -17,6 +17,12 @@ int64-edge and high-cardinality values, a ragged and a NULL-element row
 that expand row by row) comma-joined with a small integer table under a
 comparison with arithmetic on both sides, grouped by two to four plain
 columns. sqlite3 reads the same CTE rows from a flattened table.
+
+Another hash-joins two such CTEs on ``e.y = f.y`` (neither side is a keyed
+table, so no index nested-loop can take it), with at most one residual
+comparison between the sides, grouped by zero to three plain columns — the
+shapes of the band merge, the column join and the row hash table — plus
+scalar aggregates over one CTE alone.
 """
 
 import random
@@ -296,12 +302,76 @@ def unnest_join_statement(rng):
     return UNNEST_CTE.format(where) + sql, FLAT_CTE.format(where) + lite_sql, ordered
 
 
+EQUI_CTE = (
+    "WITH e AS (SELECT id, UNNEST(xs) AS x, UNNEST(ys) AS y FROM arr{}), "
+    "f AS (SELECT id, UNNEST(xs) AS x, UNNEST(ys) AS y FROM arr{}) "
+)
+FLAT_EQUI_CTE = (
+    "WITH e AS (SELECT id, x, y FROM arr_flat{}), "
+    "f AS (SELECT id, x, y FROM arr_flat{}) "
+)
+#: f's rows: two sets with column chunks only, then one with the ragged
+#: row (id 13) and one with the NULL-element row (id 17)
+F_WHERES = [" WHERE id % 9 = 2", " WHERE id % 11 = 5", " WHERE id % 9 = 4", " WHERE id % 8 = 1"]
+#: ``e.x`` meets the int64 edges, so a band over it never fits the
+#: composite; ``e.id`` is small, so a band over it does
+EQUI_RESIDUALS = [f"e.{c} {op} f.{c}" for c in ("x", "id") for op in ("<=", "<", ">=", ">")]
+EQUI_RESIDUALS += ["e.x <> f.x", "f.id >= e.id"]
+EQUI_KEYS = ["e.id", "e.x", "e.y", "f.id", "f.x"]
+#: the first six are the band kernel's: MIN/MAX of a column of either
+#: side or of one column of each
+EQUI_AGGS = [
+    "MIN(e.x)", "MAX(f.x)", "MIN(f.id)", "MAX(e.id)", "MAX(f.id - e.id)",
+    "MIN(e.id + f.id)", "COUNT(*)", "COUNT(f.x)", "SUM(e.y)", "SUM(f.id)",
+]
+
+
+def unnest_equi_join_statement(rng):
+    """Two UNNEST CTEs hash-joined on ``e.y = f.y`` (neither is a keyed
+    table), with at most one residual ``e.c <op> f.c``, grouped by 0-3
+    plain columns; or a scalar aggregate over ``e`` alone."""
+    e_where = COLUMNAR if rng.random() < 0.8 else ""
+    f_where = rng.choice(F_WHERES[:2] if rng.random() < 0.6 else F_WHERES[2:])
+    if rng.random() < 0.2:
+        items = rng.sample(UNNEST_AGGS[:4] + ["SUM(e.y)"], rng.randint(1, 3))
+        sql, lite_sql, ordered = finish(
+            rng, ", ".join(items), "FROM e", "", len(items), ["COUNT(*)", "MIN(e.x)"],
+            ["COUNT(*) > 3", "MIN(e.x) < 0"],
+        )
+    else:
+        on = "e.y = f.y"
+        residual = rng.choice(EQUI_RESIDUALS) if rng.random() < 0.8 else None
+        if rng.random() < 0.7:  # JOIN … ON re-checks its key: never a band
+            source = f"FROM e, f WHERE {on}"
+            source += f" AND {residual}" if residual else ""
+        else:
+            source = f"FROM e JOIN f ON {on}"
+            source += f" WHERE {residual}" if residual else ""
+        group = rng.sample(EQUI_KEYS, rng.choice([0, 0, 0, 1, 1, 2, 3]))
+        items = [key for key in group if rng.random() < 0.85]
+        pool = EQUI_AGGS[:6] if rng.random() < 0.5 else EQUI_AGGS
+        items += rng.sample(pool, rng.randint(1, 3))
+        rng.shuffle(items)
+        group_by = " GROUP BY " + ", ".join(group) if group else ""
+        sql, lite_sql, ordered = finish(
+            rng, ", ".join(items), source, group_by, len(items),
+            ["MIN(e.x)", "MAX(f.id)"],
+            ["COUNT(*) > 3", "MIN(e.x) < 0", "MAX(f.y) > 2"],
+        )
+    return (
+        EQUI_CTE.format(e_where, f_where) + sql,
+        FLAT_EQUI_CTE.format(e_where, f_where) + lite_sql,
+        ordered,
+    )
+
+
 SHAPES = {
     "grouped": (grouped_statement, 160),
     "arrays": (array_statement, 90),
     "scalar": (scalar_statement, 70),
     "join": (join_statement, 70),
     "unnest_join": (unnest_join_statement, 120),
+    "unnest_equi_join": (unnest_equi_join_statement, 150),
 }
 
 
