@@ -3,8 +3,9 @@
 The batch executor moves chunks of rows between operators. Eligible
 producers (today: the fused UNNEST producer over int64
 label data) emit :class:`ColumnChunk` batches — parallel ``int64`` arrays,
-one per output column — instead of lists of tuples, and the fused filter /
-hash-join / aggregation kernels below operate on whole columns at once.
+one per output column — instead of lists of tuples, and the filter-mask,
+hash-join (pair discovery, and the band merge under an aggregate) and
+aggregation kernels below operate on whole columns at once.
 
 Two invariants make this a pure representation change:
 
@@ -288,37 +289,6 @@ def join_pairs(left_keys, right_keys):
     return left_idx, right_idx
 
 
-def pair_join_aggregate(lhs, rhs, jnode, np_spec, params):
-    """Equi-join → residual filter → aggregate through explicit pair arrays.
-
-    *lhs*/*rhs* are the two inputs' column lists. Only the columns the
-    residual filters and the aggregate read (``jnode.np_read_cols``, planner
-    set) are gathered through the pair indices, and only the aggregate's own
-    columns are compressed by the filter mask. Returns ``(rows, pairs)`` —
-    the finished output rows and the number of joined pairs that passed the
-    filters, ``rows`` being None when no pair did (the caller emits the
-    aggregate's default) — or None when a kernel refuses the input.
-    """
-    gather_cols, agg_cols = jnode.np_read_cols
-    li, ri = join_pairs(lhs[jnode.np_left_col], rhs[jnode.np_right_col])
-    width = len(lhs)
-    cols = [None] * (width + len(rhs))
-    for c in gather_cols:
-        cols[c] = lhs[c][li] if c < width else rhs[c - width][ri]
-    pairs = len(li)
-    if jnode.filters:
-        mask = eval_masks(jnode.filter_specs, cols, params, pairs)
-        if mask is None:
-            return None
-        pairs = int(np.count_nonzero(mask))
-        for c in agg_cols:
-            cols[c] = cols[c][mask]
-    if not pairs:
-        return None, 0
-    rows = group_aggregate(np_spec, cols, params, pairs)
-    return None if rows is None else (rows, pairs)
-
-
 def band_join_aggregate(lhs, rhs, jnode):
     """``L.key = R.key AND L.a <op> R.b`` under ungrouped MIN/MAX, as a merge.
 
@@ -334,10 +304,11 @@ def band_join_aggregate(lhs, rhs, jnode):
 
     Whether R already is in ``(key, b)`` order is observed on every input
     and an unordered R is sorted first. A composite or an ``L ± R``
-    aggregate operand that might not fit int64 returns None — the pair
-    kernel then decides. Otherwise the
-    result is ``(rows, pairs)`` as for :func:`pair_join_aggregate`, with
-    ``pairs`` exactly ``sum(hi - lo)``.
+    aggregate operand that might not fit int64 returns None — the executor
+    then runs the hash join and folds its rows. Otherwise the result is
+    ``(rows, pairs)``: the finished output rows (None when no pair joins:
+    the caller emits the aggregate's default row) and the number of joined
+    pairs, exactly ``sum(hi - lo)``.
     """
     op, a_col, b_col, items = jnode.np_band
     lk, la = lhs[jnode.np_left_col], lhs[a_col]
@@ -416,18 +387,11 @@ def group_aggregate(np_spec, cols, params, n):
     the row path already implements.
     """
     group_cols, items = np_spec
+    if n == 0:  # no group; a scalar aggregate's default row is the row path's
+        return [] if group_cols else None
     try:
-        if not group_cols:
-            if n == 0:
-                return None  # default-row semantics live in the row path
-            out = []
-            for item in items:
-                out.append(_scalar_agg(item, cols, params, n))
-            return [tuple(out)]
-
-        if n == 0:
-            return []
-        keys = cols[group_cols[0]]
+        # A scalar aggregate is one group.
+        keys = cols[group_cols[0]] if group_cols else np.zeros(n, np.int64)
         for col in group_cols[1:]:
             # One int64 code for the key tuple: dense ranks combined, the
             # running code re-ranked first, so it stays below n * n.
@@ -477,24 +441,3 @@ def group_aggregate(np_spec, cols, params, n):
         return list(zip(*columns))
     except (TypeError, OverflowError):
         return None
-
-
-def _scalar_agg(item, cols, params, n):
-    kind = item[0]
-    if kind == "count*":
-        return n
-    if kind == "first":
-        return cols[item[1]][0].item()
-    name, operand = item[1], item[2]
-    values = eval_operand(operand, cols, params)
-    if values is _NULL:
-        return 0 if name == "count" else None
-    if not isinstance(values, np.ndarray):
-        if name == "count":
-            return n
-        return int(values)
-    if name == "count":
-        return n
-    if name == "min":
-        return int(values.min())
-    return int(values.max())

@@ -182,22 +182,22 @@ class IndexNestedLoop(PlanNode):
 
 
 class HashJoin(PlanNode):
+    """Equi-join: the right input is drained, then every left batch joins
+    it and emits one output batch. The only fused form is the band merge
+    (``np_band``), where the parent Aggregate drives the join."""
+
     name = "Hash Join"
 
     #: Column index of the equi-join key on each side when the key is a
     #: plain column reference (planner-set); the batch executor then joins
-    #: with sort + ``np.searchsorted`` over column batches.
+    #: a column batch against a columnar right side with
+    #: ``npbatch.join_pairs`` (sort + ``np.searchsorted``), and any other
+    #: batch through the row hash table.
     np_left_col = None
     np_right_col = None
     #: Number of columns the left input contributes to the joined schema
     #: (planner-set).
     left_width = None
-    #: Set by the planner when a numpy-lowered Aggregate sits directly on
-    #: this join: ``(gather_cols, agg_cols)``, joined-schema column indices.
-    #: The fused kernels gather only ``gather_cols`` (what the residual
-    #: filters and the aggregate read) through the pair indices and filter
-    #: only ``agg_cols`` (what the aggregate reads).
-    np_read_cols = None
     #: Band join, planner-set when the residual filter is exactly one
     #: ``L.a <op> R.b`` (``<= < >= >``) and the parent is an ungrouped
     #: MIN/MAX aggregate whose operands are an L column, an R column, or
@@ -205,8 +205,9 @@ class HashJoin(PlanNode):
     #: indexing the left input, ``b_col`` the right, and one
     #: ``(name, l_col, r_col, minus)`` per aggregate (``minus`` is "l" or
     #: "r" for the subtracted side of a difference, else None). The
-    #: executor then runs ``npbatch.band_join_aggregate``, which never
-    #: enumerates the joined pairs. Purely an evaluation strategy.
+    #: Aggregate then runs ``npbatch.band_join_aggregate``, which never
+    #: enumerates the joined pairs, and folds the join's rows only when
+    #: that kernel declines. Purely an evaluation strategy.
     np_band = None
 
     def __init__(

@@ -204,24 +204,6 @@ def _band_join(filter_specs, items, width):
     return op, a[1], b[1] - width, tuple(out)
 
 
-def _spec_cols(spec, out: set) -> None:
-    """Collect every ``("col", i)`` index referenced by an np-spec tree."""
-    kind = spec[0]
-    if kind == "col":
-        out.add(spec[1])
-    elif kind in ("neg", "floor"):
-        _spec_cols(spec[1], out)
-    elif kind == "div":
-        _spec_cols(spec[1], out)
-        _spec_cols(spec[2], out)
-    elif kind in ("bin", "cmp"):
-        _spec_cols(spec[2], out)
-        _spec_cols(spec[3], out)
-    elif kind in ("maxv", "minv"):
-        for part in spec[1:]:
-            _spec_cols(part, out)
-
-
 # ---------------------------------------------------------------------------
 # Planner
 # ---------------------------------------------------------------------------
@@ -412,13 +394,15 @@ class Planner:
                 having_fn,
                 len(schema),
             )
-            spec = self._np_agg_spec(core, schema)
-            if spec is not None and isinstance(node.child, phys.HashJoin):
-                if len(spec[0]) > 1:
-                    spec = None  # the fused join kernels take one key at most
-                else:
-                    self._mark_fused_join(node.child, spec)
-            node.np_spec = spec
+            spec = node.np_spec = self._np_agg_spec(core, schema)
+            join = node.child
+            if (
+                spec is not None
+                and not spec[0]
+                and isinstance(join, phys.HashJoin)
+                and join.np_left_col is not None
+            ):
+                join.np_band = _band_join(join.filter_specs, spec[1], join.left_width)
         else:
             item_fns = [compile_expr(it.value, slots) for it in items]
             node = phys.Project(node, item_fns)
@@ -470,31 +454,6 @@ class Planner:
                 return None
             spec.append(("agg", call.name, operand))
         return tuple(group_cols), spec
-
-    def _mark_fused_join(self, jnode, np_spec):
-        """Tell the HashJoin under a numpy-lowered Aggregate what is read
-        (``np_read_cols``) and whether it can run as a band join
-        (``np_band``); see :class:`~repro.minidb.sql.plan.HashJoin`."""
-        if jnode.np_left_col is None:
-            return  # no array join without plain-column keys
-        group_cols, items = np_spec
-        agg_cols = set(group_cols)
-        for item in items:
-            if item[0] == "first":
-                agg_cols.add(item[1])
-            elif item[0] == "agg":
-                _spec_cols(item[2], agg_cols)
-        gather_cols = set(agg_cols)
-        for spec in jnode.filter_specs:
-            if spec is not None:
-                _spec_cols(spec, gather_cols)
-        jnode.np_read_cols = (
-            tuple(sorted(gather_cols)), tuple(sorted(agg_cols))
-        )
-        if not group_cols:
-            jnode.np_band = _band_join(
-                jnode.filter_specs, items, jnode.left_width
-            )
 
     def _simple_cols(self, items, schema):
         """Input-column index per select item when all are plain columns."""

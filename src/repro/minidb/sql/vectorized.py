@@ -22,21 +22,24 @@ accumulator per call and group, and evaluates ``HAVING`` and the select
 items as ordinary row closures over *first row of the group + aggregate
 values* — no group's rows are kept.
 
-On top of plain batching, five fused kernels cover the paper's hot
-patterns (the planner marks the plans; see ``plan.py``):
+There is one hash join and one aggregate. The hash join drains its right
+input and joins each left batch either as columns (``npbatch.join_pairs``,
+one gather per column, the residual filter as a mask) or through the row
+hash table; the aggregate buffers column batches for one
+``npbatch.group_aggregate`` and folds anything else through its
+accumulators. On top of plain batching, fused kernels cover the paper's
+hot patterns (the planner marks the plans; see ``plan.py``):
 
-* **hub intersection** — ``Aggregate`` over ``HashJoin`` (the
-  ``UNNEST(lhubs) ⋈ UNNEST(rhubs)`` v2v core) never materializes the join
-  output: on column batches it is one array kernel — the band merge for
-  Code 1's ``key = key AND a <= b`` under MIN/MAX, pair discovery + gather
-  otherwise — and on row batches the probe loop folds joined rows straight
-  into the aggregate's accumulators;
+* **hub intersection** — an ``Aggregate`` over a *band* ``HashJoin``
+  (Code 1's ``UNNEST(lhubs) ⋈ UNNEST(rhubs)`` on ``key = key AND a <= b``
+  under MIN/MAX) runs as the band merge and never forms a pair; only when
+  that kernel declines does the hash join run, its rows folded by the
+  aggregate;
 * **array expansion** — ``Project`` over ``Unnest`` (the ``a[1:k]`` slice +
   ``FLOOR`` projection of Codes 2-4) evaluates non-SRF items once per
   *input* row and emits array elements column-wise, as ``ColumnChunk``s
   while a row's values are all int64 and row by row (same rows, same
   order) when they are not;
-* **filter + project** — a single pass per batch;
 * **cross product** — a nested loop over a ``ColumnChunk`` and exact-int64
   right rows is ``np.repeat``/``np.tile`` columns and one filter mask;
 * **batched Top-K / aggregate accumulation** — bounded-heap and
@@ -669,52 +672,76 @@ class BatchExecutor:
 
         return self._traced(stats, gen())
 
-    def _build_buckets(self, right, right_key):
+    def _build_buckets(self, right_chunks, right_key):
+        """The row hash table: the right rows by their key, each key made
+        hashable (an array cell is its tuple); a NULL key matches nothing."""
         params = self.params
         buckets: dict = {}
-        for chunk in right:
-            for row in chunk:
-                key = right_key(row, params)
-                if key is None:
-                    continue
-                buckets.setdefault(key, []).append(row)
+        for chunk in right_chunks:
+            keys = hashable([right_key(row, params) for row in chunk])
+            for key, row in zip(keys, chunk):
+                if key is not None:
+                    buckets.setdefault(key, []).append(row)
         return buckets
 
     def _emit_hash_join(self, node, env, parent, hint):
         stats = self._node(node.name, node.detail, parent)
         left = self._emit(node.left, env, stats, None)
         right = self._emit(node.right, env, stats, None)
-        params = self.params
-        left_key = node.left_key
-        check = _predicate(node.filters)
 
         def gen():
             try:
-                buckets = self._build_buckets(right, node.right_key)
-                for chunk in left:
-                    out = []
-                    for row in chunk:
-                        key = left_key(row, params)
-                        if key is None:
-                            continue
-                        matches = buckets.get(key)
-                        if not matches:
-                            continue
-                        if check is not None:
-                            for match in matches:
-                                joined = row + match
-                                if check(joined, params):
-                                    out.append(joined)
-                        else:
-                            for match in matches:
-                                out.append(row + match)
-                    if out:
-                        yield out
+                yield from self._hash_join(node, left, right)
             finally:
                 left.close()
                 right.close()
 
         return self._traced(stats, gen())
+
+    def _hash_join(self, node, left, right):
+        """The one hash join: drain *right*, then one output batch per
+        *left* batch that joins anything.
+
+        A ``ColumnChunk`` left batch against an all-columnar right side
+        with plain-column keys joins as :func:`npbatch.join_pairs` — one
+        gather per column, then the residual filter as a mask; any other
+        batch probes the row hash table, built on first use. Both give the
+        rows in the same order. An empty right side still reads the whole
+        left side.
+        """
+        params = self.params
+        check = _predicate(node.filters)
+        right_chunks = [chunk for chunk in right if len(chunk)]
+        right_cols = None
+        if node.np_left_col is not None and right_chunks and all(
+            isinstance(chunk, ColumnChunk) for chunk in right_chunks
+        ):
+            right_cols = npbatch.concat(right_chunks).cols
+        buckets = None
+        for chunk in left:
+            if not right_chunks:
+                continue
+            if right_cols is not None and isinstance(chunk, ColumnChunk):
+                li, ri = npbatch.join_pairs(
+                    chunk.cols[node.np_left_col], right_cols[node.np_right_col]
+                )
+                out = ColumnChunk(
+                    [col[li] for col in chunk.cols] + [col[ri] for col in right_cols],
+                    n=len(li),
+                )
+            else:
+                if buckets is None:
+                    buckets = self._build_buckets(right_chunks, node.right_key)
+                keys = hashable([node.left_key(row, params) for row in chunk])
+                out = [
+                    row + match
+                    for key, row in zip(keys, chunk)
+                    for match in buckets.get(key, ())  # no NULL key is in it
+                ]
+            if check is not None and len(out):
+                out = self._filter_chunk(out, check, node.filter_specs)
+            if len(out):
+                yield out
 
     def _emit_nested_loop(self, node, env, parent, hint):
         stats = self._node(node.name, node.detail, parent)
@@ -909,24 +936,19 @@ class BatchExecutor:
             gen = self._np_unnest_project(node, child_node, env, stats, hint)
             # One input row expands into one chunk; a point lookup has one.
             once = isinstance(child_node.child, phys.PkLookup)
-        elif isinstance(child_node, phys.Filter):
-            gen = self._fused_filter_project(node, child_node, env, stats)
         else:
             gen = self._projected(
                 node, self._emit(child_node, env, stats, hint)
             )
         return self._traced(stats, gen, once)
 
-    def _projected(self, node, child, fstats=None):
-        """*child*'s batches through *node*'s select list; *fstats* is the
-        fused Filter's trace node, whose row count is *child*'s."""
+    def _projected(self, node, child):
+        """*child*'s batches through *node*'s select list."""
         params = self.params
         item_fns = node.item_fns
         simple_cols = node.simple_cols
         try:
             for chunk in child:
-                if fstats is not None:
-                    fstats.rows += len(chunk)
                 if simple_cols is None:
                     yield [
                         tuple(fn(row, params) for fn in item_fns)
@@ -943,16 +965,6 @@ class BatchExecutor:
                     yield list(zip(*cols))
         finally:
             child.close()
-            _sync_fused(fstats)
-
-    def _fused_filter_project(self, node, fnode, env, stats):
-        """Filter + Project in one pass per batch. The Filter node stays in
-        the trace (rows = survivors) but its kernel cost is the Project's."""
-        fstats = self._node(fnode.name, fnode.detail, stats)
-        child = self._emit(fnode.child, env, fstats, None)
-        check = _predicate(fnode.predicates)
-        kept = self._filtered(child, check, fnode.filter_specs)
-        return self._projected(node, kept, fstats)
 
     def _np_unnest_project(self, node, unode, env, stats, hint):
         """The array-expansion kernel (slice + FLOOR projection, Codes 2-4).
@@ -1062,9 +1074,8 @@ class BatchExecutor:
 
         A group keeps its first input row and one accumulator per aggregate
         (a ``DISTINCT``/``ORDER BY`` one holds that call's ``(keys, value)``
-        pairs — never the group's rows). When the input is a HashJoin this
-        is the fused hub-intersection kernel: probe results feed the
-        accumulators directly and the join output is never materialized.
+        pairs — never the group's rows). Over a band ``Hash Join`` this is
+        the fused hub-intersection kernel (:meth:`_band_aggregate`).
         """
         stats = self._node(node.name, node.detail, parent)
         params = self.params
@@ -1097,127 +1108,97 @@ class BatchExecutor:
                     out.append(tuple([fn(row, params) for fn in item_fns]))
             return out
 
-        np_spec = node.np_spec
-        if isinstance(node.child, phys.HashJoin):
-            gen = self._fused_join_aggregate(
-                node.child, env, stats, feed, finalize, np_spec
-            )
-            return self._traced(stats, gen, not group_fns)
+        if isinstance(node.child, phys.HashJoin) and node.child.np_band is not None:
+            gen = self._band_aggregate(node, env, stats, feed, finalize)
+            return self._traced(stats, gen, True)  # a band is ungrouped
 
         child = self._emit(node.child, env, stats, None)
 
         def gen():
-            groups: dict = {}
-            # Column chunks are buffered while every batch stays columnar;
-            # a single whole-column group_aggregate then replaces the
-            # per-row accumulator feed. Any row-mode batch (or a kernel
-            # refusal) drains the buffer through the accumulators instead
-            # — same groups, same order, same values.
-            np_chunks: list = []
-            np_ok = np_spec is not None
             try:
-                for chunk in child:
-                    if np_ok and isinstance(chunk, ColumnChunk):
-                        np_chunks.append(chunk)
-                        continue
-                    if np_chunks:
-                        for buffered in np_chunks:
-                            for row in buffered:
-                                feed(row, groups)
-                        np_chunks = []
-                    np_ok = False
-                    for row in chunk:
-                        feed(row, groups)
+                rows = self._aggregated(node, child, feed, finalize)
             finally:
                 child.close()
-            if np_ok and np_chunks:
-                data = npbatch.concat(np_chunks)
-                rows_out = npbatch.group_aggregate(
-                    np_spec, data.cols, params, len(data)
-                )
-                if rows_out is not None:
-                    yield from self._slices(rows_out)
-                    return
-                for row in data:
-                    feed(row, groups)
-            yield from self._slices(finalize(groups))
+            yield from self._slices(rows)
 
         return self._traced(stats, gen(), not group_fns)  # scalar: one row
 
-    def _fused_join_aggregate(self, jnode, env, stats, feed, finalize, np_spec):
-        """Hub intersection: HashJoin probe feeding aggregate accumulators.
+    def _aggregated(self, node, chunks, feed, finalize):
+        """*node*'s output rows over the batches *chunks*.
 
-        With columnar inputs on both sides and a lowered join key + filter
-        + aggregate, the whole fusion runs as array kernels: the band merge
-        when the planner marked one (``jnode.np_band``), else pair
-        discovery with one gather per column read. The probe loop below is
-        the row fallback for inputs the kernels refuse.
+        Column chunks are buffered while every batch stays columnar; a
+        single whole-column ``group_aggregate`` then replaces the per-row
+        accumulator feed. Any row batch (or a kernel refusal) drains the
+        buffer through the accumulators instead — same groups, same order,
+        same values.
         """
+        groups: dict = {}
+        np_chunks: list = []
+        np_ok = node.np_spec is not None
+        for chunk in chunks:
+            if np_ok and isinstance(chunk, ColumnChunk):
+                np_chunks.append(chunk)
+                continue
+            for buffered in np_chunks:
+                for row in buffered:
+                    feed(row, groups)
+            np_chunks = []
+            np_ok = False
+            for row in chunk:
+                feed(row, groups)
+        if np_chunks:
+            data = npbatch.concat(np_chunks)
+            rows = npbatch.group_aggregate(node.np_spec, data.cols, self.params, len(data))
+            if rows is not None:
+                return rows
+            for row in data:
+                feed(row, groups)
+        return finalize(groups)
+
+    def _band_aggregate(self, node, env, stats, feed, finalize):
+        """Hub intersection: the band ``Hash Join`` under *node* never
+        emits a pair.
+
+        Both inputs are drained; when every batch is columnar,
+        :func:`npbatch.band_join_aggregate` answers from ranges over the
+        right side. If it declines, :meth:`_hash_join` runs over the
+        buffered batches and :meth:`_aggregated` folds its output. Either
+        way the join is a fused node: zero self cost, ``rows`` the joined
+        pairs.
+        """
+        jnode = node.child
         jstats = self._node(jnode.name, jnode.detail, stats)
         left = self._emit(jnode.left, env, jstats, None)
         right = self._emit(jnode.right, env, jstats, None)
-        params = self.params
-        left_key = jnode.left_key
-        check = _predicate(jnode.filters)
-
-        def np_join(left_chunks, right_chunks):
-            """``(output rows or None for no pairs, pairs)`` from the array
-            kernels, or None to use the probe loop."""
-            if jnode.np_read_cols is None:
-                return None
-            if not left_chunks or not right_chunks:
-                return None, 0
-            if not all(
-                isinstance(c, ColumnChunk) for c in left_chunks + right_chunks
-            ):
-                return None
-            lhs = npbatch.concat(left_chunks).cols
-            rhs = npbatch.concat(right_chunks).cols
-            done = None
-            if jnode.np_band is not None:
-                done = npbatch.band_join_aggregate(lhs, rhs, jnode)
-            if done is None:
-                done = npbatch.pair_join_aggregate(
-                    lhs, rhs, jnode, np_spec, params
-                )
-            return done
 
         def gen():
-            groups: dict = {}
-            joined = 0
-            rows = None
             try:
-                done = None
-                left_src, right_src = left, right
-                if np_spec is not None:
-                    left_src, right_src = list(left), list(right)
-                    done = np_join(left_src, right_src)
-                if done is not None:
-                    rows, joined = done
-                else:
-                    buckets = self._build_buckets(right_src, jnode.right_key)
-                    for chunk in left_src:
-                        for row in chunk:
-                            key = left_key(row, params)
-                            if key is None:
-                                continue
-                            matches = buckets.get(key)
-                            if not matches:
-                                continue
-                            for match in matches:
-                                out = row + match
-                                if check is not None and not check(out, params):
-                                    continue
-                                joined += 1
-                                feed(out, groups)
+                left_chunks, right_chunks = list(left), list(right)
             finally:
                 left.close()
                 right.close()
-                if jstats is not None:
-                    jstats.rows = joined
-                _sync_fused(jstats)
-            if rows is None:
-                rows = finalize(groups)
+            done = None
+            if (
+                left_chunks
+                and right_chunks
+                and all(isinstance(c, ColumnChunk) for c in left_chunks + right_chunks)
+            ):
+                done = npbatch.band_join_aggregate(
+                    npbatch.concat(left_chunks).cols,
+                    npbatch.concat(right_chunks).cols,
+                    jnode,
+                )
+            if done is None:
+                joined = list(self._hash_join(jnode, left_chunks, right_chunks))
+                rows = self._aggregated(node, joined, feed, finalize)
+                pairs = sum(map(len, joined))
+            else:
+                rows, pairs = done
+                if rows is None:  # no pair: the aggregate's default row
+                    rows = finalize({})
+            if jstats is not None:
+                jstats.rows = pairs
+            _sync_fused(jstats)
             yield from self._slices(rows)
 
         return gen()

@@ -216,14 +216,14 @@ class Executor:
 
         def gen():
             buckets: dict = {}
-            for row in right:  # build side
-                key = right_key(row, params)
-                if key is None:
+            for row in right:  # build side; an array key is its tuple
+                key = hashable([right_key(row, params)])
+                if key == (None,):
                     continue
                 buckets.setdefault(key, []).append(row)
             for row in left:  # probe side
-                key = left_key(row, params)
-                if key is None:
+                key = hashable([left_key(row, params)])
+                if key == (None,):
                     continue
                 for match in buckets.get(key, ()):
                     out = row + match

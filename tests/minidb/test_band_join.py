@@ -1,13 +1,14 @@
-"""The fused join→aggregate kernels: band merge, pair gather, row fallback.
+"""The band merge, the column hash join and the row hash table.
 
 ``L.key = R.key AND L.a <op> R.b`` under an ungrouped MIN/MAX can run three
 ways — ``npbatch.band_join_aggregate`` (ranges over ``(key, b)``-ordered R,
-no pairs), ``npbatch.pair_join_aggregate`` (explicit pair arrays) and the
-row-at-a-time probe loop — and the planner's choice is only ever a cost
-decision. Every statement here is therefore run on the engine as planned
-(band), on the engine with the band annotation cleared (pairs) and on the
-reference model (``tests/minidb/reference.py``); rows, the ``Hash Join
-rows=`` figure and page I/O must all agree, and ``rows=`` must be the
+no pairs), the hash join over column batches (``npbatch.join_pairs``: pair
+arrays, one gather per column) and the hash join's row hash table, the
+last two folded by the Aggregate — and the planner's choice is only ever a
+cost decision. Every statement here is therefore run on the engine as
+planned (band), on the engine with the band annotation cleared (pairs) and
+on the reference model (``tests/minidb/reference.py``); rows, the ``Hash
+Join rows=`` figure and page I/O must all agree, and ``rows=`` must be the
 brute-force number of joined pairs.
 """
 
@@ -76,7 +77,7 @@ def hash_join(db, sql) -> phys.HashJoin:
 
 @contextmanager
 def pairs_only(db, sql):
-    """Run *sql* with its band annotation cleared: the pair kernel's turn."""
+    """Run *sql* with its band annotation cleared: the hash join's turn."""
     node = hash_join(db, sql)
     band, node.np_band = node.np_band, None
     try:
@@ -87,8 +88,9 @@ def pairs_only(db, sql):
 
 @contextmanager
 def kernel_log(monkeypatch):
-    """Record which fused kernel finished each statement, or ``"rows"``
-    when the probe loop's hash table was built."""
+    """Record ``"band"`` when the band kernel answered a statement,
+    ``"pair"`` when the hash join joined column batches and ``"rows"``
+    when it built the row hash table."""
     log = []
 
     def recording(name, fn):
@@ -106,8 +108,8 @@ def kernel_log(monkeypatch):
 
     real_buckets = BatchExecutor._build_buckets
     with monkeypatch.context() as patch:
-        for name in ("band_join_aggregate", "pair_join_aggregate"):
-            patch.setattr(npbatch, name, recording(name[:4], getattr(npbatch, name)))
+        for tag, name in (("band", "band_join_aggregate"), ("pair", "join_pairs")):
+            patch.setattr(npbatch, name, recording(tag, getattr(npbatch, name)))
         patch.setattr(BatchExecutor, "_build_buckets", build_buckets)
         yield log
 
@@ -222,9 +224,19 @@ class TestOverflowGuard:
         left = [(1, 0, BIG), (1, 0, BIG + 5)] * 20
         right = [(1, 1, -BIG if "-" in operand else BIG), (1, 2, 3)] * 20
         db = make_db(left, right)
+        folds = []
+        real_fold = npbatch.group_aggregate
+
+        def group_aggregate(*args):
+            folds.append(real_fold(*args))
+            return folds[-1]
+
+        monkeypatch.setattr(npbatch, "group_aggregate", group_aggregate)
         with kernel_log(monkeypatch) as log:
             check(db, left, right, "<=", "MAX", operand)
-        assert log == ["rows", "rows"]  # both kernels declined, both times
+        # The band kernel declined; the column join ran both times, and
+        # group_aggregate declined its pairs: the accumulators folded them.
+        assert log == ["pair", "pair"] and folds == [None, None]
 
     @pytest.mark.parametrize(
         "select, where, xs",
@@ -253,7 +265,7 @@ class TestOverflowGuard:
 
 
 class TestNotABandJoin:
-    """Shapes the planner must leave on the pair kernel."""
+    """Shapes the planner must leave to the hash join's column path."""
 
     @pytest.mark.parametrize(
         "select, where",
@@ -295,8 +307,8 @@ class TestNotABandJoin:
 
 
 class TestNoPairSurvives:
-    """A join that keeps nothing answers from the kernel: the probe loop
-    (700 × 700 tuples cost 28 ms there) is for inputs the kernels refuse."""
+    """A join that keeps nothing answers from the kernels: the row hash
+    table (700 × 700 tuples cost 28 ms there) is for inputs they refuse."""
 
     LEFT = [(i % 7, 1000 + i, i) for i in range(200)]
     RIGHT = [(i % 7, i, i) for i in range(200)]  # every l.v > every r.v

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SQLNameError, SQLSyntaxError
 from repro.minidb.engine import Database
+from tests.minidb.reference import run_engine, run_reference
 
 
 @pytest.fixture()
@@ -74,6 +75,45 @@ class TestJoins:
             "WHERE emp.dept = dept.id AND dept.id = bonus.dept ORDER BY emp.id"
         ).rows
         assert rows == [(1, 5), (2, 5), (3, 7)]
+
+
+class TestArrayKeyedHashJoin:
+    """An equi-join on ``BIGINT[]`` cells keys the hash table by each
+    cell's tuple, as DISTINCT and GROUP BY do; it raised ``TypeError:
+    unhashable type: 'list'``."""
+
+    LONG = list(range(-5, 40))  # 45 elements: decodes to an ndarray
+
+    @pytest.fixture()
+    def arrays(self):
+        database = Database()
+        for name, rows in (
+            ("a", [(1, [1, 2, 3]), (2, self.LONG), (3, None), (4, []), (5, [7])]),
+            ("b", [(10, self.LONG), (11, [1, 2, 3]), (12, None), (13, []),
+                   (14, [1, 2]), (15, self.LONG), (16, [7, 7])]),
+        ):
+            database.execute(
+                f"CREATE TABLE {name} (id BIGINT, arr BIGINT[], PRIMARY KEY (id))"
+            )
+            database.executemany(f"INSERT INTO {name} VALUES ($1, $2)", rows)
+        return database
+
+    @pytest.mark.parametrize(
+        "source",
+        ["FROM a, b WHERE a.arr = b.arr", "FROM a JOIN b ON a.arr = b.arr"],
+    )
+    def test_rows_equal_the_nested_loop(self, arrays, source):
+        sql = f"SELECT a.id, b.id {source} ORDER BY a.id, b.id"
+        assert any(
+            "Hash Join" in line for (line,) in arrays.execute(f"EXPLAIN {sql}").rows
+        )
+        expected = arrays.execute(
+            "SELECT a.id, b.id FROM a, b WHERE NOT (a.arr <> b.arr) "
+            "ORDER BY a.id, b.id"
+        ).rows
+        assert expected == [(1, 11), (2, 10), (2, 15), (4, 13)]
+        assert run_engine(arrays, sql) == run_reference(arrays, sql)
+        assert arrays.execute(sql).rows == expected
 
 
 class TestAggregates:
