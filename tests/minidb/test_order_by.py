@@ -182,6 +182,31 @@ def union_statement(rng):
     )
 
 
+#: Set-operation operands after the first, which names the output (a, z).
+CHAIN_ARMS = ["SELECT a, d FROM u", "SELECT b, c % 3 FROM t", "SELECT a % 4, b FROM t"]
+
+
+def union_chain_statement(rng):
+    """Three operands, ``UNION`` and ``UNION ALL`` mixed in either order,
+    the last two parenthesised or not (sqlite3 rejects the parentheses and
+    the expression keys; the reference model still checks them). The arms
+    repeat rows within and across each other, so every duplicate rule
+    shows."""
+    first = f"SELECT a, b AS z FROM t {rng.choice(WHERES)}".rstrip()
+    second, third = rng.sample(CHAIN_ARMS, 2)
+    ops = [rng.choice(["UNION", "UNION ALL"]) for _ in range(2)]
+    if rng.random() < 0.5:
+        body = f"{first} {ops[0]} {second} {ops[1]} {third}"
+    else:
+        body = f"{first} {ops[0]} ({second} {ops[1]} {third})"
+    keys = []
+    for _ in range(rng.randint(0, 2)):
+        key = rng.choice(["a", "z", "a + z", "-z", "a * 2 - z", "2"])
+        keys.append(key + direction(rng))
+    keys += ["1" + direction(rng), "2" + direction(rng)]
+    return f"{body} ORDER BY {', '.join(keys)}" + tail(rng)
+
+
 def nested_statement(rng):
     """ORDER BY (+ LIMIT) inside a CTE or a FROM subquery: the inner sort
     decides *which* rows come out, the outer one their order."""
@@ -222,6 +247,7 @@ SHAPES = {
     "distinct": (distinct_statement, 50),
     "grouped": (grouped_statement, 90),
     "union": (union_statement, 50),
+    "union_chain": (union_chain_statement, 60),
     "nested": (nested_statement, 50),
     "unnest": (unnest_statement, 50),
 }
