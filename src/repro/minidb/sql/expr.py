@@ -12,12 +12,14 @@ planner, the batch executor and the row-at-a-time reference model.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as _np
 
 from repro.errors import SQLError
 from repro.minidb.sql import ast
 from repro.minidb.sql.analyzer import is_array
-from repro.minidb.sql.functions import AGGREGATES, get_scalar
+from repro.minidb.sql.functions import AGGREGATES, get_scalar, order_key
 
 
 # ---------------------------------------------------------------------------
@@ -27,22 +29,21 @@ def _is_true(value) -> bool:
     return value is True
 
 
-def _cmp(op: str, a, b):
+_COMPARE = {
+    "=": operator.eq, "<>": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def _cmp(compare, a, b):
     if a is None or b is None:
         return None
-    if op == "=":
-        return a == b
-    if op == "<>":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    raise SQLError(f"unknown comparison {op}")
+    try:
+        return compare(a, b)
+    except TypeError:
+        if type(a) is list and type(b) is list:  # a NULL element
+            return compare(order_key(a), order_key(b))
+        raise
 
 
 def _arith(op: str, a, b):
@@ -109,8 +110,17 @@ def sort_rows(rows, key_fn_count: int, keys: list[tuple], descending: list[bool]
                 return (1, 0)
             return (0, _Reversed(value) if _d else value)
 
-        order.sort(key=sort_key)
+        try:
+            order = sorted(order, key=sort_key)
+        except TypeError:  # an array holding a NULL element
+            keys = [element_keys(key) for key in keys]
+            order = sorted(order, key=sort_key)
     return [rows[i] for i in order]
+
+
+def element_keys(values) -> tuple:
+    """*values* with every array as its ``order_key``."""
+    return tuple(map(order_key, values))
 
 
 class _Reversed:
@@ -130,7 +140,8 @@ class _Reversed:
 
 def composite_key(key: tuple, descending: list[bool]) -> tuple:
     """One totally-ordered sort key (NULLS LAST, per-key direction) — the
-    single-pass equivalent of :func:`sort_rows`, used by Top-K."""
+    single-pass equivalent of :func:`sort_rows`, used by Top-K (which
+    rebuilds its keys from :func:`element_keys` when arrays hold NULLs)."""
     return tuple(
         (1, 0) if value is None else (0, _Reversed(value) if desc else value)
         for value, desc in zip(key, descending)
@@ -181,8 +192,8 @@ def compile_expr(expr, slots: dict):
             return lambda row, params: _logic_and(left(row, params), right(row, params))
         if op == "OR":
             return lambda row, params: _logic_or(left(row, params), right(row, params))
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            return lambda row, params, _op=op: _cmp(
+        if op in _COMPARE:
+            return lambda row, params, _op=_COMPARE[op]: _cmp(
                 _op, left(row, params), right(row, params)
             )
         return lambda row, params, _op=op: _arith(

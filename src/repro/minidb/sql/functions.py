@@ -7,8 +7,18 @@ on NULL input) except ``COALESCE``; aggregates skip NULLs, as in PostgreSQL.
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 from repro.errors import SQLError, SQLNameError, SQLTypeError
+
+
+def order_key(value):
+    """*value* in PostgreSQL's array order: element by element, NULL last, a
+    prefix first. Python's list order agrees unless a NULL meets a non-NULL
+    element and it raises: ordering code retries with these keys then."""
+    if type(value) is not list:
+        return value
+    return tuple([(1, 0) if v is None else (0, v) for v in value])
 
 
 # ---------------------------------------------------------------------------
@@ -42,13 +52,11 @@ def _coalesce(*args):
 
 
 def _least(*args):
-    present = [a for a in args if a is not None]
-    return min(present) if present else None
+    return reduce(_MIN, args, None)  # the first of equal values, as min()
 
 
 def _greatest(*args):
-    present = [a for a in args if a is not None]
-    return max(present) if present else None
+    return reduce(_MAX, args, None)
 
 
 def _cardinality(arr):
@@ -166,11 +174,26 @@ def _mean(acc):
     return None if acc is None else acc[0] / acc[1]
 
 
+def _min(acc, v):
+    try:
+        return v if v < acc else acc
+    except TypeError:  # an array holding a NULL element
+        return v if order_key(v) < order_key(acc) else acc
+
+
+def _max(acc, v):
+    try:
+        return v if acc < v else acc
+    except TypeError:  # an array holding a NULL element
+        return v if order_key(acc) < order_key(v) else acc
+
+
 # MIN/MAX keep the first of equal values and SUM/AVG start from ``0 + v``:
 # a fold equals ``min``/``max``/``sum`` over the list of inputs bit for bit.
+_MIN, _MAX = _step(_same, _min), _step(_same, _max)
 AGGREGATES = {
-    "min": (None, _step(_same, lambda acc, v: v if v < acc else acc), _same),
-    "max": (None, _step(_same, lambda acc, v: v if acc < v else acc), _same),
+    "min": (None, _MIN, _same),
+    "max": (None, _MAX, _same),
     "sum": (None, _step(lambda v: 0 + v, lambda acc, v: acc + v), _same),
     "avg": (
         None,

@@ -263,7 +263,9 @@ class Filter(PlanNode):
 
 
 class Unnest(PlanNode):
-    """Parallel set-returning expansion (PostgreSQL's ProjectSet)."""
+    """Parallel set-returning expansion (PostgreSQL's ProjectSet): one kernel
+    runs it, fused into the Project above or bare (under a WindowAgg or an
+    Aggregate)."""
 
     name = "ProjectSet"
 
@@ -272,9 +274,9 @@ class Unnest(PlanNode):
         self.srf_fns = srf_fns
         self.detail = f"(UNNEST x {len(srf_fns)})"
         #: Select-item positions the SRF outputs land in (parallel to
-        #: ``srf_fns``), set by the planner. The batch executor uses it to
-        #: fuse a parent Project into the expansion loop: non-SRF items are
-        #: evaluated once per *input* row instead of once per output row.
+        #: ``srf_fns``), set by the planner. A parent Project fuses into the
+        #: expansion with it: its non-SRF items are evaluated once per
+        #: *input* row instead of once per output row.
         self.srf_positions = None
         #: Per SRF, ``Planner._srf_chunk_arg`` (read once per chunk) or None.
         #: These getters are the only readers that see a cell as decoded (an
@@ -366,9 +368,10 @@ class Aggregate(PlanNode):
 
 
 class Distinct(PlanNode):
-    """Duplicate elimination over whole rows. The binder rejects DISTINCT
-    ordered by anything outside the select list, so no hidden column ever
-    reaches this node."""
+    """Duplicate elimination over whole rows, first occurrence kept — also
+    each distinct ``UNION`` (over its :class:`Union`). The binder rejects
+    DISTINCT ordered by anything outside the select list, so no hidden
+    column ever reaches this node."""
 
     name = "Unique"
 
@@ -431,14 +434,15 @@ class Limit(PlanNode):
 
 
 class Union(PlanNode):
-    """One binary set-operation step; chains left-deep. Children are
-    :class:`QueryPlan` (parenthesized operands) or plain operator nodes."""
+    """One ``UNION ALL`` step (a distinct one is :class:`Distinct` over it);
+    chains left-deep. Children are :class:`QueryPlan` (parenthesized
+    operands) or plain operator nodes."""
 
-    def __init__(self, left, right, op):
+    name = "Union All"
+
+    def __init__(self, left, right):
         self.left = left
         self.right = right
-        self.op = op  # "UNION" | "UNION ALL"
-        self.name = op.title()
 
     def children(self):
         return (self.left, self.right)

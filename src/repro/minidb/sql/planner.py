@@ -303,7 +303,9 @@ class Planner:
                 parts.append(phys.QueryPlan([], node, names, ast_ref=part.node))
         node = parts[0]
         for op, part in zip(query.set_ops, parts[1:]):
-            node = phys.Union(node, part, op)
+            node = phys.Union(node, part)
+            if op == "UNION":
+                node = phys.Distinct(node)
         if query.order_exprs:
             # Sort keys that are expressions over the combined output row
             # become hidden columns after it, as a core's projection has them.

@@ -19,7 +19,8 @@ import heapq
 
 from repro.errors import SQLError, SQLTypeError
 from repro.minidb.sql import plan as phys
-from repro.minidb.sql.expr import composite_key, hashable, sort_rows
+from repro.minidb.sql.expr import composite_key, element_keys, hashable, sort_rows
+from repro.minidb.sql.functions import order_key
 from repro.minidb.sql.result import _DONE, Result
 
 
@@ -27,12 +28,12 @@ from repro.minidb.sql.result import _DONE, Result
 # engine defined them before it folded accumulators.
 def agg_min(values):
     present = [v for v in values if v is not None]
-    return min(present) if present else None
+    return min(present, key=order_key) if present else None
 
 
 def agg_max(values):
     present = [v for v in values if v is not None]
-    return max(present) if present else None
+    return max(present, key=order_key) if present else None
 
 
 def agg_sum(values):
@@ -419,7 +420,7 @@ class Executor:
             entries = (
                 (
                     composite_key(
-                        tuple(row[i] for i in node.positions), descending
+                        element_keys(row[i] for i in node.positions), descending
                     ),
                     row,
                 )
@@ -490,21 +491,8 @@ class Executor:
         right = self._emit(node.right, env)
 
         def gen():
-            if node.op == "UNION":
-                seen = set()
-                for row in left:
-                    key = hashable(row)
-                    if key not in seen:
-                        seen.add(key)
-                        yield row
-                for row in right:
-                    key = hashable(row)
-                    if key not in seen:
-                        seen.add(key)
-                        yield row
-            else:  # UNION ALL
-                yield from left
-                yield from right
+            yield from left
+            yield from right
 
         return gen()
 
