@@ -1,11 +1,14 @@
 """Tests for the minidb type system and record codec."""
 
+import struct
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SQLTypeError, StorageError
 from repro.minidb.values import (
+    NP_DECODE_MIN,
     Column,
     T_BIGINT,
     T_BIGINT_ARRAY,
@@ -133,6 +136,44 @@ class TestRecordCodec:
         types = (T_BIGINT, T_DOUBLE, T_TEXT, T_BOOL, T_BIGINT_ARRAY)
         row = (number, real, text, flag, arr)
         assert_decoded(types, decode_record(types, encode_record(types, row)), row)
+
+
+class TestNullElements:
+    """Arrays holding NULL elements: a ``BIGINT[]`` one round-trips to the
+    list it was, whatever its length; a ``DOUBLE[]`` one has a fixed byte
+    layout."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arr=st.lists(
+            st.one_of(st.none(), st.integers(min_value=I64_MIN, max_value=I64_MAX)),
+            min_size=1,
+            max_size=90,
+        ).filter(lambda arr: None in arr)
+    )
+    @example(arr=[None, None, None])
+    @example(arr=[None, 42])
+    @example(arr=[I64_MAX, None, I64_MIN])
+    @example(arr=[None] + [I64_MIN + 7 * i for i in range(NP_DECODE_MIN + 8)])
+    @example(arr=list(range(NP_DECODE_MIN)) + [None] + [I64_MAX, I64_MIN] * 20)
+    def test_bigint_array_roundtrip(self, arr):
+        types = (T_BIGINT, T_BIGINT_ARRAY)
+        decoded = decode_record(types, encode_record(types, (7, arr)))
+        assert decoded == (7, arr)
+        assert type(decoded[1]) is list
+
+    def test_double_array_bytes(self):
+        values = [None, 1.5, -2.0, None, 0.25, 3.0, 4.0, 5.0, 6.0, None]
+        # record null bitmap | u32 count | element null bitmap | present f64s
+        want = (
+            b"\x00"
+            + struct.pack("<I", len(values))
+            + bytes([0b00001001, 0b00000010])
+            + struct.pack("<7d", 1.5, -2.0, 0.25, 3.0, 4.0, 5.0, 6.0)
+        )
+        types = (T_DOUBLE_ARRAY,)
+        assert encode_record(types, (values,)) == want
+        assert decode_record(types, want) == (values,)
 
 
 class TestOutOfRangeWrites:
