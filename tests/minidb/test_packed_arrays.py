@@ -1,17 +1,19 @@
-"""Tests for the delta+varint segment encoding (``ENC_VARINT``).
+"""Tests for integer arrays with NULL elements (``ENC_NULLS`` segments).
 
-Integer arrays with NULL elements cannot use the fixed-width delta
-segments; they are stored delta + zig-zag varint packed with a presence
-bitmap. These cases drive that codec through ``encode_record`` /
+Such an array is a delta segment whose tag carries ``ENC_NULLS``: an
+element null bitmap, then the delta payload of the non-NULL elements.
+These cases drive that layout through ``encode_record`` /
 ``decode_record`` and through a table.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import StorageError
 from repro.minidb.engine import Database
 from repro.minidb.values import (
-    ENC_VARINT,
+    ENC_NULLS,
     T_BIGINT_ARRAY,
     decode_record,
     encode_record,
@@ -23,13 +25,13 @@ I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
 
 
-def varint_roundtrip(arr):
-    """Round-trip a NULL-bearing array, asserting the varint segment is
-    what carried it (cell = null bitmap byte, then the segment's tag)."""
+def nulls_roundtrip(arr):
+    """Round-trip a NULL-bearing array, asserting its segment's tag carries
+    the NULL flag (cell = null bitmap byte, then the segment's tag)."""
     cell = encode_record(TYPES, (arr,))
-    assert cell[1] == ENC_VARINT
+    assert cell[1] & ENC_NULLS
     decoded = decode_record(TYPES, cell)
-    assert_decoded(TYPES, decoded, (arr,))  # a varint segment is a list
+    assert_decoded(TYPES, decoded, (arr,))  # such a segment is a list
     return decoded[0]
 
 
@@ -54,8 +56,8 @@ class TestCodec:
     @example(arr=[I64_MAX, I64_MIN])
     @example(arr=[I64_MIN, None, I64_MAX, 0, I64_MIN])
     def test_roundtrip(self, arr):
-        arr = arr + [None]  # at least one NULL selects the varint segment
-        assert varint_roundtrip(arr) == arr
+        arr = arr + [None]  # at least one NULL sets the flag
+        assert nulls_roundtrip(arr) == arr
 
     def test_sorted_arrays_compress_well(self):
         sorted_ts = [None] + list(range(30_000, 60_000, 60))  # typical tds
@@ -64,7 +66,21 @@ class TestCodec:
 
     def test_negative_jumps(self):
         arr = [1_000_000, -1_000_000, None, 0, 2**50, -(2**50)]
-        assert varint_roundtrip(arr) == arr
+        assert nulls_roundtrip(arr) == arr
+
+
+    def test_worked_example_bytes(self):
+        # [7, NULL, 9]: tag ENC_DELTA1 | ENC_NULLS, count 3, bitmap 0b010,
+        # first value 7, one zig-zag delta (9 - 7) << 1 = 4.
+        cell = encode_record(TYPES, ([7, None, 9],))
+        assert cell == bytes([0, 0x15, 3, 0, 0, 0, 0b010, 7, 0, 0, 0, 0, 0, 0, 0, 4])
+
+    def test_retired_tag_9_is_refused(self):
+        # Tag 9 held a varint payload before NULL-bearing arrays became
+        # delta segments; such a cell must fail by name, never misdecode.
+        cell = bytes([0, 9, 3, 0, 0, 0, 0b010, 14, 4])
+        with pytest.raises(StorageError, match="segment tag 9"):
+            decode_record(TYPES, cell)
 
 
 class TestInSql:
