@@ -424,3 +424,43 @@ def test_limit_over_unnest_keeps_page_parity(arrays_db, sql):
     assert arrays_db.pool.total_pins() == 0
     assert engine == run_reference(arrays_db, sql)  # rows and page I/O
     assert engine.io == (1, 1)  # of 44 heap pages
+
+
+@pytest.fixture(scope="module")
+def streaming_db(arrays_db):
+    """``arrays_db`` plus ``u`` (20,000 rows ``(a, a % 7)``) and ``k``
+    (7 rows, no key)."""
+    db = arrays_db
+    db.execute("CREATE TABLE u (a BIGINT, b BIGINT, PRIMARY KEY (a))")
+    db.executemany("INSERT INTO u VALUES ($1, $2)", [(a, a % 7) for a in range(20_000)])
+    db.execute("CREATE TABLE k (d BIGINT, e TEXT)")
+    db.executemany("INSERT INTO k VALUES ($1, $2)", [(d, str(d)) for d in range(7)])
+    yield db
+    db.execute("DROP TABLE u")
+    db.execute("DROP TABLE k")
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        # filtered Subquery Scan, over a Project and over the UNNEST kernel
+        "SELECT a FROM (SELECT a FROM w) s WHERE a > 2 LIMIT 3",
+        "SELECT * FROM (SELECT a, UNNEST(xs) AS x FROM w) s WHERE x > 2 LIMIT 3",
+        # Union All, Unique
+        "SELECT a FROM w UNION ALL SELECT a FROM w LIMIT 3",
+        "SELECT a FROM u WHERE b = 3 UNION ALL SELECT a FROM u LIMIT 5",
+        "SELECT DISTINCT b FROM u LIMIT 3",
+        "SELECT b FROM u UNION SELECT a FROM u LIMIT 9",
+        # the left input of Index Nested Loop, Hash Join and Nested Loop
+        "SELECT x.a FROM u x, u y WHERE x.a = y.a LIMIT 3",
+        "SELECT u.a, k.d FROM u JOIN k ON u.b = k.d LIMIT 3",
+        "SELECT u.a, k.d FROM u JOIN k ON u.b < k.d LIMIT 3",
+    ],
+)
+def test_limit_through_streaming_operators_keeps_page_parity(streaming_db, sql):
+    """A LIMIT reads the reference model's pages through every streaming
+    operator: a one-to-one one forwards the row count, any other pulls its
+    input a row at a time."""
+    engine = run_engine(streaming_db, sql)
+    assert streaming_db.pool.total_pins() == 0
+    assert engine == run_reference(streaming_db, sql)  # rows and page I/O
