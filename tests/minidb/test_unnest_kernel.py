@@ -252,6 +252,39 @@ def test_point_lookups_with_base_items(stored, items):
         assert project.pulls == (1 if engine.rows else 0), (sql, a)
 
 
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT * FROM (SELECT a, UNNEST(xs) AS x FROM v) s WHERE x > 2 LIMIT 3",
+        "SELECT * FROM (SELECT a, UNNEST(xs) AS x FROM v) s WHERE x > 2 LIMIT 2000",
+        "SELECT a, UNNEST(xs) FROM v LIMIT 1500 OFFSET 7",
+        # rows switch between columns and rows where g is NULL
+        "SELECT a * 3, UNNEST(ARRAY[a, g]) FROM v LIMIT 150",
+        "SELECT UNNEST(xs) FROM v WHERE a = 9",
+        "SELECT a, UNNEST(xs) FROM v",
+    ],
+)
+def test_fused_project_set_counts_the_rows_its_project_emits(sql):
+    """A fused ProjectSet's ``rows`` are its Project's, also when a LIMIT
+    closes the statement with expanded rows still buffered."""
+    db = Database()
+    db.execute("CREATE TABLE v (a BIGINT, g BIGINT, xs BIGINT[], PRIMARY KEY (a))")
+    db.executemany(
+        "INSERT INTO v VALUES ($1, $2, $3)",
+        [(i, None if i % 5 == 2 else i, list(range(i, i + 5))) for i in range(3000)],
+    )
+    run_engine(db, sql)
+    fused = [
+        (op.rows, child.rows)
+        for op in db.last_trace.operators()
+        if op.name == "Project"
+        for child in op.children
+        if child.name == "ProjectSet"
+    ]
+    assert fused and all(rows == emitted for rows, emitted in fused), fused
+    db.close()
+
+
 def test_the_shapes_are_all_there():
     """The rows hold every cell shape the docstring promises."""
     cells = [c for row in ROWS for c in row[2:]]
