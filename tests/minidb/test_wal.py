@@ -8,10 +8,15 @@ then reopens the file and checks the recovered state against what a
 correct redo log must produce.
 """
 
+import shutil
+import struct
+import zlib
+
 import pytest
 
 from repro.errors import CatalogError, CrashPoint, DatabaseError
 from repro.minidb.engine import Database
+from repro.minidb.page import PAGE_SIZE
 from repro.minidb.wal import DEFAULT_CHECKPOINT_BYTES
 from tests.minidb.reference import FORMAT_ID
 
@@ -217,6 +222,80 @@ class TestStatementRollback:
         assert seen["pending"], "commit saw no pending pages"
         assert all(not db.wal.is_pending(pid) for pid in seen["pending"])
         db.close()
+
+
+def log_records(path: str, start: int = 0):
+    """``(kind, payload)`` of every record of the log at *path* from byte
+    *start* on (header: payload length, CRC-32)."""
+    with open(path, "rb") as handle:
+        data = handle.read()[start:]
+    records, pos = [], 0
+    while pos < len(data):
+        length, crc = struct.unpack_from("<II", data, pos)
+        payload = data[pos + 8 : pos + 8 + length]
+        assert zlib.crc32(payload) == crc
+        records.append((payload[:1], payload))
+        pos += 8 + length
+    return records
+
+
+def record(payload: bytes) -> bytes:
+    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+
+
+class TestLogFormat:
+    def test_a_commit_logs_one_image_per_dirtied_page(self, db_path):
+        db = seeded(db_path)
+        dirtied = []
+
+        def hook(point):
+            if point == "commit:before-append":
+                dirtied.extend(
+                    pid for pid in range(db.disk.num_pages) if db.wal.is_pending(pid)
+                )
+
+        before = db.wal.size_bytes()
+        db.wal.fault_injector = hook
+        db.execute("INSERT INTO t VALUES (70, 7)")
+        records = log_records(db_path + ".wal", before)
+        kinds = [kind for kind, _ in records]
+        assert dirtied and kinds == [b"A"] * len(dirtied) + [b"C"]
+        assert [struct.unpack_from("<q", p, 1)[0] for _, p in records[:-1]] == dirtied
+        page_record = 8 + 1 + 8 + PAGE_SIZE
+        commit_record = 8 + len(records[-1][1])
+        assert db.wal.size_bytes() - before == len(dirtied) * page_record + commit_record
+        db.close()
+
+    def test_a_log_with_before_images_still_replays(self, db_path, tmp_path):
+        db = seeded(db_path)
+        db.execute("UPDATE t SET v = v + 1 WHERE k < 20")
+        db.simulate_crash()
+        # The same log with a before-image ahead of each batch's images, as
+        # logs were once written (their contents never matter to redo).
+        old = str(tmp_path / "old.minidb")
+        shutil.copyfile(db_path, old)
+        befores, afters = [], []
+        with open(old + ".wal", "wb") as handle:
+            for kind, payload in log_records(db_path + ".wal"):
+                if kind == b"A":
+                    befores.append(b"B" + payload[1:9] + bytes([0xA5]) * PAGE_SIZE)
+                    afters.append(payload)
+                    continue
+                handle.write(b"".join(map(record, befores + afters + [payload])))
+                befores, afters = [], []
+        assert b"B" in [kind for kind, _ in log_records(old + ".wal")]
+        states = []
+        for path in (db_path, old):
+            with Database.open(path) as again:
+                states.append((rows(again), again.catalog.describe()))
+                again.pool.flush()
+                states.append(
+                    [bytes(again.disk.peek_page(p)) for p in range(again.disk.num_pages)]
+                )
+        assert states[:2] == states[2:]
+        assert states[0][0] == sorted(
+            (k, v + (k < 20)) for k, v in SEED_ROWS
+        )
 
 
 class TestRemovedOptions:

@@ -30,7 +30,7 @@ SALT_LAKE_CITY_PAPER_PAGES = (
 #: Seeded target-set builds on Salt Lake City ``paper``: every page of the
 #: file after ``pool.flush()``, and the rows of every aux table.
 SALT_LAKE_CITY_BUILD_PAGES = (
-    "5a74e4c95eaea1807ed3921ee14508ba573650e7271843c24322d3deba39d809"
+    "4d2c896f6d2708da69bfa0d92ae0fa38f9285569ac8cf850111d07758077f5b0"
 )
 SALT_LAKE_CITY_BUILD_ROWS = (
     "6ab609100d94804de96e3d6d3bf27b6e11b68b57e6b29f7a49bc41c7a098a25c"
