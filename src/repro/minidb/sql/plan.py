@@ -85,9 +85,14 @@ class Plan:
 # Scans
 # ---------------------------------------------------------------------------
 class Result0(PlanNode):
-    """Empty FROM clause: one zero-column row (PostgreSQL's Result)."""
+    """Empty FROM clause: one zero-column row (PostgreSQL's Result), emitted
+    when every WHERE conjunct (all constant) holds."""
 
     name = "Result"
+
+    def __init__(self, filters, filter_text=""):
+        self.filters = filters
+        self.detail = f"filter {filter_text}" if filter_text else ""
 
 
 class SeqScan(PlanNode):
@@ -250,18 +255,6 @@ class NestedLoop(PlanNode):
 # ---------------------------------------------------------------------------
 # Row pipeline
 # ---------------------------------------------------------------------------
-class Filter(PlanNode):
-    name = "Filter"
-
-    def __init__(self, child, predicates, detail=""):
-        self.child = child
-        self.predicates = predicates
-        self.detail = detail
-
-    def children(self):
-        return (self.child,)
-
-
 class Unnest(PlanNode):
     """Parallel set-returning expansion (PostgreSQL's ProjectSet): one kernel
     runs it, fused into the Project above or bare (under a WindowAgg or an

@@ -355,15 +355,8 @@ class Planner:
     def _plan_core(self, core):
         used: set[int] = set()
         node, schema = self._plan_from(core.sources, core.where, used)
-
-        # Residual WHERE predicates not pushed into a scan or join.
-        residual = [c for i, c in enumerate(core.where) if i not in used]
-        if residual:
-            predicates = [
-                compile_expr(c, schema.slots) for c in residual
-            ]
-            node = phys.Filter(node, predicates, _predicate_detail(residual))
-            node.filter_specs = [_np_cmp(c, schema) for c in residual]
+        # Every conjunct is claimed: the last source or join covers them all.
+        assert len(used) == len(core.where)
 
         items = core.items
         node, schema = self._plan_srfs(items, schema, node)
@@ -521,7 +514,9 @@ class Planner:
     # -- FROM clause ----------------------------------------------------
     def _plan_from(self, sources, conjuncts, used):
         if not sources:
-            return phys.Result0(), _Schema([])
+            schema = _Schema([])
+            filters, _, exprs = self._filters(schema, list(enumerate(conjuncts)), used)
+            return phys.Result0(filters, _predicate_detail(exprs)), schema
         # Join-order heuristic: derived relations (CTEs, subqueries) first,
         # then base tables smallest first (stable), so the larger tables can
         # be probed by index nested-loop instead of scanned — this is what

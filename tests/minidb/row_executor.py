@@ -125,8 +125,11 @@ class Executor:
 
     # -- scans -----------------------------------------------------------
     def _emit_result0(self, node, env):
+        params = self.params
+
         def gen():
-            yield ()
+            if all(p((), params) is True for p in node.filters):
+                yield ()
 
         return gen()
 
@@ -250,18 +253,6 @@ class Executor:
         return gen()
 
     # -- row pipeline ------------------------------------------------------
-    def _emit_filter(self, node, env):
-        child = self._emit(node.child, env)
-        params = self.params
-        predicates = node.predicates
-
-        def gen():
-            for row in child:
-                if all(p(row, params) is True for p in predicates):
-                    yield row
-
-        return gen()
-
     def _emit_unnest(self, node, env):
         child = self._emit(node.child, env)
         params = self.params
@@ -505,7 +496,6 @@ class Executor:
         phys.IndexNestedLoop: _emit_inl,
         phys.HashJoin: _emit_hash_join,
         phys.NestedLoop: _emit_nested_loop,
-        phys.Filter: _emit_filter,
         phys.Unnest: _emit_unnest,
         phys.Window: _emit_window,
         phys.Project: _emit_project,

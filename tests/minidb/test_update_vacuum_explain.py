@@ -109,6 +109,14 @@ class TestExplain:
         assert "  Hash Join on (u.c = s.b) filter (s.a < u.a AND u.a + s.a > 0)" in plan
         assert "    CTE Scan on s filter (s.b > $1)" in plan
 
+    def test_a_where_without_from_filters_the_result(self, db):
+        # Result carries the constant conjuncts; there is no Filter node.
+        sql = "SELECT 1 WHERE 2 > 1.5 AND $1 = 1"
+        plan = [r[0] for r in db.execute("EXPLAIN " + sql, (1,))]
+        assert plan == ["Project", "  Result filter (2 > 1.5 AND $1 = 1)"]
+        assert db.execute(sql, (1,)).rows == [(1,)]
+        assert db.execute(sql, (2,)).rows == []
+
     def test_ptldb_v2v_plan_uses_two_point_lookups(self, small_ptldb):
         from repro.ptldb import sqltext
 
