@@ -23,6 +23,12 @@ table, so no index nested-loop can take it), with at most one residual
 comparison between the sides, grouped by zero to three plain columns — the
 shapes of the band merge, the column join and the row hash table — plus
 scalar aggregates over one CTE alone.
+
+A last one runs ordered ``ARRAY_AGG`` calls (one to three order keys, ties,
+DESC keys) over the UNNEST CTE, grouped by one to three columns or
+``FLOOR(c / k)`` keys, directly or through a ``Subquery Scan`` of its top
+rows per partition (``ROW_NUMBER() … WHERE rn <= k``); sqlite3 3.40 has no
+ordered aggregates, so only the reference model checks these.
 """
 
 import random
@@ -172,6 +178,9 @@ ARRAY_AGGS = [
     "ARRAY_AGG(f ORDER BY x, a)", "CARDINALITY(ARRAY_AGG(a))",
     "BOOL_AND(ok)", "BOOL_OR(ok)", "BOOL_AND(x > 2)", "MIN(xs)", "MAX(xs)",
     "COUNT(DISTINCT xs)", "SUM(x ORDER BY a)", "(ARRAY_AGG(a ORDER BY f, a))[1:2]",
+    # multi-key orders: ties, DESC keys, NULL operands and NULL order keys
+    "ARRAY_AGG(a ORDER BY g, x DESC, a)", "ARRAY_AGG(x ORDER BY g DESC, a)",
+    "ARRAY_AGG(g ORDER BY x)", "ARRAY_AGG(a ORDER BY x DESC, g DESC, a DESC)",
 ]
 #: on aggregates that are and are not in the select list
 HAVINGS = [
@@ -365,6 +374,50 @@ def unnest_equi_join_statement(rng):
     )
 
 
+#: ordered ARRAY_AGG over the UNNEST CTE (int64 columns; column chunks
+#: under COLUMNAR, rows with NULL operands and order keys without it):
+#: group keys are columns or an integer expression, order keys tie often
+#: (``y`` takes six values) and mix directions
+ORDERED_GROUPS = ["id", "x", "y", "FLOOR(x / 7)", "FLOOR(id / 4)", "FLOOR(y / 2)"]
+ORDERED_OPERANDS = ["x", "y", "id"]
+ORDERED_SORTS = ["x", "y", "id"]
+
+
+def ordered_array_agg(rng):
+    operand = rng.choice(ORDERED_OPERANDS)
+    keys = rng.sample(ORDERED_SORTS, rng.randint(1, 3))
+    keys = [key + rng.choice(["", " DESC", " ASC"]) for key in keys]
+    return f"ARRAY_AGG({operand} ORDER BY {', '.join(keys)})"
+
+
+def ordered_array_statement(rng):
+    """``ARRAY_AGG(v ORDER BY k1 [DESC], …)`` grouped by 1-3 keys (columns
+    or ``FLOOR(c / k)``) over the UNNEST CTE, or over a ``Subquery Scan``
+    of its top rows per partition (``ROW_NUMBER() … WHERE rn <= k``, the
+    shape of a target-set build's ``fut``)."""
+    where = COLUMNAR if rng.random() < 0.7 else ""
+    source = "FROM e"
+    if rng.random() < 0.35:
+        part = rng.choice(["y", "id", "y, id"])
+        order = ", ".join(rng.sample(["x", "id DESC", "y", "x DESC"], 2))
+        source = (
+            "FROM (SELECT id, x, y, ROW_NUMBER() OVER (PARTITION BY "
+            f"{part} ORDER BY {order}) AS rn FROM e) r "
+            f"WHERE rn <= {rng.randint(1, 4)}"
+        )
+    group = rng.sample(ORDERED_GROUPS, rng.randint(1, 3))
+    items = [key for key in group if rng.random() < 0.85]
+    items += [ordered_array_agg(rng) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.3:
+        items.append(rng.choice(["COUNT(*)", "MIN(x)", "MAX(id)"]))
+    rng.shuffle(items)
+    sql, _, ordered = finish(
+        rng, ", ".join(items), source, " GROUP BY " + ", ".join(group),
+        len(items), ["COUNT(*)", "MIN(x)"], ["COUNT(*) > 3", "MAX(y) > 2"],
+    )
+    return UNNEST_CTE.format(where) + sql, None, ordered
+
+
 SHAPES = {
     "grouped": (grouped_statement, 160),
     "arrays": (array_statement, 90),
@@ -372,6 +425,7 @@ SHAPES = {
     "join": (join_statement, 70),
     "unnest_join": (unnest_join_statement, 120),
     "unnest_equi_join": (unnest_equi_join_statement, 150),
+    "ordered_arrays": (ordered_array_statement, 120),
 }
 
 
@@ -386,7 +440,7 @@ def test_generated_statements_agree_three_ways(dbs, shape):
         nonempty += bool(run.rows)
         on_sqlite += ran
     assert nonempty > count // 2  # the generator is not vacuous
-    assert shape == "arrays" or on_sqlite > count // 2
+    assert shape in ("arrays", "ordered_arrays") or on_sqlite > count // 2
 
 
 def test_insert_select_group_by(dbs):
