@@ -67,6 +67,10 @@ def _get_count(page: Page) -> int:
     return struct.unpack_from("<H", page.buf, _COUNT_OFFSET)[0]
 
 
+class DuplicateKey(StorageError):
+    """A store-path insert found its key present; nothing was written."""
+
+
 def _fill(page: Page, cells: bytes, cell: int) -> None:
     """Make *cells* (whole packed cells of width *cell*) the node's content."""
     page.buf[HEADER_SIZE : HEADER_SIZE + len(cells)] = cells
@@ -98,10 +102,15 @@ class BTree:
         self.root_page = root_page
 
     # -- public API ----------------------------------------------------
-    def insert(self, key: tuple, rid: tuple[int, int]) -> None:
-        """Insert *key* -> *rid*; replaces the rid if the key exists."""
-        key = self._check_key(key)
-        split = self._insert(self.root_page, key, rid)
+    def insert(self, key: tuple, rid) -> None:
+        """Insert *key* -> *rid*; replaces the rid if the key exists.
+
+        A callable *rid* is the store path's (``Table.insert_many``): the
+        leaf is searched first, under a read guard, and a present key
+        raises :class:`DuplicateKey` with ``rid`` never called and nothing
+        written; else ``rid()`` stores the row and returns its rid, with the
+        root-to-leaf path pinned and no node latched. One descent."""
+        split = self._insert(self.root_page, self._check_key(key), rid)
         if split is not None:
             sep_key, right_page = split
             new_root_id, new_root = self.pool.new_page(KIND_BTREE_INTERNAL)
@@ -303,6 +312,11 @@ class BTree:
         page = self.pool.pin(page_id)
         try:
             if page.kind == KIND_BTREE_LEAF:
+                if callable(rid):  # the store path: refuse a present key
+                    with self.pool.reading(page_id, pinned=True):
+                        if self._locate(page, self._leaf_cell, key)[2]:
+                            raise DuplicateKey(key)
+                    rid = rid()
                 return self._put(page_id, page, key, _RID.pack(*rid), self._leaf_cap)
             with self.pool.reading(page_id, pinned=True):
                 child_id = self._descend(page, key)

@@ -5,11 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import CatalogError, SQLTypeError
-from repro.minidb.btree import BTree
+from repro.minidb.btree import BTree, DuplicateKey
 from repro.minidb.buffer import BufferPool
 from repro.minidb.heap import HeapFile
 from repro.minidb.values import (
     Column,
+    check_column,
     check_value,
     decode_record,
     encode_record,
@@ -104,30 +105,43 @@ class Table:
         ndarray; see :func:`~repro.minidb.values.decode_record`)."""
         return decode_record(self._types, raw)
 
-    def _store_row(self, row: tuple) -> tuple[int, int]:
-        """Encode, store, index and account one validated row."""
-        record = self.encode(row)
-        rid = self.heap.insert(record)
-        if self.index is not None:
-            self.index.insert(self._pk_of(row), rid)
-        self.row_count += 1
-        self.data_bytes += len(record)
-        return rid
-
     # ------------------------------------------------------------------
     def insert(self, values: tuple | list) -> tuple[int, int]:
         """Validate, store and index one row; returns its rid."""
-        return self._insert_checked(self._checked(values))
+        return self.insert_many([values])[0]
 
-    def _insert_checked(self, row: tuple) -> tuple[int, int]:
-        """:meth:`insert` of a row :meth:`_checked` already validated."""
-        if self.index is not None:
-            key = self._pk_of(row)
-            if self.index.search(key) is not None:
-                raise CatalogError(
-                    f"{self.schema.name}: duplicate primary key {key}"
-                )
-        return self._store_row(row)
+    def insert_many(self, rows: list) -> list[tuple[int, int]]:
+        """Validate, store and index *rows* in order; returns their rids.
+
+        The one store path: the chunk is checked a column at a time
+        (:func:`check_column`), the heap takes its records one latch hold
+        per page, and each key goes in through the index descent that
+        refuses a duplicate. The first offending row raises what it would
+        raise alone, with the rows before it stored.
+        """
+        width = len(self.schema.columns)
+        good = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
+        checked = list(zip(*map(check_column, self._types, zip(*rows[:good]))))
+        records = list(map(self.encode, checked))
+
+        def claim(i, store):
+            if self.index is None:
+                store()
+            else:
+                key = self._pk_of(checked[i])
+                try:
+                    self.index.insert(key, store)
+                except DuplicateKey:
+                    raise CatalogError(
+                        f"{self.schema.name}: duplicate primary key {key}"
+                    ) from None
+            self.row_count += 1
+            self.data_bytes += len(records[i])
+
+        rids = self.heap.insert_many(records, claim)
+        if len(checked) < len(rows):
+            self._checked(rows[len(checked)])  # raises that row's error
+        return rids
 
     def _checked(self, values: tuple | list) -> tuple:
         """*values* validated against the schema (:func:`check_value`)."""
@@ -185,7 +199,7 @@ class Table:
         the delete, so a value no column can store leaves *old* in place."""
         row = self._checked(new)
         self.delete_row(rid, old)
-        self._insert_checked(row)
+        self.insert_many([row])
 
     def vacuum(self) -> int:
         """Rewrite the heap without tombstones and rebuild the index.
@@ -193,14 +207,13 @@ class Table:
         Returns the number of live rows. Old pages are abandoned (no
         free-space map); the table's footprint is what the fresh heap uses.
         """
-        live = [self._checked(self.decode(raw)) for _, raw in self.heap.scan()]
+        live = [self.decode(raw) for _, raw in self.heap.scan()]
         self.heap = HeapFile(self.pool)
         if self.index is not None:
             self.index = BTree(self.pool, key_len=len(self.schema.primary_key))
         self.row_count = 0
         self.data_bytes = 0
-        for row in live:
-            self._store_row(row)
+        self.insert_many(live)
         return self.row_count
 
     def snapshot(self) -> tuple:

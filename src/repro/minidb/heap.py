@@ -24,6 +24,7 @@ pin/latch shapes statically — see docs/SANITIZER.md.
 from __future__ import annotations
 
 import struct
+from functools import partial
 
 from repro.errors import StorageError
 from repro.minidb.buffer import BufferPool
@@ -58,7 +59,7 @@ class HeapFile:
             pool.unpin(first_page)
         self.first_page = first_page
         #: Heap page ids in chain order. The chain only ever grows at the
-        #: tail (``_insert_cell``) and vacuum builds a fresh HeapFile, so
+        #: tail (``insert_many``) and vacuum builds a fresh HeapFile, so
         #: this stays exact for the file's lifetime. Scans use it to
         #: prefetch the next pages of the chain in one sequential run.
         self._chain: list[int] = []
@@ -83,12 +84,45 @@ class HeapFile:
     # ------------------------------------------------------------------
     def insert(self, record: bytes) -> tuple[int, int]:
         """Store *record*, returning its rid."""
-        if len(record) + 1 <= _INLINE_LIMIT:
-            cell = bytes([_INLINE]) + record
-        else:
-            first_chunk_page = self._write_overflow(record)
-            cell = _STUB.pack(_OVERFLOW, len(record), first_chunk_page)
-        return self._insert_cell(cell)
+        return self.insert_many([record], lambda _i, store: store())[0]
+
+    def insert_many(self, records: list[bytes], claim) -> list[tuple[int, int]]:
+        """Store *records* in order and return their rids, the tail page
+        pinned, write-latched and marked dirty once for the run of records
+        it takes. ``claim(i, store)`` calls ``store()``, which stores record
+        *i* and returns its rid (a table's index does so once the key proved
+        new), or raises: the records before *i* stay stored. A record that
+        does not fit extends the chain inside ``store``, so pages are
+        allocated in the order one-record inserts allocate them."""
+        rids: list[tuple[int, int]] = []
+
+        def store(page_id, page, record):
+            if len(record) + 1 <= _INLINE_LIMIT:
+                cell = bytes([_INLINE]) + record
+            else:
+                cell = _STUB.pack(_OVERFLOW, len(record), self._write_overflow(record))
+            if page.free_space < len(cell):
+                # A new tail, linked while the old one stays pinned: even a
+                # capacity-1 pool cannot evict it before the link lands.
+                new_id, new_page = self.pool.new_page(KIND_HEAP)
+                page.next_page = new_id
+                self._last_page = new_id
+                self._chain.append(new_id)
+                with self.pool.latch(new_id).write():
+                    rids.append((new_id, new_page.insert(cell)))
+                    self.pool.mark_dirty(new_id)
+                self.pool.unpin(new_id)
+            else:
+                rids.append((page_id, page.insert(cell)))
+            return rids[-1]
+
+        while len(rids) < len(records):
+            page_id = self._last_page
+            with self.pool.pinned(page_id) as page, self.pool.latch(page_id).write():
+                self.pool.mark_dirty(page_id)
+                while len(rids) < len(records) and self._last_page == page_id:
+                    claim(len(rids), partial(store, page_id, page, records[len(rids)]))
+        return rids
 
     def read(self, rid: tuple[int, int]) -> bytes:
         """Fetch the record stored at *rid*."""
@@ -188,29 +222,6 @@ class HeapFile:
         return out
 
     # ------------------------------------------------------------------
-    def _insert_cell(self, cell: bytes) -> tuple[int, int]:
-        page_id = self._last_page
-        page = self.pool.pin(page_id)
-        try:
-            if page.free_space < len(cell):
-                # Extend the chain. The old tail stays pinned while the new
-                # page is admitted, so even a capacity-1 pool cannot evict
-                # it before the next-page link lands.
-                new_id, new_page = self.pool.new_page(KIND_HEAP)
-                with self.pool.latch(page_id).write():
-                    page.next_page = new_id
-                    self.pool.mark_dirty(page_id)
-                self.pool.unpin(page_id)
-                self._last_page = new_id
-                self._chain.append(new_id)
-                page_id, page = new_id, new_page
-            with self.pool.latch(page_id).write():
-                slot = page.insert(cell)
-                self.pool.mark_dirty(page_id)
-            return (page_id, slot)
-        finally:
-            self.pool.unpin(page_id)
-
     def _write_overflow(self, record: bytes) -> int:
         first = -1
         prev_id = -1

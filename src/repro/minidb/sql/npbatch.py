@@ -377,6 +377,15 @@ def band_join_aggregate(lhs, rhs, jnode):
 # ---------------------------------------------------------------------------
 # Aggregation kernel
 # ---------------------------------------------------------------------------
+def _int64_column(value, n):
+    """An operand's value as an int64 column of *n* rows."""
+    if isinstance(value, np.ndarray):
+        return value
+    if value is _NULL:
+        raise TypeError("a NULL operand stays on the row path")
+    return np.full(n, value, dtype=np.int64)
+
+
 def group_aggregate(np_spec, cols, params, n):
     """Evaluate an ``Aggregate.np_spec`` over whole columns.
 
@@ -385,18 +394,25 @@ def group_aggregate(np_spec, cols, params, n):
     order), or None when the row path must decide instead — notably the
     zero-input scalar aggregate, whose default row (COUNT=0, MIN=NULL)
     the row path already implements.
+
+    ``ARRAY_AGG(x ORDER BY k1 [DESC], …)`` is one ``np.lexsort`` over
+    (group, order keys) — stable, so ties keep input order as the fold's
+    stable sort does; a DESC key sorts by its bitwise complement, which
+    reverses int64 order without overflow — and one split of the sorted
+    values at the group offsets.
     """
-    group_cols, items = np_spec
+    group_specs, items = np_spec
     if n == 0:  # no group; a scalar aggregate's default row is the row path's
-        return [] if group_cols else None
+        return [] if group_specs else None
     try:
+        key_cols = [_int64_column(eval_operand(k, cols, params), n) for k in group_specs]
         # A scalar aggregate is one group.
-        keys = cols[group_cols[0]] if group_cols else np.zeros(n, np.int64)
-        for col in group_cols[1:]:
+        keys = key_cols[0] if key_cols else np.zeros(n, np.int64)
+        for column in key_cols[1:]:
             # One int64 code for the key tuple: dense ranks combined, the
             # running code re-ranked first, so it stays below n * n.
             _, code = np.unique(keys, return_inverse=True)
-            _, rank = np.unique(cols[col], return_inverse=True)
+            _, rank = np.unique(column, return_inverse=True)
             keys = code * (int(rank.max()) + 1) + rank
         uniq, first_idx, inverse = np.unique(
             keys, return_index=True, return_inverse=True
@@ -409,34 +425,44 @@ def group_aggregate(np_spec, cols, params, n):
         rank[appearance] = np.arange(len(uniq))
         group_of = rank[inverse]
         counts = np.bincount(group_of, minlength=len(uniq))
-        sort_idx = np.argsort(group_of, kind="stable")
         starts = np.cumsum(counts) - counts
         first_rows = first_idx[appearance]
+
+        def ordered(order_specs):
+            """Row order by (group, keys…): np.lexsort's last key leads."""
+            keys = [group_of]
+            for spec, descending in order_specs:
+                value = eval_operand(spec, cols, params)
+                if value is not _NULL:  # a NULL key leaves every row tied
+                    value = _int64_column(value, n)
+                    keys.insert(0, ~value if descending else value)
+            return np.lexsort(keys)
 
         columns = []
         for item in items:
             kind = item[0]
             if kind == "first":
-                columns.append(cols[item[1]][first_rows].tolist())
+                value = eval_operand(item[1], cols, params)
+                columns.append(_int64_column(value, n)[first_rows].tolist())
             elif kind == "count*":
                 columns.append(counts.tolist())
-            else:  # ("agg", name, operand)
+            else:  # ("agg", name, operand[, order specs])
                 name, operand = item[1], item[2]
                 values = eval_operand(operand, cols, params)
                 if values is _NULL:
                     columns.append([0 if name == "count" else None] * len(uniq))
                     continue
-                if not isinstance(values, np.ndarray):
-                    values = np.full(n, values, dtype=np.int64)
+                values = _int64_column(values, n)
                 if name == "count":
                     columns.append(counts.tolist())  # columns are non-NULL
-                elif name == "min":
-                    columns.append(
-                        np.minimum.reduceat(values[sort_idx], starts).tolist()
-                    )
+                elif name == "array_agg":  # values + offsets, split once
+                    flat = values[ordered(item[3])].tolist()
+                    pieces = zip(starts.tolist(), counts.tolist())
+                    columns.append([flat[a : a + k] for a, k in pieces])
                 else:
+                    reduce = np.minimum if name == "min" else np.maximum
                     columns.append(
-                        np.maximum.reduceat(values[sort_idx], starts).tolist()
+                        reduce.reduceat(values[ordered(())], starts).tolist()
                     )
         return list(zip(*columns))
     except (TypeError, OverflowError):

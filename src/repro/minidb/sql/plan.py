@@ -345,10 +345,11 @@ class Aggregate(PlanNode):
         self.item_fns = item_fns
         self.having_fn = having_fn
         self.width = width
-        #: numpy grouping recipe ``(group_col_indices, items)``, set by the
-        #: planner for a HAVING-free aggregate whose keys are plain columns
-        #: and whose items are those or bare MIN/MAX/COUNT: whole column
-        #: batches then go through ``np.unique`` + ``reduceat``, not the fold.
+        #: numpy grouping recipe ``(group_specs, items)``, set by the
+        #: planner for a HAVING-free aggregate whose keys and plain items are
+        #: integer operands and whose aggregates are bare MIN/MAX/COUNT or
+        #: ordered ARRAY_AGG: whole column batches then go through
+        #: ``np.unique``, ``np.lexsort`` and ``reduceat``, not the fold.
         self.np_spec = None
         if group_fns:
             self.name = "GroupAggregate"

@@ -416,39 +416,50 @@ class Planner:
         """Whole-column aggregation recipe for the numpy kernel, or None.
 
         Only without HAVING, when the group keys (any number) and the
-        aggregate-free items are plain columns and every other item is a
-        bare, non-DISTINCT, unordered MIN/MAX/COUNT/COUNT(*) — SUM/AVG stay
-        on the accumulators (int64 overflow and float-division semantics
-        are not worth replicating in the kernel). Returns ``(group_cols,
-        item_specs)`` with item specs ``("first", col)``, ``("count*",)`` or
-        ``("agg", name, operand_spec)``.
+        aggregate-free items are integer operands (``_np_operand``: columns,
+        parameters, ``FLOOR(td / 3600)`` …) and every other item is a bare,
+        non-DISTINCT MIN/MAX/COUNT/COUNT(*) or an ``ARRAY_AGG`` whose ORDER
+        BY keys are operands too — SUM/AVG stay on the accumulators (int64
+        overflow and float-division semantics are not worth replicating in
+        the kernel). Returns ``(group_specs, item_specs)`` with item specs
+        ``("first", operand)``, ``("count*",)``, ``("agg", name, operand)``
+        or ``("agg", "array_agg", operand, ((key, descending), …))``.
         """
-        group_by = core.group_by
-        if core.having is not None or not all(
-            isinstance(key, ast.BoundRef) for key in group_by
-        ):
+        if core.having is not None:
             return None
-        group_cols = [schema.slot(key) for key in group_by]
+        group_specs = [_np_operand(key, schema) for key in core.group_by]
+        if None in group_specs:
+            return None
         agg_slots = _agg_slots(core.aggs, 0)
         spec = []
         for item in core.items:
             ref = item.value
+            if item.kind != AGG:
+                operand = _np_operand(ref, schema)
+                if operand is None:
+                    return None
+                spec.append(("first", operand))
+                continue
             if not isinstance(ref, ast.BoundRef):
                 return None
-            if item.kind != AGG:
-                spec.append(("first", schema.slot(ref)))
-                continue
             call = core.aggs[agg_slots[ref.source, ref.column]]
             if call.star:
                 spec.append(("count*",))
                 continue
-            if call.name not in ("min", "max", "count"):
-                return None
             operand = _np_operand(call.args[0], schema)
-            if operand is None or call.distinct or call.agg_order_by:
+            keys = tuple(
+                (_np_operand(key.expr, schema), key.descending)
+                for key in call.agg_order_by
+            )
+            if operand is None or call.distinct or any(k is None for k, _ in keys):
                 return None
-            spec.append(("agg", call.name, operand))
-        return tuple(group_cols), spec
+            if call.name == "array_agg":
+                spec.append(("agg", call.name, operand, keys))
+            elif call.name in ("min", "max", "count") and not keys:
+                spec.append(("agg", call.name, operand))
+            else:
+                return None
+        return tuple(group_specs), spec
 
     def _simple_cols(self, items, schema):
         """Input-column index per select item when all are plain columns."""

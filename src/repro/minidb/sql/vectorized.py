@@ -355,7 +355,6 @@ class BatchExecutor:
     def _run_insert(self, node: phys.InsertPlan) -> Result:
         table = self.catalog.get(node.table)
         params = self.params
-        count = 0
         with self._op("Insert", f"on {node.table}") as op:
             if node.select is not None:
                 # The whole source is materialized before the first insert:
@@ -366,18 +365,14 @@ class BatchExecutor:
                 source_rows = [
                     tuple(fn((), params) for fn in fns) for fns in node.row_fns
                 ]
+            # The binder checked every source row's width (SEM005).
+            rows = []
             for source in source_rows:
-                if len(source) != len(node.positions):
-                    raise SQLError(
-                        f"INSERT expects {len(node.positions)} values, "
-                        f"got {len(source)}"
-                    )
                 row = [None] * node.width
                 for position, value in zip(node.positions, source):
                     row[position] = value
-                table.insert(tuple(row))
-                count += 1
-            op.rows = count
+                rows.append(row)
+            count = op.rows = len(table.insert_many(rows))
         return Result(["count"], [(count,)])
 
     def _run_delete(self, node: phys.DeletePlan) -> Result:
@@ -1099,16 +1094,20 @@ class BatchExecutor:
     def _aggregated(self, node, chunks, feed, finalize):
         """*node*'s output rows over the batches *chunks*.
 
-        Column chunks are buffered while every batch stays columnar; a
-        single whole-column ``group_aggregate`` then replaces the per-row
-        accumulator feed. Any row batch (or a kernel refusal) drains the
-        buffer through the accumulators instead — same groups, same order,
-        same values.
+        Column chunks are buffered while every batch stays columnar (a row
+        batch of exact int64 cells is converted to columns once); a single
+        whole-column ``group_aggregate`` then replaces the per-row
+        accumulator feed. Any other row batch (or a kernel refusal) drains
+        the buffer through the accumulators instead — same groups, same
+        order, same values.
         """
         groups: dict = {}
         np_chunks: list = []
         np_ok = node.np_spec is not None
         for chunk in chunks:
+            if np_ok and not isinstance(chunk, ColumnChunk) and chunk:
+                cols = _columns(list(zip(*chunk)))
+                chunk = chunk if cols is None else ColumnChunk(cols, n=len(chunk))
             if np_ok and isinstance(chunk, ColumnChunk):
                 np_chunks.append(chunk)
                 continue

@@ -14,6 +14,7 @@ from __future__ import annotations
 import operator
 import struct
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as _np
 
@@ -156,6 +157,40 @@ def check_value(tag: int, value: object) -> object:
     raise SQLTypeError(f"unknown type tag {tag!r}")
 
 
+#: Column types whose cells :func:`check_value` returns as they are.
+_AS_IS = {T_BIGINT: {int}, T_DOUBLE: {float}, T_TEXT: {str}, T_BOOL: {bool}}
+
+
+def check_column(tag: int, values) -> list:
+    """:func:`check_value` over one column of a chunk, up to the first value
+    it refuses. A column of plain cells — one Python type, for ``BIGINT[]``
+    lists of ints and 1-d int64 ndarrays — is checked as a whole, with one
+    range (or ASCII) test, and comes back as it is: an ndarray cell is
+    encoded from the array. Any other column goes value by value."""
+    present = [v for v in values if v is not None]
+    kinds = set(map(type, present))
+    if tag == T_BIGINT_ARRAY and kinds <= {list, _np.ndarray}:
+        elements = list(chain.from_iterable(v for v in present if type(v) is list))
+        ok = len(check_column(T_BIGINT, elements)) == len(elements) and all(
+            v.dtype == _np.int64 and v.ndim == 1 for v in present if type(v) is not list
+        )
+    else:
+        ok = kinds <= _AS_IS.get(tag, set()) and (
+            not present or _I64_MIN <= min(present) and max(present) <= _I64_MAX
+            if tag == T_BIGINT
+            else tag != T_TEXT or all(map(str.isascii, present))
+        )
+    if ok:
+        return list(values)
+    out = []
+    for value in values:
+        try:
+            out.append(check_value(tag, value))
+        except SQLTypeError:
+            break
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Binary record codec
 # ---------------------------------------------------------------------------
@@ -249,7 +284,10 @@ def _wrap_i64(value: int) -> int:
 # ---------------------------------------------------------------------------
 def _encode_int_array(values: list) -> tuple[int, bytes]:
     """Encode one BIGINT[] column value, returning ``(encoding, payload)``.
-    Elements are int64 already: :func:`check_value` range-checks them."""
+    Elements are int64 already: :func:`check_value` range-checks them. An
+    int64 ndarray is encoded from the array (:func:`_encode_int64s`)."""
+    if type(values) is _np.ndarray:
+        return _encode_int64s(values)
     if None in values:
         enc, payload = _encode_int_array([v for v in values if v is not None])
         return enc | ENC_NULLS, _null_bitmap(values) + payload
@@ -266,16 +304,26 @@ def _encode_int_array(values: list) -> tuple[int, bytes]:
     if low < _I64_MIN or max(deltas) > _I64_MAX:
         deltas = [_wrap_i64(delta) for delta in deltas]
     zz = [(delta << 1) ^ (delta >> 63) for delta in deltas]
-    max_zz = max(zz)
-    if max_zz < 1 << 8:
-        width = 1
-    elif max_zz < 1 << 16:
-        width = 2
-    elif max_zz < 1 << 32:
-        width = 4
-    else:
-        width = 8
+    width = _delta_width(max(zz))
     payload = struct.pack("<q%d%s" % (len(zz), _DELTA_FMT[width]), first, *zz)
+    return _WIDTH_ENC[width], payload
+
+
+def _delta_width(top: int) -> int:
+    """The narrowest delta width (bytes) that holds zig-zag value *top*."""
+    return 1 if top < 1 << 8 else 2 if top < 1 << 16 else 4 if top < 1 << 32 else 8
+
+
+def _encode_int64s(values) -> tuple[int, bytes]:
+    """:func:`_encode_int_array` of an int64 ndarray, in numpy: ``np.diff``
+    wraps mod 2^64 and the zig-zag runs in int64 viewed as uint64, as the
+    list path computes them, so the bytes are the same."""
+    if len(values) < 2:
+        return ENC_DELTA1, values.astype("<i8").tobytes()
+    deltas = _np.diff(values)
+    zz = ((deltas << 1) ^ (deltas >> 63)).view(_np.uint64)
+    width = _delta_width(int(zz.max()))
+    payload = values[:1].astype("<i8").tobytes() + zz.astype(f"<u{width}").tobytes()
     return _WIDTH_ENC[width], payload
 
 
