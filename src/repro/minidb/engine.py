@@ -317,9 +317,7 @@ class Database:
         latch; auto-checkpoints when the log has outgrown its threshold."""
         if self.wal is None:
             return
-        self.wal.commit(
-            self.pool, json.dumps(self.catalog.describe()).encode("utf-8")
-        )
+        self.wal.commit(self.pool, self.catalog.describe_json().encode("utf-8"))
         if self.wal.should_checkpoint():
             self.checkpoint()
 

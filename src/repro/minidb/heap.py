@@ -213,13 +213,9 @@ class HeapFile:
         del self._chain[length:]
 
     def page_ids(self) -> list[int]:
-        """All heap page ids of this file (excluding overflow pages)."""
-        out = []
-        page_id = self.first_page
-        while page_id != -1:
-            out.append(page_id)
-            page_id = self.pool.get(page_id).next_page
-        return out
+        """All heap page ids of this file in chain order (excluding
+        overflow pages), from memory: no page is read."""
+        return list(self._chain)
 
     # ------------------------------------------------------------------
     def _write_overflow(self, record: bytes) -> int:

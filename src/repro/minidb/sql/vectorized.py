@@ -82,6 +82,11 @@ from repro.minidb.sql.expr import composite_key, element_keys, hashable, sort_ro
 DEFAULT_BATCH_SIZE = 1024
 #: Heap-scan readahead depth in pages (``db.readahead``; 0 disables).
 DEFAULT_READAHEAD = 8
+#: Rows from which an aggregate's first row batch is converted to columns
+#: for ``group_aggregate``; a shorter one folds through the accumulators,
+#: whose per-row cost stays under the kernel's fixed cost up to about 16
+#: rows (docs/PERFORMANCE.md, "A write statement's fixed cost").
+NP_AGG_MIN = 20
 
 
 def _traced_batches(stats, gen, collector):
@@ -1095,17 +1100,21 @@ class BatchExecutor:
         """*node*'s output rows over the batches *chunks*.
 
         Column chunks are buffered while every batch stays columnar (a row
-        batch of exact int64 cells is converted to columns once); a single
-        whole-column ``group_aggregate`` then replaces the per-row
-        accumulator feed. Any other row batch (or a kernel refusal) drains
-        the buffer through the accumulators instead — same groups, same
-        order, same values.
+        batch of exact int64 cells is converted to columns once, the first
+        one only from ``NP_AGG_MIN`` rows); a single whole-column
+        ``group_aggregate`` then replaces the per-row accumulator feed. Any
+        other row batch (or a kernel refusal) drains the buffer through the
+        accumulators instead — same groups, same order, same values.
         """
         groups: dict = {}
         np_chunks: list = []
         np_ok = node.np_spec is not None
         for chunk in chunks:
-            if np_ok and not isinstance(chunk, ColumnChunk) and chunk:
+            if (
+                np_ok
+                and not isinstance(chunk, ColumnChunk)
+                and (len(chunk) >= NP_AGG_MIN or np_chunks)
+            ):
                 cols = _columns(list(zip(*chunk)))
                 chunk = chunk if cols is None else ColumnChunk(cols, n=len(chunk))
             if np_ok and isinstance(chunk, ColumnChunk):

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import StorageError
+from repro.errors import CatalogError, StorageError
 from repro.minidb.buffer import BufferPool
 from repro.minidb.disk import DiskManager
+from repro.minidb.engine import Database
 from repro.minidb.heap import _INLINE_LIMIT, HeapFile
 
 
@@ -204,3 +205,37 @@ class TestReadMany:
         with pytest.raises(StorageError, match="heap page"):
             heap.read_many([big, (overflow_page, 0)])
         assert pool.total_pins() == 0
+
+
+class TestPageIds:
+    @staticmethod
+    def chain_walk(heap) -> list[int]:
+        """The chain as the pages link it: one pool access per page."""
+        out, page_id = [], heap.first_page
+        while page_id != -1:
+            out.append(page_id)
+            page_id = heap.pool.get(page_id).next_page
+        return out
+
+    def test_read_from_memory_after_restart(self, tmp_path):
+        db = Database(path=str(tmp_path / "ids.minidb"))
+        db.execute("CREATE TABLE t (a BIGINT, xs BIGINT[], PRIMARY KEY (a))")
+        db.executemany(
+            "INSERT INTO t VALUES ($1, $2)",
+            [(i, list(range(i % 3 * 900))) for i in range(300)],
+        )
+        # A statement that grows the chain, then fails on a duplicate key:
+        # its pages and its chain length roll back.
+        with pytest.raises(CatalogError):
+            db.executemany(
+                "INSERT INTO t VALUES ($1, $2)",
+                [(1000 + i, [i] * 400) for i in range(60)] + [(5, [])],
+            )
+        heap = db.catalog.get("t").heap
+        db.restart()
+        before = db.pool.stats.snapshot()
+        ids = heap.page_ids()
+        assert db.pool.stats.delta(before).accesses == 0
+        assert len(ids) > 2
+        assert ids == self.chain_walk(heap)
+        db.close()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SQLSyntaxError
+from repro.minidb.engine import Database
 from repro.minidb.sql.lexer import (
     EOF,
     IDENT,
@@ -99,3 +100,32 @@ class TestOperatorsAndComments:
 
     def test_array_slice_tokens(self):
         assert values("vs[1:$3]") == ["vs", "[", 1, ":", 3, "]"]
+
+
+class TestMalformedNumbers:
+    """An exponent without digits is a syntax error with a caret, not a
+    ``ValueError`` from ``float()``."""
+
+    @pytest.mark.parametrize(
+        "sql,where",
+        [
+            ("SELECT 1e", "line 1:8\n  SELECT 1e\n         ^^"),
+            (
+                "SELECT a FROM t\nWHERE a = 1e+",
+                "line 2:11\n  WHERE a = 1e+\n            ^^^",
+            ),
+            ("SELECT 2.5E-", "line 1:8\n  SELECT 2.5E-\n         ^^^^^"),
+        ],
+        ids=["select-1e", "where-1e+", "select-2.5E-"],
+    )
+    def test_exponent_without_digits(self, sql, where):
+        db = Database()
+        db.execute("CREATE TABLE t (a DOUBLE)")
+        with pytest.raises(SQLSyntaxError) as caught:
+            db.execute(sql)
+        assert str(caught.value).endswith(where)
+        assert "malformed number" in str(caught.value)
+
+    @pytest.mark.parametrize("text,value", [("1e0", 1.0), ("1.e2", 100.0), (".5E+1", 5.0)])
+    def test_exponent_with_digits(self, text, value):
+        assert values(text) == [value]

@@ -95,6 +95,27 @@ class TestExpressions:
         assert e.left.op == ">="
         assert e.right.op == "<="
 
+    def test_predicates_chain_left_to_right(self):
+        e = self.expr("a IS NULL = b BETWEEN 1 AND 2")
+        assert e.op == "AND" and e.left.op == ">="
+        assert e.left.left == ast.BinaryOp(
+            "=", ast.IsNull(ast.ColumnRef(None, "a")), ast.ColumnRef(None, "b")
+        )
+
+    @pytest.mark.parametrize(
+        "text,at",
+        [("a IS NULL % 2", "'%'"), ("a IN (1) * 2", "'*'"),
+         ("a NOT BETWEEN 1 AND 2 % 3 IS NULL / 4", "'/'"), ("NOT a + 1", None)],
+    )
+    def test_no_tighter_operator_after_a_predicate(self, text, at):
+        """The left operand of ``%`` is a unary expression, so one cannot
+        follow ``IS NULL``, an ``IN`` list or a ``BETWEEN``."""
+        if at is None:  # NOT binds looser than +: NOT (a + 1)
+            assert self.expr(text).operand.op == "+"
+            return
+        with pytest.raises(SQLSyntaxError, match=f"trailing input: Token\\(OP, {at}"):
+            parse(f"SELECT {text}")
+
     def test_array_slice_and_index(self):
         e = self.expr("vs[1:$3]")
         assert isinstance(e, ast.ArraySlice)
