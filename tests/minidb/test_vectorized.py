@@ -12,6 +12,8 @@ import pytest
 
 from repro.minidb.disk import DiskManager, hdd_model
 from repro.minidb.engine import Database
+from repro.minidb.sql import npbatch
+from repro.minidb.sql.vectorized import NP_AGG_MIN
 from tests.minidb.reference import run_engine, run_reference
 
 
@@ -128,6 +130,26 @@ class TestKernelEdgeCases:
         db.batch_size = batch_size
         for sql, params in CORPUS:
             assert run_engine(db, sql, params) == run_reference(db, sql, params), sql
+
+    @pytest.mark.parametrize("rows", [NP_AGG_MIN - 1, NP_AGG_MIN])
+    def test_a_row_batch_takes_the_kernel_from_np_agg_min_rows(
+        self, db, monkeypatch, rows
+    ):
+        """A row batch shorter than ``NP_AGG_MIN`` folds through the
+        accumulators; from ``NP_AGG_MIN`` rows it is converted for
+        ``group_aggregate``. Rows and page I/O are the same either way."""
+        calls = []
+        kernel = npbatch.group_aggregate
+        monkeypatch.setattr(
+            npbatch, "group_aggregate", lambda *a: calls.append(a) or kernel(*a)
+        )
+        sql = (
+            "SELECT w, MIN(v), COUNT(*) FROM "
+            f"(SELECT v, w FROM t WHERE v < {rows} ORDER BY v) s "
+            "GROUP BY w ORDER BY w"
+        )
+        assert run_engine(db, sql) == run_reference(db, sql)
+        assert len(calls) == (rows >= NP_AGG_MIN)
 
     def test_window_plan_runs_on_batch_engine(self, db):
         result = db.execute(
