@@ -29,6 +29,14 @@ Concurrency (docs/ARCHITECTURE.md, "Concurrency model"):
 Like the disk manager, the pool keeps per-thread counters next to the
 global ones so concurrent sessions can attribute hits/misses exactly.
 
+A frame also carries the rows decoded from its page (``_Frame.rows``, slot
+-> entry, filled by :meth:`~repro.minidb.heap.HeapFile.read_rows`), so a
+hot record is decoded once per residency of its page, not once per read.
+The map dies with its frame's content: ``mark_dirty`` (every page write
+holds the write latch and marks the frame), ``restore_page``, eviction
+and :meth:`BufferPool.clear` drop it, and a fresh frame starts without
+one (docs/STORAGE.md, "Decoded rows live with their frame").
+
 The rules above are enforced, not just documented: under ``SANITIZE=1`` the
 dynamic sanitizer (:mod:`repro.minidb.sanitize.dynamic`) records every
 pin/unpin with its acquiring call stack, flags unpins of never-pinned pages
@@ -85,6 +93,18 @@ class _ReadingGuard:
         self._frame = frame
         return frame.page
 
+    def decoded_rows(self) -> dict:
+        """The frame's decoded-row map (slot -> entry); call it inside the
+        block. A reader that decodes a cell it copied here stores the entry
+        into this dict after the block: if the frame was written, evicted or
+        cleared meanwhile, the dict is no longer the frame's, so the entry is
+        dropped with it instead of outliving the cell it came from."""
+        frame = self._frame
+        rows = frame.rows
+        if rows is None:
+            rows = frame.rows = {}
+        return rows
+
     def __exit__(self, exc_type, exc, tb):
         frame = self._frame
         with self._pool._lock:
@@ -117,16 +137,32 @@ class PoolStats:
         )
 
 
-class _Frame:
-    """One resident page: content, dirty flag, pin count, content latch."""
+@dataclass
+class RowStats:
+    """Decoded-row reads (:meth:`~repro.minidb.heap.HeapFile.read_rows`):
+    ``hits`` found their row on the frame, ``misses`` decoded it."""
 
-    __slots__ = ("page", "dirty", "pins", "latch")
+    hits: int = 0
+    misses: int = 0
+
+    @property
+    def hit_share(self) -> float:
+        reads = self.hits + self.misses
+        return self.hits / reads if reads else 0.0
+
+
+class _Frame:
+    """One resident page: content, dirty flag, pin count, content latch and
+    the rows decoded from its content (None until a reader leaves one)."""
+
+    __slots__ = ("page", "dirty", "pins", "latch", "rows")
 
     def __init__(self, page: Page, dirty: bool, page_id: int, lock):
         self.page = page
         self.dirty = dirty
         self.pins = 0
         self.latch = RWLatch(f"page:{page_id}", lock)
+        self.rows = None
 
 
 class BufferPool:
@@ -139,6 +175,7 @@ class BufferPool:
         self.capacity = capacity
         self.stats = PoolStats()
         self._thread_stats: dict[int, PoolStats] = {}
+        self._row_stats: dict[int, RowStats] = {}
         # page_id -> _Frame; OrderedDict keeps LRU order.
         self._frames: OrderedDict[int, _Frame] = OrderedDict()
         # Guards _frames, LRU order, pin counts and every counter. Reentrant
@@ -158,6 +195,24 @@ class BufferPool:
         if stats is None:
             stats = self._thread_stats.setdefault(ident, PoolStats())
         return stats
+
+    def thread_row_stats(self) -> RowStats:
+        """The calling thread's decoded-row counters. Only that thread
+        bumps them, so a read takes no lock; :meth:`row_stats` sums them."""
+        ident = threading.get_ident()
+        stats = self._row_stats.get(ident)
+        if stats is None:
+            stats = self._row_stats.setdefault(ident, RowStats())
+        return stats
+
+    def row_stats(self) -> RowStats:
+        """Decoded-row hits and misses of every thread since the last
+        :meth:`clear`."""
+        with self._lock:
+            counters = list(self._row_stats.values())
+        return RowStats(
+            sum(c.hits for c in counters), sum(c.misses for c in counters)
+        )
 
     def _record_miss(self) -> None:
         self.stats.misses += 1
@@ -305,6 +360,7 @@ class BufferPool:
                 # SAND04: mutating page content requires the write latch.
                 tracker.on_mark_dirty(page_id, frame.latch)
             frame.dirty = True
+            frame.rows = None
             if self.wal is not None:
                 self.wal.on_page_dirty(page_id, self)
 
@@ -332,6 +388,7 @@ class BufferPool:
                 raise StorageError(f"page {page_id} not resident; cannot restore")
             frame.page.buf[:] = image
             frame.dirty = dirty
+            frame.rows = None
 
     def flush(self) -> None:
         """Write back every dirty page (keeps them cached).
@@ -349,13 +406,14 @@ class BufferPool:
                     frame.dirty = False
 
     def clear(self) -> None:
-        """Flush and drop the whole cache (the paper's cold-cache restart).
+        """Flush and drop the whole cache (the paper's cold-cache restart),
+        decoded rows included: every frame goes, and its rows with it.
 
-        Pool counters and the disk manager's I/O counters reset together
-        (global and per-thread views alike): activity before the restart
-        (including the flush writes issued here) can no longer leak into
-        deltas measured after it, so a cold benchmark run never mixes
-        warm-run figures. Refuses to run while any page is pinned — a pin
+        Pool counters, decoded-row counters and the disk manager's I/O
+        counters reset together (global and per-thread views alike):
+        activity before the restart (including the flush writes issued
+        here) can no longer leak into deltas measured after it, so a cold
+        benchmark run never mixes warm-run figures. Refuses to run while any page is pinned — a pin
         held across a restart is a caller bug, not a cache entry.
         """
         with self._lock:
@@ -372,6 +430,7 @@ class BufferPool:
             self.disk.reset_access_history()
             self.stats = PoolStats()
             self._thread_stats.clear()
+            self._row_stats.clear()
             self.disk.reset_stats()
 
     def resident(self, page_id: int) -> bool:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import CatalogError, SQLTypeError
 from repro.minidb.btree import BTree, DuplicateKey
 from repro.minidb.buffer import BufferPool
@@ -164,8 +166,7 @@ class Table:
         rid = self.index.search(tuple(key))
         if rid is None:
             return None
-        raw = self.heap.read(rid)
-        return self.decode(raw)
+        return _owned(self.heap.read_rows([rid], self._shared_row)[0])
 
     def lookup_many(self, keys: list[tuple]) -> tuple[list[tuple | None], int]:
         """:meth:`lookup` for ascending *keys* in one pass — every index
@@ -176,8 +177,22 @@ class Table:
             raise CatalogError(f"{self.schema.name} has no primary key index")
         rids, descents = self.index.search_many(keys)
         found = [rid for rid in rids if rid is not None]
-        rows = map(self.decode, self.heap.read_many(found))
+        rows = map(_owned, self.heap.read_rows(found, self._shared_row))
         return [None if rid is None else next(rows) for rid in rids], descents
+
+    def _shared_row(self, raw: bytes) -> tuple:
+        """What a heap frame keeps of one record for every later lookup
+        (:meth:`HeapFile.read_rows`): the decoded row with its ndarray
+        cells read-only, and the positions of its list cells, which each
+        reader gets a copy of (:func:`_owned`)."""
+        row = self.decode(raw)
+        lists = []
+        for i, cell in enumerate(row):
+            if type(cell) is list:
+                lists.append(i)
+            elif type(cell) is np.ndarray:
+                cell.flags.writeable = False
+        return row, tuple(lists)
 
     def scan(self, readahead: int = 0):
         """Yield every row (decoded tuples) in heap order.
@@ -259,6 +274,19 @@ class Table:
                     f"got {part!r}"
                 )
         return key
+
+
+def _owned(shared: tuple) -> tuple:
+    """A :meth:`Table._shared_row` entry as one reader's row: the list
+    cells copied, so appending to one cannot change what the next lookup
+    returns (an ndarray cell is shared read-only)."""
+    row, lists = shared
+    if not lists:
+        return row
+    row = list(row)
+    for i in lists:
+        row[i] = row[i].copy()
+    return tuple(row)
 
 
 class Catalog:

@@ -265,7 +265,9 @@ class Database:
 
     # ------------------------------------------------------------------
     def restart(self) -> None:
-        """Drop all cached pages — the paper's cold-cache server restart."""
+        """Drop all cached pages — the paper's cold-cache server restart —
+        and with them every row decoded from them: the next read of any
+        record copies and decodes it again."""
         self.pool.clear()
 
     def table_stats(self) -> dict[str, dict]:

@@ -126,30 +126,69 @@ class HeapFile:
 
     def read(self, rid: tuple[int, int]) -> bytes:
         """Fetch the record stored at *rid*."""
-        page_id, slot = rid
-        with self.pool.reading(page_id) as page:
-            if page.kind != KIND_HEAP:
-                raise StorageError(f"rid {rid} does not point at a heap page")
-            cell = self._cell(page.view(slot))
-        return self._record(cell)
+        return self.read_many([rid])[0]
 
     def read_many(self, rids: list[tuple[int, int]]) -> list[bytes]:
         """Fetch the records at *rids*, in the order given: one pin and one
         read-latch hold per run of rids on the same page, overflow chains
-        followed once no heap page is held (as :meth:`read` does)."""
+        followed once no heap page is held."""
+        return [self._record(cell)[0] for cell, _, _ in self._cells(rids)]
+
+    def read_rows(self, rids: list[tuple[int, int]], decode) -> list:
+        """``decode(record)`` for the records at *rids*, in order, each
+        decoded once per residency of its heap page (docs/STORAGE.md,
+        "Decoded rows live with their frame"). The first read leaves the
+        value on the page's frame, keyed by slot with the record's
+        overflow-chain page ids; a later one returns that same object and
+        passes each of those pages through the pool without copying it. So
+        the accesses — hits, misses, device reads and their order — are
+        those of :meth:`read_many`, and only the copy and the decode go.
+        Callers must not change a returned value: later readers get it."""
+        pool = self.pool
+        stats = pool.thread_row_stats()
+        values = []
+        for cell, slot, rows in self._cells(rids, decoded=True):
+            if slot is None:  # cell is the frame's (value, chain) entry
+                value, chain = cell
+                for page_id in chain:
+                    with pool.reading(page_id):
+                        pass
+                stats.hits += 1
+            else:
+                record, chain = self._record(cell)
+                value = decode(record)
+                rows[slot] = (value, chain)
+                stats.misses += 1
+            values.append(value)
+        return values
+
+    def _cells(self, rids, decoded: bool = False) -> list[tuple]:
+        """What leaves the heap pages' read latches for *rids*, in order —
+        one pin and one latch hold per run of rids on a page — as
+        ``(cell, slot, rows)``: the :meth:`_cell` copy, its slot and, with
+        *decoded*, the frame's decoded-row map to fill. Where that map
+        already holds the slot, the entry stands in for the cell (nothing
+        is copied) and *slot* and *rows* are None."""
         cells = []
         i = 0
         while i < len(rids):
             page_id = rids[i][0]
-            with self.pool.reading(page_id) as page:
+            guard = self.pool.reading(page_id)
+            with guard as page:
                 if page.kind != KIND_HEAP:
                     raise StorageError(
                         f"rid {rids[i]} does not point at a heap page"
                     )
+                rows = guard.decoded_rows() if decoded else None
                 while i < len(rids) and rids[i][0] == page_id:
-                    cells.append(self._cell(page.view(rids[i][1])))
+                    slot = rids[i][1]
+                    entry = None if rows is None else rows.get(slot)
+                    if entry is None:
+                        cells.append((self._cell(page.view(slot)), slot, rows))
+                    else:
+                        cells.append((entry, None, None))
                     i += 1
-        return [self._record(cell) for cell in cells]
+        return cells
 
     def delete(self, rid: tuple[int, int]) -> int:
         """Tombstone the record (overflow pages are left to vacuum) and
@@ -197,7 +236,7 @@ class HeapFile:
                         if page.is_deleted(slot):
                             continue
                         cell = self._cell(page.view(slot))
-                    yield (page_id, slot), self._record(cell)
+                    yield (page_id, slot), self._record(cell)[0]
             finally:
                 self.pool.unpin(page_id)
             index += 1
@@ -251,16 +290,18 @@ class HeapFile:
             return bytes(view[1:])
         return _STUB.unpack(view)
 
-    def _record(self, cell) -> bytes:
-        """The record a :meth:`_cell` stands for: itself, or the overflow
-        chain its stub points at (call with no heap latch held)."""
+    def _record(self, cell) -> tuple[bytes, tuple[int, ...]]:
+        """The record a :meth:`_cell` stands for and the page ids of its
+        overflow chain (none for an inline record); call with no heap latch
+        held."""
         if type(cell) is bytes:
-            return cell
+            return cell, ()
         _, total, ovf_page = cell
         return self._read_overflow(ovf_page, total)
 
-    def _read_overflow(self, first_page: int, total: int) -> bytes:
+    def _read_overflow(self, first_page: int, total: int):
         parts = []
+        chain = []
         remaining = total
         page_id = first_page
         while remaining > 0:
@@ -274,9 +315,10 @@ class HeapFile:
                     bytes(page.buf[HEADER_SIZE + 2 : HEADER_SIZE + 2 + length])
                 )
                 next_page = page.next_page
+            chain.append(page_id)
             remaining -= length
             page_id = next_page
         data = b"".join(parts)
         if len(data) != total:
             raise StorageError("overflow chain length mismatch")
-        return data
+        return data, tuple(chain)

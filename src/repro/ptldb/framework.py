@@ -347,7 +347,8 @@ class PTLDB(_QueryAPI):
         return self
 
     def restart(self) -> None:
-        """Cold-cache restart (the paper's pre-experiment server restart)."""
+        """Cold-cache restart (the paper's pre-experiment server restart):
+        pages and the rows decoded from them are gone."""
         self.db.restart()
 
     @property
