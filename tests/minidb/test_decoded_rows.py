@@ -108,6 +108,8 @@ class Side:
 
     def step(self, op, model):
         db = self.db
+        if self.forget:
+            forget_decoded_rows(db)
         kind = op[0]
         if kind == "insert":
             _, k, xs, ys = op
@@ -186,7 +188,6 @@ def run_stream(tmp_path_factory, pool_pages, stream):
         # the twin: a row found on its frame reads the pages its decode
         # would have read.
         assert engine.costs == twin.costs
-        assert twin.db.pool.row_stats().hits == 0
         return engine.db.pool.row_stats(), engine.costs
     finally:
         engine.db.close()
