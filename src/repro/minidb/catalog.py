@@ -191,7 +191,7 @@ class Table:
             if type(cell) is list:
                 lists.append(i)
             elif type(cell) is np.ndarray:
-                cell.flags.writeable = False
+                cell.setflags(write=False)
         return row, tuple(lists)
 
     def scan(self, readahead: int = 0):
