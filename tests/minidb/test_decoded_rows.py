@@ -120,8 +120,9 @@ class Side:
         elif kind == "delete":
             db.execute("DELETE FROM t WHERE k = $1", (op[1],))
         elif kind == "fail":
-            # The second row repeats the first row's key: the whole batch
-            # rolls back after the first row reached a heap page.
+            # The second row repeats the first row's key, so the batch
+            # fails; with a new key the first row reached a heap page and
+            # the rollback restores it.
             row = (op[1], array(op[2]), [], "dup")
             with pytest.raises(CatalogError, match="duplicate primary key"):
                 db.executemany(INSERT, [row, row])
