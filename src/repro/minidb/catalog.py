@@ -1,8 +1,12 @@
-"""Table catalog: schemas, heap files and primary-key indexes."""
+"""Table catalog: schemas, heap files and primary-key indexes.
+
+The catalog is itself a heap: page 0 starts a chain of ordinary heap pages
+holding one record per table (docs/STORAGE.md, "The catalog heap"), so the
+WAL protects it like every other page.
+"""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,14 +14,24 @@ import numpy as np
 from repro.errors import CatalogError, SQLTypeError
 from repro.minidb.btree import BTree, DuplicateKey
 from repro.minidb.buffer import BufferPool
-from repro.minidb.heap import HeapFile
+from repro.minidb.heap import _INLINE_LIMIT, HeapFile
 from repro.minidb.values import (
+    T_BIGINT,
+    T_BIGINT_ARRAY,
+    T_TEXT,
     Column,
     check_column,
     check_value,
     decode_record,
     encode_record,
 )
+
+#: A catalog row: the four fixed-width fields a write statement moves —
+#: heap first page, index root (-1 for none), ``row_count``, ``data_bytes``
+#: — ahead of the schema, which never changes: the name, the column names
+#: joined by NUL, the column type tags and the primary key's column
+#: positions. So an update rewrites a row in place at the same length.
+_ROW_TYPES = (T_BIGINT,) * 4 + (T_TEXT, T_TEXT, T_BIGINT_ARRAY, T_BIGINT_ARRAY)
 
 
 @dataclass
@@ -37,6 +51,9 @@ class TableSchema:
                 raise CatalogError(
                     f"primary key column {pk_col!r} not in table {self.name}"
                 )
+        for name in (self.name, *names):  # catalog rows: UTF-8, NUL-joined
+            if "\x00" in name or name.encode("utf-8", "replace").decode() != name:
+                raise CatalogError(f"{name!r} cannot name a table or column")
 
     @property
     def types(self) -> tuple[int, ...]:
@@ -56,10 +73,15 @@ class TableSchema:
 class Table:
     """A stored table: heap file plus (optional) primary-key B+Tree."""
 
-    def __init__(self, schema: TableSchema, pool: BufferPool):
+    def __init__(self, schema: TableSchema, pool: BufferPool, fields=None):
+        """A new empty table or, given its catalog row's *fields*
+        (:meth:`fields`), one persisted in the database file."""
         self.schema = schema
         self.pool = pool
         self._types = schema.types
+        if fields is not None:
+            self.load(fields, HeapFile(pool, first_page=fields[0]))
+            return
         self.heap = HeapFile(pool)
         self.row_count = 0
         #: Total encoded record bytes currently live (inline or overflow);
@@ -69,34 +91,32 @@ class Table:
         if schema.primary_key:
             self.index = BTree(pool, key_len=len(schema.primary_key))
 
-    @classmethod
-    def attach(
-        cls,
-        schema: TableSchema,
-        pool: BufferPool,
-        heap_first_page: int,
-        index_root_page: int | None,
-        row_count: int,
-        data_bytes: int,
-    ) -> "Table":
-        """Reattach a table persisted in an existing database file."""
-        table = cls.__new__(cls)
-        table.schema = schema
-        table.pool = pool
-        table._types = schema.types
-        table.heap = HeapFile(pool, first_page=heap_first_page)
-        table.row_count = row_count
-        table.data_bytes = data_bytes
-        table.index = None
-        if schema.primary_key:
-            if index_root_page is None:
+    def fields(self) -> tuple[int, int, int, int]:
+        """The fixed-width fields of this table's catalog row: heap first
+        page, index root page (-1 for none), ``row_count``, ``data_bytes``."""
+        index = self.index
+        return (
+            self.heap.first_page,
+            -1 if index is None else index.root_page,
+            self.row_count,
+            self.data_bytes,
+        )
+
+    def load(self, fields: tuple, heap: HeapFile) -> None:
+        """Point this descriptor at what a catalog row's *fields* name:
+        *heap* (the chain from the row's first page, with its tail in
+        memory) and the index at the row's root."""
+        _, root, self.row_count, self.data_bytes = fields
+        self.heap = heap
+        self.index = None
+        if self.schema.primary_key:
+            if root < 0:
                 raise CatalogError(
-                    f"{schema.name}: missing index root for keyed table"
+                    f"{self.schema.name}: missing index root for keyed table"
                 )
-            table.index = BTree(
-                pool, key_len=len(schema.primary_key), root_page=index_root_page
+            self.index = BTree(
+                self.pool, key_len=len(self.schema.primary_key), root_page=root
             )
-        return table
 
     # -- record codec ----------------------------------------------------
     def encode(self, row: tuple) -> bytes:
@@ -109,10 +129,6 @@ class Table:
         return decode_record(self._types, raw)
 
     # ------------------------------------------------------------------
-    def insert(self, values: tuple | list) -> tuple[int, int]:
-        """Validate, store and index one row; returns its rid."""
-        return self.insert_many([values])[0]
-
     def insert_many(self, rows: list) -> list[tuple[int, int]]:
         """Validate, store and index *rows* in order; returns their rids.
 
@@ -232,27 +248,8 @@ class Table:
         self.insert_many(live)
         return self.row_count
 
-    def snapshot(self) -> tuple:
-        """The descriptor a write statement can change — heap and index
-        (VACUUM replaces both objects), root page, heap tail, counters — for
-        :meth:`rollback` after the statement's pages were rolled back."""
-        heap, index = self.heap, self.index
-        root_page = None if index is None else index.root_page
-        return (
-            heap, heap.snapshot(), index, root_page, self.row_count, self.data_bytes
-        )
-
-    def rollback(self, snapshot: tuple) -> None:
-        (
-            self.heap, heap_state, self.index, root_page,
-            self.row_count, self.data_bytes,
-        ) = snapshot
-        self.heap.rollback(heap_state)
-        if self.index is not None:
-            self.index.root_page = root_page
-
     def describe(self) -> dict:
-        """Catalog metadata for persistence."""
+        """This table's catalog row, as a dict (introspection)."""
         return {
             "name": self.schema.name,
             "columns": [[c.name, c.type_tag] for c in self.schema.columns],
@@ -290,18 +287,31 @@ def _owned(shared: tuple) -> tuple:
 
 
 class Catalog:
-    """Name -> Table registry for one database."""
+    """Name -> Table registry for one database, kept in the catalog heap
+    from page 0: on an existing file (after WAL replay) every live row of
+    that heap is a table."""
 
     def __init__(self, pool: BufferPool):
         self.pool = pool
         self._tables: dict[str, Table] = {}
+        #: Per table, its catalog row's rid and the fixed fields last
+        #: written there (:meth:`sync`).
+        self._rows: dict[str, tuple] = {}
         #: Bumped on every schema change; cached statement analyses are
         #: keyed on it so they never outlive the catalog they were bound to.
         self.version = 0
-        #: ``json.dumps(table.describe())`` by the descriptor's state: the
-        #: table object (its schema never changes) and the four fields a
-        #: statement can move (:meth:`describe_json`).
-        self._fragments: dict[tuple, str] = {}
+        if pool.disk.num_pages == 0:
+            self.heap = HeapFile(pool)  # page 0
+            return
+        self.heap = HeapFile(pool, first_page=0)
+        for rid, raw in self.heap.scan():
+            fields, (name, names, tags, pk) = _split(raw)
+            columns = [
+                Column(col, int(tag)) for col, tag in zip(names.split("\x00"), tags)
+            ]
+            schema = TableSchema(name, columns, tuple(columns[i].name for i in pk))
+            self._tables[name.lower()] = Table(schema, pool, fields)
+            self._rows[name.lower()] = rid, fields
 
     def create_table(self, schema: TableSchema, if_not_exists: bool = False) -> Table:
         key = schema.name.lower()
@@ -309,7 +319,13 @@ class Catalog:
             if if_not_exists:
                 return self._tables[key]
             raise CatalogError(f"table {schema.name!r} already exists")
+        if len(_record(schema, (0, 0, 0, 0))) + 1 > _INLINE_LIMIT:
+            raise CatalogError(
+                f"table {schema.name!r}: its catalog row does not fit a page"
+            )
         table = Table(schema, self.pool)
+        fields = table.fields()
+        self._rows[key] = self.heap.insert(_record(schema, fields)), fields
         self._tables[key] = table
         self.version += 1
         return table
@@ -320,8 +336,9 @@ class Catalog:
             if if_exists:
                 return
             raise CatalogError(f"no table {name!r}")
-        # Pages are not reclaimed (no vacuum); the table simply vanishes
-        # from the catalog, like a dropped-but-unvacuumed relation.
+        # Pages are not reclaimed (no vacuum); the table's catalog row is
+        # tombstoned, like a dropped-but-unvacuumed relation.
+        self.heap.delete(self._rows.pop(key)[0])
         del self._tables[key]
         self.version += 1
 
@@ -337,80 +354,66 @@ class Catalog:
     def table_names(self) -> list[str]:
         return sorted(t.schema.name for t in self._tables.values())
 
+    def sync(self) -> None:
+        """Overwrite, in place, every catalog row whose fixed fields moved
+        (the end of each write statement): its page is then logged like
+        any other the statement dirtied."""
+        rows = self._rows
+        for key, table in self._tables.items():
+            rid, stored = rows[key]
+            fields = table.fields()
+            if fields != stored:
+                self.heap.overwrite(rid, _record(table.schema, fields))
+                rows[key] = rid, fields
+
     # -- statement rollback ------------------------------------------------
     def snapshot(self, table: str | None) -> tuple:
-        """What one write statement can change in memory, taken at its start
-        under the exclusive statement latch: the table map (DDL) and the
-        descriptor of *table*, the statement's target."""
+        """What one write statement can change that no page holds, taken at
+        its start under the exclusive statement latch: the table map and
+        the in-memory chain tails of the catalog heap and of *table*, the
+        statement's target (VACUUM replaces its heap object)."""
         target = None if table is None else self._tables.get(table.lower())
-        state = None if target is None else target.snapshot()
-        return dict(self._tables), target, state
+        heap = None if target is None else target.heap
+        return (dict(self._tables), dict(self._rows), self.heap.snapshot(),
+                target, heap, None if heap is None else heap.snapshot())
 
     def rollback(self, snapshot: tuple) -> None:
         """Back to :meth:`snapshot`, once the pages are at their
-        before-images. ``version`` never goes backwards: a plan another
-        session cached meanwhile must not match a later catalog."""
-        tables, target, state = snapshot
+        before-images: the target's descriptor is loaded again from its
+        restored catalog row. ``version`` never goes backwards: a plan
+        another session cached meanwhile must not match a later catalog."""
+        tables, self._rows, tail, target, heap, heap_tail = snapshot
+        self.heap.rollback(tail)
         if tables != self._tables:
             self._tables = tables
             self.version += 1
         if target is not None:
-            target.rollback(state)
+            heap.rollback(heap_tail)
+            rid, _ = self._rows[target.schema.name.lower()]
+            fields, _ = _split(self.heap.read(rid))
+            target.load(fields, heap)
 
-    # -- persistence -----------------------------------------------------
     def describe(self) -> list[dict]:
+        """Every table's :meth:`Table.describe`, by name (introspection)."""
         return [
             self._tables[key].describe() for key in sorted(self._tables)
         ]
 
-    def describe_json(self) -> str:
-        """``json.dumps(self.describe())``, the same text, re-dumping only
-        the descriptors whose state moved since the last call (a commit
-        record carries the whole catalog; most statements change one
-        table). Commits call it under the exclusive statement latch,
-        which also guards the cache it replaces."""
-        fragments, parts = {}, []
-        for key in sorted(self._tables):
-            table = self._tables[key]
-            index = table.index
-            state = (
-                table, table.heap.first_page,
-                None if index is None else index.root_page,
-                table.row_count, table.data_bytes,
-            )
-            text = self._fragments.get(state)
-            if text is None:
-                text = json.dumps(table.describe())
-            fragments[state] = text
-            parts.append(text)
-        self._fragments = fragments
-        return "[" + ", ".join(parts) + "]"
 
-    def restore(self, descriptions: list[dict]) -> None:
-        """Reattach tables from :meth:`describe` output.
+def _record(schema: TableSchema, fields: tuple) -> bytes:
+    """The catalog row of the table *schema* with fixed *fields*."""
+    return encode_record(
+        _ROW_TYPES,
+        fields + (
+            schema.name,
+            "\x00".join(c.name for c in schema.columns),
+            list(schema.types),
+            list(schema.pk_indexes),
+        ),
+    )
 
-        Only descriptors of this record format are accepted: one with a
-        ``storage`` key was written by a minidb that kept two record
-        formats, one without ``data_bytes`` by a minidb older still. Their
-        BIGINT[] cells would misdecode, so the file is refused."""
-        for info in descriptions:
-            if "storage" in info or "data_bytes" not in info:
-                raise CatalogError(
-                    f"table {info['name']!r} was written in an older record "
-                    "format; rebuild the database file"
-                )
-            schema = TableSchema(
-                info["name"],
-                [Column(name, tag) for name, tag in info["columns"]],
-                tuple(info["primary_key"]),
-            )
-            table = Table.attach(
-                schema,
-                self.pool,
-                heap_first_page=info["heap_first_page"],
-                index_root_page=info["index_root_page"],
-                row_count=info["row_count"],
-                data_bytes=info["data_bytes"],
-            )
-            self._tables[schema.name.lower()] = table
-        self.version += 1
+
+def _split(raw: bytes) -> tuple[tuple, tuple]:
+    """A catalog row as its fixed fields and its schema part."""
+    row = decode_record(_ROW_TYPES, raw)
+    return row[:4], row[4:]

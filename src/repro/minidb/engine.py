@@ -15,20 +15,18 @@ Example::
 
 from __future__ import annotations
 
-import json
-import struct
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.errors import CrashPoint, DatabaseError, StorageError
+from repro.errors import CatalogError, CrashPoint, DatabaseError
 from repro.minidb.buffer import BufferPool
 from repro.minidb.catalog import Catalog
 from repro.minidb.disk import DeviceModel, DiskManager, hdd_model, ram_model, ssd_model
 from repro.minidb.wal import WriteAheadLog
 from repro.minidb.latch import RWLatch
 from repro.minidb.metrics import REGISTRY, QueryTrace
-from repro.minidb.page import HEADER_SIZE, KIND_META, PAGE_SIZE
+from repro.minidb.page import KIND_META, PAGE_SIZE
 from repro.minidb.session import PreparedStatement, QueryCost, Session
 from repro.minidb.sql.analyzer import Analysis, analyze as analyze_stmt
 from repro.minidb.sql.result import Result
@@ -45,8 +43,6 @@ __all__ = [
 ]
 
 _DEVICES = {"hdd": hdd_model, "ssd": ssd_model, "ram": ram_model}
-_META_LEN = struct.Struct("<I")
-_META_CAP = PAGE_SIZE - HEADER_SIZE - _META_LEN.size
 
 #: Upper bound on cached plans per :class:`Database` (LRU eviction beyond).
 PLAN_CACHE_CAP = 256
@@ -93,7 +89,6 @@ class Database:
                 ) from None
         self.disk = DiskManager(path=path, device=device)
         self.pool = BufferPool(self.disk, capacity=pool_pages)
-        self.catalog = Catalog(self.pool)
         self._plan_cache: OrderedDict[str, CachedPlan] = OrderedDict()
         # Serializes plan-cache probes/installs across sessions.
         self._cache_lock = threading.RLock()
@@ -121,37 +116,32 @@ class Database:
         #: one has none. Armed on the buffer pool *after* open-time replay so
         #: the recovery writes themselves are never re-logged.
         self.wal: WriteAheadLog | None = None
-        if path is not None:
-            self.wal = WriteAheadLog(path + ".wal")
-        if self.disk.num_pages == 0:
-            # Fresh database: page 0 is the catalog checkpoint (META) page.
-            # Unpin before the sanity check so the raise path cannot leak
-            # the pin (repro sanitize, SAN102).
-            meta_id, _ = self.pool.new_page(KIND_META)
-            self.pool.unpin(meta_id)
-            if meta_id != 0:
-                raise StorageError("meta page must be page 0")
-            self._write_meta(json.dumps([]).encode("utf-8"))
+        fresh = self.disk.num_pages == 0
+        try:
+            if path is not None:
+                if not fresh and self.disk.peek_page(0)[0] == KIND_META:
+                    # Refused before replay, so the old file stays as it is.
+                    raise CatalogError(
+                        "page 0 is a META page: this file keeps its catalog "
+                        "as JSON, as an older minidb wrote it; rebuild it"
+                    )
+                self.wal = WriteAheadLog(path + ".wal")
+                # An existing file first replays its WAL tail (a killed
+                # worker's committed statements); the catalog heap is then
+                # read the same way for a clean file and a recovered one.
+                self.wal.replay(self.disk)
+            self.catalog = Catalog(self.pool)
+        except BaseException:
+            # A file that fails to open leaves no handle open behind it.
             if self.wal is not None:
-                # Persist the empty catalog now: a crash before the first
-                # checkpoint must still find a readable META page 0.
-                self.pool.flush()
-                self.disk.sync()
-        else:
-            # Existing file: replay the WAL tail (a killed worker's
-            # committed statements), then restore the catalog — from the
-            # last COMMIT record when the log has one, else from the META
-            # checkpoint.
-            try:
-                payload = self.wal.replay(self.disk)
-                if payload is None:
-                    payload = self._read_meta()
-                self.catalog.restore(json.loads(payload.decode("utf-8")))
-            except BaseException:
-                # A file that fails to open leaves no handle open behind it.
                 self.wal.abandon()
-                self.disk.close()
-                raise
+            self.disk.close()
+            raise
+        if fresh and self.wal is not None:
+            # Persist the empty catalog now: a crash before the first
+            # checkpoint must still find a readable catalog page 0.
+            self.pool.flush()
+            self.disk.sync()
         # Arm the pool hooks last: from here on every first-dirty is logged.
         self.pool.wal = self.wal
 
@@ -291,43 +281,39 @@ class Database:
         return self.disk.num_pages
 
     def size_bytes(self) -> int:
-        from repro.minidb.page import PAGE_SIZE
-
         return self.disk.num_pages * PAGE_SIZE
 
     # -- persistence -----------------------------------------------------
     def checkpoint(self) -> None:
-        """Write the catalog snapshot to the META chain and flush all pages.
-
-        After a checkpoint, reopening the same database file restores every
-        table (schemas, heaps, indexes, row counts). With the WAL armed the
-        protocol is: commit the META write, flush every dirty frame, fsync
+        """Flush every page: after a checkpoint, reopening the same file
+        restores every table from the catalog heap with no log to replay.
+        With the WAL armed the protocol is: flush every dirty frame, fsync
         the main file, truncate the log — every crash window in between is
         covered by replay (docs/STORAGE.md, "Durability")."""
-        payload = json.dumps(self.catalog.describe()).encode("utf-8")
-        self._write_meta(payload)
         if self.wal is not None:
-            self.wal.commit(self.pool, payload)
             self.wal.checkpoint(self.pool)
         else:
             self.pool.flush()
 
-    def _wal_commit(self) -> None:
-        """Seal the statement that just executed (write statements only).
+    def _commit(self) -> None:
+        """Seal the write statement that just executed: overwrite the
+        catalog rows it moved, then commit its pages to the WAL (none
+        in memory) and checkpoint once the log outgrows its threshold.
 
         Called by the session while it still holds the exclusive statement
-        latch; auto-checkpoints when the log has outgrown its threshold."""
+        latch."""
+        self.catalog.sync()
         if self.wal is None:
             return
-        self.wal.commit(self.pool, self.catalog.describe_json().encode("utf-8"))
+        self.wal.commit(self.pool)
         if self.wal.should_checkpoint():
             self.checkpoint()
 
     def _wal_snapshot(self, plan) -> tuple | None:
         """Statement-start image of the in-memory state the write statement
-        *plan* can change — the catalog's table map and its target table's
-        descriptor — for :meth:`_wal_rollback`. None without a log: nothing
-        is rolled back there."""
+        *plan* can change that no page holds (:meth:`Catalog.snapshot`, for
+        its target table), for :meth:`_wal_rollback`. None without a log:
+        nothing is rolled back there."""
         if self.wal is None:
             return None
         node = plan.statement
@@ -336,9 +322,9 @@ class Database:
         return self.catalog.snapshot(getattr(node, "table", None))
 
     def _wal_rollback(self, exc: BaseException, snapshot: tuple | None) -> None:
-        """Undo the failed statement: its frames from their before-images,
-        then the descriptors from *snapshot* (a root split, a grown heap
-        chain and the row count live in memory, not on a page).
+        """Undo the failed statement: its frames — the catalog's among
+        them — from their before-images, then the descriptors from
+        *snapshot* and the restored catalog rows.
 
         A :class:`~repro.errors.CrashPoint` is *not* rolled back: it
         simulates the process dying at that instant, and a dead process
@@ -348,45 +334,6 @@ class Database:
         self.wal.rollback(self.pool)
         if snapshot is not None:  # None: failed before the statement began
             self.catalog.rollback(snapshot)
-
-    def _write_meta(self, payload: bytes) -> None:
-        page_id = 0
-        offset = 0
-        while True:
-            with self.pool.pinned(page_id) as page:
-                if page.kind != KIND_META:
-                    raise StorageError(f"page {page_id} is not a META page")
-                # Checkpoint writes mutate shared META content, so they take
-                # the frame's write latch like every other page mutation
-                # (the sanitizer's SAND04 rule).
-                with self.pool.latch(page_id).write():
-                    chunk = payload[offset : offset + _META_CAP]
-                    _META_LEN.pack_into(page.buf, HEADER_SIZE, len(chunk))
-                    page.buf[HEADER_SIZE + 4 : HEADER_SIZE + 4 + len(chunk)] = chunk
-                    offset += len(chunk)
-                    self.pool.mark_dirty(page_id)
-                    if offset >= len(payload):
-                        page.next_page = -1
-                        return
-                    if page.next_page == -1:
-                        # The current page is pinned, so allocating the next
-                        # META page cannot evict it before the link lands.
-                        next_id, _ = self.pool.new_page(KIND_META)
-                        self.pool.unpin(next_id)
-                        page.next_page = next_id
-                    page_id = page.next_page
-
-    def _read_meta(self) -> bytes:
-        parts = []
-        page_id = 0
-        while page_id != -1:
-            page = self.pool.get(page_id)
-            if page.kind != KIND_META:
-                raise StorageError(f"page {page_id} is not a META page")
-            (length,) = _META_LEN.unpack_from(page.buf, HEADER_SIZE)
-            parts.append(bytes(page.buf[HEADER_SIZE + 4 : HEADER_SIZE + 4 + length]))
-            page_id = page.next_page
-        return b"".join(parts)
 
     def close(self) -> None:
         """Checkpoint (file-backed), flush, and release every file handle.

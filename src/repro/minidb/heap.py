@@ -202,6 +202,18 @@ class HeapFile:
                 self.pool.mark_dirty(page_id)
         return length
 
+    def overwrite(self, rid: tuple[int, int], record: bytes) -> None:
+        """Replace the inline record at *rid* in place with *record*, of the
+        same length (docs/STORAGE.md, "The catalog heap")."""
+        page_id, slot = rid
+        with self.pool.pinned(page_id) as page:
+            with self.pool.latch(page_id).write():
+                view = page.view(slot)
+                if view[0] != _INLINE or len(view) != len(record) + 1:
+                    raise StorageError(f"rid {rid}: not an inline record of that length")
+                view[1:] = record
+                self.pool.mark_dirty(page_id)
+
     def scan(self, readahead: int = 0):
         """Yield ``(rid, record_bytes)`` over every live record, in rid order.
 

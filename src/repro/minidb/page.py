@@ -2,7 +2,7 @@
 
 Layout (little-endian):
 
-    offset 0   u8   page kind (HEAP / OVERFLOW / BTREE / META)
+    offset 0   u8   page kind (HEAP / OVERFLOW / BTREE)
     offset 1   u8   flags (unused)
     offset 2   u16  slot count
     offset 4   u16  free-space lower bound (end of slot directory)
@@ -28,6 +28,8 @@ KIND_HEAP = 1
 KIND_OVERFLOW = 2
 KIND_BTREE_LEAF = 3
 KIND_BTREE_INTERNAL = 4
+#: Page 0 of files from before the catalog heap: their catalog as JSON.
+#: No page is written with it; opening such a file is refused.
 KIND_META = 5
 
 _HEADER = struct.Struct("<BBHHHq")

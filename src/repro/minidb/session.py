@@ -109,7 +109,7 @@ class Session:
     # ------------------------------------------------------------------
     def _statement(self, stmt: PreparedStatement, run, traced: bool):
         """The envelope every statement runs in: plan-cache entry, statement
-        latch, I/O accounting, WAL commit or rollback, pin check.
+        latch, I/O accounting, seal (``Database._commit``) or rollback, pins.
 
         ``run(plan, collector)`` executes the plan — once, or once per
         parameter row — and its value is returned. *traced* statements get a
@@ -169,18 +169,18 @@ class Session:
                         io_ms=cost.simulated_io_ms,
                     )
                 if write:
-                    # Seal the statement in the WAL while the exclusive
-                    # latch is still held (no reader can see a half-durable
-                    # state). No-op for in-memory databases. A batch seals
+                    # Seal the statement — its catalog rows, then its WAL
+                    # commit — while the exclusive latch is still held (no
+                    # reader can see a half-durable state). A batch seals
                     # as one commit, amortizing the append the same way the
                     # latch and plan probe are amortized.
-                    db._wal_commit()
+                    db._commit()
             except BaseException as exc:
                 if write:
                     # Restore every frame the failed statement dirtied from
-                    # its before-image and the descriptors from the
-                    # snapshot, so pool and catalog re-enter the last
-                    # committed state before the latch is released.
+                    # its before-image, then the descriptors, so pool and
+                    # catalog re-enter the last committed state before the
+                    # latch is released.
                     db._wal_rollback(exc, snapshot)
                 tracker = _san.TRACKER
                 if tracker is not None:

@@ -397,10 +397,6 @@ def contains_aggregate(expr) -> bool:
     return _first_calls(expr)[0] is not None
 
 
-def contains_srf(expr) -> bool:
-    return _first_calls(expr)[1] is not None
-
-
 def output_name(item: ast.SelectItem) -> str:
     if item.alias:
         return item.alias
@@ -420,7 +416,7 @@ _SCALAR_SIGS = {
     "ceiling": (1, 1, "numeric", INT),
     "abs": (1, 1, "numeric", "arg"),
     "sqrt": (1, 1, "numeric", FLOAT),
-    "power": (2, 2, "numeric", UNKNOWN),
+    "power": (2, 2, "numeric", FLOAT),
     "mod": (2, 2, "numeric", "arg"),
     "round": (1, 2, "numeric", "arg"),
     "coalesce": (1, None, "any", "unify"),

@@ -16,7 +16,7 @@ import operator
 
 import numpy as _np
 
-from repro.errors import SQLError
+from repro.errors import SQLError, SQLTypeError
 from repro.minidb.sql import ast
 from repro.minidb.sql.analyzer import is_array
 from repro.minidb.sql.functions import AGGREGATES, get_scalar, order_key
@@ -46,15 +46,27 @@ def _cmp(compare, a, b):
         raise
 
 
+_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+_MOD = get_scalar("mod")  # ``%`` is MOD: exact on integers, the dividend's sign
+
+
+def _bigint(value):
+    """*value*, refused as PostgreSQL does when an integer leaves int64 (the
+    column kernels decline any operand whose result could)."""
+    if type(value) is int and not _I64_MIN <= value <= _I64_MAX:
+        raise SQLTypeError("bigint out of range")
+    return value
+
+
 def _arith(op: str, a, b):
     if a is None or b is None:
         return None
     if op == "+":
-        return a + b
+        return _bigint(a + b)
     if op == "-":
-        return a - b
+        return _bigint(a - b)
     if op == "*":
-        return a * b
+        return _bigint(a * b)
     if op == "/":
         if isinstance(a, int) and isinstance(b, int):
             if b == 0:
@@ -62,14 +74,12 @@ def _arith(op: str, a, b):
             quotient = a // b
             if quotient < 0 and quotient * b != a:
                 quotient += 1  # PostgreSQL truncates toward zero
-            return quotient
+            return _bigint(quotient)  # -2**63 / -1
         if b == 0:
             raise SQLError("division by zero")
         return a / b
     if op == "%":
-        if b == 0:
-            raise SQLError("division by zero")
-        return a - b * int(a / b) if isinstance(a, int) and isinstance(b, int) else a % b
+        return _MOD(a, b)
     if op == "||":
         if isinstance(a, (list, tuple)) or isinstance(b, (list, tuple)):
             left = list(a) if isinstance(a, (list, tuple)) else [a]
@@ -204,7 +214,7 @@ def compile_expr(expr, slots: dict):
         if expr.op == "-":
             def _neg(row, params):
                 value = operand(row, params)
-                return None if value is None else -value
+                return None if value is None else _bigint(-value)
 
             return _neg
         if expr.op == "NOT":

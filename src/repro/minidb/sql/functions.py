@@ -7,6 +7,7 @@ on NULL input) except ``COALESCE``; aggregates skip NULLs, as in PostgreSQL.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import reduce
 
 from repro.errors import SQLError, SQLNameError, SQLTypeError
@@ -91,19 +92,39 @@ def _mod(a, b):
 
 
 def _power(a, b):
+    """``a`` to the power ``b`` as a DOUBLE (PostgreSQL's ``power``); a
+    power with no real value is an error, not a value."""
     if a is None or b is None:
         return None
-    return a ** b
+    try:
+        return math.pow(a, b)
+    except ValueError:
+        raise SQLError("zero raised to a negative power is undefined" if a == 0 else
+                       "a negative number raised to a non-integer power yields "
+                       "a complex result") from None
+    except OverflowError:
+        raise SQLError("value out of range: overflow") from None
 
 
 def _sqrt(x):
-    return None if x is None else math.sqrt(x)
+    if x is None:
+        return None
+    if x < 0:
+        raise SQLError("cannot take square root of a negative number")
+    return math.sqrt(x)
 
 
 def _round(x, digits=0):
-    if x is None:
-        return None
-    return round(x, digits) if digits else float(round(x))
+    """*x* rounded to *digits* places, a tie away from zero as PostgreSQL
+    rounds (Python's ``round`` goes to the even neighbour). The exact value
+    is rounded, so only a tie that *x* holds exactly goes away from zero."""
+    if x is None or isinstance(x, float) and not math.isfinite(x):
+        return x
+    scale = Fraction(10) ** digits
+    rounded = math.floor(abs(Fraction(x)) * scale + Fraction(1, 2)) / scale
+    if x < 0:
+        rounded = -rounded
+    return int(rounded) if digits and isinstance(x, int) else float(rounded)
 
 
 def _lower(s):

@@ -7,6 +7,10 @@ worker restartable in place: every committed DML/DDL statement is re-applied
 from the log on reopen, so ``Database(path=...)`` recovers to exactly the
 last committed statement without touching the ingest pipeline.
 
+The catalog is an ordinary heap (page 0 on, docs/STORAGE.md, "The catalog
+heap"): a statement's catalog rows are pages like any other, so the log
+holds page images and nothing else.
+
 Protocol (docs/STORAGE.md, "Durability"):
 
 * **No-steal buffering.** A page dirtied by the statement in flight is
@@ -15,21 +19,20 @@ Protocol (docs/STORAGE.md, "Durability"):
   existing pinned-overflow mechanism absorbs the capacity pressure.)
 * **Commit = one batched append.** When a write statement finishes, the log
   appends an AFTER record (the current frame content) per dirtied page,
-  then one COMMIT record carrying the catalog snapshot and the page count —
-  all to an unbuffered file, so a SIGKILL after :meth:`commit` returns
-  cannot lose the statement. A crash mid-append leaves a torn tail that replay detects
+  then one COMMIT record carrying the page count — all to an unbuffered
+  file, so a SIGKILL after :meth:`commit` returns cannot lose the
+  statement. A crash mid-append leaves a torn tail that replay detects
   (CRC + length framing) and discards: the statement never happened.
 * **Rollback** restores each pending frame from its in-memory before-image,
   so a failed statement leaves the pool byte-identical to the last commit.
-* **Checkpoint** commits the catalog META write, flushes every dirty frame,
-  fsyncs the main file, then truncates the log — after which the log is
-  empty and the main file is self-contained. Crashing *inside* a checkpoint
-  is covered at every window: until the truncate, the log still holds every
-  committed image and replay is idempotent.
-* **Replay** (:meth:`WriteAheadLog.replay`) scans the log, applies the AFTER
-  images of every *committed* batch to the main file, and restores the
-  catalog from the last COMMIT record — the META page checkpoint is only
-  the fallback when the log is empty.
+* **Checkpoint** flushes every dirty frame, fsyncs the main file, then
+  truncates the log — after which the log is empty and the main file is
+  self-contained. Crashing *inside* a checkpoint is covered at every
+  window: until the truncate, the log still holds every committed image
+  and replay is idempotent.
+* **Replay** (:meth:`WriteAheadLog.replay`) scans the log and applies the
+  AFTER images of every *committed* batch to the main file; the catalog is
+  then read from its pages like after a clean close.
 
 Record format — ``<II`` (payload length, CRC-32 of payload) then payload:
 
@@ -37,7 +40,7 @@ Record format — ``<II`` (payload length, CRC-32 of payload) then payload:
 type   payload
 ====== ======================================================
 ``A``  ``<q`` page id + 8 KiB after-image (redo)
-``C``  ``<q`` page count + catalog ``describe()`` JSON
+``C``  ``<q`` page count
 ====== ======================================================
 
 No-steal means the main file never holds uncommitted data, so redo needs
@@ -69,8 +72,8 @@ REC_BEFORE = b"B"  # before-image: no longer written, skipped on replay
 REC_AFTER = b"A"
 REC_COMMIT = b"C"
 
-#: Hard upper bound on one record's payload (a COMMIT record carries the
-#: catalog JSON, which is small; page records are PAGE_SIZE + 9 bytes).
+#: Hard upper bound on one record's payload (page records are PAGE_SIZE + 9
+#: bytes, a COMMIT record 9).
 _MAX_PAYLOAD = 64 << 20
 
 #: A freshly allocated page as the device wrote it (``DiskManager.allocate``
@@ -140,7 +143,7 @@ class WriteAheadLog:
             self._pending[page_id] = bytes(pool.disk.peek_page(page_id))
 
     # -- statement boundaries --------------------------------------------
-    def commit(self, pool, catalog_payload: bytes) -> None:
+    def commit(self, pool) -> None:
         """Make the in-flight statement durable: append the AFTER image of
         every dirtied page, then the COMMIT record.
 
@@ -165,9 +168,7 @@ class WriteAheadLog:
         self._file.seek(self._size)
         self._file.write(b"".join(chunks))
         self._fault("commit:mid-append")
-        commit_payload = (
-            REC_COMMIT + _PAGE_ID.pack(pool.disk.num_pages) + catalog_payload
-        )
+        commit_payload = REC_COMMIT + _PAGE_ID.pack(pool.disk.num_pages)
         self._file.write(
             _HEADER.pack(len(commit_payload), zlib.crc32(commit_payload))
             + commit_payload
@@ -206,9 +207,8 @@ class WriteAheadLog:
     def checkpoint(self, pool) -> None:
         """Flush the committed state into the main file and empty the log.
 
-        The caller (``Database.checkpoint``) has already written the catalog
-        META pages *and committed them*, so at entry nothing is pending and
-        the log covers every dirty frame. Order matters: flush frames, fsync
+        Runs between statements, so at entry nothing is pending and the log
+        covers every dirty frame. Order matters: flush frames, fsync
         the main file, only then truncate — a crash before the truncate
         replays images that are already in the main file (idempotent), a
         crash after it finds an empty log over a complete file.
@@ -228,15 +228,13 @@ class WriteAheadLog:
         REGISTRY.counter("wal.checkpoints").inc()
 
     # -- recovery --------------------------------------------------------
-    def replay(self, disk) -> bytes | None:
+    def replay(self, disk) -> None:
         """Apply every committed batch in the log to the main file.
 
-        Returns the last COMMIT record's catalog JSON (authoritative over
-        the META page, which may predate the tail), or ``None`` when the
-        log holds no committed batch. Scanning stops at the first torn or
-        CRC-invalid record and truncates the tail there, so a crash
-        mid-append simply never happened. Replay is idempotent: images are
-        whole-page, so re-applying them is a no-op on the bytes.
+        Scanning stops at the first torn or CRC-invalid record and truncates
+        the tail there, so a crash mid-append simply never happened. Replay
+        is idempotent: images are whole-page, so re-applying them is a no-op
+        on the bytes.
         """
         self._file.seek(0, os.SEEK_END)
         end = self._file.tell()
@@ -245,7 +243,7 @@ class WriteAheadLog:
         batch: dict[int, bytes] = {}
         batch_offsets: dict[int, int] = {}
         committed: dict[int, bytes] = {}
-        last_commit: tuple[int, bytes] | None = None
+        num_pages = None  # the last COMMIT record's
         while pos + _HEADER.size <= end:
             header = self._file.read(_HEADER.size)
             if len(header) < _HEADER.size:
@@ -267,7 +265,6 @@ class WriteAheadLog:
                 self._committed_offsets.update(batch_offsets)
                 batch.clear()
                 batch_offsets.clear()
-                last_commit = (num_pages, payload[1 + _PAGE_ID.size :])
             elif kind != REC_BEFORE:
                 break  # unknown type: treat as torn tail
             pos += _HEADER.size + length
@@ -277,16 +274,14 @@ class WriteAheadLog:
             self._file.seek(pos)
             self._file.truncate(pos)
         self._size = pos
-        if last_commit is None:
-            return None
-        num_pages, catalog_payload = last_commit
+        if num_pages is None:
+            return
         disk.ensure_pages(num_pages)
         for page_id, image in sorted(committed.items()):
             disk.apply_image(page_id, image)
         disk.sync()
         REGISTRY.counter("wal.replays").inc()
         REGISTRY.counter("wal.replayed_pages").inc(len(committed))
-        return catalog_payload
 
     # -- lifecycle -------------------------------------------------------
     def size_bytes(self) -> int:

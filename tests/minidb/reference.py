@@ -11,6 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.errors import SQLTypeError
 from repro.minidb.sql import plan as phys
 from repro.minidb.sql.parser import parse
 from repro.minidb.sql.planner import plan_statement
@@ -57,6 +58,23 @@ def run_reference(db, sql, params=()) -> Run:
         result.rows,
         (disk.delta(disk_before).reads, pool.delta(pool_before).misses),
     )
+
+
+def run_or_refuse(db, sql, params=()) -> Run | None:
+    """:func:`run_engine`, or None where *sql*'s integer arithmetic leaves
+    int64: PostgreSQL's "bigint out of range", which the reference model
+    must raise as well, with no pin left behind."""
+    try:
+        return run_engine(db, sql, params)
+    except SQLTypeError as exc:
+        assert "bigint out of range" in str(exc), sql
+    assert db.pool.total_pins() == 0, sql
+    try:
+        run_reference(db, sql, params)
+    except SQLTypeError as exc:
+        assert "bigint out of range" in str(exc), sql
+        return None
+    raise AssertionError(f"the reference model answered {sql!r}")
 
 
 def facade_statement(ptldb, call):

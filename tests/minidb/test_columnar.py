@@ -9,16 +9,18 @@ columns survive DML and reopen, and the batch kernels reproduce the row
 executor's integer semantics exactly or decline.
 """
 
+import json
 import os
+import struct
+import zlib
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CatalogError, SQLTypeError, StorageError
-from repro.minidb.catalog import Catalog, Table
 from repro.minidb.engine import Database
-from repro.minidb.page import PAGE_SIZE
+from repro.minidb.page import HEADER_SIZE, KIND_HEAP, KIND_META, PAGE_SIZE, Page
 from repro.minidb.sql import npbatch
 from repro.minidb.values import (
     NP_DECODE_MIN,
@@ -270,47 +272,40 @@ class TestColumnarTables:
         with pytest.raises(StorageError, match=f"page {page_id} .*kind 6"):
             Database.open(path)
 
-    def test_descriptor_with_a_storage_key_is_refused(self):
-        """Descriptors that carry ``storage`` come from files written with
-        two record formats; their BIGINT[] bytes differ, so restore refuses
-        them rather than misdecode."""
-        db = Database()
-        self.build(db)
-        (described,) = db.catalog.describe()
-        assert "storage" not in described
-        for storage in ("row", "columnar"):
-            catalog = Catalog(db.pool)
-            with pytest.raises(CatalogError, match="'lab'.*rebuild"):
-                catalog.restore([{**described, "storage": storage}])
-            assert catalog.table_names() == []
-
-    def test_descriptor_without_data_bytes_is_refused(self):
-        """Files older still (one record format, 8 bytes per BIGINT[]
-        element) wrote neither ``storage`` nor ``data_bytes``."""
-        db = Database()
-        self.build(db)
-        (described,) = db.catalog.describe()
-        del described["data_bytes"]
-        catalog = Catalog(db.pool)
-        with pytest.raises(CatalogError, match="'lab'.*rebuild"):
-            catalog.restore([described])
-        assert catalog.table_names() == []
-
-    def test_file_with_a_storage_key_fails_open(self, tmp_path, monkeypatch):
+    def test_file_with_a_meta_catalog_is_refused(self, tmp_path):
+        """Files from before the catalog heap keep their catalog as JSON on
+        a META page 0 (with a ``storage`` key when they kept two record
+        formats). Open refuses such a file, typed and saying to rebuild,
+        before replaying its log — both files stay as they were — and
+        leaves no file handle behind."""
         path = str(tmp_path / "old.mdb")
-        db = Database(path=path)
-        self.build(db)
-        described = Table.describe
-        monkeypatch.setattr(
-            Table, "describe", lambda table: {**described(table), "storage": "row"}
-        )
-        db.close()  # checkpoints a catalog record carrying the key
-        monkeypatch.undo()
+        page = Page()
+        page.format(KIND_META)
+        described = json.dumps(
+            [{"name": "lab", "columns": [["hub", 1]], "primary_key": [],
+              "heap_first_page": 1, "index_root_page": None, "row_count": 0,
+              "data_bytes": 0, "storage": "row"}]
+        ).encode()
+        struct.pack_into("<I", page.buf, HEADER_SIZE, len(described))
+        page.buf[HEADER_SIZE + 4 : HEADER_SIZE + 4 + len(described)] = described
+        heap = Page()
+        heap.format(KIND_HEAP)
+        with open(path, "wb") as handle:
+            handle.write(bytes(page.buf) + bytes(heap.buf))
+        # a committed log tail: page 1's after-image, then the COMMIT record
+        log = b""
+        for payload in (b"A" + struct.pack("<q", 1) + bytes(heap.buf[:1]) * PAGE_SIZE,
+                        b"C" + struct.pack("<q", 2)):
+            log += struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+        with open(path + ".wal", "wb") as handle:
+            handle.write(log)
+        files = [open(name, "rb").read() for name in (path, path + ".wal")]
         fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
-        with pytest.raises(CatalogError, match="'lab'.*rebuild"):
+        with pytest.raises(CatalogError, match="META page.*rebuild"):
             Database.open(path)
-        if fds is not None:  # the failed open left no file handle behind
+        if fds is not None:
             assert len(os.listdir("/proc/self/fd")) == len(fds)
+        assert [open(name, "rb").read() for name in (path, path + ".wal")] == files
 
     def test_table_stats_report_storage_and_bytes(self):
         db = Database()

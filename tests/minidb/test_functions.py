@@ -67,6 +67,74 @@ class TestScalars:
             fn.get_scalar("nope")
 
 
+class TestPostgresScalarSemantics:
+    """ROUND, POWER, SQRT and integer arithmetic as PostgreSQL answers them;
+    the expected values and error texts are PostgreSQL's."""
+
+    def test_round_takes_a_tie_away_from_zero(self):
+        db = Database()
+        for sql, want in [
+            ("SELECT ROUND(2.5)", 3.0),  # PostgreSQL: 3
+            ("SELECT ROUND(-0.5)", -1.0),  # PostgreSQL: -1
+            ("SELECT ROUND(0.5)", 1.0),  # PostgreSQL: 1
+            ("SELECT ROUND(-2.4)", -2.0),  # PostgreSQL: -2
+            ("SELECT ROUND(0.125, 2)", 0.13),  # PostgreSQL: 0.13
+            ("SELECT ROUND(25, -1)", 30),  # PostgreSQL: 30
+        ]:
+            assert db.execute(sql).scalar() == want, sql
+
+    def test_power_is_a_double_or_an_error(self):
+        db = Database()
+        # PostgreSQL: power(10, 30) = 1e+30, power(2, 3) = 8 (double)
+        for sql, want in [("SELECT POWER(10, 30)", 1e30), ("SELECT POWER(2, 3)", 8.0)]:
+            value = db.execute(sql).scalar()
+            assert type(value) is float and value == want, sql
+        for sql, message in [
+            ("SELECT POWER(-8, 0.5)",
+             "a negative number raised to a non-integer power yields a complex result"),
+            ("SELECT POWER(0, -1)", "zero raised to a negative power is undefined"),
+        ]:
+            with pytest.raises(SQLError, match=message):
+                db.execute(sql)
+
+    def test_sqrt_of_a_negative_number_is_an_error(self):
+        db = Database()
+        with pytest.raises(SQLError, match="cannot take square root of a negative number"):
+            db.execute("SELECT SQRT(-1)")
+        assert db.execute("SELECT SQRT(2.25)").scalar() == 1.5
+
+    def test_integer_arithmetic_leaving_int64_is_an_error(self):
+        db = Database()
+        db.execute("CREATE TABLE t (a BIGINT)")
+        db.execute("INSERT INTO t VALUES (4611686018427387904)")
+        for sql in (
+            "SELECT 4611686018427387904 * 4",
+            "SELECT 9223372036854775807 + 1",
+            "SELECT -9223372036854775807 - 2",
+            "SELECT a * 4 FROM t",
+            "SELECT x * 4 FROM (SELECT UNNEST(ARRAY[4611686018427387904, 1]) AS x) u",
+        ):
+            with pytest.raises(SQLTypeError, match="bigint out of range"):  # PostgreSQL's text
+                db.execute(sql)
+        assert db.execute("SELECT 9223372036854775807 + 0").scalar() == 2**63 - 1
+        assert db.execute("SELECT (a - 1) * 2 + 1 FROM t").scalar() == 2**63 - 1
+        for sql in ("SELECT -(-9223372036854775807 - 1)",
+                    "SELECT (-9223372036854775807 - 1) / -1"):
+            with pytest.raises(SQLTypeError, match="bigint out of range"):
+                db.execute(sql)
+
+    def test_remainder_operator_is_mod(self):
+        db = Database()
+        # PostgreSQL: 9223372036854775807 % 10 = 7, -9223372036854775807 % 10 = -7,
+        # -7.5 % 2 = -1.5 and 7.5 % -2 = 1.5 (the dividend's sign, as MOD)
+        assert db.execute("SELECT 9223372036854775807 % 10").scalar() == 7
+        assert db.execute("SELECT -9223372036854775807 % 10").scalar() == -7
+        assert db.execute("SELECT -7 % 2, 7 % -2").rows == [(-1, 1)]
+        assert db.execute("SELECT -7.5 % 2, 7.5 % -2").rows == [(-1.5, 1.5)]
+        with pytest.raises(SQLError, match="division by zero"):
+            db.execute("SELECT 7.5 % 0")
+
+
 def fold(name, values):
     """The accumulator of aggregate *name* folded over *values*."""
     acc, step, final = fn.AGGREGATES[name]

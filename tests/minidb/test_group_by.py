@@ -48,7 +48,7 @@ from repro.minidb.sql.expr import compile_expr, hashable
 from repro.minidb.sql.parser import parse
 from repro.minidb.sql.planner import plan_statement
 from repro.minidb.sql.printer import render_expr
-from tests.minidb.reference import FORMAT_ID, run_engine, run_reference
+from tests.minidb.reference import FORMAT_ID, run_or_refuse, run_reference
 
 T_COLS = "a BIGINT, g BIGINT, x BIGINT, f DOUBLE, s TEXT, ok BOOL, xs BIGINT[]"
 T_ROWS = [
@@ -132,9 +132,16 @@ def bag(rows):
 
 def check(dbs, sql, lite_sql=None, ordered=False):
     """Engine == reference model (rows, order, cold page I/O), and == sqlite3
-    where it accepts the text. Returns ``(engine run, sqlite leg ran)``."""
+    where it accepts the text. Returns ``(engine run, sqlite leg ran)``.
+
+    Integer arithmetic that leaves int64 (``e.x + k.h`` at the int64 edge)
+    is PostgreSQL's "bigint out of range" on the engine and the reference
+    alike; sqlite3 computes a REAL there, so it has no leg. Returns
+    ``(None, False)`` then."""
     db, lite = dbs
-    engine = run_engine(db, sql)
+    engine = run_or_refuse(db, sql)
+    if engine is None:
+        return None, False
     assert db.pool.total_pins() == 0, sql
     assert engine == run_reference(db, sql), sql
     try:
@@ -437,7 +444,7 @@ def test_generated_statements_agree_three_ways(dbs, shape):
     for _ in range(count):
         sql, lite_sql, ordered = make(rng)
         run, ran = check(dbs, sql, lite_sql, ordered)
-        nonempty += bool(run.rows)
+        nonempty += bool(run and run.rows)
         on_sqlite += ran
     assert nonempty > count // 2  # the generator is not vacuous
     assert shape in ("arrays", "ordered_arrays") or on_sqlite > count // 2

@@ -256,7 +256,7 @@ def page_images(db):
         ("SELECT k + 920, xs FROM src", r"duplicate primary key \(1000,\)"),
         # a BIGINT out of range in the middle of the chunk
         (
-            "SELECT CASE WHEN k = 120 THEN 9223372036854775807 + 1 ELSE k + 2000 END, "
+            "SELECT CASE WHEN k = 120 THEN 9223372036854775808 ELSE k + 2000 END, "
             "xs FROM src",
             r"BIGINT value out of range",
         ),

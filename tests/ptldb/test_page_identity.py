@@ -25,20 +25,20 @@ from repro.serving.shards import build_shards
 from repro.timetable.datasets import load_dataset
 
 SALT_LAKE_CITY_PAPER_PAGES = (
-    "41b7d2d3b733bf74ba099c8b3b985a018d59a8afb5c5aa012472a0dbac0fd391"
+    "7e535fd547211f2cee57caec22f18bd36854c8ff9e003fa879354f7b11830ec5"
 )
 #: Seeded target-set builds on Salt Lake City ``paper``: every page of the
 #: file after ``pool.flush()``, and the rows of every aux table.
 SALT_LAKE_CITY_BUILD_PAGES = (
-    "4d2c896f6d2708da69bfa0d92ae0fa38f9285569ac8cf850111d07758077f5b0"
+    "e339198978a220a0f0bad776d69fd7711c54163352c566556999559933dbf80c"
 )
 SALT_LAKE_CITY_BUILD_ROWS = (
     "6ab609100d94804de96e3d6d3bf27b6e11b68b57e6b29f7a49bc41c7a098a25c"
 )
 BUILD_FAMILIES = ("knn_ea", "knn_ld", "otm_ea", "otm_ld", "naive_ea", "naive_ld")
 AUSTIN_SMALL_SHARD_FILES = (
-    "3a0de5d53773156f8c2eef0d2a6bf2f9647b33208fa8d6f4a096166585b46bc1",
-    "5dc322f76ba7626e4d9c7a692f834c312f45b71f2af27b970cd2691f7cd9b7de",
+    "abe2266427a210327370c4304a8e4280dbccc8146b78058874d3380c3de26b7e",
+    "ea8f117b640fd42cdb2f94187d9612b113b8a58c042085e0cac55b60526b6626",
 )
 
 

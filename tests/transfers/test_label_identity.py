@@ -42,7 +42,7 @@ AUSTIN_SMALL_ROWS = (
     "a470ecfa300db8a003ccd0045f07bf9bd867fedc0d04c6b0efd46e3b6a888c31"
 )
 AUSTIN_SMALL_PAGES = (
-    "f74c6410b06b8c1360dfef59f1b3564b8c16102ad314bec36ee67c3f1c8a0779"
+    "172c026b1fe381836feac6e38d0efdbb58607515bc466dc70d08ae40d92f0b37"
 )
 
 
