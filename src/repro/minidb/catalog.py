@@ -354,16 +354,18 @@ class Catalog:
     def table_names(self) -> list[str]:
         return sorted(t.schema.name for t in self._tables.values())
 
-    def sync(self) -> None:
-        """Overwrite, in place, every catalog row whose fixed fields moved
-        (the end of each write statement): its page is then logged like
-        any other the statement dirtied."""
-        rows = self._rows
-        for key, table in self._tables.items():
+    def sync(self, table: str | None = None) -> None:
+        """Overwrite, in place, the catalog row of each table whose fixed
+        fields moved (the end of each write statement): its page is then
+        logged like any other the statement dirtied. A DML or VACUUM
+        statement moves only its target's, *table*; after DDL (no such
+        table, or ``None``) every row is compared."""
+        rows, target = self._rows, (table or "").lower()
+        for key in (target,) if target in self._tables else self._tables:
             rid, stored = rows[key]
-            fields = table.fields()
+            fields = self._tables[key].fields()
             if fields != stored:
-                self.heap.overwrite(rid, _record(table.schema, fields))
+                self.heap.overwrite(rid, _record(self._tables[key].schema, fields))
                 rows[key] = rid, fields
 
     # -- statement rollback ------------------------------------------------

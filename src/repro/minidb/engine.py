@@ -295,31 +295,29 @@ class Database:
         else:
             self.pool.flush()
 
-    def _commit(self) -> None:
+    def _commit(self, target: str | None) -> None:
         """Seal the write statement that just executed: overwrite the
-        catalog rows it moved, then commit its pages to the WAL (none
-        in memory) and checkpoint once the log outgrows its threshold.
+        catalog rows it moved (:meth:`Catalog.sync` of its *target*), then
+        commit its pages to the WAL (none in memory) and checkpoint once
+        the log outgrows its threshold.
 
         Called by the session while it still holds the exclusive statement
         latch."""
-        self.catalog.sync()
+        self.catalog.sync(target)
         if self.wal is None:
             return
         self.wal.commit(self.pool)
         if self.wal.should_checkpoint():
             self.checkpoint()
 
-    def _wal_snapshot(self, plan) -> tuple | None:
-        """Statement-start image of the in-memory state the write statement
-        *plan* can change that no page holds (:meth:`Catalog.snapshot`, for
-        its target table), for :meth:`_wal_rollback`. None without a log:
-        nothing is rolled back there."""
-        if self.wal is None:
-            return None
+    @staticmethod
+    def _target(plan) -> str | None:
+        """The table the write statement *plan* names (DML, VACUUM, DROP;
+        also under EXPLAIN ANALYZE), or None."""
         node = plan.statement
         while isinstance(node, ExplainPlan):  # EXPLAIN ANALYZE runs its DML
             node = node.inner.statement
-        return self.catalog.snapshot(getattr(node, "table", None))
+        return getattr(node, "table", None)
 
     def _wal_rollback(self, exc: BaseException, snapshot: tuple | None) -> None:
         """Undo the failed statement: its frames — the catalog's among

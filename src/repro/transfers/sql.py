@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from repro.errors import DatabaseError
 from repro.minidb.engine import Database
+from repro.ptldb.schema import insert_slices
 from repro.transfers.labels import FIRST_TRIP, HUB, LAST_TRIP, TA, TD, TRIPS
 from repro.transfers.labels import TransferLabels
 
@@ -84,15 +85,14 @@ class TransferPTLDB:
             ("lout_tr", self.labels.lout, LAST_TRIP),
             ("lin_tr", self.labels.lin, FIRST_TRIP),
         ):
-            sql = f"INSERT INTO {table} VALUES ($1, $2, $3, $4, $5, $6)"
             offsets = side.offsets.tolist()
             cols = [side.records[:, col] for col in (HUB, TD, TA, TRIPS)]
             bts = side.records[:, boundary].tolist()
-            for v in range(self.num_stops):
-                a, b = offsets[v], offsets[v + 1]
-                # a dummy's boundary trip stays NULL
-                db.execute(sql, (v, *(col[a:b] for col in cols),
-                                 [None if bt == -1 else bt for bt in bts[a:b]]))
+            # A dummy's boundary trip stays NULL.
+            insert_slices(db, f"INSERT INTO {table} VALUES ($1, $2, $3, $4, $5, $6)", [
+                (v, *(col[a:b] for col in cols), [None if bt == -1 else bt for bt in bts[a:b]])
+                for v, a, b in zip(range(self.num_stops), offsets, offsets[1:])
+            ])
         db.pool.flush()
 
     def _check(self, max_trips: int, *stops: int) -> None:

@@ -234,3 +234,39 @@ def test_a_schema_a_catalog_row_cannot_hold_is_refused(tmp_path):
         db.execute('CREATE TABLE t ("a\x00b" BIGINT)')
     assert state(db) == before and db.disk.num_pages == pages
     db.close()
+
+
+def test_a_write_statement_compares_only_its_target_catalog_row(tmp_path, monkeypatch):
+    """A DML or VACUUM statement reads the fixed fields of its target
+    alone, however many tables there are, and overwrites that one catalog
+    row; DDL compares every row."""
+    from repro.minidb.catalog import Table
+
+    db = Database(path=str(tmp_path / "many.minidb"))
+    for i in range(40):
+        db.execute(f"CREATE TABLE m{i} (k BIGINT, PRIMARY KEY (k))")
+    read, written = [], []
+    real_fields, real_overwrite = Table.fields, db.catalog.heap.overwrite
+    monkeypatch.setattr(
+        Table, "fields", lambda self: read.append(self.schema.name) or real_fields(self)
+    )
+    monkeypatch.setattr(
+        db.catalog.heap, "overwrite",
+        lambda rid, raw: written.append(rid) or real_overwrite(rid, raw),
+    )
+    rid = db.catalog._rows["m17"][0]
+    for sql in (
+        "INSERT INTO m17 VALUES (1), (2)",
+        "EXPLAIN ANALYZE INSERT INTO m17 VALUES (3)",
+        "DELETE FROM m17 WHERE k = 1",
+        "VACUUM m17",
+    ):
+        del read[:], written[:]
+        db.execute(sql)
+        assert read == ["m17"] and written == [rid], sql
+    del read[:]
+    db.execute("CREATE TABLE late (k BIGINT)")
+    assert set(read) == {f"m{i}" for i in range(40)} | {"late"}
+    db.close()
+    with Database.open(db._path) as again:
+        assert again.execute("SELECT k FROM m17").rows == [(2,), (3,)]

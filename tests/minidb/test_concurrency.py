@@ -11,8 +11,18 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.minidb.engine import Database
+from repro.ptldb import sqltext
 
 NOON = 12 * 3600
+
+
+def counters(trace):
+    """Every node's label and counts: what a stray write would move."""
+    return [
+        (op.label, op.rows, op.loops, op.pulls, op.pool_hits, op.pool_misses,
+         op.page_reads)
+        for op in trace.operators()
+    ]
 
 
 def mixed_queries(ptldb, api, count=24):
@@ -59,6 +69,31 @@ class TestConcurrentServing:
         with ThreadPoolExecutor(max_workers=4) as executor:
             problems = list(executor.map(run, clients))
         assert problems == [[], [], [], []]
+
+    def test_sessions_on_one_cached_plan_keep_their_own_traces(self, small_ptldb):
+        """Threads run the same v2v text (one cached plan) with their own
+        parameters and hold every trace unread; each is read afterwards
+        and must be exactly its own statement's, as a sequential run on
+        the warm pool records it."""
+        db = small_ptldb.db
+        params = [(s, (s * 7 + 3) % small_ptldb.num_stops, NOON) for s in range(12)]
+        sequential = db.session()
+        stmt = sequential.prepare(sqltext.V2V_EA)
+        for p in params:  # warm: every later run reads the same pages
+            stmt.execute(p)
+        expected = {p: counters(stmt.execute(p).trace) for p in params}
+
+        def run(offset):
+            client = db.session()
+            mine = params[offset::4] * 3
+            return [(p, client.prepare(sqltext.V2V_EA).execute(p).trace) for p in mine]
+
+        with ThreadPoolExecutor(max_workers=4) as executor:
+            held = [pair for out in executor.map(run, range(4)) for pair in out]
+        assert len(held) == 36
+        for p, trace in held:
+            assert trace.validate() == [], p
+            assert counters(trace) == expected[p], p
 
     def test_client_costs_are_private(self, small_ptldb):
         a = small_ptldb.client(tracing=False)

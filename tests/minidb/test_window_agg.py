@@ -150,8 +150,8 @@ class TestChunking:
         emit = BatchExecutor._EMIT[phys.SubqueryScan]
         pulled = []
 
-        def recording(self, node, env, parent, hint):
-            for chunk in emit(self, node, env, parent, hint):
+        def recording(self, node, env, hint):
+            for chunk in emit(self, node, env, hint):
                 pulled.append(type(chunk))
                 yield chunk
 
