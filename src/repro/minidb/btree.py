@@ -95,7 +95,7 @@ class BTree:
         if root_page is None:
             # The fresh root is admitted dirty and is unreachable by other
             # threads until self.root_page is published, so the count write
-            # needs no latch (and mark_dirty would be redundant).
+            # needs no write guard.
             root_page, page = pool.new_page(KIND_BTREE_LEAF)
             _set_count(page, 0)
             pool.unpin(root_page)
@@ -113,12 +113,11 @@ class BTree:
         split = self._insert(self.root_page, self._check_key(key), rid)
         if split is not None:
             sep_key, right_page = split
-            new_root_id, new_root = self.pool.new_page(KIND_BTREE_INTERNAL)
-            with self.pool.latch(new_root_id).write():
+            new_root_id, _ = self.pool.new_page(KIND_BTREE_INTERNAL)
+            with self.pool.writing(new_root_id, pinned=True) as new_root:
                 new_root.next_page = self.root_page
                 cell = self._key.pack(*sep_key) + _CHILD.pack(right_page)
                 _fill(new_root, cell, self._int_cell)
-                self.pool.mark_dirty(new_root_id)
             self.pool.unpin(new_root_id)
             self.root_page = new_root_id
 
@@ -180,13 +179,13 @@ class BTree:
         key = self._check_key(key)
         cell = self._leaf_cell
         with self._leaf(key) as (page_id, page, _):
-            with self.pool.latch(page_id).write():
+            with self.pool.reading(page_id, pinned=True):
                 end, offset, found = self._locate(page, cell, key)
-                if found:
+            if found:  # the exclusive statement latch keeps the leaf as read
+                with self.pool.writing(page_id, pinned=True):
                     page.buf[offset : end - cell] = page.buf[offset + cell : end]
                     _set_count(page, (end - HEADER_SIZE) // cell - 1)
-                    self.pool.mark_dirty(page_id)
-                return found
+            return found
 
     def scan(self, low: tuple | None = None, high: tuple | None = None):
         """Yield ``(key, rid)`` for keys in ``[low, high]``, in key order."""
@@ -341,7 +340,7 @@ class BTree:
         buf = page.buf
         key_size = self._key.size
         cell = key_size + len(value)
-        with self.pool.latch(page_id).write():
+        with self.pool.writing(page_id, pinned=True):
             end, offset, found = self._locate(page, cell, key)
             if found or end < HEADER_SIZE + capacity * cell:
                 if found:
@@ -350,7 +349,6 @@ class BTree:
                     buf[offset + cell : end + cell] = buf[offset:end]
                     buf[offset : offset + cell] = self._key.pack(*key) + value
                     _set_count(page, (end - HEADER_SIZE) // cell + 1)
-                self.pool.mark_dirty(page_id)
                 return None
             cells = b"".join(
                 (buf[HEADER_SIZE:offset], self._key.pack(*key), value, buf[offset:end])
@@ -360,8 +358,8 @@ class BTree:
         # stays, the upper half moves to a fresh right page as one slice.
         leaf = page.kind == KIND_BTREE_LEAF
         cut = (capacity + 1) // 2 * cell
-        right_id, right = self.pool.new_page(page.kind)
-        with self.pool.latch(right_id).write():
+        right_id, _ = self.pool.new_page(page.kind)
+        with self.pool.writing(right_id, pinned=True) as right:
             if leaf:
                 right.next_page = sibling
                 _fill(right, cells[cut:], cell)
@@ -370,11 +368,9 @@ class BTree:
                 # node's leftmost child.
                 (right.next_page,) = _CHILD.unpack_from(cells, cut + key_size)
                 _fill(right, cells[cut + cell :], cell)
-            self.pool.mark_dirty(right_id)
-        with self.pool.latch(page_id).write():
+        with self.pool.writing(page_id, pinned=True):
             if leaf:
                 page.next_page = right_id
             _fill(page, cells[:cut], cell)
-            self.pool.mark_dirty(page_id)
         self.pool.unpin(right_id)
         return self._key.unpack_from(cells, cut), right_id

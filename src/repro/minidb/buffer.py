@@ -22,9 +22,16 @@ Concurrency (docs/ARCHITECTURE.md, "Concurrency model"):
 * Each frame carries a :class:`~repro.minidb.latch.RWLatch` protecting the
   page *content*, built over the pool lock: readers share it, mutators take
   it exclusively, pinned first (the pin keeps the frame — and the latch
-  identity — alive). Content is read through :meth:`BufferPool.reading`:
-  one hold of that lock finds, pins and share-latches a frame (waiting,
-  lock released, only on a writer) and a second gives both back.
+  identity — alive). Content is read through :meth:`BufferPool.reading`
+  and written through :meth:`BufferPool.writing`: one hold of that lock
+  finds, pins and latches a frame (waiting, lock released, only on a
+  holder that excludes it) and a second gives both back.
+
+Statement undo belongs to the pool, for every database (docs/STORAGE.md,
+"Durability"): between :meth:`BufferPool.begin` and ``commit`` /
+``rollback``, each page's first write keeps its undo image. No-steal: such
+a frame is never evicted or flushed, so a write statement's dirtied pages
+are its memory bound (``buffer.over_capacity_admits`` counts overshoots).
 
 Like the disk manager, the pool keeps per-thread counters next to the
 global ones so concurrent sessions can attribute hits/misses exactly.
@@ -32,10 +39,10 @@ global ones so concurrent sessions can attribute hits/misses exactly.
 A frame also carries the rows decoded from its page (``_Frame.rows``, slot
 -> entry, filled by :meth:`~repro.minidb.heap.HeapFile.read_rows`), so a
 hot record is decoded once per residency of its page, not once per read.
-The map dies with its frame's content: ``mark_dirty`` (every page write
-holds the write latch and marks the frame), ``restore_page``, eviction
-and :meth:`BufferPool.clear` drop it, and a fresh frame starts without
-one (docs/STORAGE.md, "Decoded rows live with their frame").
+The map dies with its frame's content: a ``writing`` block (every page
+write), a rollback, eviction and :meth:`BufferPool.clear` drop it, and a
+fresh frame starts without one (docs/STORAGE.md, "Decoded rows live with
+their frame").
 
 The rules above are enforced, not just documented: under ``SANITIZE=1`` the
 dynamic sanitizer (:mod:`repro.minidb.sanitize.dynamic`) records every
@@ -43,22 +50,26 @@ pin/unpin with its acquiring call stack, flags unpins of never-pinned pages
 (``SAND03``), ``mark_dirty`` without the frame's write latch (``SAND04``)
 and eviction of a latched frame (``SAND06``); the static checker
 (``repro sanitize``) additionally forbids touching pool internals
-(``_frames``, ``pins``, ...) from outside this module. See
-docs/SANITIZER.md.
+(``_frames``, ``pins``, ``mark_dirty``, ...) from outside this module, so
+no write can skip the undo capture of ``writing``. See docs/SANITIZER.md.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.errors import StorageError
 from repro.minidb.disk import DiskManager
 from repro.minidb.latch import RWLatch
-from repro.minidb.page import Page
+from repro.minidb.metrics import REGISTRY
+from repro.minidb.page import PAGE_SIZE, Page
 from repro.minidb.sanitize import dynamic as _san
+
+#: A freshly allocated page as the device wrote it (``DiskManager.allocate``
+#: zero-fills): the undo image of every page born in the open statement.
+_ZERO_PAGE = bytes(PAGE_SIZE)
 
 
 class _ReadingGuard:
@@ -109,6 +120,49 @@ class _ReadingGuard:
         frame = self._frame
         with self._pool._lock:
             frame.latch.release_read_locked(threading.get_ident())
+            tracker = _san.TRACKER
+            if tracker is not None:
+                tracker.on_unpin(self._page_id)
+            frame.pins -= 1
+        return False
+
+
+class _WritingGuard(_ReadingGuard):
+    """``with``-guard of ``BufferPool.writing``: the read guard's mirror on
+    the exclusive side, which also keeps the open statement's undo image on
+    entry and marks the frame dirty (dropping its decoded rows) on exit."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> Page:
+        pool, page_id = self._pool, self._page_id
+        ident = threading.get_ident()
+        with pool._lock:
+            if self._pinned:  # reached through a pin: not another access
+                frame = pool._frames[page_id]
+            else:
+                frame = pool._fetch(page_id, ident)
+            frame.pins += 1  # before a wait on a holder: it cannot be evicted
+            try:
+                frame.latch.acquire_write_locked(ident)
+            except BaseException:  # a self-deadlock: leave no pin behind
+                frame.pins -= 1
+                raise
+            tracker = _san.TRACKER
+            if tracker is not None:
+                tracker.on_pin(page_id)
+            undo = pool._undo
+            if undo is not None and page_id not in undo:
+                undo[page_id] = (bytes(frame.page.buf), frame.dirty)
+        self._frame = frame
+        return frame.page
+
+    def __exit__(self, exc_type, exc, tb):
+        frame = self._frame
+        with self._pool._lock:
+            frame.dirty = True
+            frame.rows = None
+            frame.latch.release_write_locked(threading.get_ident())
             tracker = _san.TRACKER
             if tracker is not None:
                 tracker.on_unpin(self._page_id)
@@ -178,14 +232,12 @@ class BufferPool:
         self._row_stats: dict[int, RowStats] = {}
         # page_id -> _Frame; OrderedDict keeps LRU order.
         self._frames: OrderedDict[int, _Frame] = OrderedDict()
-        # Guards _frames, LRU order, pin counts and every counter. Reentrant
-        # so clear() can call flush() and get() can call _admit().
+        # Guards _frames, LRU order, pins, counters and the undo map.
+        # Reentrant so clear() can call flush() and get() can call _admit().
         self._lock = threading.RLock()
-        #: Write-ahead log armed by the Database (file-backed mode only).
-        #: The pool reports every first-dirty to it and honors its no-steal
-        #: rule: a WAL-pending frame is never evicted or flushed, so the
-        #: main file only ever holds committed images (docs/STORAGE.md).
-        self.wal = None
+        #: The open write statement's undo images — page id -> (content,
+        #: dirty flag) before its first write — or None between statements.
+        self._undo: dict[int, tuple[bytes, bool]] | None = None
 
     # -- accounting ------------------------------------------------------
     def thread_stats(self) -> PoolStats:
@@ -298,22 +350,19 @@ class BufferPool:
                 tracker.on_unpin(page_id)
             frame.pins -= 1
 
-    @contextmanager
-    def pinned(self, page_id: int):
-        """``with pool.pinned(pid) as page:`` — pin for the block's duration
-        (the write paths' guard; reads go through :meth:`reading`)."""
-        page = self.pin(page_id)
-        try:
-            yield page
-        finally:
-            self.unpin(page_id)
-
     def reading(self, page_id: int, pinned: bool = False):
         """``with pool.reading(pid) as page:`` — the page pinned and its
         latch held shared for the block: the one way page content is read.
         ``pinned=True`` counts no access: the caller reached the page through
         a pin it still holds (a descent keeping its node for a later write)."""
         return _ReadingGuard(self, page_id, pinned)
+
+    def writing(self, page_id: int, pinned: bool = False):
+        """``with pool.writing(pid) as page:`` — :meth:`reading`'s mirror
+        with the latch held exclusively, then the frame marked dirty: the
+        one way page content is written, keeping the open statement's undo
+        image of the page on its first write."""
+        return _WritingGuard(self, page_id, pinned)
 
     def pin_count(self, page_id: int) -> int:
         with self._lock:
@@ -343,14 +392,15 @@ class BufferPool:
             tracker = _san.TRACKER
             if tracker is not None:
                 tracker.on_pin(page_id)
-            if self.wal is not None:
-                # A fresh page is mutated in place without a later
-                # mark_dirty (nothing else can reach an unlinked page), so
-                # the WAL must learn about it here.
-                self.wal.on_page_dirty(page_id, self, fresh=True)
+            if self._undo is not None:
+                # Unlinked, the page may be formatted without a guard; its
+                # committed content is what the allocator wrote.
+                self._undo[page_id] = (_ZERO_PAGE, False)
             return page_id, page
 
     def mark_dirty(self, page_id: int) -> None:
+        """Mark a resident frame dirty, keeping no undo image: for tests and
+        models only (SAN301); writes go through :meth:`writing`."""
         with self._lock:
             frame = self._frames.get(page_id)
             if frame is None:
@@ -361,47 +411,63 @@ class BufferPool:
                 tracker.on_mark_dirty(page_id, frame.latch)
             frame.dirty = True
             frame.rows = None
-            if self.wal is not None:
-                self.wal.on_page_dirty(page_id, self)
+
+    # -- statement undo ----------------------------------------------------
+    def begin(self) -> None:
+        """Open a write statement: from here on the first write of each
+        page keeps its undo image, and that frame stays resident."""
+        with self._lock:
+            self._undo = {}
+
+    def dirtied(self) -> list[int]:
+        """The ids of the pages the open statement wrote or created, in
+        order (none between statements)."""
+        with self._lock:
+            return sorted(self._undo or ())
+
+    def commit(self) -> None:
+        """Close the open statement (if any), keeping its writes: its frames
+        become evictable again."""
+        with self._lock:
+            self._undo = None
+
+    def rollback(self) -> bool:
+        """Close the open statement, putting every undo image back (content
+        and dirty flag); returns whether one was open. Runs under the
+        exclusive statement latch: no reader sees a frame mid-restore."""
+        with self._lock:
+            undo, self._undo = self._undo, None
+            if undo is None:
+                return False
+            for page_id, (image, dirty) in undo.items():
+                frame = self._frames[page_id]  # no-steal: still resident
+                frame.page.buf[:] = image
+                frame.dirty = dirty
+                frame.rows = None
+            REGISTRY.counter("buffer.rollbacks").inc()
+            return True
 
     def page_image(self, page_id: int) -> bytes:
         """Copy of a resident frame's content (no hit/miss accounting).
 
-        WAL commit uses this to snapshot after-images; pending frames are
-        always resident (the no-steal rule keeps them in the pool)."""
+        WAL commit uses this to snapshot after-images; the open statement's
+        frames are always resident (the no-steal rule keeps them)."""
         with self._lock:
             frame = self._frames.get(page_id)
             if frame is None:
                 raise StorageError(f"page {page_id} not resident; cannot image")
             return bytes(frame.page.buf)
 
-    def restore_page(self, page_id: int, image: bytes, dirty: bool) -> None:
-        """Overwrite a resident frame with *image* (WAL rollback).
-
-        ``dirty`` says whether the restored content is still ahead of the
-        main file (a committed-but-unflushed page) or matches it exactly.
-        Runs on the statement-failure path under the exclusive statement
-        latch, so no reader can observe the frame mid-restore."""
-        with self._lock:
-            frame = self._frames.get(page_id)
-            if frame is None:
-                raise StorageError(f"page {page_id} not resident; cannot restore")
-            frame.page.buf[:] = image
-            frame.dirty = dirty
-            frame.rows = None
-
     def flush(self) -> None:
         """Write back every dirty page (keeps them cached).
 
-        WAL-pending pages — dirtied by a statement that has not committed —
-        are skipped: under the no-steal rule only committed images may reach
-        the main file. ``Database.checkpoint`` commits before flushing, so
-        its flush is always complete."""
+        The open statement's pages are skipped: under the no-steal rule only
+        committed content may reach the device. Checkpoints run between
+        statements, so their flush is always complete."""
         with self._lock:
+            undo = self._undo
             for page_id, frame in self._frames.items():
-                if frame.dirty and (
-                    self.wal is None or not self.wal.is_pending(page_id)
-                ):
+                if frame.dirty and (undo is None or page_id not in undo):
                     self.disk.write_page(page_id, frame.page.buf)
                     frame.dirty = False
 
@@ -413,16 +479,18 @@ class BufferPool:
         counters reset together (global and per-thread views alike):
         activity before the restart (including the flush writes issued
         here) can no longer leak into deltas measured after it, so a cold
-        benchmark run never mixes warm-run figures. Refuses to run while any page is pinned — a pin
+        benchmark run never mixes warm-run figures. Refuses to run while any
+        page is pinned or holds an undo image — a pin or an open statement
         held across a restart is a caller bug, not a cache entry.
         """
         with self._lock:
-            still_pinned = sorted(
-                pid for pid, frame in self._frames.items() if frame.pins
+            held = sorted(
+                pid for pid, frame in self._frames.items()
+                if frame.pins or pid in (self._undo or ())
             )
-            if still_pinned:
+            if held:
                 raise StorageError(
-                    f"cannot clear buffer pool: pages {still_pinned} are pinned"
+                    f"cannot clear buffer pool: pages {held} are pinned or uncommitted"
                 )
             self.flush()
             self._frames.clear()
@@ -444,21 +512,22 @@ class BufferPool:
     # ------------------------------------------------------------------
     def _admit(self, page_id: int, page: Page, dirty: bool) -> _Frame:
         # Caller holds self._lock.
+        undo = self._undo
         while len(self._frames) >= self.capacity:
             victim_id = next(
                 (
                     pid
                     for pid, f in self._frames.items()
-                    if f.pins == 0
-                    and (self.wal is None or not self.wal.is_pending(pid))
+                    if f.pins == 0 and (undo is None or pid not in undo)
                 ),
                 None,
             )
             if victim_id is None:
-                # Every frame is pinned or WAL-pending: overflow capacity
-                # rather than evict a page someone is still using (or whose
-                # uncommitted image must not reach the file). The next
-                # admission shrinks the pool back once pins/commits release.
+                # Every frame is pinned or holds an undo image: overflow
+                # capacity rather than evict a page in use (or uncommitted).
+                # The next admission shrinks the pool back once pins and
+                # the statement are released.
+                REGISTRY.counter("buffer.over_capacity_admits").inc()
                 break
             victim = self._frames.pop(victim_id)
             tracker = _san.TRACKER

@@ -2,7 +2,7 @@
 
 The catalog is itself a heap: page 0 starts a chain of ordinary heap pages
 holding one record per table (docs/STORAGE.md, "The catalog heap"), so the
-WAL protects it like every other page.
+pool's statement undo and the WAL protect it like every other page.
 """
 
 from __future__ import annotations
@@ -381,7 +381,7 @@ class Catalog:
 
     def rollback(self, snapshot: tuple) -> None:
         """Back to :meth:`snapshot`, once the pages are at their
-        before-images: the target's descriptor is loaded again from its
+        undo images: the target's descriptor is loaded again from its
         restored catalog row. ``version`` never goes backwards: a plan
         another session cached meanwhile must not match a later catalog."""
         tables, self._rows, tail, target, heap, heap_tail = snapshot

@@ -112,9 +112,8 @@ class Database:
         self._session = Session(self)
         self._path = path
         self._closed = False
-        #: Write-ahead log: every file-backed database has one, an in-memory
-        #: one has none. Armed on the buffer pool *after* open-time replay so
-        #: the recovery writes themselves are never re-logged.
+        #: Redo log: every file-backed database has one, an in-memory one
+        #: has none. Statement undo is the buffer pool's, for both.
         self.wal: WriteAheadLog | None = None
         fresh = self.disk.num_pages == 0
         try:
@@ -134,7 +133,7 @@ class Database:
         except BaseException:
             # A file that fails to open leaves no handle open behind it.
             if self.wal is not None:
-                self.wal.abandon()
+                self.wal.close()
             self.disk.close()
             raise
         if fresh and self.wal is not None:
@@ -142,8 +141,6 @@ class Database:
             # checkpoint must still find a readable catalog page 0.
             self.pool.flush()
             self.disk.sync()
-        # Arm the pool hooks last: from here on every first-dirty is logged.
-        self.pool.wal = self.wal
 
     @classmethod
     def open(cls, path: str, **kwargs) -> "Database":
@@ -297,17 +294,20 @@ class Database:
 
     def _commit(self, target: str | None) -> None:
         """Seal the write statement that just executed: overwrite the
-        catalog rows it moved (:meth:`Catalog.sync` of its *target*), then
-        commit its pages to the WAL (none in memory) and checkpoint once
-        the log outgrows its threshold.
+        catalog rows it moved (:meth:`Catalog.sync` of its *target*), log
+        its pages when there is a log — before the pool forgets their undo
+        images, so a failed append still rolls back — and close it in the
+        pool (the log does once its COMMIT record is written), then
+        checkpoint once the log outgrows its threshold.
 
         Called by the session while it still holds the exclusive statement
         latch."""
         self.catalog.sync(target)
-        if self.wal is None:
-            return
-        self.wal.commit(self.pool)
-        if self.wal.should_checkpoint():
+        wal = self.wal
+        if wal is not None:
+            wal.commit(self.pool)
+        self.pool.commit()
+        if wal is not None and wal.should_checkpoint():
             self.checkpoint()
 
     @staticmethod
@@ -319,18 +319,16 @@ class Database:
             node = node.inner.statement
         return getattr(node, "table", None)
 
-    def _wal_rollback(self, exc: BaseException, snapshot: tuple | None) -> None:
-        """Undo the failed statement: its frames — the catalog's among
-        them — from their before-images, then the descriptors from
-        *snapshot* and the restored catalog rows.
+    def _rollback(self, exc: BaseException, snapshot: tuple | None) -> None:
+        """Undo the failed write statement, on any database: its pages —
+        the catalog's among them — from the pool's undo images, then the
+        descriptors from *snapshot* and the restored catalog rows (nothing,
+        if it failed before it began or after it committed).
 
         A :class:`~repro.errors.CrashPoint` is *not* rolled back: it
         simulates the process dying at that instant, and a dead process
         runs no cleanup — recovery happens in :meth:`open`'s replay."""
-        if self.wal is None or isinstance(exc, CrashPoint):
-            return
-        self.wal.rollback(self.pool)
-        if snapshot is not None:  # None: failed before the statement began
+        if not isinstance(exc, CrashPoint) and self.pool.rollback():
             self.catalog.rollback(snapshot)
 
     def close(self) -> None:
@@ -346,7 +344,6 @@ class Database:
         if self._path is not None:
             self.checkpoint()
         self.pool.flush()
-        self.pool.wal = None
         if self.wal is not None:
             self.wal.close()
         self.disk.close()
@@ -360,9 +357,8 @@ class Database:
         if self._closed:
             return
         self._closed = True
-        self.pool.wal = None
         if self.wal is not None:
-            self.wal.abandon()
+            self.wal.close()
         self.disk.close()
 
     def __enter__(self) -> "Database":

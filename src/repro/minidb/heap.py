@@ -12,13 +12,14 @@ life of the record.
 Every multi-page operation pins the pages it holds across other pool calls
 (`BufferPool` refcounts pins), so a page being extended or read can never be
 evicted out from under the operation — this holds even on a capacity-1
-pool. Content reads and mutations go through the frame's reader–writer
-latch; latches are only ever held one page at a time and never across a
-``yield``, which keeps the locking order trivially deadlock-free. Both
-disciplines are machine-checked: the dynamic sanitizer (``SANITIZE=1``)
-verifies every pin is released by statement end and every ``mark_dirty``
-happens under the write latch, and ``repro sanitize`` lints this file's
-pin/latch shapes statically — see docs/SANITIZER.md.
+pool. Content reads and mutations go through the pool's ``reading`` /
+``writing`` guards (pin plus the frame's reader–writer latch); latches are
+only ever held one page at a time and never across a ``yield``, which keeps
+the locking order trivially deadlock-free. Both disciplines are
+machine-checked: the dynamic sanitizer (``SANITIZE=1``) verifies every pin
+is released by statement end, and ``repro sanitize`` lints this file's
+pin/latch shapes statically (no write outside ``writing``) — see
+docs/SANITIZER.md.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ class HeapFile:
     def __init__(self, pool: BufferPool, first_page: int | None = None):
         self.pool = pool
         if first_page is None:
-            # new_page admits the frame already dirty, and nothing else can
-            # reach an unlinked page, so no latch (or mark_dirty) is needed.
+            # new_page admits the frame already dirty and formatted, and
+            # nothing else can reach an unlinked page: no write guard needed.
             first_page, _ = pool.new_page(KIND_HEAP)
             pool.unpin(first_page)
         self.first_page = first_page
@@ -88,10 +89,10 @@ class HeapFile:
 
     def insert_many(self, records: list[bytes], claim) -> list[tuple[int, int]]:
         """Store *records* in order and return their rids, the tail page
-        pinned, write-latched and marked dirty once for the run of records
-        it takes. ``claim(i, store)`` calls ``store()``, which stores record
-        *i* and returns its rid (a table's index does so once the key proved
-        new), or raises: the records before *i* stay stored. A record that
+        under one write guard for the run of records it takes.
+        ``claim(i, store)`` calls ``store()``, which stores record *i* and
+        returns its rid (a table's index does so once the key proved new),
+        or raises: the records before *i* stay stored. A record that
         does not fit extends the chain inside ``store``, so pages are
         allocated in the order one-record inserts allocate them."""
         rids: list[tuple[int, int]] = []
@@ -104,13 +105,12 @@ class HeapFile:
             if page.free_space < len(cell):
                 # A new tail, linked while the old one stays pinned: even a
                 # capacity-1 pool cannot evict it before the link lands.
-                new_id, new_page = self.pool.new_page(KIND_HEAP)
+                new_id, _ = self.pool.new_page(KIND_HEAP)
                 page.next_page = new_id
                 self._last_page = new_id
                 self._chain.append(new_id)
-                with self.pool.latch(new_id).write():
+                with self.pool.writing(new_id, pinned=True) as new_page:
                     rids.append((new_id, new_page.insert(cell)))
-                    self.pool.mark_dirty(new_id)
                 self.pool.unpin(new_id)
             else:
                 rids.append((page_id, page.insert(cell)))
@@ -118,8 +118,7 @@ class HeapFile:
 
         while len(rids) < len(records):
             page_id = self._last_page
-            with self.pool.pinned(page_id) as page, self.pool.latch(page_id).write():
-                self.pool.mark_dirty(page_id)
+            with self.pool.writing(page_id) as page:
                 while len(rids) < len(records) and self._last_page == page_id:
                     claim(len(rids), partial(store, page_id, page, records[len(rids)]))
         return rids
@@ -194,25 +193,21 @@ class HeapFile:
         """Tombstone the record (overflow pages are left to vacuum) and
         return its length."""
         page_id, slot = rid
-        with self.pool.pinned(page_id) as page:
-            with self.pool.latch(page_id).write():
-                view = page.view(slot)
-                length = len(view) - 1 if view[0] == _INLINE else _STUB.unpack(view)[1]
-                page.delete(slot)
-                self.pool.mark_dirty(page_id)
+        with self.pool.writing(page_id) as page:
+            view = page.view(slot)
+            length = len(view) - 1 if view[0] == _INLINE else _STUB.unpack(view)[1]
+            page.delete(slot)
         return length
 
     def overwrite(self, rid: tuple[int, int], record: bytes) -> None:
         """Replace the inline record at *rid* in place with *record*, of the
         same length (docs/STORAGE.md, "The catalog heap")."""
         page_id, slot = rid
-        with self.pool.pinned(page_id) as page:
-            with self.pool.latch(page_id).write():
-                view = page.view(slot)
-                if view[0] != _INLINE or len(view) != len(record) + 1:
-                    raise StorageError(f"rid {rid}: not an inline record of that length")
-                view[1:] = record
-                self.pool.mark_dirty(page_id)
+        with self.pool.writing(page_id) as page:
+            view = page.view(slot)
+            if view[0] != _INLINE or len(view) != len(record) + 1:
+                raise StorageError(f"rid {rid}: not an inline record of that length")
+            view[1:] = record
 
     def scan(self, readahead: int = 0):
         """Yield ``(rid, record_bytes)`` over every live record, in rid order.
@@ -255,7 +250,7 @@ class HeapFile:
 
     def snapshot(self) -> tuple:
         """The in-memory state a statement can change, for :meth:`rollback`
-        once the statement's pages are back at their before-images. The
+        once the statement's pages are back at their undo images. The
         chain only grows at the tail, so its old length is its old value."""
         return self._last_page, len(self._chain)
 
@@ -274,20 +269,17 @@ class HeapFile:
         prev_id = -1
         for start in range(0, len(record), _OVERFLOW_CAP):
             chunk = record[start : start + _OVERFLOW_CAP]
-            page_id, page = self.pool.new_page(KIND_OVERFLOW)
-            with self.pool.latch(page_id).write():
+            page_id, _ = self.pool.new_page(KIND_OVERFLOW)
+            with self.pool.writing(page_id, pinned=True) as page:
                 _CHUNK_LEN.pack_into(page.buf, HEADER_SIZE, len(chunk))
                 page.buf[HEADER_SIZE + 2 : HEADER_SIZE + 2 + len(chunk)] = chunk
-                self.pool.mark_dirty(page_id)
             if first == -1:
                 first = page_id
             else:
                 # prev is still pinned from the previous iteration, so this
-                # link write lands on the resident frame.
-                prev = self.pool.get(prev_id)
-                with self.pool.latch(prev_id).write():
+                # link write lands on the resident frame (one access).
+                with self.pool.writing(prev_id) as prev:
                     prev.next_page = page_id
-                    self.pool.mark_dirty(prev_id)
                 self.pool.unpin(prev_id)
             prev_id = page_id
         if prev_id != -1:

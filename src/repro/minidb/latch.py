@@ -5,8 +5,9 @@ Two users:
 * :class:`~repro.minidb.buffer.BufferPool` keeps one :class:`RWLatch` per
   resident frame, built over the pool's own lock, so page content can be
   read by many threads while a mutation holds the frame exclusively; its
-  ``reading`` guard takes the shared side through the ``*_read_locked``
-  pair, under the hold of that lock that also pins the frame.
+  ``reading`` and ``writing`` guards take one side through the
+  ``*_read_locked`` / ``*_write_locked`` pairs, under the hold of that
+  lock that also pins the frame.
 * :class:`~repro.minidb.engine.Database` keeps a statement-level latch:
   read statements share it, DML/DDL take it exclusively (the engine's
   single-writer rule — see docs/ARCHITECTURE.md, "Concurrency model").
@@ -33,8 +34,8 @@ PR 7 that rule is *checked*, not just documented:
 
 Latches are only ever taken through the :meth:`RWLatch.read` /
 :meth:`RWLatch.write` / :meth:`RWLatch.guard` context managers (or the
-pool's ``reading``) outside this module and ``buffer.py`` — the static
-checker (``repro sanitize``, code SAN201) enforces it.
+pool's ``reading`` / ``writing``) outside this module and ``buffer.py`` —
+the static checker (``repro sanitize``, code SAN201) enforces it.
 """
 
 from __future__ import annotations
@@ -159,42 +160,47 @@ class RWLatch:
 
     # -- exclusive (write) side -----------------------------------------
     def acquire_write(self) -> None:
+        with self._cond:
+            self.acquire_write_locked(threading.get_ident())
+
+    def release_write(self) -> None:
+        with self._cond:
+            self.release_write_locked(threading.get_ident())
+
+    def acquire_write_locked(self, ident: int) -> None:
+        """:meth:`acquire_write` under the already-held lock (the buffer
+        pool's write guard); waits, releasing that lock, on any holder."""
         tracker = _san.TRACKER
         if tracker is not None:
             tracker.before_acquire(self, "write")
-        ident = threading.get_ident()
-        with self._cond:
-            if self._writer_ident == ident:
-                raise StorageError(
-                    f"latch {self.name!r}: acquire_write while this thread "
-                    "already holds the write side (self-deadlock)"
-                )
-            if self._reader_idents.get(ident, 0):
-                raise StorageError(
-                    f"latch {self.name!r}: read->write upgrade attempted "
-                    "(this thread holds the read side; the write side "
-                    "waits for all readers, so it can never be granted)"
-                )
-            if self._writer or self._readers:
-                self._wait_contended(
-                    lambda: not self._writer and not self._readers
-                )
-            self._writer = True
-            self._writer_ident = ident
+        if self._writer_ident == ident:
+            raise StorageError(
+                f"latch {self.name!r}: acquire_write while this thread "
+                "already holds the write side (self-deadlock)"
+            )
+        if self._reader_idents.get(ident, 0):
+            raise StorageError(
+                f"latch {self.name!r}: read->write upgrade attempted "
+                "(this thread holds the read side; the write side "
+                "waits for all readers, so it can never be granted)"
+            )
+        if self._writer or self._readers:
+            self._wait_contended(lambda: not self._writer and not self._readers)
+        self._writer = True
+        self._writer_ident = ident
         if tracker is not None:
             tracker.after_acquire(self, "write")
 
-    def release_write(self) -> None:
-        ident = threading.get_ident()
-        with self._cond:
-            if not self._writer or self._writer_ident != ident:
-                raise StorageError(
-                    f"latch {self.name!r}: release_write without holding "
-                    "the write side on this thread (double release?)"
-                )
-            self._writer = False
-            self._writer_ident = None
-            self._cond.notify_all()
+    def release_write_locked(self, ident: int) -> None:
+        """:meth:`release_write` under the already-held lock."""
+        if not self._writer or self._writer_ident != ident:
+            raise StorageError(
+                f"latch {self.name!r}: release_write without holding "
+                "the write side on this thread (double release?)"
+            )
+        self._writer = False
+        self._writer_ident = None
+        self._cond.notify_all()
         tracker = _san.TRACKER
         if tracker is not None:
             tracker.on_release(self, "write")

@@ -14,10 +14,10 @@ SAN102    ``return`` / ``raise`` / ``yield`` reached while pins taken in
           this function are still open and not protected by a
           ``try``/``finally`` that unpins
 SAN201    bare ``acquire_read`` / ``acquire_write`` / ``release_read`` /
-          ``release_write`` call (or a ``*_read_locked`` one) outside
+          ``release_write`` call (or a ``*_locked`` one) outside
           ``latch.py``/``buffer.py`` — latches must be held through the
-          ``with latch.read()/.write()`` or ``with pool.reading(pid)``
-          guards so release is exception-safe
+          ``with latch.read()/.write()`` or ``with pool.reading(pid)`` /
+          ``with pool.writing(pid)`` guards so release is exception-safe
 SAN202    ``yield`` inside a latch-guard ``with`` block (warning) — the
           latch stays held across the suspension, for as long as the
           consumer pleases
@@ -25,7 +25,9 @@ SAN203    nested latch guards on the same receiver expression — the latch
           is non-reentrant, so a read→write (or write→anything) upgrade
           self-deadlocks
 SAN301    buffer-pool internals (``_frames``, ``_admit``, ``_record_*``,
-          frame ``pins`` counts) touched outside ``buffer.py``
+          ``mark_dirty``, frame ``pins`` counts) touched outside
+          ``buffer.py`` — a page write outside ``pool.writing`` would skip
+          the statement's undo image
 ========  ==============================================================
 
 The checks are lexical heuristics, not a dataflow analysis: they are
@@ -73,6 +75,8 @@ _BARE_LATCH_CALLS = {
     "release_write",
     "acquire_read_locked",
     "release_read_locked",
+    "acquire_write_locked",
+    "release_write_locked",
 }
 _POOL_INTERNALS = {
     "_frames",
@@ -80,6 +84,7 @@ _POOL_INTERNALS = {
     "_fetch",
     "_record_miss",
     "_record_eviction",
+    "mark_dirty",
 }
 
 
@@ -148,7 +153,8 @@ def _is_unpin_call(node: ast.AST) -> bool:
 
 def _latch_guard(item: ast.withitem) -> tuple[str, str] | None:
     """``(receiver_text, mode)`` when *item* is ``with <latch>.read()/.write()``
-    or ``with <pool>.reading(pid)``, the shared side of ``<pool>.latch(pid)``.
+    or ``with <pool>.reading(pid)`` / ``with <pool>.writing(pid)``, the
+    shared / exclusive side of ``<pool>.latch(pid)``.
 
     Receiver detection is textual: the unparsed receiver must mention
     "latch" (``self.pool.latch(pid)``, ``frame.latch``, ``self._stmt_latch``
@@ -158,8 +164,9 @@ def _latch_guard(item: ast.withitem) -> tuple[str, str] | None:
     if not (isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute)):
         return None
     receiver, attr = ast.unparse(expr.func.value), expr.func.attr
-    if attr == "reading" and expr.args:
-        return f"{receiver}.latch({ast.unparse(expr.args[0])})", "read"
+    if attr in ("reading", "writing") and expr.args:
+        mode = "read" if attr == "reading" else "write"
+        return f"{receiver}.latch({ast.unparse(expr.args[0])})", mode
     if attr not in ("read", "write") or expr.args or expr.keywords:
         return None
     if "latch" not in receiver.lower():
@@ -270,7 +277,8 @@ class _Checker:
                     "released in this function",
                     call,
                     hint="every pin must reach an unpin on all paths; use "
-                    "`with pool.pinned(page_id) as page:` where possible",
+                    "`with pool.reading(pid)` / `with pool.writing(pid)` "
+                    "where possible",
                 )
 
     def _walk_pin_paths(self, suite: list[ast.stmt], open_pins: int) -> int:
@@ -309,7 +317,7 @@ class _Checker:
                     "try/finally unpin",
                     stmt,
                     hint="unpin before exiting, or wrap the pinned region "
-                    "in try/finally (or `with pool.pinned(...)`)",
+                    "in try/finally (or `with pool.reading(...)`)",
                 )
             for sub in _sub_suites(stmt):
                 open_pins = self._walk_pin_paths(sub, open_pins)
@@ -339,7 +347,8 @@ class _Checker:
                         "latch",
                         node,
                         hint="hold latches through `with latch.read():` / "
-                        "`with latch.write():` / `with pool.reading(pid):`",
+                        "`with latch.write():` / `with pool.reading(pid):` / "
+                        "`with pool.writing(pid):`",
                     )
 
     # -- SAN202 / SAN203: latch-guard shapes ----------------------------
@@ -400,7 +409,7 @@ class _Checker:
                     "buffer.py",
                     node,
                     hint="go through the public BufferPool API (get/pin/"
-                    "unpin/mark_dirty/stats)",
+                    "unpin/reading/writing/stats)",
                 )
             elif isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = (

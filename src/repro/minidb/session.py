@@ -138,8 +138,8 @@ class Session:
                 plan = entry.plan  # raises the statement's semantic error
                 if write:
                     target = db._target(plan)
-                    if db.wal is not None:  # else nothing is rolled back
-                        snapshot = db.catalog.snapshot(target)
+                    snapshot = db.catalog.snapshot(target)
+                    db.pool.begin()
                 # Read directly, like a trace window: no snapshot objects.
                 disk_stats = db.disk.thread_stats()
                 pool_stats = db.pool.thread_stats()
@@ -167,19 +167,19 @@ class Session:
                         cost.pool_misses, cost.page_reads, cost.simulated_io_ms,
                     )
                 if write:
-                    # Seal the statement — its catalog rows, then its WAL
-                    # commit — while the exclusive latch is still held (no
-                    # reader can see a half-durable state). A batch seals
-                    # as one commit, amortizing the append the same way the
-                    # latch and plan probe are amortized.
+                    # Seal the statement — catalog rows, log append (if any),
+                    # pool commit — while the exclusive latch is still held
+                    # (no reader can see a half-durable state). A batch
+                    # seals as one commit, amortizing the append the same
+                    # way the latch and plan probe are amortized.
                     db._commit(target)
             except BaseException as exc:
                 if write:
-                    # Restore every frame the failed statement dirtied from
-                    # its before-image, then the descriptors, so pool and
+                    # Restore every page the failed statement dirtied from
+                    # its undo image, then the descriptors, so pool and
                     # catalog re-enter the last committed state before the
-                    # latch is released.
-                    db._wal_rollback(exc, snapshot)
+                    # latch is released — on every database.
+                    db._rollback(exc, snapshot)
                 tracker = _san.TRACKER
                 if tracker is not None:
                     # The primary error wins; drop any pins the interrupted
@@ -225,8 +225,8 @@ class Session:
         returns the number of tuples.
 
         The batch shares one envelope: one plan-cache probe, one hold of the
-        statement latch, one WAL commit — so on a file-backed database it
-        is all or nothing (a failing tuple rolls back the rows before it).
+        statement latch, one commit — so it is all or nothing on every
+        database (a failing tuple rolls back the rows before it).
         ``last_cost`` aggregates the batch's I/O; ``last_trace`` is cleared
         (per-execution traces are a per-``execute`` feature).
         """

@@ -19,9 +19,10 @@ LIN_DDL = LABEL_DDL.format(table="lin")
 
 INSERT_LABEL_ROW = "INSERT INTO {table} VALUES ($1, $2, $3, $4)"
 #: Vertices per label-load statement (one commit each): until it commits
-#: the pool may not evict the pages it dirtied, and 8 vertices keep those
-#: under a 20-page pool even for Madrid ``paper`` labels (15 at most).
-#: Tied to that pool size: a smaller pool or wider labels overshoot it.
+#: the pool may not evict the pages it dirtied, on any database, and 8
+#: vertices keep those under a 20-page pool even for Madrid ``paper``
+#: labels (15 at most). Tied to that pool size: a smaller pool or wider
+#: labels overshoot it (``buffer.over_capacity_admits``).
 LOAD_SLICE = 8
 
 

@@ -85,7 +85,9 @@ class ModelBTree:
     def remove(self, key: tuple) -> bool:
         page_id = self.root_page
         while True:
-            with self.pool.pinned(page_id) as page:
+            held = page_id
+            page = self.pool.pin(held)
+            try:
                 if page.kind == KIND_BTREE_LEAF:
                     cells = _decode(self, page)
                     pos = _position(cells, key)
@@ -95,6 +97,8 @@ class ModelBTree:
                     self._write(page_id, page, cells)
                     return True
                 page_id = self._child(page, key)
+            finally:
+                self.pool.unpin(held)
 
     def _write(self, page_id, page, cells) -> None:
         with self.pool.latch(page_id).write():
@@ -166,10 +170,9 @@ def check_invariants(tree: BTree | ModelBTree) -> dict:
     depths: set[int] = set()
 
     def walk(page_id: int, low, high, depth: int) -> None:
-        with pool.pinned(page_id) as page:
-            with pool.latch(page_id).read():
-                kind, next_page = page.kind, page.next_page
-                cells = _decode(tree, page)
+        with pool.reading(page_id) as page:
+            kind, next_page = page.kind, page.next_page
+            cells = _decode(tree, page)
         assert kind in (KIND_BTREE_LEAF, KIND_BTREE_INTERNAL), (page_id, kind)
         keys = [k for k, _ in cells]
         assert all(a < b for a, b in zip(keys, keys[1:])), (page_id, keys)
@@ -207,7 +210,7 @@ def page_images(tree: BTree | ModelBTree) -> list[bytes]:
     pool = tree.pool
     images = []
     for page_id in range(pool.disk.num_pages):
-        with pool.pinned(page_id):
+        with pool.reading(page_id):
             images.append(pool.page_image(page_id))
     return images
 

@@ -8,7 +8,7 @@ class Mutator:
     def bump(self, page_id, latch):
         latch.acquire_write()  # SAN201: bare acquire
         try:
-            self.pool.mark_dirty(page_id)
+            self.pool.get(page_id).next_page = -1
         finally:
             latch.release_write()  # SAN201: bare release
 

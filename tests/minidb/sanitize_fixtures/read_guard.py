@@ -15,7 +15,7 @@ class Reader:
     def read_then_write(self, page_id):
         with self.pool.reading(page_id) as page:
             with self.pool.latch(page_id).write():  # SAN203: upgrade
-                self.pool.mark_dirty(page_id)
+                page.next_page = -1
         return page.kind
 
     def cells(self, page_id):

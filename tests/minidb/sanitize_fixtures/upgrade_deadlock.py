@@ -14,5 +14,5 @@ class Upgrader:
         with self.pool.latch(page_id).read():
             value = self.pool.get(page_id).kind
             with self.pool.latch(page_id).write():  # SAN203: self-deadlock
-                self.pool.mark_dirty(page_id)
+                self.pool.get(page_id).next_page = -1
         return value

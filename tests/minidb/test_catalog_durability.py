@@ -7,10 +7,11 @@ type). Each stream runs three ways:
 
 * *uncrashed*: on a file-backed database to its end, recording every live
   table's rows and ``catalog.describe()`` after each statement;
-* *successes only*: on an in-memory twin that runs just the statements
-  that succeeded, whose rows and descriptors (page ids aside) the
-  uncrashed run must match after every statement — a failed statement
-  leaves nothing behind;
+* *in-memory twin*: on a ``Database()`` that runs every statement too,
+  failed ones included, each of which must fail there as well; its rows
+  and descriptors, page ids included, must equal the uncrashed run's
+  after every statement — a failed statement leaves nothing behind, with
+  a log or without one;
 * *crashed*: on a fresh file with a crash armed at one named point from a
   drawn statement on. When it fires, the process "dies"
   (``simulate_crash``) and the reopened file must equal the uncrashed run
@@ -97,37 +98,33 @@ def state(db: Database) -> tuple:
     return tables, db.catalog.describe()
 
 
-def logical(snapshot: tuple) -> tuple:
-    """:func:`state` without page ids, which failed statements move."""
-    tables, described = snapshot
-    return tables, [
-        {key: value for key, value in table.items()
-         if key not in ("heap_first_page", "index_root_page")}
-        for table in described
-    ]
-
-
 def open_file(path: str) -> Database:
     db = Database(path=path)
     db.wal.checkpoint_bytes = 64 * PAGE_SIZE  # checkpoints mid-stream
     return db
 
 
+def outcome(db: Database, op: str, table: int, keys: list):
+    """The error type the statement raised on *db*, or None."""
+    try:
+        run_statement(db, op, table, keys)
+    except DatabaseError as exc:
+        return type(exc)
+    return None
+
+
 def uncrashed(path: str, stream: list) -> list:
     """The state after each statement of *stream* (the first is the state
-    before any), checking each against the successes-only twin."""
+    before any), checking each against the in-memory twin."""
     db, twin = open_file(path), Database()
     states = [state(db)]
     for op, table, keys in stream:
-        try:
-            run_statement(db, op, table, keys)
-        except DatabaseError:
-            pass
-        else:
-            run_statement(twin, op, table, keys)
+        failed = outcome(db, op, table, keys)
+        assert outcome(twin, op, table, keys) is failed, (op, table, keys)
         states.append(state(db))
-        assert logical(states[-1]) == logical(state(twin)), (op, table, keys)
+        assert states[-1] == state(twin), (op, table, keys)
     db.close()
+    twin.close()
     return states
 
 

@@ -252,17 +252,17 @@ class TestFrameLifetime:
         rid = heap.insert(b"abc")
         assert heap.read_rows([rid], bytes.upper) == [b"ABC"]
         pool, page_id = heap.pool, rid[0]
-        with pool.pinned(page_id) as page, pool.latch(page_id).write():
+        with pool.writing(page_id) as page:
             page.view(rid[1])[1:] = b"xyz"
-            pool.mark_dirty(page_id)
         assert heap.read_rows([rid], bytes.upper) == [b"XYZ"]
 
     def test_a_restored_page_drops_the_rows(self, heap):
         pool, first = heap.pool, heap.insert(b"one")
-        image = pool.page_image(first[0])
+        pool.begin()
         rid = heap.insert(b"two")
+        assert rid[0] == first[0]
         assert heap.read_rows([rid], bytes.upper) == [b"TWO"]
-        pool.restore_page(rid[0], image, dirty=True)
+        pool.rollback()  # the page is back at its undo image
         with pytest.raises(StorageError):  # the slot is gone again
             heap.read_rows([rid], bytes.upper)
 

@@ -15,12 +15,10 @@ from repro.minidb.sanitize import dynamic
 
 
 def store(pool, pid, cell):
-    """Insert *cell* the way the engine mutates a page — pinned and under
-    its write latch — so these tests also run with ``SANITIZE=1``."""
-    with pool.pinned(pid) as page:
-        with pool.latch(pid).write():
-            page.insert(cell)
-            pool.mark_dirty(pid)
+    """Insert *cell* the way the engine mutates a page — through the write
+    guard — so these tests also run with ``SANITIZE=1``."""
+    with pool.writing(pid) as page:
+        page.insert(cell)
 
 
 class TestDeviceModels:
@@ -256,6 +254,28 @@ class TestBufferPool:
         assert pool.resident(a)
         assert not pool.resident(b)
 
+    def test_an_open_statement_never_reaches_the_device(self):
+        """No-steal: neither a flush nor an eviction writes a page the open
+        statement dirtied; its rollback puts content and dirty flag back."""
+        pool, disk = self.make(capacity=2)
+        pid, _ = self.new_page(pool)
+        store(pool, pid, b"committed")
+        pool.flush()
+        pool.begin()
+        store(pool, pid, b"uncommitted")
+        fresh, _ = pool.new_page(KIND_HEAP)
+        pool.flush()
+        third, _ = self.new_page(pool)  # over capacity: nothing is evictable
+        assert pool.resident(pid) and len(pool) == 3
+        assert Page(disk.read_page(pid)).slot_count == 1
+        assert pool.dirtied() == [pid, fresh, third]
+        pool.unpin(fresh)
+        with pytest.raises(StorageError, match="uncommitted"):
+            pool.clear()  # a restart would drop the undo images' pages
+        assert pool.rollback() and not pool.rollback()
+        assert pool.get(pid).slot_count == 1 and pool.page_image(fresh) == bytes(PAGE_SIZE)
+        pool.clear()
+
     def test_clear_resets_sequential_run(self):
         pool, disk = self.make()
         pid, _ = self.new_page(pool)
@@ -312,11 +332,11 @@ class TestPins:
         with pytest.raises(StorageError, match="not resident"):
             pool.unpin(999)
 
-    def test_pinned_context_manager(self):
+    def test_writing_guard_pins_for_its_block(self):
         pool, _ = self.make()
         pid, _ = pool.new_page(KIND_HEAP)
         pool.unpin(pid)
-        with pool.pinned(pid):
+        with pool.writing(pid):
             assert pool.pin_count(pid) == 1
         assert pool.pin_count(pid) == 0
 
@@ -434,12 +454,11 @@ class TestReadGuard:
 
     def test_reading_under_own_write_latch_raises_and_leaves_no_pin(self):
         pool, (pid,) = self.make()
-        with pool.pinned(pid):
-            with pool.latch(pid).write():
-                with pytest.raises((StorageError, dynamic.SanitizerError)):
-                    with pool.reading(pid):
-                        pass
-                assert pool.pin_count(pid) == 1  # only the outer pin
+        with pool.writing(pid):
+            with pytest.raises((StorageError, dynamic.SanitizerError)):
+                with pool.reading(pid):
+                    pass
+            assert pool.pin_count(pid) == 1  # only the write guard's pin
 
     def test_blocks_behind_a_writer_then_proceeds(self):
         REGISTRY.reset()
@@ -452,18 +471,17 @@ class TestReadGuard:
             with pool.reading(pid) as page:  # the slow path: a writer holds it
                 seen.append(page.read(0))
 
-        with pool.pinned(pid):
-            with pool.latch(pid).write():
-                thread = threading.Thread(target=reader)
-                thread.start()
-                assert entered.wait(5)
-                deadline = time.monotonic() + 5
-                while not pool.latch(pid).waiting():
-                    assert time.monotonic() < deadline
-                    time.sleep(0.001)
-                # Blocked with its pin already taken: the frame cannot be
-                # evicted from under the waiting reader.
-                assert pool.pin_count(pid) == 2 and seen == []
+        with pool.writing(pid):
+            thread = threading.Thread(target=reader)
+            thread.start()
+            assert entered.wait(5)
+            deadline = time.monotonic() + 5
+            while not pool.latch(pid).waiting():
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            # Blocked with its pin already taken: the frame cannot be
+            # evicted from under the waiting reader.
+            assert pool.pin_count(pid) == 2 and seen == []
         thread.join(5)
         assert not thread.is_alive() and seen == [b"cell 0"]
         assert REGISTRY.counter("latch.page.wait_count").value == 1

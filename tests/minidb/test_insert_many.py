@@ -221,14 +221,14 @@ def test_every_page_run_is_one_latch_hold():
     for its run, plus one short hold for the record that opens a new page."""
     table = twin_tables(True, 256)[0]
     held = []
-    real = table.pool.latch
+    real = table.pool.writing
 
-    def latch(page_id):
+    def writing(page_id, pinned=False):
         if page_id in table.heap._chain:
             held.append(page_id)
-        return real(page_id)
+        return real(page_id, pinned)
 
-    table.pool.latch = latch
+    table.pool.writing = writing
     rows = [(k, k, list(range(k % 20)), None, None, None) for k in range(600)]
     table.insert_many(rows)
     # one hold per page run, plus the new tail's own hold when it is linked

@@ -55,10 +55,12 @@ EXPECTED = {
         ("SAN201", 32),
     },
     "upgrade_deadlock.py": {("SAN203", 16)},
+    "write_guard.py": {("SAN203", 16), ("SAN202", 22)},
     "pool_internals.py": {
         ("SAN301", 5),
         ("SAN301", 7),
         ("SAN301", 8),
+        ("SAN301", 14),
     },
 }
 
@@ -135,7 +137,7 @@ class TestHeuristics:
             "    with pool.latch(pid).read():\n"
             "        k = 1\n"
             "    with pool.latch(pid).write():\n"
-            "        pool.mark_dirty(pid)\n"
+            "        k = 2\n"
         )
         assert check_source(clean) == []
 

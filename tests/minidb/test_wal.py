@@ -8,6 +8,7 @@ then reopens the file and checks the recovered state against what a
 correct redo log must produce.
 """
 
+import os
 import shutil
 import struct
 import zlib
@@ -201,17 +202,51 @@ class TestStatementRollback:
                 SEED_ROWS + [(100, 0), (101, 1), (102, 4)]
             )
 
+    def test_a_failed_append_cuts_its_torn_bytes(self, db_path):
+        db = seeded(db_path)
+        size = db.wal.size_bytes()
+
+        def fail(point):
+            if point == "commit:mid-append":  # the page records are written
+                raise DatabaseError("the log device failed")
+
+        db.wal.fault_injector = fail
+        with pytest.raises(DatabaseError, match="log device"):
+            db.execute("INSERT INTO t VALUES (100, 1)")
+        db.wal.fault_injector = None
+        assert os.path.getsize(db_path + ".wal") == db.wal.size_bytes() == size
+        assert rows(db) == sorted(SEED_ROWS)
+        db.execute("INSERT INTO t VALUES (101, 1)")
+        db.simulate_crash()
+        with Database.open(db_path) as again:
+            assert rows(again) == sorted(SEED_ROWS + [(101, 1)])
+
+    def test_a_failure_after_the_commit_record_keeps_the_statement(self, db_path):
+        """Once its COMMIT record is written the statement is committed: a
+        later failure rolls nothing back, so the handle and a reopen agree."""
+        db = seeded(db_path)
+
+        def fail(point):
+            if point == "commit:after-append":
+                raise DatabaseError("a failure after the append")
+
+        db.wal.fault_injector = fail
+        with pytest.raises(DatabaseError, match="after the append"):
+            db.execute("INSERT INTO t VALUES (100, 1)")
+        db.wal.fault_injector = None
+        assert rows(db) == sorted(SEED_ROWS + [(100, 1)])
+        assert db.catalog.get("t").row_count == len(SEED_ROWS) + 1
+        db.simulate_crash()
+        with Database.open(db_path) as again:
+            assert rows(again) == sorted(SEED_ROWS + [(100, 1)])
+
     def test_pending_pages_stay_resident_until_commit(self, db_path):
         db = seeded(db_path)
         seen = {}
 
         def hook(point):
             if point == "commit:before-append":
-                seen["pending"] = [
-                    pid
-                    for pid in range(db.disk.num_pages)
-                    if db.wal.is_pending(pid)
-                ]
+                seen["pending"] = db.pool.dirtied()
                 # No-steal: every page the statement dirtied must still be
                 # readable from the pool at commit time.
                 for pid in seen["pending"]:
@@ -220,7 +255,7 @@ class TestStatementRollback:
         db.wal.fault_injector = hook
         db.execute("INSERT INTO t VALUES (70, 7)")
         assert seen["pending"], "commit saw no pending pages"
-        assert all(not db.wal.is_pending(pid) for pid in seen["pending"])
+        assert db.pool.dirtied() == []
         db.close()
 
 
@@ -250,9 +285,7 @@ class TestLogFormat:
 
         def hook(point):
             if point == "commit:before-append":
-                dirtied.extend(
-                    pid for pid in range(db.disk.num_pages) if db.wal.is_pending(pid)
-                )
+                dirtied.extend(db.pool.dirtied())
 
         before = db.wal.size_bytes()
         db.wal.fault_injector = hook
