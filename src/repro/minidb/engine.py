@@ -28,6 +28,7 @@ from repro.minidb.latch import RWLatch
 from repro.minidb.metrics import REGISTRY, QueryTrace
 from repro.minidb.page import KIND_META, PAGE_SIZE
 from repro.minidb.session import PreparedStatement, QueryCost, Session
+from repro.minidb.sql import ast
 from repro.minidb.sql.analyzer import Analysis, analyze as analyze_stmt
 from repro.minidb.sql.result import Result
 from repro.minidb.sql.parser import parse
@@ -57,18 +58,29 @@ class CachedPlan:
     re-plans transparently. It holds a plan or the error to re-raise, never
     neither: ``analysis.plan`` is None exactly when ``analysis`` has errors,
     and then :meth:`plan` raises the first of them, typed and with its caret
-    span, at the cost of one cache hit."""
+    span, at the cost of one cache hit. ``write`` — whether the statement
+    holds the statement latch exclusively — is decided once per entry."""
 
     sql: str
     stmt: object
     analysis: Analysis
     version: int
+    write: bool
 
     @property
     def plan(self):
         """The physical plan; raises the statement's first semantic error."""
         self.analysis.raise_if_errors()
         return self.analysis.plan
+
+
+def _writes(stmt) -> bool:
+    """Whether *stmt* writes (DDL, DML, ``VACUUM``): only a query (or an
+    ``EXPLAIN`` of one — ``EXPLAIN ANALYZE`` executes its inner statement)
+    reads alone and shares the database latch."""
+    while isinstance(stmt, ast.Explain):
+        stmt = stmt.statement
+    return not isinstance(stmt, ast.Query)
 
 
 class Database:
@@ -220,7 +232,7 @@ class Database:
                 REGISTRY.counter("plan_cache.invalidations").inc()
             stmt = entry.stmt if entry is not None else parse(sql)
             analysis = analyze_stmt(stmt, self.catalog, sql=sql)
-            entry = CachedPlan(sql, stmt, analysis, self.catalog.version)
+            entry = CachedPlan(sql, stmt, analysis, self.catalog.version, _writes(stmt))
             self._plan_cache[sql] = entry
             self._plan_cache.move_to_end(sql)
             while len(self._plan_cache) > PLAN_CACHE_CAP:

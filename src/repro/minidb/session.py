@@ -32,21 +32,9 @@ from dataclasses import dataclass
 
 from repro.minidb.metrics import QueryTrace, TraceCollector
 from repro.minidb.sanitize import dynamic as _san
-from repro.minidb.sql import ast
 from repro.minidb.sql.analyzer import Analysis
 from repro.minidb.sql.result import Result
 from repro.minidb.sql.vectorized import BatchExecutor
-
-
-def _is_read_stmt(stmt) -> bool:
-    """Whether *stmt* only reads (shares the database latch).
-
-    ``EXPLAIN ANALYZE`` executes its inner statement, so an explained write
-    is still a write.
-    """
-    if isinstance(stmt, ast.Explain):
-        return _is_read_stmt(stmt.statement)
-    return isinstance(stmt, ast.Query)
 
 
 @dataclass
@@ -121,7 +109,7 @@ class Session:
             entry = db._ensure_cached(sql)
         else:
             db._count_hit()
-        write = not _is_read_stmt(entry.stmt)
+        write = entry.write
         # Reads share the statement latch, DML/DDL hold it exclusively; the
         # guard keeps the acquire/release paired even when execution raises
         # (and satisfies the no-bare-acquire rule, SAN201).

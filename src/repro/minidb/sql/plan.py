@@ -9,6 +9,12 @@ and every expression compiled to a ``fn(row, params)`` closure, so the same
 plan object can be cached and re-executed with different parameter vectors
 (prepared statements).
 
+A plan carries its nodes' *prepared* state (the fields marked "Prepared"),
+set once by the planner's last step, :func:`repro.minidb.sql.planner.prepare`,
+from parameter-free fields; a statement binds only what reads its
+parameters (slice bounds, LIMIT, probe keys) and pulls. Nothing is set
+after the plan is cached, so the threads sharing it read one immutable tree.
+
 Each node carries:
 
 * ``name`` / ``detail`` — the operator label, identical to what the runtime
@@ -42,6 +48,9 @@ class PlanNode:
     #: row closure per tuple. Purely an evaluation strategy — results are
     #: identical either way.
     filter_specs = None
+    #: Prepared: the node's ``filters`` as one ``fn(row, params)`` that is
+    #: true when every predicate is ``True`` (None: no filter).
+    check = None
 
     def children(self):
         """Child operators in display order (sub-plans included)."""
@@ -75,15 +84,18 @@ class QueryPlan:
 class Plan:
     """A fully planned statement, ready to execute (and to cache).
 
-    ``param_indices`` lists every ``$n`` the statement references so the
-    executor can reject a short parameter vector before producing rows.
+    ``param_indices`` lists every ``$n`` the statement references (sorted);
+    ``arity``, the shortest parameter vector that supplies them all (its
+    highest ``$n``; none does when it names ``$0``), lets the executor
+    reject a short vector before producing rows.
     """
 
     trace_layout = None  # a traced run's initial buffer (BatchExecutor), once kept
 
     def __init__(self, statement, param_indices=()):
         self.statement = statement  # QueryPlan or a DML/utility node
-        self.param_indices = tuple(param_indices)
+        indices = self.param_indices = tuple(param_indices)
+        self.arity = float("inf") if 0 in indices else max(indices, default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +293,13 @@ class Unnest(PlanNode):
         #: int64 ndarray for a long ``BIGINT[]``); ``srf_fns``, like every
         #: compiled expression, see the list.
         self.srf_args = [None] * len(srf_fns)
+        #: Prepared: per SRF, ``read(row)`` of a plain-column argument (its
+        #: getter) or None (a slice or an expression: bound per statement);
+        #: whether the input is a point lookup (one row); fused under a
+        #: Project, its non-SRF item closures and, per output column, its
+        #: place in ``(base values…, SRF values…)`` (both None when bare).
+        self.readers = self.base_fns = self.order = None
+        self.point = False
 
     def children(self):
         return (self.child,)
@@ -356,6 +375,11 @@ class Aggregate(PlanNode):
         #: ordered ARRAY_AGG: whole column batches then go through
         #: ``np.unique``, ``np.lexsort`` and ``reduceat``, not the fold.
         self.np_spec = None
+        #: Prepared: a group's initial accumulators, ``(slot, arg_fn, step)``
+        #: per aggregate (slot 0 is the group's first row), the finalizers,
+        #: and whether the child is a band ``HashJoin`` this node drives.
+        self.inits = self.steps = self.finals = None
+        self.band = False
         if group_fns:
             self.name = "GroupAggregate"
             self.detail = f"({len(group_fns)} keys)"

@@ -33,6 +33,7 @@ grown or shrunk keeps its order: it may be slower, never wrong.
 
 from __future__ import annotations
 
+from itertools import count
 from operator import itemgetter
 
 from repro.errors import SQLError
@@ -211,7 +212,70 @@ def lower(stmt, bound, catalog) -> phys.Plan:
     """Lower *bound*, the binder's tree for the error-free statement *stmt*,
     into an executable physical plan."""
     node = Planner(catalog).plan(bound)
+    prepare(node)
     return phys.Plan(_explained(stmt, node), ast.param_indices(stmt))
+
+
+def prepare(statement) -> None:
+    """Set the prepared state of every operator under *statement* (a
+    planned statement's node; ``plan.py`` lists the fields): what its
+    executions would otherwise rebuild from parameter-free fields. The
+    planner's last step, before the plan can be cached or shared; nothing
+    in a plan changes after it."""
+    for op, _label, parent, _query in phys.operators(statement):
+        _prepare(op, parent)
+
+
+def _prepare(op, parent) -> None:
+    """*op*'s prepared fields; *parent* is the operator above it."""
+    if getattr(op, "filters", None):
+        op.check = _conjunction(op.filters)
+    if isinstance(op, phys.Unnest):
+        op.point = isinstance(op.child, phys.PkLookup)
+        # A column is read raw; a slice's bounds read the parameters.
+        op.readers = tuple(
+            arg[0] if arg is not None and arg[1:] == (None, None) else None
+            for arg in op.srf_args
+        )
+        if isinstance(parent, phys.Project):  # fused: a Project over it
+            items = parent.item_fns
+            srf_of = {pos: k for k, pos in enumerate(op.srf_positions)}
+            op.base_fns = [fn for i, fn in enumerate(items) if i not in srf_of]
+            slot = count()
+            op.order = [
+                len(op.base_fns) + srf_of[i] if i in srf_of else next(slot)
+                for i in range(len(items))
+            ]
+    elif isinstance(op, phys.Aggregate):
+        op.inits = [init for _arg, init, _step, _final in op.accs]
+        op.steps = [
+            (slot, arg_fn, step)
+            for slot, (arg_fn, _init, step, _final) in enumerate(op.accs, 1)
+        ]
+        op.finals = [final for _arg, _init, _step, final in op.accs]
+        op.band = isinstance(op.child, phys.HashJoin) and op.child.np_band is not None
+
+
+def _conjunction(filters):
+    """A predicate list as one callable: ``all(p(row, params) is True …)``.
+    The single-predicate case — by far the most common in the paper
+    corpus — skips the loop, which is measurable at batch row rates."""
+    if len(filters) == 1:
+        single = filters[0]
+
+        def check(row, params):
+            return single(row, params) is True
+
+        return check
+    filters = tuple(filters)
+
+    def check(row, params):
+        for p in filters:
+            if p(row, params) is not True:
+                return False
+        return True
+
+    return check
 
 
 def _explained(stmt, node):

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.minidb.engine import Database
 from repro.minidb.sql import npbatch
 from repro.minidb.sql import plan as phys
+from repro.minidb.sql.planner import prepare
 from repro.minidb.sql.vectorized import BatchExecutor
 from tests.minidb.reference import run_engine, run_or_refuse, run_reference
 
@@ -77,13 +78,17 @@ def hash_join(db, sql) -> phys.HashJoin:
 
 @contextmanager
 def pairs_only(db, sql):
-    """Run *sql* with its band annotation cleared: the hash join's turn."""
+    """Run *sql* with its band annotation cleared: the hash join's turn.
+    The plan is prepared again each time, as a planned one would be."""
+    statement = db._ensure_cached(sql).plan.statement
     node = hash_join(db, sql)
     band, node.np_band = node.np_band, None
+    prepare(statement)
     try:
         yield
     finally:
         node.np_band = band
+        prepare(statement)
 
 
 @contextmanager

@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.minidb.engine import Database
-from repro.ptldb import sqltext
+from repro.ptldb import PTLDB, sqltext
 
 NOON = 12 * 3600
 
@@ -102,6 +102,71 @@ class TestConcurrentServing:
         cost = a.last_cost
         b.ea_one_to_many("poi", 3, NOON)
         assert a.last_cost is cost
+
+
+class TestPreparedPlansHoldNoParameters:
+    """Cached plans are shared and immutable: threads interleaving one kNN
+    text with k = 1…4 (its ``vs[1:$3]`` / ``tas[1:$3]`` readers and its
+    ``LIMIT $3`` bind per statement) and the v2v texts with their own
+    parameters get the sequential answers, before and after a DDL bump
+    makes the same prepared handles re-plan."""
+
+    @staticmethod
+    def jobs(ptldb, offset, count=12):
+        n = ptldb.num_stops
+        out = []
+        for i in range(count):
+            source, goal = (offset * 5 + i) % n, (offset * 3 + i * 7 + 1) % n
+            depart = NOON + 300 * (offset + i)
+            out += [
+                ("knn", (source, depart, 1 + (offset + i) % 4)),
+                ("ea", (source, goal, depart)),
+                ("ld", (source, goal, depart + 3 * 3600)),
+                ("sd", (source, goal, depart, depart + 3 * 3600)),
+            ]
+        return out
+
+    @staticmethod
+    def answer(client, kind, args):
+        if kind == "knn":
+            source, depart, k = args
+            return client.ea_knn("poi", source, depart, k)
+        call = {
+            "ea": client.earliest_arrival,
+            "ld": client.latest_departure,
+            "sd": client.shortest_duration,
+        }[kind]
+        return call(*args)
+
+    def test_threads_get_the_sequential_answers_across_a_ddl_bump(
+        self, small_timetable, small_labels, small_engine
+    ):
+        targets = {1, 4, 9, 13, 16}
+        ptldb = PTLDB.from_timetable(small_timetable, labels=small_labels)
+        ptldb.build_target_set("poi", targets=targets, kmax=4, families=("knn_ea",))
+        db, threads = ptldb.db, 4
+        work = [self.jobs(ptldb, offset) for offset in range(threads)]
+        sequential = ptldb.client(tracing=False)
+        expected = [[self.answer(sequential, *job) for job in jobs] for jobs in work]
+        # k binds per statement: the sequential kNN answers are the
+        # in-memory oracle's for each k, not those of the first k planned.
+        for jobs, answers in zip(work, expected):
+            for (_kind, (source, depart, k)), got in zip(jobs[0::4], answers[0::4]):
+                assert got == small_engine.ea_knn(source, targets, depart, k)
+        clients = [ptldb.client(tracing=bool(i % 2)) for i in range(threads)]
+
+        def run(i):
+            return [self.answer(clients[i], *job) for job in work[i]]
+
+        with ThreadPoolExecutor(max_workers=threads) as executor:
+            assert list(executor.map(run, range(threads))) == expected
+        version = db.catalog.version
+        db.execute("CREATE TABLE unrelated (k BIGINT, PRIMARY KEY (k))")
+        assert db.catalog.version > version
+        misses = db.plan_cache_misses
+        with ThreadPoolExecutor(max_workers=threads) as executor:
+            assert list(executor.map(run, range(threads))) == expected
+        assert db.plan_cache_misses - misses == 4  # each text re-planned once
 
 
 class TestConcurrentWrites:

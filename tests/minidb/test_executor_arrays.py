@@ -84,6 +84,86 @@ class TestSlicesAndIndexing:
         assert db.execute("SELECT ARRAY[1] || ARRAY[2, 3]").scalar() == [1, 2, 3]
 
 
+HUNDRED = list(range(1, 101))  # decodes to an int64 ndarray: UNNEST reads it raw
+
+
+@pytest.fixture()
+def arrays():
+    database = Database()
+    database.execute("CREATE TABLE arr (k BIGINT, a BIGINT[], PRIMARY KEY (k))")
+    database.execute("INSERT INTO arr VALUES ($1, $2)", (1, [1, 2, 3]))
+    database.execute("INSERT INTO arr VALUES ($1, $2)", (2, HUNDRED))
+    return database
+
+
+def cut(db, form, subscript, params=(), where="k = 1"):
+    """``a<subscript>`` through the row closure (the value) or through
+    UNNEST's raw reader (the expanded elements, as a list)."""
+    if form == "closure":
+        sql = f"SELECT a{subscript} FROM arr WHERE {where}"
+        return db.execute(sql, params).scalar()
+    sql = f"SELECT UNNEST(a{subscript}) FROM arr WHERE {where}"
+    return [x for (x,) in db.execute(sql, params).rows]
+
+
+@pytest.mark.parametrize("form", ["closure", "unnest"])
+class TestSliceBounds:
+    """One bound rule for ``a[lo:hi]`` in the compiled closure and the
+    UNNEST reader: an upper bound below the lower one or below 1 is the
+    empty array (never counted from the end); an integral float is its
+    integer; any other bound is a typed error naming it."""
+
+    def test_negative_upper_bound_is_empty(self, arrays, form):
+        assert cut(arrays, form, "[1:-1]") == []
+        assert cut(arrays, form, "[1:$1]", (-1,)) == []
+        assert cut(arrays, form, "[1:-98]", where="k = 2") == []
+        assert cut(arrays, form, "[1:$1]", (-98,), where="k = 2") == []
+
+    def test_upper_below_lower_is_empty(self, arrays, form):
+        assert cut(arrays, form, "[3:2]") == []
+        assert cut(arrays, form, "[$1:2]", (50,), where="k = 2") == []
+        assert cut(arrays, form, "[0:0]") == []
+
+    def test_in_range_bounds_are_clamped(self, arrays, form):
+        assert cut(arrays, form, "[0:2]") == [1, 2]
+        assert cut(arrays, form, "[-5:$1]", (99,)) == [1, 2, 3]
+        assert cut(arrays, form, "[98:$1]", (1000,), where="k = 2") == [98, 99, 100]
+
+    def test_integral_float_bound_is_its_integer(self, arrays, form):
+        assert cut(arrays, form, "[1:$1]", (2.0,)) == [1, 2]
+        assert cut(arrays, form, "[$1:3]", (2.0,)) == [2, 3]
+        assert cut(arrays, form, "[1:$1]", (3.0,), where="k = 2") == [1, 2, 3]
+
+    @pytest.mark.parametrize("bad", [2.7, "x", True, float("nan")])
+    def test_other_bounds_are_typed_errors(self, arrays, form, bad):
+        with pytest.raises(SQLTypeError, match="slice upper bound"):
+            cut(arrays, form, "[1:$1]", (bad,))
+        with pytest.raises(SQLTypeError, match="slice lower bound"):
+            cut(arrays, form, "[$1:2]", (bad,), where="k = 2")
+
+    def test_a_scan_applies_the_same_rule(self, arrays, form):
+        item = "a[2:$1]" if form == "closure" else "UNNEST(a[2:$1])"
+        rows = arrays.execute(f"SELECT {item} FROM arr WHERE k > 0", (-1,)).rows
+        assert rows == ([([],), ([],)] if form == "closure" else [])
+        with pytest.raises(SQLTypeError, match="slice upper bound"):
+            arrays.execute(f"SELECT {item} FROM arr WHERE k > 0", (2.7,))
+
+
+class TestSubscriptBounds:
+    def test_integral_float_subscript_is_its_integer(self, arrays):
+        assert cut(arrays, "closure", "[$1]", (1.0,)) == 1
+        assert cut(arrays, "closure", "[$1]", (100.0,), where="k = 2") == 100
+
+    @pytest.mark.parametrize("bad", [2.7, "x", True])
+    def test_other_subscripts_are_typed_errors(self, arrays, bad):
+        with pytest.raises(SQLTypeError, match="subscript"):
+            cut(arrays, "closure", "[$1]", (bad,))
+
+    def test_out_of_range_subscript_stays_null(self, arrays):
+        assert cut(arrays, "closure", "[$1]", (-1,)) is None
+        assert cut(arrays, "closure", "[$1]", (4.0,)) is None
+
+
 class TestArrayAgg:
     def test_array_agg_with_order(self, db):
         value = db.execute(

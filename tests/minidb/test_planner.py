@@ -4,6 +4,9 @@ import pytest
 
 from repro.errors import SQLAnalysisError
 from repro.minidb.engine import PLAN_CACHE_CAP, Database
+from repro.minidb.sql import plan as phys
+from repro.minidb.sql import planner
+from repro.ptldb import sqltext
 
 
 @pytest.fixture()
@@ -206,3 +209,73 @@ class TestCommaJoinOrder:
         assert joined.plan_cache_stats()["misses"] == before["misses"]
         # planned afresh, the now larger s is the probed side
         assert self.scans(joined, sql)[0] == "Index Nested Loop probe s by primary key (a)"
+
+
+class TestPreparedOncePerPlan:
+    """Every operator's per-plan state is set by one walk at the end of
+    planning; executing the plan, prepared or through the cache, prepares
+    nothing."""
+
+    TEXTS = (  # (sql, parameters)
+        # CTEs, point lookups, fused ProjectSets, a band Aggregate
+        (sqltext.V2V_EA, (1, 2, 0)),
+        ("SELECT v, UNNEST(hubs[1:$2]) FROM lout WHERE v = $1 AND v >= 0 LIMIT $2", (1, 2)),
+        (
+            "SELECT v, COUNT(*) FROM (SELECT v, UNNEST(hubs) AS h FROM lin) s "
+            "WHERE h > $1 GROUP BY v ORDER BY v",
+            (1,),
+        ),
+    )
+
+    @pytest.fixture()
+    def labels(self):
+        db = Database()
+        for side in ("lout", "lin"):
+            db.execute(
+                f"CREATE TABLE {side} (v BIGINT, hubs BIGINT[], tds BIGINT[], "
+                "tas BIGINT[], PRIMARY KEY (v))"
+            )
+            for v in range(3):
+                db.execute(
+                    f"INSERT INTO {side} VALUES ($1, $2, $3, $4)",
+                    (v, [0, 1, 2], [10 * v, 20, 30], [15 * v + 5, 25, 35]),
+                )
+        return db
+
+    @pytest.fixture()
+    def prepared(self, monkeypatch):
+        """The operators ``planner._prepare`` is called with, in order."""
+        calls = []
+        real = planner._prepare
+
+        def counting(op, parent):
+            calls.append(op)
+            real(op, parent)
+
+        monkeypatch.setattr(planner, "_prepare", counting)
+        return calls
+
+    @pytest.mark.parametrize("sql, params", TEXTS)
+    def test_planning_prepares_each_node_once_and_executing_none(
+        self, labels, prepared, sql, params
+    ):
+        stmt = labels.prepare(sql)
+        operators = [op for op, *_ in phys.operators(stmt.entry.plan.statement)]
+        assert len(prepared) == len(operators) > 3
+        assert {id(op) for op in prepared} == {id(op) for op in operators}
+        prepared.clear()
+        answers = [stmt.execute(params).rows for _ in range(5)]
+        assert prepared == []
+        hits = labels.plan_cache_stats()["hits"]
+        assert labels.execute(sql, params).rows == answers[0]
+        assert labels.plan_cache_stats()["hits"] == hits + 1
+        assert prepared == []
+
+    def test_a_ddl_bump_prepares_the_new_plan_once(self, labels, prepared):
+        stmt = labels.prepare(sqltext.V2V_EA)
+        before = stmt.execute((1, 2, 0)).rows
+        labels.execute("CREATE TABLE unrelated (k BIGINT, PRIMARY KEY (k))")
+        prepared.clear()
+        for _ in range(3):
+            assert stmt.execute((1, 2, 0)).rows == before
+        assert len(prepared) == len(list(phys.operators(stmt.entry.plan.statement)))
