@@ -24,7 +24,7 @@ splits at the middle of its ``capacity + 1`` cells: the upper half moves to
 a fresh right page as one byte slice and the separator goes to the parent
 (a leaf keeps it as the right page's first key; an internal node hands it
 up, its child becoming the right page's leftmost child). Only ``scan``
-decodes a whole leaf.
+and ``search_many`` decode a whole leaf, the latter once per residency.
 
 Concurrency: descents pin each node while its cells are examined (so a
 lookup's node can't be evicted mid-binary-search even on a tiny pool; a
@@ -41,8 +41,9 @@ docs/SANITIZER.md).
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left
+from bisect import bisect_right
 from contextlib import contextmanager
+from itertools import chain
 
 from repro.errors import StorageError
 from repro.minidb.buffer import BufferPool
@@ -141,35 +142,31 @@ class BTree:
         """Exact lookups of ascending *keys* (repeats allowed): their rids,
         ``None`` for absent keys, and the number of descents it took.
 
-        One descent per leaf visited: the leaf's cells are unpacked once,
-        under its pin and read guard, and every following key ``<=`` its
-        last cell is bisected in them. A key beyond the last cell starts
-        the next descent, so each descent consumes at least one key and a
-        key between two leaves is a miss.
+        One descent per leaf visited: under its pin and read guard the
+        leaf's cells are its frame's key -> rid map (unpacked once per
+        residency), where every following key ``<=`` its last cell is looked
+        up. A key beyond the last cell starts the next descent, so each
+        descent consumes at least one key and a key between two leaves is a
+        miss. The keys are checked per batch.
         """
-        keys = [self._check_key(key) for key in keys]
-        if any(a > b for a, b in zip(keys, keys[1:])):
+        if set(map(len, keys)) - {self.key_len} or not set(map(type, chain(*keys))) <= {int}:
+            keys = [self._check_key(key) for key in keys]
+        if keys != sorted(keys):
             raise StorageError("search_many needs keys in ascending order")
-        width = self.key_len
         rids: list[tuple[int, int] | None] = []
         i, descents = 0, 0
         while i < len(keys):
             descents += 1
             with self._leaf(keys[i]) as (page_id, page, _):
-                with self.pool.reading(page_id, pinned=True):
-                    end = HEADER_SIZE + _get_count(page) * self._leaf_cell
-                    # (key..., rid page, rid slot) per cell, in key order
-                    cells = list(self._cells.iter_unpack(page.buf[HEADER_SIZE:end]))
-            last = cells[-1][:width] if cells else None
-            at = 0
-            while True:
-                # A key tuple sorts just below every cell that starts with it.
-                at = bisect_left(cells, keys[i], at)
-                hit = at < len(cells) and cells[at][:width] == keys[i]
-                rids.append(cells[at][width:] if hit else None)
-                i += 1
-                if i == len(keys) or last is None or keys[i] > last:
-                    break
+                guard = self.pool.reading(page_id, pinned=True)
+                with guard as page:
+                    cells = guard.decoded_rows()
+                    if not cells:  # key -> rid, in key order
+                        cells.update(self._read_leaf_cells(page))
+            last = next(reversed(cells), None)  # the run of keys <= last: this leaf's
+            end = i + 1 if last is None else max(i + 1, bisect_right(keys, last, i))
+            rids += map(cells.get, keys[i:end])
+            i = end
         return rids, descents
 
     def remove(self, key: tuple) -> bool:
@@ -230,15 +227,12 @@ class BTree:
         return tuple(map(int, key))
 
     def _read_leaf_cells(self, page: Page) -> list[tuple[tuple, tuple[int, int]]]:
-        count = _get_count(page)
-        cells = []
-        pos = HEADER_SIZE
-        for _ in range(count):
-            key = self._key.unpack_from(page.buf, pos)
-            rid = _RID.unpack_from(page.buf, pos + self._key.size)
-            cells.append((key, rid))
-            pos += self._leaf_cell
-        return cells
+        width = self.key_len
+        end = HEADER_SIZE + _get_count(page) * self._leaf_cell
+        return [
+            (cell[:width], cell[width:])
+            for cell in self._cells.iter_unpack(page.buf[HEADER_SIZE:end])
+        ]
 
     def _locate(self, page: Page, cell: int, key: tuple) -> tuple[int, int, bool]:
         """Binary-search the packed cells (of width *cell*) of a latched node.

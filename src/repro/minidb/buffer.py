@@ -36,9 +36,10 @@ are its memory bound (``buffer.over_capacity_admits`` counts overshoots).
 Like the disk manager, the pool keeps per-thread counters next to the
 global ones so concurrent sessions can attribute hits/misses exactly.
 
-A frame also carries the rows decoded from its page (``_Frame.rows``, slot
--> entry, filled by :meth:`~repro.minidb.heap.HeapFile.read_rows`), so a
-hot record is decoded once per residency of its page, not once per read.
+A frame also carries what was decoded from its page (``_Frame.rows``: slot
+-> entry from :meth:`~repro.minidb.heap.HeapFile.read_rows`, a B+Tree leaf's
+key -> rid from ``search_many``), so a hot record or leaf is decoded once
+per residency of its page, not once per read.
 The map dies with its frame's content: a ``writing`` block (every page
 write), a rollback, eviction and :meth:`BufferPool.clear` drop it, and a
 fresh frame starts without one (docs/STORAGE.md, "Decoded rows live with
@@ -105,11 +106,11 @@ class _ReadingGuard:
         return frame.page
 
     def decoded_rows(self) -> dict:
-        """The frame's decoded-row map (slot -> entry); call it inside the
-        block. A reader that decodes a cell it copied here stores the entry
-        into this dict after the block: if the frame was written, evicted or
-        cleared meanwhile, the dict is no longer the frame's, so the entry is
-        dropped with it instead of outliving the cell it came from."""
+        """The frame's decoded map (slot -> entry, a leaf's key -> rid); call it
+        inside the block. A reader that decodes a cell it copied here stores
+        the entry into this dict after the block: if the frame was written,
+        evicted or cleared meanwhile, the dict is no longer the frame's, so
+        the entry is dropped with it instead of outliving the cell it came from."""
         frame = self._frame
         rows = frame.rows
         if rows is None:

@@ -182,33 +182,30 @@ class Table:
         rid = self.index.search(tuple(key))
         if rid is None:
             return None
-        return _owned(self.heap.read_rows([rid], self._shared_row)[0])
+        return owned(self.heap.read_rows([rid], self._shared_row)[0])
 
     def lookup_many(self, keys: list[tuple]) -> tuple[list[tuple | None], int]:
         """:meth:`lookup` for ascending *keys* in one pass — every index
         leaf, then every heap page, visited once per run of keys on it.
-        Returns the decoded rows (``None`` per absent key) and the number
-        of index descents (see :meth:`BTree.search_many`)."""
+        Returns the heap frames' shared rows (``None`` per absent key; see
+        :func:`owned`) and the index descents (:meth:`BTree.search_many`)."""
         if self.index is None:
             raise CatalogError(f"{self.schema.name} has no primary key index")
         rids, descents = self.index.search_many(keys)
         found = [rid for rid in rids if rid is not None]
-        rows = map(_owned, self.heap.read_rows(found, self._shared_row))
+        rows = iter(self.heap.read_rows(found, self._shared_row))
         return [None if rid is None else next(rows) for rid in rids], descents
 
     def _shared_row(self, raw: bytes) -> tuple:
         """What a heap frame keeps of one record for every later lookup
         (:meth:`HeapFile.read_rows`): the decoded row with its ndarray
-        cells read-only, and the positions of its list cells, which each
-        reader gets a copy of (:func:`_owned`)."""
+        cells read-only; each reader gets its list cells copied
+        (:func:`owned`)."""
         row = self.decode(raw)
-        lists = []
-        for i, cell in enumerate(row):
-            if type(cell) is list:
-                lists.append(i)
-            elif type(cell) is np.ndarray:
+        for cell in row:
+            if type(cell) is np.ndarray:
                 cell.setflags(write=False)
-        return row, tuple(lists)
+        return row
 
     def scan(self, readahead: int = 0):
         """Yield every row (decoded tuples) in heap order.
@@ -273,17 +270,12 @@ class Table:
         return key
 
 
-def _owned(shared: tuple) -> tuple:
-    """A :meth:`Table._shared_row` entry as one reader's row: the list
-    cells copied, so appending to one cannot change what the next lookup
-    returns (an ndarray cell is shared read-only)."""
-    row, lists = shared
-    if not lists:
+def owned(row: tuple) -> tuple:
+    """A shared row (:meth:`Table._shared_row`) as one reader's: its list
+    cells copied, so appending to one changes no later lookup's row."""
+    if list not in map(type, row):
         return row
-    row = list(row)
-    for i in lists:
-        row[i] = row[i].copy()
-    return tuple(row)
+    return tuple([cell.copy() if type(cell) is list else cell for cell in row])
 
 
 class Catalog:

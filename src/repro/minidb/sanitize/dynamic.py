@@ -102,8 +102,10 @@ class Tracker:
         self._edges: dict[int, dict[int, tuple[str, str]]] = {}
         #: latch_key -> human name ("page:17", "stmt"), for reports.
         self._names: dict[int, str] = {}
-        #: keys with a live finalizer attached — see :meth:`_watch`.
+        #: keys with a live finalizer attached — see :meth:`_watch` — and the
+        #: keys it queued (a collection may run it inside a hook).
         self._watched: set[int] = set()
+        self._dead: list[int] = []
 
     def _watch(self, latch, key: int) -> None:
         """Purge *key*'s graph entries when *latch* is collected.
@@ -112,23 +114,24 @@ class Tracker:
         latch dies (a closed/GC'd ``Database``), a brand-new latch can
         alias its key and inherit stale edges — a false lock-order
         inversion against ordering the new latch never took part in.
-        Caller holds ``self._lock``.
+        Caller holds ``self._lock``; the dead keys are purged first.
         """
+        while self._dead:
+            self._forget(self._dead.pop())
         if key in self._watched:
             return
         try:
-            weakref.finalize(latch, self._forget, key)
+            weakref.finalize(latch, self._dead.append, key)
         except TypeError:
             return  # not weakref-able: tracked, but never purged
         self._watched.add(key)
 
     def _forget(self, key: int) -> None:
-        with self._lock:
-            self._watched.discard(key)
-            self._edges.pop(key, None)
-            for edges in self._edges.values():
-                edges.pop(key, None)
-            self._names.pop(key, None)
+        self._watched.discard(key)
+        self._edges.pop(key, None)
+        for edges in self._edges.values():
+            edges.pop(key, None)
+        self._names.pop(key, None)
 
     # -- latch hooks -----------------------------------------------------
     def before_acquire(self, latch, mode: str) -> None:

@@ -452,6 +452,9 @@ class Analyzer:
         bound = stmt  # DDL / VACUUM: nothing to bind
         if isinstance(stmt, ast.Explain):
             return self.analyze(stmt.statement)
+        for node in ast.walk(stmt):
+            if type(node) is ast.Param and node.index < 1:
+                self.sink.error("SEM007", f"there is no parameter ${node.index}", node)
         if isinstance(stmt, ast.Query):
             bound = self._query(stmt, {})
             output = bound.columns

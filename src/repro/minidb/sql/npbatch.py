@@ -1,9 +1,9 @@
 """numpy batch kernels for the batch executor.
 
 The batch executor moves chunks of rows between operators. Eligible
-producers (today: the fused UNNEST producer over int64
-label data) emit :class:`ColumnChunk` batches — parallel ``int64`` arrays,
-one per output column — instead of lists of tuples, and the filter-mask,
+producers (the fused UNNEST producer over int64 label data, the index
+nested loop) emit :class:`ColumnChunk` batches — parallel columns, one per
+output column — instead of lists of tuples, and the filter-mask,
 hash-join (pair discovery, and the band merge under an aggregate) and
 aggregation kernels below operate on whole columns at once.
 
@@ -20,19 +20,87 @@ Two invariants make this a pure representation change:
   the compiled row closures on the same data. Specs are advisory,
   never load-bearing for correctness.
 
-Columns are non-NULL ``int64`` only — producers check eligibility row by
-row before switching representation, so NULL handling stays in the row
-closures. The one NULL that can reach a kernel is a NULL *parameter* in a
-comparison; SQL three-valued logic makes that predicate never-true, which
-is exactly ``np.zeros(n, bool)``.
+A column is non-NULL ``int64`` (an :class:`ArrayChunk` may also hold an
+:class:`ArrayColumn`, which only UNNEST reads) — producers check
+eligibility per batch, so NULL handling stays in the row closures. The
+one NULL that can reach a kernel is a NULL *parameter* in a comparison;
+SQL three-valued logic makes that predicate never-true, which is exactly
+``np.zeros(n, bool)``.
 """
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+
 import numpy as np
+
+from repro.minidb.values import T_BIGINT, T_BIGINT_ARRAY
 
 _NULL = object()  # sentinel: a NULL operand inside a kernel expression
 _INT64_MAX = 2**63 - 1
+
+
+class ArrayColumn:
+    """A ``BIGINT[]`` column as values + offsets: row *i*'s cell is
+    ``values[offsets[i]:offsets[i + 1]]``, NULL (an empty range) where
+    ``nulls[i]``; ``nulls`` is None when no cell is NULL."""
+
+    __slots__ = ("values", "offsets", "nulls")
+
+    def __init__(self, values, offsets, nulls=None):
+        self.values, self.offsets, self.nulls = values, offsets, nulls
+
+    def cut(self, part):
+        """``(values, lengths)`` of ``cell[part]`` for every cell, as UNNEST
+        expands them; *part* is an ``expr.array_cut`` slice, or None for a
+        NULL bound (every cell NULL)."""
+        values, offsets = self.values, self.offsets
+        lengths = offsets[1:] - offsets[:-1]
+        if part is None or part == slice(0, None):
+            return (values, lengths) if part else (values[:0], lengths * 0)
+        start = min(part.start, len(values))
+        stop = len(values) if part.stop is None else min(part.stop, len(values))
+        at = np.arange(len(values)) - np.repeat(offsets[:-1], lengths)
+        if not start:  # a[1:k], the kNN arms' slice: a prefix of each cell
+            return values[at < stop], np.minimum(lengths, stop)
+        cut = np.minimum(lengths, stop) - np.minimum(lengths, start)
+        return values[(at >= start) & (at < stop)], cut
+
+    def tolist(self):
+        """The cells as SQL reads them: a list each, None where NULL."""
+        flat, offsets = self.values.tolist(), self.offsets.tolist()
+        nulls = repeat(False) if self.nulls is None else self.nulls.tolist()
+        return [None if null else flat[a:b] for a, b, null in zip(offsets, offsets[1:], nulls)]
+
+
+def row_columns(rows, types):
+    """*rows* (decoded records of column *types*, at least one) as columns:
+    int64 per ``BIGINT``, an :class:`ArrayColumn` per ``BIGINT[]`` — one run
+    of all elements cut per column — or None (rows) for another type, a NULL
+    ``BIGINT`` or a NULL element."""
+    n, cols = len(rows), list(zip(*rows))
+    if not set(types) <= {T_BIGINT, T_BIGINT_ARRAY}:
+        return None
+    ints, arrays = ([i for i, t in enumerate(types) if t == k] for k in (T_BIGINT, T_BIGINT_ARRAY))
+    lists, lengths, nulls = [], [], {}
+    for i in arrays:
+        cells = cols[i]
+        if type(None) in map(type, cells):  # a NULL cell: an empty range
+            nulls[i] = np.array([c is None for c in cells])
+            cells = [() if c is None else c for c in cells]
+        lists += cells
+        lengths += [0, *map(len, cells)]
+    try:  # a NULL scalar or element raises TypeError
+        scalars = np.array([cols[i] for i in ints], np.int64).reshape(len(ints), n)
+        offsets = np.array(lengths, np.int64).reshape(len(arrays), n + 1).cumsum(1)
+        ends = offsets[:, -1].cumsum().tolist()
+        values = np.fromiter(chain.from_iterable(lists), np.int64, ends[-1] if ends else 0)
+    except (TypeError, OverflowError):
+        return None
+    out = dict(zip(ints, scalars))
+    for i, offs, start, end in zip(arrays, offsets, [0, *ends], ends):
+        out[i] = ArrayColumn(values[start:end], offs, nulls.get(i))
+    return [out[i] for i in range(len(types))]
 
 
 class ColumnChunk:
@@ -40,7 +108,7 @@ class ColumnChunk:
 
     Drop-in sequence of row tuples: ``len(chunk)``, ``chunk[i]``,
     ``chunk[a:b]`` and iteration all match the equivalent
-    ``list[tuple[int, ...]]``. Kernels reach the arrays via ``cols``.
+    ``list[tuple]``. Kernels reach the arrays via ``cols``.
     """
 
     __slots__ = ("cols", "n", "_rows")
@@ -79,7 +147,16 @@ class ColumnChunk:
 
     def project(self, col_indices):
         """Column subset/reorder, sharing the underlying arrays."""
-        return ColumnChunk([self.cols[i] for i in col_indices], n=self.n)
+        return type(self)([self.cols[i] for i in col_indices], n=self.n)
+
+
+class ArrayChunk(ColumnChunk):
+    """Columns only UNNEST reads (:class:`ArrayColumn`); all else reads rows."""
+
+    __slots__ = ()
+
+    def __getitem__(self, item):
+        return self.to_rows()[item]
 
 
 def concat(chunks):
@@ -115,7 +192,9 @@ def eval_operand(spec, cols, params):
     """
     kind = spec[0]
     if kind == "col":
-        return cols[spec[1]]
+        if type(col := cols[spec[1]]) is not np.ndarray:
+            raise TypeError("an array column stays on the row path")
+        return col
     if kind == "const":
         return spec[1]
     if kind == "param":

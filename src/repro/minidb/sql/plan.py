@@ -86,7 +86,7 @@ class Plan:
 
     ``param_indices`` lists every ``$n`` the statement references (sorted);
     ``arity``, the shortest parameter vector that supplies them all (its
-    highest ``$n``; none does when it names ``$0``), lets the executor
+    highest ``$n``; the binder refuses ``$0``, SEM007), lets the executor
     reject a short vector before producing rows.
     """
 
@@ -95,7 +95,7 @@ class Plan:
     def __init__(self, statement, param_indices=()):
         self.statement = statement  # QueryPlan or a DML/utility node
         indices = self.param_indices = tuple(param_indices)
-        self.arity = float("inf") if 0 in indices else max(indices, default=0)
+        self.arity = max(indices, default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +289,17 @@ class Unnest(PlanNode):
         #: *input* row instead of once per output row.
         self.srf_positions = None
         #: Per SRF, ``Planner._srf_chunk_arg`` (read once per chunk) or None.
-        #: These getters are the only readers that see a cell as decoded (an
-        #: int64 ndarray for a long ``BIGINT[]``); ``srf_fns``, like every
-        #: compiled expression, see the list.
+        #: These columns' readers are the only ones that see a cell as decoded
+        #: (an int64 ndarray for a long ``BIGINT[]``, or values + offsets);
+        #: ``srf_fns``, like every compiled expression, see the list.
         self.srf_args = [None] * len(srf_fns)
         #: Prepared: per SRF, ``read(row)`` of a plain-column argument (its
         #: getter) or None (a slice or an expression: bound per statement);
         #: whether the input is a point lookup (one row); fused under a
-        #: Project, its non-SRF item closures and, per output column, its
-        #: place in ``(base values…, SRF values…)`` (both None when bare).
-        self.readers = self.base_fns = self.order = None
+        #: Project, its non-SRF item closures (``base_cols``: their input
+        #: columns, when plain) and, per output column, its place in
+        #: ``(base values…, SRF values…)`` (all None when bare).
+        self.readers = self.base_fns = self.base_cols = self.order = None
         self.point = False
 
     def children(self):

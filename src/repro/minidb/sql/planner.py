@@ -234,13 +234,15 @@ def _prepare(op, parent) -> None:
         op.point = isinstance(op.child, phys.PkLookup)
         # A column is read raw; a slice's bounds read the parameters.
         op.readers = tuple(
-            arg[0] if arg is not None and arg[1:] == (None, None) else None
+            itemgetter(arg[0]) if arg is not None and arg[1:] == (None, None) else None
             for arg in op.srf_args
         )
         if isinstance(parent, phys.Project):  # fused: a Project over it
             items = parent.item_fns
             srf_of = {pos: k for k, pos in enumerate(op.srf_positions)}
             op.base_fns = [fn for i, fn in enumerate(items) if i not in srf_of]
+            if parent.simple_cols is not None:
+                op.base_cols = [c for i, c in enumerate(parent.simple_cols) if i not in srf_of]
             slot = count()
             op.order = [
                 len(op.base_fns) + srf_of[i] if i in srf_of else next(slot)
@@ -551,9 +553,9 @@ class Planner:
         return unnest, schema + _Schema(appended)
 
     def _srf_chunk_arg(self, expr, schema):
-        """``(itemgetter(slot), low_fn, high_fn)`` of an UNNEST argument the
-        executor reads raw, its bounds once per chunk: a column, or a slice
-        of one whose bounds reference no column. None for anything else."""
+        """``(slot, low_fn, high_fn)`` of an UNNEST argument the executor
+        reads raw, its bounds once per chunk: a column, or a slice of one
+        whose bounds reference no column. None for anything else."""
         bounds = (None, None)
         if isinstance(expr, ast.ArraySlice):
             expr, bounds = expr.base, (expr.low, expr.high)
@@ -562,7 +564,7 @@ class Planner:
         if not isinstance(expr, ast.BoundRef):
             return None
         fns = [None if b is None else compile_expr(b, schema.slots) for b in bounds]
-        return (itemgetter(schema.slot(expr)), *fns)
+        return (schema.slot(expr), *fns)
 
     def _plan_windows(self, items, schema, node):
         wins = [item for item in items if item.kind == WINDOW]

@@ -40,7 +40,8 @@ hot patterns (the planner marks the plans; see ``plan.py``):
   ``FLOOR`` projection of Codes 2-4) runs inside the expansion kernel,
   which evaluates non-SRF items once per *input* row and emits a chunk's
   array elements column-wise, as ``ColumnChunk``s, when all its values are
-  int64 and row by row (same rows, same order) when they are not;
+  int64 and row by row when they are not (values + offsets: ``values``);
+* **index nested loop** — emits ``BIGINT[]`` as values + offsets columns;
 * **cross product** — a nested loop over a ``ColumnChunk`` and exact-int64
   right rows is ``np.repeat``/``np.tile`` columns and one filter mask;
 * **batched Top-K / aggregate accumulation** — bounded-heap and
@@ -65,12 +66,13 @@ from __future__ import annotations
 
 import heapq
 from functools import partial
-from itertools import chain, compress, zip_longest
-from operator import itemgetter
+from itertools import chain, repeat, zip_longest
+from operator import is_not, itemgetter
 
 import numpy as np
 
 from repro.errors import SQLError, SQLTypeError
+from repro.minidb.catalog import owned
 from repro.minidb.metrics import (
     CTE, LEAF_VISITS, LOOPS, PAGES, PLAIN, PROBES, PROBING, PULLS, ROWS, TIME,
     TraceCollector, render_plan,
@@ -219,6 +221,20 @@ def _flatten(cells, picked):
     return flats if {flat.dtype for flat in flats} <= _INT64 else None
 
 
+def _array_block(chunk, args, cuts, base_cols):
+    """Base columns (all: None) repeated, each SRF's ``ArrayColumn`` cut by
+    *cuts*, and the row lengths; None for a non-int64 base or ragged SRFs."""
+    arrays = [chunk.cols[arg[0]] for arg in args]
+    bases = chunk.cols if base_cols is None else [chunk.cols[i] for i in base_cols]
+    if set(map(type, arrays)) != {npbatch.ArrayColumn} or set(map(type, bases)) - {np.ndarray}:
+        return None
+    parts = [array.cut(cut) for array, cut in zip(arrays, cuts)]
+    reps = parts[0][1]
+    if any((lengths != reps).any() for _values, lengths in parts[1:]):
+        return None
+    return [np.repeat(b, reps) for b in bases] + [values for values, _ in parts], reps.tolist()
+
+
 def _srf_cells(readers, rows):
     """Per SRF, its argument's array in each of *rows* (NULL: ``()``), read
     by *readers* (:meth:`BatchExecutor._srf_readers`)."""
@@ -277,7 +293,7 @@ class BatchExecutor:
     def run(self, plan: phys.Plan) -> Result:
         given = len(self.params)
         if given < plan.arity:
-            index = next(i for i in plan.param_indices if not 1 <= i <= given)
+            index = next(i for i in plan.param_indices if i > given)
             raise SQLError(
                 f"parameter ${index} not supplied ({given} parameters given)"
             )
@@ -433,7 +449,7 @@ class BatchExecutor:
         masked by the predicates' array form (*specs*) when every one has
         it, anything else goes through the row closure."""
         params = self.params
-        if isinstance(chunk, ColumnChunk):
+        if type(chunk) is ColumnChunk:
             mask = npbatch.eval_masks(specs, chunk.cols, params, len(chunk))
             if mask is not None:
                 return chunk.take(mask)
@@ -461,19 +477,12 @@ class BatchExecutor:
                 chunks = list(self._emit_query(sub, env, None))
                 if self.buf is not None:
                     self.buf[sub.trace_at + LOOPS] = 1
-                if len(chunks) == 1:
-                    env[name] = chunks[0]  # scanned as the chunk it is
-                elif chunks and all(isinstance(c, ColumnChunk) for c in chunks):
-                    # Keep the CTE columnar: downstream scans slice and
-                    # filter it with array kernels (and fall back to the
-                    # row view transparently — ColumnChunk iterates as
-                    # the same row tuples).
-                    env[name] = npbatch.concat(chunks)
+                if len(chunks) == 1:  # scanned as the chunk it is: n1b's arms share it
+                    env[name] = chunks[0]
+                elif chunks and all(type(c) is ColumnChunk for c in chunks):
+                    env[name] = npbatch.concat(chunks)  # scans slice and mask it
                 else:
-                    rows: list[tuple] = []
-                    for chunk in chunks:
-                        rows.extend(chunk)
-                    env[name] = rows
+                    env[name] = list(chain.from_iterable(chunks))
             yield from self._emit(qplan.root, env, hint)
 
         return gen()
@@ -593,7 +602,7 @@ class BatchExecutor:
         table = self.catalog.get(node.table)
         params = self.params
         probe_fns, check = node.probe_fns, node.check
-        probe_specs = node.np_probe_specs
+        probe_specs, types = node.np_probe_specs, table.schema.types
 
         def gen():
             # key -> matching row (None = absent), for the whole statement.
@@ -614,9 +623,9 @@ class BatchExecutor:
                         ]
                     # The chunk's unseen keys go to the index together, in
                     # key order: neighbours share a leaf and a heap page.
-                    fresh = sorted(
-                        {k for k in keys if k is not None and k not in memo}
-                    )
+                    fresh = set(keys).difference(memo)
+                    fresh.discard(None)
+                    fresh = sorted(fresh)
                     matches, descents = table.lookup_many(fresh)
                     memo.update(zip(fresh, matches))
                     if buf is not None:
@@ -624,17 +633,16 @@ class BatchExecutor:
                         buf[at + PROBES] += len(fresh)
                         buf[at + LEAF_VISITS] += descents
                     matches = list(map(memo.get, keys))
-                    if isinstance(chunk, ColumnChunk):
-                        # Column-wise: left columns masked, zipped once.
-                        found = [m is not None for m in matches]
-                        hits = np.array(found)
-                        left_cols = [col[hits].tolist() for col in chunk.cols]
-                        out = list(zip(*left_cols, *zip(*compress(matches, found))))
+                    rows = [m for m in matches if m is not None]
+                    cols = type(chunk) is ColumnChunk and rows and npbatch.row_columns(rows, types)
+                    if cols:
+                        hits = np.fromiter(map(is_not, matches, repeat(None)), bool)
+                        out = npbatch.ArrayChunk([c[hits] for c in chunk.cols] + cols, len(rows))
                     else:
-                        out = [r + m for r, m in zip(chunk, matches) if m is not None]
-                    if check is not None:
-                        out = [row for row in out if check(row, params)]
-                    if out:
+                        out = [r + owned(m) for r, m in zip(chunk, matches) if m is not None]
+                    if check is not None and out:
+                        out = self._filter_chunk(out, check, node.filter_specs)
+                    if len(out):
                         yield out
             finally:
                 left.close()
@@ -681,14 +689,14 @@ class BatchExecutor:
         right_chunks = [chunk for chunk in right if len(chunk)]
         right_cols = None
         if node.np_left_col is not None and right_chunks and all(
-            isinstance(chunk, ColumnChunk) for chunk in right_chunks
+            type(chunk) is ColumnChunk for chunk in right_chunks
         ):
             right_cols = npbatch.concat(right_chunks).cols
         buckets = None
         for chunk in left:
             if not right_chunks:
                 continue
-            if right_cols is not None and isinstance(chunk, ColumnChunk):
+            if right_cols is not None and type(chunk) is ColumnChunk:
                 li, ri = npbatch.join_pairs(
                     chunk.cols[node.np_left_col], right_cols[node.np_right_col]
                 )
@@ -723,7 +731,7 @@ class BatchExecutor:
                     right_rows.extend(chunk)
                 right_cols = _columns(list(zip(*right_rows))) if right_rows else None
                 for chunk in left:
-                    if right_cols is not None and isinstance(chunk, ColumnChunk):
+                    if right_cols is not None and type(chunk) is ColumnChunk:
                         # Left-major cross product as columns, masked whole,
                         # built for as many left rows as fill one batch.
                         m = len(right_rows)
@@ -772,18 +780,23 @@ class BatchExecutor:
 
     def _bound_reader(self, arg, fn):
         """A constant-bound slice of a column (*arg*, ``Unnest.srf_args``)
-        read raw, its bounds evaluated once — a NULL bound makes every
-        slice NULL — or, without *arg*, the row closure *fn*."""
+        read raw (:meth:`_cut`), or, without *arg*, the row closure *fn*."""
         params = self.params
         if arg is None:
             return lambda row: fn(row, params)
-        getter, low, high = arg
-        lo = 1 if low is None else low((), params)
-        hi = None if high is None else high((), params)
-        if lo is None or (high is not None and hi is None):
+        cut, getter = self._cut(arg), itemgetter(arg[0])
+        if cut is None:
             return lambda row: None
-        cut = array_cut(lo, hi)
         return lambda row: None if (c := getter(row)) is None else c[cut]
+
+    def _cut(self, arg):
+        """*arg*'s (``Unnest.srf_args``) slice; None: a NULL bound."""
+        _, low, high = arg
+        lo = 1 if low is None else low((), self.params)
+        hi = None if high is None else high((), self.params)
+        if lo is None or (high is not None and hi is None):
+            return None
+        return array_cut(lo, hi)
 
     def _emit_unnest(self, node, env, hint):
         """A bare ProjectSet (under a WindowAgg or an Aggregate)."""
@@ -881,23 +894,26 @@ class BatchExecutor:
         input row that expands to anything, and *unode* is a fused trace
         node; bare, the input columns are the base items.
 
-        An input chunk at a time: each SRF argument is read once
-        (:func:`_srf_cells`) and every row's length taken in one pass. A
-        chunk whose SRF cells and base values are all int64, each row's
-        SRFs of one length, becomes columns (one flatten per SRF, one
-        ``np.repeat`` per base item); any other chunk expands row by row.
-        Output breaks at each switch between the two and at the first
-        input-row boundary with ``batch_size`` rows buffered. A point
-        lookup's one row is its own chunk, its arrays the columns. Under a
-        LIMIT *hint* the source is pulled one row at a time and the buffer
-        flushes at the hint: no page is read that a row-at-a-time pull
-        would not read.
+        An input chunk at a time (values + offsets: :func:`_array_block`):
+        each SRF argument is read once (:func:`_srf_cells`) and every row's
+        length taken in one pass. A chunk whose SRF cells and base values
+        are all int64, each row's SRFs of one length, becomes columns (one
+        flatten per SRF, one ``np.repeat`` per base item); any other chunk
+        expands row by row. Output breaks at each switch between the two and
+        at the first input-row boundary with ``batch_size`` rows buffered. A
+        point lookup's one row is its own chunk, its arrays the columns.
+        Under a LIMIT *hint* the source is pulled one row at a time and the
+        buffer flushes at the hint: no page is read that a row-at-a-time
+        pull would not read.
         """
         base_fns, order = unode.base_fns, unode.order  # bare: both None
         fused = order is not None
         child = self._emit(unode.child, env, None if hint is None else 1)
         params = self.params
         readers = self._srf_readers(unode)
+        args, base_cols, cuts = unode.srf_args, unode.base_cols, None
+        if not unode.point and None not in args and (base_cols is not None or not fused):
+            cuts = [self._cut(arg) for arg in args]
 
         def bases_of(rows):
             """Per base item, its values in *rows*."""
@@ -937,19 +953,28 @@ class BatchExecutor:
                             cols[:0] = [np.full(n, b, np.int64) for b in base]
                             yield ColumnChunk(cols if order is None else [cols[at] for at in order])
                             continue
-                    rows = list(chunk)
-                    cells = _srf_cells(readers, rows)
-                    lens = [list(map(len, column)) for column in cells]
-                    lengths = lens[0] if len(lens) == 1 else list(map(max, *lens))
-                    live = [i for i, n in enumerate(lengths) if n]
-                    if not live:
-                        continue
-                    reps = [lengths[i] for i in live]
-                    bases = bases_of([rows[i] for i in live])
-                    uniform = lens.count(lens[0]) == len(lens) and all(map(_int64s, bases))
-                    flats = _flatten(cells, live) if uniform else None
+                    done = None
+                    if cuts is not None and isinstance(chunk, ColumnChunk):
+                        done = _array_block(chunk, args, cuts, base_cols)
+                    if done is not None:  # values + offsets in, columns out
+                        flats, reps = done
+                        if not any(reps):
+                            continue
+                    else:
+                        rows = list(chunk)
+                        cells = _srf_cells(readers, rows)
+                        lens = [list(map(len, column)) for column in cells]
+                        lengths = lens[0] if len(lens) == 1 else list(map(max, *lens))
+                        live = [i for i, n in enumerate(lengths) if n]
+                        if not live:
+                            continue
+                        reps = [lengths[i] for i in live]
+                        bases = bases_of([rows[i] for i in live])
+                        uniform = lens.count(lens[0]) == len(lens) and all(map(_int64s, bases))
+                        flats = _flatten(cells, live) if uniform else None
+                        if flats is not None:
+                            flats[:0] = [np.repeat(np.fromiter(b, np.int64), reps) for b in bases]
                     if flats is not None:  # the chunk as columns
-                        flats[:0] = [np.repeat(np.fromiter(b, np.int64), reps) for b in bases]
                         block = ColumnChunk(arrange(flats))
                     else:  # the chunk row by row, NULL-padded
                         block = []
@@ -971,7 +996,7 @@ class BatchExecutor:
                             yield emitted(_joined(held))
                             held, held_len = [], 0
                     if end > start:
-                        held.append(block[start:end])
+                        held.append(block[start:end] if start else block)
                 if held:
                     yield emitted(_joined(held))
             finally:
@@ -1054,7 +1079,7 @@ class BatchExecutor:
             ):
                 cols = _columns(list(zip(*chunk)))
                 chunk = chunk if cols is None else ColumnChunk(cols, n=len(chunk))
-            if np_ok and isinstance(chunk, ColumnChunk):
+            if np_ok and type(chunk) is ColumnChunk:
                 np_chunks.append(chunk)
                 continue
             for buffered in np_chunks:
@@ -1098,7 +1123,7 @@ class BatchExecutor:
             if (
                 left_chunks
                 and right_chunks
-                and all(isinstance(c, ColumnChunk) for c in left_chunks + right_chunks)
+                and all(type(c) is ColumnChunk for c in left_chunks + right_chunks)
             ):
                 done = npbatch.band_join_aggregate(
                     npbatch.concat(left_chunks).cols,

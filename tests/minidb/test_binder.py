@@ -112,6 +112,20 @@ class TestAcceptedMeansPlanned:
         assert after["misses"] == before["misses"]
         assert db.disk.stats.reads == reads
 
+    @pytest.mark.parametrize(
+        "sql", ["SELECT $0", "SELECT a FROM t WHERE a = $1 OR b = $0"]
+    )
+    def test_parameter_zero_is_refused_with_its_span(self, dbs, sql):
+        db, _ = dbs
+        [diag] = analyze_sql(sql, db.catalog).errors
+        assert diag.code == "SEM007"
+        assert sql[diag.span.start : diag.span.end] == "$0"
+        with pytest.raises(SQLAnalysisError, match=r"SEM007 error: there is no parameter \$0"):
+            db.execute(sql, (1, 2))
+        arity = analyze_sql("SELECT $2 + 1", db.catalog).plan.arity
+        assert type(arity) is int and arity == 2
+        assert db.execute("SELECT $2 + 1", (5, 6)).rows == [(7,)]
+
     def test_same_column_twice_is_not_ambiguous(self, dbs):
         db, lite = dbs
         sql = "SELECT a, t.a FROM t ORDER BY a DESC"

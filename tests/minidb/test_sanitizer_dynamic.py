@@ -5,6 +5,7 @@ documents the rules); the suite also proves the sanitizer is silent on
 clean workloads and completely inert when disabled.
 """
 
+import gc
 import threading
 
 import pytest
@@ -69,6 +70,35 @@ class TestLatchOrderInversion:
                     pass
         with a.read():
             pass
+
+    def test_a_latch_collected_inside_a_hook_does_not_deadlock(self, tracker):
+        """A garbage collection can run a dead latch's finalizer while a
+        hook holds the tracker's lock (as ``weakref.finalize`` allocates
+        inside ``_watch``); the finalizer only queues the key, and the next
+        hook purges its edges, so a new latch with a recycled id inherits
+        none."""
+        a, b = RWLatch(name="latch:a"), RWLatch(name="latch:b")
+        with a.read(), b.read():  # the edge a -> b
+            pass
+        dead = id(b)
+
+        def collect_under_the_lock():
+            with tracker._lock:
+                del b_ref[0]
+                gc.collect()  # b's finalizer runs here, the lock held
+
+        b_ref = [b]
+        del b
+        worker = threading.Thread(target=collect_under_the_lock, daemon=True)
+        worker.start()
+        worker.join(5)
+        if worker.is_alive():  # the finalizer waits for the lock it holds
+            tracker._lock.release()
+            pytest.fail("a finalizer run under the tracker's lock deadlocked")
+        assert dead in tracker._dead
+        with a.read():  # the next hook purges the dead latch's edges
+            pass
+        assert dead not in tracker._edges.get(id(a), {}) and not tracker._dead
 
 
 class TestSelfDeadlock:
