@@ -78,9 +78,9 @@ def row_columns(rows, types):
     int64 per ``BIGINT``, an :class:`ArrayColumn` per ``BIGINT[]`` — one run
     of all elements cut per column — or None (rows) for another type, a NULL
     ``BIGINT`` or a NULL element."""
-    n, cols = len(rows), list(zip(*rows))
     if not set(types) <= {T_BIGINT, T_BIGINT_ARRAY}:
         return None
+    n, cols = len(rows), list(zip(*rows))
     ints, arrays = ([i for i, t in enumerate(types) if t == k] for k in (T_BIGINT, T_BIGINT_ARRAY))
     lists, lengths, nulls = [], [], {}
     for i in arrays:

@@ -4,11 +4,15 @@
 rid map. Whatever changes the page or drops the frame — an insert that
 splits the leaf, a ``remove``, a statement rollback, eviction,
 ``BufferPool.clear`` — must drop the map, and the next ``search_many`` must
-answer from the page's new content. The cache moves no page I/O: the
-pool's hits and misses and the device's reads are pinned on a tiny pool.
+answer from the page's new content, also for readers that share the maps
+while a writer runs between their statements. The cache moves no page
+I/O: the pool's hits and misses and the device's reads are pinned on a
+tiny pool.
 """
 
 import struct
+import sys
+import threading
 
 import pytest
 
@@ -16,8 +20,16 @@ from repro.minidb.btree import BTree
 from repro.minidb.buffer import BufferPool
 from repro.minidb.disk import DiskManager
 from repro.minidb.engine import Database
+from tests.minidb.reference import run_engine, run_reference
 
 KEYS = [(k,) for k in range(0, 3000, 3)]
+
+#: Every (hub, hour) of 60 hubs x 8 hours, probed through an index nested
+#: loop whose probe side is a column batch: the kNN/OTM shape.
+PROBE_ALL = """
+WITH p AS (SELECT UNNEST(hubs) AS hub, UNNEST(hours) AS hour FROM q WHERE id = 1)
+SELECT a.hub, a.hour, a.vs FROM aux a, p WHERE a.hub = p.hub AND a.hour = p.hour
+"""
 
 
 def tree_on(pool):
@@ -152,3 +164,85 @@ class TestPageIoUnchanged:
             assert rids == [tree.search(key) for key in sample]
         assert figures == [(5, 5, 5, 5), (6, 4, 4, 5)]  # (hits, misses, reads, descents)
         assert pool.total_pins() == 0
+
+
+class TestConcurrentReaders:
+    def test_readers_sharing_leaf_maps_see_each_write(self):
+        """Readers (more threads than cores, a short switch interval) fill
+        and share the leaf maps of one table while a writer, between their
+        statements, inserts a round of rows between the stable keys
+        (splitting leaves) and deletes it again, until the readers finish.
+        Each answer holds every stable row and no writer row or one whole
+        round, one the writer had committed while the statement ran: a map
+        that outlived its page would answer with a deleted round."""
+        db = Database()
+        db.execute(
+            "CREATE TABLE aux (hub BIGINT, hour BIGINT, vs BIGINT[], PRIMARY KEY (hub, hour))"
+        )
+        db.execute("CREATE TABLE q (id BIGINT, hubs BIGINT[], hours BIGINT[], PRIMARY KEY (id))")
+        stable = {(hub, hour, (hub, hour)) for hub in range(60) for hour in range(0, 8, 2)}
+        db.executemany("INSERT INTO aux VALUES ($1, $2, $3)", [(h, t, list(v)) for h, t, v in stable])
+        keys = [(hub, hour) for hub in range(60) for hour in range(8)]
+        db.execute("INSERT INTO q VALUES (1, $1, $2)", tuple(map(list, zip(*keys))))
+        assert "Index Nested Loop" in str(db.execute("EXPLAIN " + PROBE_ALL).rows)
+        # state[0]: the writer's statement in flight or last committed
+        # (2r + 1 inserts round r, 2r + 2 deletes it).
+        state, done, failures, seen = [0], threading.Event(), [], set()
+
+        def writer():
+            session = db.session(tracing=False)
+            for r in range(500):
+                if done.is_set():
+                    return
+                state[0] = 2 * r + 1
+                session.executemany(
+                    "INSERT INTO aux VALUES ($1, $2, $3)",
+                    [(hub, hour, [hub, -hour, r]) for hub in range(60) for hour in (1, 3, 5, 7)],
+                )
+                state[0] = 2 * r + 2
+                session.execute("DELETE FROM aux WHERE hour IN (1, 3, 5, 7)")
+
+        def reader():
+            session = db.session(tracing=False)
+            for _ in range(20):
+                before = state[0]
+                rows = {(h, t, tuple(v)) for h, t, v in session.execute(PROBE_ALL).rows}
+                states = range(max(before - 1, 0), state[0] + 1)
+                written = rows - stable
+                rounds = {v[2] for _, _, v in written}
+                seen.update(rounds)
+                whole = len(rounds) == 1 and len(written) == 240
+                if not stable <= rows or not (
+                    whole and 2 * min(rounds) + 1 in states
+                    if written
+                    else any(s % 2 == 0 for s in states)
+                ):
+                    failures.append((before, states.stop - 1, sorted(rounds)))
+
+        def guarded(fn):
+            def run():
+                try:
+                    fn()
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    failures.append(exc)
+            return run
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            readers = [threading.Thread(target=guarded(reader)) for _ in range(5)]
+            write = threading.Thread(target=guarded(writer))
+            for thread in [write, *readers]:
+                thread.start()
+            for thread in readers:
+                thread.join(timeout=120)
+            done.set()
+            write.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in [write, *readers])
+        assert failures == []
+        assert seen  # the readers did overlap the writer
+        assert {(h, t, tuple(v)) for h, t, v in db.execute(PROBE_ALL).rows} == stable
+        assert run_engine(db, PROBE_ALL) == run_reference(db, PROBE_ALL)
+        assert db.pool.total_pins() == 0
