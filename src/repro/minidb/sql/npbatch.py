@@ -82,24 +82,22 @@ def row_columns(rows, types):
         return None
     n, cols = len(rows), list(zip(*rows))
     ints, arrays = ([i for i, t in enumerate(types) if t == k] for k in (T_BIGINT, T_BIGINT_ARRAY))
-    lists, lengths, nulls = [], [], {}
-    for i in arrays:
-        cells = cols[i]
-        if type(None) in map(type, cells):  # a NULL cell: an empty range
-            nulls[i] = np.array([c is None for c in cells])
-            cells = [() if c is None else c for c in cells]
-        lists += cells
-        lengths += [0, *map(len, cells)]
+    cells = [cell for i in arrays for cell in cols[i]]
+    lengths = np.array([-1 if c is None else len(c) for c in cells], np.int64)
+    lengths = lengths.reshape(len(arrays), n)
+    nulls = lengths < 0  # a NULL cell: an empty range
+    offsets = np.zeros((len(arrays), n + 1), np.int64)
+    np.cumsum(np.where(nulls, 0, lengths), 1, out=offsets[:, 1:])
+    starts = [0, *offsets[:, -1].cumsum().tolist()]
     try:  # a NULL scalar or element raises TypeError
         scalars = np.array([cols[i] for i in ints], np.int64).reshape(len(ints), n)
-        offsets = np.array(lengths, np.int64).reshape(len(arrays), n + 1).cumsum(1)
-        ends = offsets[:, -1].cumsum().tolist()
-        values = np.fromiter(chain.from_iterable(lists), np.int64, ends[-1] if ends else 0)
+        cells = chain.from_iterable([c for c in cells if c is not None])
+        values = np.fromiter(cells, np.int64, starts[-1])
     except (TypeError, OverflowError):
         return None
     out = dict(zip(ints, scalars))
-    for i, offs, start, end in zip(arrays, offsets, [0, *ends], ends):
-        out[i] = ArrayColumn(values[start:end], offs, nulls.get(i))
+    for j, (i, null) in enumerate(zip(arrays, nulls.any(1).tolist())):
+        out[i] = ArrayColumn(values[starts[j] : starts[j + 1]], offsets[j], nulls[j] if null else None)
     return [out[i] for i in range(len(types))]
 
 
