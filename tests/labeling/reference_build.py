@@ -9,8 +9,10 @@ reversed :class:`~repro.timetable.model.Timetable`, and cover checks that
 test every label pair — so the identity suite
 (``tests/labeling/test_parallel.py``) can require the same labels byte for
 byte and the same kept counter. Its scans do not skip the stops ranked
-above the hub, so it yields (and prunes) more candidates than the builder;
-``prune=False`` keeps every Pareto journey, the unpruned labels. Its
+above the hub, so its candidates are not the builder's;
+:func:`restricted_candidates` counts the builder's from the same profiles
+over the connections the builder scans. ``prune=False`` keeps every Pareto
+journey, the unpruned labels. Its
 dummy tuples and its sort are per-tuple loops too, the reference for the
 builder's ``np.unique`` and ``lexsort``. It is
 slow (linear cover scans: Madrid ``paper`` takes minutes); use it on
@@ -20,6 +22,7 @@ test-sized timetables.
 from __future__ import annotations
 
 from operator import attrgetter
+from types import SimpleNamespace
 
 from repro.labeling.labels import LabelTuple, TTLLabels
 from repro.labeling.ordering import make_order
@@ -167,6 +170,40 @@ def add_dummy_tuples(lout: list[list[LabelTuple]],
         for stamp in times:
             lout[v].append(LabelTuple(hub=v, td=stamp, ta=stamp))
             lin[v].append(LabelTuple(hub=v, td=stamp, ta=stamp))
+
+
+# ---------------------------------------------------------------------------
+# The builder's candidate count
+# ---------------------------------------------------------------------------
+def restricted_candidates(
+    timetable: Timetable, ordering: str = "event_degree"
+) -> int:
+    """The candidates :func:`repro.labeling.ttl.build_labels` yields: per
+    hub h, the Pareto journeys between h and each lower-ranked vertex over
+    only the connections whose two stops both rank at or below h.
+
+    Usually fewer than :func:`reference_build` yields, but not always: a
+    journey through a higher stop can dominate two or more journeys that
+    avoid it, and without it those are all Pareto (the cover checks prune
+    them, so the kept tuples stay the same).
+    """
+    order = make_order(timetable, ordering)
+    rank = TTLLabels(timetable.num_stops, order).rank
+    count = 0
+    for side in (timetable, timetable.reverse()):
+        for h in order:
+            # a stand-in, not a Timetable: dropping a trip's middle leg
+            # breaks its chain, which the scan does not need
+            below = SimpleNamespace(num_stops=side.num_stops, connections=[
+                c for c in side.connections
+                if min(rank[c.u], rank[c.v]) >= rank[h]
+            ])
+            count += sum(
+                len(prof.entries)
+                for v, prof in enumerate(journey_profiles(below, h))
+                if v != h and rank[v] > rank[h]
+            )
+    return count
 
 
 # ---------------------------------------------------------------------------
