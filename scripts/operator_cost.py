@@ -1,17 +1,19 @@
-"""Where a kNN or OTM statement's time goes, operator by operator.
+"""Where a kNN, OTM or EA statement's time goes, operator by operator.
 
 Builds Salt Lake City ``paper`` in memory with a pool that holds every
 page, registers one random 24-target set (``kmax=4``, the EA families) and
 runs *requests* random ``(source, departure)`` requests per family on a
 traced client: each request once untimed (it warms the rows), then once
-traced. Printed per family (kNN, OTM):
+traced. The EA family is Code 1 from the source to one of the targets
+(``targets[source % 24]``): its two label ``Project``s are the one-row
+UNNEST expansions. Printed per family (kNN, OTM, EA):
 
 * each plan node's median self time in µs over the traced runs, in plan
   order (an operator fused into its parent reads 0);
 * the statement total (the traced statement's wall time);
 * ``TTLQueryEngine``'s in-memory answer time for the same requests (one
-  label join per target; the median of one timed run per request) and the
-  ratio of the statement total to it.
+  label join per target, one for EA; the median of one timed run per
+  request) and the ratio of the statement total to it.
 
 Run from the repository root::
 
@@ -46,6 +48,10 @@ def families(client, engine, targets):
         "OTM": (
             lambda s, t: client.ea_one_to_many(TAG, s, t),
             lambda s, t: engine.ea_one_to_many(s, targets, t),
+        ),
+        "EA": (
+            lambda s, t: client.earliest_arrival(s, targets[s % TARGETS], t),
+            lambda s, t: engine.earliest_arrival(s, targets[s % TARGETS], t),
         ),
     }
 
